@@ -16,7 +16,7 @@ class ColorLieError(Exception):
         base = super().__str__()
         depth = getattr(self, "flag_depth", None)
         if depth is not None:
-            return f"{base} [flag recursion depth {depth}]"
+            return f"{base} [flag depth {depth}]"
         return base
 
 

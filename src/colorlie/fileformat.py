@@ -147,7 +147,7 @@ def load_problem(path) -> ProblemFile:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}")
     try:
         data = json.loads(text)

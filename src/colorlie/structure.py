@@ -1,21 +1,26 @@
 """Constructive structure theory for linear Lie color algebras.
 
 The two main engines are the common-annihilated-vector search for nil
-algebras (Engel-type) and the common-homogeneous-eigenvector recursion
-for solvable algebras over torsion-free gradings (Lie-type).  The
-eigenvector recursion follows the classical four-step pattern:
+algebras (Engel-type) and the common-homogeneous-eigenvector search for
+solvable algebras over torsion-free gradings (Lie-type).  The eigenvector
+search runs the classical four-step argument as one loop up a chain:
 
-  1. locate a color ideal K of codimension one, L = K + F z;
-  2. recurse into K to obtain an eigenvector with weight lam;
-  3. verify that L stabilizes the joint weight space W of (K, lam),
-     which rests on lam([y, x]) = 0 (asserted exactly);
-  4. find a homogeneous eigenvector of z inside W: for nonzero degree z
-     this is a graded kernel vector (any homogeneous eigenvector of a
-     degree-shifting map has eigenvalue zero), for degree-zero z a
-     rational eigenvalue of some diagonal block of z restricted to W.
+  1. refine the derived series once into a homogeneous basis b_1..b_m,
+     deepest term first, so that every C_i = <b_1..b_i> is a color ideal
+     of codimension one in C_{i+1};
+  2. start from W = V, the joint weight space of C_0 = 0;
+  3. restrict b_{i+1} to W, the joint weight space of C_i, which is
+     stable because C_i is an ideal of C_{i+1} (checked exactly by the
+     restriction);
+  4. narrow W to an eigenspace of b_{i+1}: for nonzero degree this is the
+     graded kernel (any homogeneous eigenvector of a degree-shifting map
+     has eigenvalue zero), for degree zero the eigenspace, on every
+     component, of a rational eigenvalue of some diagonal block.
 
-Everything is verified exactly; a conclusion failing after its
-hypotheses were checked raises TheoremViolation.
+After the last step W is the joint weight space of L, so any homogeneous
+vector in it is a common eigenvector.  Everything is verified exactly; a
+conclusion failing after its hypotheses were checked raises
+TheoremViolation.
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ from .graded import (
     make_map,
     make_space,
     nilpotent_by_grading,
-    standard_basis_vector,
     unflatten_vector,
 )
 from .algebra import (
@@ -63,11 +67,9 @@ from .algebra import (
     bracket_closure,
     bracket_subspaces,
     center,
-    color_bracket,
     derived_series,
     full_subspace,
     is_ideal,
-    is_solvable,
     lower_central_series,
     _require_closed,
 )
@@ -119,7 +121,7 @@ class Weight:
 @dataclass(frozen=True)
 class ColorFlag:
     """Ordered homogeneous basis of V in which every element of the
-    algebra is upper triangular, with the weight read off at each step."""
+    algebra is upper triangular, with the weights read off the diagonal."""
 
     ordered_basis: tuple[GradedVector, ...]
     weights: tuple[Weight, ...]
@@ -214,33 +216,40 @@ def engel_check(
     return EngelReport(all_ad, nilpotent, witness)
 
 
+def _derived_chain(L: ColorAlgebra, series: list[Subspace]) -> list[HomogeneousMap]:
+    """Homogeneous basis b_1..b_m of L adapted to its derived series,
+    deepest term first, then each term's extension to the next.
+
+    Each span C_i = <b_1..b_i> lies between consecutive terms D_{j+1} and
+    D_j, so [C_{i+1}, C_i] lies in [D_j, D_j] = D_{j+1}, inside C_i: every
+    C_i is a codimension-one color ideal of C_{i+1}.  When L is not
+    solvable the chain starts with a basis of the last, perfect term.
+    """
+    ech = _GradedEchelon(L.space)
+    levels = [s.elements() for s in reversed(series[1:])] + [L.basis]
+    return [f for level in levels for f in level if ech.add_map(f)]
+
+
 def codim_one_ideal(
     L: ColorAlgebra, check_hypotheses: bool = True
 ) -> tuple[Subspace, HomogeneousMap]:
     """Color ideal K with dim K = dim L - 1 and a homogeneous z with
     L = K + F z.
 
-    K is built by extending a homogeneous basis of [L, L] to one of L and
-    dropping the last extension vector; any subspace containing [L, L] is
-    automatically an ideal, which also covers abelian L where [L, L] = 0.
+    With b_1..b_m the basis adapted to the derived series, K is spanned by
+    b_1..b_{m-1} and z = b_m is a basis element of L outside [L, L]; any
+    subspace containing [L, L] is an ideal, which also covers abelian L.
     """
     _require_closed(L)
     if L.dim == 0:
         raise ZeroAlgebra("the zero algebra has no codimension-one ideal")
-    if check_hypotheses and not is_solvable(L):
+    series = derived_series(L)
+    if check_hypotheses and series[-1].dim != 0:
         raise NotSolvable("algebra is not solvable")
-    derived = bracket_subspaces(full_subspace(L), full_subspace(L))
-    ech = _GradedEchelon(L.space)
-    for f in derived.elements():
-        ech.add_map(f)
-    chosen = [b for b in L.basis if ech.add_map(b)]
-    if not chosen:
+    if len(series) == 1:
         raise NotSolvable("derived subalgebra equals the whole algebra")
-    z = chosen[-1]
-    k = Subspace(L, derived.elements() + chosen[:-1], _validate=False)
-    if k.dim != L.dim - 1:
-        raise TheoremViolation("codimension-one construction went wrong")
-    return k, z
+    chain = _derived_chain(L, series)
+    return Subspace(L, chain[:-1], _validate=False), chain[-1]
 
 
 class _NotInvariant(Exception):
@@ -268,12 +277,6 @@ class _EmbeddedSubspace:
     def total_dim(self) -> int:
         return sum(len(vs) for vs in self.bases.values())
 
-    def to_ambient(self, w: GradedVector) -> GradedVector:
-        comps = {}
-        for g, c in w.components:
-            comps[g] = self.embed[g].apply(c)
-        return _vector(self.ambient, comps)
-
     def restrict(self, f: HomogeneousMap) -> HomogeneousMap:
         blocks = {}
         for g in self.space.degrees:
@@ -296,34 +299,78 @@ class _EmbeddedSubspace:
                 blocks[g] = Matrix.from_columns(cols, rows=w_t)
         return _map(self.space, f.degree, blocks)
 
+    def eigenspace(self, f_res: HomogeneousMap, lam: Fraction) -> "_EmbeddedSubspace":
+        """Vectors w with f w = lam w, given f's restriction f_res to this
+        subspace; a map of nonzero degree is only asked for its kernel.
+        Every component is narrowed, so a joint weight space stays one."""
+        bases = {}
+        for g in self.space.degrees:
+            m = f_res.block(g)
+            if f_res.degree.is_zero():
+                m = m - Matrix.identity(m.cols).scale(lam)
+            bases[g] = [self.embed[g].apply(k) for k in kernel_basis(m)]
+        return _EmbeddedSubspace(self.ambient, bases)
 
-def _weight_space(k_alg: ColorAlgebra, lam: Weight) -> _EmbeddedSubspace:
-    """W_g = joint solution space of x w = lam(x) w over the basis of K;
-    nonzero-degree basis elements contribute kernel conditions only."""
-    space = k_alg.space
-    bases = {}
-    for g, n in space.dims:
-        rows: list = []
-        for val, x in zip(lam.values, k_alg.basis):
-            if x.degree.is_zero():
-                m = x.block(g) - Matrix.identity(n).scale(val)
-                rows.extend(m.data)
-            else:
-                rows.extend(x.block(g).data)
-        if rows:
-            vecs = kernel_basis(Matrix(rows, cols=n))
-        else:
-            vecs = [
-                tuple(Fraction(1 if j == i else 0) for j in range(n))
-                for i in range(n)
-            ]
-        bases[g] = vecs
-    return _EmbeddedSubspace(space, bases)
+
+def _rational_eigenvalue(f_res: HomogeneousMap) -> Fraction:
+    first_irrational: Poly | None = None
+    for report in homogeneous_eigenvalues(f_res):
+        if report.pairs:
+            return report.pairs[0][0]
+        if first_irrational is None:
+            first_irrational = report.irrational_factor
+    raise IrrationalEigenvalue(
+        "no rational eigenvalue on any component of the weight space "
+        f"(characteristic factor {first_irrational})",
+        first_irrational,
+    )
+
+
+def _chain_eigenvector(space: GradedSpace, chain, strict: bool) -> GradedVector:
+    """Homogeneous vector in the joint weight space of the span of the
+    chain, found by narrowing W = V one chain element at a time."""
+    w = _EmbeddedSubspace(space, {g: Matrix.identity(n).data for g, n in space.dims})
+    for b in chain:
+        if b.is_zero():
+            continue
+        try:
+            b_res = w.restrict(b)
+        except _NotInvariant:
+            if strict:
+                raise TheoremViolation("algebra does not stabilize the weight space")
+            raise NoHomogeneousEigenvector(
+                "the algebra does not stabilize the candidate weight space"
+            )
+        lam = _rational_eigenvalue(b_res) if b.degree.is_zero() else _ZERO
+        w = w.eigenspace(b_res, lam)
+        if w.total_dim == 0:
+            if strict:
+                raise TheoremViolation(
+                    "degree-shifting chain element has no homogeneous kernel "
+                    "vector in the weight space"
+                )
+            raise NoHomogeneousEigenvector(
+                "chain element has no homogeneous eigenvector in the "
+                "weight space (its degree has finite order)"
+            )
+    g, vs = next(iter(w.bases.items()))
+    return _vector(space, {g: vs[0]})
+
+
+def _check_solvable(L: ColorAlgebra, nil_policy: str, seed: int) -> list[Subspace]:
+    """Derived series of L, after checking that it ends in zero and that
+    the components of [L, L] are nil."""
+    series = derived_series(L)
+    if series[-1].dim != 0:
+        raise NotSolvable("algebra is not solvable")
+    derived = series[1] if len(series) > 1 else series[0]
+    _check_nil_components(L, derived, "derived subalgebra", nil_policy, seed)
+    return series
 
 
 def _check_triangularization_hypotheses(
     L: ColorAlgebra, nil_policy: str, seed: int
-):
+) -> list[Subspace]:
     _require_closed(L)
     if L.space.total_dim == 0:
         raise EmptySpace("the representation space is zero")
@@ -332,10 +379,7 @@ def _check_triangularization_hypotheses(
             "grading group has torsion; triangularization can fail "
             "(run the cyclic-group demo for a 3-dimensional example)"
         )
-    if not is_solvable(L):
-        raise NotSolvable("algebra is not solvable")
-    derived = bracket_subspaces(full_subspace(L), full_subspace(L))
-    _check_nil_components(L, derived, "derived subalgebra", nil_policy, seed)
+    return _check_solvable(L, nil_policy, seed)
 
 
 def common_homogeneous_eigenvector(
@@ -345,108 +389,34 @@ def common_homogeneous_eigenvector(
     seed: int = 0,
 ) -> tuple[GradedVector, Weight]:
     """Common homogeneous eigenvector of a solvable algebra over a
-    torsion-free grading, with the weight functional on L's basis."""
+    torsion-free grading, with the weight functional on L's basis.
+
+    The weight is read off by applying every basis element of L to the
+    vector, which also certifies that it is a common eigenvector.
+    """
     _require_closed(L)
     if L.space.total_dim == 0:
         raise EmptySpace("the representation space is zero")
     if check_hypotheses:
-        _check_triangularization_hypotheses(L, nil_policy, seed)
-    return _eigenvector_search(L, strict=check_hypotheses)
-
-
-def _eigenvector_search(L: ColorAlgebra, strict: bool) -> tuple[GradedVector, Weight]:
-    if L.dim == 0:
-        g0, _ = L.space.dims[0]
-        return standard_basis_vector(L.space, g0, 0), Weight(L, ())
-
-    k_sub, z = codim_one_ideal(L, check_hypotheses=False)
-    k_alg = ColorAlgebra(
-        L.space, L.r, tuple(k_sub.elements()), closed=True, _validate=False
-    )
-    _, lam_k = _eigenvector_search(k_alg, strict)
-
-    w_space = _weight_space(k_alg, lam_k)
-    if w_space.total_dim == 0:
-        raise TheoremViolation("weight space vanished despite recursive success")
-
-    # lam kills brackets of the algebra into the ideal, otherwise the
-    # weight space cannot be stable under L
-    for y in k_alg.basis:
-        for x in L.basis:
-            if lam_k.evaluate(color_bracket(L.r, y, x)) != 0:
-                if strict:
-                    raise TheoremViolation(
-                        "weight does not vanish on a bracket into the ideal"
-                    )
-                raise NoHomogeneousEigenvector(
-                    "candidate weight is not invariant under the algebra"
-                )
-
-    try:
-        for x in L.basis:
-            w_space.restrict(x)
-    except _NotInvariant:
-        if strict:
-            raise TheoremViolation("algebra does not stabilize the weight space")
-        raise NoHomogeneousEigenvector(
-            "the algebra does not stabilize the candidate weight space"
-        )
-
-    z_res = w_space.restrict(z)
-    if z.degree.is_zero():
-        pick = None
-        first_irrational: Poly | None = None
-        for report in homogeneous_eigenvalues(z_res):
-            if report.pairs and pick is None:
-                lam_z, w = report.pairs[0]
-                pick = (lam_z, w)
-            if report.irrational_factor is not None and first_irrational is None:
-                first_irrational = report.irrational_factor
-        if pick is None:
-            raise IrrationalEigenvalue(
-                "no rational eigenvalue on any component of the weight space "
-                f"(characteristic factor {first_irrational})",
-                first_irrational,
-            )
-        lam_z, w = pick
+        series = _check_triangularization_hypotheses(L, nil_policy, seed)
     else:
-        kern = graded_kernel([z_res], space=w_space.space)
-        if not kern:
-            if strict:
-                raise TheoremViolation(
-                    "degree-shifting complement has no homogeneous kernel "
-                    "vector in the weight space"
-                )
-            raise NoHomogeneousEigenvector(
-                "complement element has no homogeneous eigenvector in the "
-                "weight space (its degree has finite order)"
-            )
-        lam_z, w = _ZERO, kern[0]
+        series = derived_series(L)
+    if series[-1].dim != 0:
+        raise NotSolvable("algebra is not solvable")
+    v0 = _chain_eigenvector(
+        L.space, _derived_chain(L, series), strict=check_hypotheses
+    )
 
-    v0 = w_space.to_ambient(w)
-
-    # extend the weight from K + F z to the basis of L
-    columns = [
-        [x for row in flatten_map(f).data for x in row] for f in k_alg.basis
-    ]
-    columns.append([x for row in flatten_map(z).data for x in row])
-    system = Matrix.from_columns(columns, rows=len(columns[0]))
+    flat = flatten_vector(v0)
+    p = next(i for i, x in enumerate(flat) if x != 0)
     values = []
     for b in L.basis:
-        target = [x for row in flatten_map(b).data for x in row]
-        coords = solve_unique(system, target)
-        if coords is None:
-            raise TheoremViolation("ideal plus complement failed to span")
-        val = sum(
-            (c * v for c, v in zip(coords[:-1], lam_k.values)), _ZERO
-        ) + coords[-1] * lam_z
-        values.append(val)
-    lam = Weight(L, tuple(values))
-
-    for val, b in zip(values, L.basis):
-        if apply(b, v0) != v0.scale(val):
+        image = apply(b, v0)
+        val = flatten_vector(image)[p] / flat[p]
+        if image != v0.scale(val):
             raise TheoremViolation("computed vector is not a common eigenvector")
-    return v0, lam
+        values.append(val)
+    return v0, Weight(L, tuple(values))
 
 
 def _quotient_by_line(comp) -> tuple[Matrix, Matrix]:
@@ -490,71 +460,62 @@ def color_flag(
     triangular, obtained by repeatedly splitting off a common homogeneous
     eigenvector and passing to the graded quotient.
 
-    The result is verified exactly: the change of basis is applied to
-    every basis element of L, strict lower entries must vanish and the
-    diagonal must reproduce the collected weights.
+    The chain adapted to the derived series is computed once and pushed
+    through each quotient.  The result is verified exactly: the change of
+    basis is applied to every basis element of L, strict lower entries
+    must vanish and the weights are read off the diagonal.
     """
     _require_closed(L)
     if check_hypotheses:
-        _check_triangularization_hypotheses(L, nil_policy, seed)
+        series = _check_triangularization_hypotheses(L, nil_policy, seed)
+    else:
+        series = derived_series(L)
     if L.space.total_dim == 0:
         raise EmptySpace("the representation space is zero")
 
     flag_vectors: list[GradedVector] = []
-    weight_rows: list[tuple[Fraction, ...]] = []
+    chain = _derived_chain(L, series)
     cur_space = L.space
-    cur_alg = L
-    orig_images = list(L.basis)
     lift = {g: Matrix.identity(n) for g, n in L.space.dims}
     depth = 0
 
-    while cur_space.total_dim > 0:
-        try:
-            v, lam = _eigenvector_search(cur_alg, strict=check_hypotheses)
-            weight_rows.append(
-                tuple(lam.evaluate(im) for im in orig_images)
+    try:
+        if series[-1].dim != 0:
+            raise NotSolvable("algebra is not solvable")
+        while cur_space.total_dim > 0:
+            v = _chain_eigenvector(cur_space, chain, strict=check_hypotheses)
+            d = v.degree()
+            comp = v.components[0][1]
+            flag_vectors.append(
+                _vector(L.space, {d: tuple(lift[d].apply(comp))})
             )
-        except (TheoremViolation, NoHomogeneousEigenvector,
-                IrrationalEigenvalue, HypothesisFailed) as e:
-            e.flag_depth = depth
-            raise
 
-        d = v.degree()
-        comp = v.components[0][1]
-        flag_vectors.append(
-            _vector(L.space, {d: tuple(lift[d].apply(comp))})
-        )
+            proj, sect, new_dims = {}, {}, {}
+            for g, n in cur_space.dims:
+                if g == d:
+                    p, s = _quotient_by_line(comp)
+                else:
+                    p, s = Matrix.identity(n), Matrix.identity(n)
+                proj[g], sect[g] = p, s
+                if p.rows > 0:
+                    new_dims[g] = p.rows
+            new_space = (
+                make_space(L.space.group, new_dims)
+                if new_dims
+                else GradedSpace(L.space.group, ())
+            )
 
-        proj, sect, new_dims = {}, {}, {}
-        for g, n in cur_space.dims:
-            if g == d:
-                p, s = _quotient_by_line(comp)
-            else:
-                p, s = Matrix.identity(n), Matrix.identity(n)
-            proj[g], sect[g] = p, s
-            if p.rows > 0:
-                new_dims[g] = p.rows
-        new_space = (
-            make_space(L.space.group, new_dims)
-            if new_dims
-            else GradedSpace(L.space.group, ())
-        )
-
-        ech = _GradedEchelon(new_space)
-        for b in cur_alg.basis:
-            ech.add_map(_induced_map(new_space, proj, sect, b))
-        orig_images = [
-            _induced_map(new_space, proj, sect, im) for im in orig_images
-        ]
-        cur_alg = ColorAlgebra(
-            new_space, L.r, tuple(ech.maps()), closed=True, _validate=False
-        )
-        lift = {
-            g: lift[g] * sect[g]
-            for g, _ in new_space.dims
-        }
-        cur_space = new_space
-        depth += 1
+            chain = [_induced_map(new_space, proj, sect, f) for f in chain]
+            lift = {
+                g: lift[g] * sect[g]
+                for g, _ in new_space.dims
+            }
+            cur_space = new_space
+            depth += 1
+    except (TheoremViolation, NoHomogeneousEigenvector,
+            IrrationalEigenvalue, HypothesisFailed) as e:
+        e.flag_depth = depth
+        raise
 
     n = L.space.total_dim
     t = Matrix.from_columns([flatten_vector(v) for v in flag_vectors], rows=n)
@@ -562,19 +523,15 @@ def color_flag(
         t_inv = inverse(t)
     except ValueError:
         raise TheoremViolation("flag vectors do not form a basis")
-    for i, b in enumerate(L.basis):
-        m = t_inv * flatten_map(b) * t
-        for rr in range(n):
-            for cc in range(rr):
-                if m.data[rr][cc] != 0:
-                    raise TheoremViolation(
-                        "matrix is not upper triangular in the flag basis"
-                    )
-            if m.data[rr][rr] != weight_rows[rr][i]:
-                raise TheoremViolation(
-                    "diagonal entries disagree with the collected weights"
-                )
-    weights = tuple(Weight(L, row) for row in weight_rows)
+    mats = [t_inv * flatten_map(b) * t for b in L.basis]
+    for m in mats:
+        if any(m.data[rr][cc] != 0 for rr in range(n) for cc in range(rr)):
+            raise TheoremViolation(
+                "matrix is not upper triangular in the flag basis"
+            )
+    weights = tuple(
+        Weight(L, tuple(m.data[k][k] for m in mats)) for k in range(n)
+    )
     return ColorFlag(tuple(flag_vectors), weights)
 
 
@@ -595,10 +552,7 @@ def ideal_chain(
     if check_hypotheses:
         if not L.space.group.is_torsion_free():
             raise TorsionGrading("grading group has torsion")
-        if not is_solvable(L):
-            raise NotSolvable("algebra is not solvable")
-        derived = bracket_subspaces(full_subspace(L), full_subspace(L))
-        _check_nil_components(L, derived, "derived subalgebra", nil_policy, seed)
+        _check_solvable(L, nil_policy, seed)
     if L.dim == 0:
         return IdealChain((Subspace(L, [], _validate=False),))
 

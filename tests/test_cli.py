@@ -172,6 +172,15 @@ def test_validate_missing_file(capsys):
     assert code == 2
 
 
+def test_validate_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ParseError):
+        load_problem(path)
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+
+
 # -------------------------------------------------------------- series
 
 

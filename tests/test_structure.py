@@ -14,6 +14,7 @@ from colorlie import (
     Matrix,
     NoHomogeneousEigenvector,
     NotSolvable,
+    Subspace,
     TorsionGrading,
     ZeroAlgebra,
     apply,
@@ -23,6 +24,7 @@ from colorlie import (
     color_flag,
     common_annihilated_vector,
     common_homogeneous_eigenvector,
+    derived_series,
     engel_check,
     flatten_map,
     flatten_vector,
@@ -33,6 +35,7 @@ from colorlie import (
     make_group,
     make_map,
     make_space,
+    unflatten_map,
     z3_counterexample,
 )
 from corpus import (
@@ -280,7 +283,7 @@ def test_eigenvector_weight_kills_brackets():
 
 def test_eigenvector_multidimensional_weight_space():
     # dims {0:2, 1:1}; d = diag(2,2) + 3, u nilpotent inside V_0, two
-    # degree-1 shifts: the recursion passes through weight spaces of
+    # degree-1 shifts: the chain loop passes through weight spaces of
     # dimension > 1 and the unique answer is the degree-1 line
     z = make_group(1, [])
     r = make_bicharacter(z, [[1]])
@@ -301,6 +304,24 @@ def test_eigenvector_multidimensional_weight_space():
     assert lam.evaluate(s) == 0
     flag = color_flag(L)
     _assert_flag_valid(L, flag)
+
+
+def test_eigenvector_weight_space_spans_components():
+    # d is the scalar 2 on both components and commutes with the shift
+    # s: the weight space of d must keep both components, since only the
+    # degree-1 line is killed by s
+    z = make_group(1, [])
+    r = make_bicharacter(z, [[1]])
+    z0, z1 = z.element([0]), z.element([1])
+    v = make_space(z, {z0: 1, z1: 1})
+    d = make_map(v, z0, {z0: [[2]], z1: [[2]]})
+    s = make_map(v, z1, {z0: [[1]]})
+    L = bracket_closure(v, r, [d, s])
+    assert L.dim == 2
+    vec, lam = common_homogeneous_eigenvector(L)
+    assert vec.degree() == z1
+    assert lam.evaluate(d) == 2
+    assert lam.evaluate(s) == 0
 
 
 def test_annihilated_vector_allows_torsion_gradings():
@@ -420,8 +441,9 @@ def test_flag_partial_progress_then_irrational_depth():
 
 
 def test_flag_full_borel_four():
-    # dim-10 algebra on a 4-dimensional space: exercises deeper recursion
-    # than the random corpus, with the unique invariant flag forced
+    # dim-10 algebra on a 4-dimensional space: exercises a longer chain
+    # and more quotient steps than the random corpus, with the unique
+    # invariant flag forced
     v = gl(4)
     gens = [unit_map(v, i, j) for i in range(4) for j in range(i, 4)]
     L = bracket_closure(v, R0, gens)
@@ -460,6 +482,51 @@ def test_flag_randomized_solvable_corpus():
             L = random_solvable_instance(rng, group, r)
             flag = color_flag(L)
             _assert_flag_valid(L, flag)
+
+
+def test_flag_not_solvable_skip_hypotheses():
+    # sl2 is perfect: without the hypothesis checks the failure surfaces
+    # while looking for the first flag vector
+    v = gl(2)
+    L = bracket_closure(v, R0, [unit_map(v, 0, 1), unit_map(v, 1, 0)])
+    with pytest.raises(NotSolvable) as info:
+        color_flag(L, check_hypotheses=False)
+    assert info.value.flag_depth == 0
+    assert str(info.value).endswith("[flag depth 0]")
+
+
+def _assert_derived_chain(L):
+    from colorlie.structure import _derived_chain
+
+    chain = _derived_chain(L, derived_series(L))
+    assert len(chain) == L.dim
+    assert Subspace(L, chain).dim == L.dim
+    for b in chain:
+        assert unflatten_map(L.space, b.degree, flatten_map(b)) == b
+    for i in range(L.dim):
+        below = Subspace(L, chain[:i])
+        for x in chain[: i + 1]:
+            for y in chain[:i]:
+                assert below.contains(color_bracket(L.r, x, y))
+
+
+def test_derived_chain_is_codim_one_ideal_chain():
+    rng = random.Random(101)
+    for _, group, r in torsion_free_configs():
+        for _ in range(2):
+            _assert_derived_chain(random_solvable_instance(rng, group, r))
+    # 4x4 Borel algebra, e_i in degree i of Z under the super sign
+    z = make_group(1, [])
+    r = make_bicharacter(z, [[-1]])
+    v = make_space(z, {z.element([i]): 1 for i in range(4)})
+    gens = [
+        make_map(v, z.element([i - j]), {z.element([j]): [[1]]})
+        for i in range(4)
+        for j in range(i, 4)
+    ]
+    L = bracket_closure(v, r, gens)
+    assert L.dim == 10
+    _assert_derived_chain(L)
 
 
 def test_flag_quotient_soundness():
