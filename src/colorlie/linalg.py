@@ -477,6 +477,14 @@ def _traces_vanish(point, ints, n: int) -> bool:
     return True
 
 
+def _simplex_layer(n: int, s: int):
+    """The points of N^s with coordinate sum n, lazily and in
+    lexicographic order (stars and bars)."""
+    for bars in itertools.combinations(range(n + s - 1), s - 1):
+        edges = (-1, *bars, n + s - 1)
+        yield tuple(edges[i + 1] - edges[i] - 1 for i in range(s))
+
+
 def nil_subspace_check(
     mats, policy: str = "auto", seed: int = 0
 ) -> bool:
@@ -484,11 +492,15 @@ def nil_subspace_check(
 
     In characteristic zero the span is nil iff trace((sum t_i B_i)^k)
     vanishes identically for k = 1..n (Newton's identities).  Each trace
-    is a polynomial of degree k in the span coordinates, so with
-    ``policy="deterministic"`` vanishing on the integer grid {0..n}^s
-    settles the question.  ``policy="probabilistic"`` evaluates at three
-    independent random integer points per polynomial; by Schwartz-Zippel
-    the failure probability is at most (n / 2_000_000)^3 per polynomial.
+    is homogeneous of degree k <= n in the span coordinates, so with
+    ``policy="deterministic"`` vanishing on the C(n+s-1, s-1) points
+    {a in N^s : sum a = n} settles the question: they are the order-n
+    principal lattice of that simplex, unisolvent for degree <= n (Chung
+    and Yao 1977), so each trace vanishes on the hyperplane sum t = n
+    and, by homogeneity, wherever sum t != 0.
+    ``policy="probabilistic"`` evaluates at three independent random
+    integer points per polynomial; by Schwartz-Zippel the failure
+    probability is at most (n / 2_000_000)^3 per polynomial.
     ``policy="auto"`` picks deterministic for spans of size <= 4.
     """
     mats = list(mats)
@@ -507,7 +519,7 @@ def nil_subspace_check(
         raise ValueError(f"unknown policy {policy!r}")
     ints = _integer_matrices(mats)
     if policy == "deterministic":
-        points = itertools.product(range(n + 1), repeat=s)
+        points = _simplex_layer(n, s)
     else:
         rng = random.Random(seed)
         points = [

@@ -303,6 +303,39 @@ def test_chain_dim_one(tmp_path, capsys):
     assert [s["dimension"] for s in payload["chain"]] == [0, 1]
 
 
+def _borel_problem(tmp_path, n):
+    def unit(i, j):
+        rows = [["1" if (r, c) == (i, j) else "0" for c in range(n)] for r in range(n)]
+        return {"degree": [], "blocks": [{"source": [], "matrix": rows}]}
+
+    doc = {
+        "group": {"free_rank": 0, "torsion_moduli": []},
+        "bicharacter": [],
+        "space": [{"degree": [], "dim": n}],
+        "generators": [unit(i, i) for i in range(n)]
+        + [unit(i, i + 1) for i in range(n - 1)],
+    }
+    path = tmp_path / f"borel{n}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_deterministic_policy_on_borel_four(tmp_path, capsys):
+    # [L, L] has six basis matrices, beyond the size where "auto" is
+    # deterministic; the exact nil check must still finish promptly
+    path = _borel_problem(tmp_path, 4)
+    code, out, err = run(
+        capsys, "chain", str(path), "--policy", "deterministic", "--json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert [s["dimension"] for s in payload["chain"]] == list(range(11))
+    code, out, err = run(
+        capsys, "triangularize", str(path), "--policy", "deterministic", "--json"
+    )
+    assert code == 0
+
+
 def test_chain_torsion_exit_3(capsys):
     code, out, err = run(capsys, "chain", str(PROBLEMS / "z3_torsion.json"))
     assert code == 3

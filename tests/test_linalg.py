@@ -364,6 +364,100 @@ def test_nil_subspace_probabilistic_consistency():
     assert a == b
 
 
+def _unit(n, i, j):
+    return Matrix([[1 if (r, c) == (i, j) else 0 for c in range(n)] for r in range(n)])
+
+
+def test_nil_subspace_interior_only_witness():
+    # on the k-cycle E12, E23, ..., Ek1 every trace power vanishes except
+    # tr M^k = k * t1 * ... * tk, which is zero on every face of the simplex
+    for k in (3, 4):
+        cycle = [_unit(k, i, (i + 1) % k) for i in range(k)]
+        assert not nil_subspace_check(cycle, policy="deterministic")
+        assert nil_subspace_check(cycle[:-1], policy="deterministic")
+
+
+def test_nil_subspace_deterministic_point_count(monkeypatch):
+    from colorlie import linalg
+
+    calls = []
+    real = linalg._traces_vanish
+
+    def counting(point, ints, n):
+        calls.append(point)
+        return real(point, ints, n)
+
+    monkeypatch.setattr(linalg, "_traces_vanish", counting)
+    upper = [_unit(5, 0, 1), _unit(5, 1, 3), _unit(5, 2, 4)]
+    assert nil_subspace_check(upper, policy="deterministic")
+    # C(5 + 3 - 1, 3 - 1) points with coordinate sum 5, not the 6^3 grid
+    assert len(calls) == 21
+    assert all(sum(p) == 5 for p in calls)
+    assert len(set(calls)) == 21
+
+
+def _nil_on_full_grid(mats):
+    """Reference decider: every element with coordinates in {0..n}^s is
+    nilpotent, tested by an integer power M^n == 0."""
+    n = mats[0].rows
+    ints = [[[int(x) for x in row] for row in m.data] for m in mats]
+    for point in itertools.product(range(n + 1), repeat=len(mats)):
+        m = [
+            [sum(t * b[i][j] for t, b in zip(point, ints)) for j in range(n)]
+            for i in range(n)
+        ]
+        p = m
+        for _ in range(n - 1):
+            p = [
+                [sum(p[i][l] * m[l][j] for l in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+        if any(any(row) for row in p):
+            return False
+    return True
+
+
+def _triangular(rng, n, upper):
+    return Matrix(
+        [
+            [
+                rng.randint(-2, 2) if (j > i if upper else j < i) else 0
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    )
+
+
+def test_nil_subspace_layer_matches_full_grid():
+    rng = random.Random(31)
+    verdicts = []
+    for trial in range(200):
+        n = rng.randint(2, 5)
+        s = rng.randint(1, 4)
+        kind = trial % 4
+        if kind == 0:
+            mats = [_triangular(rng, n, upper=True) for _ in range(s)]
+        elif kind == 1:
+            # each generator nilpotent, their sum usually not
+            mats = [_triangular(rng, n, upper=i % 2 == 0) for i in range(s)]
+        elif kind == 2:
+            # a nil span that is not triangular in the standard basis:
+            # conjugate by a unimodular integer matrix
+            p = Matrix.identity(n)
+            for _ in range(n):
+                i, j = rng.sample(range(n), 2)
+                p = p * (Matrix.identity(n) + _unit(n, i, j).scale(rng.choice((-1, 1))))
+            p_inv = inverse(p)
+            mats = [p * _triangular(rng, n, upper=True) * p_inv for _ in range(s)]
+        else:
+            mats = [rand_matrix(rng, n, n, lo=-1, hi=1, den=1) for _ in range(s)]
+        expected = _nil_on_full_grid(mats)
+        assert nil_subspace_check(mats, policy="deterministic") == expected
+        verdicts.append(expected)
+    assert 40 < sum(verdicts) < 160
+
+
 # ------------------------------------------------------ solve, inverse
 
 
