@@ -350,8 +350,9 @@ def bracket_subspaces(s: Subspace, t: Subspace) -> Subspace:
         raise ParentMismatch("subspaces of different algebras")
     L = s.parent
     out = []
+    t_elements = t.elements()
     for a in s.elements():
-        for b in t.elements():
+        for b in t_elements:
             c = color_bracket(L.r, a, b)
             if not c.is_zero():
                 out.append(c)

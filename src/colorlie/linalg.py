@@ -1,8 +1,8 @@
 """Exact dense linear algebra over arbitrary-precision rationals.
 
 Everything here works with ``fractions.Fraction`` entries and is exact:
-echelon forms, kernels, characteristic polynomials, rational root
-enumeration and nilpotency certificates.  Matrices are immutable.
+echelon forms, kernels, characteristic polynomials, rational roots
+and nilpotency certificates.  Matrices are immutable.
 """
 
 from __future__ import annotations
@@ -391,21 +391,136 @@ def char_poly(m: Matrix) -> Poly:
     return polys[n]
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
+def _strip(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """Content removed and leading coefficient made positive."""
+    g = math.gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return [c // g for c in a]
+
+
+def _derivative(a: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _zx_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of two nonzero polynomials in Z[t] (constant term
+    first), by the primitive pseudo-remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            c, shift = r[-1], len(r) - len(b)
+            r = [x * b[-1] for x in r]
+            for i, bi in enumerate(b):
+                r[shift + i] -= c * bi
+            _strip(r)
+        a, b = b, (_primitive(r) if r else r)
+    return a
+
+
+def _zx_exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b in Z[t] when b divides a with an integral quotient."""
+    r = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k], rem = divmod(r[k + len(b) - 1], b[-1])
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
+        for i, bi in enumerate(b):
+            r[k + i] -= q[k] * bi
+    return q
+
+
+def _fp_gcd_degree(a: list[int], b: list[int], p: int) -> int:
+    """Degree of gcd(a, b) in F_p[t]; b may be zero, a may not."""
+    a = _strip([c % p for c in a])
+    b = _strip([c % p for c in b])
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c, shift = a[-1] * inv % p, len(a) - len(b)
+            for i, bi in enumerate(b):
+                a[shift + i] = (a[shift + i] - c * bi) % p
+            _strip(a)
+        a, b = b, a
+    return len(a) - 1
+
+
+def _primes():
+    p = 2
+    while True:
+        if all(p % d for d in range(2, math.isqrt(p) + 1)):
+            yield p
+        p += 1
+
+
+def _lifting_prime(h: list[int], dh: list[int]) -> int:
+    """Smallest prime not dividing lc(h) modulo which h is square-free."""
+    return next(q for q in _primes() if h[-1] % q and _fp_gcd_degree(h, dh, q) == 0)
+
+
+def _horner(a: list[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _root_candidates(f: list[int]) -> list[Fraction]:
+    """At most deg f rationals among which lie all rational roots of the
+    integer polynomial f (constant term first, degree >= 1)."""
+    g = _zx_gcd(f, _derivative(f))
+    h = _zx_exact_quotient(_primitive(f), g)
+    dh = _derivative(h)
+    lc = h[-1]
+    p = _lifting_prime(h, dh)
+    bound = lc + max(abs(c) for c in h[:-1])
+    modulus = p
+    roots = [x for x in range(p) if _horner(h, x, p) == 0]
+    while modulus <= 2 * bound:
+        modulus *= modulus
+        roots = [
+            (x - _horner(h, x, modulus) * pow(_horner(dh, x, modulus), -1, modulus))
+            % modulus
+            for x in roots
+        ]
+    out = []
+    for x in roots:
+        y = lc * x % modulus
+        if y > modulus // 2:
+            y -= modulus
+        out.append(Fraction(y, lc))
     return sorted(out)
 
 
 def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
-    """All rational roots of p with multiplicities, by exhaustive
-    divisor enumeration after scaling to integer coefficients."""
+    """All rational roots of p with multiplicities, sorted, from at most
+    deg p candidates found by p-adic lifting (Loos, SIAM J. Comput. 12,
+    1983), with integer arithmetic only.
+
+    After factors of t are split off, p is scaled to a primitive integer
+    polynomial f and reduced to its square-free part h = f / gcd(f, f'),
+    which has the same roots.  A rational root r = a/b of h in lowest terms
+    has b | lc, so y = lc * r is an integer, and by the Cauchy bound
+    |r| <= 1 + max|h_i| / |lc| it satisfies |y| <= B = |lc| + max|h_i|.
+    The prime chosen does not divide lc, so r reduces to a root of h mod
+    p, and h is square-free mod p, so that root is simple and lifts by
+    Newton's iteration to the unique root x of h mod p^k with x = r mod
+    p^k.  Once p^k > 2B the symmetric residue of lc * x mod p^k equals y,
+    so every rational root appears among the candidates y / lc, one per
+    root of h mod p.  Only primes dividing lc * disc(h) are skipped, so
+    the search is polynomial in the size of the coefficients.
+
+    A candidate counts only after the exact check p(r) == 0, and its
+    multiplicity is the number of times (t - r) deflates p exactly.
+    """
     if p.is_zero():
         raise ZeroPolynomial("the zero polynomial has every root")
     roots: dict[Fraction, int] = {}
@@ -416,17 +531,8 @@ def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
         work = Poly(tuple(work.coeffs[1:]))
     if work.degree >= 1:
         den = math.lcm(*(c.denominator for c in work.coeffs))
-        ints = [int(c * den) for c in work.coeffs]
-        g = math.gcd(*ints)
-        if g > 1:
-            ints = [c // g for c in ints]
-        a0, an = ints[0], ints[-1]
-        candidates = set()
-        for num in _divisors(a0):
-            for q in _divisors(an):
-                candidates.add(Fraction(num, q))
-                candidates.add(Fraction(-num, q))
-        for cand in sorted(candidates):
+        ints = [c.numerator * (den // c.denominator) for c in work.coeffs]
+        for cand in _root_candidates(ints):
             while work.degree >= 1 and work.evaluate(cand) == 0:
                 roots[cand] = roots.get(cand, 0) + 1
                 work = work.deflate(cand)

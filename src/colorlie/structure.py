@@ -63,6 +63,7 @@ from .algebra import (
     ColorAlgebra,
     Subspace,
     _GradedEchelon,
+    ad_map,
     ad_representation,
     bracket_closure,
     bracket_subspaces,
@@ -539,6 +540,22 @@ def _flag(L: ColorAlgebra, series: list[Subspace], strict: bool) -> ColorFlag:
     return ColorFlag(tuple(flag_vectors), weights)
 
 
+def _ad_series(
+    L: ColorAlgebra, ad_l: ColorAlgebra, series: list[Subspace]
+) -> list[Subspace]:
+    """Derived series of ad L from L's: ad is a homomorphism, so ad of
+    each term of L's series is the matching term of ad L's.  Terms whose
+    difference lies in the center of L map to equal images; the series
+    stops at the first repeat, as ``derived_series`` does."""
+    out = [full_subspace(ad_l)]
+    for term in series[1:]:
+        image = Subspace(ad_l, [ad_map(L, x) for x in term.elements()], _validate=False)
+        if image.dim == out[-1].dim:
+            break
+        out.append(image)
+    return out
+
+
 def ideal_chain(
     L: ColorAlgebra,
     check_hypotheses: bool = True,
@@ -561,12 +578,14 @@ def ideal_chain(
     if check_hypotheses:
         if not L.space.group.is_torsion_free():
             raise TorsionGrading("grading group has torsion")
-        _check_solvable(L, nil_policy, seed)
+        series = _check_solvable(L, nil_policy, seed)
+    else:
+        series = derived_series(L)
     if L.dim == 0:
         return IdealChain((Subspace(L, [], _validate=False),))
 
     ad_l = ad_representation(L)
-    flag = _flag(ad_l, derived_series(ad_l), strict=check_hypotheses)
+    flag = _flag(ad_l, _ad_series(L, ad_l, series), strict=check_hypotheses)
 
     elements = []
     for v in flag.ordered_basis:

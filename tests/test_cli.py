@@ -336,9 +336,41 @@ def test_deterministic_policy_on_borel_four(tmp_path, capsys):
     assert code == 0
 
 
+def test_triangularize_thirty_digit_eigenvalue(tmp_path, capsys):
+    # the weights are roots of (t - 1)(t - big); finding them must not
+    # depend on the size of big's divisors
+    big = 123456789012345678901234567891
+    doc = {
+        "group": {"free_rank": 0, "torsion_moduli": []},
+        "bicharacter": [],
+        "space": [{"degree": [], "dim": 2}],
+        "generators": [
+            {"degree": [], "blocks": [{"source": [], "matrix": [["1", "0"], ["0", str(big)]]}]}
+        ],
+    }
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "triangularize", str(path), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    weights = sorted(w["values"][0] for w in payload["weights_on_closure_basis"])
+    assert weights == sorted(["1", str(big)])
+
+
 def test_chain_torsion_exit_3(capsys):
     code, out, err = run(capsys, "chain", str(PROBLEMS / "z3_torsion.json"))
     assert code == 3
+
+
+def test_unexpected_exception_exit_1(capsys, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("closure exploded")
+
+    monkeypatch.setattr("colorlie.cli.bracket_closure", broken)
+    code, out, err = run(capsys, "validate", str(PROBLEMS / "borel2.json"))
+    assert code == 1
+    assert out == ""
+    assert err == "internal error: RuntimeError: closure exploded\n"
 
 
 # -------------------------------------------------------------- demo-z3

@@ -3,6 +3,7 @@ polynomials, rational roots and nilpotency certificates, each checked
 against an independent oracle."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -252,6 +253,93 @@ def test_rational_roots_against_oracle():
         if rng.random() < 0.5:
             p = p * Poly((1, 0, 1))
         assert rational_roots(p) == _roots_oracle(p)
+
+
+def _sympy_roots(p):
+    # rational roots with multiplicities from sympy's factorization over Q
+    import sympy
+
+    t = sympy.Symbol("t")
+    found = {}
+    for factor, mult in sympy.Poly(list(reversed(p.coeffs)), t, domain=sympy.QQ).factor_list()[1]:
+        if factor.degree() == 1:
+            c1, c0 = factor.all_coeffs()
+            root = Fraction(str(-c0 / c1))
+            found[root] = found.get(root, 0) + mult
+    return sorted(found.items())
+
+
+def _candidates(p):
+    # the lifted candidates for p with its factors of t split off
+    from colorlie.linalg import _root_candidates
+
+    work = p
+    while work.coeffs[0] == 0:
+        work = Poly(work.coeffs[1:])
+    if work.degree < 1:
+        return [], 0
+    den = math.lcm(*(c.denominator for c in work.coeffs))
+    return _root_candidates([int(c * den) for c in work.coeffs]), work.degree
+
+
+# irreducible over Q: t^2 + 1, t^2 - 2, t^3 - 3t - 1, t^2 + t + 3, 2t^3 - 5
+IRREDUCIBLE = [(1, 0, 1), (-2, 0, 1), (-1, -3, 0, 1), (3, 1, 1), (-5, 0, 0, 2)]
+
+
+def test_rational_roots_against_sympy():
+    pytest.importorskip("sympy")
+    rng = random.Random(29)
+    for _ in range(200):
+        lc = rng.choice([1, 2, 3, 4, 6, 12, 30])
+        dens = [d for d in range(1, lc + 1) if lc % d == 0]
+        p = Poly((Fraction(rng.choice([-7, -2, -1, 1, 3, 5]), rng.randint(1, 5)),))
+        for _ in range(rng.randint(1, 4)):
+            root = Fraction(rng.randint(-40, 40), rng.choice(dens))
+            for _ in range(rng.randint(1, 3)):
+                p = p * Poly((-root, 1))
+        for _ in range(rng.randint(0, 2)):
+            p = p * Poly(rng.choice(IRREDUCIBLE))
+        assert rational_roots(p) == _sympy_roots(p), str(p)
+        cands, deg = _candidates(p)
+        assert len(cands) <= deg
+
+
+def test_rational_roots_prime_two_rejected():
+    # (t - 1)(t - 3) = (t + 1)^2 mod 2 is not square-free there
+    from colorlie.linalg import _lifting_prime
+
+    assert _lifting_prime([3, -4, 1], [-4, 2]) == 3
+    assert rational_roots(Poly((3, -4, 1))) == [(Fraction(1), 1), (Fraction(3), 1)]
+
+
+def test_rational_roots_primes_dividing_lc_rejected():
+    # (2t - 1)(3t - 1): 2 and 3 divide the leading coefficient 6
+    from colorlie.linalg import _lifting_prime
+
+    assert _lifting_prime([1, -5, 6], [-5, 12]) == 5
+    assert rational_roots(Poly((1, -5, 6))) == [
+        (Fraction(1, 3), 1),
+        (Fraction(1, 2), 1),
+    ]
+
+
+def test_rational_roots_degree_one():
+    assert rational_roots(Poly((Fraction(1, 2), Fraction(3, 4)))) == [(Fraction(-2, 3), 1)]
+    assert rational_roots(Poly((-7, 1))) == [(Fraction(7), 1)]
+
+
+def test_rational_roots_power_of_t():
+    assert rational_roots(Poly((0, 0, 0, 0, Fraction(2, 3)))) == [(Fraction(0), 4)]
+    assert rational_roots(Poly((0, 0, 0, 0, 1))) == [(Fraction(0), 4)]
+
+
+def test_rational_roots_large_root():
+    # the divisor search would need about 10^15 trial divisions here
+    big = 123456789012345678901234567891
+    p = Poly((-1, 1)) * Poly((-big, 1)) * Poly((-big, 1)) * Poly((1, 0, 1))
+    assert rational_roots(p) == [(Fraction(1), 1), (Fraction(big), 2)]
+    cands, deg = _candidates(p)
+    assert len(cands) <= deg
 
 
 # ---------------------------------------------------------- nilpotency

@@ -529,6 +529,65 @@ def test_derived_chain_is_codim_one_ideal_chain():
     _assert_derived_chain(L)
 
 
+def _borel(n, grading):
+    # n x n Borel algebra, e_i homogeneous of the grading's degree deg(i)
+    rank, values, deg = {
+        "plain": (0, [], lambda i: []),
+        "z": (1, [[1]], lambda i: [i]),
+        "zsuper": (1, [[-1]], lambda i: [i]),
+        "z2": (2, [[1, 2], [Fraction(1, 2), -1]], lambda i: [i // 2, i % 2]),
+    }[grading]
+    group = make_group(rank, [])
+    pos, count = [], {}
+    for i in range(n):
+        d = group.element(deg(i))
+        pos.append((d, count.get(d, 0)))
+        count[d] = count.get(d, 0) + 1
+    v = make_space(group, count)
+    gens = []
+    for i in range(n):
+        for j in range(i, n):
+            (di, a), (dj, b) = pos[i], pos[j]
+            m = [[1 if (r, c) == (a, b) else 0 for c in range(count[dj])] for r in range(count[di])]
+            gens.append(make_map(v, di + (-dj), {dj: m}))
+    return bracket_closure(v, make_bicharacter(group, values), gens)
+
+
+def _assert_ad_series(L):
+    from colorlie import ad_representation
+    from colorlie.structure import _ad_series
+
+    ad_l = ad_representation(L)
+    direct = derived_series(ad_l)
+    via_l = _ad_series(L, ad_l, derived_series(L))
+    assert [s._ech.canonical_rows() for s in via_l] == [
+        s._ech.canonical_rows() for s in direct
+    ]
+
+
+def test_ad_series_is_image_of_derived_series():
+    rng = random.Random(103)
+    for _, group, r in torsion_free_configs():
+        for _ in range(2):
+            _assert_ad_series(random_solvable_instance(rng, group, r))
+    for n in (3, 4, 5):
+        for grading in ("plain", "z", "zsuper", "z2"):
+            L = _borel(n, grading)
+            assert L.dim == n * (n + 1) // 2
+            _assert_ad_series(L)
+    # nonzero center: [L, L] is central, so ad drops a term of the series
+    from colorlie import load_problem
+    from pathlib import Path
+
+    problem = load_problem(Path(__file__).resolve().parent.parent / "problems" / "heisenberg.json")
+    L = bracket_closure(problem.space, problem.bicharacter, problem.generators)
+    assert [s.dim for s in derived_series(L)] == [3, 1, 0]
+    _assert_ad_series(L)
+    # perfect algebra: both series stop at once
+    v = gl(2)
+    _assert_ad_series(bracket_closure(v, R0, [unit_map(v, 0, 1), unit_map(v, 1, 0)]))
+
+
 def test_flag_quotient_soundness():
     # projection-section consistency: P S = identity on each component
     from colorlie.structure import _quotient_by_line
