@@ -4,6 +4,12 @@ homogeneous maps on a graded space.
 The bracket is [a, b] = a b - r(|b|, |a|) b a with r the bicharacter of
 the grading group.  Subspace arithmetic echelonizes flattened matrix
 coordinates separately per degree, so every stored basis is homogeneous.
+
+Spans are built by bracketing each unordered pair of basis elements at
+most once.  ``make_bicharacter`` checks r(g, h) r(h, g) = 1, so color
+skew symmetry gives [b, a] = -r(|a|, |b|) [a, b]: once [a, b] lies in a
+span, [b, a] does too.  The diagonal pair is kept, since under a super
+grading [a, a] = 2 a^2 need not vanish.
 """
 
 from __future__ import annotations
@@ -51,14 +57,22 @@ def color_bracket(r: Bicharacter, a: HomogeneousMap, b: HomogeneousMap) -> Homog
         raise SpaceMismatch("bracket of maps on different spaces")
     if r.spec != a.space.group:
         raise GroupMismatch("bicharacter group differs from the grading group")
-    scalar = eval_bicharacter(r, b.degree, a.degree)
+    s = eval_bicharacter(r, b.degree, a.degree)
     ab = compose(a, b)
-    ba = compose(b, a)
-    return _map_sub(ab, scale_map(scalar, ba))
-
-
-def _map_sub(f: HomogeneousMap, g: HomogeneousMap) -> HomogeneousMap:
-    return add_maps(f, scale_map(Fraction(-1), g))
+    blocks = dict(ab.blocks)
+    for h, m in compose(b, a).blocks:
+        p = blocks.get(h)
+        if p is None:
+            blocks[h] = m.scale(-s)
+        else:
+            blocks[h] = Matrix._raw(
+                tuple(
+                    tuple(x - s * y for x, y in zip(rp, rm))
+                    for rp, rm in zip(p.data, m.data)
+                ),
+                m.cols,
+            )
+    return _map(a.space, ab.degree, blocks)
 
 
 class _GradedEchelon:
@@ -216,8 +230,8 @@ class ColorAlgebra:
             if not self._solver.independent:
                 raise ValidationError("basis maps are linearly dependent")
             if closed:
-                for a in basis:
-                    for b in basis:
+                for i, a in enumerate(basis):
+                    for b in basis[i:]:
                         if self.coordinates(color_bracket(r, a, b)) is None:
                             raise NotClosed(
                                 "basis is not closed under the bracket"
@@ -278,26 +292,33 @@ class ColorAlgebra:
 
 
 def bracket_closure(space: GradedSpace, r: Bicharacter, generators) -> ColorAlgebra:
-    """Smallest bracket-closed span containing the homogeneous generators."""
+    """Smallest bracket-closed span containing the homogeneous generators.
+
+    A worklist, as in semi-naive evaluation (Bancilhon and Ramakrishnan,
+    SIGMOD 1986): ``elems`` holds the independent maps found so far, the
+    generators first and then every new bracket.  Each ``elems[i]`` is
+    bracketed once with ``elems[0..i]``, itself included, and every
+    result that enlarges the span is appended.  When the scan reaches
+    the end, every unordered pair of a spanning set has been bracketed
+    and, by skew symmetry (see the module docstring), every ordered pair
+    lies in the span, so the span is closed by bilinearity.  At most
+    dim V^2 maps are independent, so the scan ends.
+    """
     ech = _GradedEchelon(space)
+    elems = []
     for g in generators:
         if g.space != space:
             raise SpaceMismatch("generator acts on a different space")
-        ech.add_map(g)
-    cap = space.total_dim ** 2 + 1
-    passes = 0
-    changed = True
-    while changed:
-        passes += 1
-        if passes > cap:
-            raise RuntimeError("bracket closure failed to stabilize")
-        changed = False
-        maps = ech.maps()
-        for a in maps:
-            for b in maps:
-                c = color_bracket(r, a, b)
-                if not c.is_zero() and ech.add_map(c):
-                    changed = True
+        if ech.add_map(g):
+            elems.append(g)
+    i = 0
+    while i < len(elems):
+        a = elems[i]
+        for b in elems[: i + 1]:
+            c = color_bracket(r, a, b)
+            if not c.is_zero() and ech.add_map(c):
+                elems.append(c)
+        i += 1
     return ColorAlgebra(space, r, tuple(ech.maps()), closed=True, _validate=False)
 
 
@@ -351,8 +372,10 @@ def bracket_subspaces(s: Subspace, t: Subspace) -> Subspace:
     L = s.parent
     out = []
     t_elements = t.elements()
-    for a in s.elements():
-        for b in t_elements:
+    # [S, S]: the pairs i <= j suffice by skew symmetry
+    same = s is t
+    for i, a in enumerate(t_elements if same else s.elements()):
+        for b in t_elements[i:] if same else t_elements:
             c = color_bracket(L.r, a, b)
             if not c.is_zero():
                 out.append(c)

@@ -6,6 +6,16 @@ also accepted.  Floats are rejected everywhere, so no value ever passes
 through floating point.  Degrees are integer arrays, free coordinates
 first and torsion coordinates after.
 
+Bicharacter powers are bounded at parse time.  r(g, h) multiplies the
+values v raised to products of degree coordinates; every bracketed map
+has a degree whose free coordinates are at most 2B in absolute value,
+with B the largest absolute free coordinate of a space or generator
+degree, so no power has more than (2B)^2 * bits(v) bits, where bits(v)
+is the bit length of max(|numerator|, denominator).  Values 1 and -1
+cost nothing; torsion generators can carry no other values.  A file in
+which some value v != +-1 gives (2B)^2 * bits(v) > 2**20 is refused
+with a ParseError.
+
 Example document::
 
     {
@@ -31,6 +41,9 @@ from .grading import Bicharacter, GroupSpec, make_bicharacter, make_group
 from .graded import GradedSpace, HomogeneousMap, make_map, make_space
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+
+# bound on the bit size of any bicharacter power r(g, h), see above
+POWER_BITS_LIMIT = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -98,9 +111,10 @@ def _matrix(value, where: str) -> list[list[Fraction]]:
 def parse_problem(data, where: str = "") -> ProblemFile:
     """Build validated domain objects from a decoded JSON document.
 
-    Schema errors raise ParseError anchored to the JSON path; semantic
-    errors (bad bicharacter, wrong block shapes) propagate from the
-    underlying constructors.
+    Schema errors, and bicharacter powers larger than POWER_BITS_LIMIT
+    bits, raise ParseError anchored to the JSON path; semantic errors
+    (bad bicharacter, wrong block shapes) propagate from the underlying
+    constructors.
     """
     doc = _dict(data, where)
     for key in ("group", "bicharacter", "space", "generators"):
@@ -140,7 +154,28 @@ def parse_problem(data, where: str = "") -> ProblemFile:
             blocks[src] = _matrix(b.get("matrix"), f"generators[{i}].blocks[{j}].matrix")
         generators.append(make_map(space, degree, blocks))
 
+    _check_power_size(bichar, list(dims) + [f.degree for f in generators])
     return ProblemFile(group, bichar, space, tuple(generators))
+
+
+def _check_power_size(bichar: Bicharacter, degrees):
+    bits = max(
+        (
+            max(abs(v.numerator), v.denominator).bit_length()
+            for row in bichar.values
+            for v in row
+            if v not in (1, -1)
+        ),
+        default=0,
+    )
+    b = max((abs(c) for g in degrees for c in g.free), default=0)
+    if (2 * b) ** 2 * bits > POWER_BITS_LIMIT:
+        _fail(
+            "bicharacter",
+            f"a {bits}-bit value with free degree coordinates up to {b} "
+            f"gives powers of up to {(2 * b) ** 2 * bits} bits; "
+            f"the limit is 2**20",
+        )
 
 
 def load_problem(path) -> ProblemFile:

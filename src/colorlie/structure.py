@@ -63,6 +63,7 @@ from .algebra import (
     ColorAlgebra,
     Subspace,
     _GradedEchelon,
+    _SpanSolver,
     ad_map,
     ad_representation,
     bracket_closure,
@@ -81,7 +82,6 @@ from .linalg import (
     kernel_basis,
     nil_subspace_check,
     rational_roots,
-    solve_unique,
 )
 
 _ZERO = Fraction(0)
@@ -146,13 +146,9 @@ def _component_matrices(maps) -> list[Matrix]:
 
 
 def _check_nil_components(L: ColorAlgebra, sub, what: str, policy: str, seed: int):
+    elements = sub.elements() if isinstance(sub, Subspace) else sub.basis
     for g in sub.degrees():
-        if isinstance(sub, Subspace):
-            mats = _component_matrices(
-                [f for f in sub.elements() if f.degree == g]
-            )
-        else:
-            mats = _component_matrices(sub.basis_of_degree(g))
+        mats = _component_matrices([f for f in elements if f.degree == g])
         if not nil_subspace_check(mats, policy=policy, seed=seed):
             raise HypothesisFailed(
                 f"{what} component at degree {g} contains non-nilpotent elements"
@@ -258,7 +254,9 @@ class _NotInvariant(Exception):
 
 class _EmbeddedSubspace:
     """Graded subspace of V presented by per-degree coordinate bases,
-    with exact restriction of invariant maps to subspace coordinates."""
+    with exact restriction of invariant maps to subspace coordinates.
+    Each component's basis is independent, so coordinates are unique and
+    one solver per component, eliminated once, serves every column."""
 
     def __init__(self, ambient: GradedSpace, bases: dict):
         self.ambient = ambient
@@ -272,6 +270,7 @@ class _EmbeddedSubspace:
             g: Matrix.from_columns(vs, rows=ambient.dim_of(g))
             for g, vs in self.bases.items()
         }
+        self.solvers = {g: _SpanSolver(vs) for g, vs in self.bases.items()}
 
     @property
     def total_dim(self) -> int:
@@ -291,7 +290,7 @@ class _EmbeddedSubspace:
                     if any(x != 0 for x in img):
                         raise _NotInvariant
                     continue
-                coords = solve_unique(self.embed[target], img)
+                coords = self.solvers[target].solve(img)
                 if coords is None:
                     raise _NotInvariant
                 cols.append(coords)

@@ -4,6 +4,7 @@ make the bracket a Lie color structure."""
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -466,3 +467,152 @@ def test_subspace_membership_validated():
     small = bracket_closure(v, R0, [e12])
     with pytest.raises(NotInAlgebra):
         Subspace(small, [e23])
+
+
+# ------------------------------- each unordered pair bracketed once
+#
+# The references below bracket every ordered pair and repeat until
+# nothing new appears; the library brackets each unordered pair once.
+# Both must give the same canonical per-degree echelon bases.
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+
+def _all_pairs_closure(space, r, generators):
+    from colorlie.algebra import _GradedEchelon
+
+    ech = _GradedEchelon(space)
+    for g in generators:
+        ech.add_map(g)
+    while True:
+        maps = ech.maps()
+        added = [ech.add_map(color_bracket(r, a, b)) for a in maps for b in maps]
+        if not any(added):
+            return tuple(maps)
+
+
+def _all_pairs_bracket(L, s, t):
+    return Subspace(
+        L,
+        [color_bracket(L.r, a, b) for a in s.elements() for b in t.elements()],
+        _validate=False,
+    )
+
+
+def _all_pairs_series(L, lower):
+    top = full_subspace(L)
+    series = [top]
+    while True:
+        nxt = _all_pairs_bracket(L, top if lower else series[-1], series[-1])
+        if nxt.dim == series[-1].dim:
+            return series
+        series.append(nxt)
+        if nxt.dim == 0:
+            return series
+
+
+def _odd_square_cases():
+    """Odd maps a with [a, a] = 2 a^2 != 0: a Z grading under [[-1]] and
+    the Z_2 super grading."""
+    z = make_group(1, [])
+    rz = make_bicharacter(z, [[-1]])
+    d = [z.element([k]) for k in range(3)]
+    vz = make_space(z, {g: 1 for g in d})
+    a = make_map(vz, d[1], {d[0]: [[1]], d[1]: [[1]]})
+    z2 = make_group(0, [2])
+    r2 = make_bicharacter(z2, [[-1]])
+    even, odd = z2.element([0]), z2.element([1])
+    v2 = make_space(z2, {even: 1, odd: 1})
+    b = make_map(v2, odd, {even: [[1]], odd: [[1]]})
+    return [(vz, rz, [a]), (v2, r2, [b])]
+
+
+def _sl2():
+    v = gl(2)
+    return v, R0, [unit_map(v, 0, 1), unit_map(v, 1, 0)]
+
+
+def _closure_cases():
+    from colorlie import load_problem
+
+    rng = random.Random(97)
+    cases = []
+    for _, group, r in all_configs():
+        for _ in range(8):
+            space = random_space(rng, group, max_total=5)
+            gens = [random_homogeneous_map(rng, space) for _ in range(rng.randint(2, 3))]
+            cases.append((space, r, gens))
+    for path in sorted(PROBLEMS.glob("*.json")):
+        p = load_problem(path)
+        cases.append((p.space, p.bicharacter, list(p.generators)))
+    cases.append(_sl2())
+    return cases + _odd_square_cases()
+
+
+def test_closure_brackets_each_pair_once(monkeypatch):
+    import colorlie.algebra as algebra_mod
+
+    v = gl(5)
+    gens = [scale_map(i + 2, unit_map(v, i, i)) for i in range(5)]
+    gens += [scale_map(-(i + 1), unit_map(v, i, i + 1)) for i in range(4)]
+    calls = []
+    real = algebra_mod.color_bracket
+
+    def counting(r, a, b):
+        calls.append(1)
+        return real(r, a, b)
+
+    monkeypatch.setattr(algebra_mod, "color_bracket", counting)
+    L = bracket_closure(v, R0, gens)
+    assert L.dim == 15
+    assert len(calls) == 15 * 16 // 2
+
+
+def test_closure_matches_all_pairs_reference():
+    cases = _closure_cases()
+    configs = {c[1].spec for c in cases}
+    assert make_group(0, [3]) in configs and make_group(0, [2]) in configs
+    for space, r, gens in cases:
+        L = bracket_closure(space, r, gens)
+        assert L.basis == _all_pairs_closure(space, r, gens)
+
+
+def test_series_match_all_pairs_reference():
+    for space, r, gens in _closure_cases():
+        L = bracket_closure(space, r, gens)
+        for lower, series in ((False, derived_series(L)), (True, lower_central_series(L))):
+            assert series == _all_pairs_series(L, lower)
+    # the diagonal pair carries the whole derived algebra here
+    for space, r, gens in _odd_square_cases():
+        L = bracket_closure(space, r, gens)
+        assert L.dim == 2
+        assert derived_series(L)[1].dim == 1
+        assert lower_central_series(L)[1].dim == 1
+
+
+def test_closed_validation_keeps_diagonal_pair():
+    from colorlie import NotClosed
+
+    for space, r, (a,) in _odd_square_cases():
+        with pytest.raises(NotClosed):
+            ColorAlgebra(space, r, [a], closed=True)
+        ColorAlgebra(space, r, bracket_closure(space, r, [a]).basis, closed=True)
+
+
+def test_color_bracket_matches_definition():
+    rng = random.Random(89)
+    pairs = []
+    for _, group, r in all_configs():
+        for _ in range(20):
+            space = random_space(rng, group)
+            pairs.append((r, random_homogeneous_map(rng, space),
+                          random_homogeneous_map(rng, space, density=0.3)))
+    v, e12, e23, e13, _ = heisenberg()
+    pairs += [(R0, e12, e23), (R0, e23, e12), (R0, e13, e13), (R0, e12, e12)]
+    vanishing = 0
+    for r, a, b in pairs:
+        ab, ba = compose(a, b), compose(b, a)
+        vanishing += ab.is_zero() or ba.is_zero()
+        want = add_maps(ab, scale_map(-eval_bicharacter(r, b.degree, a.degree), ba))
+        assert color_bracket(r, a, b) == want
+    assert vanishing >= 4

@@ -2,6 +2,7 @@
 stable exit-code contract."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,40 @@ def test_parse_wrong_degree_length():
     with pytest.raises(ParseError) as info:
         parse_problem(doc)
     assert "coordinates" in str(info.value)
+
+
+def _z2_doc(value, coord):
+    """Z^2 grading under [[1, v], [1/v, 1]] with one degree (coord, 0)."""
+    return {
+        "group": {"free_rank": 2, "torsion_moduli": []},
+        "bicharacter": [["1", str(value)], [str(1 / Fraction(value)), "1"]],
+        "space": [{"degree": [0, 0], "dim": 1}, {"degree": [coord, 0], "dim": 1}],
+        "generators": [],
+    }
+
+
+def test_parse_bounds_bicharacter_powers(tmp_path, capsys):
+    # Parsing never evaluates the bicharacter.  A 2-bit value allows
+    # (2B)^2 * 2 <= 2**20, i.e. free coordinates up to B = 362.
+    assert parse_problem(_z2_doc(2, 362)).space.total_dim == 2
+    with pytest.raises(ParseError) as info:
+        parse_problem(_z2_doc(2, 363))
+    assert "2**20" in str(info.value)
+    # the bound reads the generator degrees too, and the denominator
+    doc = _z2_doc(Fraction(1, 1024), 0)
+    doc["generators"] = [{"degree": [0, -200], "blocks": []}]
+    with pytest.raises(ParseError):
+        parse_problem(doc)
+    # values +-1 cost nothing, however large the degrees
+    doc = _z2_doc(-1, 10 ** 9)
+    assert parse_problem(doc).space.total_dim == 2
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_z2_doc(3, 10 ** 6)))
+    with pytest.raises(ParseError):
+        load_problem(path)
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert "bicharacter" in err and "2**20" in err
 
 
 # ------------------------------------------------------------ validate

@@ -720,3 +720,35 @@ def test_z3_counterexample_report():
     assert len(rep.orderings) == 6
     assert all(not upper for _, upper in rep.orderings)
     assert not rep.triangularizable
+
+
+def test_restrict_matches_per_column_solve():
+    # one solver per target component gives the coordinates a fresh
+    # solve of each column would, and refuses a column outside W
+    from corpus import random_homogeneous_map, random_space, random_unimodular
+    from colorlie.linalg import solve_unique
+    from colorlie.structure import _EmbeddedSubspace, _NotInvariant
+
+    rng = random.Random(83)
+    for _, group, _ in torsion_free_configs():
+        for _ in range(10):
+            space = random_space(rng, group)
+            # W = V in a scrambled basis: every map is invariant
+            w = _EmbeddedSubspace(space, {
+                g: [tuple(col) for col in zip(*random_unimodular(rng, n).data)]
+                for g, n in space.dims
+            })
+            f = random_homogeneous_map(rng, space)
+            res = w.restrict(f)
+            for g in w.space.degrees:
+                target = g + f.degree
+                if w.space.dim_of(target) == 0:
+                    continue
+                images = f.block(g) * w.embed[g]
+                want = [solve_unique(w.embed[target], col) for col in zip(*images.data)]
+                assert list(zip(*res.block(g).data)) == want
+    v = gl(2)
+    line = _EmbeddedSubspace(v, {E0: [(Fraction(1), Fraction(0))]})
+    assert line.restrict(unit_map(v, 0, 1)).is_zero()
+    with pytest.raises(_NotInvariant):
+        line.restrict(unit_map(v, 1, 0))
