@@ -155,9 +155,15 @@ class Matrix:
         """Matrix times column vector (given as a flat tuple/list)."""
         if len(vec) != self.cols:
             raise SizeMismatch("vector length does not match column count")
-        return tuple(
-            sum((a * b for a, b in zip(row, vec)), _ZERO) for row in self.data
-        )
+        # zero entries are skipped, as in __mul__
+        out = []
+        for row in self.data:
+            acc = _ZERO
+            for a, b in zip(row, vec):
+                if a and b:
+                    acc += a * b
+            out.append(acc)
+        return tuple(out)
 
     def transpose(self) -> "Matrix":
         return Matrix(tuple(zip(*self.data)) if self.data else (), cols=self.rows)
@@ -608,6 +614,11 @@ def nil_subspace_check(
     integer points per polynomial; by Schwartz-Zippel the failure
     probability is at most (n / 2_000_000)^3 per polynomial.
     ``policy="auto"`` picks deterministic for spans of size <= 4.
+
+    The structure algorithms need this check only when a kernel
+    filtration stops below V: a filtration that reaches V is an exact
+    certificate that the span acts nilpotently, so on their success
+    paths the policy and seed are never used.
     """
     mats = list(mats)
     if not mats:

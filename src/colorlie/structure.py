@@ -1,26 +1,36 @@
 """Constructive structure theory for linear Lie color algebras.
 
 The two main engines are the common-annihilated-vector search for nil
-algebras (Engel-type) and the common-homogeneous-eigenvector search for
-solvable algebras over torsion-free gradings (Lie-type).  The eigenvector
-search runs the classical four-step argument as one loop up a chain:
+algebras (Engel-type) and the flag of a solvable algebra over a
+torsion-free grading (Lie-type).  The flag is built in two phases, after
+the derived series is refined once into a homogeneous basis b_1..b_m,
+deepest term first, so that every C_i = <b_1..b_i> is a color ideal of
+codimension one in C_{i+1}; its first dim [L, L] entries span [L, L].
 
-  1. refine the derived series once into a homogeneous basis b_1..b_m,
-     deepest term first, so that every C_i = <b_1..b_i> is a color ideal
-     of codimension one in C_{i+1};
-  2. start from W = V, the joint weight space of C_0 = 0;
-  3. restrict b_{i+1} to W, the joint weight space of C_i, which is
-     stable because C_i is an ideal of C_{i+1} (checked exactly by the
-     restriction);
-  4. narrow W to an eigenspace of b_{i+1}: for nonzero degree this is the
-     graded kernel (any homogeneous eigenvector of a degree-shifting map
-     has eigenvalue zero), for degree zero the eigenspace, on every
-     component, of a rational eigenvalue of some diagonal block.
+  1. Engel: K_0 = 0 and K_{j+1} = {v : [L, L] v in K_j}, each level the
+     common graded kernel of [L, L] on V/K_j, quotiented in one step.
+     [L, L] is an ideal, so every K_j is L-invariant, and [L, L] acts as
+     zero on every factor K_{j+1}/K_j.
+  2. Lie: on each factor the rest of the chain acts as a color-commuting
+     family.  A common homogeneous eigenvector is found by narrowing
+     W = the factor one chain element at a time: for nonzero degree to
+     its graded kernel (a homogeneous eigenvector of a degree-shifting
+     map has eigenvalue zero), for degree zero to the eigenspace, on
+     every component, of a rational eigenvalue of some diagonal block.
+     The factor is flagged line by line through its graded quotients and
+     the vectors are lifted back to V.
 
-After the last step W is the joint weight space of L, so any homogeneous
-vector in it is a common eigenvector.  Everything is verified exactly; a
-conclusion failing after its hypotheses were checked raises
-TheoremViolation.
+The whole filtration is computed before any eigenvalue is searched for.
+When it reaches V it is an exact certificate that [L, L] acts
+nilpotently, so every component of [L, L] is nil, and no point-based nil
+check runs.  When it stops below V, no homogeneous flag exists: in any
+such flag [L, L] is strictly upper triangular (a map of nonzero degree
+has zero diagonal, and for degree zero r(0, 0) = 1 cancels the diagonal
+of ab - ba).  Only then is ``nil_subspace_check`` run, to tell a failed
+hypothesis from a violated theorem.
+
+The flag itself is verified exactly in the end; a conclusion failing
+after its hypotheses were checked raises TheoremViolation.
 """
 
 from __future__ import annotations
@@ -164,24 +174,30 @@ def common_annihilated_vector(
     """Nonzero homogeneous v with x(v) = 0 for every x in L.
 
     For an algebra whose graded components are all nil, the intersection
-    of the kernels is guaranteed nonzero; it is computed directly as a
-    graded kernel rather than by replaying the inductive existence proof.
+    of the kernels is guaranteed nonzero; it is computed directly as the
+    first level of L's kernel filtration rather than by replaying the
+    inductive existence proof.  With the hypotheses checked, the whole
+    filtration is built: reaching V certifies that L acts nilpotently,
+    so its components are nil, and ``nil_subspace_check`` runs only when
+    the filtration stops below V.
     """
     _require_closed(L)
     if L.space.total_dim == 0:
         raise EmptySpace("the representation space is zero")
+    levels = _kernel_filtration(L.space, L.basis, [])
     if check_hypotheses:
-        _check_nil_components(L, L, "algebra", nil_policy, seed)
-    kern = graded_kernel(L.basis, space=L.space)
-    if not kern:
-        if check_hypotheses:
-            raise TheoremViolation(
-                "nil algebra with no common annihilated vector"
-            )
+        levels = list(levels)
+        if _filtration_dim(levels) < L.space.total_dim:
+            _check_nil_components(L, L, "algebra", nil_policy, seed)
+            raise TheoremViolation("nil algebra does not act nilpotently")
+    first = next(iter(levels), None)
+    if first is None:
         raise NoHomogeneousEigenvector(
             "no nonzero homogeneous vector is annihilated by the algebra"
         )
-    return kern[0]
+    space, _, lift = first
+    g = space.degrees[0]
+    return _lift(L.space, lift, g, (_ONE,) + (_ZERO,) * (space.dim_of(g) - 1))
 
 
 def engel_check(
@@ -189,16 +205,24 @@ def engel_check(
 ) -> EngelReport:
     """Check ad-nilpotency of all homogeneous elements and nilpotency of
     the algebra; when both hold and L is nonzero, produce a central
-    witness and assert the implication between them."""
+    witness and assert the implication between them.
+
+    When the lower central series vanishes, every ad x is nilpotent
+    without a point check, since (ad x)^k maps L into L^{k+1}."""
     _require_closed(L)
-    ad_l = ad_representation(L)
-    all_ad = all(
-        nil_subspace_check(
-            _component_matrices(ad_l.basis_of_degree(g)), policy=nil_policy, seed=seed
-        )
-        for g in ad_l.degrees()
-    )
     nilpotent = lower_central_series(L)[-1].dim == 0
+    if nilpotent:
+        all_ad = True
+    else:
+        ad_l = ad_representation(L)
+        all_ad = all(
+            nil_subspace_check(
+                _component_matrices(ad_l.basis_of_degree(g)),
+                policy=nil_policy,
+                seed=seed,
+            )
+            for g in ad_l.degrees()
+        )
     z = center(L)
     witness = z.elements()[0] if z.dim > 0 else None
     if all_ad and L.dim > 0:
@@ -310,6 +334,94 @@ class _EmbeddedSubspace:
             bases[g] = [self.embed[g].apply(k) for k in kernel_basis(m)]
         return _EmbeddedSubspace(self.ambient, bases)
 
+    def quotient(self) -> tuple[GradedSpace, dict, dict]:
+        """The graded quotient of the ambient space by this subspace,
+        with per-degree projection and section."""
+        return _quotient(self.ambient, {
+            g: _span_quotient(s, self.ambient.dim_of(g))
+            for g, s in self.solvers.items()
+        })
+
+
+def _span_quotient(solver: _SpanSolver, n: int) -> tuple[Matrix, Matrix]:
+    """Projection and section for quotienting F^n by the span reduced in
+    ``solver``.  The kept coordinates are the non-pivot columns; a vector
+    x of the span is sum x[p_k] r_k over the reduced rows r_k with pivots
+    p_k, so coordinate c of the projection is x[c] - sum x[p_k] r_k[c]."""
+    pivots = set(solver.pivots)
+    kept = [c for c in range(n) if c not in pivots]
+    proj_rows = []
+    for c in kept:
+        row = [_ZERO] * n
+        row[c] = _ONE
+        for p, r in zip(solver.pivots, solver.rows):
+            row[p] = -r[c]
+        proj_rows.append(row)
+    proj = Matrix(proj_rows, cols=n)
+    sect = Matrix.from_columns(
+        [tuple(_ONE if i == c else _ZERO for i in range(n)) for c in kept],
+        rows=n,
+    )
+    return proj, sect
+
+
+def _quotient_by_line(comp) -> tuple[Matrix, Matrix]:
+    """Projection and section for quotienting one component by a line."""
+    return _span_quotient(_SpanSolver([list(comp)]), len(comp))
+
+
+def _quotient(space: GradedSpace, cuts: dict) -> tuple[GradedSpace, dict, dict]:
+    """Quotient space with the (projection, section) pair of every degree:
+    ``cuts`` gives them where the subspace meets a component, the others
+    pass through unchanged."""
+    proj, sect, dims = {}, {}, {}
+    for g, n in space.dims:
+        p, s = cuts[g] if g in cuts else (Matrix.identity(n), Matrix.identity(n))
+        proj[g], sect[g] = p, s
+        if p.rows > 0:
+            dims[g] = p.rows
+    new = make_space(space.group, dims) if dims else GradedSpace(space.group, ())
+    return new, proj, sect
+
+
+def _lift(space: GradedSpace, lift: dict, d, comp) -> GradedVector:
+    return _vector(space, {d: tuple(lift[d].apply(comp))})
+
+
+def _kernel_filtration(space: GradedSpace, nil, top):
+    """Phase 1 (Engel): the levels K_1 < K_2 < ... of V, each K_{j+1}/K_j
+    the common graded kernel of ``nil`` on V/K_j, lazily.
+
+    Each level is yielded as its factor space, the ``top`` maps restricted
+    to it and the lift from factor coordinates to V, and V/K_{j+1} is
+    formed in one step.  ``nil`` must span an ideal of the algebra the
+    maps come from, so every level is invariant; the levels stop at V or
+    at the first empty kernel.
+    """
+    lift = {g: Matrix.identity(n) for g, n in space.dims}
+    cur = space
+    while cur.total_dim > 0:
+        bases: dict = {}
+        for v in graded_kernel(nil, space=cur):
+            g, comp = v.components[0]
+            bases.setdefault(g, []).append(comp)
+        if not bases:
+            return
+        w = _EmbeddedSubspace(cur, bases)
+        try:
+            top_res = [w.restrict(f) for f in top]
+        except _NotInvariant:
+            raise TheoremViolation("a kernel level of an ideal is not invariant")
+        yield w.space, top_res, {g: lift[g] * w.embed[g] for g in w.space.degrees}
+        cur, proj, sect = w.quotient()
+        nil = [_induced_map(cur, proj, sect, f) for f in nil]
+        top = [_induced_map(cur, proj, sect, f) for f in top]
+        lift = {g: lift[g] * sect[g] for g in cur.degrees}
+
+
+def _filtration_dim(levels) -> int:
+    return sum(space.total_dim for space, _, _ in levels)
+
 
 def _rational_eigenvalue(f_res: HomogeneousMap) -> Fraction:
     first_irrational: Poly | None = None
@@ -327,7 +439,11 @@ def _rational_eigenvalue(f_res: HomogeneousMap) -> Fraction:
 
 def _chain_eigenvector(space: GradedSpace, chain, strict: bool) -> GradedVector:
     """Homogeneous vector in the joint weight space of the span of the
-    chain, found by narrowing W = V one chain element at a time."""
+    chain, found by narrowing W = V one chain element at a time.  A line
+    is its own joint weight space: there a map of nonzero degree is zero
+    and one of degree zero a scalar."""
+    if space.total_dim == 1:
+        return _vector(space, {space.degrees[0]: (_ONE,)})
     w = _EmbeddedSubspace(space, {g: Matrix.identity(n).data for g, n in space.dims})
     for b in chain:
         if b.is_zero():
@@ -356,20 +472,22 @@ def _chain_eigenvector(space: GradedSpace, chain, strict: bool) -> GradedVector:
     return _vector(space, {g: vs[0]})
 
 
-def _check_solvable(L: ColorAlgebra, nil_policy: str, seed: int) -> list[Subspace]:
-    """Derived series of L, after checking that it ends in zero and that
-    the components of [L, L] are nil."""
+def _derived(series: list[Subspace]) -> Subspace:
+    """[L, L] from the derived series (L itself when L is perfect or 0)."""
+    return series[1] if len(series) > 1 else series[0]
+
+
+def _check_solvable(L: ColorAlgebra) -> list[Subspace]:
+    """Derived series of L, after checking that it ends in zero.  That
+    the components of [L, L] are nil is certified by the kernel
+    filtration (``_engel_phase``)."""
     series = derived_series(L)
     if series[-1].dim != 0:
         raise NotSolvable("algebra is not solvable")
-    derived = series[1] if len(series) > 1 else series[0]
-    _check_nil_components(L, derived, "derived subalgebra", nil_policy, seed)
     return series
 
 
-def _check_triangularization_hypotheses(
-    L: ColorAlgebra, nil_policy: str, seed: int
-) -> list[Subspace]:
+def _check_triangularization_hypotheses(L: ColorAlgebra) -> list[Subspace]:
     _require_closed(L)
     if L.space.total_dim == 0:
         raise EmptySpace("the representation space is zero")
@@ -378,7 +496,40 @@ def _check_triangularization_hypotheses(
             "grading group has torsion; triangularization can fail "
             "(run the cyclic-group demo for a 3-dimensional example)"
         )
-    return _check_solvable(L, nil_policy, seed)
+    return _check_solvable(L)
+
+
+def _stall(L, series, depth, strict, nil_policy, seed):
+    """Raise for a kernel filtration of [L, L] that stopped at dimension
+    ``depth`` below V.  No homogeneous flag exists then (see the module
+    docstring); with the hypotheses checked, the nil check tells a
+    non-nil component of [L, L] (HypothesisFailed) from a bug."""
+    if series[-1].dim != 0:
+        err = NotSolvable("algebra is not solvable")
+    elif strict:
+        _check_nil_components(
+            L, _derived(series), "derived subalgebra", nil_policy, seed
+        )
+        err = TheoremViolation(
+            "derived subalgebra with nil components does not act nilpotently"
+        )
+    else:
+        err = NoHomogeneousEigenvector(
+            "the derived subalgebra does not act nilpotently, so no "
+            "homogeneous flag exists"
+        )
+    err.flag_depth = depth
+    raise err
+
+
+def _engel_phase(L, series, nil, top, strict, nil_policy, seed) -> list:
+    """The whole kernel filtration of ``nil`` (a basis of [L, L]) on V,
+    or the stall error."""
+    levels = list(_kernel_filtration(L.space, nil, top))
+    depth = _filtration_dim(levels)
+    if depth < L.space.total_dim:
+        _stall(L, series, depth, strict, nil_policy, seed)
+    return levels
 
 
 def common_homogeneous_eigenvector(
@@ -390,21 +541,34 @@ def common_homogeneous_eigenvector(
     """Common homogeneous eigenvector of a solvable algebra over a
     torsion-free grading, with the weight functional on L's basis.
 
-    The weight is read off by applying every basis element of L to the
-    vector, which also certifies that it is a common eigenvector.
+    The vector is found in the first level of the kernel filtration of
+    [L, L]; with the hypotheses checked the whole filtration is built
+    first, as the certificate that [L, L] is nil.  The weight is read off
+    by applying every basis element of L to the vector, which also
+    certifies that it is a common eigenvector.
     """
     _require_closed(L)
     if L.space.total_dim == 0:
         raise EmptySpace("the representation space is zero")
     if check_hypotheses:
-        series = _check_triangularization_hypotheses(L, nil_policy, seed)
+        series = _check_triangularization_hypotheses(L)
     else:
         series = derived_series(L)
     if series[-1].dim != 0:
         raise NotSolvable("algebra is not solvable")
-    v0 = _chain_eigenvector(
-        L.space, _derived_chain(L, series), strict=check_hypotheses
-    )
+    chain = _derived_chain(L, series)
+    k = _derived(series).dim
+    if check_hypotheses:
+        levels = _engel_phase(L, series, chain[:k], chain[k:], True, nil_policy, seed)
+    else:
+        levels = _kernel_filtration(L.space, chain[:k], chain[k:])
+    first = next(iter(levels), None)
+    if first is None:
+        _stall(L, series, 0, False, nil_policy, seed)
+    space, top, lift = first
+    v = _chain_eigenvector(space, top, strict=check_hypotheses)
+    d = v.degree()
+    v0 = _lift(L.space, lift, d, v.component(d))
 
     flat = flatten_vector(v0)
     p = next(i for i, x in enumerate(flat) if x != 0)
@@ -416,25 +580,6 @@ def common_homogeneous_eigenvector(
             raise TheoremViolation("computed vector is not a common eigenvector")
         values.append(val)
     return v0, Weight(L, tuple(values))
-
-
-def _quotient_by_line(comp) -> tuple[Matrix, Matrix]:
-    """Projection and section for quotienting one component by a line."""
-    n = len(comp)
-    p = next(i for i, x in enumerate(comp) if x != 0)
-    others = [j for j in range(n) if j != p]
-    proj_rows = []
-    for j in others:
-        row = [_ZERO] * n
-        row[j] = _ONE
-        row[p] = -comp[j] / comp[p]
-        proj_rows.append(row)
-    proj = Matrix(proj_rows, cols=n)
-    sect = Matrix.from_columns(
-        [tuple(_ONE if i == j else _ZERO for i in range(n)) for j in others],
-        rows=n,
-    )
-    return proj, sect
 
 
 def _induced_map(
@@ -456,69 +601,50 @@ def color_flag(
     seed: int = 0,
 ) -> ColorFlag:
     """Homogeneous basis of V in which every element of L is upper
-    triangular, obtained by repeatedly splitting off a common homogeneous
-    eigenvector and passing to the graded quotient.
+    triangular, built in two phases (see the module docstring): the
+    kernel filtration of [L, L] first, then each factor flagged line by
+    line, splitting off a common homogeneous eigenvector of the rest of
+    the chain and passing to the graded quotient.
 
-    The chain adapted to the derived series is computed once and pushed
-    through each quotient.  The result is verified exactly: the change of
-    basis is applied to every basis element of L, strict lower entries
-    must vanish and the weights are read off the diagonal.
+    A filtration that reaches V certifies that [L, L] is nil, so
+    ``nil_policy`` and ``seed`` are used only when it stops below V.  The
+    result is verified exactly: the change of basis is applied to every
+    basis element of L, strict lower entries must vanish and the weights
+    are read off the diagonal.
     """
     _require_closed(L)
     if check_hypotheses:
-        series = _check_triangularization_hypotheses(L, nil_policy, seed)
+        series = _check_triangularization_hypotheses(L)
     else:
         series = derived_series(L)
     if L.space.total_dim == 0:
         raise EmptySpace("the representation space is zero")
-    return _flag(L, series, check_hypotheses)
+    return _flag(L, series, check_hypotheses, nil_policy, seed)
 
 
-def _flag(L: ColorAlgebra, series: list[Subspace], strict: bool) -> ColorFlag:
+def _flag(
+    L: ColorAlgebra, series: list[Subspace], strict: bool, nil_policy: str, seed: int
+) -> ColorFlag:
     """The flag of a nonzero space from L's derived series; ``strict``
-    failures raise TheoremViolation, others NoHomogeneousEigenvector."""
-    flag_vectors: list[GradedVector] = []
+    failures raise TheoremViolation, others NoHomogeneousEigenvector.  A
+    failure records in ``flag_depth`` the dimension reached: dim K_j on a
+    stall of the filtration, else the number of flag vectors found."""
     chain = _derived_chain(L, series)
-    cur_space = L.space
-    lift = {g: Matrix.identity(n) for g, n in L.space.dims}
-    depth = 0
-
+    k = _derived(series).dim
+    levels = _engel_phase(L, series, chain[:k], chain[k:], strict, nil_policy, seed)
+    flag_vectors: list[GradedVector] = []
     try:
-        if series[-1].dim != 0:
-            raise NotSolvable("algebra is not solvable")
-        while cur_space.total_dim > 0:
-            v = _chain_eigenvector(cur_space, chain, strict=strict)
-            d = v.degree()
-            comp = v.components[0][1]
-            flag_vectors.append(
-                _vector(L.space, {d: tuple(lift[d].apply(comp))})
-            )
-
-            proj, sect, new_dims = {}, {}, {}
-            for g, n in cur_space.dims:
-                if g == d:
-                    p, s = _quotient_by_line(comp)
-                else:
-                    p, s = Matrix.identity(n), Matrix.identity(n)
-                proj[g], sect[g] = p, s
-                if p.rows > 0:
-                    new_dims[g] = p.rows
-            new_space = (
-                make_space(L.space.group, new_dims)
-                if new_dims
-                else GradedSpace(L.space.group, ())
-            )
-
-            chain = [_induced_map(new_space, proj, sect, f) for f in chain]
-            lift = {
-                g: lift[g] * sect[g]
-                for g, _ in new_space.dims
-            }
-            cur_space = new_space
-            depth += 1
-    except (TheoremViolation, NoHomogeneousEigenvector,
-            IrrationalEigenvalue, HypothesisFailed) as e:
-        e.flag_depth = depth
+        for space, top, lift in levels:
+            while space.total_dim > 0:
+                v = _chain_eigenvector(space, top, strict=strict)
+                d = v.degree()
+                comp = v.components[0][1]
+                flag_vectors.append(_lift(L.space, lift, d, comp))
+                space, proj, sect = _quotient(space, {d: _quotient_by_line(comp)})
+                top = [_induced_map(space, proj, sect, f) for f in top]
+                lift = {g: lift[g] * sect[g] for g in space.degrees}
+    except (TheoremViolation, NoHomogeneousEigenvector, IrrationalEigenvalue) as e:
+        e.flag_depth = len(flag_vectors)
         raise
 
     n = L.space.total_dim
@@ -571,20 +697,29 @@ def ideal_chain(
 
     The hypotheses are checked on L only: ad is a homomorphism with
     ad([L, L]_g) = [ad L, ad L]_g and ad of a nilpotent element is
-    nilpotent, so ad L inherits them.
+    nilpotent, so ad L inherits them.  That [L, L] is nil is certified by
+    phase 1 of L's own flag, the kernel filtration of [L, L] on V, with no
+    eigenvalue search; ad L's filtration cannot stand in for it, since ad
+    kills the center and with it any central non-nilpotent element.
+    ``nil_policy`` and ``seed`` are used only when a filtration stalls.
     """
     _require_closed(L)
     if check_hypotheses:
         if not L.space.group.is_torsion_free():
             raise TorsionGrading("grading group has torsion")
-        series = _check_solvable(L, nil_policy, seed)
+        series = _check_solvable(L)
+        _engel_phase(
+            L, series, _derived(series).elements(), [], True, nil_policy, seed
+        )
     else:
         series = derived_series(L)
     if L.dim == 0:
         return IdealChain((Subspace(L, [], _validate=False),))
 
     ad_l = ad_representation(L)
-    flag = _flag(ad_l, _ad_series(L, ad_l, series), strict=check_hypotheses)
+    flag = _flag(
+        ad_l, _ad_series(L, ad_l, series), check_hypotheses, nil_policy, seed
+    )
 
     elements = []
     for v in flag.ordered_basis:

@@ -447,3 +447,69 @@ def test_rationals_print_in_lowest_terms(capsys):
         capsys, "triangularize", str(PROBLEMS / "graded_solvable.json"), "--json"
     )
     assert out == out2
+
+
+# ----------------------------------------- nil hypothesis on [L, L]
+
+NONNIL_ERR = (
+    "hypothesis failure: HypothesisFailed: derived subalgebra component at "
+    "degree (0) contains non-nilpotent elements\n"
+)
+
+
+def test_nonnil_derived_exit_3(capsys):
+    path = str(PROBLEMS / "nonnil_derived.json")
+    for command in ("triangularize", "chain"):
+        for extra in ([], ["--json"]):
+            code, out, err = run(capsys, command, path, *extra)
+            assert (code, out, err) == (3, "", NONNIL_ERR)
+    code, out, err = run(capsys, "triangularize", path, "--skip-hypotheses")
+    assert code == 3
+    assert "NoHomogeneousEigenvector" in err
+
+
+def test_nonnil_derived_preempts_irrational_eigenvalue(tmp_path, capsys):
+    # a rotation on the common kernel of [L, L] = <P> has no rational
+    # eigenvalue, but the whole filtration is built before any eigenvalue
+    # search, so the failed nil hypothesis (exit 3) is what is reported
+    doc = {
+        "group": {"free_rank": 1, "torsion_moduli": []},
+        "bicharacter": [["-1"]],
+        "space": [{"degree": [0], "dim": 3}, {"degree": [1], "dim": 1}],
+        "generators": [
+            {"degree": [1], "blocks": [{"source": [0], "matrix": [["1", "0", "0"]]}]},
+            {"degree": [-1], "blocks": [{"source": [1], "matrix": [["1"], ["0"], ["0"]]}]},
+            {"degree": [0], "blocks": [{"source": [0], "matrix": [
+                ["0", "0", "0"], ["0", "0", "-1"], ["0", "1", "0"]]}]},
+        ],
+    }
+    path = tmp_path / "nonnil_rotation.json"
+    path.write_text(json.dumps(doc))
+    for command in ("triangularize", "chain"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, err) == (3, NONNIL_ERR)
+    code, out, err = run(capsys, "triangularize", str(path), "--skip-hypotheses")
+    assert code == 3
+    assert err.endswith("[flag depth 2]\n")
+
+
+def test_deterministic_policy_on_borel_six(tmp_path, capsys):
+    # a filtration that reaches V certifies the nil hypothesis, so the
+    # deterministic policy costs nothing on success (its layer has
+    # 38,760 points for the fifteen matrices of [L, L] here)
+    path = _borel_problem(tmp_path, 6)
+    code, out, err = run(
+        capsys, "triangularize", str(path), "--policy", "deterministic", "--json"
+    )
+    assert code == 0
+    assert _upper(json.loads(out))
+
+
+def _upper(payload):
+    return all(
+        m[i][j] == "0"
+        for entry in payload["generator_matrices_in_flag_basis"]
+        for m in [entry["matrix"]]
+        for i in range(len(m))
+        for j in range(i)
+    )

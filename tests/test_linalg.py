@@ -565,3 +565,19 @@ def test_solve_unique_and_inverse():
 
 def test_solve_inconsistent():
     assert solve_unique(Matrix([[1, 0], [1, 0]]), (0, 1)) is None
+
+
+def test_apply_matches_full_sum():
+    # zero entries are skipped; the result is the same tuple of Fractions
+    # as the plain sum over every entry
+    rng = random.Random(113)
+    for _ in range(200):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        a = rand_matrix(rng, n, m, lo=-2, hi=2, den=3)
+        v = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(m))
+        want = tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a.data)
+        got = a.apply(v)
+        assert got == want
+        assert all(type(x) is Fraction for x in got)
+    with pytest.raises(SizeMismatch):
+        Matrix.identity(2).apply((Fraction(1),))

@@ -752,3 +752,186 @@ def test_restrict_matches_per_column_solve():
     assert line.restrict(unit_map(v, 0, 1)).is_zero()
     with pytest.raises(_NotInvariant):
         line.restrict(unit_map(v, 1, 0))
+
+
+# ------------------------------------- kernel filtration of [L, L]
+
+NONNIL_MESSAGE = (
+    "derived subalgebra component at degree (0) contains non-nilpotent elements"
+)
+
+
+def nonnil_derived():
+    """Z under the super sign, V_0 and V_1 one-dimensional, x = E_10 of
+    degree 1 and y = E_01 of degree -1: L = <x, y, I> is solvable but
+    [L, L] = <[x, y]> = <I> is not nil."""
+    z = make_group(1, [])
+    r = make_bicharacter(z, [[-1]])
+    z0, z1, zm = z.element([0]), z.element([1]), z.element([-1])
+    v = make_space(z, {z0: 1, z1: 1})
+    x = make_map(v, z1, {z0: [[1]]})
+    y = make_map(v, zm, {z1: [[1]]})
+    return bracket_closure(v, r, [x, y])
+
+
+def test_nonnil_derived_fails_hypothesis():
+    # the point check is off the success path, so only a stall of the
+    # filtration can report this hypothesis; the message is unchanged
+    L = nonnil_derived()
+    assert [s.dim for s in derived_series(L)] == [3, 1, 0]
+    for call in (color_flag, ideal_chain, common_homogeneous_eigenvector):
+        with pytest.raises(HypothesisFailed) as info:
+            call(L)
+        assert type(info.value) is HypothesisFailed
+        assert str(info.value) == NONNIL_MESSAGE
+
+
+def test_nonnil_derived_skip_hypotheses():
+    L = nonnil_derived()
+    with pytest.raises(NoHomogeneousEigenvector) as info:
+        color_flag(L, check_hypotheses=False)
+    assert info.value.flag_depth == 0
+    with pytest.raises(NoHomogeneousEigenvector):
+        common_homogeneous_eigenvector(L, check_hypotheses=False)
+    # ad kills the central I, so ad L is triangularizable all the same
+    chain = ideal_chain(L, check_hypotheses=False)
+    assert [s.dim for s in chain.chain] == [0, 1, 2, 3]
+    for sub in chain.chain:
+        assert is_ideal(L, sub)
+
+
+def _count_nil_checks(monkeypatch):
+    import colorlie.structure as structure
+
+    calls = []
+    real = structure.nil_subspace_check
+
+    def counted(mats, policy="auto", seed=0):
+        calls.append((policy, seed))
+        return real(mats, policy=policy, seed=seed)
+
+    monkeypatch.setattr(structure, "nil_subspace_check", counted)
+    return calls
+
+
+def test_success_path_makes_no_point_checks(monkeypatch):
+    calls = _count_nil_checks(monkeypatch)
+    for grading in ("plain", "z", "zsuper", "z2"):
+        L = _borel(5, grading)
+        _assert_flag_valid(L, color_flag(L, nil_policy="deterministic"))
+        chain = ideal_chain(L, nil_policy="deterministic")
+        assert [s.dim for s in chain.chain] == list(range(16))
+        common_homogeneous_eigenvector(L, nil_policy="deterministic")
+    rng = random.Random(107)
+    for _, group, r in torsion_free_configs():
+        L = random_nil_instance(rng, group, r)
+        common_annihilated_vector(L, nil_policy="deterministic")
+        assert engel_check(L, nil_policy="deterministic").all_ad_nilpotent
+    assert calls == []
+
+
+def test_stall_runs_point_check_with_given_policy(monkeypatch):
+    calls = _count_nil_checks(monkeypatch)
+    L = nonnil_derived()
+    with pytest.raises(HypothesisFailed):
+        color_flag(L, nil_policy="probabilistic", seed=7)
+    assert calls == [("probabilistic", 7)]
+    with pytest.raises(HypothesisFailed):
+        ideal_chain(L, nil_policy="deterministic", seed=3)
+    assert calls[1:] == [("deterministic", 3)]
+    # not nilpotent: ad-nilpotency still needs the point check
+    v, e11, e12, B = borel2()
+    del calls[:]
+    assert not engel_check(B, nil_policy="deterministic", seed=5).all_ad_nilpotent
+    assert calls and set(calls) == {("deterministic", 5)}
+    del calls[:]
+    with pytest.raises(HypothesisFailed) as info:
+        common_annihilated_vector(B, nil_policy="probabilistic", seed=9)
+    assert str(info.value) == "algebra component at degree () contains non-nilpotent elements"
+    assert calls == [("probabilistic", 9)]
+    # E_11 kills e_2 but not V/<e_2>: the stall comes after one level,
+    # and a kernel vector alone does not certify the hypothesis
+    v = gl(2)
+    with pytest.raises(HypothesisFailed):
+        common_annihilated_vector(bracket_closure(v, R0, [unit_map(v, 0, 0)]))
+
+
+def _levels_in_v(L):
+    """K_1 < K_2 < ... of the kernel filtration of [L, L], as lists of
+    flattened vectors of V."""
+    from colorlie.structure import _derived, _kernel_filtration, _lift
+
+    nil = _derived(derived_series(L)).elements()
+    out, acc = [], []
+    for space, top, lift in _kernel_filtration(L.space, nil, []):
+        assert top == []
+        for g, n in space.dims:
+            for j in range(n):
+                unit = tuple(Fraction(int(i == j)) for i in range(n))
+                acc.append(flatten_vector(_lift(L.space, lift, g, unit)))
+        out.append(list(acc))
+    return out
+
+
+def _rank(vectors, n):
+    from colorlie.linalg import rref
+
+    return rref(Matrix(vectors, cols=n))[2] if vectors else 0
+
+
+def _inside(vectors, images, n):
+    return _rank(list(vectors) + list(images), n) == _rank(vectors, n)
+
+
+def _assert_filtration(L):
+    n = L.space.total_dim
+    levels = _levels_in_v(L)
+    ranks = [_rank(k, n) for k in levels]
+    assert ranks == [len(k) for k in levels]
+    assert all(a < b for a, b in zip([0] + ranks, ranks))
+    assert ranks[-1] == n
+    derived = derived_series(L)
+    nil = derived[1].elements() if len(derived) > 1 else []
+    below = []
+    for k in levels:
+        for b in L.basis:
+            m = flatten_map(b)
+            assert _inside(k, [m.apply(v) for v in k], n)
+        for x in nil:
+            m = flatten_map(x)
+            images = [m.apply(v) for v in k]
+            assert _inside(below, images, n) if below else all(
+                not any(img) for img in images
+            )
+        below = k
+
+
+def test_kernel_filtration_properties():
+    rng = random.Random(109)
+    for _, group, r in torsion_free_configs():
+        for _ in range(3):
+            _assert_filtration(random_solvable_instance(rng, group, r))
+    for n in (3, 4, 5):
+        for grading in ("plain", "z", "zsuper", "z2"):
+            _assert_filtration(_borel(n, grading))
+    from colorlie import load_problem
+    from pathlib import Path
+
+    problem = load_problem(Path(__file__).resolve().parent.parent / "problems" / "heisenberg.json")
+    _assert_filtration(
+        bracket_closure(problem.space, problem.bicharacter, problem.generators)
+    )
+
+
+def test_filtration_stall_depth_skip_hypotheses():
+    # sl2 on F^2 plus a trivial line: [L, L] = sl2 kills only the line,
+    # so the filtration stalls at dim K_1 = 1
+    v = gl(3)
+    L = bracket_closure(v, R0, [unit_map(v, 0, 1), unit_map(v, 1, 0)])
+    with pytest.raises(NotSolvable) as info:
+        color_flag(L, check_hypotheses=False)
+    assert info.value.flag_depth == 1
+    # ad sl2 has no common kernel on sl2 itself
+    with pytest.raises(NotSolvable) as info:
+        ideal_chain(L, check_hypotheses=False)
+    assert info.value.flag_depth == 0
