@@ -2,14 +2,35 @@
 homogeneous maps on a graded space.
 
 The bracket is [a, b] = a b - r(|b|, |a|) b a with r the bicharacter of
-the grading group.  Subspace arithmetic echelonizes flattened matrix
-coordinates separately per degree, so every stored basis is homogeneous.
+the grading group.
 
-Spans are built by bracketing each unordered pair of basis elements at
-most once.  ``make_bicharacter`` checks r(g, h) r(h, g) = 1, so color
-skew symmetry gives [b, a] = -r(|a|, |b|) [a, b]: once [a, b] lies in a
-span, [b, a] does too.  The diagonal pair is kept, since under a super
-grading [a, a] = 2 a^2 need not vanish.
+Structure constants are the algebra's working currency.  An algebra L
+of dimension m keeps a canonical basis R_1..R_m: the reduced echelon
+rows of its basis maps' flattened matrices, with pivot columns
+p_1 < ... < p_m.  Flattened maps of different degrees have disjoint
+supports, so every R_k is homogeneous.  An element x of L has the
+*pivot coordinates* x = sum_k x[p_k] R_k, its flattened entries at the
+pivots.  A closed algebra tabulates [R_i, R_j] = sum_k c_ij^k R_k once,
+sparsely, as in de Graaf, *Lie Algebras: Theory and Algorithms* (2000,
+ch. 1) or GAP's ``AlgebraByStructureConstants``; subspaces, the series,
+the center, ideals and the adjoint action are then computed on
+length-m coordinate vectors instead of on N x N maps.
+
+A subspace is stored as per-degree reduced echelon rows in pivot
+coordinates.  The leading flattened entry of x in L sits at p_k for the
+first k with x[p_k] != 0, so taking pivot entries maps the reduced
+echelon basis of a subspace over flattened coordinates onto its reduced
+echelon basis over pivot coordinates, and back.  The maps that
+``Subspace.elements`` builds from the rows are therefore exactly those
+that echelonizing flattened matrices gives, whatever basis the algebra
+was presented in.
+
+Each unordered pair is bracketed at most once.  ``make_bicharacter``
+checks r(g, h) r(h, g) = 1, so color skew symmetry gives
+[b, a] = -r(|a|, |b|) [a, b]: once [a, b] lies in a span, [b, a] does
+too, and c_ji = -r(|R_i|, |R_j|) c_ij fills the table's other half.  The
+diagonal pair is kept, since under a super grading [a, a] = 2 a^2 need
+not vanish.
 """
 
 from __future__ import annotations
@@ -34,18 +55,20 @@ from .grading import (
 )
 from .graded import (
     GradedSpace,
+    GradedVector,
     HomogeneousMap,
+    _GradedEchelon,
     _map,
     add_maps,
     compose,
     flatten_map,
+    graded_kernel,
     make_space,
     map_power,
     scale_map,
-    unflatten_map,
     zero_map,
 )
-from .linalg import Matrix, is_nilpotent_matrix, kernel_basis
+from .linalg import Matrix, is_nilpotent_matrix
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -73,68 +96,6 @@ def color_bracket(r: Bicharacter, a: HomogeneousMap, b: HomogeneousMap) -> Homog
                 m.cols,
             )
     return _map(a.space, ab.degree, blocks)
-
-
-class _GradedEchelon:
-    """Reduced echelon bases of spans of homogeneous maps, kept separately
-    per degree over flattened matrix coordinates."""
-
-    def __init__(self, space: GradedSpace):
-        self.space = space
-        self.rows: dict[GroupElement, list[tuple[int, list[Fraction]]]] = {}
-
-    def _reduce(self, degree: GroupElement, vec: list[Fraction]) -> list[Fraction]:
-        for pivot, row in self.rows.get(degree, ()):
-            c = vec[pivot]
-            if c != 0:
-                vec = [a - c * b for a, b in zip(vec, row)]
-        return vec
-
-    def add_map(self, f: HomogeneousMap) -> bool:
-        flat = [x for row in flatten_map(f).data for x in row]
-        return self.add_vector(f.degree, flat)
-
-    def add_vector(self, degree: GroupElement, vec: list[Fraction]) -> bool:
-        vec = self._reduce(degree, list(vec))
-        pivot = next((i for i, x in enumerate(vec) if x != 0), None)
-        if pivot is None:
-            return False
-        inv = 1 / vec[pivot]
-        vec = [x * inv for x in vec]
-        rows = self.rows.setdefault(degree, [])
-        for k, (p, row) in enumerate(rows):
-            c = row[pivot]
-            if c != 0:
-                rows[k] = (p, [a - c * b for a, b in zip(row, vec)])
-        rows.append((pivot, vec))
-        rows.sort(key=lambda pr: pr[0])
-        return True
-
-    def contains(self, f: HomogeneousMap) -> bool:
-        flat = [x for row in flatten_map(f).data for x in row]
-        return all(x == 0 for x in self._reduce(f.degree, flat))
-
-    def dim(self) -> int:
-        return sum(len(v) for v in self.rows.values())
-
-    def degrees(self) -> list[GroupElement]:
-        return sorted(self.rows, key=lambda g: g.sort_key())
-
-    def maps(self) -> list[HomogeneousMap]:
-        n = self.space.total_dim
-        out = []
-        for g in self.degrees():
-            for _, vec in self.rows[g]:
-                m = Matrix([vec[i * n : (i + 1) * n] for i in range(n)], cols=n)
-                out.append(unflatten_map(self.space, g, m))
-        return out
-
-    def canonical_rows(self) -> dict:
-        return {
-            g: tuple(tuple(row) for _, row in rows)
-            for g, rows in self.rows.items()
-            if rows
-        }
 
 
 class _SpanSolver:
@@ -179,35 +140,52 @@ class _SpanSolver:
         self.independent = len(pivots) == self.size
         self.pivots = pivots
         self.rows = rows
+        self.sparse_rows = [[(i, y) for i, y in enumerate(row) if y] for row in rows]
         self.transform = transform
 
-    def solve(self, target) -> tuple[Fraction, ...] | None:
+    def reduce(self, target) -> list[Fraction] | None:
+        """Pivot coordinates of the target, its entries at the pivot
+        columns, or None when it lies outside the span.  Every row
+        vanishes at the other rows' pivots, so reducing by the rows in
+        turn leaves the pivot entries as they are."""
         t = list(target)
+        coeffs = [t[c] for c in self.pivots]
         if not any(t):
-            return (_ZERO,) * self.size
-        coeffs = []
-        for k, c in enumerate(self.pivots):
-            a = t[c]
-            coeffs.append(a)
+            return coeffs
+        for a, row in zip(coeffs, self.sparse_rows):
             if a:
-                for i, y in enumerate(self.rows[k]):
-                    if y:
-                        t[i] -= a * y
+                for i, y in row:
+                    t[i] -= a * y
         if any(t):
             return None
+        return coeffs
+
+    def to_basis(self, coeffs) -> tuple[Fraction, ...]:
+        """Coordinates in the given vectors of sum coeffs[k] rows[k]."""
         out = [_ZERO] * self.size
-        for k, a in enumerate(coeffs):
+        for a, tr in zip(coeffs, self.transform):
             if a:
-                for i, y in enumerate(self.transform[k]):
+                for i, y in enumerate(tr):
                     if y:
                         out[i] += a * y
         return tuple(out)
+
+    def solve(self, target) -> tuple[Fraction, ...] | None:
+        coeffs = self.reduce(target)
+        return None if coeffs is None else self.to_basis(coeffs)
 
 
 class ColorAlgebra:
     """A span of linearly independent homogeneous maps; with closed=True
     the span is verified (or trusted, for internally built algebras) to be
-    closed under the color bracket."""
+    closed under the color bracket.
+
+    The canonical basis R and pivot coordinates are those of the module
+    docstring: R is the rows of ``_solver``, whose transform leads back
+    to ``basis``.  Verifying the closure builds the structure-constant
+    table; a trusted algebra builds it, verified the same way, on first
+    use.
+    """
 
     def __init__(self, space: GradedSpace, r: Bicharacter, basis,
                  closed: bool = False, _validate: bool = True):
@@ -226,16 +204,24 @@ class ColorAlgebra:
         ]
         self._solver = _SpanSolver(self._flat)
         self._profile: GradedSpace | None = None
-        if _validate:
-            if not self._solver.independent:
-                raise ValidationError("basis maps are linearly dependent")
-            if closed:
-                for i, a in enumerate(basis):
-                    for b in basis[i:]:
-                        if self.coordinates(color_bracket(r, a, b)) is None:
-                            raise NotClosed(
-                                "basis is not closed under the bracket"
-                            )
+        self._table: list[dict] | None = None
+        if _validate and not self._solver.independent:
+            raise ValidationError("basis maps are linearly dependent")
+        solver = self._solver
+        # R_k combines basis maps of its own degree only
+        self._degrees = [
+            basis[next(i for i, t in enumerate(tr) if t)].degree
+            for tr in solver.transform[: len(solver.pivots)]
+        ]
+        self._local: dict[GroupElement, list[int]] = {}
+        self._pos = []
+        for k, d in enumerate(self._degrees):
+            ks = self._local.setdefault(d, [])
+            self._pos.append(len(ks))
+            ks.append(k)
+        self._basis_coords = [[v[p] for p in solver.pivots] for v in self._flat]
+        if _validate and closed:
+            self._structure()
 
     @property
     def dim(self) -> int:
@@ -256,12 +242,8 @@ class ColorAlgebra:
 
     def coordinates(self, f: HomogeneousMap) -> tuple[Fraction, ...] | None:
         """Coordinates of f in the basis, or None when f is outside the span."""
-        if f.space != self.space:
-            raise SpaceMismatch("map acts on a different space")
-        target = [x for row in flatten_map(f).data for x in row]
-        if not self.basis:
-            return () if all(x == 0 for x in target) else None
-        return self._solver.solve(target)
+        coords = self._pivot_coords(f)
+        return None if coords is None else self._solver.to_basis(coords)
 
     def contains(self, f: HomogeneousMap) -> bool:
         return self.coordinates(f) is not None
@@ -289,6 +271,131 @@ class ColorAlgebra:
                 dims[f.degree] = dims.get(f.degree, 0) + 1
             self._profile = make_space(self.space.group, dims)
         return self._profile
+
+    # -- pivot coordinates and the structure-constant table
+
+    def _pivot_coords(self, f: HomogeneousMap, check: bool = True) -> list[Fraction] | None:
+        """Pivot coordinates of f, or None when f is outside the span;
+        with ``check=False`` f is trusted to lie in it and the pivot
+        entries are read off without reducing."""
+        if f.space != self.space:
+            raise SpaceMismatch("map acts on a different space")
+        data = flatten_map(f).data
+        if check:
+            return self._solver.reduce([x for row in data for x in row])
+        n = self.space.total_dim
+        return [data[p // n][p % n] for p in self._solver.pivots]
+
+    def _element(self, degree: GroupElement, coords) -> HomogeneousMap:
+        """The map with the given pivot coordinates."""
+        space = self.space
+        n = space.total_dim
+        flat = [_ZERO] * (n * n)
+        for c, row in zip(coords, self._solver.sparse_rows):
+            if c:
+                for i, y in row:
+                    flat[i] += c * y
+        off = space.offsets()
+        blocks = {}
+        for h, n_src in space.dims:
+            target = element_add(h, degree)
+            n_tgt = space.dim_of(target)
+            if n_tgt:
+                base = off[target] * n + off[h]
+                blocks[h] = Matrix._raw(tuple(
+                    tuple(flat[base + i * n : base + i * n + n_src])
+                    for i in range(n_tgt)
+                ), n_src)
+        return _map(space, degree, blocks)
+
+    @staticmethod
+    def _sparse(coords) -> list[tuple[int, Fraction]]:
+        return [(i, c) for i, c in enumerate(coords) if c]
+
+    def _unit(self, k: int) -> list[Fraction]:
+        """Pivot coordinates of R_k."""
+        out = [_ZERO] * len(self._degrees)
+        out[k] = _ONE
+        return out
+
+    def _canonical_map(self, k: int) -> HomogeneousMap:
+        """R_k as a map; the basis map itself when R_k is one, as for
+        closures, whose bases are already reduced echelon."""
+        row = self._solver.transform[k]
+        used = [i for i, t in enumerate(row) if t]
+        if len(used) == 1 and row[used[0]] == 1:
+            return self.basis[used[0]]
+        return self._element(self._degrees[k], self._unit(k))
+
+    def _structure(self) -> list[dict]:
+        """The table: entry [i][j] lists the nonzero (k, c_ij^k), and is
+        absent when [R_i, R_j] = 0.  Built once, from the pairs i <= j,
+        each bracket checked to lie in the span."""
+        if self._table is None:
+            rs = [self._canonical_map(k) for k in range(len(self._degrees))]
+            table: list[dict] = [{} for _ in rs]
+            for i, a in enumerate(rs):
+                for j in range(i, len(rs)):
+                    b = rs[j]
+                    c = self._pivot_coords(color_bracket(self.r, a, b))
+                    if c is None:
+                        raise NotClosed("basis is not closed under the bracket")
+                    entries = tuple((k, x) for k, x in enumerate(c) if x)
+                    if entries:
+                        table[i][j] = entries
+                        if j != i:
+                            s = -eval_bicharacter(self.r, a.degree, b.degree)
+                            table[j][i] = tuple((k, s * x) for k, x in entries)
+            self._table = table
+        return self._table
+
+    def _bracket(self, xs, ys) -> list[Fraction]:
+        """[x, y] in pivot coordinates, from the table; x and y are given
+        by their nonzero (index, coordinate) pairs (``_sparse``)."""
+        table = self._structure()
+        out = [_ZERO] * len(table)
+        for i, a in xs:
+            row = table[i]
+            for j, b in ys:
+                e = row.get(j)
+                if e is not None:
+                    ab = a * b
+                    for k, c in e:
+                        out[k] += ab * c
+        return out
+
+    def _ad(self, degree: GroupElement, x) -> HomogeneousMap:
+        """ad x for x of the given degree and pivot coordinates, acting
+        on the profile space in pivot coordinates: the component of
+        degree g has the R_k of degree g as its basis, in order of k."""
+        table = self._structure()
+        cols: dict[int, dict[int, Fraction]] = {}
+        for a, row in zip(x, table):
+            if a:
+                for j, e in row.items():
+                    col = cols.setdefault(j, {})
+                    for k, c in e:
+                        col[k] = col.get(k, _ZERO) + a * c
+        blocks = {}
+        for h, src in self._local.items():
+            tgt = self._local.get(element_add(h, degree))
+            if tgt is None:
+                continue
+            rows = [[_ZERO] * len(src) for _ in tgt]
+            for b, j in enumerate(src):
+                for k, v in cols.get(j, {}).items():
+                    rows[self._pos[k]][b] = v
+            blocks[h] = Matrix._raw(tuple(tuple(row) for row in rows), len(src))
+        return _map(self.profile_space(), degree, blocks)
+
+    def _from_profile(self, v: GradedVector) -> tuple[GroupElement, list[Fraction]]:
+        """Degree and pivot coordinates of a homogeneous vector of the
+        profile space in pivot coordinates."""
+        g, comp = v.components[0]
+        out = [_ZERO] * len(self._degrees)
+        for k, c in zip(self._local[g], comp):
+            out[k] = c
+        return g, out
 
 
 def bracket_closure(space: GradedSpace, r: Bicharacter, generators) -> ColorAlgebra:
@@ -323,17 +430,28 @@ def bracket_closure(space: GradedSpace, r: Bicharacter, generators) -> ColorAlge
 
 
 class Subspace:
-    """Graded subspace of a ColorAlgebra, stored as per-degree echelon
-    bases of homogeneous maps."""
+    """Graded subspace of a ColorAlgebra, stored as per-degree reduced
+    echelon rows in the parent's pivot coordinates; maps are built from
+    the rows only by ``elements``.  With ``_validate=False`` the elements
+    are trusted to lie in the parent and their pivot entries are read
+    off without reducing."""
 
     def __init__(self, parent: ColorAlgebra, elements, _validate: bool = True):
         self.parent = parent
-        ech = _GradedEchelon(parent.space)
+        self._ech = _GradedEchelon()
         for f in elements:
-            if _validate and not parent.contains(f):
+            coords = parent._pivot_coords(f, check=_validate)
+            if coords is None:
                 raise NotInAlgebra("element lies outside the parent algebra")
-            ech.add_map(f)
-        self._ech = ech
+            self._ech.add_vector(f.degree, coords)
+
+    @classmethod
+    def _span(cls, parent: ColorAlgebra, vectors) -> "Subspace":
+        """The span of (degree, pivot coordinates) pairs."""
+        s = cls(parent, ())
+        for g, v in vectors:
+            s._ech.add_vector(g, v)
+        return s
 
     @property
     def dim(self) -> int:
@@ -349,10 +467,11 @@ class Subspace:
         return {g: len(self._ech.rows[g]) for g in self._ech.degrees()}
 
     def elements(self) -> list[HomogeneousMap]:
-        return self._ech.maps()
+        return [self.parent._element(g, v) for g, v in self._ech.vectors()]
 
     def contains(self, f: HomogeneousMap) -> bool:
-        return self._ech.contains(f)
+        coords = self.parent._pivot_coords(f)
+        return coords is not None and self._ech.contains_vector(f.degree, coords)
 
     def __eq__(self, other) -> bool:
         return (
@@ -363,23 +482,24 @@ class Subspace:
 
 
 def full_subspace(L: ColorAlgebra) -> Subspace:
-    return Subspace(L, L.basis, _validate=False)
+    return Subspace._span(L, ((d, L._unit(k)) for k, d in enumerate(L._degrees)))
 
 
 def bracket_subspaces(s: Subspace, t: Subspace) -> Subspace:
     if s.parent is not t.parent:
         raise ParentMismatch("subspaces of different algebras")
     L = s.parent
-    out = []
-    t_elements = t.elements()
+    out = Subspace(L, ())
     # [S, S]: the pairs i <= j suffice by skew symmetry
     same = s is t
-    for i, a in enumerate(t_elements if same else s.elements()):
-        for b in t_elements[i:] if same else t_elements:
-            c = color_bracket(L.r, a, b)
-            if not c.is_zero():
-                out.append(c)
-    return Subspace(L, out, _validate=False)
+    t_vecs = [(h, L._sparse(y)) for h, y in t._ech.vectors()]
+    s_vecs = t_vecs if same else [(g, L._sparse(x)) for g, x in s._ech.vectors()]
+    for i, (g, x) in enumerate(s_vecs):
+        for h, y in t_vecs[i:] if same else t_vecs:
+            c = L._bracket(x, y)
+            if any(c):
+                out._ech.add_vector(element_add(g, h), c)
+    return out
 
 
 def _require_closed(L: ColorAlgebra):
@@ -425,37 +545,26 @@ def is_nilpotent_algebra(L: ColorAlgebra) -> bool:
 
 
 def center(L: ColorAlgebra) -> Subspace:
-    """Z(L) = {x : [x, y] = 0 for all y}, solved exactly; the result is
-    graded because homogeneous components of central elements are central."""
+    """Z(L) = {x : [x, y] = 0 for all y}: by skew symmetry the common
+    graded kernel of every ad R_k, read off the table.  The result is
+    graded because homogeneous components of central elements are
+    central."""
     _require_closed(L)
     if L.dim == 0:
-        return Subspace(L, [], _validate=False)
-    columns = []
-    for a in L.basis:
-        col: list[Fraction] = []
-        for b in L.basis:
-            br = color_bracket(L.r, a, b)
-            col.extend(x for row in flatten_map(br).data for x in row)
-        columns.append(col)
-    system = Matrix.from_columns(columns, rows=len(columns[0]))
-    out = []
-    for coeffs in kernel_basis(system):
-        # split the solution into homogeneous components, each central
-        for g in L.degrees():
-            part = [
-                c if L.basis[i].degree == g else _ZERO
-                for i, c in enumerate(coeffs)
-            ]
-            if any(x != 0 for x in part):
-                out.append(L.from_coordinates(part))
-    return Subspace(L, out, _validate=False)
+        return Subspace(L, [])
+    ads = [L._ad(d, L._unit(k)) for k, d in enumerate(L._degrees)]
+    return Subspace._span(L, (L._from_profile(v) for v in graded_kernel(ads)))
 
 
 def ad_map(L: ColorAlgebra, x: HomogeneousMap) -> HomogeneousMap:
     """The map y -> [x, y] written in L's basis, acting on L's own graded
-    coordinate space."""
-    if L.coordinates(x) is None:
+    coordinate space; the brackets are read off the table in pivot
+    coordinates and taken back to the basis through the solver's
+    transform."""
+    xc = L._pivot_coords(x)
+    if xc is None:
         raise NotInAlgebra("ad of a map outside the algebra")
+    xs = L._sparse(xc)
     profile = L.profile_space()
     blocks = {}
     for h in L.degrees():
@@ -466,10 +575,8 @@ def ad_map(L: ColorAlgebra, x: HomogeneousMap) -> HomogeneousMap:
             continue
         cols = []
         for j in src:
-            br = color_bracket(L.r, x, L.basis[j])
-            coords = L.coordinates(br)
-            if coords is None:
-                raise NotClosed("bracket left the algebra; span is not closed")
+            y = L._sparse(L._basis_coords[j])
+            coords = L._solver.to_basis(L._bracket(xs, y))
             cols.append([coords[i] for i in tgt])
         blocks[h] = Matrix.from_columns(cols, rows=len(tgt))
     return _map(profile, x.degree, blocks)
@@ -563,11 +670,13 @@ def nilpotent_implies_ad_nilpotent_check(L: ColorAlgebra, x: HomogeneousMap) -> 
 
 
 def is_ideal(L: ColorAlgebra, s: Subspace) -> bool:
-    """True iff [L, S] is contained in S."""
+    """True iff [L, S] is contained in S, checked on the table."""
     if s.parent is not L:
         raise ParentMismatch("subspace of a different algebra")
-    for a in L.basis:
-        for b in s.elements():
-            if not s.contains(color_bracket(L.r, a, b)):
+    for h, y in s._ech.vectors():
+        ys = L._sparse(y)
+        for k, g in enumerate(L._degrees):
+            c = L._bracket([(k, _ONE)], ys)
+            if any(c) and not s._ech.contains_vector(element_add(g, h), c):
                 return False
     return True

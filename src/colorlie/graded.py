@@ -333,11 +333,87 @@ def unflatten_map(space: GradedSpace, degree: GroupElement, m: Matrix) -> Homoge
     return _map(space, degree, blocks)
 
 
+class _GradedEchelon:
+    """Reduced echelon bases of graded spans, kept separately per degree.
+
+    Rows are coordinate vectors of any fixed length: flattened matrices
+    for spans of homogeneous maps (``add_map``, ``maps``), or the
+    coordinates of an algebra's elements (``add_vector``).  Both are
+    mostly zero, so zero entries are skipped in every row operation.
+    """
+
+    def __init__(self, space: GradedSpace | None = None):
+        self.space = space
+        self.rows: dict[GroupElement, list[tuple[int, list[Fraction]]]] = {}
+
+    def _reduce(self, degree: GroupElement, vec: list[Fraction]) -> list[Fraction]:
+        for pivot, row in self.rows.get(degree, ()):
+            c = vec[pivot]
+            if c != 0:
+                vec = [a - c * b if b else a for a, b in zip(vec, row)]
+        return vec
+
+    def add_map(self, f: HomogeneousMap) -> bool:
+        flat = [x for row in flatten_map(f).data for x in row]
+        return self.add_vector(f.degree, flat)
+
+    def add_vector(self, degree: GroupElement, vec) -> bool:
+        vec = self._reduce(degree, list(vec))
+        pivot = next((i for i, x in enumerate(vec) if x), None)
+        if pivot is None:
+            return False
+        inv = 1 / vec[pivot]
+        vec = [x * inv if x else x for x in vec]
+        rows = self.rows.setdefault(degree, [])
+        for k, (p, row) in enumerate(rows):
+            c = row[pivot]
+            if c != 0:
+                rows[k] = (p, [a - c * b if b else a for a, b in zip(row, vec)])
+        rows.append((pivot, vec))
+        rows.sort(key=lambda pr: pr[0])
+        return True
+
+    def contains_vector(self, degree: GroupElement, vec) -> bool:
+        return not any(self._reduce(degree, list(vec)))
+
+    def dim(self) -> int:
+        return sum(len(v) for v in self.rows.values())
+
+    def degrees(self) -> list[GroupElement]:
+        return sorted(self.rows, key=lambda g: g.sort_key())
+
+    def vectors(self) -> list[tuple[GroupElement, list[Fraction]]]:
+        """The rows with their degrees, degrees in canonical order."""
+        return [(g, row) for g in self.degrees() for _, row in self.rows[g]]
+
+    def maps(self) -> list[HomogeneousMap]:
+        n = self.space.total_dim
+        return [
+            unflatten_map(
+                self.space, g,
+                Matrix([vec[i * n : (i + 1) * n] for i in range(n)], cols=n),
+            )
+            for g, vec in self.vectors()
+        ]
+
+    def canonical_rows(self) -> dict:
+        return {
+            g: tuple(tuple(row) for _, row in rows)
+            for g, rows in self.rows.items()
+            if rows
+        }
+
+
 def graded_kernel(maps, space: GradedSpace | None = None) -> list[GradedVector]:
     """Homogeneous basis of the intersection of the kernels of the maps.
 
-    Computed per degree by stacking blocks; with an empty map list this
-    is the full homogeneous standard basis of V (pass ``space`` then).
+    Computed per degree: the blocks' rows are eliminated one at a time,
+    dependent rows are dropped and the scan stops once the rank reaches
+    the component's dimension.  The kernel is read off the reduced rows
+    by ``kernel_basis``; they have the same row space, hence the same
+    reduced echelon form, as the stacked blocks.  With an empty map list
+    this is the full homogeneous standard basis of V (pass ``space``
+    then).
     """
     maps = list(maps)
     if not maps and space is None:
@@ -349,17 +425,12 @@ def graded_kernel(maps, space: GradedSpace | None = None) -> list[GradedVector]:
                 raise SpaceMismatch("kernel maps act on different spaces")
     out = []
     for h, n in space.dims:
-        rows: list = []
-        for f in maps:
-            b = None
-            for g, blk in f.blocks:
-                if g == h:
-                    b = blk
-                    break
-            if b is not None:
-                rows.extend(b.data)
+        rows = _row_basis(
+            (row for f in maps for g, b in f.blocks if g == h for row in b.data),
+            h, n,
+        )
         if rows:
-            vecs = kernel_basis(Matrix(rows, cols=n))
+            vecs = kernel_basis(Matrix._raw(rows, n))
         else:
             vecs = [
                 tuple(Fraction(1 if j == i else 0) for j in range(n))
@@ -368,6 +439,15 @@ def graded_kernel(maps, space: GradedSpace | None = None) -> list[GradedVector]:
         for v in vecs:
             out.append(_vector(space, {h: v}))
     return out
+
+
+def _row_basis(rows, h: GroupElement, n: int) -> tuple:
+    """Reduced basis of the span of rows of length n, stopping at rank n."""
+    ech = _GradedEchelon()
+    for row in rows:
+        if any(row) and ech.add_vector(h, row) and len(ech.rows[h]) == n:
+            break
+    return tuple(tuple(row) for _, row in ech.rows.get(h, ()))
 
 
 @dataclass(frozen=True)

@@ -174,7 +174,7 @@ class Matrix:
         return sum((self.data[i][i] for i in range(self.rows)), _ZERO)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
+        return not any(any(row) for row in self.data)
 
     def power(self, k: int) -> "Matrix":
         if self.rows != self.cols:

@@ -57,6 +57,7 @@ from .graded import (
     GradedSpace,
     GradedVector,
     HomogeneousMap,
+    _GradedEchelon,
     _map,
     _vector,
     apply,
@@ -72,9 +73,7 @@ from .graded import (
 from .algebra import (
     ColorAlgebra,
     Subspace,
-    _GradedEchelon,
     _SpanSolver,
-    ad_map,
     ad_representation,
     bracket_closure,
     bracket_subspaces,
@@ -155,9 +154,10 @@ def _component_matrices(maps) -> list[Matrix]:
     return [flatten_map(f) for f in maps]
 
 
-def _check_nil_components(L: ColorAlgebra, sub, what: str, policy: str, seed: int):
-    elements = sub.elements() if isinstance(sub, Subspace) else sub.basis
-    for g in sub.degrees():
+def _check_nil_components(elements, what: str, policy: str, seed: int):
+    """HypothesisFailed at the first degree, in canonical order, where the
+    span of the homogeneous maps is not nil."""
+    for g in sorted({f.degree for f in elements}, key=lambda g: g.sort_key()):
         mats = _component_matrices([f for f in elements if f.degree == g])
         if not nil_subspace_check(mats, policy=policy, seed=seed):
             raise HypothesisFailed(
@@ -188,7 +188,7 @@ def common_annihilated_vector(
     if check_hypotheses:
         levels = list(levels)
         if _filtration_dim(levels) < L.space.total_dim:
-            _check_nil_components(L, L, "algebra", nil_policy, seed)
+            _check_nil_components(L.basis, "algebra", nil_policy, seed)
             raise TheoremViolation("nil algebra does not act nilpotently")
     first = next(iter(levels), None)
     if first is None:
@@ -236,18 +236,25 @@ def engel_check(
     return EngelReport(all_ad, nilpotent, witness)
 
 
-def _derived_chain(L: ColorAlgebra, series: list[Subspace]) -> list[HomogeneousMap]:
-    """Homogeneous basis b_1..b_m of L adapted to its derived series,
-    deepest term first, then each term's extension to the next.
+def _derived_coords(L: ColorAlgebra, series: list[Subspace]) -> list[tuple]:
+    """Homogeneous basis b_1..b_m of L adapted to its derived series, as
+    (degree, pivot coordinates) pairs: the deepest term's rows first, then
+    each term's extension to the next, then L's basis.
 
     Each span C_i = <b_1..b_i> lies between consecutive terms D_{j+1} and
     D_j, so [C_{i+1}, C_i] lies in [D_j, D_j] = D_{j+1}, inside C_i: every
     C_i is a codimension-one color ideal of C_{i+1}.  When L is not
     solvable the chain starts with a basis of the last, perfect term.
     """
-    ech = _GradedEchelon(L.space)
-    levels = [s.elements() for s in reversed(series[1:])] + [L.basis]
-    return [f for level in levels for f in level if ech.add_map(f)]
+    ech = _GradedEchelon()
+    levels = [s._ech.vectors() for s in reversed(series[1:])]
+    levels.append([(f.degree, c) for f, c in zip(L.basis, L._basis_coords)])
+    return [(g, v) for level in levels for g, v in level if ech.add_vector(g, v)]
+
+
+def _derived_chain(L: ColorAlgebra, series: list[Subspace]) -> list[HomogeneousMap]:
+    """The basis of ``_derived_coords`` as maps."""
+    return [L._element(g, v) for g, v in _derived_coords(L, series)]
 
 
 def codim_one_ideal(
@@ -268,8 +275,8 @@ def codim_one_ideal(
         raise NotSolvable("algebra is not solvable")
     if len(series) == 1:
         raise NotSolvable("derived subalgebra equals the whole algebra")
-    chain = _derived_chain(L, series)
-    return Subspace(L, chain[:-1], _validate=False), chain[-1]
+    chain = _derived_coords(L, series)
+    return Subspace._span(L, chain[:-1]), L._element(*chain[-1])
 
 
 class _NotInvariant(Exception):
@@ -499,17 +506,16 @@ def _check_triangularization_hypotheses(L: ColorAlgebra) -> list[Subspace]:
     return _check_solvable(L)
 
 
-def _stall(L, series, depth, strict, nil_policy, seed):
-    """Raise for a kernel filtration of [L, L] that stopped at dimension
-    ``depth`` below V.  No homogeneous flag exists then (see the module
-    docstring); with the hypotheses checked, the nil check tells a
-    non-nil component of [L, L] (HypothesisFailed) from a bug."""
+def _stall(series, nil, depth, strict, nil_policy, seed):
+    """Raise for a kernel filtration of ``nil``, spanning [L, L] as it
+    acts, that stopped at dimension ``depth`` below the space.  No
+    homogeneous flag exists then (see the module docstring); with the
+    hypotheses checked, the nil check tells a non-nil component of
+    [L, L] (HypothesisFailed) from a bug."""
     if series[-1].dim != 0:
         err = NotSolvable("algebra is not solvable")
     elif strict:
-        _check_nil_components(
-            L, _derived(series), "derived subalgebra", nil_policy, seed
-        )
+        _check_nil_components(nil, "derived subalgebra", nil_policy, seed)
         err = TheoremViolation(
             "derived subalgebra with nil components does not act nilpotently"
         )
@@ -522,13 +528,13 @@ def _stall(L, series, depth, strict, nil_policy, seed):
     raise err
 
 
-def _engel_phase(L, series, nil, top, strict, nil_policy, seed) -> list:
-    """The whole kernel filtration of ``nil`` (a basis of [L, L]) on V,
-    or the stall error."""
-    levels = list(_kernel_filtration(L.space, nil, top))
+def _engel_phase(space, nil, top, series, strict, nil_policy, seed) -> list:
+    """The whole kernel filtration of ``nil`` (spanning [L, L] as it acts
+    on ``space``), or the stall error; ``series`` is L's derived series."""
+    levels = list(_kernel_filtration(space, nil, top))
     depth = _filtration_dim(levels)
-    if depth < L.space.total_dim:
-        _stall(L, series, depth, strict, nil_policy, seed)
+    if depth < space.total_dim:
+        _stall(series, nil, depth, strict, nil_policy, seed)
     return levels
 
 
@@ -559,12 +565,14 @@ def common_homogeneous_eigenvector(
     chain = _derived_chain(L, series)
     k = _derived(series).dim
     if check_hypotheses:
-        levels = _engel_phase(L, series, chain[:k], chain[k:], True, nil_policy, seed)
+        levels = _engel_phase(
+            L.space, chain[:k], chain[k:], series, True, nil_policy, seed
+        )
     else:
         levels = _kernel_filtration(L.space, chain[:k], chain[k:])
     first = next(iter(levels), None)
     if first is None:
-        _stall(L, series, 0, False, nil_policy, seed)
+        _stall(series, chain[:k], 0, False, nil_policy, seed)
     space, top, lift = first
     v = _chain_eigenvector(space, top, strict=check_hypotheses)
     d = v.degree()
@@ -619,66 +627,57 @@ def color_flag(
         series = derived_series(L)
     if L.space.total_dim == 0:
         raise EmptySpace("the representation space is zero")
-    return _flag(L, series, check_hypotheses, nil_policy, seed)
-
-
-def _flag(
-    L: ColorAlgebra, series: list[Subspace], strict: bool, nil_policy: str, seed: int
-) -> ColorFlag:
-    """The flag of a nonzero space from L's derived series; ``strict``
-    failures raise TheoremViolation, others NoHomogeneousEigenvector.  A
-    failure records in ``flag_depth`` the dimension reached: dim K_j on a
-    stall of the filtration, else the number of flag vectors found."""
     chain = _derived_chain(L, series)
     k = _derived(series).dim
-    levels = _engel_phase(L, series, chain[:k], chain[k:], strict, nil_policy, seed)
-    flag_vectors: list[GradedVector] = []
+    levels = _engel_phase(
+        L.space, chain[:k], chain[k:], series, check_hypotheses, nil_policy, seed
+    )
+    vectors, mats = _lie_phase(
+        L.space, levels, [flatten_map(b) for b in L.basis], check_hypotheses
+    )
+    weights = tuple(
+        Weight(L, tuple(m.data[i][i] for m in mats))
+        for i in range(L.space.total_dim)
+    )
+    return ColorFlag(tuple(vectors), weights)
+
+
+def _lie_phase(space: GradedSpace, levels, certify, strict: bool):
+    """Phase 2 on the levels of a finished kernel filtration of ``space``:
+    each factor flagged line by line and lifted back, then the exact
+    certificate.  Returns the flag vectors and T^-1 M T for every matrix
+    M in ``certify``, with T the flag vectors as columns; each must be
+    upper triangular.  A failure records in ``flag_depth`` the number of
+    flag vectors found (a filtration stall, raised before, records
+    dim K_j)."""
+    vectors: list[GradedVector] = []
     try:
-        for space, top, lift in levels:
-            while space.total_dim > 0:
-                v = _chain_eigenvector(space, top, strict=strict)
+        for fspace, top, lift in levels:
+            while fspace.total_dim > 0:
+                v = _chain_eigenvector(fspace, top, strict=strict)
                 d = v.degree()
                 comp = v.components[0][1]
-                flag_vectors.append(_lift(L.space, lift, d, comp))
-                space, proj, sect = _quotient(space, {d: _quotient_by_line(comp)})
-                top = [_induced_map(space, proj, sect, f) for f in top]
-                lift = {g: lift[g] * sect[g] for g in space.degrees}
+                vectors.append(_lift(space, lift, d, comp))
+                fspace, proj, sect = _quotient(fspace, {d: _quotient_by_line(comp)})
+                top = [_induced_map(fspace, proj, sect, f) for f in top]
+                lift = {g: lift[g] * sect[g] for g in fspace.degrees}
     except (TheoremViolation, NoHomogeneousEigenvector, IrrationalEigenvalue) as e:
-        e.flag_depth = len(flag_vectors)
+        e.flag_depth = len(vectors)
         raise
 
-    n = L.space.total_dim
-    t = Matrix.from_columns([flatten_vector(v) for v in flag_vectors], rows=n)
+    n = space.total_dim
+    t = Matrix.from_columns([flatten_vector(v) for v in vectors], rows=n)
     try:
         t_inv = inverse(t)
     except ValueError:
         raise TheoremViolation("flag vectors do not form a basis")
-    mats = [t_inv * flatten_map(b) * t for b in L.basis]
+    mats = [t_inv * m * t for m in certify]
     for m in mats:
         if any(m.data[rr][cc] != 0 for rr in range(n) for cc in range(rr)):
             raise TheoremViolation(
                 "matrix is not upper triangular in the flag basis"
             )
-    weights = tuple(
-        Weight(L, tuple(m.data[k][k] for m in mats)) for k in range(n)
-    )
-    return ColorFlag(tuple(flag_vectors), weights)
-
-
-def _ad_series(
-    L: ColorAlgebra, ad_l: ColorAlgebra, series: list[Subspace]
-) -> list[Subspace]:
-    """Derived series of ad L from L's: ad is a homomorphism, so ad of
-    each term of L's series is the matching term of ad L's.  Terms whose
-    difference lies in the center of L map to equal images; the series
-    stops at the first repeat, as ``derived_series`` does."""
-    out = [full_subspace(ad_l)]
-    for term in series[1:]:
-        image = Subspace(ad_l, [ad_map(L, x) for x in term.elements()], _validate=False)
-        if image.dim == out[-1].dim:
-            break
-        out.append(image)
-    return out
+    return vectors, mats
 
 
 def ideal_chain(
@@ -688,20 +687,26 @@ def ideal_chain(
     seed: int = 0,
 ) -> IdealChain:
     """Chain of color ideals with dim L_i = i, from the flag of the
-    adjoint representation.
+    adjoint action.
 
-    The adjoint algebra acts on L's own graded coordinate space, so its
-    flag vectors are literally elements of L; a subspace invariant under
-    every ad x is exactly a color ideal.  The flag's verified triangular
-    form makes every prefix ad-invariant, hence an ideal.
+    ad acts on L's own graded coordinate space, in pivot coordinates (see
+    ``colorlie.algebra``), so its flag vectors are literally elements of
+    L; a subspace invariant under every ad x is exactly a color ideal.
+    The maps are read off the structure-constant table: ad of L's basis
+    adapted to its derived series, whose first dim [L, L] entries span
+    ad [L, L] = [ad L, ad L], since ad is a homomorphism.  Those drive
+    phase 1 and the rest phase 2 (see the module docstring); ad L is
+    never built as an algebra.  The flag is certified with ad R_k for
+    every canonical basis element R_k, so every prefix is ad-invariant,
+    hence an ideal.
 
-    The hypotheses are checked on L only: ad is a homomorphism with
-    ad([L, L]_g) = [ad L, ad L]_g and ad of a nilpotent element is
-    nilpotent, so ad L inherits them.  That [L, L] is nil is certified by
-    phase 1 of L's own flag, the kernel filtration of [L, L] on V, with no
-    eigenvalue search; ad L's filtration cannot stand in for it, since ad
-    kills the center and with it any central non-nilpotent element.
-    ``nil_policy`` and ``seed`` are used only when a filtration stalls.
+    The hypotheses are checked on L only: ad([L, L]_g) = [ad L, ad L]_g
+    and ad of a nilpotent element is nilpotent, so ad L inherits them.
+    That [L, L] is nil is certified by phase 1 of L's own flag, the
+    kernel filtration of [L, L] on V, with no eigenvalue search; the
+    adjoint filtration cannot stand in for it, since ad kills the center
+    and with it any central non-nilpotent element.  ``nil_policy`` and
+    ``seed`` are used only when a filtration stalls.
     """
     _require_closed(L)
     if check_hypotheses:
@@ -709,30 +714,26 @@ def ideal_chain(
             raise TorsionGrading("grading group has torsion")
         series = _check_solvable(L)
         _engel_phase(
-            L, series, _derived(series).elements(), [], True, nil_policy, seed
+            L.space, _derived(series).elements(), [], series, True, nil_policy, seed
         )
     else:
         series = derived_series(L)
     if L.dim == 0:
-        return IdealChain((Subspace(L, [], _validate=False),))
+        return IdealChain((Subspace(L, []),))
 
-    ad_l = ad_representation(L)
-    flag = _flag(
-        ad_l, _ad_series(L, ad_l, series), check_hypotheses, nil_policy, seed
+    ads = [L._ad(g, v) for g, v in _derived_coords(L, series)]
+    k = _derived(series).dim
+    profile = L.profile_space()
+    levels = _engel_phase(
+        profile, ads[:k], ads[k:], series, check_hypotheses, nil_policy, seed
     )
+    certify = [flatten_map(L._ad(g, L._unit(i))) for i, g in enumerate(L._degrees)]
+    vectors, _ = _lie_phase(profile, levels, certify, check_hypotheses)
 
-    elements = []
-    for v in flag.ordered_basis:
-        d = v.degree()
-        comp = v.component(d)
-        coords = [_ZERO] * L.dim
-        for idx, c in zip(L.basis_indices_of_degree(d), comp):
-            coords[idx] = c
-        elements.append(L.from_coordinates(coords))
-
-    chain = [Subspace(L, [], _validate=False)]
-    for i in range(1, len(elements) + 1):
-        sub = Subspace(L, elements[:i], _validate=False)
+    coords = [L._from_profile(v) for v in vectors]
+    chain = [Subspace(L, [])]
+    for i in range(1, len(coords) + 1):
+        sub = Subspace._span(L, coords[:i])
         if sub.dim != i:
             raise TheoremViolation("chain member has the wrong dimension")
         chain.append(sub)

@@ -253,3 +253,73 @@ def random_solvable_instance(rng: random.Random, group, r, max_total=5,
         if algebra.dim >= 1:
             return algebra
     raise RuntimeError("failed to generate a solvable instance")
+
+
+BOREL_GRADINGS = {
+    # name -> (free rank, bicharacter values, degree of the basis vector e_i)
+    "plain": (0, [], lambda i: []),
+    "z": (1, [[1]], lambda i: [i]),
+    "zsuper": (1, [[-1]], lambda i: [i]),
+    "z2": (2, [[1, 2], [Fraction(1, 2), -1]], lambda i: [i // 2, i % 2]),
+}
+
+
+def borel_generators(n: int, grading: str):
+    """Space, bicharacter and the unit maps E_ij (i <= j) of the n x n
+    Borel algebra, e_i homogeneous of the grading's degree deg(i)."""
+    rank, values, deg = BOREL_GRADINGS[grading]
+    group = make_group(rank, [])
+    pos, count = [], {}
+    for i in range(n):
+        d = group.element(deg(i))
+        pos.append((d, count.get(d, 0)))
+        count[d] = count.get(d, 0) + 1
+    v = make_space(group, count)
+    gens = []
+    for i in range(n):
+        for j in range(i, n):
+            (di, a), (dj, b) = pos[i], pos[j]
+            m = [[1 if (r, c) == (a, b) else 0 for c in range(count[dj])]
+                 for r in range(count[di])]
+            gens.append(make_map(v, di + (-dj), {dj: m}))
+    return v, make_bicharacter(group, values), gens
+
+
+def scrambled_basis(rng: random.Random, L: ColorAlgebra) -> list:
+    """Another homogeneous basis of L's span: the basis elements of each
+    degree recombined by a random unimodular matrix."""
+    out = []
+    for g in L.degrees():
+        part = L.basis_of_degree(g)
+        u = random_unimodular(rng, len(part))
+        for row in u.data:
+            acc = None
+            for c, f in zip(row, part):
+                if c:
+                    term = _map(f.space, f.degree, {h: b.scale(c) for h, b in f.blocks})
+                    acc = term if acc is None else _add(acc, term)
+            out.append(acc)
+    return out
+
+
+def _add(f: HomogeneousMap, g: HomogeneousMap) -> HomogeneousMap:
+    sources = {h for h, _ in f.blocks} | {h for h, _ in g.blocks}
+    return _map(f.space, f.degree, {h: f.block(h) + g.block(h) for h in sources})
+
+
+def noncanonical_borel_algebras(rng: random.Random, sizes=(3, 4)) -> list:
+    """Borel algebras given to ``ColorAlgebra(..., closed=True)`` in bases
+    that are not reduced echelon: P E_ij P^-1 for the ungraded ones, and
+    in every torsion-free grading a degree-preserving conjugate whose
+    basis is then scrambled within each degree."""
+    out = []
+    for grading in BOREL_GRADINGS:
+        for n in sizes:
+            space, r, gens = borel_generators(n, grading)
+            p, p_inv = degree_preserving_conjugator(rng, space)
+            conj = [conjugate_map(f, p, p_inv) for f in gens]
+            L = ColorAlgebra(space, r, conj, closed=True)
+            if grading != "plain":
+                L = ColorAlgebra(space, r, scrambled_basis(rng, L), closed=True)
+            out.append(L)
+    return out

@@ -1,0 +1,120 @@
+"""Reference versions of the algebra operations on flattened maps.
+
+They bracket maps with ``color_bracket``, every ordered pair, and
+echelonize the flattened N x N matrices per degree, as the package did
+before it worked on structure constants, so they share no code with the
+table or with pivot coordinates.  Each returns per-degree reduced
+echelon bases as maps, to be compared with ``Subspace.elements``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from colorlie import (
+    Matrix,
+    center,
+    color_bracket,
+    derived_series,
+    eval_bicharacter,
+    flatten_map,
+    kernel_basis,
+    lower_central_series,
+)
+from colorlie.graded import _GradedEchelon
+
+
+def ref_span(space, maps) -> _GradedEchelon:
+    ech = _GradedEchelon(space)
+    for f in maps:
+        ech.add_map(f)
+    return ech
+
+
+def ref_contains(ech: _GradedEchelon, f) -> bool:
+    return ech.contains_vector(f.degree, [x for row in flatten_map(f).data for x in row])
+
+
+def _brackets(L, s, t):
+    return ref_span(L.space, [color_bracket(L.r, a, b) for a in s for b in t])
+
+
+def ref_derived_series(L) -> list[list]:
+    terms = [ref_span(L.space, L.basis).maps()]
+    while True:
+        nxt = _brackets(L, terms[-1], terms[-1]).maps()
+        if len(nxt) == len(terms[-1]):
+            return terms
+        terms.append(nxt)
+        if not nxt:
+            return terms
+
+
+def ref_lower_central_series(L) -> list[list]:
+    top = ref_span(L.space, L.basis).maps()
+    terms = [top]
+    while True:
+        nxt = _brackets(L, top, terms[-1]).maps()
+        if len(nxt) == len(terms[-1]):
+            return terms
+        terms.append(nxt)
+        if not nxt:
+            return terms
+
+
+def ref_center(L) -> list:
+    """Kernel of x -> ([x, b])_b over L's basis, split into degrees."""
+    if L.dim == 0:
+        return []
+    columns = []
+    for a in L.basis:
+        col = []
+        for b in L.basis:
+            col.extend(x for row in flatten_map(color_bracket(L.r, a, b)).data for x in row)
+        columns.append(col)
+    system = Matrix.from_columns(columns, rows=len(columns[0]))
+    out = []
+    for coeffs in kernel_basis(system):
+        for g in L.degrees():
+            part = [c if f.degree == g else Fraction(0) for c, f in zip(coeffs, L.basis)]
+            if any(part):
+                out.append(L.from_coordinates(part))
+    return ref_span(L.space, out).maps()
+
+
+def ref_codim_one_ideal(L) -> tuple[list, object]:
+    """The derived series' terms, deepest first, extended by L's basis;
+    all but the last element, and the last."""
+    ech = _GradedEchelon(L.space)
+    levels = list(reversed(ref_derived_series(L)[1:])) + [list(L.basis)]
+    chain = [f for level in levels for f in level if ech.add_map(f)]
+    return ref_span(L.space, chain[:-1]).maps(), chain[-1]
+
+
+def assert_table_matches_brackets(L):
+    """Every [R_i, R_j] of the table is the flattened bracket of the
+    echelon rows R_i and R_j, and (j, i) is (i, j) twisted by skew
+    symmetry."""
+    n = L.space.total_dim
+    rows = L._solver.rows
+    rs = [L._element(d, L._unit(k)) for k, d in enumerate(L._degrees)]
+    for k, f in enumerate(rs):
+        assert [x for row in flatten_map(f).data for x in row] == rows[k]
+    table = L._structure()
+    for i, a in enumerate(rs):
+        for j, b in enumerate(rs):
+            entries = table[i].get(j, ())
+            assert all(c != 0 for _, c in entries)
+            flat = [Fraction(0)] * (n * n)
+            for k, c in entries:
+                flat = [x + c * y for x, y in zip(flat, rows[k])]
+            want = flatten_map(color_bracket(L.r, a, b)).data
+            assert flat == [x for row in want for x in row]
+            twist = -eval_bicharacter(L.r, a.degree, b.degree)
+            assert table[j].get(i, ()) == tuple((k, twist * c) for k, c in entries)
+
+
+def assert_series_and_center_match(L):
+    assert [s.elements() for s in derived_series(L)] == ref_derived_series(L)
+    assert [s.elements() for s in lower_central_series(L)] == ref_lower_central_series(L)
+    assert center(L).elements() == ref_center(L)

@@ -2,6 +2,7 @@
 and the bracket-power expansion, including the algebraic identities that
 make the bracket a Lie color structure."""
 
+import functools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -616,3 +617,106 @@ def test_color_bracket_matches_definition():
         want = add_maps(ab, scale_map(-eval_bicharacter(r, b.degree, a.degree), ba))
         assert color_bracket(r, a, b) == want
     assert vanishing >= 4
+
+
+# ------------------------------------ the structure-constant table
+#
+# Canonical basis R_k: the reduced echelon rows of the flattened basis,
+# in pivot order; pivot coordinates are the flattened entries at the
+# pivots.  The references in reference.py work on flattened maps only.
+
+
+@functools.lru_cache(maxsize=None)
+def _table_cases():
+    from corpus import noncanonical_borel_algebras
+
+    algebras = [bracket_closure(space, r, gens) for space, r, gens in _closure_cases()]
+    return tuple(algebras + noncanonical_borel_algebras(random.Random(113)))
+
+
+def test_table_reproduces_brackets():
+    from reference import assert_table_matches_brackets
+
+    for L in _table_cases():
+        assert_table_matches_brackets(L)
+
+
+def test_pivot_coordinates_read_the_echelon_rows():
+    for L in _table_cases():
+        flat_rows = L._solver.rows
+        for f, coords in zip(L.basis, L._basis_coords):
+            flat = [x for row in flatten_map(f).data for x in row]
+            assert coords == [flat[p] for p in L._solver.pivots]
+            assert L._pivot_coords(f) == coords
+            assert L._element(f.degree, coords) == f
+        for row, p in zip(flat_rows, L._solver.pivots):
+            assert row[p] == 1
+
+
+def test_series_center_codim_match_flattened_reference():
+    from colorlie import NotSolvable, ZeroAlgebra, codim_one_ideal
+    from reference import assert_series_and_center_match, ref_codim_one_ideal
+
+    for L in _table_cases():
+        assert_series_and_center_match(L)
+        try:
+            k, z = codim_one_ideal(L)
+        except (NotSolvable, ZeroAlgebra):
+            continue
+        ref_k, ref_z = ref_codim_one_ideal(L)
+        assert (k.elements(), z) == (ref_k, ref_z)
+
+
+def test_is_ideal_and_ad_map_match_flattened_brackets():
+    for L in _table_cases():
+        for s in derived_series(L) + lower_central_series(L) + [center(L)]:
+            assert is_ideal(L, s)
+        # ad_map's flattened columns, in the profile's degree order
+        order = [i for g in L.degrees() for i in L.basis_indices_of_degree(g)]
+        for x in L.basis:
+            m = flatten_map(ad_map(L, x))
+            for b, j in enumerate(order):
+                coords = L.coordinates(color_bracket(L.r, x, L.basis[j]))
+                assert [m.data[a][b] for a in range(L.dim)] == [coords[i] for i in order]
+        # a line that is not an ideal of a nonabelian algebra
+        if L.dim and center(L).dim < L.dim:
+            z = center(L)
+            outside = next(f for f in L.basis if not z.contains(f))
+            line = Subspace(L, [outside])
+            want = all(
+                line.contains(color_bracket(L.r, a, outside)) for a in L.basis
+            )
+            assert is_ideal(L, line) == want
+
+
+def test_brackets_only_when_the_table_is_built(monkeypatch):
+    import colorlie.algebra as algebra_mod
+    from colorlie import color_flag, ideal_chain
+    from corpus import borel_generators
+
+    calls = []
+    real = algebra_mod.color_bracket
+
+    def counting(r, a, b):
+        calls.append(1)
+        return real(r, a, b)
+
+    monkeypatch.setattr(algebra_mod, "color_bracket", counting)
+    for grading in ("plain", "z2"):
+        space, r, gens = borel_generators(5, grading)
+        L = ColorAlgebra(space, r, gens, closed=True)
+        assert len(calls) == L.dim * (L.dim + 1) // 2
+        del calls[:]
+        derived_series(L)
+        lower_central_series(L)
+        center(L)
+        color_flag(L)
+        ideal_chain(L)
+        ad_representation(L)
+        assert calls == []
+    # a trusted algebra builds its table on first use, once
+    L = bracket_closure(space, r, gens)
+    del calls[:]
+    derived_series(L)
+    color_flag(L)
+    assert len(calls) == L.dim * (L.dim + 1) // 2

@@ -39,6 +39,8 @@ from colorlie import (
     z3_counterexample,
 )
 from corpus import (
+    borel_generators,
+    noncanonical_borel_algebras,
     random_nil_instance,
     random_solvable_instance,
     torsion_free_configs,
@@ -531,61 +533,42 @@ def test_derived_chain_is_codim_one_ideal_chain():
 
 def _borel(n, grading):
     # n x n Borel algebra, e_i homogeneous of the grading's degree deg(i)
-    rank, values, deg = {
-        "plain": (0, [], lambda i: []),
-        "z": (1, [[1]], lambda i: [i]),
-        "zsuper": (1, [[-1]], lambda i: [i]),
-        "z2": (2, [[1, 2], [Fraction(1, 2), -1]], lambda i: [i // 2, i % 2]),
-    }[grading]
-    group = make_group(rank, [])
-    pos, count = [], {}
-    for i in range(n):
-        d = group.element(deg(i))
-        pos.append((d, count.get(d, 0)))
-        count[d] = count.get(d, 0) + 1
-    v = make_space(group, count)
-    gens = []
-    for i in range(n):
-        for j in range(i, n):
-            (di, a), (dj, b) = pos[i], pos[j]
-            m = [[1 if (r, c) == (a, b) else 0 for c in range(count[dj])] for r in range(count[di])]
-            gens.append(make_map(v, di + (-dj), {dj: m}))
-    return bracket_closure(v, make_bicharacter(group, values), gens)
+    return bracket_closure(*borel_generators(n, grading))
 
 
-def _assert_ad_series(L):
-    from colorlie import ad_representation
-    from colorlie.structure import _ad_series
+def _assert_chain_of_ideals(L):
+    from reference import ref_contains, ref_span
 
-    ad_l = ad_representation(L)
-    direct = derived_series(ad_l)
-    via_l = _ad_series(L, ad_l, derived_series(L))
-    assert [s._ech.canonical_rows() for s in via_l] == [
-        s._ech.canonical_rows() for s in direct
-    ]
+    chain = ideal_chain(L).chain
+    assert [s.dim for s in chain] == list(range(L.dim + 1))
+    for below, sub in zip(chain, chain[1:]):
+        assert is_ideal(L, sub)
+        # independent of the table: flattened brackets and echelon rows
+        ref = ref_span(L.space, sub.elements())
+        assert all(ref_contains(ref, f) for f in below.elements())
+        for a in L.basis:
+            for b in sub.elements():
+                assert ref_contains(ref, color_bracket(L.r, a, b))
 
 
-def test_ad_series_is_image_of_derived_series():
+def test_ideal_chain_members_are_ideals():
     rng = random.Random(103)
     for _, group, r in torsion_free_configs():
         for _ in range(2):
-            _assert_ad_series(random_solvable_instance(rng, group, r))
-    for n in (3, 4, 5):
+            _assert_chain_of_ideals(random_solvable_instance(rng, group, r))
+    for n in (3, 4):
         for grading in ("plain", "z", "zsuper", "z2"):
-            L = _borel(n, grading)
-            assert L.dim == n * (n + 1) // 2
-            _assert_ad_series(L)
-    # nonzero center: [L, L] is central, so ad drops a term of the series
+            _assert_chain_of_ideals(_borel(n, grading))
+    for L in noncanonical_borel_algebras(rng):
+        _assert_chain_of_ideals(L)
+    # nonzero center: [L, L] is central, so ad [L, L] = 0
     from colorlie import load_problem
     from pathlib import Path
 
     problem = load_problem(Path(__file__).resolve().parent.parent / "problems" / "heisenberg.json")
     L = bracket_closure(problem.space, problem.bicharacter, problem.generators)
     assert [s.dim for s in derived_series(L)] == [3, 1, 0]
-    _assert_ad_series(L)
-    # perfect algebra: both series stop at once
-    v = gl(2)
-    _assert_ad_series(bracket_closure(v, R0, [unit_map(v, 0, 1), unit_map(v, 1, 0)]))
+    _assert_chain_of_ideals(L)
 
 
 def test_flag_quotient_soundness():
