@@ -274,17 +274,11 @@ class ColorAlgebra:
 
     # -- pivot coordinates and the structure-constant table
 
-    def _pivot_coords(self, f: HomogeneousMap, check: bool = True) -> list[Fraction] | None:
-        """Pivot coordinates of f, or None when f is outside the span;
-        with ``check=False`` f is trusted to lie in it and the pivot
-        entries are read off without reducing."""
+    def _pivot_coords(self, f: HomogeneousMap) -> list[Fraction] | None:
+        """Pivot coordinates of f, or None when f is outside the span."""
         if f.space != self.space:
             raise SpaceMismatch("map acts on a different space")
-        data = flatten_map(f).data
-        if check:
-            return self._solver.reduce([x for row in data for x in row])
-        n = self.space.total_dim
-        return [data[p // n][p % n] for p in self._solver.pivots]
+        return self._solver.reduce([x for row in flatten_map(f).data for x in row])
 
     def _element(self, degree: GroupElement, coords) -> HomogeneousMap:
         """The map with the given pivot coordinates."""
@@ -432,15 +426,13 @@ def bracket_closure(space: GradedSpace, r: Bicharacter, generators) -> ColorAlge
 class Subspace:
     """Graded subspace of a ColorAlgebra, stored as per-degree reduced
     echelon rows in the parent's pivot coordinates; maps are built from
-    the rows only by ``elements``.  With ``_validate=False`` the elements
-    are trusted to lie in the parent and their pivot entries are read
-    off without reducing."""
+    the rows only by ``elements``."""
 
-    def __init__(self, parent: ColorAlgebra, elements, _validate: bool = True):
+    def __init__(self, parent: ColorAlgebra, elements):
         self.parent = parent
         self._ech = _GradedEchelon()
         for f in elements:
-            coords = parent._pivot_coords(f, check=_validate)
+            coords = parent._pivot_coords(f)
             if coords is None:
                 raise NotInAlgebra("element lies outside the parent algebra")
             self._ech.add_vector(f.degree, coords)
@@ -561,6 +553,7 @@ def ad_map(L: ColorAlgebra, x: HomogeneousMap) -> HomogeneousMap:
     coordinate space; the brackets are read off the table in pivot
     coordinates and taken back to the basis through the solver's
     transform."""
+    _require_closed(L)
     xc = L._pivot_coords(x)
     if xc is None:
         raise NotInAlgebra("ad of a map outside the algebra")
@@ -659,6 +652,7 @@ class AdNilpotencyReport:
 def nilpotent_implies_ad_nilpotent_check(L: ColorAlgebra, x: HomogeneousMap) -> AdNilpotencyReport:
     """If flatten(x) is nilpotent, verify (ad x)^(2n) = 0 with n the total
     dimension of V (powers x^i y x^j with i >= n or j >= n vanish)."""
+    _require_closed(L)
     if L.coordinates(x) is None:
         raise NotInAlgebra("map outside the algebra")
     if not is_nilpotent_matrix(flatten_map(x)):
@@ -671,6 +665,7 @@ def nilpotent_implies_ad_nilpotent_check(L: ColorAlgebra, x: HomogeneousMap) -> 
 
 def is_ideal(L: ColorAlgebra, s: Subspace) -> bool:
     """True iff [L, S] is contained in S, checked on the table."""
+    _require_closed(L)
     if s.parent is not L:
         raise ParentMismatch("subspace of a different algebra")
     for h, y in s._ech.vectors():

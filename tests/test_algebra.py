@@ -446,6 +446,13 @@ def test_series_require_closed():
         derived_series(L)
     with pytest.raises(NotClosed):
         center(L)
+    # the table reads need a closed span even where one bracket stays in it
+    with pytest.raises(NotClosed):
+        ad_map(L, e)
+    with pytest.raises(NotClosed):
+        nilpotent_implies_ad_nilpotent_check(L, e)
+    with pytest.raises(NotClosed):
+        is_ideal(L, Subspace(L, [e]))
 
 
 def test_bracket_mismatch_errors():
@@ -496,7 +503,6 @@ def _all_pairs_bracket(L, s, t):
     return Subspace(
         L,
         [color_bracket(L.r, a, b) for a in s.elements() for b in t.elements()],
-        _validate=False,
     )
 
 
