@@ -31,6 +31,13 @@ checks r(g, h) r(h, g) = 1, so color skew symmetry gives
 too, and c_ji = -r(|R_i|, |R_j|) c_ij fills the table's other half.  The
 diagonal pair is kept, since under a super grading [a, a] = 2 a^2 need
 not vanish.
+
+Those brackets, the closure's and the table's, are the only ones taken
+of maps, and ``_sparse_bracket`` computes them on sparse flattened rows,
+the nonzero entries of the N x N matrices, without building block maps;
+the caller tracks the degree |a| + |b|.  ``color_bracket`` stays the
+public bracket of block maps, composed block by block, so the tests can
+check the kernel and the table against it.
 """
 
 from __future__ import annotations
@@ -98,6 +105,41 @@ def color_bracket(r: Bicharacter, a: HomogeneousMap, b: HomogeneousMap) -> Homog
     return _map(a.space, ab.degree, blocks)
 
 
+def _sparse(v) -> list[tuple[int, Fraction]]:
+    """The nonzero (index, value) pairs of v."""
+    return [(i, x) for i, x in enumerate(v) if x]
+
+
+def _flat(f: HomogeneousMap) -> list[Fraction]:
+    """f's flattened matrix as one row, row-major."""
+    return [x for row in flatten_map(f).data for x in row]
+
+
+def _sparse_bracket(n: int, x, y, s: Fraction) -> list[Fraction]:
+    """x y - s y x for maps x, y given as sparse flattened rows: the
+    nonzero (index, value) pairs of their n x n matrices, row-major.
+    With s = r(|y|, |x|) this is [x, y] of degree |x| + |y|, which the
+    caller tracks; it comes back as a dense flattened row.  Only nonzero
+    entries are multiplied: (x y)[p, q] collects x[p, k] y[k, q] over
+    the entries of y's row k."""
+    out = [_ZERO] * (n * n)
+    x_rows: dict[int, list] = {}
+    y_rows: dict[int, list] = {}
+    for i, v in x:
+        x_rows.setdefault(i // n, []).append((i % n, v))
+    for i, v in y:
+        y_rows.setdefault(i // n, []).append((i % n, v))
+    for left, rows, c in ((x, y_rows, _ONE), (y, x_rows, -s)):
+        for i, a in left:
+            row = rows.get(i % n)
+            if row:
+                base = i - i % n
+                ca = c * a
+                for q, v in row:
+                    out[base + q] += ca * v
+    return out
+
+
 class _SpanSolver:
     """Precomputed reduction data for solving coordinates in a fixed span
     of linearly independent vectors.
@@ -105,6 +147,10 @@ class _SpanSolver:
     Gauss-Jordan is run once on the stacked vectors while tracking the
     transform T with R = T V; a query reduces the target against the
     echelon rows R and maps the reduction coefficients back through T.
+    Zero entries are skipped in every row operation, and a pivot row
+    that already leads with 1 is not scaled, so a basis that is already
+    reduced echelon, such as a closure's, costs one pass of pivot
+    searches.
     """
 
     def __init__(self, vectors: list[list[Fraction]]):
@@ -125,22 +171,24 @@ class _SpanSolver:
                 continue
             rows[r], rows[pr] = rows[pr], rows[r]
             transform[r], transform[pr] = transform[pr], transform[r]
-            inv = 1 / rows[r][c]
-            rows[r] = [x * inv for x in rows[r]]
-            transform[r] = [x * inv for x in transform[r]]
+            if rows[r][c] != 1:
+                inv = 1 / rows[r][c]
+                rows[r] = [x * inv if x else x for x in rows[r]]
+                transform[r] = [x * inv if x else x for x in transform[r]]
             for i in range(self.size):
                 if i != r and rows[i][c] != 0:
                     f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                    rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
                     transform[i] = [
-                        x - f * y for x, y in zip(transform[i], transform[r])
+                        x - f * y if y else x
+                        for x, y in zip(transform[i], transform[r])
                     ]
             pivots.append(c)
             r += 1
         self.independent = len(pivots) == self.size
         self.pivots = pivots
         self.rows = rows
-        self.sparse_rows = [[(i, y) for i, y in enumerate(row) if y] for row in rows]
+        self.sparse_rows = [_sparse(row) for row in rows]
         self.transform = transform
 
     def reduce(self, target) -> list[Fraction] | None:
@@ -199,9 +247,7 @@ class ColorAlgebra:
         self.r = r
         self.basis = basis
         self.closed = closed
-        self._flat = [
-            [x for row in flatten_map(f).data for x in row] for f in basis
-        ]
+        self._flat = [_flat(f) for f in basis]
         self._solver = _SpanSolver(self._flat)
         self._profile: GradedSpace | None = None
         self._table: list[dict] | None = None
@@ -278,7 +324,7 @@ class ColorAlgebra:
         """Pivot coordinates of f, or None when f is outside the span."""
         if f.space != self.space:
             raise SpaceMismatch("map acts on a different space")
-        return self._solver.reduce([x for row in flatten_map(f).data for x in row])
+        return self._solver.reduce(_flat(f))
 
     def _element(self, degree: GroupElement, coords) -> HomogeneousMap:
         """The map with the given pivot coordinates."""
@@ -302,44 +348,35 @@ class ColorAlgebra:
                 ), n_src)
         return _map(space, degree, blocks)
 
-    @staticmethod
-    def _sparse(coords) -> list[tuple[int, Fraction]]:
-        return [(i, c) for i, c in enumerate(coords) if c]
-
     def _unit(self, k: int) -> list[Fraction]:
         """Pivot coordinates of R_k."""
         out = [_ZERO] * len(self._degrees)
         out[k] = _ONE
         return out
 
-    def _canonical_map(self, k: int) -> HomogeneousMap:
-        """R_k as a map; the basis map itself when R_k is one, as for
-        closures, whose bases are already reduced echelon."""
-        row = self._solver.transform[k]
-        used = [i for i, t in enumerate(row) if t]
-        if len(used) == 1 and row[used[0]] == 1:
-            return self.basis[used[0]]
-        return self._element(self._degrees[k], self._unit(k))
-
     def _structure(self) -> list[dict]:
         """The table: entry [i][j] lists the nonzero (k, c_ij^k), and is
-        absent when [R_i, R_j] = 0.  Built once, from the pairs i <= j,
-        each bracket checked to lie in the span."""
+        absent when [R_i, R_j] = 0.  Built once, from the pairs i <= j
+        of the solver's sparse rows, each bracket checked to lie in the
+        span."""
         if self._table is None:
-            rs = [self._canonical_map(k) for k in range(len(self._degrees))]
-            table: list[dict] = [{} for _ in rs]
-            for i, a in enumerate(rs):
+            n = self.space.total_dim
+            rs = self._solver.sparse_rows
+            degrees = self._degrees
+            table: list[dict] = [{} for _ in degrees]
+            for i, (a, da) in enumerate(zip(rs, degrees)):
                 for j in range(i, len(rs)):
-                    b = rs[j]
-                    c = self._pivot_coords(color_bracket(self.r, a, b))
+                    db = degrees[j]
+                    s = eval_bicharacter(self.r, db, da)
+                    c = self._solver.reduce(_sparse_bracket(n, a, rs[j], s))
                     if c is None:
                         raise NotClosed("basis is not closed under the bracket")
                     entries = tuple((k, x) for k, x in enumerate(c) if x)
                     if entries:
                         table[i][j] = entries
                         if j != i:
-                            s = -eval_bicharacter(self.r, a.degree, b.degree)
-                            table[j][i] = tuple((k, s * x) for k, x in entries)
+                            t = -eval_bicharacter(self.r, da, db)
+                            table[j][i] = tuple((k, t * x) for k, x in entries)
             self._table = table
         return self._table
 
@@ -404,6 +441,10 @@ def bracket_closure(space: GradedSpace, r: Bicharacter, generators) -> ColorAlge
     and, by skew symmetry (see the module docstring), every ordered pair
     lies in the span, so the span is closed by bilinearity.  At most
     dim V^2 maps are independent, so the scan ends.
+
+    The worklist holds (degree, sparse flattened row) pairs and brackets
+    them with ``_sparse_bracket``; the span is a ``_GradedEchelon`` over
+    flattened rows, whose reduced rows become the returned basis.
     """
     ech = _GradedEchelon(space)
     elems = []
@@ -411,14 +452,19 @@ def bracket_closure(space: GradedSpace, r: Bicharacter, generators) -> ColorAlge
         if g.space != space:
             raise SpaceMismatch("generator acts on a different space")
         if ech.add_map(g):
-            elems.append(g)
+            elems.append((g.degree, _sparse(_flat(g))))
+    if r.spec != space.group:
+        raise GroupMismatch("bicharacter group differs from the grading group")
+    n = space.total_dim
     i = 0
     while i < len(elems):
-        a = elems[i]
-        for b in elems[: i + 1]:
-            c = color_bracket(r, a, b)
-            if not c.is_zero() and ech.add_map(c):
-                elems.append(c)
+        da, a = elems[i]
+        for db, b in elems[: i + 1]:
+            c = _sparse_bracket(n, a, b, eval_bicharacter(r, db, da))
+            if any(c):
+                d = element_add(da, db)
+                if ech.add_vector(d, c):
+                    elems.append((d, _sparse(c)))
         i += 1
     return ColorAlgebra(space, r, tuple(ech.maps()), closed=True, _validate=False)
 
@@ -484,8 +530,8 @@ def bracket_subspaces(s: Subspace, t: Subspace) -> Subspace:
     out = Subspace(L, ())
     # [S, S]: the pairs i <= j suffice by skew symmetry
     same = s is t
-    t_vecs = [(h, L._sparse(y)) for h, y in t._ech.vectors()]
-    s_vecs = t_vecs if same else [(g, L._sparse(x)) for g, x in s._ech.vectors()]
+    t_vecs = [(h, _sparse(y)) for h, y in t._ech.vectors()]
+    s_vecs = t_vecs if same else [(g, _sparse(x)) for g, x in s._ech.vectors()]
     for i, (g, x) in enumerate(s_vecs):
         for h, y in t_vecs[i:] if same else t_vecs:
             c = L._bracket(x, y)
@@ -557,7 +603,7 @@ def ad_map(L: ColorAlgebra, x: HomogeneousMap) -> HomogeneousMap:
     xc = L._pivot_coords(x)
     if xc is None:
         raise NotInAlgebra("ad of a map outside the algebra")
-    xs = L._sparse(xc)
+    xs = _sparse(xc)
     profile = L.profile_space()
     blocks = {}
     for h in L.degrees():
@@ -568,7 +614,7 @@ def ad_map(L: ColorAlgebra, x: HomogeneousMap) -> HomogeneousMap:
             continue
         cols = []
         for j in src:
-            y = L._sparse(L._basis_coords[j])
+            y = _sparse(L._basis_coords[j])
             coords = L._solver.to_basis(L._bracket(xs, y))
             cols.append([coords[i] for i in tgt])
         blocks[h] = Matrix.from_columns(cols, rows=len(tgt))
@@ -669,7 +715,7 @@ def is_ideal(L: ColorAlgebra, s: Subspace) -> bool:
     if s.parent is not L:
         raise ParentMismatch("subspace of a different algebra")
     for h, y in s._ech.vectors():
-        ys = L._sparse(y)
+        ys = _sparse(y)
         for k, g in enumerate(L._degrees):
             c = L._bracket([(k, _ONE)], ys)
             if any(c) and not s._ech.contains_vector(element_add(g, h), c):

@@ -22,6 +22,7 @@ from colorlie import (
     make_group,
     make_map,
     make_space,
+    scale_map,
 )
 from colorlie.graded import _map
 
@@ -283,6 +284,21 @@ def borel_generators(n: int, grading: str):
                  for r in range(count[di])]
             gens.append(make_map(v, di + (-dj), {dj: m}))
     return v, make_bicharacter(group, values), gens
+
+
+def borel_problem_generators(rng: random.Random, n: int, grading: str):
+    """Space, bicharacter and generators shaped like the benchmark's CLI
+    problem files: E_ii and E_i,i+1, each scaled by a random nonzero
+    integer, in random order.  They close up to the n x n Borel algebra."""
+    space, r, gens = borel_generators(n, grading)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    out = [
+        scale_map(rng.choice([-3, -2, -1, 1, 2, 3]), f)
+        for (i, j), f in zip(pairs, gens)
+        if j - i <= 1
+    ]
+    rng.shuffle(out)
+    return space, r, out
 
 
 def scrambled_basis(rng: random.Random, L: ColorAlgebra) -> list:

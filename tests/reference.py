@@ -3,7 +3,9 @@
 They bracket maps with ``color_bracket``, every ordered pair, and
 echelonize the flattened N x N matrices per degree, as the package did
 before it worked on structure constants, so they share no code with the
-table or with pivot coordinates.  Each returns per-degree reduced
+table, with pivot coordinates or with the sparse bracket kernel that
+closures and tables use; ``assert_kernel_matches_color_bracket`` checks
+that kernel against ``color_bracket``.  Each returns per-degree reduced
 echelon bases as maps, to be compared with ``Subspace.elements``.
 """
 
@@ -21,6 +23,7 @@ from colorlie import (
     kernel_basis,
     lower_central_series,
 )
+from colorlie.algebra import _flat, _sparse, _sparse_bracket
 from colorlie.graded import _GradedEchelon
 
 
@@ -89,6 +92,17 @@ def ref_codim_one_ideal(L) -> tuple[list, object]:
     levels = list(reversed(ref_derived_series(L)[1:])) + [list(L.basis)]
     chain = [f for level in levels for f in level if ech.add_map(f)]
     return ref_span(L.space, chain[:-1]).maps(), chain[-1]
+
+
+def assert_kernel_matches_color_bracket(r, a, b):
+    """The sparse kernel, given a and b as the nonzero (index, value)
+    pairs of their flattened matrices, returns the flattened
+    ``color_bracket``, whose degree is |a| + |b|."""
+    s = eval_bicharacter(r, b.degree, a.degree)
+    got = _sparse_bracket(a.space.total_dim, _sparse(_flat(a)), _sparse(_flat(b)), s)
+    want = color_bracket(r, a, b)
+    assert want.degree == a.degree + b.degree
+    assert got == _flat(want)
 
 
 def assert_table_matches_brackets(L):

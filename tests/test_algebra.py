@@ -41,7 +41,9 @@ from colorlie import (
 )
 from colorlie.graded import add_maps, identity_map
 from corpus import (
+    BOREL_GRADINGS,
     all_configs,
+    borel_problem_generators,
     random_homogeneous_map,
     random_nil_instance,
     random_space,
@@ -468,6 +470,11 @@ def test_bracket_mismatch_errors():
     r2 = make_bicharacter(z2, [[-1]])
     with pytest.raises(GroupMismatch):
         color_bracket(r2, a, a)
+    # closures bracket without color_bracket and check the same
+    with pytest.raises(SpaceMismatch):
+        bracket_closure(v, R0, [a, b])
+    with pytest.raises(GroupMismatch):
+        bracket_closure(v, r2, [a])
 
 
 def test_subspace_membership_validated():
@@ -553,26 +560,41 @@ def _closure_cases():
         p = load_problem(path)
         cases.append((p.space, p.bicharacter, list(p.generators)))
     cases.append(_sl2())
+    # the CLI's problem files: scaled E_ii and E_i,i+1 generators
+    borel = [(grading, n) for grading in BOREL_GRADINGS for n in (3, 4)]
+    for grading, n in borel + [("plain", 5)]:
+        cases.append(borel_problem_generators(rng, n, grading))
     return cases + _odd_square_cases()
 
 
-def test_closure_brackets_each_pair_once(monkeypatch):
+def _count_brackets(monkeypatch):
+    """Count calls of the sparse bracket kernel and of ``color_bracket``
+    made from the algebra module."""
     import colorlie.algebra as algebra_mod
 
+    calls = {"kernel": 0, "color_bracket": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(algebra_mod, "_sparse_bracket",
+                        counting("kernel", algebra_mod._sparse_bracket))
+    monkeypatch.setattr(algebra_mod, "color_bracket",
+                        counting("color_bracket", algebra_mod.color_bracket))
+    return calls
+
+
+def test_closure_brackets_each_pair_once(monkeypatch):
     v = gl(5)
     gens = [scale_map(i + 2, unit_map(v, i, i)) for i in range(5)]
     gens += [scale_map(-(i + 1), unit_map(v, i, i + 1)) for i in range(4)]
-    calls = []
-    real = algebra_mod.color_bracket
-
-    def counting(r, a, b):
-        calls.append(1)
-        return real(r, a, b)
-
-    monkeypatch.setattr(algebra_mod, "color_bracket", counting)
+    calls = _count_brackets(monkeypatch)
     L = bracket_closure(v, R0, gens)
     assert L.dim == 15
-    assert len(calls) == 15 * 16 // 2
+    assert calls == {"kernel": 15 * 16 // 2, "color_bracket": 0}
 
 
 def test_closure_matches_all_pairs_reference():
@@ -623,6 +645,30 @@ def test_color_bracket_matches_definition():
         want = add_maps(ab, scale_map(-eval_bicharacter(r, b.degree, a.degree), ba))
         assert color_bracket(r, a, b) == want
     assert vanishing >= 4
+
+
+def test_sparse_bracket_edge_cases():
+    """The kernel on the pairs random draws may miss; random pairs in
+    every grading are in test_properties.py."""
+    from reference import assert_kernel_matches_color_bracket
+
+    # a = b with [a, a] = 2 a^2 != 0 under a super grading
+    for space, r, (a,) in _odd_square_cases():
+        assert not color_bracket(r, a, a).is_zero()
+        assert_kernel_matches_color_bracket(r, a, a)
+    # b a leaves the support (1 -> 2 -> 3) while a b (0 -> 1 -> 2) does not
+    z = make_group(1, [])
+    d = [z.element([k]) for k in range(3)]
+    v = make_space(z, {g: 1 for g in d})
+    a = make_map(v, d[1], {d[1]: [[2]]})
+    b = make_map(v, d[1], {d[0]: [[-3]]})
+    assert compose(b, a).is_zero() and not compose(a, b).is_zero()
+    for r in (make_bicharacter(z, [[1]]), make_bicharacter(z, [[-1]])):
+        for x, y in ((a, b), (b, a), (a, a), (b, b)):
+            assert_kernel_matches_color_bracket(r, x, y)
+    _, e12, e23, e13, _ = heisenberg()
+    for x, y in ((e12, e23), (e23, e12), (e13, e13)):
+        assert_kernel_matches_color_bracket(R0, x, y)
 
 
 # ------------------------------------ the structure-constant table
@@ -696,33 +742,25 @@ def test_is_ideal_and_ad_map_match_flattened_brackets():
 
 
 def test_brackets_only_when_the_table_is_built(monkeypatch):
-    import colorlie.algebra as algebra_mod
     from colorlie import color_flag, ideal_chain
     from corpus import borel_generators
 
-    calls = []
-    real = algebra_mod.color_bracket
-
-    def counting(r, a, b):
-        calls.append(1)
-        return real(r, a, b)
-
-    monkeypatch.setattr(algebra_mod, "color_bracket", counting)
+    calls = _count_brackets(monkeypatch)
     for grading in ("plain", "z2"):
         space, r, gens = borel_generators(5, grading)
         L = ColorAlgebra(space, r, gens, closed=True)
-        assert len(calls) == L.dim * (L.dim + 1) // 2
-        del calls[:]
+        assert calls == {"kernel": L.dim * (L.dim + 1) // 2, "color_bracket": 0}
+        calls["kernel"] = 0
         derived_series(L)
         lower_central_series(L)
         center(L)
         color_flag(L)
         ideal_chain(L)
         ad_representation(L)
-        assert calls == []
+        assert calls == {"kernel": 0, "color_bracket": 0}
     # a trusted algebra builds its table on first use, once
     L = bracket_closure(space, r, gens)
-    del calls[:]
+    calls["kernel"] = 0
     derived_series(L)
     color_flag(L)
-    assert len(calls) == L.dim * (L.dim + 1) // 2
+    assert calls == {"kernel": L.dim * (L.dim + 1) // 2, "color_bracket": 0}

@@ -1,6 +1,7 @@
 """Property tests under the derandomized profile of conftest.py: the
-incremental graded kernel against the stacked elimination, and the
-structure-constant table against flattened brackets."""
+incremental graded kernel against the stacked elimination, the sparse
+bracket kernel against ``color_bracket``, and the structure-constant
+table against flattened brackets."""
 
 import random
 from fractions import Fraction
@@ -13,7 +14,11 @@ from hypothesis import given, strategies as st
 from colorlie import Matrix, bracket_closure, graded_kernel, kernel_basis
 from colorlie.graded import _vector
 from corpus import all_configs, random_homogeneous_map, random_space
-from reference import assert_series_and_center_match, assert_table_matches_brackets
+from reference import (
+    assert_kernel_matches_color_bracket,
+    assert_series_and_center_match,
+    assert_table_matches_brackets,
+)
 
 CONFIGS = all_configs()
 
@@ -48,6 +53,21 @@ def test_graded_kernel_matches_stacked_elimination(config, seed, count, density)
         maps.append(maps[0])
         maps.append(random_homogeneous_map(rng, space, degree=group.identity(), density=1.0))
     assert graded_kernel(maps, space=space) == _stacked_kernel(maps, space)
+
+
+@given(
+    config=st.sampled_from(CONFIGS),
+    seed=st.integers(0, 10**9),
+    same=st.booleans(),
+    density=st.sampled_from([0.3, 0.8]),
+)
+def test_sparse_bracket_matches_color_bracket(config, seed, same, density):
+    _, group, r = config
+    rng = random.Random(seed)
+    space = random_space(rng, group, max_dim=3)
+    a = random_homogeneous_map(rng, space, density=density)
+    b = a if same else random_homogeneous_map(rng, space, density=density)
+    assert_kernel_matches_color_bracket(r, a, b)
 
 
 def _random_closure(config, seed):
