@@ -16,6 +16,9 @@ ch. 1) or GAP's ``AlgebraByStructureConstants``; subspaces, the series,
 the center, ideals and the adjoint action are then computed on
 length-m coordinate vectors instead of on N x N maps.
 
+R and its transform back to the basis are kept by a ``linalg._Echelon``,
+the package's one elimination kernel, as are all echelon rows here.
+
 A subspace is stored as per-degree reduced echelon rows in pivot
 coordinates.  The leading flattened entry of x in L sits at p_k for the
 first k with x[p_k] != 0, so taking pivot entries maps the reduced
@@ -75,7 +78,7 @@ from .graded import (
     scale_map,
     zero_map,
 )
-from .linalg import Matrix, is_nilpotent_matrix
+from .linalg import Matrix, _Echelon, _sparse, is_nilpotent_matrix
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -103,11 +106,6 @@ def color_bracket(r: Bicharacter, a: HomogeneousMap, b: HomogeneousMap) -> Homog
                 m.cols,
             )
     return _map(a.space, ab.degree, blocks)
-
-
-def _sparse(v) -> list[tuple[int, Fraction]]:
-    """The nonzero (index, value) pairs of v."""
-    return [(i, x) for i, x in enumerate(v) if x]
 
 
 def _flat(f: HomogeneousMap) -> list[Fraction]:
@@ -140,89 +138,6 @@ def _sparse_bracket(n: int, x, y, s: Fraction) -> list[Fraction]:
     return out
 
 
-class _SpanSolver:
-    """Precomputed reduction data for solving coordinates in a fixed span
-    of linearly independent vectors.
-
-    Gauss-Jordan is run once on the stacked vectors while tracking the
-    transform T with R = T V; a query reduces the target against the
-    echelon rows R and maps the reduction coefficients back through T.
-    Zero entries are skipped in every row operation, and a pivot row
-    that already leads with 1 is not scaled, so a basis that is already
-    reduced echelon, such as a closure's, costs one pass of pivot
-    searches.
-    """
-
-    def __init__(self, vectors: list[list[Fraction]]):
-        self.size = len(vectors)
-        rows = [list(v) for v in vectors]
-        transform = [
-            [_ONE if i == j else _ZERO for j in range(self.size)]
-            for i in range(self.size)
-        ]
-        width = len(rows[0]) if rows else 0
-        pivots = []
-        r = 0
-        for c in range(width):
-            if r == self.size:
-                break
-            pr = next((i for i in range(r, self.size) if rows[i][c] != 0), None)
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            transform[r], transform[pr] = transform[pr], transform[r]
-            if rows[r][c] != 1:
-                inv = 1 / rows[r][c]
-                rows[r] = [x * inv if x else x for x in rows[r]]
-                transform[r] = [x * inv if x else x for x in transform[r]]
-            for i in range(self.size):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
-                    transform[i] = [
-                        x - f * y if y else x
-                        for x, y in zip(transform[i], transform[r])
-                    ]
-            pivots.append(c)
-            r += 1
-        self.independent = len(pivots) == self.size
-        self.pivots = pivots
-        self.rows = rows
-        self.sparse_rows = [_sparse(row) for row in rows]
-        self.transform = transform
-
-    def reduce(self, target) -> list[Fraction] | None:
-        """Pivot coordinates of the target, its entries at the pivot
-        columns, or None when it lies outside the span.  Every row
-        vanishes at the other rows' pivots, so reducing by the rows in
-        turn leaves the pivot entries as they are."""
-        t = list(target)
-        coeffs = [t[c] for c in self.pivots]
-        if not any(t):
-            return coeffs
-        for a, row in zip(coeffs, self.sparse_rows):
-            if a:
-                for i, y in row:
-                    t[i] -= a * y
-        if any(t):
-            return None
-        return coeffs
-
-    def to_basis(self, coeffs) -> tuple[Fraction, ...]:
-        """Coordinates in the given vectors of sum coeffs[k] rows[k]."""
-        out = [_ZERO] * self.size
-        for a, tr in zip(coeffs, self.transform):
-            if a:
-                for i, y in enumerate(tr):
-                    if y:
-                        out[i] += a * y
-        return tuple(out)
-
-    def solve(self, target) -> tuple[Fraction, ...] | None:
-        coeffs = self.reduce(target)
-        return None if coeffs is None else self.to_basis(coeffs)
-
-
 class ColorAlgebra:
     """A span of linearly independent homogeneous maps; with closed=True
     the span is verified (or trusted, for internally built algebras) to be
@@ -248,17 +163,13 @@ class ColorAlgebra:
         self.basis = basis
         self.closed = closed
         self._flat = [_flat(f) for f in basis]
-        self._solver = _SpanSolver(self._flat)
+        self._solver = solver = _Echelon(space.total_dim ** 2, self._flat, track=True)
         self._profile: GradedSpace | None = None
         self._table: list[dict] | None = None
-        if _validate and not self._solver.independent:
+        if _validate and len(solver.rows) < len(basis):
             raise ValidationError("basis maps are linearly dependent")
-        solver = self._solver
         # R_k combines basis maps of its own degree only
-        self._degrees = [
-            basis[next(i for i, t in enumerate(tr) if t)].degree
-            for tr in solver.transform[: len(solver.pivots)]
-        ]
+        self._degrees = [basis[min(tr)].degree for tr in solver.transform]
         self._local: dict[GroupElement, list[int]] = {}
         self._pos = []
         for k, d in enumerate(self._degrees):
@@ -502,7 +413,7 @@ class Subspace:
         return self._ech.degrees()
 
     def dims_by_degree(self) -> dict[GroupElement, int]:
-        return {g: len(self._ech.rows[g]) for g in self._ech.degrees()}
+        return self._ech.dims()
 
     def elements(self) -> list[HomogeneousMap]:
         return [self.parent._element(g, v) for g, v in self._ech.vectors()]

@@ -4,6 +4,7 @@ A homogeneous map of degree u sends the component of degree h into the
 component of degree h + u; it is stored as a dictionary of blocks keyed
 by source degree.  Blocks whose target falls outside the support are
 identically zero and never stored, which keeps all data finite.
+Graded spans and kernels are echelonized per degree by ``linalg._Echelon``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,15 @@ from .errors import (
     ZeroDegree,
 )
 from .grading import GroupElement, GroupSpec, element_add, has_infinite_order
-from .linalg import Matrix, Poly, char_poly, kernel_basis, rational_roots
+from .linalg import (
+    Matrix,
+    Poly,
+    _Echelon,
+    char_poly,
+    frac,
+    kernel_basis,
+    rational_roots,
+)
 
 _ZERO = Fraction(0)
 
@@ -96,7 +105,7 @@ class GradedVector:
         return self.components[0][0]
 
     def scale(self, c) -> "GradedVector":
-        c = Fraction(c)
+        c = frac(c)
         return _vector(self.space, {g: tuple(c * x for x in v) for g, v in self.components})
 
     def __add__(self, other: "GradedVector") -> "GradedVector":
@@ -127,7 +136,7 @@ def make_vector(space: GradedSpace, components) -> GradedVector:
         n = space.dim_of(g)
         if n == 0:
             raise UnknownDegree(f"degree {g} is not in the support")
-        vv = tuple(Fraction(x) for x in v)
+        vv = tuple(frac(x) for x in v)
         if len(vv) != n:
             raise ShapeMismatch(f"component at {g} must have length {n}")
         comps[g] = vv
@@ -156,7 +165,7 @@ def unflatten_vector(space: GradedSpace, flat) -> GradedVector:
     comps = {}
     for g, n in space.dims:
         base = off[g]
-        comps[g] = tuple(Fraction(x) for x in flat[base : base + n])
+        comps[g] = tuple(frac(x) for x in flat[base : base + n])
     return _vector(space, comps)
 
 
@@ -255,7 +264,7 @@ def add_maps(f: HomogeneousMap, g: HomogeneousMap) -> HomogeneousMap:
 
 
 def scale_map(c, f: HomogeneousMap) -> HomogeneousMap:
-    c = Fraction(c)
+    c = frac(c)
     return _map(f.space, f.degree, {h: b.scale(c) for h, b in f.blocks})
 
 
@@ -334,57 +343,46 @@ def unflatten_map(space: GradedSpace, degree: GroupElement, m: Matrix) -> Homoge
 
 
 class _GradedEchelon:
-    """Reduced echelon bases of graded spans, kept separately per degree.
+    """Reduced echelon bases of graded spans: one ``_Echelon`` per degree.
 
     Rows are coordinate vectors of any fixed length: flattened matrices
     for spans of homogeneous maps (``add_map``, ``maps``), or the
-    coordinates of an algebra's elements (``add_vector``).  Both are
-    mostly zero, so zero entries are skipped in every row operation.
+    coordinates of an algebra's elements (``add_vector``).
     """
 
     def __init__(self, space: GradedSpace | None = None):
         self.space = space
-        self.rows: dict[GroupElement, list[tuple[int, list[Fraction]]]] = {}
-
-    def _reduce(self, degree: GroupElement, vec: list[Fraction]) -> list[Fraction]:
-        for pivot, row in self.rows.get(degree, ()):
-            c = vec[pivot]
-            if c != 0:
-                vec = [a - c * b if b else a for a, b in zip(vec, row)]
-        return vec
+        self.parts: dict[GroupElement, _Echelon] = {}
 
     def add_map(self, f: HomogeneousMap) -> bool:
         flat = [x for row in flatten_map(f).data for x in row]
         return self.add_vector(f.degree, flat)
 
     def add_vector(self, degree: GroupElement, vec) -> bool:
-        vec = self._reduce(degree, list(vec))
-        pivot = next((i for i, x in enumerate(vec) if x), None)
-        if pivot is None:
-            return False
-        inv = 1 / vec[pivot]
-        vec = [x * inv if x else x for x in vec]
-        rows = self.rows.setdefault(degree, [])
-        for k, (p, row) in enumerate(rows):
-            c = row[pivot]
-            if c != 0:
-                rows[k] = (p, [a - c * b if b else a for a, b in zip(row, vec)])
-        rows.append((pivot, vec))
-        rows.sort(key=lambda pr: pr[0])
-        return True
+        part = self.parts.get(degree)
+        if part is None:
+            part = self.parts[degree] = _Echelon(len(vec))
+        return part.add(vec)
 
     def contains_vector(self, degree: GroupElement, vec) -> bool:
-        return not any(self._reduce(degree, list(vec)))
+        part = self.parts.get(degree)
+        return not any(vec) if part is None else part.reduce(vec) is not None
+
+    def dims(self) -> dict[GroupElement, int]:
+        return {g: len(self.parts[g].rows) for g in self.degrees()}
 
     def dim(self) -> int:
-        return sum(len(v) for v in self.rows.values())
+        return sum(len(part.rows) for part in self.parts.values())
 
     def degrees(self) -> list[GroupElement]:
-        return sorted(self.rows, key=lambda g: g.sort_key())
+        return sorted(
+            (g for g, part in self.parts.items() if part.rows),
+            key=lambda g: g.sort_key(),
+        )
 
     def vectors(self) -> list[tuple[GroupElement, list[Fraction]]]:
         """The rows with their degrees, degrees in canonical order."""
-        return [(g, row) for g in self.degrees() for _, row in self.rows[g]]
+        return [(g, row) for g in self.degrees() for row in self.parts[g].rows]
 
     def maps(self) -> list[HomogeneousMap]:
         n = self.space.total_dim
@@ -398,22 +396,20 @@ class _GradedEchelon:
 
     def canonical_rows(self) -> dict:
         return {
-            g: tuple(tuple(row) for _, row in rows)
-            for g, rows in self.rows.items()
-            if rows
+            g: tuple(tuple(row) for row in part.rows)
+            for g, part in self.parts.items()
+            if part.rows
         }
 
 
 def graded_kernel(maps, space: GradedSpace | None = None) -> list[GradedVector]:
     """Homogeneous basis of the intersection of the kernels of the maps.
 
-    Computed per degree: the blocks' rows are eliminated one at a time,
-    dependent rows are dropped and the scan stops once the rank reaches
-    the component's dimension.  The kernel is read off the reduced rows
-    by ``kernel_basis``; they have the same row space, hence the same
-    reduced echelon form, as the stacked blocks.  With an empty map list
-    this is the full homogeneous standard basis of V (pass ``space``
-    then).
+    Computed per degree h: the blocks' rows at source h go into one
+    ``_Echelon``, the scan stopping once the rank reaches the component's
+    dimension, and the kernel is read straight off its reduced rows.
+    With an empty map list this is the full homogeneous standard basis of
+    V (pass ``space`` then).
     """
     maps = list(maps)
     if not maps and space is None:
@@ -425,29 +421,13 @@ def graded_kernel(maps, space: GradedSpace | None = None) -> list[GradedVector]:
                 raise SpaceMismatch("kernel maps act on different spaces")
     out = []
     for h, n in space.dims:
-        rows = _row_basis(
-            (row for f in maps for g, b in f.blocks if g == h for row in b.data),
-            h, n,
-        )
-        if rows:
-            vecs = kernel_basis(Matrix._raw(rows, n))
-        else:
-            vecs = [
-                tuple(Fraction(1 if j == i else 0) for j in range(n))
-                for i in range(n)
-            ]
-        for v in vecs:
-            out.append(_vector(space, {h: v}))
+        ech = _Echelon(n)
+        rows = (row for f in maps for g, b in f.blocks if g == h for row in b.data)
+        for row in rows:
+            if ech.add(row) and len(ech.rows) == n:
+                break
+        out.extend(_vector(space, {h: v}) for v in ech.kernel())
     return out
-
-
-def _row_basis(rows, h: GroupElement, n: int) -> tuple:
-    """Reduced basis of the span of rows of length n, stopping at rank n."""
-    ech = _GradedEchelon()
-    for row in rows:
-        if any(row) and ech.add_vector(h, row) and len(ech.rows[h]) == n:
-            break
-    return tuple(tuple(row) for _, row in ech.rows.get(h, ()))
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,14 @@
 Everything here works with ``fractions.Fraction`` entries and is exact:
 echelon forms, kernels, characteristic polynomials, rational roots
 and nilpotency certificates.  Matrices are immutable.
+
+``_Echelon`` is the package's only row reduction; ``char_poly``'s
+Hessenberg step is a similarity reduction, not an echelon.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -194,43 +198,141 @@ class Matrix:
         return self.data[i][j]
 
 
+def _sparse(v) -> list[tuple[int, Fraction]]:
+    """The nonzero (index, value) pairs of v."""
+    return [(i, x) for i, x in enumerate(v) if x]
+
+
+def _sub_scaled(d: dict, c: Fraction, src: dict):
+    """d -= c src for sparse vectors held as {index: value} dicts."""
+    for i, y in src.items():
+        x = d.get(i, _ZERO) - c * y
+        if x:
+            d[i] = x
+        else:
+            d.pop(i, None)
+
+
+class _Echelon:
+    """Incremental reduced row echelon form of the span of rows of a
+    fixed width: the package's one exact elimination kernel.
+
+    ``add`` reduces a row by the existing rows, scales it to a leading 1
+    (unless it leads with 1 already), eliminates its pivot from the other
+    rows and keeps the rows sorted by pivot; zero entries are skipped in
+    every row operation.  The reduced echelon form of a span is unique,
+    so inserting rows one at a time, in any order, gives the canonical
+    RREF.  ``rows`` are dense, ``sparse_rows`` their nonzero entries.
+
+    With ``track`` each row also carries its combination of the inserted
+    rows, so that R = T V for the echelon rows R and the inserted rows V
+    (dependent ones included, though they add no row); ``to_basis`` maps
+    pivot coordinates back through T.
+    """
+
+    def __init__(self, width: int, rows=(), track: bool = False):
+        self.width = width
+        self.count = 0
+        self.pivots: list[int] = []
+        self.rows: list[list[Fraction]] = []
+        self.sparse_rows: list[list[tuple[int, Fraction]]] = []
+        self.transform: list[dict[int, Fraction]] | None = [] if track else None
+        for row in rows:
+            self.add(row)
+
+    def _eliminate(self, vec) -> tuple[list[Fraction], list[Fraction]]:
+        """vec reduced by the rows, and its pivot coordinates: every row
+        vanishes at the other rows' pivots, so reducing by the rows in
+        turn leaves the pivot entries as they are."""
+        t = list(vec)
+        coeffs = [t[p] for p in self.pivots]
+        for a, row in zip(coeffs, self.sparse_rows):
+            if a:
+                for i, y in row:
+                    t[i] -= a * y
+        return t, coeffs
+
+    def reduce(self, vec) -> list[Fraction] | None:
+        """Pivot coordinates of vec, its entries at the pivot columns, or
+        None when it lies outside the span."""
+        t, coeffs = self._eliminate(vec)
+        return None if any(t) else coeffs
+
+    def add(self, vec) -> bool:
+        """Insert vec; False, and no new row, when it is dependent."""
+        t, coeffs = self._eliminate(vec)
+        index = self.count
+        self.count += 1
+        pivot = next((i for i, x in enumerate(t) if x), None)
+        if pivot is None:
+            return False
+        lead = t[pivot]
+        if lead != 1:
+            inv = 1 / lead
+            t = [x * inv if x else x for x in t]
+        new = _sparse(t)
+        if self.transform is not None:
+            tr = {index: _ONE}
+            for a, tk in zip(coeffs, self.transform):
+                if a:
+                    _sub_scaled(tr, a, tk)
+            if lead != 1:
+                tr = {i: x * inv for i, x in tr.items()}
+        for k, row in enumerate(self.rows):
+            c = row[pivot]
+            if c:
+                row = row.copy()
+                for i, y in new:
+                    row[i] -= c * y
+                self.rows[k] = row
+                self.sparse_rows[k] = _sparse(row)
+                if self.transform is not None:
+                    _sub_scaled(self.transform[k], c, tr)
+        k = bisect.bisect(self.pivots, pivot)
+        self.pivots.insert(k, pivot)
+        self.rows.insert(k, t)
+        self.sparse_rows.insert(k, new)
+        if self.transform is not None:
+            self.transform.insert(k, tr)
+        return True
+
+    def to_basis(self, coeffs) -> tuple[Fraction, ...]:
+        """Coordinates in the inserted rows of sum coeffs[k] rows[k]."""
+        out = [_ZERO] * self.count
+        for a, tr in zip(coeffs, self.transform):
+            if a:
+                for i, y in tr.items():
+                    out[i] += a * y
+        return tuple(out)
+
+    def kernel(self) -> list[tuple[Fraction, ...]]:
+        """Basis of the vectors orthogonal to every row, one per free
+        column f: 1 at f, minus the rows' entries at f at their pivots."""
+        pivot_set = set(self.pivots)
+        basis = []
+        for f in range(self.width):
+            if f in pivot_set:
+                continue
+            v = [_ZERO] * self.width
+            v[f] = _ONE
+            for p, row in zip(self.pivots, self.rows):
+                v[p] = -row[f]
+            basis.append(tuple(v))
+        return basis
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Reduced row echelon form; returns (rref, pivot columns, rank)."""
-    a = [list(row) for row in m.data]
-    nrows, ncols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return Matrix(a, cols=ncols), tuple(pivots), len(pivots)
+    e = _Echelon(m.cols, m.data)
+    rank = len(e.pivots)
+    zero = (_ZERO,) * m.cols
+    data = tuple(tuple(row) for row in e.rows) + (zero,) * (m.rows - rank)
+    return Matrix._raw(data, m.cols), tuple(e.pivots), rank
 
 
 def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
     """Exact basis of the null space of m, one vector per free column."""
-    red, pivots, rank = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [_ZERO] * m.cols
-        v[f] = _ONE
-        for r, c in enumerate(pivots):
-            v[c] = -red.data[r][f]
-        basis.append(tuple(v))
-    return basis
+    return _Echelon(m.cols, m.data).kernel()
 
 
 def solve_unique(a: Matrix, b) -> tuple[Fraction, ...] | None:
@@ -238,31 +340,24 @@ def solve_unique(a: Matrix, b) -> tuple[Fraction, ...] | None:
     if the system is inconsistent."""
     if len(b) != a.rows:
         raise SizeMismatch("right-hand side length mismatch")
-    aug = Matrix([list(row) + [frac(x)] for row, x in zip(a.data, b)]
-                 or [[frac(x)] for x in b], cols=a.cols + 1)
-    if a.rows == 0:
-        return tuple([_ZERO] * a.cols)
-    red, pivots, rank = rref(aug)
-    if a.cols in pivots:
+    e = _Echelon(a.cols + 1, ((*row, frac(x)) for row, x in zip(a.data, b)))
+    if a.cols in e.pivots:
         return None
     x = [_ZERO] * a.cols
-    for r, c in enumerate(pivots):
-        x[c] = red.data[r][a.cols]
+    for c, row in zip(e.pivots, e.rows):
+        x[c] = row[a.cols]
     return tuple(x)
 
 
 def inverse(m: Matrix) -> Matrix:
+    """m^-1: the rows of m reduce to the identity, so T = m^-1."""
     if m.rows != m.cols:
         raise NotSquare("inverse of a non-square matrix")
-    n = m.rows
-    ident = Matrix.identity(n)
-    aug = Matrix(
-        [list(r) + list(i) for r, i in zip(m.data, ident.data)], cols=2 * n
-    )
-    red, pivots, rank = rref(aug)
-    if rank < n or any(p >= n for p in pivots):
+    e = _Echelon(m.cols, m.data, track=True)
+    if len(e.pivots) < m.rows:
         raise ValueError("matrix is singular")
-    return Matrix([row[n:] for row in red.data], cols=n)
+    return Matrix._raw(
+        tuple(e.to_basis(u) for u in Matrix.identity(m.rows).data), m.cols)
 
 
 @dataclass(frozen=True)

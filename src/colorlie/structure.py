@@ -29,6 +29,8 @@ has zero diagonal, and for degree zero r(0, 0) = 1 cancels the diagonal
 of ab - ba).  Only then is ``nil_subspace_check`` run, to tell a failed
 hypothesis from a violated theorem.
 
+Kernels, restrictions and quotients reduce through ``linalg._Echelon``.
+
 The flag itself is verified exactly in the end; a conclusion failing
 after its hypotheses were checked raises TheoremViolation.
 """
@@ -73,7 +75,6 @@ from .graded import (
 from .algebra import (
     ColorAlgebra,
     Subspace,
-    _SpanSolver,
     ad_representation,
     bracket_closure,
     bracket_subspaces,
@@ -86,7 +87,9 @@ from .algebra import (
 from .linalg import (
     Matrix,
     Poly,
+    _Echelon,
     char_poly,
+    frac,
     inverse,
     kernel_basis,
     nil_subspace_check,
@@ -110,7 +113,7 @@ class Weight:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        vals = tuple(Fraction(v) for v in self.values)
+        vals = tuple(frac(v) for v in self.values)
         object.__setattr__(self, "values", vals)
         if len(vals) != self.algebra.dim:
             raise ValidationError("one value per basis element is required")
@@ -301,7 +304,10 @@ class _EmbeddedSubspace:
             g: Matrix.from_columns(vs, rows=ambient.dim_of(g))
             for g, vs in self.bases.items()
         }
-        self.solvers = {g: _SpanSolver(vs) for g, vs in self.bases.items()}
+        self.solvers = {
+            g: _Echelon(ambient.dim_of(g), vs, track=True)
+            for g, vs in self.bases.items()
+        }
 
     @property
     def total_dim(self) -> int:
@@ -321,10 +327,11 @@ class _EmbeddedSubspace:
                     if any(x != 0 for x in img):
                         raise _NotInvariant
                     continue
-                coords = self.solvers[target].solve(img)
+                solver = self.solvers[target]
+                coords = solver.reduce(img)
                 if coords is None:
                     raise _NotInvariant
-                cols.append(coords)
+                cols.append(solver.to_basis(coords))
             if w_t > 0 and cols:
                 blocks[g] = Matrix.from_columns(cols, rows=w_t)
         return _map(self.space, f.degree, blocks)
@@ -345,36 +352,25 @@ class _EmbeddedSubspace:
         """The graded quotient of the ambient space by this subspace,
         with per-degree projection and section."""
         return _quotient(self.ambient, {
-            g: _span_quotient(s, self.ambient.dim_of(g))
-            for g, s in self.solvers.items()
+            g: _span_quotient(s) for g, s in self.solvers.items()
         })
 
 
-def _span_quotient(solver: _SpanSolver, n: int) -> tuple[Matrix, Matrix]:
+def _span_quotient(solver: _Echelon) -> tuple[Matrix, Matrix]:
     """Projection and section for quotienting F^n by the span reduced in
     ``solver``.  The kept coordinates are the non-pivot columns; a vector
     x of the span is sum x[p_k] r_k over the reduced rows r_k with pivots
-    p_k, so coordinate c of the projection is x[c] - sum x[p_k] r_k[c]."""
-    pivots = set(solver.pivots)
-    kept = [c for c in range(n) if c not in pivots]
-    proj_rows = []
-    for c in kept:
-        row = [_ZERO] * n
-        row[c] = _ONE
-        for p, r in zip(solver.pivots, solver.rows):
-            row[p] = -r[c]
-        proj_rows.append(row)
-    proj = Matrix(proj_rows, cols=n)
-    sect = Matrix.from_columns(
-        [tuple(_ONE if i == c else _ZERO for i in range(n)) for c in kept],
-        rows=n,
-    )
-    return proj, sect
+    p_k, so coordinate c of the projection is x[c] - sum x[p_k] r_k[c]:
+    the rows of the projection are the solver's kernel vectors."""
+    n = solver.width
+    unit = Matrix.identity(n).data
+    kept = [unit[c] for c in range(n) if c not in solver.pivots]
+    return Matrix(solver.kernel(), cols=n), Matrix.from_columns(kept, rows=n)
 
 
 def _quotient_by_line(comp) -> tuple[Matrix, Matrix]:
     """Projection and section for quotienting one component by a line."""
-    return _span_quotient(_SpanSolver([list(comp)]), len(comp))
+    return _span_quotient(_Echelon(len(comp), [comp]))
 
 
 def _quotient(space: GradedSpace, cuts: dict) -> tuple[GradedSpace, dict, dict]:

@@ -1,12 +1,15 @@
 """Reference versions of the algebra operations on flattened maps.
 
 They bracket maps with ``color_bracket``, every ordered pair, and
-echelonize the flattened N x N matrices per degree, as the package did
-before it worked on structure constants, so they share no code with the
-table, with pivot coordinates or with the sparse bracket kernel that
-closures and tables use; ``assert_kernel_matches_color_bracket`` checks
-that kernel against ``color_bracket``.  Each returns per-degree reduced
-echelon bases as maps, to be compared with ``Subspace.elements``.
+echelonize the flattened N x N matrices per degree with their own dense
+Gauss-Jordan (``ref_rref``: every entry, zeros included, on the whole
+stack at once), as the package did before it worked on structure
+constants.  So they share no code with the package's elimination kernel
+``linalg._Echelon``, with the table, with pivot coordinates or with the
+sparse bracket kernel that closures and tables use;
+``assert_kernel_matches_color_bracket`` checks that bracket kernel
+against ``color_bracket``.  Each returns per-degree reduced echelon
+bases as maps, to be compared with ``Subspace.elements``.
 """
 
 from __future__ import annotations
@@ -20,22 +23,70 @@ from colorlie import (
     derived_series,
     eval_bicharacter,
     flatten_map,
-    kernel_basis,
     lower_central_series,
+    unflatten_map,
 )
 from colorlie.algebra import _flat, _sparse, _sparse_bracket
-from colorlie.graded import _GradedEchelon
 
 
-def ref_span(space, maps) -> _GradedEchelon:
-    ech = _GradedEchelon(space)
+def ref_rref(rows, width: int) -> list[list[Fraction]]:
+    """The nonzero rows of the reduced row echelon form of the stacked
+    rows, by textbook Gauss-Jordan."""
+    a = [list(row) for row in rows]
+    rank = 0
+    for c in range(width):
+        p = next((i for i in range(rank, len(a)) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[rank], a[p] = a[p], a[rank]
+        lead = a[rank][c]
+        a[rank] = [x / lead for x in a[rank]]
+        for i in range(len(a)):
+            f = a[i][c]
+            if i != rank and f != 0:
+                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return a[:rank]
+
+
+def ref_kernel(rows, width: int) -> list[tuple[Fraction, ...]]:
+    """Null space basis of the stacked rows, one vector per free column."""
+    red = ref_rref(rows, width)
+    pivots = [next(c for c, x in enumerate(row) if x != 0) for row in red]
+    out = []
+    for f in (c for c in range(width) if c not in pivots):
+        v = [Fraction(0)] * width
+        v[f] = Fraction(1)
+        for p, row in zip(pivots, red):
+            v[p] = -row[f]
+        out.append(tuple(v))
+    return out
+
+
+def ref_span(space, maps) -> list:
+    """Reduced echelon basis of the span of homogeneous maps, degree by
+    degree in canonical order."""
+    n = space.total_dim
+    by_degree = {}
     for f in maps:
-        ech.add_map(f)
-    return ech
+        by_degree.setdefault(f.degree, []).append(_flat(f))
+    return [
+        unflatten_map(space, g, Matrix([row[i * n : (i + 1) * n] for i in range(n)], cols=n))
+        for g in sorted(by_degree, key=lambda g: g.sort_key())
+        for row in ref_rref(by_degree[g], n * n)
+    ]
 
 
-def ref_contains(ech: _GradedEchelon, f) -> bool:
-    return ech.contains_vector(f.degree, [x for row in flatten_map(f).data for x in row])
+def ref_contains(span: list, f) -> bool:
+    """Whether the homogeneous map f lies in the span of the maps of
+    ``ref_span``: f reduced by the echelon rows of its degree vanishes."""
+    v = _flat(f)
+    for g in span:
+        if g.degree == f.degree:
+            row = _flat(g)
+            c = v[next(p for p, x in enumerate(row) if x != 0)]
+            v = [x - c * y for x, y in zip(v, row)]
+    return not any(v)
 
 
 def _brackets(L, s, t):
@@ -43,9 +94,9 @@ def _brackets(L, s, t):
 
 
 def ref_derived_series(L) -> list[list]:
-    terms = [ref_span(L.space, L.basis).maps()]
+    terms = [ref_span(L.space, L.basis)]
     while True:
-        nxt = _brackets(L, terms[-1], terms[-1]).maps()
+        nxt = _brackets(L, terms[-1], terms[-1])
         if len(nxt) == len(terms[-1]):
             return terms
         terms.append(nxt)
@@ -54,10 +105,10 @@ def ref_derived_series(L) -> list[list]:
 
 
 def ref_lower_central_series(L) -> list[list]:
-    top = ref_span(L.space, L.basis).maps()
+    top = ref_span(L.space, L.basis)
     terms = [top]
     while True:
-        nxt = _brackets(L, top, terms[-1]).maps()
+        nxt = _brackets(L, top, terms[-1])
         if len(nxt) == len(terms[-1]):
             return terms
         terms.append(nxt)
@@ -77,21 +128,24 @@ def ref_center(L) -> list:
         columns.append(col)
     system = Matrix.from_columns(columns, rows=len(columns[0]))
     out = []
-    for coeffs in kernel_basis(system):
+    for coeffs in ref_kernel(system.data, L.dim):
         for g in L.degrees():
             part = [c if f.degree == g else Fraction(0) for c, f in zip(coeffs, L.basis)]
             if any(part):
                 out.append(L.from_coordinates(part))
-    return ref_span(L.space, out).maps()
+    return ref_span(L.space, out)
 
 
 def ref_codim_one_ideal(L) -> tuple[list, object]:
     """The derived series' terms, deepest first, extended by L's basis;
     all but the last element, and the last."""
-    ech = _GradedEchelon(L.space)
     levels = list(reversed(ref_derived_series(L)[1:])) + [list(L.basis)]
-    chain = [f for level in levels for f in level if ech.add_map(f)]
-    return ref_span(L.space, chain[:-1]).maps(), chain[-1]
+    chain, span = [], []
+    for f in (f for level in levels for f in level):
+        if not ref_contains(span, f):
+            chain.append(f)
+            span = ref_span(L.space, chain)
+    return ref_span(L.space, chain[:-1]), chain[-1]
 
 
 def assert_kernel_matches_color_bracket(r, a, b):

@@ -494,16 +494,14 @@ PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def _all_pairs_closure(space, r, generators):
-    from colorlie.algebra import _GradedEchelon
+    from reference import ref_span
 
-    ech = _GradedEchelon(space)
-    for g in generators:
-        ech.add_map(g)
+    maps = ref_span(space, generators)
     while True:
-        maps = ech.maps()
-        added = [ech.add_map(color_bracket(r, a, b)) for a in maps for b in maps]
-        if not any(added):
+        nxt = ref_span(space, maps + [color_bracket(r, a, b) for a in maps for b in maps])
+        if len(nxt) == len(maps):
             return tuple(maps)
+        maps = nxt
 
 
 def _all_pairs_bracket(L, s, t):

@@ -411,6 +411,26 @@ def test_unexpected_exception_exit_1(capsys, monkeypatch):
 # -------------------------------------------------------------- demo-z3
 
 
+def test_parser_built_once_and_reusable(capsys):
+    """main parses with one parser per process; --help and a usage error
+    on it leave later calls' options and defaults intact."""
+    from colorlie.cli import _parser, build_parser
+
+    path = str(PROBLEMS / "borel2.json")
+    first = run(capsys, "triangularize", path, "--json")
+    assert first[0] == 0
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out == build_parser().format_help()
+    with pytest.raises(SystemExit) as info:
+        main(["triangularize", path, "--policy", "bogus"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "triangularize", path, "--json") == first
+    assert _parser() is _parser()
+
+
 def test_demo_z3_text(capsys):
     code, out, err = run(capsys, "demo-z3")
     assert code == 0

@@ -53,6 +53,33 @@ def z3_setup():
     return g, degs, space, a
 
 
+def test_scalar_coercion_rejects_floats():
+    """Every scalar entry point coerces through linalg.frac, as Matrix,
+    make_map and make_bicharacter do: ints, "p/q" strings and Fractions
+    are exact, floats are refused."""
+    from colorlie import Weight, bracket_closure
+
+    v = shift_space()
+    f = identity_map(v)
+    L = bracket_closure(v, make_bicharacter(Z, [[1]]), [f])
+    w = make_vector(v, {Z0: [1]})
+    cases = [
+        lambda x: make_vector(v, {Z0: [x]}),
+        lambda x: unflatten_vector(v, [x, 0]),
+        lambda x: w.scale(x),
+        lambda x: scale_map(x, f),
+        lambda x: Weight(L, (x,)),
+    ]
+    for make in cases:
+        with pytest.raises(TypeError):
+            make(0.1)
+        for x in (3, "3/7", Fraction(3, 7)):
+            make(x)
+    assert make_vector(v, {Z0: ["1/10"]}).component(Z0) == (Fraction(1, 10),)
+    assert w.scale("2/3") == make_vector(v, {Z0: [Fraction(2, 3)]})
+    assert Weight(L, ("1/2",)).values == (Fraction(1, 2),)
+
+
 def test_make_map_shift():
     v = shift_space()
     f = make_map(v, Z1, {Z0: [[1]]})

@@ -1,7 +1,8 @@
 """Property tests under the derandomized profile of conftest.py: the
-incremental graded kernel against the stacked elimination, the sparse
-bracket kernel against ``color_bracket``, and the structure-constant
-table against flattened brackets."""
+elimination kernel against sympy and its own invariants, the
+incremental graded kernel against a stacked reference elimination, the
+sparse bracket kernel against ``color_bracket``, and the
+structure-constant table against flattened brackets."""
 
 import random
 from fractions import Fraction
@@ -11,28 +12,136 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
-from colorlie import Matrix, bracket_closure, graded_kernel, kernel_basis
+from colorlie import Matrix, bracket_closure, graded_kernel, inverse, rref, solve_unique
 from colorlie.graded import _vector
+from colorlie.linalg import _Echelon
 from corpus import all_configs, random_homogeneous_map, random_space
 from reference import (
     assert_kernel_matches_color_bracket,
     assert_series_and_center_match,
     assert_table_matches_brackets,
+    ref_kernel,
+    ref_rref,
 )
 
 CONFIGS = all_configs()
 
+# ------------------------------------------------- the elimination kernel
+
+RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+)
+
+
+@st.composite
+def matrices(draw, square=False):
+    """Rational matrices with zero, duplicate and dependent rows mixed in
+    among random ones, in random order."""
+    cols = draw(st.integers(1, 5))
+    nrows = cols if square else draw(st.integers(0, 6))
+    rows = draw(st.lists(
+        st.lists(RATIONALS, min_size=cols, max_size=cols),
+        max_size=nrows,
+    ))
+    while len(rows) < nrows:
+        kind = draw(st.sampled_from(["zero", "duplicate", "combination"]))
+        if kind == "zero" or not rows:
+            rows.append([Fraction(0)] * cols)
+        elif kind == "duplicate":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(RATIONALS)
+            rows.append([x + c * y for x, y in zip(a, b)])
+    return Matrix(draw(st.permutations(rows)), cols=cols)
+
+
+def _rank(rows, width):
+    return len(ref_rref(rows, width))
+
+
+@given(m=matrices())
+def test_rref_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    flat = [sympy.Rational(x.numerator, x.denominator) for row in m.data for x in row]
+    red, pivots = sympy.Matrix(m.rows, m.cols, flat).rref()
+    want = [[Fraction(int(x.p), int(x.q)) for x in red.row(i)] for i in range(m.rows)]
+    got, got_pivots, rank = rref(m)
+    assert [list(row) for row in got.data] == want
+    assert got_pivots == tuple(pivots) and rank == len(pivots)
+
+
+@given(m=matrices(), data=st.data())
+def test_rref_invariant_under_row_operations(m, data):
+    want = rref(m)
+    rows = [list(row) for row in m.data]
+    assert rref(Matrix(data.draw(st.permutations(rows)), cols=m.cols)) == want
+    if len(rows) >= 2:
+        i, j = data.draw(st.permutations(range(len(rows))))[:2]
+        c = data.draw(RATIONALS)
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        assert rref(Matrix(rows, cols=m.cols)) == want
+
+
+@given(m=matrices())
+def test_echelon_tracks_transform_and_drops_dependent_rows(m):
+    ech = _Echelon(m.cols, track=True)
+    for k, v in enumerate(m.data):
+        inside = ech.reduce(v) is not None
+        assert ech.add(v) is not inside
+        assert inside is (_rank(m.data[: k + 1], m.cols) == _rank(m.data[:k], m.cols))
+    assert ech.count == m.rows
+    assert ech.rows == ref_rref(m.data, m.cols)
+    # R = T V, exactly
+    for row, tr in zip(ech.rows, ech.transform):
+        combo = [Fraction(0)] * m.cols
+        for i, t in tr.items():
+            combo = [x + t * y for x, y in zip(combo, m.data[i])]
+        assert combo == row
+    # every inserted row comes back from its pivot coordinates
+    for v in m.data:
+        coords = ech.to_basis(ech.reduce(v))
+        combo = [Fraction(0)] * m.cols
+        for c, w in zip(coords, m.data):
+            combo = [x + c * y for x, y in zip(combo, w)]
+        assert combo == list(v)
+
+
+@given(m=matrices(square=True))
+def test_inverse_or_singular(m):
+    n = m.rows
+    if _rank(m.data, n) < n:
+        with pytest.raises(ValueError):
+            inverse(m)
+    else:
+        assert inverse(m) * m == Matrix.identity(n)
+        assert m * inverse(m) == Matrix.identity(n)
+
+
+@given(m=matrices(), data=st.data())
+def test_solve_unique_sets_free_variables_to_zero(m, data):
+    if data.draw(st.booleans()):
+        b = list(m.apply(data.draw(st.lists(RATIONALS, min_size=m.cols, max_size=m.cols))))
+    else:
+        b = data.draw(st.lists(RATIONALS, min_size=m.rows, max_size=m.rows))
+    x = solve_unique(m, b)
+    augmented = [list(row) + [y] for row, y in zip(m.data, b)]
+    if _rank(augmented, m.cols + 1) > _rank(m.data, m.cols):
+        assert x is None
+        return
+    assert list(m.apply(x)) == b
+    _, pivots, _ = rref(m)
+    assert all(x[c] == 0 for c in range(m.cols) if c not in pivots)
+
 
 def _stacked_kernel(maps, space):
-    """graded_kernel as one kernel_basis of every block row stacked."""
+    """graded_kernel as one reference elimination of every block row
+    stacked, per degree."""
     out = []
     for h, n in space.dims:
         rows = [row for f in maps for g, b in f.blocks if g == h for row in b.data]
-        if rows:
-            vecs = kernel_basis(Matrix(rows, cols=n))
-        else:
-            vecs = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-        out.extend(_vector(space, {h: v}) for v in vecs)
+        out.extend(_vector(space, {h: v}) for v in ref_kernel(rows, n))
     return out
 
 
