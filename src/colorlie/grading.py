@@ -93,18 +93,18 @@ class GroupElement:
         return "(" + ", ".join(str(c) for c in self.coords()) + ")"
 
 
-def _same_group(a: GroupElement, b: GroupElement):
-    if a.spec != b.spec:
-        raise GroupMismatch("elements belong to different groups")
-
-
 def element_add(a: GroupElement, b: GroupElement) -> GroupElement:
-    _same_group(a, b)
+    spec = a.spec
+    # elements of one space share its spec object: skip the field compare
+    if b.spec is not spec and b.spec != spec:
+        raise GroupMismatch("elements belong to different groups")
     free = tuple(x + y for x, y in zip(a.free, b.free))
+    if not spec.torsion_moduli:
+        return GroupElement(spec, free, ())
     torsion = tuple(
-        (x + y) % m for x, y, m in zip(a.torsion, b.torsion, a.spec.torsion_moduli)
+        (x + y) % m for x, y, m in zip(a.torsion, b.torsion, spec.torsion_moduli)
     )
-    return GroupElement(a.spec, free, torsion)
+    return GroupElement(spec, free, torsion)
 
 
 def element_scale(k: int, a: GroupElement) -> GroupElement:

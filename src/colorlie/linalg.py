@@ -4,8 +4,8 @@ Everything here works with ``fractions.Fraction`` entries and is exact:
 echelon forms, kernels, characteristic polynomials, rational roots
 and nilpotency certificates.  Matrices are immutable.
 
-``_Echelon`` is the package's only row reduction; ``char_poly``'s
-Hessenberg step is a similarity reduction, not an echelon.
+``_Echelon`` is the package's only row reduction.  ``char_poly`` and
+the nilpotency tests clear denominators and run on Python integers.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import NotSquare, SizeMismatch, ZeroPolynomial
 
@@ -452,44 +453,33 @@ class Poly:
         return " ".join(parts)
 
 
-def poly_one() -> Poly:
-    return Poly((_ONE,))
-
-
 def char_poly(m: Matrix) -> Poly:
-    """Monic characteristic polynomial det(tI - m), computed exactly via
-    reduction to upper Hessenberg form and the leading-minor recurrence."""
+    """Monic characteristic polynomial det(tI - m), computed exactly by
+    Berkowitz's division-free algorithm (IPL 18, 1984) on integers.
+
+    With d the least common denominator of m's entries, M = d m is an
+    integer matrix.  Bordering its leading r x r block A by the column
+    C and row R of entry a = M[r][r] gives, leading coefficient first,
+    det(tI - M_{r+1}) = T * det(tI - A) truncated to r + 2 terms, with
+    T = (1, -a, -R C, -R A C, ..., -R A^(r-1) C).  If det(tI - M) has
+    coefficient c_k at t^(n-k), det(tI - m) = d^-n det(d t I - M) has
+    c_k d^(n-k) / d^n = c_k / d^k there.
+    """
     if m.rows != m.cols:
         raise NotSquare("characteristic polynomial of a non-square matrix")
     n = m.rows
-    h = [list(row) for row in m.data]
-    for c in range(n - 2):
-        piv = next((r for r in range(c + 1, n) if h[r][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != c + 1:
-            h[piv], h[c + 1] = h[c + 1], h[piv]
-            for r in range(n):
-                h[r][piv], h[r][c + 1] = h[r][c + 1], h[r][piv]
-        p = h[c + 1][c]
-        for r in range(c + 2, n):
-            if h[r][c] == 0:
-                continue
-            f = h[r][c] / p
-            for j in range(c, n):
-                h[r][j] -= f * h[c + 1][j]
-            for i in range(n):
-                h[i][c + 1] += f * h[i][r]
-    polys = [poly_one()]
-    for k in range(1, n + 1):
-        pk = Poly((-h[k - 1][k - 1], _ONE)) * polys[k - 1]
-        sub = _ONE
-        for i in range(k - 1, 0, -1):
-            sub *= h[i][i - 1]
-            if h[i - 1][k - 1] != 0 and sub != 0:
-                pk = pk - polys[i - 1].scale(h[i - 1][k - 1] * sub)
-        polys.append(pk)
-    return polys[n]
+    d, a = _integer_matrix(m)
+    p = [1]
+    for r in range(n):
+        # map(mul, row, v) stops at len(v) = r: only A's columns are read
+        v = [a[i][r] for i in range(r)]
+        t = [1, -a[r][r]]
+        for k in range(r):
+            if k:
+                v = [sum(map(mul, a[i], v)) for i in range(r)]
+            t.append(-sum(map(mul, a[r], v)))
+        p = [sum(t[i - j] * p[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
+    return Poly(tuple(Fraction(p[n - k], d ** (n - k)) for k in range(n + 1)))
 
 
 def _strip(a: list[int]) -> list[int]:
@@ -641,46 +631,33 @@ def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
 
 
 def is_nilpotent_matrix(m: Matrix) -> bool:
-    """True iff m^n = 0 (n = size), computed by repeated squaring."""
+    """True iff m^n = 0 (n = size), by repeated integer squaring."""
     if m.rows != m.cols:
         raise NotSquare("nilpotency of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return True
-    b = m
+    return _nilpotent_at((1,), [_integer_matrix(m)[1]], m.rows)
+
+
+def _integer_matrix(m: Matrix) -> tuple[int, list[list[int]]]:
+    """(d, d m) for the least common denominator d of m's entries."""
+    d = math.lcm(*(x.denominator for row in m.data for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in m.data]
+
+
+def _nilpotent_at(point, ints, n: int) -> bool:
+    """Whether X = sum t_i B_i is nilpotent, for n x n integer B_i: X is
+    squared until it vanishes (True) or the exponent reaches n (False),
+    since X^n = 0 iff X^e = 0 for any e >= n."""
+    x = [[0] * n for _ in range(n)]
+    for t, b in zip(point, ints):
+        if t:
+            x = [[u + t * v for u, v in zip(xr, br)] for xr, br in zip(x, b)]
     e = 1
-    while e < n:
-        b = b * b
-        e *= 2
-    return b.is_zero()
-
-
-def _integer_matrices(mats: list[Matrix]) -> list[list[list[int]]]:
-    # positive rescaling preserves nilpotency of every span element
-    out = []
-    for m in mats:
-        den = 1
-        for row in m.data:
-            for x in row:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        out.append([[int(x * den) for x in row] for row in m.data])
-    return out
-
-
-def _traces_vanish(point, ints, n: int) -> bool:
-    m = [
-        [sum(t * b[i][j] for t, b in zip(point, ints)) for j in range(n)]
-        for i in range(n)
-    ]
-    p = m
-    for k in range(1, n + 1):
-        if sum(p[i][i] for i in range(n)) != 0:
+    while any(map(any, x)):
+        if e >= n:
             return False
-        if k < n:
-            p = [
-                [sum(p[i][l] * m[l][j] for l in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
+        cols = list(zip(*x))
+        x = [[sum(map(mul, row, col)) for col in cols] for row in x]
+        e *= 2
     return True
 
 
@@ -697,13 +674,16 @@ def nil_subspace_check(
 ) -> bool:
     """Decide whether every element of the span of ``mats`` is nilpotent.
 
-    In characteristic zero the span is nil iff trace((sum t_i B_i)^k)
-    vanishes identically for k = 1..n (Newton's identities).  Each trace
-    is homogeneous of degree k <= n in the span coordinates, so with
+    At a point t, X = sum t_i B_i is nilpotent iff X^n = 0, iff
+    X^(2^c) = 0 for any 2^c >= n; ``_nilpotent_at`` decides that with at
+    most ceil(log2 n) integer squarings (in characteristic zero it is
+    also iff trace(X^k) = 0 for k = 1..n, Newton's identities).  The
+    span is nil iff the entries of X(t)^n vanish identically, and they
+    are homogeneous of degree n in the span coordinates, so with
     ``policy="deterministic"`` vanishing on the C(n+s-1, s-1) points
     {a in N^s : sum a = n} settles the question: they are the order-n
     principal lattice of that simplex, unisolvent for degree <= n (Chung
-    and Yao 1977), so each trace vanishes on the hyperplane sum t = n
+    and Yao 1977), so each entry vanishes on the hyperplane sum t = n
     and, by homogeneity, wherever sum t != 0.
     ``policy="probabilistic"`` evaluates at three independent random
     integer points per polynomial; by Schwartz-Zippel the failure
@@ -729,7 +709,8 @@ def nil_subspace_check(
         policy = "deterministic" if s <= 4 else "probabilistic"
     if policy not in ("deterministic", "probabilistic"):
         raise ValueError(f"unknown policy {policy!r}")
-    ints = _integer_matrices(mats)
+    # positive rescaling preserves nilpotency of every span element
+    ints = [_integer_matrix(m)[1] for m in mats]
     if policy == "deterministic":
         points = _simplex_layer(n, s)
     else:
@@ -739,6 +720,6 @@ def nil_subspace_check(
             for _ in range(3)
         ]
     for point in points:
-        if not _traces_vanish(point, ints, n):
+        if not _nilpotent_at(point, ints, n):
             return False
     return True

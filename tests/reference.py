@@ -10,6 +10,9 @@ sparse bracket kernel that closures and tables use;
 ``assert_kernel_matches_color_bracket`` checks that bracket kernel
 against ``color_bracket``.  Each returns per-degree reduced echelon
 bases as maps, to be compared with ``Subspace.elements``.
+
+``ref_traces_vanish`` is the pointwise nilpotency test by trace powers,
+the oracle for ``linalg._nilpotent_at``.
 """
 
 from __future__ import annotations
@@ -47,6 +50,26 @@ def ref_rref(rows, width: int) -> list[list[Fraction]]:
                 a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
         rank += 1
     return a[:rank]
+
+
+def ref_traces_vanish(point, ints, n: int) -> bool:
+    """Whether X = sum t_i B_i, for n x n integer B_i, has tr X^k = 0 for
+    k = 1..n, which in characteristic zero holds iff X is nilpotent
+    (Newton's identities)."""
+    m = [
+        [sum(t * b[i][j] for t, b in zip(point, ints)) for j in range(n)]
+        for i in range(n)
+    ]
+    p = m
+    for k in range(1, n + 1):
+        if sum(p[i][i] for i in range(n)) != 0:
+            return False
+        if k < n:
+            p = [
+                [sum(p[i][l] * m[l][j] for l in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+    return True
 
 
 def ref_kernel(rows, width: int) -> list[tuple[Fraction, ...]]:

@@ -24,6 +24,8 @@ from colorlie import (
     rref,
     solve_unique,
 )
+from colorlie import linalg
+from reference import ref_traces_vanish
 
 
 def rand_matrix(rng, n, m, lo=-4, hi=4, den=2):
@@ -170,6 +172,35 @@ def test_char_poly_matches_faddeev_leverrier():
         n = rng.randint(1, 8)
         m = rand_matrix(rng, n, n, lo=-3, hi=3)
         assert char_poly(m) == faddeev_leverrier(m)
+
+
+def _mixed_denominators(rng, n):
+    # denominators 1..10, so the common denominator divides lcm(1..10) = 2520
+    return Matrix(
+        [
+            [
+                Fraction(rng.randint(-9, 9), rng.randint(1, 10)) if rng.random() < 0.8 else 0
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ],
+        cols=n,
+    )
+
+
+def test_char_poly_mixed_denominators_match_oracles():
+    assert char_poly(Matrix([])) == Poly((1,))
+    rng = random.Random(41)
+    dens = set()
+    for n in range(11):
+        for _ in range(3):
+            m = _mixed_denominators(rng, n)
+            dens.add(math.lcm(*(x.denominator for row in m.data for x in row)))
+            p = char_poly(m)
+            assert p == faddeev_leverrier(m)
+            if n <= 5:
+                assert p == char_poly_oracle(m)
+    assert 2520 in dens
 
 
 def test_cayley_hamilton():
@@ -469,19 +500,75 @@ def test_nil_subspace_deterministic_point_count(monkeypatch):
     from colorlie import linalg
 
     calls = []
-    real = linalg._traces_vanish
+    real = linalg._nilpotent_at
 
     def counting(point, ints, n):
         calls.append(point)
         return real(point, ints, n)
 
-    monkeypatch.setattr(linalg, "_traces_vanish", counting)
+    monkeypatch.setattr(linalg, "_nilpotent_at", counting)
     upper = [_unit(5, 0, 1), _unit(5, 1, 3), _unit(5, 2, 4)]
     assert nil_subspace_check(upper, policy="deterministic")
     # C(5 + 3 - 1, 3 - 1) points with coordinate sum 5, not the 6^3 grid
     assert len(calls) == 21
     assert all(sum(p) == 5 for p in calls)
     assert len(set(calls)) == 21
+
+
+def _conjugated(rng, n, m):
+    """p m p^-1 for a random unimodular integer p, as integer rows."""
+    p = Matrix.identity(n)
+    for _ in range(n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        p = p * (Matrix.identity(n) + _unit(n, i, j).scale(rng.choice((-1, 1))))
+    return [[int(x) for x in row] for row in (p * Matrix(m, cols=n) * inverse(p)).data]
+
+
+def _zero_trace_non_nilpotent(rng, n):
+    """A signed k-cycle (2 <= k <= n) or a rotation on two coordinates:
+    trace zero, not nilpotent."""
+    if rng.random() < 0.5:
+        k = rng.randint(2, n)
+        idx = rng.sample(range(n), k)
+        pairs = [(idx[i], idx[(i + 1) % k], rng.choice((-2, -1, 1, 2))) for i in range(k)]
+    else:
+        i, j = rng.sample(range(n), 2)
+        b = rng.choice((-2, -1, 1, 2))
+        pairs = [(i, j, -b), (j, i, b)]
+    m = [[0] * n for _ in range(n)]
+    for i, j, w in pairs:
+        m[i][j] = w
+    return m
+
+
+def test_nilpotent_at_matches_trace_oracle():
+    rng = random.Random(37)
+    verdicts = []
+    zero_trace_rejects = 0
+    for n in range(1, 9):
+        for s in range(1, 5):
+            for kind in range(4):
+                ints = []
+                for _ in range(s):
+                    upper = [[rng.randint(-2, 2) if j > i else 0 for j in range(n)] for i in range(n)]
+                    if kind == 0:
+                        ints.append(upper)
+                    elif kind == 1:
+                        ints.append(_conjugated(rng, n, upper))
+                    elif kind == 2 and n > 1:
+                        ints.append(_conjugated(rng, n, _zero_trace_non_nilpotent(rng, n)))
+                    else:
+                        ints.append([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)])
+                for _ in range(3):
+                    point = tuple(rng.randint(-3, 3) for _ in range(s))
+                    expected = ref_traces_vanish(point, ints, n)
+                    assert linalg._nilpotent_at(point, ints, n) == expected
+                    verdicts.append(expected)
+                    x = [[sum(t * b[i][j] for t, b in zip(point, ints)) for j in range(n)] for i in range(n)]
+                    if not expected and not sum(x[i][i] for i in range(n)):
+                        zero_trace_rejects += 1
+    assert 100 < sum(verdicts) < len(verdicts) - 100
+    assert zero_trace_rejects > 50
 
 
 def _nil_on_full_grid(mats):

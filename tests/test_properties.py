@@ -1,5 +1,6 @@
 """Property tests under the derandomized profile of conftest.py: the
-elimination kernel against sympy and its own invariants, the
+elimination kernel against sympy and its own invariants, ``char_poly``
+against sympy, the
 incremental graded kernel against a stacked reference elimination, the
 sparse bracket kernel against ``color_bracket``, and the
 structure-constant table against flattened brackets."""
@@ -12,7 +13,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
-from colorlie import Matrix, bracket_closure, graded_kernel, inverse, rref, solve_unique
+from colorlie import (
+    Matrix, bracket_closure, char_poly, graded_kernel, inverse, rref, solve_unique,
+)
 from colorlie.graded import _vector
 from colorlie.linalg import _Echelon
 from corpus import all_configs, random_homogeneous_map, random_space
@@ -70,6 +73,14 @@ def test_rref_matches_sympy(m):
     got, got_pivots, rank = rref(m)
     assert [list(row) for row in got.data] == want
     assert got_pivots == tuple(pivots) and rank == len(pivots)
+
+
+@given(m=matrices(square=True))
+def test_char_poly_matches_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    flat = [sympy.Rational(x.numerator, x.denominator) for row in m.data for x in row]
+    want = sympy.Matrix(m.rows, m.cols, flat).charpoly().all_coeffs()
+    assert char_poly(m).coeffs == tuple(Fraction(int(c.p), int(c.q)) for c in reversed(want))
 
 
 @given(m=matrices(), data=st.data())
