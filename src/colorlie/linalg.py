@@ -306,14 +306,16 @@ class _Echelon:
                     out[i] += a * y
         return tuple(out)
 
+    def free(self) -> list[int]:
+        """The non-pivot columns, in order."""
+        pivot_set = set(self.pivots)
+        return [f for f in range(self.width) if f not in pivot_set]
+
     def kernel(self) -> list[tuple[Fraction, ...]]:
         """Basis of the vectors orthogonal to every row, one per free
         column f: 1 at f, minus the rows' entries at f at their pivots."""
-        pivot_set = set(self.pivots)
         basis = []
-        for f in range(self.width):
-            if f in pivot_set:
-                continue
+        for f in self.free():
             v = [_ZERO] * self.width
             v[f] = _ONE
             for p, row in zip(self.pivots, self.rows):
@@ -516,17 +518,17 @@ def _zx_gcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _zx_exact_quotient(a: list[int], b: list[int]) -> list[int]:
-    """a / b in Z[t] when b divides a with an integral quotient."""
+def _zx_exact_quotient(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b in Z[t], or None unless b divides a in Z[t]."""
     r = list(a)
     q = [0] * (len(a) - len(b) + 1)
     for k in range(len(q) - 1, -1, -1):
         q[k], rem = divmod(r[k + len(b) - 1], b[-1])
         if rem:
-            raise ArithmeticError("inexact polynomial division")
+            return None
         for i, bi in enumerate(b):
             r[k + i] -= q[k] * bi
-    return q
+    return None if any(r) else q
 
 
 def _fp_gcd_degree(a: list[int], b: list[int], p: int) -> int:
@@ -609,8 +611,10 @@ def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
     root of h mod p.  Only primes dividing lc * disc(h) are skipped, so
     the search is polynomial in the size of the coefficients.
 
-    A candidate counts only after the exact check p(r) == 0, and its
-    multiplicity is the number of times (t - r) deflates p exactly.
+    A candidate r = a/b counts only when b t - a, which is primitive,
+    divides the scaled integer polynomial exactly in Z[t] (by Gauss's
+    lemma a root makes the quotient integral), and its multiplicity is
+    the number of times it does.
     """
     if p.is_zero():
         raise ZeroPolynomial("the zero polynomial has every root")
@@ -624,9 +628,10 @@ def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
         den = math.lcm(*(c.denominator for c in work.coeffs))
         ints = [c.numerator * (den // c.denominator) for c in work.coeffs]
         for cand in _root_candidates(ints):
-            while work.degree >= 1 and work.evaluate(cand) == 0:
+            factor = [-cand.numerator, cand.denominator]
+            while len(ints) > 1 and (q := _zx_exact_quotient(ints, factor)):
                 roots[cand] = roots.get(cand, 0) + 1
-                work = work.deflate(cand)
+                ints = q
     return sorted(roots.items())
 
 

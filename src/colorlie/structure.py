@@ -8,17 +8,17 @@ deepest term first, so that every C_i = <b_1..b_i> is a color ideal of
 codimension one in C_{i+1}; its first dim [L, L] entries span [L, L].
 
   1. Engel: K_0 = 0 and K_{j+1} = {v : [L, L] v in K_j}, each level the
-     common graded kernel of [L, L] on V/K_j, quotiented in one step.
-     [L, L] is an ideal, so every K_j is L-invariant, and [L, L] acts as
-     zero on every factor K_{j+1}/K_j.
+     common graded kernel of [L, L] on V/K_j.  [L, L] is an ideal, so
+     every K_j is L-invariant, and [L, L] acts as zero on every factor
+     K_{j+1}/K_j.
   2. Lie: on each factor the rest of the chain acts as a color-commuting
      family.  A common homogeneous eigenvector is found by narrowing
      W = the factor one chain element at a time: for nonzero degree to
      its graded kernel (a homogeneous eigenvector of a degree-shifting
      map has eigenvalue zero), for degree zero to the eigenspace, on
      every component, of a rational eigenvalue of some diagonal block.
-     The factor is flagged line by line through its graded quotients and
-     the vectors are lifted back to V.
+     The factor is flagged line by line through its graded quotients by
+     the lines found so far, and the vectors are lifted back to V.
 
 The whole filtration is computed before any eigenvalue is searched for.
 When it reaches V it is an exact certificate that [L, L] acts
@@ -29,7 +29,10 @@ has zero diagonal, and for degree zero r(0, 0) = 1 cancels the diagonal
 of ab - ba).  Only then is ``nil_subspace_check`` run, to tell a failed
 hypothesis from a violated theorem.
 
-Kernels, restrictions and quotients reduce through ``linalg._Echelon``.
+Kernels and restrictions reduce through ``linalg._Echelon``.  Both
+phases pass to quotients the same way: V/S is S's reduced echelon in V's
+coordinates (``_Quotient``), a map is induced on it from the normal forms
+of its own columns, and quotienting again adds rows to the echelon.
 
 The flag itself is verified exactly in the end; a conclusion failing
 after its hypotheses were checked raises TheoremViolation.
@@ -40,6 +43,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     EmptySpace,
@@ -198,9 +202,8 @@ def common_annihilated_vector(
         raise NoHomogeneousEigenvector(
             "no nonzero homogeneous vector is annihilated by the algebra"
         )
-    space, _, lift = first
-    g = space.degrees[0]
-    return _lift(L.space, lift, g, (_ONE,) + (_ZERO,) * (space.dim_of(g) - 1))
+    g, vs = next(iter(first[2].items()))
+    return _vector(L.space, {g: vs[0]})
 
 
 def engel_check(
@@ -296,10 +299,7 @@ class _EmbeddedSubspace:
         self.ambient = ambient
         self.bases = {g: list(vs) for g, vs in bases.items() if vs}
         dims = {g: len(vs) for g, vs in self.bases.items()}
-        if dims:
-            self.space = make_space(ambient.group, dims)
-        else:
-            self.space = GradedSpace(ambient.group, ())
+        self.space = make_space(ambient.group, dims)
         self.embed = {
             g: Matrix.from_columns(vs, rows=ambient.dim_of(g))
             for g, vs in self.bases.items()
@@ -308,10 +308,6 @@ class _EmbeddedSubspace:
             g: _Echelon(ambient.dim_of(g), vs, track=True)
             for g, vs in self.bases.items()
         }
-
-    @property
-    def total_dim(self) -> int:
-        return sum(len(vs) for vs in self.bases.values())
 
     def restrict(self, f: HomogeneousMap) -> HomogeneousMap:
         blocks = {}
@@ -348,47 +344,60 @@ class _EmbeddedSubspace:
             bases[g] = [self.embed[g].apply(k) for k in kernel_basis(m)]
         return _EmbeddedSubspace(self.ambient, bases)
 
-    def quotient(self) -> tuple[GradedSpace, dict, dict]:
-        """The graded quotient of the ambient space by this subspace,
-        with per-degree projection and section."""
-        return _quotient(self.ambient, {
-            g: _span_quotient(s) for g, s in self.solvers.items()
-        })
+
+class _Quotient:
+    """Graded quotient V/S, held as S's reduced echelon in V's
+    coordinates, one ``_Echelon`` per degree.
+
+    The free (non-pivot) columns are the quotient's coordinates: a vector
+    projects to its normal form modulo S read at them, and lifts by
+    inclusion.  Quotienting V/S again by T/S adds T/S's lifted rows: T's
+    reduced echelon leads at the union of the pivots of S and T/S, and
+    the normal form modulo T is the composite of the two projections, so
+    the result is V/T in the same coordinates.
+    """
+
+    def __init__(self, ambient: GradedSpace):
+        self.ambient = ambient
+        self.parts = {g: _Echelon(n) for g, n in ambient.dims}
+        self.add({})
+
+    def add(self, rows: dict):
+        """Quotient further by the span of ``rows``, per-degree vectors in
+        V's coordinates."""
+        for g, vs in rows.items():
+            for v in vs:
+                self.parts[g].add(v)
+        self.free = {g: part.free() for g, part in self.parts.items()}
+        dims = {g: len(cs) for g, cs in self.free.items() if cs}
+        self.space = make_space(self.ambient.group, dims)
+
+    def project(self, g, vec) -> tuple[Fraction, ...]:
+        """vec's normal form modulo S, read at the free columns."""
+        t = self.parts[g]._eliminate(vec)[0]
+        return tuple(t[c] for c in self.free[g])
+
+    def lift(self, g, comp) -> list[Fraction]:
+        at = dict(zip(self.free[g], comp))
+        return [at.get(c, _ZERO) for c in range(self.ambient.dim_of(g))]
+
+    def induce(self, f: HomogeneousMap) -> HomogeneousMap:
+        """The map f induces on V/S (S must be f-invariant): the column at
+        each free column c is the projection of f's own column c."""
+        blocks = {}
+        for h, b in f.blocks:
+            target = element_add(h, f.degree)
+            if self.free[h] and self.free[target]:
+                cols = list(zip(*b.data))
+                images = [self.project(target, cols[c]) for c in self.free[h]]
+                blocks[h] = Matrix._raw(tuple(zip(*images)), len(images))
+        return _map(self.space, f.degree, blocks)
 
 
-def _span_quotient(solver: _Echelon) -> tuple[Matrix, Matrix]:
-    """Projection and section for quotienting F^n by the span reduced in
-    ``solver``.  The kept coordinates are the non-pivot columns; a vector
-    x of the span is sum x[p_k] r_k over the reduced rows r_k with pivots
-    p_k, so coordinate c of the projection is x[c] - sum x[p_k] r_k[c]:
-    the rows of the projection are the solver's kernel vectors."""
-    n = solver.width
-    unit = Matrix.identity(n).data
-    kept = [unit[c] for c in range(n) if c not in solver.pivots]
-    return Matrix(solver.kernel(), cols=n), Matrix.from_columns(kept, rows=n)
-
-
-def _quotient_by_line(comp) -> tuple[Matrix, Matrix]:
-    """Projection and section for quotienting one component by a line."""
-    return _span_quotient(_Echelon(len(comp), [comp]))
-
-
-def _quotient(space: GradedSpace, cuts: dict) -> tuple[GradedSpace, dict, dict]:
-    """Quotient space with the (projection, section) pair of every degree:
-    ``cuts`` gives them where the subspace meets a component, the others
-    pass through unchanged."""
-    proj, sect, dims = {}, {}, {}
-    for g, n in space.dims:
-        p, s = cuts[g] if g in cuts else (Matrix.identity(n), Matrix.identity(n))
-        proj[g], sect[g] = p, s
-        if p.rows > 0:
-            dims[g] = p.rows
-    new = make_space(space.group, dims) if dims else GradedSpace(space.group, ())
-    return new, proj, sect
-
-
-def _lift(space: GradedSpace, lift: dict, d, comp) -> GradedVector:
-    return _vector(space, {d: tuple(lift[d].apply(comp))})
+def _lift(space: GradedSpace, basis: dict, d, comp) -> GradedVector:
+    """sum_j comp[j] basis[d][j], a vector of V."""
+    rows = zip(*basis[d])
+    return _vector(space, {d: [sum(map(mul, comp, row)) for row in rows]})
 
 
 def _kernel_filtration(space: GradedSpace, nil, top):
@@ -396,30 +405,28 @@ def _kernel_filtration(space: GradedSpace, nil, top):
     the common graded kernel of ``nil`` on V/K_j, lazily.
 
     Each level is yielded as its factor space, the ``top`` maps restricted
-    to it and the lift from factor coordinates to V, and V/K_{j+1} is
-    formed in one step.  ``nil`` must span an ideal of the algebra the
-    maps come from, so every level is invariant; the levels stop at V or
-    at the first empty kernel.
+    to it and its basis, per degree, as vectors of V.  V/K_j is one
+    ``_Quotient``, and the maps on it are induced from the given ones.
+    ``nil`` must span an ideal of the algebra the maps come from, so
+    every level is invariant; the levels stop at V or at the first empty
+    kernel.
     """
-    lift = {g: Matrix.identity(n) for g, n in space.dims}
-    cur = space
-    while cur.total_dim > 0:
+    q = _Quotient(space)
+    while q.space.total_dim > 0:
         bases: dict = {}
-        for v in graded_kernel(nil, space=cur):
+        for v in graded_kernel([q.induce(f) for f in nil], space=q.space):
             g, comp = v.components[0]
             bases.setdefault(g, []).append(comp)
         if not bases:
             return
-        w = _EmbeddedSubspace(cur, bases)
+        w = _EmbeddedSubspace(q.space, bases)
         try:
-            top_res = [w.restrict(f) for f in top]
+            top_res = [w.restrict(q.induce(f)) for f in top]
         except _NotInvariant:
             raise TheoremViolation("a kernel level of an ideal is not invariant")
-        yield w.space, top_res, {g: lift[g] * w.embed[g] for g in w.space.degrees}
-        cur, proj, sect = w.quotient()
-        nil = [_induced_map(cur, proj, sect, f) for f in nil]
-        top = [_induced_map(cur, proj, sect, f) for f in top]
-        lift = {g: lift[g] * sect[g] for g in cur.degrees}
+        rows = {g: [q.lift(g, v) for v in vs] for g, vs in w.bases.items()}
+        yield w.space, top_res, rows
+        q.add(rows)
 
 
 def _filtration_dim(levels) -> int:
@@ -461,7 +468,7 @@ def _chain_eigenvector(space: GradedSpace, chain, strict: bool) -> GradedVector:
             )
         lam = _rational_eigenvalue(b_res) if b.degree.is_zero() else _ZERO
         w = w.eigenspace(b_res, lam)
-        if w.total_dim == 0:
+        if w.space.total_dim == 0:
             if strict:
                 raise TheoremViolation(
                     "degree-shifting chain element has no homogeneous kernel "
@@ -569,10 +576,10 @@ def common_homogeneous_eigenvector(
     first = next(iter(levels), None)
     if first is None:
         _stall(series, chain[:k], 0, False, nil_policy, seed)
-    space, top, lift = first
+    space, top, basis = first
     v = _chain_eigenvector(space, top, strict=check_hypotheses)
     d = v.degree()
-    v0 = _lift(L.space, lift, d, v.component(d))
+    v0 = _lift(L.space, basis, d, v.component(d))
 
     flat = flatten_vector(v0)
     p = next(i for i, x in enumerate(flat) if x != 0)
@@ -584,18 +591,6 @@ def common_homogeneous_eigenvector(
             raise TheoremViolation("computed vector is not a common eigenvector")
         values.append(val)
     return v0, Weight(L, tuple(values))
-
-
-def _induced_map(
-    new_space: GradedSpace, proj: dict, sect: dict, f: HomogeneousMap
-) -> HomogeneousMap:
-    blocks = {}
-    for h in new_space.degrees:
-        target = element_add(h, f.degree)
-        if new_space.dim_of(target) == 0:
-            continue
-        blocks[h] = proj[target] * f.block(h) * sect[h]
-    return _map(new_space, f.degree, blocks)
 
 
 def color_flag(
@@ -648,15 +643,14 @@ def _lie_phase(space: GradedSpace, levels, certify, strict: bool):
     dim K_j)."""
     vectors: list[GradedVector] = []
     try:
-        for fspace, top, lift in levels:
-            while fspace.total_dim > 0:
-                v = _chain_eigenvector(fspace, top, strict=strict)
+        for fspace, top, basis in levels:
+            q = _Quotient(fspace)
+            while q.space.total_dim > 0:
+                v = _chain_eigenvector(q.space, (q.induce(f) for f in top), strict)
                 d = v.degree()
-                comp = v.components[0][1]
-                vectors.append(_lift(space, lift, d, comp))
-                fspace, proj, sect = _quotient(fspace, {d: _quotient_by_line(comp)})
-                top = [_induced_map(fspace, proj, sect, f) for f in top]
-                lift = {g: lift[g] * sect[g] for g in fspace.degrees}
+                line = q.lift(d, v.components[0][1])
+                vectors.append(_lift(space, basis, d, line))
+                q.add({d: [line]})
     except (TheoremViolation, NoHomogeneousEigenvector, IrrationalEigenvalue) as e:
         e.flag_depth = len(vectors)
         raise

@@ -2,6 +2,7 @@
 ideals, common homogeneous eigenvectors, color flags, ideal chains and the
 cyclic-grading counterexample."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -41,8 +42,10 @@ from colorlie import (
 from corpus import (
     borel_generators,
     noncanonical_borel_algebras,
+    random_homogeneous_map,
     random_nil_instance,
     random_solvable_instance,
+    random_space,
     torsion_free_configs,
 )
 
@@ -571,39 +574,126 @@ def test_ideal_chain_members_are_ideals():
     _assert_chain_of_ideals(L)
 
 
-def test_flag_quotient_soundness():
-    # projection-section consistency: P S = identity on each component
-    from colorlie.structure import _quotient_by_line
+def test_quotient_projection_kills_subspace():
+    # projection after inclusion is the identity on the free coordinates,
+    # and the projection kills S
+    from colorlie.structure import _Quotient
 
-    comp = (Fraction(2), Fraction(1), Fraction(0))
-    p, s = _quotient_by_line(comp)
-    assert p * s == Matrix.identity(2)
-    assert all(x == 0 for x in p.apply(comp))
+    rng = random.Random(89)
+    for _, group, _ in torsion_free_configs():
+        for _ in range(5):
+            space = random_space(rng, group)
+            rows = {
+                g: [tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
+                    for _ in range(rng.randint(0, n))]
+                for g, n in space.dims
+            }
+            q = _Quotient(space)
+            q.add(rows)
+            for g, n in space.dims:
+                assert q.space.dim_of(g) == n - _rank(rows[g], n)
+                for v in rows[g]:
+                    assert not any(q.project(g, v))
+            for g, unit in _units(q.space):
+                assert q.project(g, q.lift(g, unit)) == unit
 
 
-def test_flag_induced_action_matches_block_projection():
-    # flatten(induced x) equals the assembled projection * flatten(x) * section
-    from colorlie.structure import _induced_map, _quotient_by_line
-    from colorlie import make_space as mk
+def test_quotient_induced_map_is_projection_of_map_on_lift():
+    # by hand: (1, 1) spans the eigenvalue-3 line of [[1, 2], [0, 3]], so
+    # the map induces the other eigenvalue, 1, on the quotient
+    from colorlie.structure import _Quotient
 
     z = make_group(1, [])
-    r = make_bicharacter(z, [[1]])
     z0, z1 = z.element([0]), z.element([1])
-    v = mk(z, {z0: 2, z1: 1})
+    v = make_space(z, {z0: 2, z1: 1})
     d = make_map(v, z0, {z0: [[1, 2], [0, 3]], z1: [[5]]})
-    line = (Fraction(1), Fraction(2))
-    p0, s0 = _quotient_by_line(line)
-    proj = {z0: p0, z1: Matrix.identity(1)}
-    sect = {z0: s0, z1: Matrix.identity(1)}
-    new_space = mk(z, {z0: 1, z1: 1})
-    induced = _induced_map(new_space, proj, sect, d)
-    big_p = Matrix(
-        [list(p0.data[0]) + [0], [0, 0, 1]]
-    )
-    big_s = Matrix(
-        [[s0.data[0][0], 0], [s0.data[1][0], 0], [0, 1]]
-    )
-    assert flatten_map(induced) == big_p * flatten_map(d) * big_s
+    q = _Quotient(v)
+    q.add({z0: [(Fraction(1), Fraction(1))]})
+    assert q.induce(d) == make_map(q.space, z0, {z0: [[1]], z1: [[5]]})
+    # in general: flatten(induced f) = P flatten(f) I, for the normal-form
+    # projection P and the inclusion I of the free coordinates
+    rng = random.Random(97)
+    for _, group, _ in torsion_free_configs():
+        for _ in range(5):
+            space = random_space(rng, group)
+            q = _Quotient(space)
+            q.add({
+                g: [tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))]
+                for g, n in space.dims if rng.random() < 0.5
+            })
+            f = random_homogeneous_map(rng, space)
+            incl = Matrix.from_columns(
+                [_place(space, g, q.lift(g, u)) for g, u in _units(q.space)],
+                rows=space.total_dim,
+            )
+            proj = Matrix.from_columns(
+                [_place(q.space, g, q.project(g, u)) for g, u in _units(space)],
+                rows=q.space.total_dim,
+            )
+            assert flatten_map(q.induce(f)) == proj * flatten_map(f) * incl
+
+
+def _units(space):
+    """(degree, component) of every standard basis vector of space."""
+    return [
+        (g, tuple(Fraction(int(i == j)) for i in range(n)))
+        for g, n in space.dims for j in range(n)
+    ]
+
+
+def _place(space, g, comp):
+    """The component comp at degree g, flattened in space."""
+    out = [Fraction(0)] * space.total_dim
+    for i, x in enumerate(comp):
+        out[space.offsets()[g] + i] = x
+    return out
+
+
+def test_quotient_in_steps_equals_quotient_at_once():
+    # V/S/(T/S) = V/T for invariant S < T: the same space, projections
+    # and induced maps; quotienting V/S again by T/S adds T/S's lifted
+    # rows and gives T's reduced echelon
+    from colorlie import unflatten_vector
+    from colorlie.structure import _Quotient
+
+    def rows_of(space, vectors):
+        rows: dict = {}
+        for flat in vectors:
+            (g, comp), = unflatten_vector(space, flat).components
+            rows.setdefault(g, []).append(comp)
+        return rows
+
+    rng = random.Random(101)
+    algebras = [
+        random_solvable_instance(rng, group, r)
+        for _, group, r in torsion_free_configs() for _ in range(5)
+    ]
+    algebras += [_borel(4, grading) for grading in ("plain", "z", "zsuper", "z2")]
+    for L in algebras:
+        levels = [[]] + _levels_in_v(L)
+        for s_vecs, t_vecs in itertools.combinations(levels, 2):
+            s_rows, t_rows = rows_of(L.space, s_vecs), rows_of(L.space, t_vecs)
+            q_s, q_t = _Quotient(L.space), _Quotient(L.space)
+            q_s.add(s_rows)
+            q_t.add(t_rows)
+            t_mod_s = {
+                g: [q_s.project(g, v) for v in vs] for g, vs in t_rows.items()
+            }
+            q_ts = _Quotient(q_s.space)
+            q_ts.add({g: vs for g, vs in t_mod_s.items() if q_s.space.dim_of(g)})
+            assert q_ts.space == q_t.space
+            for b in L.basis:
+                assert q_ts.induce(q_s.induce(b)) == q_t.induce(b)
+            for g, n in L.space.dims:
+                x = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
+                if q_s.space.dim_of(g):
+                    assert q_ts.project(g, q_s.project(g, x)) == q_t.project(g, x)
+            q_s.add({
+                g: [q_s.lift(g, v) for v in vs] for g, vs in t_mod_s.items()
+            })
+            assert q_s.free == q_t.free
+            for g, part in q_t.parts.items():
+                assert q_s.parts[g].rows == part.rows
 
 
 def test_weights_vanish_on_nonzero_degrees():
@@ -846,12 +936,12 @@ def _levels_in_v(L):
 
     nil = _derived(derived_series(L)).elements()
     out, acc = [], []
-    for space, top, lift in _kernel_filtration(L.space, nil, []):
+    for space, top, basis in _kernel_filtration(L.space, nil, []):
         assert top == []
         for g, n in space.dims:
             for j in range(n):
                 unit = tuple(Fraction(int(i == j)) for i in range(n))
-                acc.append(flatten_vector(_lift(L.space, lift, g, unit)))
+                acc.append(flatten_vector(_lift(L.space, basis, g, unit)))
         out.append(list(acc))
     return out
 
