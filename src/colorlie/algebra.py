@@ -69,6 +69,7 @@ from .graded import (
     HomogeneousMap,
     _GradedEchelon,
     _map,
+    _unflatten,
     add_maps,
     compose,
     flatten_map,
@@ -78,10 +79,7 @@ from .graded import (
     scale_map,
     zero_map,
 )
-from .linalg import Matrix, _Echelon, _sparse, is_nilpotent_matrix
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .linalg import _ONE, _ZERO, Matrix, _Echelon, _sparse, is_nilpotent_matrix
 
 
 def color_bracket(r: Bicharacter, a: HomogeneousMap, b: HomogeneousMap) -> HomogeneousMap:
@@ -151,34 +149,60 @@ class ColorAlgebra:
     """
 
     def __init__(self, space: GradedSpace, r: Bicharacter, basis,
-                 closed: bool = False, _validate: bool = True):
+                 closed: bool = False):
         if r.spec != space.group:
             raise GroupMismatch("bicharacter group differs from the grading group")
         basis = tuple(basis)
         for f in basis:
             if f.space != space:
                 raise SpaceMismatch("basis map acts on a different space")
+        flat = [_flat(f) for f in basis]
+        solver = _Echelon(space.total_dim ** 2, flat, track=True)
+        if len(solver.pivots) < len(basis):
+            raise ValidationError("basis maps are linearly dependent")
+        self._setup(space, r, basis, closed, flat, solver)
+        if closed:
+            self._structure()
+
+    @classmethod
+    def _spanned(cls, space: GradedSpace, r: Bicharacter,
+                 ech: _GradedEchelon) -> "ColorAlgebra":
+        """The trusted closed algebra whose basis is the reduced rows of
+        ``ech``, a ``_GradedEchelon`` of flattened maps on ``space``.  The
+        rows are independent and already reduced, so the basis maps are
+        read off them without a pattern check, and they enter the solver
+        without being reduced again: each meets no other row's pivot."""
+        vectors = ech.vectors()
+        flat = [v for _, v in vectors]
+        basis = tuple(_unflatten(space, g, v) for g, v in vectors)
+        solver = _Echelon(space.total_dim ** 2, flat, track=True)
+        L = cls.__new__(cls)
+        L._setup(space, r, basis, True, flat, solver)
+        return L
+
+    def _setup(self, space, r, basis, closed, flat, solver):
+        """The fields both constructors set, from the basis, its flattened
+        rows and their tracked echelon."""
         self.space = space
         self.r = r
         self.basis = basis
         self.closed = closed
-        self._flat = [_flat(f) for f in basis]
-        self._solver = solver = _Echelon(space.total_dim ** 2, self._flat, track=True)
+        self._solver = solver
         self._profile: GradedSpace | None = None
         self._table: list[dict] | None = None
-        if _validate and len(solver.rows) < len(basis):
-            raise ValidationError("basis maps are linearly dependent")
-        # R_k combines basis maps of its own degree only
-        self._degrees = [basis[min(tr)].degree for tr in solver.transform]
+        # R_k combines basis maps of its own degree only; they are the
+        # tracked columns of its integer row, keyed width + i for basis[i]
+        w = solver.width
+        self._degrees = [
+            basis[min(i for i in row if i >= w) - w].degree for row in solver.int_rows
+        ]
         self._local: dict[GroupElement, list[int]] = {}
         self._pos = []
         for k, d in enumerate(self._degrees):
             ks = self._local.setdefault(d, [])
             self._pos.append(len(ks))
             ks.append(k)
-        self._basis_coords = [[v[p] for p in solver.pivots] for v in self._flat]
-        if _validate and closed:
-            self._structure()
+        self._basis_coords = [[v[p] for p in solver.pivots] for v in flat]
 
     @property
     def dim(self) -> int:
@@ -239,25 +263,13 @@ class ColorAlgebra:
 
     def _element(self, degree: GroupElement, coords) -> HomogeneousMap:
         """The map with the given pivot coordinates."""
-        space = self.space
-        n = space.total_dim
+        n = self.space.total_dim
         flat = [_ZERO] * (n * n)
         for c, row in zip(coords, self._solver.sparse_rows):
             if c:
                 for i, y in row:
                     flat[i] += c * y
-        off = space.offsets()
-        blocks = {}
-        for h, n_src in space.dims:
-            target = element_add(h, degree)
-            n_tgt = space.dim_of(target)
-            if n_tgt:
-                base = off[target] * n + off[h]
-                blocks[h] = Matrix._raw(tuple(
-                    tuple(flat[base + i * n : base + i * n + n_src])
-                    for i in range(n_tgt)
-                ), n_src)
-        return _map(space, degree, blocks)
+        return _unflatten(self.space, degree, flat)
 
     def _unit(self, k: int) -> list[Fraction]:
         """Pivot coordinates of R_k."""
@@ -357,7 +369,7 @@ def bracket_closure(space: GradedSpace, r: Bicharacter, generators) -> ColorAlge
     them with ``_sparse_bracket``; the span is a ``_GradedEchelon`` over
     flattened rows, whose reduced rows become the returned basis.
     """
-    ech = _GradedEchelon(space)
+    ech = _GradedEchelon()
     elems = []
     for g in generators:
         if g.space != space:
@@ -377,7 +389,7 @@ def bracket_closure(space: GradedSpace, r: Bicharacter, generators) -> ColorAlge
                 if ech.add_vector(d, c):
                     elems.append((d, _sparse(c)))
         i += 1
-    return ColorAlgebra(space, r, tuple(ech.maps()), closed=True, _validate=False)
+    return ColorAlgebra._spanned(space, r, ech)
 
 
 class Subspace:
@@ -537,10 +549,10 @@ def ad_representation(L: ColorAlgebra) -> ColorAlgebra:
     dimension profile; its kernel is the center of L."""
     _require_closed(L)
     profile = L.profile_space()
-    ech = _GradedEchelon(profile)
+    ech = _GradedEchelon()
     for b in L.basis:
         ech.add_map(ad_map(L, b))
-    return ColorAlgebra(profile, L.r, tuple(ech.maps()), closed=True, _validate=False)
+    return ColorAlgebra._spanned(profile, L.r, ech)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from .errors import (
 )
 from .grading import GroupElement, GroupSpec, element_add, has_infinite_order
 from .linalg import (
+    _ZERO,
     Matrix,
     Poly,
     _Echelon,
@@ -33,8 +34,6 @@ from .linalg import (
     kernel_basis,
     rational_roots,
 )
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -315,6 +314,28 @@ def flatten_map(f: HomogeneousMap) -> Matrix:
     return flat
 
 
+def _unflatten(space: GradedSpace, degree: GroupElement, flat) -> HomogeneousMap:
+    """The map of the given degree whose flattened matrix, row-major, is
+    the row ``flat``, which must vanish off the degree's blocks; that
+    matrix is kept as the map's ``flatten_map``."""
+    n = space.total_dim
+    off = space.offsets()
+    blocks = {}
+    for h, n_src in space.dims:
+        target = element_add(h, degree)
+        n_tgt = space.dim_of(target)
+        if n_tgt:
+            base = off[target] * n + off[h]
+            blocks[h] = Matrix._raw(tuple(
+                tuple(flat[base + i * n : base + i * n + n_src])
+                for i in range(n_tgt)
+            ), n_src)
+    f = _map(space, degree, blocks)
+    rows = tuple(tuple(flat[i * n : i * n + n]) for i in range(n))
+    object.__setattr__(f, "_flat", Matrix._raw(rows, n))
+    return f
+
+
 def unflatten_map(space: GradedSpace, degree: GroupElement, m: Matrix) -> HomogeneousMap:
     """Inverse of flatten_map for matrices supported on the degree pattern."""
     off = space.offsets()
@@ -346,12 +367,11 @@ class _GradedEchelon:
     """Reduced echelon bases of graded spans: one ``_Echelon`` per degree.
 
     Rows are coordinate vectors of any fixed length: flattened matrices
-    for spans of homogeneous maps (``add_map``, ``maps``), or the
-    coordinates of an algebra's elements (``add_vector``).
+    for spans of homogeneous maps (``add_map``), or the coordinates of an
+    algebra's elements (``add_vector``).
     """
 
-    def __init__(self, space: GradedSpace | None = None):
-        self.space = space
+    def __init__(self):
         self.parts: dict[GroupElement, _Echelon] = {}
 
     def add_map(self, f: HomogeneousMap) -> bool:
@@ -369,14 +389,14 @@ class _GradedEchelon:
         return not any(vec) if part is None else part.reduce(vec) is not None
 
     def dims(self) -> dict[GroupElement, int]:
-        return {g: len(self.parts[g].rows) for g in self.degrees()}
+        return {g: len(self.parts[g].pivots) for g in self.degrees()}
 
     def dim(self) -> int:
-        return sum(len(part.rows) for part in self.parts.values())
+        return sum(len(part.pivots) for part in self.parts.values())
 
     def degrees(self) -> list[GroupElement]:
         return sorted(
-            (g for g, part in self.parts.items() if part.rows),
+            (g for g, part in self.parts.items() if part.pivots),
             key=lambda g: g.sort_key(),
         )
 
@@ -384,21 +404,11 @@ class _GradedEchelon:
         """The rows with their degrees, degrees in canonical order."""
         return [(g, row) for g in self.degrees() for row in self.parts[g].rows]
 
-    def maps(self) -> list[HomogeneousMap]:
-        n = self.space.total_dim
-        return [
-            unflatten_map(
-                self.space, g,
-                Matrix([vec[i * n : (i + 1) * n] for i in range(n)], cols=n),
-            )
-            for g, vec in self.vectors()
-        ]
-
     def canonical_rows(self) -> dict:
         return {
             g: tuple(tuple(row) for row in part.rows)
             for g, part in self.parts.items()
-            if part.rows
+            if part.pivots
         }
 
 
@@ -424,7 +434,7 @@ def graded_kernel(maps, space: GradedSpace | None = None) -> list[GradedVector]:
         ech = _Echelon(n)
         rows = (row for f in maps for g, b in f.blocks if g == h for row in b.data)
         for row in rows:
-            if ech.add(row) and len(ech.rows) == n:
+            if ech.add(row) and len(ech.pivots) == n:
                 break
         out.extend(_vector(space, {h: v}) for v in ech.kernel())
     return out

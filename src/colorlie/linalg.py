@@ -1,11 +1,13 @@
-"""Exact dense linear algebra over arbitrary-precision rationals.
+"""Exact linear algebra over arbitrary-precision rationals.
 
-Everything here works with ``fractions.Fraction`` entries and is exact:
-echelon forms, kernels, characteristic polynomials, rational roots
-and nilpotency certificates.  Matrices are immutable.
-
-``_Echelon`` is the package's only row reduction.  ``char_poly`` and
-the nilpotency tests clear denominators and run on Python integers.
+Matrices are immutable and dense, with ``fractions.Fraction`` entries,
+and every result (echelon forms, kernels, solutions, inverses,
+characteristic polynomials, rational roots, nilpotency certificates) is
+exact and given in Fractions.  Inside, the heavy steps clear
+denominators once and work on Python integers: ``_Echelon``, the
+package's only row reduction, keeps fraction-free integer rows;
+``char_poly``, ``rational_roots`` and the nilpotency tests run on the
+denominator-cleared integer matrix or polynomial.
 """
 
 from __future__ import annotations
@@ -200,46 +202,94 @@ class Matrix:
 
 
 def _sparse(v) -> list[tuple[int, Fraction]]:
-    """The nonzero (index, value) pairs of v."""
-    return [(i, x) for i, x in enumerate(v) if x]
+    """The nonzero (index, value) pairs of v.  Most zeros in the package's
+    vectors are the shared ``_ZERO``, which is skipped by identity without
+    calling ``Fraction.__bool__``."""
+    return [(i, x) for i, x in enumerate(v) if x is not _ZERO and x]
 
 
-def _sub_scaled(d: dict, c: Fraction, src: dict):
-    """d -= c src for sparse vectors held as {index: value} dicts."""
-    for i, y in src.items():
-        x = d.get(i, _ZERO) - c * y
+def _dense(pairs, width: int) -> list[Fraction]:
+    out = [_ZERO] * width
+    for i, x in pairs:
+        out[i] = x
+    return out
+
+
+def _sub(r: dict, a: int, row: dict):
+    """r -= a row, for sparse integer rows."""
+    for i, y in row.items():
+        x = r.get(i, 0) - a * y
         if x:
-            d[i] = x
+            r[i] = x
         else:
-            d.pop(i, None)
+            del r[i]
+
+
+def _primitive_row(row: dict, pivot: int) -> dict:
+    """row divided by its content, signed to be positive at pivot."""
+    g = math.gcd(*row.values())
+    if row[pivot] < 0:
+        g = -g
+    return row if g == 1 else {i: x // g for i, x in row.items()}
 
 
 class _Echelon:
     """Incremental reduced row echelon form of the span of rows of a
     fixed width: the package's one exact elimination kernel.
 
-    ``add`` reduces a row by the existing rows, scales it to a leading 1
-    (unless it leads with 1 already), eliminates its pivot from the other
-    rows and keeps the rows sorted by pivot; zero entries are skipped in
-    every row operation.  The reduced echelon form of a span is unique,
-    so inserting rows one at a time, in any order, gives the canonical
-    RREF.  ``rows`` are dense, ``sparse_rows`` their nonzero entries.
+    The rows are fraction-free, as in Bareiss (Math. Comp. 22, 1968):
+    ``int_rows`` holds each as a sparse integer row ``{index: int}``,
+    primitive and positive at its pivot, and they are kept mutually
+    reduced, zero at each other's pivots, so row / row[pivot] is the
+    canonical RREF row.  ``add`` clears the denominators of its vector
+    once, subtracts the rows it meets at their pivots, scaled by the lcm
+    of their pivot entries, divides out the content and eliminates the
+    new pivot from the other rows, all in integers.  The reduced echelon
+    form of a span is unique, so inserting rows one at a time, in any
+    order, gives the canonical RREF.  A vector with no entry at any pivot
+    is not reduced at all.
+
+    ``rows`` (dense) and ``sparse_rows`` (nonzero entries) read that RREF
+    as Fractions.  They are views: a row is converted on the first read
+    after it changed, and a vector that met no pivot and leads with 1 is
+    its own RREF row, kept as given.  The rank is ``len(pivots)``.
 
     With ``track`` each row also carries its combination of the inserted
-    rows, so that R = T V for the echelon rows R and the inserted rows V
-    (dependent ones included, though they add no row); ``to_basis`` maps
-    pivot coordinates back through T.
+    rows at the same scale, as entries keyed ``width + i`` for the i-th
+    inserted row: the rows are those of [R | T] with R = T V for the
+    inserted rows V (dependent ones included, though they add no row),
+    so the content divided out is that of both.  ``transform`` reads T
+    as Fractions; ``to_basis`` maps pivot coordinates back through T.
     """
 
     def __init__(self, width: int, rows=(), track: bool = False):
         self.width = width
         self.count = 0
+        self.track = track
         self.pivots: list[int] = []
-        self.rows: list[list[Fraction]] = []
-        self.sparse_rows: list[list[tuple[int, Fraction]]] = []
-        self.transform: list[dict[int, Fraction]] | None = [] if track else None
+        self.int_rows: list[dict[int, int]] = []
+        # sparse_rows and rows, None where a row changed since the last
+        # read, and which of the two hold such rows
+        self._views = ([], [])
+        self._stale = set()
         for row in rows:
             self.add(row)
+
+    def _reduced(self, vec) -> tuple[int, dict[int, int], list | None]:
+        """(s, r, pairs): r / s is vec minus sum_k vec[p_k] R_k, as a
+        sparse integer row, with the combination, negated, at the tracked
+        columns; pairs is vec's nonzero entries when it met no pivot, else
+        None."""
+        nz = _sparse(vec)
+        d = math.lcm(*[x.denominator for _, x in nz])
+        r = {i: x.numerator * (d // x.denominator) for i, x in nz}
+        hits = [(p, row) for p, row in zip(self.pivots, self.int_rows) if p in r]
+        m = math.lcm(*[row[p] for p, row in hits])
+        if m != 1:
+            r = {i: m * x for i, x in r.items()}
+        for p, row in hits:
+            _sub(r, r[p] // row[p], row)
+        return m * d, r, (None if hits else nz)
 
     def _eliminate(self, vec) -> tuple[list[Fraction], list[Fraction]]:
         """vec reduced by the rows, and its pivot coordinates: every row
@@ -247,63 +297,104 @@ class _Echelon:
         turn leaves the pivot entries as they are."""
         t = list(vec)
         coeffs = [t[p] for p in self.pivots]
-        for a, row in zip(coeffs, self.sparse_rows):
-            if a:
-                for i, y in row:
-                    t[i] -= a * y
+        if any(coeffs):
+            s, r, _ = self._reduced(t)
+            t = [Fraction(r[i], s) if i in r else _ZERO for i in range(self.width)]
         return t, coeffs
 
     def reduce(self, vec) -> list[Fraction] | None:
         """Pivot coordinates of vec, its entries at the pivot columns, or
         None when it lies outside the span."""
-        t, coeffs = self._eliminate(vec)
-        return None if any(t) else coeffs
+        coeffs = [vec[p] for p in self.pivots]
+        if any(coeffs):
+            outside = min(self._reduced(vec)[1], default=self.width) < self.width
+        else:
+            outside = any(vec)
+        return None if outside else coeffs
 
     def add(self, vec) -> bool:
         """Insert vec; False, and no new row, when it is dependent."""
-        t, coeffs = self._eliminate(vec)
         index = self.count
         self.count += 1
-        pivot = next((i for i, x in enumerate(t) if x), None)
-        if pivot is None:
+        s, new, pairs = self._reduced(vec)
+        pivot = min(new, default=self.width)
+        if pivot >= self.width:
             return False
-        lead = t[pivot]
-        if lead != 1:
-            inv = 1 / lead
-            t = [x * inv if x else x for x in t]
-        new = _sparse(t)
-        if self.transform is not None:
-            tr = {index: _ONE}
-            for a, tk in zip(coeffs, self.transform):
-                if a:
-                    _sub_scaled(tr, a, tk)
-            if lead != 1:
-                tr = {i: x * inv for i, x in tr.items()}
-        for k, row in enumerate(self.rows):
-            c = row[pivot]
-            if c:
-                row = row.copy()
-                for i, y in new:
-                    row[i] -= c * y
-                self.rows[k] = row
-                self.sparse_rows[k] = _sparse(row)
-                if self.transform is not None:
-                    _sub_scaled(self.transform[k], c, tr)
+        if self.track:
+            new[self.width + index] = s
+        new = _primitive_row(new, pivot)
+        lead = new[pivot]
+        rows = self.int_rows
+        for k, row in enumerate(rows):
+            a = row.get(pivot)
+            if a:
+                row = {i: lead * x for i, x in row.items()}
+                _sub(row, a, new)
+                rows[k] = _primitive_row(row, self.pivots[k])
+                for view in self._views:
+                    view[k] = None
         k = bisect.bisect(self.pivots, pivot)
         self.pivots.insert(k, pivot)
-        self.rows.insert(k, t)
-        self.sparse_rows.insert(k, new)
-        if self.transform is not None:
-            self.transform.insert(k, tr)
+        rows.insert(k, new)
+        for view in self._views:
+            view.insert(k, None)
+        if pairs and pairs[0][1] == 1:
+            # vec met no pivot and leads with 1: it is its own RREF row
+            self._views[0][k] = pairs
+            self._views[1][k] = list(vec)
+        self._stale = {0, 1}
         return True
+
+    def _view(self, j: int, build) -> list:
+        """``_views[j]``, its rows changed since the last read rebuilt by
+        build(row, lead)."""
+        view = self._views[j]
+        if j in self._stale:
+            self._stale.discard(j)
+            for k, v in enumerate(view):
+                if v is None:
+                    row = self.int_rows[k]
+                    view[k] = build(row, row[self.pivots[k]])
+        return view
+
+    def _sparse_row(self, row: dict, lead: int) -> list[tuple[int, Fraction]]:
+        w = self.width
+        return [(i, Fraction(row[i], lead)) for i in sorted(row) if i < w]
+
+    def _dense_row(self, row: dict, lead: int) -> list[Fraction]:
+        w = self.width
+        out = [_ZERO] * w
+        for i, x in row.items():
+            if i < w:
+                out[i] = Fraction(x, lead)
+        return out
+
+    @property
+    def sparse_rows(self) -> list[list[tuple[int, Fraction]]]:
+        return self._view(0, self._sparse_row)
+
+    @property
+    def rows(self) -> list[list[Fraction]]:
+        return self._view(1, self._dense_row)
+
+    @property
+    def transform(self) -> list[dict[int, Fraction]] | None:
+        w = self.width
+        return [
+            {i - w: Fraction(x, row[p]) for i, x in row.items() if i >= w}
+            for p, row in zip(self.pivots, self.int_rows)
+        ] if self.track else None
 
     def to_basis(self, coeffs) -> tuple[Fraction, ...]:
         """Coordinates in the inserted rows of sum coeffs[k] rows[k]."""
         out = [_ZERO] * self.count
-        for a, tr in zip(coeffs, self.transform):
+        w = self.width
+        for a, p, row in zip(coeffs, self.pivots, self.int_rows):
             if a:
-                for i, y in tr.items():
-                    out[i] += a * y
+                a = Fraction(a.numerator, a.denominator * row[p])
+                for i, x in row.items():
+                    if i >= w:
+                        out[i - w] += a * x
         return tuple(out)
 
     def free(self) -> list[int]:
@@ -359,8 +450,8 @@ def inverse(m: Matrix) -> Matrix:
     e = _Echelon(m.cols, m.data, track=True)
     if len(e.pivots) < m.rows:
         raise ValueError("matrix is singular")
-    return Matrix._raw(
-        tuple(e.to_basis(u) for u in Matrix.identity(m.rows).data), m.cols)
+    rows = tuple(tuple(_dense(t.items(), m.cols)) for t in e.transform)
+    return Matrix._raw(rows, m.cols)
 
 
 @dataclass(frozen=True)

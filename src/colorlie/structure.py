@@ -89,6 +89,8 @@ from .algebra import (
     _require_closed,
 )
 from .linalg import (
+    _ONE,
+    _ZERO,
     Matrix,
     Poly,
     _Echelon,
@@ -99,9 +101,6 @@ from .linalg import (
     nil_subspace_check,
     rational_roots,
 )
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)

@@ -654,6 +654,25 @@ def test_solve_inconsistent():
     assert solve_unique(Matrix([[1, 0], [1, 0]]), (0, 1)) is None
 
 
+def test_hilbert_inverse_matches_closed_form():
+    # H_ij = 1 / (i + j - 1) is badly conditioned: its inverse has integer
+    # entries growing like 4^(2n), so elimination carries large
+    # intermediate integers and divides out large contents
+    for n in range(1, 13):
+        h = Matrix([[Fraction(1, i + j - 1) for j in range(1, n + 1)] for i in range(1, n + 1)])
+        want = [
+            [
+                (-1) ** (i + j) * (i + j - 1) * math.comb(n + i - 1, n - j)
+                * math.comb(n + j - 1, n - i) * math.comb(i + j - 2, i - 1) ** 2
+                for j in range(1, n + 1)
+            ]
+            for i in range(1, n + 1)
+        ]
+        assert inverse(h) == Matrix(want)
+        ones = (Fraction(1),) * n
+        assert solve_unique(h, h.apply(ones)) == ones
+
+
 def test_apply_matches_full_sum():
     # zero entries are skipped; the result is the same tuple of Fractions
     # as the plain sum over every entry

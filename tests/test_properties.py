@@ -1,9 +1,10 @@
 """Property tests under the derandomized profile of conftest.py: the
-elimination kernel against sympy and its own invariants, ``char_poly``
-against sympy, the
-incremental graded kernel against a stacked reference elimination, the
-sparse bracket kernel against ``color_bracket``, and the
-structure-constant table against flattened brackets."""
+elimination kernel against sympy and its own invariants, on small and on
+wide entries, its normal form against a reference Gauss-Jordan,
+``char_poly`` against sympy, the incremental graded kernel against a
+stacked reference elimination, the sparse bracket kernel against
+``color_bracket``, and the structure-constant table against flattened
+brackets."""
 
 import random
 from fractions import Fraction
@@ -35,16 +36,22 @@ RATIONALS = st.one_of(
     st.just(Fraction(0)),
     st.fractions(min_value=-5, max_value=5, max_denominator=4),
 )
+# numerators up to 10^12 and denominators up to 10^6: elimination then
+# meets large intermediate integers and large contents to divide out
+WIDE = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**6)),
+)
 
 
 @st.composite
-def matrices(draw, square=False):
+def matrices(draw, square=False, entries=RATIONALS):
     """Rational matrices with zero, duplicate and dependent rows mixed in
     among random ones, in random order."""
     cols = draw(st.integers(1, 5))
     nrows = cols if square else draw(st.integers(0, 6))
     rows = draw(st.lists(
-        st.lists(RATIONALS, min_size=cols, max_size=cols),
+        st.lists(entries, min_size=cols, max_size=cols),
         max_size=nrows,
     ))
     while len(rows) < nrows:
@@ -55,7 +62,7 @@ def matrices(draw, square=False):
             rows.append(list(draw(st.sampled_from(rows))))
         else:
             a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
-            c = draw(RATIONALS)
+            c = draw(entries)
             rows.append([x + c * y for x, y in zip(a, b)])
     return Matrix(draw(st.permutations(rows)), cols=cols)
 
@@ -144,6 +151,43 @@ def test_solve_unique_sets_free_variables_to_zero(m, data):
     assert list(m.apply(x)) == b
     _, pivots, _ = rref(m)
     assert all(x[c] == 0 for c in range(m.cols) if c not in pivots)
+
+
+@given(m=matrices(entries=WIDE), data=st.data())
+def test_elimination_invariants_hold_for_wide_entries(m, data):
+    test_rref_matches_sympy.hypothesis.inner_test(m)
+    test_rref_invariant_under_row_operations.hypothesis.inner_test(m, data)
+    test_echelon_tracks_transform_and_drops_dependent_rows.hypothesis.inner_test(m)
+    test_solve_unique_sets_free_variables_to_zero.hypothesis.inner_test(m, data)
+
+
+@given(m=matrices(square=True, entries=WIDE))
+def test_inverse_or_singular_for_wide_entries(m):
+    test_inverse_or_singular.hypothesis.inner_test(m)
+
+
+@given(m=st.one_of(matrices(), matrices(entries=WIDE)), data=st.data())
+def test_eliminate_gives_the_normal_form(m, data):
+    """_eliminate(v) is v - sum_k v[p_k] R_k for the reduced rows R_k with
+    pivots p_k, and v's pivot coordinates [v[p_k]], with or without a
+    transform; ``_Quotient.project`` reads the first at the free columns."""
+    if m.rows and data.draw(st.booleans()):
+        # a vector of the span, whose normal form is zero
+        cs = data.draw(st.lists(RATIONALS, min_size=m.rows, max_size=m.rows))
+        v = [sum((c * row[j] for c, row in zip(cs, m.data)), Fraction(0))
+             for j in range(m.cols)]
+    else:
+        entries = st.one_of(RATIONALS, WIDE)
+        v = data.draw(st.lists(entries, min_size=m.cols, max_size=m.cols))
+    red = ref_rref(m.data, m.cols)
+    pivots = [next(c for c, x in enumerate(row) if x != 0) for row in red]
+    want = list(v)
+    for p, row in zip(pivots, red):
+        want = [x - v[p] * y for x, y in zip(want, row)]
+    for track in (False, True):
+        t, coeffs = _Echelon(m.cols, m.data, track=track)._eliminate(v)
+        assert coeffs == [v[p] for p in pivots]
+        assert t == want
 
 
 def _stacked_kernel(maps, space):
