@@ -44,15 +44,16 @@ class GradedSpace:
     group: GroupSpec
     dims: tuple[tuple[GroupElement, int], ...]
 
+    def __post_init__(self):
+        # a plain attribute, not a field: never compared, hashed or shown
+        object.__setattr__(self, "_dim", dict(self.dims))
+
     @property
     def degrees(self) -> tuple[GroupElement, ...]:
         return tuple(g for g, _ in self.dims)
 
     def dim_of(self, g: GroupElement) -> int:
-        for h, n in self.dims:
-            if h == g:
-                return n
-        return 0
+        return self._dim.get(g, 0)
 
     @property
     def total_dim(self) -> int:

@@ -29,10 +29,14 @@ has zero diagonal, and for degree zero r(0, 0) = 1 cancels the diagonal
 of ab - ba).  Only then is ``nil_subspace_check`` run, to tell a failed
 hypothesis from a violated theorem.
 
-Kernels and restrictions reduce through ``linalg._Echelon``.  Both
-phases pass to quotients the same way: V/S is S's reduced echelon in V's
-coordinates (``_Quotient``), a map is induced on it from the normal forms
-of its own columns, and quotienting again adds rows to the echelon.
+Kernels and restrictions reduce through ``linalg._Echelon``, and both
+phases hold V/S as S's reduced echelon in V's coordinates
+(``_Quotient``), which quotienting again only adds rows to.  Phase 1
+works on the maps' sparse blocks in V's own coordinates and induces no
+map: the normal form modulo K_j is read at each free column c by a
+functional phi_c, and the rows phi_c N of the nil maps N give the next
+level.  Phase 2 induces the top maps on each factor's quotients from the
+normal forms of their columns.
 
 The flag itself is verified exactly in the end; a conclusion failing
 after its hypotheses were checked raises TheoremViolation.
@@ -43,7 +47,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .errors import (
     EmptySpace,
@@ -69,7 +72,6 @@ from .graded import (
     apply,
     flatten_map,
     flatten_vector,
-    graded_kernel,
     homogeneous_eigenvalues,
     make_map,
     make_space,
@@ -190,7 +192,7 @@ def common_annihilated_vector(
     _require_closed(L)
     if L.space.total_dim == 0:
         raise EmptySpace("the representation space is zero")
-    levels = _kernel_filtration(L.space, L.basis, [])
+    levels = _kernel_filtration(L.space, [_sparse_of(f) for f in L.basis], [])
     if check_hypotheses:
         levels = list(levels)
         if _filtration_dim(levels) < L.space.total_dim:
@@ -257,9 +259,80 @@ def _derived_coords(L: ColorAlgebra, series: list[Subspace]) -> list[tuple]:
     return [(g, v) for level in levels for g, v in level if ech.add_vector(g, v)]
 
 
-def _derived_chain(L: ColorAlgebra, series: list[Subspace]) -> list[HomogeneousMap]:
-    """The basis of ``_derived_coords`` as maps."""
-    return [L._element(g, v) for g, v in _derived_coords(L, series)]
+def _sparse_map(degree: GroupElement, columns: dict) -> tuple:
+    """A homogeneous map as (degree, blocks), from its columns given as
+    ``columns[h][j] = {i: x}``: the entry at row i of the target component
+    and column j of the component of degree h.  Each block is (h, target,
+    rows, cols), rows[i] and cols[j] the nonzero (index, entry) pairs of
+    its row i and column j, in component coordinates."""
+    blocks = []
+    for h, cs in columns.items():
+        rows: dict[int, list] = {}
+        cols = {}
+        for j, col in cs.items():
+            pairs = [(i, x) for i, x in col.items() if x]
+            if pairs:
+                cols[j] = pairs
+                for i, x in pairs:
+                    rows.setdefault(i, []).append((j, x))
+        if cols:
+            blocks.append((h, element_add(h, degree), rows, cols))
+    return degree, blocks
+
+
+def _sparse_of(f: HomogeneousMap) -> tuple:
+    """The sparse blocks of a map given by its dense blocks."""
+    columns: dict = {}
+    for h, b in f.blocks:
+        cs = columns[h] = {}
+        for i, row in enumerate(b.data):
+            for j, x in enumerate(row):
+                if x:
+                    cs.setdefault(j, {})[i] = x
+    return _sparse_map(f.degree, columns)
+
+
+def _sparse_elements(L: ColorAlgebra, coords) -> list[tuple]:
+    """The sparse blocks of the elements of L with the given (degree,
+    pivot coordinates): each combines the solver's sparse rows, the
+    flattened matrices of R_k, at its nonzero coordinates."""
+    n = L.space.total_dim
+    where = [(g, i) for g, m in L.space.dims for i in range(m)]
+    out = []
+    for degree, v in coords:
+        flat: dict[int, Fraction] = {}
+        for c, row in zip(v, L._solver.sparse_rows):
+            if c:
+                unit = c == 1
+                for i, y in row:
+                    if not unit:
+                        y = c * y
+                    flat[i] = flat[i] + y if i in flat else y
+        columns: dict = {}
+        for i, x in flat.items():
+            (h, j), (_, k) = where[i % n], where[i // n]
+            columns.setdefault(h, {}).setdefault(j, {})[k] = x
+        out.append(_sparse_map(degree, columns))
+    return out
+
+
+def _sparse_ads(L: ColorAlgebra, coords) -> list[tuple]:
+    """The sparse blocks of ad x on the profile space, in pivot
+    coordinates, for each (degree, pivot coordinates) x, read off the
+    structure-constant table as ``ColorAlgebra._ad`` does."""
+    table = L._structure()
+    deg, pos = L._degrees, L._pos
+    out = []
+    for degree, x in coords:
+        columns: dict = {}
+        for a, row in zip(x, table):
+            if a:
+                for j, e in row.items():
+                    col = columns.setdefault(deg[j], {}).setdefault(pos[j], {})
+                    for k, c in e:
+                        col[pos[k]] = col.get(pos[k], _ZERO) + a * c
+        out.append(_sparse_map(degree, columns))
+    return out
 
 
 def codim_one_ideal(
@@ -349,8 +422,8 @@ class _Quotient:
     coordinates, one ``_Echelon`` per degree.
 
     The free (non-pivot) columns are the quotient's coordinates: a vector
-    projects to its normal form modulo S read at them, and lifts by
-    inclusion.  Quotienting V/S again by T/S adds T/S's lifted rows: T's
+    projects to its normal form modulo S read at them, by one functional
+    per free column, and lifts by inclusion.  Quotienting V/S again by T/S adds T/S's lifted rows: T's
     reduced echelon leads at the union of the pivots of S and T/S, and
     the normal form modulo T is the composite of the two projections, so
     the result is V/T in the same coordinates.
@@ -370,11 +443,27 @@ class _Quotient:
         self.free = {g: part.free() for g, part in self.parts.items()}
         dims = {g: len(cs) for g, cs in self.free.items() if cs}
         self.space = make_space(self.ambient.group, dims)
+        self._phis: dict = {}
 
     def project(self, g, vec) -> tuple[Fraction, ...]:
         """vec's normal form modulo S, read at the free columns."""
-        t = self.parts[g]._eliminate(vec)[0]
-        return tuple(t[c] for c in self.free[g])
+        return tuple(
+            sum((a * vec[r] for r, a in phi if vec[r]), _ZERO)
+            for phi in self.functionals(g)
+        )
+
+    def functionals(self, g) -> list[list]:
+        """phi_c = e_c - sum_p R_p[c] e_p for each free column c of degree
+        g, as sparse (index, entry) pairs: the normal form of v read at c
+        is phi_c . v."""
+        if g not in self._phis:
+            part = self.parts[g]
+            phis = {c: [(c, _ONE)] for c in self.free[g]}
+            for p, row in zip(part.pivots, part.sparse_rows):
+                for c, x in row[1:]:  # past the pivot's 1
+                    phis[c].append((p, -x))
+            self._phis[g] = list(phis.values())
+        return self._phis[g]
 
     def lift(self, g, comp) -> list[Fraction]:
         at = dict(zip(self.free[g], comp))
@@ -395,36 +484,106 @@ class _Quotient:
 
 def _lift(space: GradedSpace, basis: dict, d, comp) -> GradedVector:
     """sum_j comp[j] basis[d][j], a vector of V."""
-    rows = zip(*basis[d])
-    return _vector(space, {d: [sum(map(mul, comp, row)) for row in rows]})
+    out = [_ZERO] * space.dim_of(d)
+    for c, v in zip(comp, basis[d]):
+        if c:
+            for i, x in enumerate(v):
+                if x:
+                    out[i] += c * x
+    return _vector(space, {d: out})
+
+
+def _level_rows(q: _Quotient, free: list[int], blocks):
+    """The rows phi_c . N read at ``free``, for each (target, rows) block
+    N and each functional phi_c of its target: row c of the map N
+    induces on V/K_j."""
+    at = {c: i for i, c in enumerate(free)}
+    for t, rows in blocks:
+        for phi in q.functionals(t):
+            out = None  # until phi meets a row of N at a free column
+            for r, a in phi:
+                for j, x in rows.get(r, ()):
+                    i = at.get(j)
+                    if i is not None:
+                        if out is None:
+                            out = [_ZERO] * len(free)
+                        out[i] += a * x
+            if out is not None:
+                yield out
+
+
+def _restrict(f, q: _Quotient, basis: dict, kernels: dict, space: GradedSpace):
+    """The sparse map f restricted to a level of the filtration of V/K_j
+    (``q``), whose ``basis`` holds sparse vectors of V per degree.  The
+    image of each basis vector is taken to V/K_j and must be orthogonal
+    to that degree's rows in ``kernels``; its coordinates in the level's
+    basis are then its entries at their free columns."""
+    degree, blocks = f
+    out = {}
+    for h, t, _, cols in blocks:
+        if h not in basis or t not in kernels:
+            continue
+        ech = kernels[t]
+        free = ech.free()
+        columns = []
+        for w in basis[h]:
+            y = [_ZERO] * q.ambient.dim_of(t)
+            for j, a in w:
+                for i, x in cols.get(j, ()):
+                    y[i] += a * x
+            img = q.project(t, y)
+            if any(img) and any(
+                sum(x * img[i] for i, x in row) for row in ech.sparse_rows
+            ):
+                raise TheoremViolation("a kernel level of an ideal is not invariant")
+            columns.append([img[c] for c in free])
+        if free:
+            out[h] = Matrix._raw(tuple(zip(*columns)), len(columns))
+    return _map(space, degree, out)
 
 
 def _kernel_filtration(space: GradedSpace, nil, top):
     """Phase 1 (Engel): the levels K_1 < K_2 < ... of V, each K_{j+1}/K_j
     the common graded kernel of ``nil`` on V/K_j, lazily.
 
-    Each level is yielded as its factor space, the ``top`` maps restricted
-    to it and its basis, per degree, as vectors of V.  V/K_j is one
-    ``_Quotient``, and the maps on it are induced from the given ones.
+    The maps are sparse blocks (``_sparse_map``) and are never induced.
+    V/K_j is one ``_Quotient``: with R_p the reduced rows of K_j, the
+    functional phi_c = e_c - sum_p R_p[c] e_p reads the normal form at
+    its free column c, so row c of the map a block N induces on V/K_j
+    is phi_c N at the free columns.  Those rows go, per source degree,
+    into one ``_Echelon``, which stops at full rank, and the kernel is
+    read off it.  Each level is yielded as its factor space, the ``top``
+    maps restricted to it (``_restrict``, which applies them to its basis
+    and takes one normal form per image) and its basis, per degree, as
+    vectors of V.
     ``nil`` must span an ideal of the algebra the maps come from, so
     every level is invariant; the levels stop at V or at the first empty
     kernel.
     """
+    by_source: dict = {}
+    for _, blocks in nil:
+        for h, t, rows, _ in blocks:
+            by_source.setdefault(h, []).append((t, rows))
     q = _Quotient(space)
     while q.space.total_dim > 0:
-        bases: dict = {}
-        for v in graded_kernel([q.induce(f) for f in nil], space=q.space):
-            g, comp = v.components[0]
-            bases.setdefault(g, []).append(comp)
-        if not bases:
+        kernels = {}
+        for h, free in q.free.items():
+            if free:
+                ech = kernels[h] = _Echelon(len(free))
+                for row in _level_rows(q, free, by_source.get(h, ())):
+                    if ech.add(row) and len(ech.pivots) == len(free):
+                        break
+        rows, sparse = {}, {}
+        for h, ech in kernels.items():
+            ks = ech.kernel()
+            if ks:
+                free = q.free[h]
+                rows[h] = [q.lift(h, k) for k in ks]
+                sparse[h] = [[(free[i], x) for i, x in enumerate(k) if x] for k in ks]
+        if not rows:
             return
-        w = _EmbeddedSubspace(q.space, bases)
-        try:
-            top_res = [w.restrict(q.induce(f)) for f in top]
-        except _NotInvariant:
-            raise TheoremViolation("a kernel level of an ideal is not invariant")
-        rows = {g: [q.lift(g, v) for v in vs] for g, vs in w.bases.items()}
-        yield w.space, top_res, rows
+        level = make_space(space.group, {h: len(vs) for h, vs in rows.items()})
+        yield level, [_restrict(f, q, sparse, kernels, level) for f in top], rows
         q.add(rows)
 
 
@@ -508,16 +667,17 @@ def _check_triangularization_hypotheses(L: ColorAlgebra) -> list[Subspace]:
     return _check_solvable(L)
 
 
-def _stall(series, nil, depth, strict, nil_policy, seed):
-    """Raise for a kernel filtration of ``nil``, spanning [L, L] as it
-    acts, that stopped at dimension ``depth`` below the space.  No
-    homogeneous flag exists then (see the module docstring); with the
-    hypotheses checked, the nil check tells a non-nil component of
-    [L, L] (HypothesisFailed) from a bug."""
+def _stall(series, nil_maps, depth, strict, nil_policy, seed):
+    """Raise for a kernel filtration of maps spanning [L, L] as it acts,
+    built by ``nil_maps`` as ``HomogeneousMap``s, that stopped at
+    dimension ``depth`` below the space.  No homogeneous flag exists then
+    (see the module docstring); with the hypotheses checked, the nil
+    check tells a non-nil component of [L, L] (HypothesisFailed) from a
+    bug."""
     if series[-1].dim != 0:
         err = NotSolvable("algebra is not solvable")
     elif strict:
-        _check_nil_components(nil, "derived subalgebra", nil_policy, seed)
+        _check_nil_components(nil_maps(), "derived subalgebra", nil_policy, seed)
         err = TheoremViolation(
             "derived subalgebra with nil components does not act nilpotently"
         )
@@ -530,13 +690,15 @@ def _stall(series, nil, depth, strict, nil_policy, seed):
     raise err
 
 
-def _engel_phase(space, nil, top, series, strict, nil_policy, seed) -> list:
+def _engel_phase(space, nil, top, series, strict, nil_policy, seed,
+                 nil_maps) -> list:
     """The whole kernel filtration of ``nil`` (spanning [L, L] as it acts
-    on ``space``), or the stall error; ``series`` is L's derived series."""
+    on ``space``), or the stall error; ``series`` is L's derived series
+    and ``nil_maps`` builds ``nil`` as maps for the stall's nil check."""
     levels = list(_kernel_filtration(space, nil, top))
     depth = _filtration_dim(levels)
     if depth < space.total_dim:
-        _stall(series, nil, depth, strict, nil_policy, seed)
+        _stall(series, nil_maps, depth, strict, nil_policy, seed)
     return levels
 
 
@@ -564,17 +726,19 @@ def common_homogeneous_eigenvector(
         series = derived_series(L)
     if series[-1].dim != 0:
         raise NotSolvable("algebra is not solvable")
-    chain = _derived_chain(L, series)
+    coords = _derived_coords(L, series)
+    chain = _sparse_elements(L, coords)
     k = _derived(series).dim
     if check_hypotheses:
         levels = _engel_phase(
-            L.space, chain[:k], chain[k:], series, True, nil_policy, seed
+            L.space, chain[:k], chain[k:], series, True, nil_policy, seed,
+            lambda: [L._element(g, v) for g, v in coords[:k]],
         )
     else:
         levels = _kernel_filtration(L.space, chain[:k], chain[k:])
     first = next(iter(levels), None)
     if first is None:
-        _stall(series, chain[:k], 0, False, nil_policy, seed)
+        _stall(series, None, 0, False, nil_policy, seed)
     space, top, basis = first
     v = _chain_eigenvector(space, top, strict=check_hypotheses)
     d = v.degree()
@@ -617,10 +781,12 @@ def color_flag(
         series = derived_series(L)
     if L.space.total_dim == 0:
         raise EmptySpace("the representation space is zero")
-    chain = _derived_chain(L, series)
+    coords = _derived_coords(L, series)
+    chain = _sparse_elements(L, coords)
     k = _derived(series).dim
     levels = _engel_phase(
-        L.space, chain[:k], chain[k:], series, check_hypotheses, nil_policy, seed
+        L.space, chain[:k], chain[k:], series, check_hypotheses, nil_policy, seed,
+        lambda: [L._element(g, v) for g, v in coords[:k]],
     )
     vectors, mats = _lie_phase(
         L.space, levels, [flatten_map(b) for b in L.basis], check_hypotheses
@@ -702,19 +868,23 @@ def ideal_chain(
         if not L.space.group.is_torsion_free():
             raise TorsionGrading("grading group has torsion")
         series = _check_solvable(L)
+        derived = _derived(series)
+        nil = _sparse_elements(L, derived._ech.vectors())
         _engel_phase(
-            L.space, _derived(series).elements(), [], series, True, nil_policy, seed
+            L.space, nil, [], series, True, nil_policy, seed, derived.elements
         )
     else:
         series = derived_series(L)
     if L.dim == 0:
         return IdealChain((Subspace(L, []),))
 
-    ads = [L._ad(g, v) for g, v in _derived_coords(L, series)]
+    coords = _derived_coords(L, series)
+    ads = _sparse_ads(L, coords)
     k = _derived(series).dim
     profile = L.profile_space()
     levels = _engel_phase(
-        profile, ads[:k], ads[k:], series, check_hypotheses, nil_policy, seed
+        profile, ads[:k], ads[k:], series, check_hypotheses, nil_policy, seed,
+        lambda: [L._ad(g, v) for g, v in coords[:k]],
     )
     certify = [flatten_map(L._ad(g, L._unit(i))) for i, g in enumerate(L._degrees)]
     vectors, _ = _lie_phase(profile, levels, certify, check_hypotheses)

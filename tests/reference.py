@@ -13,6 +13,9 @@ bases as maps, to be compared with ``Subspace.elements``.
 
 ``ref_traces_vanish`` is the pointwise nilpotency test by trace powers,
 the oracle for ``linalg._nilpotent_at``.
+
+``ref_kernel_filtration`` is the kernel filtration by induced maps, the
+oracle for ``structure._kernel_filtration``.
 """
 
 from __future__ import annotations
@@ -21,12 +24,15 @@ from fractions import Fraction
 
 from colorlie import (
     Matrix,
+    TheoremViolation,
     center,
     color_bracket,
     derived_series,
     eval_bicharacter,
     flatten_map,
     lower_central_series,
+    make_map,
+    make_space,
     unflatten_map,
 )
 from colorlie.algebra import _flat, _sparse, _sparse_bracket
@@ -209,3 +215,88 @@ def assert_series_and_center_match(L):
     assert [s.elements() for s in derived_series(L)] == ref_derived_series(L)
     assert [s.elements() for s in lower_central_series(L)] == ref_lower_central_series(L)
     assert center(L).elements() == ref_center(L)
+
+
+def ref_kernel_filtration(space, nil, top) -> list[tuple]:
+    """The levels K_1 < K_2 < ... of the common kernel filtration of the
+    maps ``nil``, as (factor space, ``top`` restricted to the factor,
+    factor basis per degree as vectors of V), by induced maps on dense
+    blocks: V/K_j in the free columns of K_j's reduced echelon form
+    (``ref_rref``), every map induced on it from the normal forms of its
+    own columns, the common kernel of the induced ``nil`` maps per degree
+    (``ref_kernel``), and each induced ``top`` map solved column by
+    column in the kernel's basis.  Stops at V or at the first empty
+    kernel; an image outside the level raises TheoremViolation."""
+    kept = {g: [] for g in space.degrees}
+    levels = []
+    while True:
+        free, normal = {}, {}
+        for g, n in space.dims:
+            red = ref_rref(kept[g], n)
+            pivots = [next(c for c, x in enumerate(row) if x != 0) for row in red]
+            free[g] = [c for c in range(n) if c not in pivots]
+            normal[g] = (pivots, red)
+
+        def project(g, v):
+            pivots, red = normal[g]
+            for p, row in zip(pivots, red):
+                c = v[p]
+                v = [x - c * y for x, y in zip(v, row)]
+            return [v[c] for c in free[g]]
+
+        def induced(f, h):
+            # rows indexed by the free columns of the target, columns by
+            # those of h; None when the block is zero
+            t = h + f.degree
+            if not space.dim_of(t) or not any(g == h for g, _ in f.blocks):
+                return None
+            data = f.block(h).data
+            images = [project(t, [row[c] for row in data]) for c in free[h]]
+            return [list(r) for r in zip(*images)] if images else []
+
+        bases = {}
+        for h, n in space.dims:
+            if free[h]:
+                rows = [r for f in nil for r in (induced(f, h) or [])]
+                kernel = ref_kernel(rows, len(free[h]))
+                if kernel:
+                    bases[h] = kernel
+        if not bases:
+            return levels
+        level = make_space(space.group, {h: len(ks) for h, ks in bases.items()})
+        restricted = []
+        for f in top:
+            blocks = {}
+            for h, ks in bases.items():
+                b = induced(f, h)
+                if b is None:
+                    continue
+                cols = [_solve(bases.get(h + f.degree, []), [
+                    sum((x * k for x, k in zip(row, kv)), Fraction(0)) for row in b
+                ]) for kv in ks]
+                if level.dim_of(h + f.degree):
+                    blocks[h] = Matrix.from_columns(cols, rows=level.dim_of(h + f.degree))
+            restricted.append(make_map(level, f.degree, blocks))
+        rows = {}
+        for h, ks in bases.items():
+            rows[h] = []
+            for kv in ks:
+                at = dict(zip(free[h], kv))
+                rows[h].append([at.get(c, Fraction(0)) for c in range(space.dim_of(h))])
+            kept[h] += rows[h]
+        levels.append((level, restricted, rows))
+
+
+def _solve(basis, img) -> list[Fraction]:
+    """Coordinates of img in the independent vectors ``basis``, by the
+    reduced echelon form of the augmented system; TheoremViolation when
+    img lies outside their span."""
+    m = len(basis)
+    system = [[k[i] for k in basis] + [x] for i, x in enumerate(img)]
+    x = [Fraction(0)] * m
+    for row in ref_rref(system, m + 1):
+        p = next(c for c, v in enumerate(row) if v != 0)
+        if p == m:
+            raise TheoremViolation("a kernel level of an ideal is not invariant")
+        x[p] = row[m]
+    return x

@@ -501,9 +501,9 @@ def test_flag_not_solvable_skip_hypotheses():
 
 
 def _assert_derived_chain(L):
-    from colorlie.structure import _derived_chain
+    from colorlie.structure import _derived_coords
 
-    chain = _derived_chain(L, derived_series(L))
+    chain = [L._element(g, v) for g, v in _derived_coords(L, derived_series(L))]
     assert len(chain) == L.dim
     assert Subspace(L, chain).dim == L.dim
     for b in chain:
@@ -932,9 +932,9 @@ def test_stall_runs_point_check_with_given_policy(monkeypatch):
 def _levels_in_v(L):
     """K_1 < K_2 < ... of the kernel filtration of [L, L], as lists of
     flattened vectors of V."""
-    from colorlie.structure import _derived, _kernel_filtration, _lift
+    from colorlie.structure import _derived, _kernel_filtration, _lift, _sparse_of
 
-    nil = _derived(derived_series(L)).elements()
+    nil = [_sparse_of(f) for f in _derived(derived_series(L)).elements()]
     out, acc = [], []
     for space, top, basis in _kernel_filtration(L.space, nil, []):
         assert top == []
@@ -994,6 +994,97 @@ def test_kernel_filtration_properties():
     _assert_filtration(
         bracket_closure(problem.space, problem.bicharacter, problem.generators)
     )
+
+
+def _normal(sparse):
+    """A sparse map with its blocks and their pairs in a fixed order."""
+    degree, blocks = sparse
+    return degree, sorted(
+        ((h, t, {i: sorted(p) for i, p in rows.items()},
+          {j: sorted(p) for j, p in cols.items()}) for h, t, rows, cols in blocks),
+        key=lambda b: b[0].sort_key(),
+    )
+
+
+def _assert_filtration_matches_reference(space, maps, sparse, k):
+    # the first k maps drive the filtration, the rest are restricted
+    from reference import ref_kernel_filtration
+    from colorlie.structure import _kernel_filtration, _sparse_of
+
+    assert [_normal(x) for x in sparse] == [_normal(_sparse_of(f)) for f in maps]
+    got = list(_kernel_filtration(space, sparse[:k], sparse[k:]))
+    want = ref_kernel_filtration(space, maps[:k], maps[k:])
+    assert [(s, t, list(r.items())) for s, t, r in got] == [
+        (s, t, list(r.items())) for s, t, r in want
+    ]
+    assert sum(s.total_dim for s, _, _ in got) == space.total_dim
+
+
+def test_kernel_filtration_matches_induced_map_reference():
+    # factor spaces, restricted top maps and bases per level equal those
+    # of the filtration by induced maps, on V for the chain of color_flag
+    # and on L for the adjoint chain of ideal_chain
+    from colorlie.structure import (
+        _derived, _derived_coords, _sparse_ads, _sparse_elements, _sparse_of,
+    )
+
+    rng = random.Random(113)
+    algebras = [
+        random_solvable_instance(rng, group, r)
+        for _, group, r in torsion_free_configs() for _ in range(4)
+    ]
+    algebras += [
+        _borel(n, grading)
+        for n in (2, 3, 4, 5) for grading in ("plain", "z", "zsuper", "z2")
+    ]
+    for L in algebras:
+        series = derived_series(L)
+        coords = _derived_coords(L, series)
+        k = _derived(series).dim
+        _assert_filtration_matches_reference(
+            L.space, [L._element(g, v) for g, v in coords],
+            _sparse_elements(L, coords), k,
+        )
+        _assert_filtration_matches_reference(
+            L.profile_space(), [L._ad(g, v) for g, v in coords],
+            _sparse_ads(L, coords), k,
+        )
+        # elements with several nonzero coordinates per degree
+        mixed = [
+            (g, [Fraction(rng.randint(-2, 2)) if d == g else Fraction(0)
+                 for d in L._degrees])
+            for g in L.degrees()
+        ]
+        for sparse, dense in ((_sparse_elements, L._element), (_sparse_ads, L._ad)):
+            assert [_normal(x) for x in sparse(L, mixed)] == [
+                _normal(_sparse_of(dense(g, v))) for g, v in mixed
+            ]
+
+
+def test_kernel_filtration_rejects_non_invariant_level():
+    # E_12 kills only e_1, which E_21 moves out of the level; graded, the
+    # shift V_1 -> V_0 kills only V_0, which the shift back moves to a
+    # degree where the level has no component
+    from reference import ref_kernel_filtration
+    from colorlie import TheoremViolation
+    from colorlie.structure import _kernel_filtration, _sparse_of
+
+    v = gl(2)
+    z = make_group(1, [])
+    z0, z1 = z.element([0]), z.element([1])
+    w = make_space(z, {z0: 1, z1: 1})
+    cases = [
+        (v, unit_map(v, 0, 1), unit_map(v, 1, 0)),
+        (w, make_map(w, z.element([-1]), {z1: [[1]]}), make_map(w, z1, {z0: [[1]]})),
+    ]
+    for space, nil, top in cases:
+        with pytest.raises(TheoremViolation, match="kernel level of an ideal"):
+            list(_kernel_filtration(space, [_sparse_of(nil)], [_sparse_of(top)]))
+        with pytest.raises(TheoremViolation, match="kernel level of an ideal"):
+            ref_kernel_filtration(space, [nil], [top])
+        # without the top map the filtration reaches V in two levels
+        levels = list(_kernel_filtration(space, [_sparse_of(nil)], []))
+        assert [s.total_dim for s, _, _ in levels] == [1, 1]
 
 
 def test_filtration_stall_depth_skip_hypotheses():
