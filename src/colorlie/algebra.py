@@ -468,32 +468,47 @@ def _require_closed(L: ColorAlgebra):
         raise NotClosed("operation requires a bracket-closed algebra")
 
 
+def _square(L: ColorAlgebra) -> Subspace:
+    """[L, L], read off the table: the span of its entries [R_i, R_j]
+    with i <= j, which span every [R_j, R_i] by skew symmetry."""
+    out = Subspace(L, ())
+    degrees = L._degrees
+    for i, row in enumerate(L._structure()):
+        for j, e in row.items():
+            if j >= i:
+                v = [_ZERO] * len(degrees)
+                for k, c in e:
+                    v[k] = c
+                out._ech.add_vector(element_add(degrees[i], degrees[j]), v)
+    return out
+
+
 def derived_series(L: ColorAlgebra) -> list[Subspace]:
-    """L, [L,L], [[L,L],[L,L]], ... until the terms stabilize."""
+    """L, [L,L], [[L,L],[L,L]], ... until the terms stabilize; [L, L]
+    comes straight off the table (``_square``)."""
     _require_closed(L)
     series = [full_subspace(L)]
-    while True:
-        nxt = bracket_subspaces(series[-1], series[-1])
-        if nxt.dim == series[-1].dim:
-            break
+    nxt = _square(L)
+    while nxt.dim != series[-1].dim:
         series.append(nxt)
         if nxt.dim == 0:
             break
+        nxt = bracket_subspaces(nxt, nxt)
     return series
 
 
 def lower_central_series(L: ColorAlgebra) -> list[Subspace]:
-    """L, [L,L], [L,[L,L]], ... until the terms stabilize."""
+    """L, [L,L], [L,[L,L]], ... until the terms stabilize; [L, L] comes
+    straight off the table (``_square``)."""
     _require_closed(L)
     top = full_subspace(L)
     series = [top]
-    while True:
-        nxt = bracket_subspaces(top, series[-1])
-        if nxt.dim == series[-1].dim:
-            break
+    nxt = _square(L)
+    while nxt.dim != series[-1].dim:
         series.append(nxt)
         if nxt.dim == 0:
             break
+        nxt = bracket_subspaces(top, nxt)
     return series
 
 

@@ -291,17 +291,6 @@ class _Echelon:
             _sub(r, r[p] // row[p], row)
         return m * d, r, (None if hits else nz)
 
-    def _eliminate(self, vec) -> tuple[list[Fraction], list[Fraction]]:
-        """vec reduced by the rows, and its pivot coordinates: every row
-        vanishes at the other rows' pivots, so reducing by the rows in
-        turn leaves the pivot entries as they are."""
-        t = list(vec)
-        coeffs = [t[p] for p in self.pivots]
-        if any(coeffs):
-            s, r, _ = self._reduced(t)
-            t = [Fraction(r[i], s) if i in r else _ZERO for i in range(self.width)]
-        return t, coeffs
-
     def reduce(self, vec) -> list[Fraction] | None:
         """Pivot coordinates of vec, its entries at the pivot columns, or
         None when it lies outside the span."""

@@ -31,15 +31,22 @@ hypothesis from a violated theorem.
 
 Kernels and restrictions reduce through ``linalg._Echelon``, and both
 phases hold V/S as S's reduced echelon in V's coordinates
-(``_Quotient``), which quotienting again only adds rows to.  Phase 1
-works on the maps' sparse blocks in V's own coordinates and induces no
-map: the normal form modulo K_j is read at each free column c by a
-functional phi_c, and the rows phi_c N of the nil maps N give the next
-level.  Phase 2 induces the top maps on each factor's quotients from the
-normal forms of their columns.
+(``_Quotient``), which quotienting again only adds rows to.  Neither
+phase induces a map; both work on the maps' sparse blocks.  Phase 1
+reads the normal form modulo K_j at each free column c by a functional
+phi_c, and the rows phi_c N of the nil maps N give the next level.
+Phase 2 restricts each top map to the current W alone: W's basis is
+lifted, mapped by the map's sparse columns and projected back.  The
+eigenvalue of a degree-zero map is searched for one diagonal block at a
+time, and only until one is found; once W is a line the later maps are
+only checked to leave it invariant, and a 1-dimensional factor is its
+own line.
 
-The flag itself is verified exactly in the end; a conclusion failing
-after its hypotheses were checked raises TheoremViolation.
+The flag itself is verified exactly in the end, with no n x n product:
+for every map M and flag vector t_j, T^-1 (M t_j) is formed from sparse
+columns of T^-1 and must vanish below j, and its entry at j is M's
+weight.  A conclusion failing after its hypotheses were checked raises
+TheoremViolation.
 """
 
 from __future__ import annotations
@@ -72,7 +79,6 @@ from .graded import (
     apply,
     flatten_map,
     flatten_vector,
-    homogeneous_eigenvalues,
     make_map,
     make_space,
     nilpotent_by_grading,
@@ -96,9 +102,9 @@ from .linalg import (
     Matrix,
     Poly,
     _Echelon,
+    _sparse,
     char_poly,
     frac,
-    inverse,
     kernel_basis,
     nil_subspace_check,
     rational_roots,
@@ -362,59 +368,80 @@ class _NotInvariant(Exception):
 
 
 class _EmbeddedSubspace:
-    """Graded subspace of V presented by per-degree coordinate bases,
-    with exact restriction of invariant maps to subspace coordinates.
+    """Graded subspace W of a quotient F/S (``_Quotient``; S may be 0),
+    presented by per-degree bases in the quotient's coordinates, with
+    exact restriction of sparse maps on F that leave S and W invariant.
     Each component's basis is independent, so coordinates are unique and
     one solver per component, eliminated once, serves every column."""
 
-    def __init__(self, ambient: GradedSpace, bases: dict):
-        self.ambient = ambient
+    def __init__(self, q: _Quotient, bases: dict):
+        self.q = q
         self.bases = {g: list(vs) for g, vs in bases.items() if vs}
         dims = {g: len(vs) for g, vs in self.bases.items()}
-        self.space = make_space(ambient.group, dims)
-        self.embed = {
-            g: Matrix.from_columns(vs, rows=ambient.dim_of(g))
-            for g, vs in self.bases.items()
-        }
+        self.space = make_space(q.ambient.group, dims)
         self.solvers = {
-            g: _Echelon(ambient.dim_of(g), vs, track=True)
+            g: _Echelon(len(q.free[g]), vs, track=True)
             for g, vs in self.bases.items()
         }
 
-    def restrict(self, f: HomogeneousMap) -> HomogeneousMap:
-        blocks = {}
-        for g in self.space.degrees:
-            src = self.embed[g]
-            target = element_add(g, f.degree)
-            w_t = self.space.dim_of(target)
-            amb_block = f.block(g)
-            cols = []
-            for j in range(src.cols):
-                img = amb_block.apply(tuple(src.data[i][j] for i in range(src.rows)))
-                if w_t == 0:
-                    if any(x != 0 for x in img):
+    def restrict(self, f) -> HomogeneousMap:
+        """The sparse map f (``_sparse_map``) on F, induced on F/S and
+        restricted to W: each basis vector of W is lifted to F, mapped by
+        f's sparse columns and projected back, and its image must lie in
+        W (else _NotInvariant); its coordinates in W's basis are the
+        column.  No map is induced on the whole quotient."""
+        degree, blocks = f
+        q = self.q
+        out = {}
+        for h, t, _, cols in blocks:
+            if h not in self.bases:
+                continue
+            solver = self.solvers.get(t)
+            columns = []
+            for w in self.bases[h]:
+                y = [_ZERO] * q.ambient.dim_of(t)
+                for c, a in zip(q.free[h], w):
+                    if a:
+                        for i, x in cols.get(c, ()):
+                            y[i] += a * x
+                img = q.project(t, y)
+                if solver is None:
+                    if any(img):
                         raise _NotInvariant
                     continue
-                solver = self.solvers[target]
                 coords = solver.reduce(img)
                 if coords is None:
                     raise _NotInvariant
-                cols.append(solver.to_basis(coords))
-            if w_t > 0 and cols:
-                blocks[g] = Matrix.from_columns(cols, rows=w_t)
-        return _map(self.space, f.degree, blocks)
+                columns.append(solver.to_basis(coords))
+            if columns:
+                out[h] = Matrix._raw(tuple(zip(*columns)), len(columns))
+        return _map(self.space, degree, out)
 
-    def eigenspace(self, f_res: HomogeneousMap, lam: Fraction) -> "_EmbeddedSubspace":
+    def eigenspace(self, f_res: HomogeneousMap, lam: Fraction) -> _EmbeddedSubspace:
         """Vectors w with f w = lam w, given f's restriction f_res to this
         subspace; a map of nonzero degree is only asked for its kernel.
         Every component is narrowed, so a joint weight space stays one."""
         bases = {}
         for g in self.space.degrees:
             m = f_res.block(g)
+            rows = m.data
             if f_res.degree.is_zero():
-                m = m - Matrix.identity(m.cols).scale(lam)
-            bases[g] = [self.embed[g].apply(k) for k in kernel_basis(m)]
-        return _EmbeddedSubspace(self.ambient, bases)
+                rows = [
+                    [x - lam if i == j else x for j, x in enumerate(row)]
+                    for i, row in enumerate(rows)
+                ]
+            vs = self.bases[g]
+            width = len(self.q.free[g])
+            bases[g] = [_combine(vs, k, width) for k in _Echelon(m.cols, rows).kernel()]
+        return _EmbeddedSubspace(self.q, bases)
+
+    @staticmethod
+    def whole(q: _Quotient) -> _EmbeddedSubspace:
+        """W = F/S, in the standard basis."""
+        return _EmbeddedSubspace(q, {
+            g: [tuple(_ONE if i == j else _ZERO for i in range(n)) for j in range(n)]
+            for g, n in q.space.dims
+        })
 
 
 class _Quotient:
@@ -469,28 +496,21 @@ class _Quotient:
         at = dict(zip(self.free[g], comp))
         return [at.get(c, _ZERO) for c in range(self.ambient.dim_of(g))]
 
-    def induce(self, f: HomogeneousMap) -> HomogeneousMap:
-        """The map f induces on V/S (S must be f-invariant): the column at
-        each free column c is the projection of f's own column c."""
-        blocks = {}
-        for h, b in f.blocks:
-            target = element_add(h, f.degree)
-            if self.free[h] and self.free[target]:
-                cols = list(zip(*b.data))
-                images = [self.project(target, cols[c]) for c in self.free[h]]
-                blocks[h] = Matrix._raw(tuple(zip(*images)), len(images))
-        return _map(self.space, f.degree, blocks)
 
-
-def _lift(space: GradedSpace, basis: dict, d, comp) -> GradedVector:
-    """sum_j comp[j] basis[d][j], a vector of V."""
-    out = [_ZERO] * space.dim_of(d)
-    for c, v in zip(comp, basis[d]):
+def _combine(vectors, coeffs, width: int) -> list[Fraction]:
+    """sum_j coeffs[j] vectors[j], for vectors of the given width."""
+    out = [_ZERO] * width
+    for c, v in zip(coeffs, vectors):
         if c:
             for i, x in enumerate(v):
                 if x:
                     out[i] += c * x
-    return _vector(space, {d: out})
+    return out
+
+
+def _lift(space: GradedSpace, basis: dict, d, comp) -> GradedVector:
+    """sum_j comp[j] basis[d][j], a vector of V."""
+    return _vector(space, {d: _combine(basis[d], comp, space.dim_of(d))})
 
 
 def _level_rows(q: _Quotient, free: list[int], blocks):
@@ -512,21 +532,22 @@ def _level_rows(q: _Quotient, free: list[int], blocks):
                 yield out
 
 
-def _restrict(f, q: _Quotient, basis: dict, kernels: dict, space: GradedSpace):
+def _restrict(f, q: _Quotient, basis: dict, kernels: dict):
     """The sparse map f restricted to a level of the filtration of V/K_j
-    (``q``), whose ``basis`` holds sparse vectors of V per degree.  The
-    image of each basis vector is taken to V/K_j and must be orthogonal
-    to that degree's rows in ``kernels``; its coordinates in the level's
-    basis are then its entries at their free columns."""
+    (``q``), whose ``basis`` holds sparse vectors of V per degree, as a
+    sparse map on the level.  The image of each basis vector is taken to
+    V/K_j and must be orthogonal to that degree's rows in ``kernels``;
+    its coordinates in the level's basis are then its entries at their
+    free columns."""
     degree, blocks = f
-    out = {}
+    columns: dict = {}
     for h, t, _, cols in blocks:
         if h not in basis or t not in kernels:
             continue
         ech = kernels[t]
         free = ech.free()
-        columns = []
-        for w in basis[h]:
+        out = columns[h] = {}
+        for k, w in enumerate(basis[h]):
             y = [_ZERO] * q.ambient.dim_of(t)
             for j, a in w:
                 for i, x in cols.get(j, ()):
@@ -536,10 +557,8 @@ def _restrict(f, q: _Quotient, basis: dict, kernels: dict, space: GradedSpace):
                 sum(x * img[i] for i, x in row) for row in ech.sparse_rows
             ):
                 raise TheoremViolation("a kernel level of an ideal is not invariant")
-            columns.append([img[c] for c in free])
-        if free:
-            out[h] = Matrix._raw(tuple(zip(*columns)), len(columns))
-    return _map(space, degree, out)
+            out[k] = {i: img[c] for i, c in enumerate(free)}
+    return _sparse_map(degree, columns)
 
 
 def _kernel_filtration(space: GradedSpace, nil, top):
@@ -553,9 +572,9 @@ def _kernel_filtration(space: GradedSpace, nil, top):
     is phi_c N at the free columns.  Those rows go, per source degree,
     into one ``_Echelon``, which stops at full rank, and the kernel is
     read off it.  Each level is yielded as its factor space, the ``top``
-    maps restricted to it (``_restrict``, which applies them to its basis
-    and takes one normal form per image) and its basis, per degree, as
-    vectors of V.
+    maps restricted to it as sparse maps (``_restrict``, which applies
+    them to its basis and takes one normal form per image) and its basis,
+    per degree, as vectors of V.
     ``nil`` must span an ideal of the algebra the maps come from, so
     every level is invariant; the levels stop at V or at the first empty
     kernel.
@@ -583,7 +602,7 @@ def _kernel_filtration(space: GradedSpace, nil, top):
         if not rows:
             return
         level = make_space(space.group, {h: len(vs) for h, vs in rows.items()})
-        yield level, [_restrict(f, q, sparse, kernels, level) for f in top], rows
+        yield level, [_restrict(f, q, sparse, kernels) for f in top], rows
         q.add(rows)
 
 
@@ -592,12 +611,18 @@ def _filtration_dim(levels) -> int:
 
 
 def _rational_eigenvalue(f_res: HomogeneousMap) -> Fraction:
+    """The smallest rational eigenvalue of the first diagonal block, in
+    the canonical degree order, that has one.  The blocks are searched
+    one at a time and no eigenvector is built; IrrationalEigenvalue
+    reports the characteristic polynomial of the first root-free block."""
     first_irrational: Poly | None = None
-    for report in homogeneous_eigenvalues(f_res):
-        if report.pairs:
-            return report.pairs[0][0]
+    for g, _ in f_res.space.dims:
+        p = char_poly(f_res.block(g))
+        roots = rational_roots(p)
+        if roots:
+            return roots[0][0]
         if first_irrational is None:
-            first_irrational = report.irrational_factor
+            first_irrational = p
     raise IrrationalEigenvalue(
         "no rational eigenvalue on any component of the weight space "
         f"(characteristic factor {first_irrational})",
@@ -605,16 +630,19 @@ def _rational_eigenvalue(f_res: HomogeneousMap) -> Fraction:
     )
 
 
-def _chain_eigenvector(space: GradedSpace, chain, strict: bool) -> GradedVector:
-    """Homogeneous vector in the joint weight space of the span of the
-    chain, found by narrowing W = V one chain element at a time.  A line
-    is its own joint weight space: there a map of nonzero degree is zero
-    and one of degree zero a scalar."""
-    if space.total_dim == 1:
-        return _vector(space, {space.degrees[0]: (_ONE,)})
-    w = _EmbeddedSubspace(space, {g: Matrix.identity(n).data for g, n in space.dims})
+def _chain_eigenvector(q: _Quotient, chain, strict: bool) -> GradedVector:
+    """Homogeneous vector of the quotient F/S (``q``) in the joint weight
+    space of the span of the chain, sparse maps on F that leave S
+    invariant, found by narrowing W = F/S one chain element at a time.  A
+    line is its own joint weight space: there a map of nonzero degree is
+    zero and one of degree zero a scalar, so once W is a line the later
+    chain elements are only checked to leave it invariant."""
+    if q.space.total_dim == 1:
+        return _vector(q.space, {q.space.degrees[0]: (_ONE,)})
+    w = _EmbeddedSubspace.whole(q)
     for b in chain:
-        if b.is_zero():
+        degree, blocks = b
+        if not blocks:
             continue
         try:
             b_res = w.restrict(b)
@@ -624,7 +652,9 @@ def _chain_eigenvector(space: GradedSpace, chain, strict: bool) -> GradedVector:
             raise NoHomogeneousEigenvector(
                 "the algebra does not stabilize the candidate weight space"
             )
-        lam = _rational_eigenvalue(b_res) if b.degree.is_zero() else _ZERO
+        if w.space.total_dim == 1:
+            continue
+        lam = _rational_eigenvalue(b_res) if degree.is_zero() else _ZERO
         w = w.eigenspace(b_res, lam)
         if w.space.total_dim == 0:
             if strict:
@@ -637,7 +667,7 @@ def _chain_eigenvector(space: GradedSpace, chain, strict: bool) -> GradedVector:
                 "weight space (its degree has finite order)"
             )
     g, vs = next(iter(w.bases.items()))
-    return _vector(space, {g: vs[0]})
+    return _vector(q.space, {g: vs[0]})
 
 
 def _derived(series: list[Subspace]) -> Subspace:
@@ -740,7 +770,7 @@ def common_homogeneous_eigenvector(
     if first is None:
         _stall(series, None, 0, False, nil_policy, seed)
     space, top, basis = first
-    v = _chain_eigenvector(space, top, strict=check_hypotheses)
+    v = _chain_eigenvector(_Quotient(space), top, strict=check_hypotheses)
     d = v.degree()
     v0 = _lift(L.space, basis, d, v.component(d))
 
@@ -788,11 +818,12 @@ def color_flag(
         L.space, chain[:k], chain[k:], series, check_hypotheses, nil_policy, seed,
         lambda: [L._element(g, v) for g, v in coords[:k]],
     )
-    vectors, mats = _lie_phase(
-        L.space, levels, [flatten_map(b) for b in L.basis], check_hypotheses
+    basis = _sparse_elements(
+        L, [(f.degree, c) for f, c in zip(L.basis, L._basis_coords)]
     )
+    vectors, diagonals = _lie_phase(L.space, levels, basis, check_hypotheses)
     weights = tuple(
-        Weight(L, tuple(m.data[i][i] for m in mats))
+        Weight(L, tuple(d[i] for d in diagonals))
         for i in range(L.space.total_dim)
     )
     return ColorFlag(tuple(vectors), weights)
@@ -800,18 +831,22 @@ def color_flag(
 
 def _lie_phase(space: GradedSpace, levels, certify, strict: bool):
     """Phase 2 on the levels of a finished kernel filtration of ``space``:
-    each factor flagged line by line and lifted back, then the exact
-    certificate.  Returns the flag vectors and T^-1 M T for every matrix
-    M in ``certify``, with T the flag vectors as columns; each must be
-    upper triangular.  A failure records in ``flag_depth`` the number of
-    flag vectors found (a filtration stall, raised before, records
-    dim K_j)."""
+    each factor flagged line by line and lifted back (a 1-dimensional
+    factor is its own line), then the exact certificate (``_certify``) on
+    the sparse maps ``certify``.  Returns the flag vectors and, for each
+    map M, the diagonal of T^-1 M T, with T the flag vectors as columns.
+    A failure records in ``flag_depth`` the number of flag vectors found
+    (a filtration stall, raised before, records dim K_j)."""
     vectors: list[GradedVector] = []
     try:
         for fspace, top, basis in levels:
+            if fspace.total_dim == 1:
+                (d, (line,)), = basis.items()
+                vectors.append(_vector(space, {d: line}))
+                continue
             q = _Quotient(fspace)
             while q.space.total_dim > 0:
-                v = _chain_eigenvector(q.space, (q.induce(f) for f in top), strict)
+                v = _chain_eigenvector(q, top, strict)
                 d = v.degree()
                 line = q.lift(d, v.components[0][1])
                 vectors.append(_lift(space, basis, d, line))
@@ -819,20 +854,59 @@ def _lie_phase(space: GradedSpace, levels, certify, strict: bool):
     except (TheoremViolation, NoHomogeneousEigenvector, IrrationalEigenvalue) as e:
         e.flag_depth = len(vectors)
         raise
+    return vectors, _certify(space, vectors, certify)
 
-    n = space.total_dim
-    t = Matrix.from_columns([flatten_vector(v) for v in vectors], rows=n)
-    try:
-        t_inv = inverse(t)
-    except ValueError:
+
+def _certify(space: GradedSpace, vectors, certify) -> list[list[Fraction]]:
+    """The diagonal of T^-1 M T for each sparse map M (``_sparse_map``)
+    in ``certify``, after checking that its entries below the diagonal
+    vanish; T has the flag ``vectors`` as columns and must be invertible.
+
+    The vectors are homogeneous, so T is block diagonal by degree, and no
+    n x n product is formed.  The vectors of degree g, inserted into a
+    tracked ``_Echelon``, reduce to the identity, so its transform is
+    (T_g^T)^-1: row r of it is column r of T_g^-1, sparse.  Column j of
+    T^-1 M T is T^-1 y for y = M t_j, the combination of those columns
+    at y's nonzero entries, formed from M's sparse columns; its entries
+    at flag indices i > j must vanish, and the one at j is M's weight."""
+    index: dict = {}  # degree -> flag indices of its vectors, in order
+    for i, v in enumerate(vectors):
+        index.setdefault(v.degree(), []).append(i)
+    echs = {
+        g: _Echelon(space.dim_of(g), [vectors[i].component(g) for i in idx], track=True)
+        for g, idx in index.items()
+    }
+    if len(vectors) != space.total_dim or any(
+        len(echs[g].pivots) < len(idx) for g, idx in index.items()
+    ):
         raise TheoremViolation("flag vectors do not form a basis")
-    mats = [t_inv * m * t for m in certify]
-    for m in mats:
-        if any(m.data[rr][cc] != 0 for rr in range(n) for cc in range(rr)):
-            raise TheoremViolation(
-                "matrix is not upper triangular in the flag basis"
-            )
-    return vectors, mats
+    cols_inv = {
+        g: [[(index[g][k], x) for k, x in t.items()] for t in ech.transform]
+        for g, ech in echs.items()
+    }
+    entries = [_sparse(v.components[0][1]) for v in vectors]
+    diagonals = []
+    for _, blocks in certify:
+        diag = [_ZERO] * len(vectors)
+        for h, t, _, cols in blocks:
+            for j in index.get(h, ()):
+                y: dict = {}
+                for c, a in entries[j]:
+                    for r, x in cols.get(c, ()):
+                        y[r] = y[r] + a * x if r in y else a * x
+                z: dict = {}
+                for r, x in y.items():
+                    if x:
+                        for i, u in cols_inv[t][r]:
+                            z[i] = z[i] + x * u if i in z else x * u
+                if any(x for i, x in z.items() if i > j):
+                    raise TheoremViolation(
+                        "matrix is not upper triangular in the flag basis"
+                    )
+                if h == t and j in z:
+                    diag[j] = z[j]
+        diagonals.append(diag)
+    return diagonals
 
 
 def ideal_chain(
@@ -886,8 +960,8 @@ def ideal_chain(
         profile, ads[:k], ads[k:], series, check_hypotheses, nil_policy, seed,
         lambda: [L._ad(g, v) for g, v in coords[:k]],
     )
-    certify = [flatten_map(L._ad(g, L._unit(i))) for i, g in enumerate(L._degrees)]
-    vectors, _ = _lie_phase(profile, levels, certify, check_hypotheses)
+    units = _sparse_ads(L, [(g, L._unit(i)) for i, g in enumerate(L._degrees)])
+    vectors, _ = _lie_phase(profile, levels, units, check_hypotheses)
 
     coords = [L._from_profile(v) for v in vectors]
     chain = [Subspace(L, [])]

@@ -15,7 +15,8 @@ bases as maps, to be compared with ``Subspace.elements``.
 the oracle for ``linalg._nilpotent_at``.
 
 ``ref_kernel_filtration`` is the kernel filtration by induced maps, the
-oracle for ``structure._kernel_filtration``.
+oracle for ``structure._kernel_filtration``, and ``ref_certificate`` the
+dense T^-1 M T check, the oracle for ``structure._certify``.
 """
 
 from __future__ import annotations
@@ -300,3 +301,33 @@ def _solve(basis, img) -> list[Fraction]:
             raise TheoremViolation("a kernel level of an ideal is not invariant")
         x[p] = row[m]
     return x
+
+
+def ref_certificate(flat_vectors, mats) -> list[list[Fraction]]:
+    """The diagonals of T^-1 M T for the dense n x n matrices ``mats``,
+    with T the flattened flag vectors as columns, after checking that
+    every entry below the diagonal vanishes: T^-1 by Gauss-Jordan on
+    [T | I] (``ref_rref``), the products entry by entry.  TheoremViolation
+    with the package's messages when T is singular or a product is not
+    upper triangular."""
+    n = len(flat_vectors[0]) if flat_vectors else 0
+    t = [[v[i] for v in flat_vectors] for i in range(n)]
+    if len(flat_vectors) != n:
+        raise TheoremViolation("flag vectors do not form a basis")
+    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(t)]
+    red = ref_rref(aug, 2 * n)
+    if len(red) < n or any(red[i][i] == 0 for i in range(n)):
+        raise TheoremViolation("flag vectors do not form a basis")
+    t_inv = [row[n:] for row in red]
+
+    def product(a, b):
+        return [[sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0))
+                 for j in range(n)] for i in range(n)]
+
+    diagonals = []
+    for m in mats:
+        c = product(t_inv, product([list(row) for row in m.data], t))
+        if any(c[i][j] != 0 for i in range(n) for j in range(i)):
+            raise TheoremViolation("matrix is not upper triangular in the flag basis")
+        diagonals.append([c[i][i] for i in range(n)])
+    return diagonals

@@ -1,10 +1,10 @@
 """Property tests under the derandomized profile of conftest.py: the
 elimination kernel against sympy and its own invariants, on small and on
-wide entries, its normal form against a reference Gauss-Jordan,
-``char_poly`` against sympy, the incremental graded kernel against a
-stacked reference elimination, the sparse bracket kernel against
-``color_bracket``, and the structure-constant table against flattened
-brackets."""
+wide entries, the quotient's normal form against a reference
+Gauss-Jordan, ``char_poly`` against sympy, the incremental graded kernel
+against a stacked reference elimination, the sparse bracket kernel
+against ``color_bracket``, and the structure-constant table against
+flattened brackets."""
 
 import random
 from fractions import Fraction
@@ -15,10 +15,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
 from colorlie import (
-    Matrix, bracket_closure, char_poly, graded_kernel, inverse, rref, solve_unique,
+    Matrix, bracket_closure, char_poly, graded_kernel, inverse, make_group, make_space,
+    rref, solve_unique,
 )
 from colorlie.graded import _vector
 from colorlie.linalg import _Echelon
+from colorlie.structure import _Quotient
 from corpus import all_configs, random_homogeneous_map, random_space
 from reference import (
     assert_kernel_matches_color_bracket,
@@ -29,6 +31,7 @@ from reference import (
 )
 
 CONFIGS = all_configs()
+Z1 = make_group(1, [])
 
 # ------------------------------------------------- the elimination kernel
 
@@ -167,10 +170,11 @@ def test_inverse_or_singular_for_wide_entries(m):
 
 
 @given(m=st.one_of(matrices(), matrices(entries=WIDE)), data=st.data())
-def test_eliminate_gives_the_normal_form(m, data):
-    """_eliminate(v) is v - sum_k v[p_k] R_k for the reduced rows R_k with
-    pivots p_k, and v's pivot coordinates [v[p_k]], with or without a
-    transform; ``_Quotient.project`` reads the first at the free columns."""
+def test_quotient_project_gives_the_normal_form(m, data):
+    """``_Quotient.project`` reads v - sum_k v[p_k] R_k, for the reduced
+    rows R_k with pivots p_k, at the free columns, through the
+    functionals phi_c; ``_Echelon.reduce`` gives v's pivot coordinates
+    [v[p_k]] when v lies in the span, with or without a transform."""
     if m.rows and data.draw(st.booleans()):
         # a vector of the span, whose normal form is zero
         cs = data.draw(st.lists(RATIONALS, min_size=m.rows, max_size=m.rows))
@@ -184,10 +188,17 @@ def test_eliminate_gives_the_normal_form(m, data):
     want = list(v)
     for p, row in zip(pivots, red):
         want = [x - v[p] * y for x, y in zip(want, row)]
+    free = [c for c in range(m.cols) if c not in pivots]
+    g = Z1.identity()
+    q = _Quotient(make_space(Z1, {g: m.cols}))
+    q.add({g: list(m.data)})
+    assert q.free[g] == free
+    assert list(q.project(g, v)) == [want[c] for c in free]
+    assert [sum((a * v[r] for r, a in phi), Fraction(0))
+            for phi in q.functionals(g)] == [want[c] for c in free]
     for track in (False, True):
-        t, coeffs = _Echelon(m.cols, m.data, track=track)._eliminate(v)
-        assert coeffs == [v[p] for p in pivots]
-        assert t == want
+        coeffs = _Echelon(m.cols, m.data, track=track).reduce(v)
+        assert coeffs == ([v[p] for p in pivots] if not any(want) else None)
 
 
 def _stacked_kernel(maps, space):

@@ -609,7 +609,7 @@ def test_quotient_induced_map_is_projection_of_map_on_lift():
     d = make_map(v, z0, {z0: [[1, 2], [0, 3]], z1: [[5]]})
     q = _Quotient(v)
     q.add({z0: [(Fraction(1), Fraction(1))]})
-    assert q.induce(d) == make_map(q.space, z0, {z0: [[1]], z1: [[5]]})
+    assert _induce(q, d) == make_map(q.space, z0, {z0: [[1]], z1: [[5]]})
     # in general: flatten(induced f) = P flatten(f) I, for the normal-form
     # projection P and the inclusion I of the free coordinates
     rng = random.Random(97)
@@ -630,7 +630,15 @@ def test_quotient_induced_map_is_projection_of_map_on_lift():
                 [_place(q.space, g, q.project(g, u)) for g, u in _units(space)],
                 rows=q.space.total_dim,
             )
-            assert flatten_map(q.induce(f)) == proj * flatten_map(f) * incl
+            assert flatten_map(_induce(q, f)) == proj * flatten_map(f) * incl
+
+
+def _induce(q, f):
+    """The map f induces on the quotient q, as phase 2 reads it: f's
+    sparse columns restricted to the whole quotient."""
+    from colorlie.structure import _EmbeddedSubspace, _sparse_of
+
+    return _EmbeddedSubspace.whole(q).restrict(_sparse_of(f))
 
 
 def _units(space):
@@ -683,7 +691,7 @@ def test_quotient_in_steps_equals_quotient_at_once():
             q_ts.add({g: vs for g, vs in t_mod_s.items() if q_s.space.dim_of(g)})
             assert q_ts.space == q_t.space
             for b in L.basis:
-                assert q_ts.induce(q_s.induce(b)) == q_t.induce(b)
+                assert _induce(q_ts, _induce(q_s, b)) == _induce(q_t, b)
             for g, n in L.space.dims:
                 x = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
                 if q_s.space.dim_of(g):
@@ -800,31 +808,37 @@ def test_restrict_matches_per_column_solve():
     # solve of each column would, and refuses a column outside W
     from corpus import random_homogeneous_map, random_space, random_unimodular
     from colorlie.linalg import solve_unique
-    from colorlie.structure import _EmbeddedSubspace, _NotInvariant
+    from colorlie.structure import (
+        _EmbeddedSubspace, _NotInvariant, _Quotient, _sparse_of,
+    )
 
     rng = random.Random(83)
     for _, group, _ in torsion_free_configs():
         for _ in range(10):
             space = random_space(rng, group)
             # W = V in a scrambled basis: every map is invariant
-            w = _EmbeddedSubspace(space, {
+            w = _EmbeddedSubspace(_Quotient(space), {
                 g: [tuple(col) for col in zip(*random_unimodular(rng, n).data)]
                 for g, n in space.dims
             })
+            embed = {
+                g: Matrix.from_columns(vs, rows=space.dim_of(g))
+                for g, vs in w.bases.items()
+            }
             f = random_homogeneous_map(rng, space)
-            res = w.restrict(f)
+            res = w.restrict(_sparse_of(f))
             for g in w.space.degrees:
                 target = g + f.degree
                 if w.space.dim_of(target) == 0:
                     continue
-                images = f.block(g) * w.embed[g]
-                want = [solve_unique(w.embed[target], col) for col in zip(*images.data)]
+                images = f.block(g) * embed[g]
+                want = [solve_unique(embed[target], col) for col in zip(*images.data)]
                 assert list(zip(*res.block(g).data)) == want
     v = gl(2)
-    line = _EmbeddedSubspace(v, {E0: [(Fraction(1), Fraction(0))]})
-    assert line.restrict(unit_map(v, 0, 1)).is_zero()
+    line = _EmbeddedSubspace(_Quotient(v), {E0: [(Fraction(1), Fraction(0))]})
+    assert line.restrict(_sparse_of(unit_map(v, 0, 1))).is_zero()
     with pytest.raises(_NotInvariant):
-        line.restrict(unit_map(v, 1, 0))
+        line.restrict(_sparse_of(unit_map(v, 1, 0)))
 
 
 # ------------------------------------- kernel filtration of [L, L]
@@ -1014,8 +1028,8 @@ def _assert_filtration_matches_reference(space, maps, sparse, k):
     assert [_normal(x) for x in sparse] == [_normal(_sparse_of(f)) for f in maps]
     got = list(_kernel_filtration(space, sparse[:k], sparse[k:]))
     want = ref_kernel_filtration(space, maps[:k], maps[k:])
-    assert [(s, t, list(r.items())) for s, t, r in got] == [
-        (s, t, list(r.items())) for s, t, r in want
+    assert [(s, [_normal(f) for f in t], list(r.items())) for s, t, r in got] == [
+        (s, [_normal(_sparse_of(f)) for f in t], list(r.items())) for s, t, r in want
     ]
     assert sum(s.total_dim for s, _, _ in got) == space.total_dim
 
@@ -1099,3 +1113,189 @@ def test_filtration_stall_depth_skip_hypotheses():
     with pytest.raises(NotSolvable) as info:
         ideal_chain(L, check_hypotheses=False)
     assert info.value.flag_depth == 0
+
+
+# ------------------------------- phase 2 and the sparse certificate
+
+
+def test_lazy_eigenvalue_matches_first_eigenpair():
+    # the smallest root of the first block with a rational root, as in
+    # homogeneous_eigenvalues' first pair; with none, the characteristic
+    # polynomial of the first block is reported
+    from colorlie.graded import homogeneous_eigenvalues
+    from colorlie.structure import _rational_eigenvalue
+    from corpus import random_rational, random_unimodular
+
+    rng = random.Random(127)
+    outcomes = {"rational": 0, "irrational": 0}
+    for _, group, _ in torsion_free_configs():
+        for _ in range(12):
+            space = random_space(rng, group, max_dim=3)
+            blocks = {}
+            for g, n in space.dims:
+                kind = rng.choice(["upper", "irrational", "random"])
+                rows = [[random_rational(rng) for _ in range(n)] for _ in range(n)]
+                if kind == "upper":
+                    rows = [[x if j >= i else 0 for j, x in enumerate(row)]
+                            for i, row in enumerate(rows)]
+                elif kind == "irrational" and n >= 2:
+                    # t^2 - 2 on the first two coordinates, upper below
+                    rows = [[x if j >= i else 0 for j, x in enumerate(row)]
+                            for i, row in enumerate(rows)]
+                    rows[0][0], rows[0][1], rows[1][0], rows[1][1] = 0, 2, 1, 0
+                p = random_unimodular(rng, n)
+                blocks[g] = p * Matrix(rows) * inverse(p)
+            f = make_map(space, group.identity(), blocks)
+            reports = homogeneous_eigenvalues(f)
+            first = next((r for r in reports if r.pairs), None)
+            if first is not None:
+                outcomes["rational"] += 1
+                assert _rational_eigenvalue(f) == first.pairs[0][0]
+            else:
+                outcomes["irrational"] += 1
+                with pytest.raises(IrrationalEigenvalue) as info:
+                    _rational_eigenvalue(f)
+                assert info.value.char_poly == reports[0].irrational_factor
+                assert str(reports[0].irrational_factor) in str(info.value)
+    assert min(outcomes.values()) >= 5
+
+
+def test_non_invariant_line_has_no_homogeneous_eigenvector():
+    # diag(1, 2) narrows W to the line <e_1>; E_21 moves it, E_12 kills
+    # it.  Graded: the eigenvalue 1 leaves the line in V_0, which the
+    # shift V_0 -> V_1 moves to a degree where W has no component
+    from colorlie import TheoremViolation
+    from colorlie.structure import _Quotient, _chain_eigenvector, _sparse_of
+
+    def eigenvector(space, chain, strict):
+        return _chain_eigenvector(
+            _Quotient(space), [_sparse_of(f) for f in chain], strict
+        )
+
+    v = gl(2)
+    d = make_map(v, E0, {E0: [[1, 0], [0, 2]]})
+    z = make_group(1, [])
+    z0, z1 = z.element([0]), z.element([1])
+    w = make_space(z, {z0: 2, z1: 1})
+    dz = make_map(w, z0, {z0: [[1, 0], [0, 2]], z1: [[3]]})
+    # each line meets a map that leaves it invariant before the one that
+    # does not
+    cases = [
+        (v, [d, unit_map(v, 0, 1), unit_map(v, 1, 0)]),
+        (w, [dz, dz, make_map(w, z1, {z0: [[1, 0]]})]),
+    ]
+    for space, chain in cases:
+        with pytest.raises(NoHomogeneousEigenvector, match="does not stabilize"):
+            eigenvector(space, chain, strict=False)
+        with pytest.raises(TheoremViolation, match="does not stabilize"):
+            eigenvector(space, chain, strict=True)
+    line = eigenvector(v, [d, unit_map(v, 0, 1), d], strict=False)
+    assert line.components == ((E0, (Fraction(1), Fraction(0))),)
+
+
+def _adjoint_flag(L):
+    """ideal_chain's flag vectors on the profile space, with no
+    certificate."""
+    from colorlie.structure import (
+        _derived, _derived_coords, _kernel_filtration, _lie_phase, _sparse_ads,
+    )
+
+    series = derived_series(L)
+    coords = _derived_coords(L, series)
+    ads = _sparse_ads(L, coords)
+    k = _derived(series).dim
+    levels = list(_kernel_filtration(L.profile_space(), ads[:k], ads[k:]))
+    return _lie_phase(L.profile_space(), levels, [], True)[0]
+
+
+def _certificate_cases(L):
+    """(space, flag vectors, sparse maps, the same maps dense) for the
+    certificates of color_flag on V and of ideal_chain on L."""
+    from colorlie.structure import _sparse_ads, _sparse_elements
+
+    units = [(g, L._unit(i)) for i, g in enumerate(L._degrees)]
+    basis = [(f.degree, c) for f, c in zip(L.basis, L._basis_coords)]
+    return [
+        (L.space, list(color_flag(L).ordered_basis), _sparse_elements(L, basis),
+         [flatten_map(f) for f in L.basis]),
+        (L.profile_space(), _adjoint_flag(L), _sparse_ads(L, units),
+         [flatten_map(L._ad(g, v)) for g, v in units]),
+    ]
+
+
+def _certificates(space, vectors, sparse, dense):
+    """The sparse certificate and the dense reference, each as its
+    diagonals or the message of the TheoremViolation it raised."""
+    from reference import ref_certificate
+    from colorlie import TheoremViolation
+    from colorlie.structure import _certify
+
+    def run(check):
+        try:
+            return check()
+        except TheoremViolation as e:
+            return str(e)
+
+    return (
+        run(lambda: _certify(space, vectors, sparse)),
+        run(lambda: ref_certificate([flatten_vector(v) for v in vectors], dense)),
+    )
+
+
+def test_sparse_certificate_matches_dense_reference():
+    # on the flags found, and on flags changed by homogeneous column
+    # operations (which keep triangularity when they add a column to a
+    # later one) and by reorderings (which mostly break it)
+    rng = random.Random(131)
+    algebras = [
+        random_solvable_instance(rng, group, r)
+        for _, group, r in torsion_free_configs() for _ in range(4)
+    ]
+    algebras += [
+        _borel(n, grading) for n in (2, 3, 4) for grading in ("plain", "z", "zsuper", "z2")
+    ]
+    outcomes = {"triangular": 0, "violated": 0}
+    for L in algebras:
+        for space, vectors, sparse, dense in _certificate_cases(L):
+            got, want = _certificates(space, vectors, sparse, dense)
+            assert got == want and isinstance(got, list)
+            variants = []
+            for _ in range(3):
+                vs = list(vectors)
+                i, j = sorted(rng.sample(range(len(vs)), 2)) if len(vs) > 1 else (0, 0)
+                if i < j and vs[i].degree() == vs[j].degree():
+                    vs[j] = vs[j] + vs[i].scale(rng.randint(-2, 2))
+                vs[i] = vs[i].scale(rng.choice([-2, 3]))
+                variants.append(vs)
+                shuffled = list(vectors)
+                rng.shuffle(shuffled)
+                variants.append(shuffled)
+            for vs in variants:
+                got, want = _certificates(space, vs, sparse, dense)
+                assert got == want
+                outcomes["violated" if isinstance(got, str) else "triangular"] += 1
+    assert min(outcomes.values()) >= 20
+
+
+def test_corrupted_flag_fails_the_certificate():
+    # swapping the first and last flag vectors of a Borel algebra breaks
+    # triangularity; a repeated vector is no basis
+    from reference import ref_certificate
+    from colorlie import TheoremViolation
+    from colorlie.structure import _certify
+
+    for n in (3, 4):
+        for grading in ("plain", "z", "zsuper", "z2"):
+            for space, vectors, sparse, dense in _certificate_cases(_borel(n, grading)):
+                swapped = list(vectors)
+                swapped[0], swapped[-1] = swapped[-1], swapped[0]
+                flat = [flatten_vector(v) for v in swapped]
+                with pytest.raises(TheoremViolation, match="not upper triangular"):
+                    _certify(space, swapped, sparse)
+                with pytest.raises(TheoremViolation, match="not upper triangular"):
+                    ref_certificate(flat, dense)
+                repeated = vectors[:-1] + vectors[:1]
+                with pytest.raises(TheoremViolation, match="do not form a basis"):
+                    _certify(space, repeated, sparse)
+                with pytest.raises(TheoremViolation, match="do not form a basis"):
+                    _certify(space, vectors[:-1], sparse)
