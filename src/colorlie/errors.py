@@ -106,7 +106,9 @@ class ZeroAlgebra(ValidationError):
 
 # structure theorems
 class HypothesisFailed(ColorLieError):
-    """A theorem hypothesis does not hold for the given input."""
+    """A theorem hypothesis does not hold for the given input.  When a
+    component of degree g is not nil, ``witness`` is (g, t): sum t_i B_i
+    over that component's maps B_i is not nilpotent."""
 
 
 class NotSolvable(HypothesisFailed):

@@ -754,6 +754,89 @@ def _simplex_layer(n: int, s: int):
         yield tuple(edges[i + 1] - edges[i] - 1 for i in range(s))
 
 
+def _products_vanish(ints, n: int) -> bool:
+    """Whether every product of n of the n x n integer matrices B_i is
+    zero, by the descending chain I_0 = Q^n, I_{j+1} = sum_i B_i I_j.
+
+    I_j is spanned by the images of all words of length j, so I_j = 0
+    means every such word, and so every product of n span elements, is
+    zero.  The chain descends, since B_i I_j lies in B_i I_{j-1}, so it
+    either reaches 0 within n levels (True) or meets a level that does
+    not shrink, after which it is constant (False: the chain proves
+    nothing).  Each level is one fraction-free elimination of the
+    vectors B_i v, v in I_j's basis, as dense primitive integer rows
+    with distinct leading columns, ended as soon as its rank reaches
+    dim I_j."""
+    basis = [[int(i == j) for i in range(n)] for j in range(n)]
+    while basis:
+        pivots: list[int] = []
+        rows: list[list[int]] = []
+        for b in ints:
+            for v in basis:
+                w = [sum(map(mul, row, v)) for row in b]
+                for p, r in zip(pivots, rows):
+                    a = w[p]
+                    if a:
+                        c = r[p]
+                        w = [c * x - a * y for x, y in zip(w, r)]
+                g = math.gcd(*w)
+                if not g:
+                    continue
+                p = next(i for i, x in enumerate(w) if x)
+                k = bisect.bisect(pivots, p)
+                pivots.insert(k, p)
+                rows.insert(k, [x // g for x in w])
+                if len(rows) == len(basis):
+                    return False
+        basis = rows
+    return True
+
+
+def _non_nilpotent_point(mats, policy: str, seed: int) -> tuple | None:
+    """A point t at which X = sum t_i B_i is not nilpotent, or None when
+    the span of ``mats`` is nil (see ``nil_subspace_check``).
+
+    A point costs about c n^3 integer multiplications, c = ceil(log2 n)
+    squarings, and the product chain (``_products_vanish``) about s n^4,
+    as much as k = ceil(s n / c) points.  So the chain runs only after k
+    points, which most non-nil spans do not outlast, and only when more
+    than k points would remain."""
+    mats = list(mats)
+    if not mats:
+        return None
+    n = mats[0].rows
+    for m in mats:
+        if m.rows != m.cols or m.rows != n:
+            raise SizeMismatch("span members must be square of equal size")
+    if n == 0:
+        return None
+    s = len(mats)
+    if policy == "auto":
+        policy = "deterministic" if s <= 4 else "probabilistic"
+    if policy not in ("deterministic", "probabilistic"):
+        raise ValueError(f"unknown policy {policy!r}")
+    # positive rescaling preserves nilpotency of every span element
+    ints = [_integer_matrix(m)[1] for m in mats]
+    if policy == "deterministic":
+        points = _simplex_layer(n, s)
+        count = math.comb(n + s - 1, s - 1)
+    else:
+        rng = random.Random(seed)
+        points = [
+            tuple(rng.randint(-1_000_000, 1_000_000) for _ in range(s))
+            for _ in range(3)
+        ]
+        count = 3
+    k = -(-s * n // max(1, (n - 1).bit_length()))
+    chain_at = k if count > 2 * k else None
+    for i, point in enumerate(points):
+        if i == chain_at and _products_vanish(ints, n):
+            return None
+        if not _nilpotent_at(point, ints, n):
+            return point
+    return None
+
+
 def nil_subspace_check(
     mats, policy: str = "auto", seed: int = 0
 ) -> bool:
@@ -775,36 +858,18 @@ def nil_subspace_check(
     probability is at most (n / 2_000_000)^3 per polynomial.
     ``policy="auto"`` picks deterministic for spans of size <= 4.
 
+    A span whose products of n elements all vanish is nil, and the
+    product chain I_{j+1} = sum_i B_i I_j, from I_0 = V, proves that
+    when it reaches 0.  When the point set has more than 2k points,
+    k = ceil(s n / ceil(log2 n)), the chain runs once after the first k
+    points; if it reaches 0 the answer is True with no further point,
+    and if it stalls the rest of the points run as before.  A False
+    answer always comes from a point, so both policies keep their
+    guarantees (``_non_nilpotent_point`` returns that point).
+
     The structure algorithms need this check only when a kernel
     filtration stops below V: a filtration that reaches V is an exact
     certificate that the span acts nilpotently, so on their success
     paths the policy and seed are never used.
     """
-    mats = list(mats)
-    if not mats:
-        return True
-    n = mats[0].rows
-    for m in mats:
-        if m.rows != m.cols or m.rows != n:
-            raise SizeMismatch("span members must be square of equal size")
-    if n == 0:
-        return True
-    s = len(mats)
-    if policy == "auto":
-        policy = "deterministic" if s <= 4 else "probabilistic"
-    if policy not in ("deterministic", "probabilistic"):
-        raise ValueError(f"unknown policy {policy!r}")
-    # positive rescaling preserves nilpotency of every span element
-    ints = [_integer_matrix(m)[1] for m in mats]
-    if policy == "deterministic":
-        points = _simplex_layer(n, s)
-    else:
-        rng = random.Random(seed)
-        points = [
-            tuple(rng.randint(-1_000_000, 1_000_000) for _ in range(s))
-            for _ in range(3)
-        ]
-    for point in points:
-        if not _nilpotent_at(point, ints, n):
-            return False
-    return True
+    return _non_nilpotent_point(mats, policy, seed) is None

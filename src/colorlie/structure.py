@@ -26,8 +26,14 @@ nilpotently, so every component of [L, L] is nil, and no point-based nil
 check runs.  When it stops below V, no homogeneous flag exists: in any
 such flag [L, L] is strictly upper triangular (a map of nonzero degree
 has zero diagonal, and for degree zero r(0, 0) = 1 cancels the diagonal
-of ab - ba).  Only then is ``nil_subspace_check`` run, to tell a failed
-hypothesis from a violated theorem.
+of ab - ba).  Only then are the components of [L, L] checked for nil
+(``linalg._non_nilpotent_point``, the loop behind ``nil_subspace_check``),
+to tell a failed hypothesis from a violated theorem.  That check proves a
+span nil once the product chain I_{j+1} = sum_i B_i I_j of its maps
+reaches 0, run after the first k = ceil(s n / ceil(log2 n)) points when
+the policy has more than 2k of them; when the chain stalls the full point
+set runs.  A non-nil component is only ever reported at a point, which
+the HypothesisFailed carries as its ``witness`` (degree, point).
 
 Kernels and restrictions reduce through ``linalg._Echelon``, and both
 phases hold V/S as S's reduced echelon in V's coordinates
@@ -102,6 +108,7 @@ from .linalg import (
     Matrix,
     Poly,
     _Echelon,
+    _non_nilpotent_point,
     _sparse,
     char_poly,
     frac,
@@ -170,13 +177,18 @@ def _component_matrices(maps) -> list[Matrix]:
 
 def _check_nil_components(elements, what: str, policy: str, seed: int):
     """HypothesisFailed at the first degree, in canonical order, where the
-    span of the homogeneous maps is not nil."""
+    span of the homogeneous maps is not nil.  Its ``witness`` is
+    (degree, t): sum t_i f_i over that degree's maps, in the given order,
+    is not nilpotent."""
     for g in sorted({f.degree for f in elements}, key=lambda g: g.sort_key()):
         mats = _component_matrices([f for f in elements if f.degree == g])
-        if not nil_subspace_check(mats, policy=policy, seed=seed):
-            raise HypothesisFailed(
+        point = _non_nilpotent_point(mats, policy, seed)
+        if point is not None:
+            err = HypothesisFailed(
                 f"{what} component at degree {g} contains non-nilpotent elements"
             )
+            err.witness = (g, point)
+            raise err
 
 
 def common_annihilated_vector(

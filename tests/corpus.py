@@ -129,6 +129,19 @@ def random_unimodular(rng: random.Random, n: int) -> Matrix:
     return Matrix(rows, cols=n)
 
 
+def conjugated_nil_span(rng: random.Random, n: int, s: int) -> list[Matrix]:
+    """s matrices P U_i P^-1, each U_i strictly upper triangular with
+    every entry above the diagonal +-1, for one random unimodular P: a
+    nil span that is not triangular in the standard basis."""
+    p = random_unimodular(rng, n)
+    p_inv = inverse(p)
+    return [
+        p * Matrix([[rng.choice((-1, 1)) if j > i else 0 for j in range(n)]
+                    for i in range(n)]) * p_inv
+        for _ in range(s)
+    ]
+
+
 def degree_preserving_conjugator(rng: random.Random, space: GradedSpace):
     blocks = {g: random_unimodular(rng, n) for g, n in space.dims}
     inv = {g: inverse(m) for g, m in blocks.items()}

@@ -1,15 +1,20 @@
-"""Growth curve of ``color_flag`` and ``ideal_chain`` on Borel algebras.
+"""Growth curve of ``color_flag``, ``ideal_chain`` and ``nil_subspace_check``.
 
-    PYTHONPATH=src python3 tests/growth.py --label change --out BENCH_13.json
+    PYTHONPATH=src python3 tests/growth.py --label change --out BENCH_15.json
 
-Times both calls on the n x n Borel algebra (``corpus.borel_generators``)
-in the ``plain`` and ``z`` gradings for every n in ``--sizes``.  Each
-call gets a freshly closed algebra, so its structure table is built
-inside the timed call; the median of ``--repeats`` runs is kept.  The
-package is whatever ``colorlie`` imports, so pointing PYTHONPATH at
-another checkout's ``src`` times that checkout with the same inputs.
-The results are stored under ``--label`` in the ``--out`` JSON file;
-other labels already there are kept.
+Times ``color_flag`` and ``ideal_chain`` on the n x n Borel algebra
+(``corpus.borel_generators``) in the ``plain`` and ``z`` gradings, and
+``nil_subspace_check`` (deterministic policy) on a nil span of s = 3 and
+s = 4 unimodular-conjugated strictly upper triangular n x n matrices
+(``corpus.conjugated_nil_span``, seeded by n and s), for every n in
+``--sizes``.  Each algebra call gets a freshly closed algebra, so its
+structure table is built inside the timed call; the median of
+``--repeats`` runs is kept.  Times are CPU seconds of this process
+(``time.process_time``), which a shared machine's other load disturbs
+less than wall-clock time.  The package is whatever ``colorlie``
+imports, so pointing PYTHONPATH at another checkout's ``src`` times that
+checkout with the same inputs.  The results are stored under ``--label``
+in the ``--out`` JSON file; other labels already there are kept.
 """
 
 from __future__ import annotations
@@ -18,23 +23,41 @@ import argparse
 import json
 import os
 import platform
+import random
 import statistics
 import time
 
-from colorlie import bracket_closure, color_flag, ideal_chain
-from corpus import borel_generators
+from colorlie import bracket_closure, color_flag, ideal_chain, nil_subspace_check
+from corpus import borel_generators, conjugated_nil_span
 
+CLOCK = time.process_time
 CALLS = {"color_flag": color_flag, "ideal_chain": ideal_chain}
+NIL_SIZES = (3, 4)
 
 
-def time_call(fn, n: int, grading: str, repeats: int) -> float:
+def median_time(prepare, fn, repeats: int) -> float:
     runs = []
     for _ in range(repeats):
-        L = bracket_closure(*borel_generators(n, grading))
-        t0 = time.perf_counter()
-        fn(L)
-        runs.append(time.perf_counter() - t0)
+        arg = prepare()
+        t0 = CLOCK()
+        fn(arg)
+        runs.append(CLOCK() - t0)
     return statistics.median(runs)
+
+
+def cases(sizes):
+    """(key, prepare, fn) for every timed call."""
+    for name, fn in CALLS.items():
+        for grading in ("plain", "z"):
+            for n in sizes:
+                yield (f"{name}/{grading}/n={n}",
+                       lambda n=n, grading=grading: bracket_closure(*borel_generators(n, grading)),
+                       fn)
+    for s in NIL_SIZES:
+        for n in sizes:
+            span = conjugated_nil_span(random.Random(100 * n + s), n, s)
+            yield (f"nil_subspace_check/s={s}/n={n}", lambda span=span: span,
+                   lambda mats: nil_subspace_check(mats, policy="deterministic"))
 
 
 def main(argv=None):
@@ -46,16 +69,15 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     seconds = {
-        f"{name}/{grading}/n={n}": round(time_call(fn, n, grading, args.repeats), 4)
-        for name, fn in CALLS.items()
-        for grading in ("plain", "z")
-        for n in args.sizes
+        key: round(median_time(prepare, fn, args.repeats), 4)
+        for key, prepare, fn in cases(args.sizes)
     }
     doc = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             doc = json.load(fh)
     doc.setdefault("unit", "s, median of repeats")
+    doc["clock"] = f"time.{CLOCK.__name__}"
     doc["command"] = ("PYTHONPATH=<checkout>/src python3 tests/growth.py"
                       f" --label <label> --out <file> --repeats {args.repeats}")
     doc["python"] = platform.python_version()
@@ -65,7 +87,7 @@ def main(argv=None):
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     for key, s in seconds.items():
-        print(f"{args.label:8} {key:28} {s:8.4f}")
+        print(f"{args.label:8} {key:32} {s:8.4f}")
 
 
 if __name__ == "__main__":

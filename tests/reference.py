@@ -12,7 +12,8 @@ against ``color_bracket``.  Each returns per-degree reduced echelon
 bases as maps, to be compared with ``Subspace.elements``.
 
 ``ref_traces_vanish`` is the pointwise nilpotency test by trace powers,
-the oracle for ``linalg._nilpotent_at``.
+the oracle for ``linalg._nilpotent_at``, and ``ref_products_vanish``
+multiplies out every word, the oracle for ``linalg._products_vanish``.
 
 ``ref_kernel_filtration`` is the kernel filtration by induced maps, the
 oracle for ``structure._kernel_filtration``, and ``ref_certificate`` the
@@ -21,6 +22,7 @@ dense T^-1 M T check, the oracle for ``structure._certify``.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from colorlie import (
@@ -76,6 +78,21 @@ def ref_traces_vanish(point, ints, n: int) -> bool:
                 [sum(p[i][l] * m[l][j] for l in range(n)) for j in range(n)]
                 for i in range(n)
             ]
+    return True
+
+
+def ref_products_vanish(ints, n: int) -> bool:
+    """Whether each of the s^n words of length n in the n x n integer
+    matrices B_i multiplies out to zero."""
+    for word in itertools.product(ints, repeat=n):
+        p = [[int(i == j) for j in range(n)] for i in range(n)]
+        for b in word:
+            p = [
+                [sum(p[i][l] * b[l][j] for l in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+        if any(any(row) for row in p):
+            return False
     return True
 
 

@@ -25,7 +25,7 @@ from colorlie import (
     solve_unique,
 )
 from colorlie import linalg
-from reference import ref_traces_vanish
+from reference import ref_products_vanish, ref_traces_vanish
 
 
 def rand_matrix(rng, n, m, lo=-4, hi=4, den=2):
@@ -496,9 +496,7 @@ def test_nil_subspace_interior_only_witness():
         assert nil_subspace_check(cycle[:-1], policy="deterministic")
 
 
-def test_nil_subspace_deterministic_point_count(monkeypatch):
-    from colorlie import linalg
-
+def _count_points(monkeypatch):
     calls = []
     real = linalg._nilpotent_at
 
@@ -507,12 +505,40 @@ def test_nil_subspace_deterministic_point_count(monkeypatch):
         return real(point, ints, n)
 
     monkeypatch.setattr(linalg, "_nilpotent_at", counting)
-    upper = [_unit(5, 0, 1), _unit(5, 1, 3), _unit(5, 2, 4)]
-    assert nil_subspace_check(upper, policy="deterministic")
-    # C(5 + 3 - 1, 3 - 1) points with coordinate sum 5, not the 6^3 grid
+    return calls
+
+
+# A and B span a nil 3 x 3 space: (aA + bB)^3 = 0.  But AB = diag(1, 0, -1)
+# is not nilpotent, so no product of them vanishes and the product chain
+# of any span containing them stalls.
+_A = [[0, -1, 0], [0, 0, 0], [1, 0, 0]]
+_B = [[0, 0, -1], [-1, 0, 0], [0, 0, 0]]
+
+
+def _embedded(m, n):
+    """m (3 x 3) in the top left corner of an n x n zero matrix."""
+    return Matrix([[m[i][j] if i < 3 and j < 3 else 0 for j in range(n)] for i in range(n)])
+
+
+def test_nil_subspace_deterministic_point_count(monkeypatch):
+    calls = _count_points(monkeypatch)
+    span = [_embedded(_A, 5), _embedded(_B, 5), _unit(5, 3, 4)]
+    assert nil_subspace_check(span, policy="deterministic")
+    # the chain stalls, so all C(5 + 3 - 1, 3 - 1) points with coordinate
+    # sum 5 run, not the 6^3 grid
     assert len(calls) == 21
     assert all(sum(p) == 5 for p in calls)
     assert len(set(calls)) == 21
+
+
+def test_nil_subspace_product_chain_ends_the_layer(monkeypatch):
+    calls = _count_points(monkeypatch)
+    upper = [_unit(5, 0, 1), _unit(5, 1, 3), _unit(5, 2, 4)]
+    assert nil_subspace_check(upper, policy="deterministic")
+    # the chain runs after k = ceil(s n / ceil(log2 n)) = 5 points and
+    # reaches 0, which proves the span nil
+    assert len(calls) == 5 < 21
+    assert calls == list(itertools.islice(linalg._simplex_layer(5, 3), 5))
 
 
 def _conjugated(rng, n, m):
@@ -631,6 +657,51 @@ def test_nil_subspace_layer_matches_full_grid():
         assert nil_subspace_check(mats, policy="deterministic") == expected
         verdicts.append(expected)
     assert 40 < sum(verdicts) < 160
+
+
+def test_products_vanish_matches_all_words():
+    rng = random.Random(43)
+    verdicts = []
+    for trial in range(160):
+        n = rng.randint(1, 4)
+        s = rng.randint(1, 3)
+        kind = trial % 4
+        if kind == 0:
+            mats = [_triangular(rng, n, upper=True) for _ in range(s)]
+        elif kind == 1:
+            mats = [Matrix(_conjugated(rng, n, _triangular(rng, n, upper=True).data))
+                    for _ in range(s)]
+        elif kind == 2:
+            n = max(n, 3)
+            mats = [_embedded(_A, n), _embedded(_B, n)]
+            mats += [rand_matrix(rng, n, n, lo=-1, hi=1, den=1) for _ in range(s - 2)]
+        else:
+            mats = [rand_matrix(rng, n, n, lo=-1, hi=1, den=1) for _ in range(s)]
+        ints = [[[int(x) for x in row] for row in m.data] for m in mats]
+        expected = ref_products_vanish(ints, n)
+        assert linalg._products_vanish(ints, n) == expected
+        if expected:
+            # a proof that the span is nil
+            assert _nil_on_full_grid(mats)
+        verdicts.append(expected)
+    assert 60 < sum(verdicts) < 120
+
+
+def test_nil_subspace_with_stalled_chain_matches_full_grid():
+    # the nil pair A, B stalls the chain; with E_11 the span is not nil
+    for n in (4, 5):
+        pair = [_embedded(_A, n), _embedded(_B, n)]
+        for extra in ([], [_unit(n, n - 2, n - 1)], [_unit(n, 0, 0)], [_unit(n, n - 1, 0)]):
+            mats = pair + extra
+            ints = [[[int(x) for x in row] for row in m.data] for m in mats]
+            assert not linalg._products_vanish(ints, n)
+            expected = _nil_on_full_grid(mats)
+            assert nil_subspace_check(mats, policy="deterministic") == expected
+            point = linalg._non_nilpotent_point(mats, "deterministic", 0)
+            assert (point is None) == expected
+            if point is not None:
+                x = sum((m.scale(t) for t, m in zip(point, mats)), Matrix.zero(n, n))
+                assert not is_nilpotent_matrix(x)
 
 
 # ------------------------------------------------------ solve, inverse

@@ -888,16 +888,21 @@ def test_nonnil_derived_skip_hypotheses():
 
 
 def _count_nil_checks(monkeypatch):
+    """Record (policy, seed) of every nil check that ``structure`` runs,
+    through ``nil_subspace_check`` or through the witness search
+    ``_non_nilpotent_point`` behind it."""
     import colorlie.structure as structure
 
     calls = []
-    real = structure.nil_subspace_check
 
-    def counted(mats, policy="auto", seed=0):
-        calls.append((policy, seed))
-        return real(mats, policy=policy, seed=seed)
+    def counting(real):
+        def counted(mats, policy="auto", seed=0):
+            calls.append((policy, seed))
+            return real(mats, policy, seed)
+        return counted
 
-    monkeypatch.setattr(structure, "nil_subspace_check", counted)
+    for name in ("nil_subspace_check", "_non_nilpotent_point"):
+        monkeypatch.setattr(structure, name, counting(getattr(structure, name)))
     return calls
 
 
@@ -941,6 +946,51 @@ def test_stall_runs_point_check_with_given_policy(monkeypatch):
     v = gl(2)
     with pytest.raises(HypothesisFailed):
         common_annihilated_vector(bracket_closure(v, R0, [unit_map(v, 0, 0)]))
+
+
+def _assert_witness(err, maps):
+    """err.witness = (g, t) with sum t_i B_i not nilpotent, B_i the
+    flattened maps of degree g in the given order."""
+    from colorlie import is_nilpotent_matrix
+
+    g, point = err.witness
+    mats = [flatten_map(f) for f in maps if f.degree == g]
+    assert len(point) == len(mats)
+    n = mats[0].rows
+    x = sum((m.scale(t) for t, m in zip(point, mats)), Matrix.zero(n, n))
+    assert not is_nilpotent_matrix(x)
+
+
+def test_hypothesis_failure_carries_non_nilpotent_witness():
+    from pathlib import Path
+
+    from colorlie import load_problem
+
+    problem = load_problem(Path(__file__).resolve().parent.parent / "problems" / "nonnil_derived.json")
+    L = bracket_closure(problem.space, problem.bicharacter, problem.generators)
+    derived = derived_series(L)[1].elements()
+    for call in (color_flag, ideal_chain, common_homogeneous_eigenvector):
+        for policy, seed in (("deterministic", 0), ("probabilistic", 7), ("auto", 3)):
+            with pytest.raises(HypothesisFailed) as info:
+                call(L, nil_policy=policy, seed=seed)
+            assert str(info.value) == NONNIL_MESSAGE
+            _assert_witness(info.value, derived)
+    # two maps at degree (): the point is in the coordinates of L's basis
+    v, e11, e12, B = borel2()
+    with pytest.raises(HypothesisFailed) as info:
+        common_annihilated_vector(B, nil_policy="deterministic")
+    assert len(info.value.witness[1]) == 2
+    _assert_witness(info.value, B.basis)
+    # t1 E13 + t2 E12 + t3 E21 is nilpotent iff t2 t3 = 0: the point
+    # reads the maps in the given order
+    from colorlie.structure import _check_nil_components
+
+    v = gl(3)
+    maps = [unit_map(v, 0, 2), unit_map(v, 0, 1), unit_map(v, 1, 0)]
+    with pytest.raises(HypothesisFailed) as info:
+        _check_nil_components(maps, "span", "deterministic", 0)
+    assert info.value.witness[1] == (0, 1, 2)
+    _assert_witness(info.value, maps)
 
 
 def _levels_in_v(L):
