@@ -108,7 +108,10 @@ class ZeroAlgebra(ValidationError):
 class HypothesisFailed(ColorLieError):
     """A theorem hypothesis does not hold for the given input.  When a
     component of degree g is not nil, ``witness`` is (g, t): sum t_i B_i
-    over that component's maps B_i is not nilpotent."""
+    over that component's maps B_i is not nilpotent; otherwise it is
+    None."""
+
+    witness = None
 
 
 class NotSolvable(HypothesisFailed):

@@ -763,32 +763,22 @@ def _products_vanish(ints, n: int) -> bool:
     zero.  The chain descends, since B_i I_j lies in B_i I_{j-1}, so it
     either reaches 0 within n levels (True) or meets a level that does
     not shrink, after which it is constant (False: the chain proves
-    nothing).  Each level is one fraction-free elimination of the
-    vectors B_i v, v in I_j's basis, as dense primitive integer rows
-    with distinct leading columns, ended as soon as its rank reaches
-    dim I_j."""
-    basis = [[int(i == j) for i in range(n)] for j in range(n)]
+    nothing).  Each level is one ``_Echelon`` of the vectors B_i v, v in
+    I_j's sparse integer rows, summed from B_i's columns, and ends as
+    soon as its rank reaches dim I_j."""
+    cols = [list(zip(*b)) for b in ints]
+    basis = [{j: 1} for j in range(n)]
     while basis:
-        pivots: list[int] = []
-        rows: list[list[int]] = []
-        for b in ints:
+        e = _Echelon(n)
+        for bc in cols:
             for v in basis:
-                w = [sum(map(mul, row, v)) for row in b]
-                for p, r in zip(pivots, rows):
-                    a = w[p]
-                    if a:
-                        c = r[p]
-                        w = [c * x - a * y for x, y in zip(w, r)]
-                g = math.gcd(*w)
-                if not g:
-                    continue
-                p = next(i for i, x in enumerate(w) if x)
-                k = bisect.bisect(pivots, p)
-                pivots.insert(k, p)
-                rows.insert(k, [x // g for x in w])
-                if len(rows) == len(basis):
+                w = [0] * n
+                for j, x in v.items():
+                    w = [a + x * c for a, c in zip(w, bc[j])]
+                e.add(w)
+                if len(e.pivots) == len(basis):
                     return False
-        basis = rows
+        basis = e.int_rows
     return True
 
 
@@ -815,8 +805,13 @@ def _non_nilpotent_point(mats, policy: str, seed: int) -> tuple | None:
         policy = "deterministic" if s <= 4 else "probabilistic"
     if policy not in ("deterministic", "probabilistic"):
         raise ValueError(f"unknown policy {policy!r}")
-    # positive rescaling preserves nilpotency of every span element
-    ints = [_integer_matrix(m)[1] for m in mats]
+    # one common denominator d: sum t_i (d B_i) = d X(t), so a point at
+    # which the integer sum is not nilpotent is one for the maps as given
+    d = math.lcm(*(x.denominator for m in mats for row in m.data for x in row))
+    ints = [
+        [[x.numerator * (d // x.denominator) for x in row] for row in m.data]
+        for m in mats
+    ]
     if policy == "deterministic":
         points = _simplex_layer(n, s)
         count = math.comb(n + s - 1, s - 1)

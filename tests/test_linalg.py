@@ -704,6 +704,40 @@ def test_nil_subspace_with_stalled_chain_matches_full_grid():
                 assert not is_nilpotent_matrix(x)
 
 
+def _fraction_triangular(rng, n, upper):
+    """A strictly triangular matrix with entries of denominators up to 3."""
+    return Matrix([
+        [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if (c > r if upper else c < r) else 0
+         for c in range(n)]
+        for r in range(n)
+    ])
+
+
+def test_non_nilpotent_point_is_a_witness_for_fraction_spans():
+    # denominators cleared per matrix would give 2 M1 and M2, whose sum
+    # is not nilpotent at (1, 1), though M1 + M2 = [[0, 0], [-1/2, 0]] is
+    m1 = Matrix([[0, -1], [Fraction(-1, 2), 0]])
+    m2 = _unit(2, 0, 1)
+    for policy in ("deterministic", "probabilistic"):
+        point = linalg._non_nilpotent_point([m1, m2], policy, 0)
+        assert point is not None
+        assert not is_nilpotent_matrix(m1.scale(point[0]) + m2.scale(point[1]))
+    # each member nilpotent, so only mixed points can be witnesses
+    rng = random.Random(47)
+    witnessed = 0
+    for _ in range(60):
+        n = rng.randint(2, 4)
+        mats = [_fraction_triangular(rng, n, upper=i % 2 == 0) for i in range(rng.randint(2, 3))]
+        point = linalg._non_nilpotent_point(mats, "deterministic", 0)
+        # the grid reads integer entries; a common scale keeps the span
+        assert (point is None) == _nil_on_full_grid([m.scale(6) for m in mats])
+        if point is not None:
+            x = sum((m.scale(t) for t, m in zip(point, mats)), Matrix.zero(n, n))
+            assert not is_nilpotent_matrix(x)
+            witnessed += 1
+    assert witnessed > 20
+
+
 # ------------------------------------------------------ solve, inverse
 
 

@@ -993,6 +993,28 @@ def test_hypothesis_failure_carries_non_nilpotent_witness():
     _assert_witness(info.value, maps)
 
 
+def test_witness_reads_fraction_maps_as_given():
+    # 2 M1 + M2 is not nilpotent at (1, 1), but M1 + M2 is: the point
+    # must be a witness for the maps themselves, not a rescaling of them
+    from colorlie.structure import _check_nil_components
+
+    v = gl(2)
+    m1 = make_map(v, E0, {E0: [[0, -1], [Fraction(-1, 2), 0]]})
+    maps = [m1, unit_map(v, 0, 1)]
+    for policy in ("deterministic", "probabilistic"):
+        with pytest.raises(HypothesisFailed) as info:
+            _check_nil_components(maps, "span", policy, 0)
+        _assert_witness(info.value, maps)
+
+
+def test_witness_is_none_without_a_point():
+    v = gl(2)
+    L = bracket_closure(v, R0, [unit_map(v, 0, 1), unit_map(v, 1, 0)])
+    with pytest.raises(NotSolvable) as info:
+        codim_one_ideal(L)
+    assert info.value.witness is None
+
+
 def _levels_in_v(L):
     """K_1 < K_2 < ... of the kernel filtration of [L, L], as lists of
     flattened vectors of V."""
