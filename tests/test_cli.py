@@ -23,7 +23,7 @@ def run(capsys, *argv):
 
 
 def test_load_sample_problems():
-    for name in ("z3_torsion", "borel2", "heisenberg", "graded_solvable", "rotation"):
+    for name in ("z3_torsion", "borel2", "heisenberg", "graded_solvable", "rotation", "sl2"):
         problem = load_problem(PROBLEMS / f"{name}.json")
         assert problem.space.total_dim >= 1
 
@@ -533,3 +533,54 @@ def _upper(payload):
         for i in range(len(m))
         for j in range(i)
     )
+
+
+SL2_VALIDATE = (
+    "valid problem file: {path}\n"
+    "space dimension: 3\n"
+    "generators given: 2\n"
+    "bracket closure dimension: 3\n"
+    "  degree []: 3 basis element(s)\n"
+)
+SL2_VALIDATE_JSON = {
+    "valid": True, "space_dimension": 3, "generators": 2, "algebra_dimension": 3,
+    "by_degree": [{"degree": [], "count": 3}],
+}
+SL2_SERIES = (
+    "derived series dimensions: [3]\n"
+    "lower central series dimensions: [3]\n"
+    "derived series, per-degree dimensions:\n"
+    "  step 0: []: 3\n"
+    "lower central series, per-degree dimensions:\n"
+    "  step 0: []: 3\n"
+    "solvable: False\n"
+    "nilpotent: False\n"
+)
+SL2_SERIES_JSON = {
+    "derived": [{"dimension": 3, "by_degree": [{"degree": [], "dim": 3}]}],
+    "lower_central": [{"dimension": 3, "by_degree": [{"degree": [], "dim": 3}]}],
+    "solvable": False,
+    "nilpotent": False,
+}
+SL2_ERR = "hypothesis failure: NotSolvable: algebra is not solvable"
+
+
+def test_sl2_outputs(capsys):
+    # sl_2 on F^2 + F is perfect: validate and series succeed, while
+    # triangularize and chain exit 3 with NotSolvable.  Checked, it is
+    # raised before any flag step; unchecked, at the depth where the
+    # filtration of [L, L] stalls: the trivial line for the flag, nothing
+    # for the adjoint chain
+    path = str(PROBLEMS / "sl2.json")
+    assert run(capsys, "validate", path) == (0, SL2_VALIDATE.format(path=path), "")
+    assert run(capsys, "series", path) == (0, SL2_SERIES, "")
+    for command, want in (("validate", SL2_VALIDATE_JSON), ("series", SL2_SERIES_JSON)):
+        code, out, err = run(capsys, command, path, "--json")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(want, indent=2) + "\n"
+    for command, depth in (("triangularize", 1), ("chain", 0)):
+        for extra in ([], ["--json"]):
+            assert run(capsys, command, path, *extra) == (3, "", SL2_ERR + "\n")
+            assert run(capsys, command, path, "--skip-hypotheses", *extra) == (
+                3, "", f"{SL2_ERR} [flag depth {depth}]\n"
+            )

@@ -73,6 +73,10 @@ PINNED = {
         "14ddbc7a31c3c966621774d4c719ca9674eea98167ec1c68aac7ad353893d107",
     "cli.chain.rotation":
         "0df74d61d1ca50f39d22cd2d937c612cdb13a11efa0087093df5755447854bae",
+    "cli.triangularize.sl2":
+        "2dc4930f0776e350f770ea7a7a1ab09a7fbfafac3e136e1d33dde5bd45d01aee",
+    "cli.chain.sl2":
+        "2dc4930f0776e350f770ea7a7a1ab09a7fbfafac3e136e1d33dde5bd45d01aee",
     "cli.triangularize.z3_torsion":
         "2dc4930f0776e350f770ea7a7a1ab09a7fbfafac3e136e1d33dde5bd45d01aee",
     "cli.chain.z3_torsion":
