@@ -2,36 +2,42 @@
 
 The two main engines are the common-annihilated-vector search for nil
 algebras (Engel-type) and the flag of a solvable algebra over a
-torsion-free grading (Lie-type).  The flag is built in two phases, after
-the derived series is refined once into a homogeneous basis b_1..b_m,
-deepest term first, so that every C_i = <b_1..b_i> is a color ideal of
-codimension one in C_{i+1}; its first dim [L, L] entries span [L, L].
+torsion-free grading (Lie-type).  The flag is built in two phases from a
+homogeneous basis b_1..b_m of L whose first k = dim [L, L] entries span
+[L, L] (read off the structure-constant table) and whose rest are the
+basis elements of L independent modulo [L, L] (``_derived_coords``).
 
   1. Engel: K_0 = 0 and K_{j+1} = {v : [L, L] v in K_j}, each level the
      common graded kernel of [L, L] on V/K_j.  [L, L] is an ideal, so
      every K_j is L-invariant, and [L, L] acts as zero on every factor
      K_{j+1}/K_j.
-  2. Lie: on each factor the rest of the chain acts as a color-commuting
-     family.  A common homogeneous eigenvector is found by narrowing
-     W = the factor one chain element at a time: for nonzero degree to
-     its graded kernel (a homogeneous eigenvector of a degree-shifting
-     map has eigenvalue zero), for degree zero to the eigenspace, on
-     every component, of a rational eigenvalue of some diagonal block.
-     The factor is flagged line by line through its graded quotients by
-     the lines found so far, and the vectors are lifted back to V.
+  2. Lie: [L, L] acts as zero on each factor, so b_{k+1}..b_m
+     color-commute there, in any order.  A common homogeneous
+     eigenvector is found by narrowing W = the factor one b_i at a time:
+     for nonzero degree to its graded kernel (a homogeneous eigenvector
+     of a degree-shifting map has eigenvalue zero), for degree zero to
+     the eigenspace, on every component, of a rational eigenvalue of some
+     diagonal block.  The factor is flagged line by line through its
+     graded quotients by the lines found so far, and the vectors are
+     lifted back to V.
 
 The whole filtration is computed before any eigenvalue is searched for.
-When it reaches V it is an exact certificate that [L, L] acts
-nilpotently, so every component of [L, L] is nil, and no point-based nil
-check runs.  When it stops below V, no homogeneous flag exists: in any
+When it reaches V, [L, L] acts nilpotently, so its components are nil,
+and L is solvable: every element of [L, L] strictly raises the
+filtration, so a product of two, and with it their color bracket, raises
+it by at least two, and the m-th derived term by at least 2^(m-1).  The
+argument uses neither torsion-freeness nor the bicharacter, and neither
+the derived series nor a point-based nil check runs.
+When it stops below V, no homogeneous flag exists: in any
 such flag [L, L] is strictly upper triangular (a map of nonzero degree
 has zero diagonal, and for degree zero r(0, 0) = 1 cancels the diagonal
-of ab - ba).  Only then are the components of [L, L] checked for nil
+of ab - ba).  Only then is the derived series computed (``_stall``), for
+a NotSolvable verdict, and are the components of [L, L] checked for nil
 (``linalg._non_nilpotent_point``, the loop behind ``nil_subspace_check``),
 to tell a failed hypothesis from a violated theorem.  That check proves a
 span nil once the product chain I_{j+1} = sum_i B_i I_j of its maps
-reaches 0, run after the first k = ceil(s n / ceil(log2 n)) points when
-the policy has more than 2k of them; when the chain stalls the full point
+reaches 0, run after the first p = ceil(s n / ceil(log2 n)) points when
+the policy has more than 2p of them; when the chain stalls the full point
 set runs.  A non-nil component is only ever reported at a point, which
 the HypothesisFailed carries as its ``witness`` (degree, point).
 
@@ -101,6 +107,7 @@ from .algebra import (
     full_subspace,
     lower_central_series,
     _require_closed,
+    _square,
 )
 from .linalg import (
     _ONE,
@@ -261,40 +268,36 @@ def engel_check(
     return EngelReport(all_ad, nilpotent, witness)
 
 
-def _derived_coords(L: ColorAlgebra, series: list[Subspace]) -> list[tuple]:
-    """Homogeneous basis b_1..b_m of L adapted to its derived series, as
-    (degree, pivot coordinates) pairs: the deepest term's rows first, then
-    each term's extension to the next, then L's basis.
+def _derived_coords(L: ColorAlgebra, derived: Subspace) -> list[tuple]:
+    """Homogeneous basis b_1..b_m of L adapted to [L, L] (``derived``), as
+    (degree, pivot coordinates) pairs: the reduced rows of [L, L] first,
+    then the basis elements of L independent modulo [L, L], in order.
 
-    Each span C_i = <b_1..b_i> lies between consecutive terms D_{j+1} and
-    D_j, so [C_{i+1}, C_i] lies in [D_j, D_j] = D_{j+1}, inside C_i: every
-    C_i is a codimension-one color ideal of C_{i+1}.  When L is not
-    solvable the chain starts with a basis of the last, perfect term.
+    The first k = dim [L, L] entries drive phase 1 and the rest phase 2
+    (see the module docstring); any basis of [L, L] serves, since the
+    kernel levels are canonical subspaces.  Every subspace containing
+    [L, L] is an ideal, so each prefix of length at least k is one.
     """
     ech = _GradedEchelon()
-    levels = [s._ech.vectors() for s in reversed(series[1:])]
-    levels.append([(f.degree, c) for f, c in zip(L.basis, L._basis_coords)])
-    return [(g, v) for level in levels for g, v in level if ech.add_vector(g, v)]
+    basis = [(f.degree, c) for f, c in zip(L.basis, L._basis_coords)]
+    return [(g, v) for g, v in derived._ech.vectors() + basis if ech.add_vector(g, v)]
 
 
 def _sparse_map(degree: GroupElement, columns: dict) -> tuple:
     """A homogeneous map as (degree, blocks), from its columns given as
     ``columns[h][j] = {i: x}``: the entry at row i of the target component
     and column j of the component of degree h.  Each block is (h, target,
-    rows, cols), rows[i] and cols[j] the nonzero (index, entry) pairs of
-    its row i and column j, in component coordinates."""
+    cols), cols[j] the nonzero (index, entry) pairs of its column j, in
+    component coordinates."""
     blocks = []
     for h, cs in columns.items():
-        rows: dict[int, list] = {}
         cols = {}
         for j, col in cs.items():
             pairs = [(i, x) for i, x in col.items() if x]
             if pairs:
                 cols[j] = pairs
-                for i, x in pairs:
-                    rows.setdefault(i, []).append((j, x))
         if cols:
-            blocks.append((h, element_add(h, degree), rows, cols))
+            blocks.append((h, element_add(h, degree), cols))
     return degree, blocks
 
 
@@ -359,19 +362,20 @@ def codim_one_ideal(
     """Color ideal K with dim K = dim L - 1 and a homogeneous z with
     L = K + F z.
 
-    With b_1..b_m the basis adapted to the derived series, K is spanned by
-    b_1..b_{m-1} and z = b_m is a basis element of L outside [L, L]; any
-    subspace containing [L, L] is an ideal, which also covers abelian L.
+    With b_1..b_m the basis adapted to [L, L] (``_derived_coords``), K is
+    spanned by b_1..b_{m-1} and z = b_m is a basis element of L outside
+    [L, L]; any subspace containing [L, L] is an ideal, which also covers
+    abelian L.
     """
     _require_closed(L)
     if L.dim == 0:
         raise ZeroAlgebra("the zero algebra has no codimension-one ideal")
-    series = derived_series(L)
-    if check_hypotheses and series[-1].dim != 0:
+    if check_hypotheses and derived_series(L)[-1].dim != 0:
         raise NotSolvable("algebra is not solvable")
-    if len(series) == 1:
+    derived = _square(L)
+    if derived.dim == L.dim:
         raise NotSolvable("derived subalgebra equals the whole algebra")
-    chain = _derived_coords(L, series)
+    chain = _derived_coords(L, derived)
     return Subspace._span(L, chain[:-1]), L._element(*chain[-1])
 
 
@@ -405,7 +409,7 @@ class _EmbeddedSubspace:
         degree, blocks = f
         q = self.q
         out = {}
-        for h, t, _, cols in blocks:
+        for h, t, cols in blocks:
             if h not in self.bases:
                 continue
             solver = self.solvers.get(t)
@@ -553,7 +557,7 @@ def _restrict(f, q: _Quotient, basis: dict, kernels: dict):
     free columns."""
     degree, blocks = f
     columns: dict = {}
-    for h, t, _, cols in blocks:
+    for h, t, cols in blocks:
         if h not in basis or t not in kernels:
             continue
         ech = kernels[t]
@@ -593,7 +597,11 @@ def _kernel_filtration(space: GradedSpace, nil, top):
     """
     by_source: dict = {}
     for _, blocks in nil:
-        for h, t, rows, _ in blocks:
+        for h, t, cols in blocks:
+            rows: dict = {}
+            for j, pairs in cols.items():
+                for i, x in pairs:
+                    rows.setdefault(i, []).append((j, x))
             by_source.setdefault(h, []).append((t, rows))
     q = _Quotient(space)
     while q.space.total_dim > 0:
@@ -682,23 +690,9 @@ def _chain_eigenvector(q: _Quotient, chain, strict: bool) -> GradedVector:
     return _vector(q.space, {g: vs[0]})
 
 
-def _derived(series: list[Subspace]) -> Subspace:
-    """[L, L] from the derived series (L itself when L is perfect or 0)."""
-    return series[1] if len(series) > 1 else series[0]
-
-
-def _check_solvable(L: ColorAlgebra) -> list[Subspace]:
-    """Derived series of L, after checking that it ends in zero.  That
-    the components of [L, L] are nil is certified by the kernel
-    filtration (``_engel_phase``)."""
-    series = derived_series(L)
-    if series[-1].dim != 0:
-        raise NotSolvable("algebra is not solvable")
-    return series
-
-
-def _check_triangularization_hypotheses(L: ColorAlgebra) -> list[Subspace]:
-    _require_closed(L)
+def _check_triangularization_hypotheses(L: ColorAlgebra):
+    """A nonzero space and a torsion-free grading; solvability and nil
+    [L, L] are certified by the kernel filtration (``_engel_phase``)."""
     if L.space.total_dim == 0:
         raise EmptySpace("the representation space is zero")
     if not L.space.group.is_torsion_free():
@@ -706,18 +700,20 @@ def _check_triangularization_hypotheses(L: ColorAlgebra) -> list[Subspace]:
             "grading group has torsion; triangularization can fail "
             "(run the cyclic-group demo for a 3-dimensional example)"
         )
-    return _check_solvable(L)
 
 
-def _stall(series, nil_maps, depth, strict, nil_policy, seed):
+def _stall(L, nil_maps, depth, strict, nil_policy, seed):
     """Raise for a kernel filtration of maps spanning [L, L] as it acts,
     built by ``nil_maps`` as ``HomogeneousMap``s, that stopped at
     dimension ``depth`` below the space.  No homogeneous flag exists then
-    (see the module docstring); with the hypotheses checked, the nil
-    check tells a non-nil component of [L, L] (HypothesisFailed) from a
-    bug."""
-    if series[-1].dim != 0:
+    (see the module docstring).  NotSolvable comes from L's derived
+    series, with no flag depth when ``strict`` (a failed hypothesis);
+    with a solvable L and ``strict``, the nil check tells a non-nil
+    component of [L, L] (HypothesisFailed) from a bug."""
+    if derived_series(L)[-1].dim != 0:
         err = NotSolvable("algebra is not solvable")
+        if strict:
+            raise err
     elif strict:
         _check_nil_components(nil_maps(), "derived subalgebra", nil_policy, seed)
         err = TheoremViolation(
@@ -732,15 +728,14 @@ def _stall(series, nil_maps, depth, strict, nil_policy, seed):
     raise err
 
 
-def _engel_phase(space, nil, top, series, strict, nil_policy, seed,
-                 nil_maps) -> list:
+def _engel_phase(L, space, nil, top, strict, nil_policy, seed, nil_maps) -> list:
     """The whole kernel filtration of ``nil`` (spanning [L, L] as it acts
-    on ``space``), or the stall error; ``series`` is L's derived series
-    and ``nil_maps`` builds ``nil`` as maps for the stall's nil check."""
+    on ``space``), or the stall error (``_stall``); ``nil_maps`` builds
+    ``nil`` as maps for the stall's nil check."""
     levels = list(_kernel_filtration(space, nil, top))
     depth = _filtration_dim(levels)
     if depth < space.total_dim:
-        _stall(series, nil_maps, depth, strict, nil_policy, seed)
+        _stall(L, nil_maps, depth, strict, nil_policy, seed)
     return levels
 
 
@@ -760,27 +755,24 @@ def common_homogeneous_eigenvector(
     certifies that it is a common eigenvector.
     """
     _require_closed(L)
-    if L.space.total_dim == 0:
-        raise EmptySpace("the representation space is zero")
     if check_hypotheses:
-        series = _check_triangularization_hypotheses(L)
-    else:
-        series = derived_series(L)
-    if series[-1].dim != 0:
+        _check_triangularization_hypotheses(L)
+    elif L.space.total_dim == 0:
+        raise EmptySpace("the representation space is zero")
+    elif derived_series(L)[-1].dim != 0:
         raise NotSolvable("algebra is not solvable")
-    coords = _derived_coords(L, series)
-    chain = _sparse_elements(L, coords)
-    k = _derived(series).dim
+    derived = _square(L)
+    chain = _sparse_elements(L, _derived_coords(L, derived))
+    k = derived.dim
     if check_hypotheses:
         levels = _engel_phase(
-            L.space, chain[:k], chain[k:], series, True, nil_policy, seed,
-            lambda: [L._element(g, v) for g, v in coords[:k]],
+            L, L.space, chain[:k], chain[k:], True, nil_policy, seed, derived.elements
         )
     else:
         levels = _kernel_filtration(L.space, chain[:k], chain[k:])
     first = next(iter(levels), None)
     if first is None:
-        _stall(series, None, 0, False, nil_policy, seed)
+        _stall(L, None, 0, False, nil_policy, seed)
     space, top, basis = first
     v = _chain_eigenvector(_Quotient(space), top, strict=check_hypotheses)
     d = v.degree()
@@ -807,28 +799,26 @@ def color_flag(
     """Homogeneous basis of V in which every element of L is upper
     triangular, built in two phases (see the module docstring): the
     kernel filtration of [L, L] first, then each factor flagged line by
-    line, splitting off a common homogeneous eigenvector of the rest of
-    the chain and passing to the graded quotient.
+    line, splitting off a common homogeneous eigenvector of the basis
+    elements of L outside [L, L] and passing to the graded quotient.
 
-    A filtration that reaches V certifies that [L, L] is nil, so
-    ``nil_policy`` and ``seed`` are used only when it stops below V.  The
-    result is verified exactly: the change of basis is applied to every
-    basis element of L, strict lower entries must vanish and the weights
-    are read off the diagonal.
+    A filtration that reaches V certifies that [L, L] is nil and L
+    solvable, so the derived series, ``nil_policy`` and ``seed`` are used
+    only when it stops below V.  The result is verified exactly: the
+    change of basis is applied to every basis element of L, strict lower
+    entries must vanish and the weights are read off the diagonal.
     """
     _require_closed(L)
     if check_hypotheses:
-        series = _check_triangularization_hypotheses(L)
-    else:
-        series = derived_series(L)
-    if L.space.total_dim == 0:
+        _check_triangularization_hypotheses(L)
+    elif L.space.total_dim == 0:
         raise EmptySpace("the representation space is zero")
-    coords = _derived_coords(L, series)
-    chain = _sparse_elements(L, coords)
-    k = _derived(series).dim
+    derived = _square(L)
+    chain = _sparse_elements(L, _derived_coords(L, derived))
+    k = derived.dim
     levels = _engel_phase(
-        L.space, chain[:k], chain[k:], series, check_hypotheses, nil_policy, seed,
-        lambda: [L._element(g, v) for g, v in coords[:k]],
+        L, L.space, chain[:k], chain[k:], check_hypotheses, nil_policy, seed,
+        derived.elements,
     )
     basis = _sparse_elements(
         L, [(f.degree, c) for f, c in zip(L.basis, L._basis_coords)]
@@ -900,7 +890,7 @@ def _certify(space: GradedSpace, vectors, certify) -> list[list[Fraction]]:
     diagonals = []
     for _, blocks in certify:
         diag = [_ZERO] * len(vectors)
-        for h, t, _, cols in blocks:
+        for h, t, cols in blocks:
             for j in index.get(h, ()):
                 y: dict = {}
                 for c, a in entries[j]:
@@ -934,42 +924,40 @@ def ideal_chain(
     ``colorlie.algebra``), so its flag vectors are literally elements of
     L; a subspace invariant under every ad x is exactly a color ideal.
     The maps are read off the structure-constant table: ad of L's basis
-    adapted to its derived series, whose first dim [L, L] entries span
-    ad [L, L] = [ad L, ad L], since ad is a homomorphism.  Those drive
-    phase 1 and the rest phase 2 (see the module docstring); ad L is
-    never built as an algebra.  The flag is certified with ad R_k for
-    every canonical basis element R_k, so every prefix is ad-invariant,
-    hence an ideal.
+    adapted to [L, L] (``_derived_coords``), whose first dim [L, L]
+    entries span ad [L, L] = [ad L, ad L], since ad is a homomorphism.
+    Those drive phase 1 and the rest phase 2 (see the module docstring);
+    ad L is never built as an algebra.  The flag is certified with ad R_k
+    for every canonical basis element R_k, so every prefix is
+    ad-invariant, hence an ideal.
 
     The hypotheses are checked on L only: ad([L, L]_g) = [ad L, ad L]_g
     and ad of a nilpotent element is nilpotent, so ad L inherits them.
-    That [L, L] is nil is certified by phase 1 of L's own flag, the
-    kernel filtration of [L, L] on V, with no eigenvalue search; the
-    adjoint filtration cannot stand in for it, since ad kills the center
-    and with it any central non-nilpotent element.  ``nil_policy`` and
+    After the torsion check, that L is solvable and [L, L] nil is
+    certified by phase 1 of L's own flag, the kernel filtration of
+    [L, L] on V, with no eigenvalue search; the adjoint filtration cannot
+    stand in for it, since ad kills the center and with it any central
+    non-nilpotent element.  The derived series, ``nil_policy`` and
     ``seed`` are used only when a filtration stalls.
     """
     _require_closed(L)
+    if check_hypotheses and not L.space.group.is_torsion_free():
+        raise TorsionGrading("grading group has torsion")
+    derived = _square(L)
+    coords = _derived_coords(L, derived)
+    k = derived.dim
     if check_hypotheses:
-        if not L.space.group.is_torsion_free():
-            raise TorsionGrading("grading group has torsion")
-        series = _check_solvable(L)
-        derived = _derived(series)
-        nil = _sparse_elements(L, derived._ech.vectors())
         _engel_phase(
-            L.space, nil, [], series, True, nil_policy, seed, derived.elements
+            L, L.space, _sparse_elements(L, coords[:k]), [], True, nil_policy,
+            seed, derived.elements,
         )
-    else:
-        series = derived_series(L)
     if L.dim == 0:
         return IdealChain((Subspace(L, []),))
 
-    coords = _derived_coords(L, series)
     ads = _sparse_ads(L, coords)
-    k = _derived(series).dim
     profile = L.profile_space()
     levels = _engel_phase(
-        profile, ads[:k], ads[k:], series, check_hypotheses, nil_policy, seed,
+        L, profile, ads[:k], ads[k:], check_hypotheses, nil_policy, seed,
         lambda: [L._ad(g, v) for g, v in coords[:k]],
     )
     units = _sparse_ads(L, [(g, L._unit(i)) for i, g in enumerate(L._degrees)])

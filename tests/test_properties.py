@@ -3,8 +3,9 @@ elimination kernel against sympy and its own invariants, on small and on
 wide entries, the quotient's normal form against a reference
 Gauss-Jordan, ``char_poly`` against sympy, the incremental graded kernel
 against a stacked reference elimination, the sparse bracket kernel
-against ``color_bracket``, and the structure-constant table against
-flattened brackets."""
+against ``color_bracket``, the structure-constant table against
+flattened brackets, and the solvability that a kernel filtration of
+[L, L] reaching V proves."""
 
 import random
 from fractions import Fraction
@@ -12,16 +13,19 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
+import hypothesis
 from hypothesis import given, strategies as st
 
 from colorlie import (
-    Matrix, bracket_closure, char_poly, graded_kernel, inverse, make_group, make_space,
-    rref, solve_unique,
+    Matrix, NotSolvable, bracket_closure, char_poly, color_flag,
+    common_homogeneous_eigenvector, derived_series, graded_kernel, ideal_chain, inverse,
+    make_group, make_space, rref, solve_unique,
 )
+from colorlie.algebra import _square
 from colorlie.graded import _vector
 from colorlie.linalg import _Echelon
-from colorlie.structure import _Quotient
-from corpus import all_configs, random_homogeneous_map, random_space
+from colorlie.structure import _Quotient, _filtration_dim, _kernel_filtration, _sparse_elements
+from corpus import all_configs, random_homogeneous_map, random_solvable_instance, random_space
 from reference import (
     assert_kernel_matches_color_bracket,
     assert_series_and_center_match,
@@ -261,3 +265,44 @@ def test_table_matches_flattened_brackets(config, seed):
 @given(config=st.sampled_from(CONFIGS), seed=st.integers(0, 10**9))
 def test_series_and_center_match_flattened_reference(config, seed):
     assert_series_and_center_match(_random_closure(config, seed))
+
+
+# ----------------------------------------- solvability by the filtration
+
+
+def _filtration_reaches_v(L):
+    """Whether the kernel filtration of [L, L] on V reaches V."""
+    nil = _sparse_elements(L, _square(L)._ech.vectors())
+    return _filtration_dim(_kernel_filtration(L.space, nil, [])) == L.space.total_dim
+
+
+@given(config=st.sampled_from(CONFIGS), seed=st.integers(0, 10**9), planted=st.booleans())
+def test_filtration_reaching_v_proves_solvable(config, seed, planted):
+    # every element of [L, L] then strictly raises a finite filtration,
+    # so the m-th derived term raises it by 2^(m-1) and the series dies
+    # out; the argument needs neither torsion-freeness nor the
+    # bicharacter.  A planted solvable instance has [L, L] strictly upper
+    # triangular in a hidden flag, so its filtration always reaches V
+    if planted:
+        _, group, r = config
+        L = random_solvable_instance(random.Random(seed), group, r)
+        assert _filtration_reaches_v(L)
+    else:
+        L = _random_closure(config, seed)
+    if _filtration_reaches_v(L):
+        assert derived_series(L)[-1].dim == 0
+
+
+@given(config=st.sampled_from([c for c in CONFIGS if c[1].is_torsion_free()]),
+       seed=st.integers(0, 10**9))
+def test_checked_calls_refuse_non_solvable_closures(config, seed):
+    # a non-solvable L stalls the filtration, and the checked calls
+    # report it as the failed hypothesis: no flag depth, no witness
+    L = _random_closure(config, seed)
+    hypothesis.assume(derived_series(L)[-1].dim != 0)
+    for call in (color_flag, ideal_chain, common_homogeneous_eigenvector):
+        with pytest.raises(NotSolvable) as info:
+            call(L)
+        assert getattr(info.value, "flag_depth", None) is None
+        assert info.value.witness is None
+        assert str(info.value) == "algebra is not solvable"

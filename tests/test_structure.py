@@ -20,6 +20,7 @@ from colorlie import (
     ZeroAlgebra,
     apply,
     bracket_closure,
+    bracket_subspaces,
     codim_one_ideal,
     color_bracket,
     color_flag,
@@ -29,6 +30,7 @@ from colorlie import (
     engel_check,
     flatten_map,
     flatten_vector,
+    full_subspace,
     ideal_chain,
     inverse,
     is_ideal,
@@ -245,8 +247,19 @@ def test_codim_one_not_solvable():
     f = unit_map(v, 1, 0)
     L = bracket_closure(v, R0, [e, f])
     assert L.dim == 3
-    with pytest.raises(NotSolvable):
+    with pytest.raises(NotSolvable, match="^algebra is not solvable$"):
         codim_one_ideal(L)
+    # unchecked, only a perfect algebra has no codimension-one ideal
+    with pytest.raises(NotSolvable, match="equals the whole algebra"):
+        codim_one_ideal(L, check_hypotheses=False)
+    # sl2 plus the unit on a trivial line: [L, L] = sl2 has codimension one
+    v = gl(3)
+    e33 = unit_map(v, 2, 2)
+    L = bracket_closure(v, R0, [unit_map(v, 0, 1), unit_map(v, 1, 0), e33])
+    with pytest.raises(NotSolvable, match="^algebra is not solvable$"):
+        codim_one_ideal(L)
+    k, z = codim_one_ideal(L, check_hypotheses=False)
+    assert (k.dim, is_ideal(L, k), z) == (3, True, e33)
 
 
 # ------------------------------------- common homogeneous eigenvector
@@ -501,18 +514,25 @@ def test_flag_not_solvable_skip_hypotheses():
 
 
 def _assert_derived_chain(L):
+    # the basis adapted to [L, L]: its first k = dim [L, L] elements span
+    # [L, L] (brackets formed here, not read off the table), the rest are
+    # basis elements of L, and from [L, L] up every prefix is an ideal,
+    # each of codimension one in the next
+    from colorlie.algebra import _square
     from colorlie.structure import _derived_coords
 
-    chain = [L._element(g, v) for g, v in _derived_coords(L, derived_series(L))]
+    full = full_subspace(L)
+    derived = bracket_subspaces(full, full)
+    k = derived.dim
+    chain = [L._element(g, v) for g, v in _derived_coords(L, _square(L))]
     assert len(chain) == L.dim
     assert Subspace(L, chain).dim == L.dim
     for b in chain:
         assert unflatten_map(L.space, b.degree, flatten_map(b)) == b
-    for i in range(L.dim):
-        below = Subspace(L, chain[:i])
-        for x in chain[: i + 1]:
-            for y in chain[:i]:
-                assert below.contains(color_bracket(L.r, x, y))
+    assert Subspace(L, chain[:k]) == derived
+    assert all(b in L.basis for b in chain[k:])
+    for i in range(k, L.dim + 1):
+        assert is_ideal(L, Subspace(L, chain[:i]))
 
 
 def test_derived_chain_is_codim_one_ideal_chain():
@@ -1018,9 +1038,10 @@ def test_witness_is_none_without_a_point():
 def _levels_in_v(L):
     """K_1 < K_2 < ... of the kernel filtration of [L, L], as lists of
     flattened vectors of V."""
-    from colorlie.structure import _derived, _kernel_filtration, _lift, _sparse_of
+    from colorlie.algebra import _square
+    from colorlie.structure import _kernel_filtration, _lift, _sparse_of
 
-    nil = [_sparse_of(f) for f in _derived(derived_series(L)).elements()]
+    nil = [_sparse_of(f) for f in _square(L).elements()]
     out, acc = [], []
     for space, top, basis in _kernel_filtration(L.space, nil, []):
         assert top == []
@@ -1086,8 +1107,7 @@ def _normal(sparse):
     """A sparse map with its blocks and their pairs in a fixed order."""
     degree, blocks = sparse
     return degree, sorted(
-        ((h, t, {i: sorted(p) for i, p in rows.items()},
-          {j: sorted(p) for j, p in cols.items()}) for h, t, rows, cols in blocks),
+        ((h, t, {j: sorted(p) for j, p in cols.items()}) for h, t, cols in blocks),
         key=lambda b: b[0].sort_key(),
     )
 
@@ -1110,8 +1130,9 @@ def test_kernel_filtration_matches_induced_map_reference():
     # factor spaces, restricted top maps and bases per level equal those
     # of the filtration by induced maps, on V for the chain of color_flag
     # and on L for the adjoint chain of ideal_chain
+    from colorlie.algebra import _square
     from colorlie.structure import (
-        _derived, _derived_coords, _sparse_ads, _sparse_elements, _sparse_of,
+        _derived_coords, _sparse_ads, _sparse_elements, _sparse_of,
     )
 
     rng = random.Random(113)
@@ -1124,9 +1145,9 @@ def test_kernel_filtration_matches_induced_map_reference():
         for n in (2, 3, 4, 5) for grading in ("plain", "z", "zsuper", "z2")
     ]
     for L in algebras:
-        series = derived_series(L)
-        coords = _derived_coords(L, series)
-        k = _derived(series).dim
+        derived = _square(L)
+        coords = _derived_coords(L, derived)
+        k = derived.dim
         _assert_filtration_matches_reference(
             L.space, [L._element(g, v) for g, v in coords],
             _sparse_elements(L, coords), k,
@@ -1268,14 +1289,15 @@ def test_non_invariant_line_has_no_homogeneous_eigenvector():
 def _adjoint_flag(L):
     """ideal_chain's flag vectors on the profile space, with no
     certificate."""
+    from colorlie.algebra import _square
     from colorlie.structure import (
-        _derived, _derived_coords, _kernel_filtration, _lie_phase, _sparse_ads,
+        _derived_coords, _kernel_filtration, _lie_phase, _sparse_ads,
     )
 
-    series = derived_series(L)
-    coords = _derived_coords(L, series)
+    derived = _square(L)
+    coords = _derived_coords(L, derived)
     ads = _sparse_ads(L, coords)
-    k = _derived(series).dim
+    k = derived.dim
     levels = list(_kernel_filtration(L.profile_space(), ads[:k], ads[k:]))
     return _lie_phase(L.profile_space(), levels, [], True)[0]
 
