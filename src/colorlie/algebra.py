@@ -17,7 +17,9 @@ the center, ideals and the adjoint action are then computed on
 length-m coordinate vectors instead of on N x N maps.
 
 R and its transform back to the basis are kept by a ``linalg._Echelon``,
-the package's one elimination kernel, as are all echelon rows here.
+the package's one elimination kernel, as are all echelon rows here.  Every
+vector here is sparse, a dict ``{index: value}`` as the kernel takes and
+gives it: flattened maps, pivot coordinates and table entries alike.
 
 A subspace is stored as per-degree reduced echelon rows in pivot
 coordinates.  The leading flattened entry of x in L sits at p_k for the
@@ -36,9 +38,9 @@ diagonal pair is kept, since under a super grading [a, a] = 2 a^2 need
 not vanish.
 
 Those brackets, the closure's and the table's, are the only ones taken
-of maps, and ``_sparse_bracket`` computes them on sparse flattened rows,
-the nonzero entries of the N x N matrices, without building block maps;
-the caller tracks the degree |a| + |b|.  ``color_bracket`` stays the
+of maps, and ``_sparse_bracket`` computes them on sparse flattened rows
+of the N x N matrices, without building block maps; the caller tracks
+the degree |a| + |b|.  ``color_bracket`` stays the
 public bracket of block maps, composed block by block, so the tests can
 check the kernel and the table against it.
 """
@@ -68,6 +70,7 @@ from .graded import (
     GradedVector,
     HomogeneousMap,
     _GradedEchelon,
+    _flat,
     _map,
     _unflatten,
     add_maps,
@@ -79,7 +82,7 @@ from .graded import (
     scale_map,
     zero_map,
 )
-from .linalg import _ONE, _ZERO, Matrix, _Echelon, _sparse, is_nilpotent_matrix
+from .linalg import _ONE, _ZERO, Matrix, _Echelon, is_nilpotent_matrix
 
 
 def color_bracket(r: Bicharacter, a: HomogeneousMap, b: HomogeneousMap) -> HomogeneousMap:
@@ -106,33 +109,29 @@ def color_bracket(r: Bicharacter, a: HomogeneousMap, b: HomogeneousMap) -> Homog
     return _map(a.space, ab.degree, blocks)
 
 
-def _flat(f: HomogeneousMap) -> list[Fraction]:
-    """f's flattened matrix as one row, row-major."""
-    return [x for row in flatten_map(f).data for x in row]
-
-
-def _sparse_bracket(n: int, x, y, s: Fraction) -> list[Fraction]:
-    """x y - s y x for maps x, y given as sparse flattened rows: the
-    nonzero (index, value) pairs of their n x n matrices, row-major.
-    With s = r(|y|, |x|) this is [x, y] of degree |x| + |y|, which the
-    caller tracks; it comes back as a dense flattened row.  Only nonzero
+def _sparse_bracket(n: int, x: dict, y: dict, s: Fraction) -> dict[int, Fraction]:
+    """x y - s y x for maps x, y given as sparse flattened rows
+    ``{index: value}`` of their n x n matrices, row-major, and returned as
+    one, holding a zero where terms cancel.  With s = r(|y|, |x|) this is
+    [x, y] of degree |x| + |y|, which the caller tracks.  Only stored
     entries are multiplied: (x y)[p, q] collects x[p, k] y[k, q] over
     the entries of y's row k."""
-    out = [_ZERO] * (n * n)
+    out: dict[int, Fraction] = {}
     x_rows: dict[int, list] = {}
     y_rows: dict[int, list] = {}
-    for i, v in x:
+    for i, v in x.items():
         x_rows.setdefault(i // n, []).append((i % n, v))
-    for i, v in y:
+    for i, v in y.items():
         y_rows.setdefault(i // n, []).append((i % n, v))
     for left, rows, c in ((x, y_rows, _ONE), (y, x_rows, -s)):
-        for i, a in left:
+        for i, a in left.items():
             row = rows.get(i % n)
             if row:
                 base = i - i % n
                 ca = c * a
                 for q, v in row:
-                    out[base + q] += ca * v
+                    k = base + q
+                    out[k] = out[k] + ca * v if k in out else ca * v
     return out
 
 
@@ -202,7 +201,9 @@ class ColorAlgebra:
             ks = self._local.setdefault(d, [])
             self._pos.append(len(ks))
             ks.append(k)
-        self._basis_coords = [[v[p] for p in solver.pivots] for v in flat]
+        self._basis_coords = [
+            {k: v[p] for k, p in enumerate(solver.pivots) if p in v} for v in flat
+        ]
 
     @property
     def dim(self) -> int:
@@ -255,7 +256,7 @@ class ColorAlgebra:
 
     # -- pivot coordinates and the structure-constant table
 
-    def _pivot_coords(self, f: HomogeneousMap) -> list[Fraction] | None:
+    def _pivot_coords(self, f: HomogeneousMap) -> dict[int, Fraction] | None:
         """Pivot coordinates of f, or None when f is outside the span."""
         if f.space != self.space:
             raise SpaceMismatch("map acts on a different space")
@@ -263,25 +264,22 @@ class ColorAlgebra:
 
     def _element(self, degree: GroupElement, coords) -> HomogeneousMap:
         """The map with the given pivot coordinates."""
-        n = self.space.total_dim
-        flat = [_ZERO] * (n * n)
-        for c, row in zip(coords, self._solver.sparse_rows):
-            if c:
-                for i, y in row:
-                    flat[i] += c * y
+        rows = self._solver.sparse_rows
+        flat: dict[int, Fraction] = {}
+        for k, c in coords.items():
+            for i, y in rows[k].items():
+                flat[i] = flat[i] + c * y if i in flat else c * y
         return _unflatten(self.space, degree, flat)
 
-    def _unit(self, k: int) -> list[Fraction]:
+    def _unit(self, k: int) -> dict[int, Fraction]:
         """Pivot coordinates of R_k."""
-        out = [_ZERO] * len(self._degrees)
-        out[k] = _ONE
-        return out
+        return {k: _ONE}
 
     def _structure(self) -> list[dict]:
-        """The table: entry [i][j] lists the nonzero (k, c_ij^k), and is
-        absent when [R_i, R_j] = 0.  Built once, from the pairs i <= j
-        of the solver's sparse rows, each bracket checked to lie in the
-        span."""
+        """The table: entry [i][j] holds the nonzero c_ij^k as ``{k: c}``,
+        and is absent when [R_i, R_j] = 0.  Built once, from the pairs
+        i <= j of the solver's sparse rows, each bracket checked to lie in
+        the span."""
         if self._table is None:
             n = self.space.total_dim
             rs = self._solver.sparse_rows
@@ -294,28 +292,27 @@ class ColorAlgebra:
                     c = self._solver.reduce(_sparse_bracket(n, a, rs[j], s))
                     if c is None:
                         raise NotClosed("basis is not closed under the bracket")
-                    entries = tuple((k, x) for k, x in enumerate(c) if x)
-                    if entries:
-                        table[i][j] = entries
+                    if c:
+                        table[i][j] = c
                         if j != i:
                             t = -eval_bicharacter(self.r, da, db)
-                            table[j][i] = tuple((k, t * x) for k, x in entries)
+                            table[j][i] = {k: t * x for k, x in c.items()}
             self._table = table
         return self._table
 
-    def _bracket(self, xs, ys) -> list[Fraction]:
-        """[x, y] in pivot coordinates, from the table; x and y are given
-        by their nonzero (index, coordinate) pairs (``_sparse``)."""
+    def _bracket(self, xs: dict, ys: dict) -> dict[int, Fraction]:
+        """[x, y] in pivot coordinates, from the table, holding a zero
+        where terms cancel."""
         table = self._structure()
-        out = [_ZERO] * len(table)
-        for i, a in xs:
+        out: dict[int, Fraction] = {}
+        for i, a in xs.items():
             row = table[i]
-            for j, b in ys:
+            for j, b in ys.items():
                 e = row.get(j)
                 if e is not None:
                     ab = a * b
-                    for k, c in e:
-                        out[k] += ab * c
+                    for k, c in e.items():
+                        out[k] = out[k] + ab * c if k in out else ab * c
         return out
 
     def _ad(self, degree: GroupElement, x) -> HomogeneousMap:
@@ -324,11 +321,11 @@ class ColorAlgebra:
         degree g has the R_k of degree g as its basis, in order of k."""
         table = self._structure()
         cols: dict[int, dict[int, Fraction]] = {}
-        for a, row in zip(x, table):
+        for i, a in x.items():
             if a:
-                for j, e in row.items():
+                for j, e in table[i].items():
                     col = cols.setdefault(j, {})
-                    for k, c in e:
+                    for k, c in e.items():
                         col[k] = col.get(k, _ZERO) + a * c
         blocks = {}
         for h, src in self._local.items():
@@ -342,14 +339,11 @@ class ColorAlgebra:
             blocks[h] = Matrix._raw(tuple(tuple(row) for row in rows), len(src))
         return _map(self.profile_space(), degree, blocks)
 
-    def _from_profile(self, v: GradedVector) -> tuple[GroupElement, list[Fraction]]:
+    def _from_profile(self, v: GradedVector) -> tuple[GroupElement, dict[int, Fraction]]:
         """Degree and pivot coordinates of a homogeneous vector of the
         profile space in pivot coordinates."""
         g, comp = v.components[0]
-        out = [_ZERO] * len(self._degrees)
-        for k, c in zip(self._local[g], comp):
-            out[k] = c
-        return g, out
+        return g, dict(zip(self._local[g], comp))
 
 
 def bracket_closure(space: GradedSpace, r: Bicharacter, generators) -> ColorAlgebra:
@@ -369,25 +363,26 @@ def bracket_closure(space: GradedSpace, r: Bicharacter, generators) -> ColorAlge
     them with ``_sparse_bracket``; the span is a ``_GradedEchelon`` over
     flattened rows, whose reduced rows become the returned basis.
     """
-    ech = _GradedEchelon()
+    n = space.total_dim
+    ech = _GradedEchelon(n * n)
     elems = []
     for g in generators:
         if g.space != space:
             raise SpaceMismatch("generator acts on a different space")
-        if ech.add_map(g):
-            elems.append((g.degree, _sparse(_flat(g))))
+        flat = _flat(g)
+        if ech.add_vector(g.degree, flat):
+            elems.append((g.degree, flat))
     if r.spec != space.group:
         raise GroupMismatch("bicharacter group differs from the grading group")
-    n = space.total_dim
     i = 0
     while i < len(elems):
         da, a = elems[i]
         for db, b in elems[: i + 1]:
             c = _sparse_bracket(n, a, b, eval_bicharacter(r, db, da))
-            if any(c):
+            if c:
                 d = element_add(da, db)
                 if ech.add_vector(d, c):
-                    elems.append((d, _sparse(c)))
+                    elems.append((d, c))
         i += 1
     return ColorAlgebra._spanned(space, r, ech)
 
@@ -399,7 +394,7 @@ class Subspace:
 
     def __init__(self, parent: ColorAlgebra, elements):
         self.parent = parent
-        self._ech = _GradedEchelon()
+        self._ech = _GradedEchelon(parent.dim)
         for f in elements:
             coords = parent._pivot_coords(f)
             if coords is None:
@@ -453,12 +448,12 @@ def bracket_subspaces(s: Subspace, t: Subspace) -> Subspace:
     out = Subspace(L, ())
     # [S, S]: the pairs i <= j suffice by skew symmetry
     same = s is t
-    t_vecs = [(h, _sparse(y)) for h, y in t._ech.vectors()]
-    s_vecs = t_vecs if same else [(g, _sparse(x)) for g, x in s._ech.vectors()]
+    t_vecs = t._ech.vectors()
+    s_vecs = t_vecs if same else s._ech.vectors()
     for i, (g, x) in enumerate(s_vecs):
         for h, y in t_vecs[i:] if same else t_vecs:
             c = L._bracket(x, y)
-            if any(c):
+            if c:
                 out._ech.add_vector(element_add(g, h), c)
     return out
 
@@ -476,10 +471,7 @@ def _square(L: ColorAlgebra) -> Subspace:
     for i, row in enumerate(L._structure()):
         for j, e in row.items():
             if j >= i:
-                v = [_ZERO] * len(degrees)
-                for k, c in e:
-                    v[k] = c
-                out._ech.add_vector(element_add(degrees[i], degrees[j]), v)
+                out._ech.add_vector(element_add(degrees[i], degrees[j]), e)
     return out
 
 
@@ -538,10 +530,9 @@ def ad_map(L: ColorAlgebra, x: HomogeneousMap) -> HomogeneousMap:
     coordinates and taken back to the basis through the solver's
     transform."""
     _require_closed(L)
-    xc = L._pivot_coords(x)
-    if xc is None:
+    xs = L._pivot_coords(x)
+    if xs is None:
         raise NotInAlgebra("ad of a map outside the algebra")
-    xs = _sparse(xc)
     profile = L.profile_space()
     blocks = {}
     for h in L.degrees():
@@ -552,8 +543,7 @@ def ad_map(L: ColorAlgebra, x: HomogeneousMap) -> HomogeneousMap:
             continue
         cols = []
         for j in src:
-            y = _sparse(L._basis_coords[j])
-            coords = L._solver.to_basis(L._bracket(xs, y))
+            coords = L._solver.to_basis(L._bracket(xs, L._basis_coords[j]))
             cols.append([coords[i] for i in tgt])
         blocks[h] = Matrix.from_columns(cols, rows=len(tgt))
     return _map(profile, x.degree, blocks)
@@ -564,7 +554,7 @@ def ad_representation(L: ColorAlgebra) -> ColorAlgebra:
     dimension profile; its kernel is the center of L."""
     _require_closed(L)
     profile = L.profile_space()
-    ech = _GradedEchelon()
+    ech = _GradedEchelon(profile.total_dim ** 2)
     for b in L.basis:
         ech.add_map(ad_map(L, b))
     return ColorAlgebra._spanned(profile, L.r, ech)
@@ -653,9 +643,8 @@ def is_ideal(L: ColorAlgebra, s: Subspace) -> bool:
     if s.parent is not L:
         raise ParentMismatch("subspace of a different algebra")
     for h, y in s._ech.vectors():
-        ys = _sparse(y)
         for k, g in enumerate(L._degrees):
-            c = L._bracket([(k, _ONE)], ys)
-            if any(c) and not s._ech.contains_vector(element_add(g, h), c):
+            c = L._bracket({k: _ONE}, y)
+            if c and not s._ech.contains_vector(element_add(g, h), c):
                 return False
     return True

@@ -4,7 +4,8 @@ A homogeneous map of degree u sends the component of degree h into the
 component of degree h + u; it is stored as a dictionary of blocks keyed
 by source degree.  Blocks whose target falls outside the support are
 identically zero and never stored, which keeps all data finite.
-Graded spans and kernels are echelonized per degree by ``linalg._Echelon``.
+Graded spans and kernels are echelonized per degree by ``linalg._Echelon``,
+on sparse vectors ``{index: value}``.
 """
 
 from __future__ import annotations
@@ -315,25 +316,32 @@ def flatten_map(f: HomogeneousMap) -> Matrix:
     return flat
 
 
-def _unflatten(space: GradedSpace, degree: GroupElement, flat) -> HomogeneousMap:
-    """The map of the given degree whose flattened matrix, row-major, is
-    the row ``flat``, which must vanish off the degree's blocks; that
+def _flat(f: HomogeneousMap) -> dict[int, Fraction]:
+    """f's flattened matrix, row-major, as its nonzero entries."""
+    flat = (x for row in flatten_map(f).data for x in row)
+    return {i: x for i, x in enumerate(flat) if x}
+
+
+def _unflatten(space: GradedSpace, degree: GroupElement, flat: dict) -> HomogeneousMap:
+    """The map of the given degree whose flattened matrix, row-major, has
+    the entries ``flat``, which must vanish off the degree's blocks; that
     matrix is kept as the map's ``flatten_map``."""
     n = space.total_dim
+    rows = [[_ZERO] * n for _ in range(n)]
+    for i, x in flat.items():
+        rows[i // n][i % n] = x
     off = space.offsets()
     blocks = {}
     for h, n_src in space.dims:
         target = element_add(h, degree)
         n_tgt = space.dim_of(target)
         if n_tgt:
-            base = off[target] * n + off[h]
+            r0, c0 = off[target], off[h]
             blocks[h] = Matrix._raw(tuple(
-                tuple(flat[base + i * n : base + i * n + n_src])
-                for i in range(n_tgt)
+                tuple(row[c0 : c0 + n_src]) for row in rows[r0 : r0 + n_tgt]
             ), n_src)
     f = _map(space, degree, blocks)
-    rows = tuple(tuple(flat[i * n : i * n + n]) for i in range(n))
-    object.__setattr__(f, "_flat", Matrix._raw(rows, n))
+    object.__setattr__(f, "_flat", Matrix._raw(tuple(map(tuple, rows)), n))
     return f
 
 
@@ -365,29 +373,35 @@ def unflatten_map(space: GradedSpace, degree: GroupElement, m: Matrix) -> Homoge
 
 
 class _GradedEchelon:
-    """Reduced echelon bases of graded spans: one ``_Echelon`` per degree.
+    """Reduced echelon bases of graded spans: one ``_Echelon`` of the given
+    width per degree.
 
-    Rows are coordinate vectors of any fixed length: flattened matrices
-    for spans of homogeneous maps (``add_map``), or the coordinates of an
-    algebra's elements (``add_vector``).
+    Rows are sparse coordinate vectors: flattened matrices for spans of
+    homogeneous maps (``add_map``, width N^2), or the pivot coordinates of
+    an algebra's elements (``add_vector``, width dim L).
     """
 
-    def __init__(self):
+    def __init__(self, width: int):
+        self.width = width
         self.parts: dict[GroupElement, _Echelon] = {}
 
-    def add_map(self, f: HomogeneousMap) -> bool:
-        flat = [x for row in flatten_map(f).data for x in row]
-        return self.add_vector(f.degree, flat)
+    def copy(self) -> "_GradedEchelon":
+        out = _GradedEchelon(self.width)
+        out.parts = {g: part.copy() for g, part in self.parts.items()}
+        return out
 
-    def add_vector(self, degree: GroupElement, vec) -> bool:
+    def add_map(self, f: HomogeneousMap) -> bool:
+        return self.add_vector(f.degree, _flat(f))
+
+    def add_vector(self, degree: GroupElement, vec: dict) -> bool:
         part = self.parts.get(degree)
         if part is None:
-            part = self.parts[degree] = _Echelon(len(vec))
+            part = self.parts[degree] = _Echelon(self.width)
         return part.add(vec)
 
-    def contains_vector(self, degree: GroupElement, vec) -> bool:
-        part = self.parts.get(degree)
-        return not any(vec) if part is None else part.reduce(vec) is not None
+    def contains_vector(self, degree: GroupElement, vec: dict) -> bool:
+        part = self.parts.get(degree) or _Echelon(self.width)
+        return part.reduce(vec) is not None
 
     def dims(self) -> dict[GroupElement, int]:
         return {g: len(self.parts[g].pivots) for g in self.degrees()}
@@ -401,13 +415,15 @@ class _GradedEchelon:
             key=lambda g: g.sort_key(),
         )
 
-    def vectors(self) -> list[tuple[GroupElement, list[Fraction]]]:
+    def vectors(self) -> list[tuple[GroupElement, dict[int, Fraction]]]:
         """The rows with their degrees, degrees in canonical order."""
-        return [(g, row) for g in self.degrees() for row in self.parts[g].rows]
+        return [(g, row) for g in self.degrees() for row in self.parts[g].sparse_rows]
 
     def canonical_rows(self) -> dict:
+        """The rows per degree, dense."""
+        cols = range(self.width)
         return {
-            g: tuple(tuple(row) for row in part.rows)
+            g: tuple(tuple(row.get(c, _ZERO) for c in cols) for row in part.sparse_rows)
             for g, part in self.parts.items()
             if part.pivots
         }
@@ -435,9 +451,10 @@ def graded_kernel(maps, space: GradedSpace | None = None) -> list[GradedVector]:
         ech = _Echelon(n)
         rows = (row for f in maps for g, b in f.blocks if g == h for row in b.data)
         for row in rows:
-            if ech.add(row) and len(ech.pivots) == n:
+            if ech.add(dict(enumerate(row))) and len(ech.pivots) == n:
                 break
-        out.extend(_vector(space, {h: v}) for v in ech.kernel())
+        for v in ech.kernel():
+            out.append(_vector(space, {h: [v.get(c, _ZERO) for c in range(n)]}))
     return out
 
 

@@ -5,7 +5,9 @@ and every result (echelon forms, kernels, solutions, inverses,
 characteristic polynomials, rational roots, nilpotency certificates) is
 exact and given in Fractions.  Inside, the heavy steps clear
 denominators once and work on Python integers: ``_Echelon``, the
-package's only row reduction, keeps fraction-free integer rows;
+package's only row reduction, takes and gives sparse vectors
+``{index: value}`` and keeps fraction-free integer rows, and the public
+functions here convert their dense rows at that boundary, once;
 ``char_poly``, ``rational_roots`` and the nilpotency tests run on the
 denominator-cleared integer matrix or polynomial.
 """
@@ -201,20 +203,6 @@ class Matrix:
         return self.data[i][j]
 
 
-def _sparse(v) -> list[tuple[int, Fraction]]:
-    """The nonzero (index, value) pairs of v.  Most zeros in the package's
-    vectors are the shared ``_ZERO``, which is skipped by identity without
-    calling ``Fraction.__bool__``."""
-    return [(i, x) for i, x in enumerate(v) if x is not _ZERO and x]
-
-
-def _dense(pairs, width: int) -> list[Fraction]:
-    out = [_ZERO] * width
-    for i, x in pairs:
-        out[i] = x
-    return out
-
-
 def _sub(r: dict, a: int, row: dict):
     """r -= a row, for sparse integer rows."""
     for i, y in row.items():
@@ -237,22 +225,25 @@ class _Echelon:
     """Incremental reduced row echelon form of the span of rows of a
     fixed width: the package's one exact elimination kernel.
 
-    The rows are fraction-free, as in Bareiss (Math. Comp. 22, 1968):
-    ``int_rows`` holds each as a sparse integer row ``{index: int}``,
-    primitive and positive at its pivot, and they are kept mutually
-    reduced, zero at each other's pivots, so row / row[pivot] is the
-    canonical RREF row.  ``add`` clears the denominators of its vector
-    once, subtracts the rows it meets at their pivots, scaled by the lcm
-    of their pivot entries, divides out the content and eliminates the
-    new pivot from the other rows, all in integers.  The reduced echelon
-    form of a span is unique, so inserting rows one at a time, in any
-    order, gives the canonical RREF.  A vector with no entry at any pivot
-    is not reduced at all.
+    Vectors go in and come out sparse, as dicts ``{index: value}`` in any
+    order; a zero value, as left where a bracket's terms cancel, is
+    skipped.  The rows are fraction-free, as in Bareiss (Math. Comp. 22,
+    1968): ``int_rows`` holds each as a sparse integer row, primitive and
+    positive at its pivot, and they are kept mutually reduced, zero at
+    each other's pivots, so row / row[pivot] is the canonical RREF row.
+    ``add`` clears the denominators of its vector once, subtracts the
+    rows it meets at their pivots, found through the pivot -> row map
+    ``_at``, scaled by the lcm of their pivot entries, divides out the
+    content and eliminates the new pivot from the other rows, all in
+    integers.  The reduced echelon form of a span is unique, so inserting
+    rows one at a time, in any order, gives the canonical RREF.  A vector
+    with no entry at any pivot is not reduced at all.
 
-    ``rows`` (dense) and ``sparse_rows`` (nonzero entries) read that RREF
-    as Fractions.  They are views: a row is converted on the first read
-    after it changed, and a vector that met no pivot and leads with 1 is
-    its own RREF row, kept as given.  The rank is ``len(pivots)``.
+    ``sparse_rows`` reads that RREF as Fractions, each row a dict in
+    index order.  A row is converted on the first read after it changed,
+    and a vector that met no pivot and leads with 1 is its own RREF row,
+    kept as given.  No row dict is changed in place once stored, so
+    ``copy`` shares them.  The rank is ``len(pivots)``.
 
     With ``track`` each row also carries its combination of the inserted
     rows at the same scale, as entries keyed ``width + i`` for the i-th
@@ -268,47 +259,58 @@ class _Echelon:
         self.track = track
         self.pivots: list[int] = []
         self.int_rows: list[dict[int, int]] = []
-        # sparse_rows and rows, None where a row changed since the last
-        # read, and which of the two hold such rows
-        self._views = ([], [])
-        self._stale = set()
+        self._at: dict[int, int] = {}
+        # sparse_rows, None where a row changed since the last read
+        self._rows: list[dict | None] = []
         for row in rows:
             self.add(row)
 
-    def _reduced(self, vec) -> tuple[int, dict[int, int], list | None]:
-        """(s, r, pairs): r / s is vec minus sum_k vec[p_k] R_k, as a
-        sparse integer row, with the combination, negated, at the tracked
-        columns; pairs is vec's nonzero entries when it met no pivot, else
-        None."""
-        nz = _sparse(vec)
-        d = math.lcm(*[x.denominator for _, x in nz])
-        r = {i: x.numerator * (d // x.denominator) for i, x in nz}
-        hits = [(p, row) for p, row in zip(self.pivots, self.int_rows) if p in r]
-        m = math.lcm(*[row[p] for p, row in hits])
+    def copy(self) -> "_Echelon":
+        """An echelon of the same rows that grows independently."""
+        out = _Echelon(self.width, track=self.track)
+        out.count = self.count
+        out.pivots = list(self.pivots)
+        out.int_rows = list(self.int_rows)
+        out._at = dict(self._at)
+        out._rows = list(self._rows)
+        return out
+
+    def _reduced(self, vec: dict) -> tuple[int, dict[int, int], dict[int, Fraction]]:
+        """(s, r, coeffs): coeffs is vec's pivot coordinates, its nonzero
+        entries at the pivots keyed by row index k, and r / s is vec minus
+        sum_k coeffs[k] R_k, as a sparse integer row, with the combination,
+        negated, at the tracked columns."""
+        d = math.lcm(*[x.denominator for x in vec.values()])
+        r = {i: x.numerator * (d // x.denominator) for i, x in vec.items() if x}
+        at = self._at
+        coeffs = {at[i]: vec[i] for i in r if i in at}
+        rows, pivots = self.int_rows, self.pivots
+        m = math.lcm(*[rows[k][pivots[k]] for k in coeffs])
         if m != 1:
             r = {i: m * x for i, x in r.items()}
-        for p, row in hits:
-            _sub(r, r[p] // row[p], row)
-        return m * d, r, (None if hits else nz)
+        for k in coeffs:
+            row = rows[k]
+            _sub(r, r[pivots[k]] // row[pivots[k]], row)
+        return m * d, r, coeffs
 
-    def reduce(self, vec) -> list[Fraction] | None:
-        """Pivot coordinates of vec, its entries at the pivot columns, or
-        None when it lies outside the span."""
-        coeffs = [vec[p] for p in self.pivots]
-        if any(coeffs):
-            outside = min(self._reduced(vec)[1], default=self.width) < self.width
-        else:
-            outside = any(vec)
-        return None if outside else coeffs
+    def reduce(self, vec: dict) -> dict[int, Fraction] | None:
+        """Pivot coordinates of vec, keyed by row index, or None when it
+        lies outside the span."""
+        _, r, coeffs = self._reduced(vec)
+        return None if min(r, default=self.width) < self.width else coeffs
 
-    def add(self, vec) -> bool:
+    def add(self, vec: dict) -> bool:
         """Insert vec; False, and no new row, when it is dependent."""
         index = self.count
         self.count += 1
-        s, new, pairs = self._reduced(vec)
+        s, new, coeffs = self._reduced(vec)
         pivot = min(new, default=self.width)
         if pivot >= self.width:
             return False
+        # vec met no pivot and leads with 1: it is its own RREF row
+        fresh = None
+        if not coeffs and vec[pivot] == 1:
+            fresh = {i: vec[i] for i in sorted(new)}
         if self.track:
             new[self.width + index] = s
         new = _primitive_row(new, pivot)
@@ -320,51 +322,24 @@ class _Echelon:
                 row = {i: lead * x for i, x in row.items()}
                 _sub(row, a, new)
                 rows[k] = _primitive_row(row, self.pivots[k])
-                for view in self._views:
-                    view[k] = None
+                self._rows[k] = None
         k = bisect.bisect(self.pivots, pivot)
         self.pivots.insert(k, pivot)
         rows.insert(k, new)
-        for view in self._views:
-            view.insert(k, None)
-        if pairs and pairs[0][1] == 1:
-            # vec met no pivot and leads with 1: it is its own RREF row
-            self._views[0][k] = pairs
-            self._views[1][k] = list(vec)
-        self._stale = {0, 1}
+        self._rows.insert(k, fresh)
+        for j in range(k, len(self.pivots)):
+            self._at[self.pivots[j]] = j
         return True
 
-    def _view(self, j: int, build) -> list:
-        """``_views[j]``, its rows changed since the last read rebuilt by
-        build(row, lead)."""
-        view = self._views[j]
-        if j in self._stale:
-            self._stale.discard(j)
-            for k, v in enumerate(view):
-                if v is None:
-                    row = self.int_rows[k]
-                    view[k] = build(row, row[self.pivots[k]])
-        return view
-
-    def _sparse_row(self, row: dict, lead: int) -> list[tuple[int, Fraction]]:
-        w = self.width
-        return [(i, Fraction(row[i], lead)) for i in sorted(row) if i < w]
-
-    def _dense_row(self, row: dict, lead: int) -> list[Fraction]:
-        w = self.width
-        out = [_ZERO] * w
-        for i, x in row.items():
-            if i < w:
-                out[i] = Fraction(x, lead)
-        return out
-
     @property
-    def sparse_rows(self) -> list[list[tuple[int, Fraction]]]:
-        return self._view(0, self._sparse_row)
-
-    @property
-    def rows(self) -> list[list[Fraction]]:
-        return self._view(1, self._dense_row)
+    def sparse_rows(self) -> list[dict[int, Fraction]]:
+        w = self.width
+        for k, row in enumerate(self._rows):
+            if row is None:
+                lead = self.int_rows[k][self.pivots[k]]
+                items = sorted(self.int_rows[k].items())
+                self._rows[k] = {i: Fraction(x, lead) for i, x in items if i < w}
+        return self._rows
 
     @property
     def transform(self) -> list[dict[int, Fraction]] | None:
@@ -374,48 +349,51 @@ class _Echelon:
             for p, row in zip(self.pivots, self.int_rows)
         ] if self.track else None
 
-    def to_basis(self, coeffs) -> tuple[Fraction, ...]:
-        """Coordinates in the inserted rows of sum coeffs[k] rows[k]."""
+    def to_basis(self, coeffs: dict) -> tuple[Fraction, ...]:
+        """Coordinates in the inserted rows of sum_k coeffs[k] R_k."""
         out = [_ZERO] * self.count
         w = self.width
-        for a, p, row in zip(coeffs, self.pivots, self.int_rows):
-            if a:
-                a = Fraction(a.numerator, a.denominator * row[p])
-                for i, x in row.items():
-                    if i >= w:
-                        out[i - w] += a * x
+        for k, a in coeffs.items():
+            row = self.int_rows[k]
+            a = Fraction(a.numerator, a.denominator * row[self.pivots[k]])
+            for i, x in row.items():
+                if i >= w:
+                    out[i - w] += a * x
         return tuple(out)
 
     def free(self) -> list[int]:
         """The non-pivot columns, in order."""
-        pivot_set = set(self.pivots)
-        return [f for f in range(self.width) if f not in pivot_set]
+        return [f for f in range(self.width) if f not in self._at]
 
-    def kernel(self) -> list[tuple[Fraction, ...]]:
+    def kernel(self) -> list[dict[int, Fraction]]:
         """Basis of the vectors orthogonal to every row, one per free
         column f: 1 at f, minus the rows' entries at f at their pivots."""
+        rows = self.sparse_rows
         basis = []
         for f in self.free():
-            v = [_ZERO] * self.width
-            v[f] = _ONE
-            for p, row in zip(self.pivots, self.rows):
-                v[p] = -row[f]
-            basis.append(tuple(v))
+            v = {f: _ONE}
+            for p, row in zip(self.pivots, rows):
+                if f in row:
+                    v[p] = -row[f]
+            basis.append(v)
         return basis
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
     """Reduced row echelon form; returns (rref, pivot columns, rank)."""
-    e = _Echelon(m.cols, m.data)
+    e = _Echelon(m.cols, map(dict, map(enumerate, m.data)))
     rank = len(e.pivots)
-    zero = (_ZERO,) * m.cols
-    data = tuple(tuple(row) for row in e.rows) + (zero,) * (m.rows - rank)
+    cols = range(m.cols)
+    data = tuple(tuple([row.get(c, _ZERO) for c in cols]) for row in e.sparse_rows)
+    data += ((_ZERO,) * m.cols,) * (m.rows - rank)
     return Matrix._raw(data, m.cols), tuple(e.pivots), rank
 
 
 def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
     """Exact basis of the null space of m, one vector per free column."""
-    return _Echelon(m.cols, m.data).kernel()
+    e = _Echelon(m.cols, map(dict, map(enumerate, m.data)))
+    cols = range(m.cols)
+    return [tuple([v.get(c, _ZERO) for c in cols]) for v in e.kernel()]
 
 
 def solve_unique(a: Matrix, b) -> tuple[Fraction, ...] | None:
@@ -423,12 +401,13 @@ def solve_unique(a: Matrix, b) -> tuple[Fraction, ...] | None:
     if the system is inconsistent."""
     if len(b) != a.rows:
         raise SizeMismatch("right-hand side length mismatch")
-    e = _Echelon(a.cols + 1, ((*row, frac(x)) for row, x in zip(a.data, b)))
+    rows = (dict(enumerate((*row, frac(x)))) for row, x in zip(a.data, b))
+    e = _Echelon(a.cols + 1, rows)
     if a.cols in e.pivots:
         return None
     x = [_ZERO] * a.cols
-    for c, row in zip(e.pivots, e.rows):
-        x[c] = row[a.cols]
+    for c, row in zip(e.pivots, e.sparse_rows):
+        x[c] = row.get(a.cols, _ZERO)
     return tuple(x)
 
 
@@ -436,11 +415,12 @@ def inverse(m: Matrix) -> Matrix:
     """m^-1: the rows of m reduce to the identity, so T = m^-1."""
     if m.rows != m.cols:
         raise NotSquare("inverse of a non-square matrix")
-    e = _Echelon(m.cols, m.data, track=True)
+    e = _Echelon(m.cols, map(dict, map(enumerate, m.data)), track=True)
     if len(e.pivots) < m.rows:
         raise ValueError("matrix is singular")
-    rows = tuple(tuple(_dense(t.items(), m.cols)) for t in e.transform)
-    return Matrix._raw(rows, m.cols)
+    cols = range(m.cols)
+    data = tuple(tuple([t.get(c, _ZERO) for c in cols]) for t in e.transform)
+    return Matrix._raw(data, m.cols)
 
 
 @dataclass(frozen=True)
@@ -775,7 +755,7 @@ def _products_vanish(ints, n: int) -> bool:
                 w = [0] * n
                 for j, x in v.items():
                     w = [a + x * c for a, c in zip(w, bc[j])]
-                e.add(w)
+                e.add(dict(enumerate(w)))
                 if len(e.pivots) == len(basis):
                     return False
         basis = e.int_rows

@@ -116,7 +116,6 @@ from .linalg import (
     Poly,
     _Echelon,
     _non_nilpotent_point,
-    _sparse,
     char_poly,
     frac,
     kernel_basis,
@@ -278,7 +277,7 @@ def _derived_coords(L: ColorAlgebra, derived: Subspace) -> list[tuple]:
     kernel levels are canonical subspaces.  Every subspace containing
     [L, L] is an ideal, so each prefix of length at least k is one.
     """
-    ech = _GradedEchelon()
+    ech = _GradedEchelon(L.dim)
     basis = [(f.degree, c) for f, c in zip(L.basis, L._basis_coords)]
     return [(g, v) for g, v in derived._ech.vectors() + basis if ech.add_vector(g, v)]
 
@@ -319,13 +318,14 @@ def _sparse_elements(L: ColorAlgebra, coords) -> list[tuple]:
     flattened matrices of R_k, at its nonzero coordinates."""
     n = L.space.total_dim
     where = [(g, i) for g, m in L.space.dims for i in range(m)]
+    rows = L._solver.sparse_rows
     out = []
     for degree, v in coords:
         flat: dict[int, Fraction] = {}
-        for c, row in zip(v, L._solver.sparse_rows):
+        for k, c in v.items():
             if c:
                 unit = c == 1
-                for i, y in row:
+                for i, y in rows[k].items():
                     if not unit:
                         y = c * y
                     flat[i] = flat[i] + y if i in flat else y
@@ -346,11 +346,11 @@ def _sparse_ads(L: ColorAlgebra, coords) -> list[tuple]:
     out = []
     for degree, x in coords:
         columns: dict = {}
-        for a, row in zip(x, table):
+        for i, a in x.items():
             if a:
-                for j, e in row.items():
+                for j, e in table[i].items():
                     col = columns.setdefault(deg[j], {}).setdefault(pos[j], {})
-                    for k, c in e:
+                    for k, c in e.items():
                         col[pos[k]] = col.get(pos[k], _ZERO) + a * c
         out.append(_sparse_map(degree, columns))
     return out
@@ -396,7 +396,7 @@ class _EmbeddedSubspace:
         dims = {g: len(vs) for g, vs in self.bases.items()}
         self.space = make_space(q.ambient.group, dims)
         self.solvers = {
-            g: _Echelon(len(q.free[g]), vs, track=True)
+            g: _Echelon(len(q.free[g]), map(dict, map(enumerate, vs)), track=True)
             for g, vs in self.bases.items()
         }
 
@@ -425,7 +425,7 @@ class _EmbeddedSubspace:
                     if any(img):
                         raise _NotInvariant
                     continue
-                coords = solver.reduce(img)
+                coords = solver.reduce(dict(enumerate(img)))
                 if coords is None:
                     raise _NotInvariant
                 columns.append(solver.to_basis(coords))
@@ -448,7 +448,8 @@ class _EmbeddedSubspace:
                 ]
             vs = self.bases[g]
             width = len(self.q.free[g])
-            bases[g] = [_combine(vs, k, width) for k in _Echelon(m.cols, rows).kernel()]
+            ech = _Echelon(m.cols, map(dict, map(enumerate, rows)))
+            bases[g] = [_combine(vs, k, width) for k in ech.kernel()]
         return _EmbeddedSubspace(self.q, bases)
 
     @staticmethod
@@ -482,7 +483,7 @@ class _Quotient:
         V's coordinates."""
         for g, vs in rows.items():
             for v in vs:
-                self.parts[g].add(v)
+                self.parts[g].add(dict(enumerate(v)))
         self.free = {g: part.free() for g, part in self.parts.items()}
         dims = {g: len(cs) for g, cs in self.free.items() if cs}
         self.space = make_space(self.ambient.group, dims)
@@ -503,8 +504,9 @@ class _Quotient:
             part = self.parts[g]
             phis = {c: [(c, _ONE)] for c in self.free[g]}
             for p, row in zip(part.pivots, part.sparse_rows):
-                for c, x in row[1:]:  # past the pivot's 1
-                    phis[c].append((p, -x))
+                for c, x in row.items():
+                    if c != p:
+                        phis[c].append((p, -x))
             self._phis[g] = list(phis.values())
         return self._phis[g]
 
@@ -513,12 +515,12 @@ class _Quotient:
         return [at.get(c, _ZERO) for c in range(self.ambient.dim_of(g))]
 
 
-def _combine(vectors, coeffs, width: int) -> list[Fraction]:
+def _combine(vectors, coeffs: dict, width: int) -> list[Fraction]:
     """sum_j coeffs[j] vectors[j], for vectors of the given width."""
     out = [_ZERO] * width
-    for c, v in zip(coeffs, vectors):
+    for j, c in coeffs.items():
         if c:
-            for i, x in enumerate(v):
+            for i, x in enumerate(vectors[j]):
                 if x:
                     out[i] += c * x
     return out
@@ -526,7 +528,8 @@ def _combine(vectors, coeffs, width: int) -> list[Fraction]:
 
 def _lift(space: GradedSpace, basis: dict, d, comp) -> GradedVector:
     """sum_j comp[j] basis[d][j], a vector of V."""
-    return _vector(space, {d: _combine(basis[d], comp, space.dim_of(d))})
+    coeffs = dict(enumerate(comp))
+    return _vector(space, {d: _combine(basis[d], coeffs, space.dim_of(d))})
 
 
 def _level_rows(q: _Quotient, free: list[int], blocks):
@@ -536,43 +539,37 @@ def _level_rows(q: _Quotient, free: list[int], blocks):
     at = {c: i for i, c in enumerate(free)}
     for t, rows in blocks:
         for phi in q.functionals(t):
-            out = None  # until phi meets a row of N at a free column
+            out: dict = {}
             for r, a in phi:
                 for j, x in rows.get(r, ()):
                     i = at.get(j)
                     if i is not None:
-                        if out is None:
-                            out = [_ZERO] * len(free)
-                        out[i] += a * x
-            if out is not None:
+                        out[i] = out[i] + a * x if i in out else a * x
+            if out:
                 yield out
 
 
 def _restrict(f, q: _Quotient, basis: dict, kernels: dict):
     """The sparse map f restricted to a level of the filtration of V/K_j
     (``q``), whose ``basis`` holds sparse vectors of V per degree, as a
-    sparse map on the level.  The image of each basis vector is taken to
-    V/K_j and must be orthogonal to that degree's rows in ``kernels``;
-    its coordinates in the level's basis are then its entries at their
-    free columns."""
+    sparse map on the level, which it leaves invariant: the image of each
+    basis vector, taken to V/K_j, has its coordinates in the level's basis
+    at the free columns of that degree's rows in ``kernels``.  A map that
+    moves the level out of itself is caught by ``_certify``, as every
+    level is a prefix of the flag."""
     degree, blocks = f
     columns: dict = {}
     for h, t, cols in blocks:
         if h not in basis or t not in kernels:
             continue
-        ech = kernels[t]
-        free = ech.free()
+        free = kernels[t].free()
         out = columns[h] = {}
         for k, w in enumerate(basis[h]):
             y = [_ZERO] * q.ambient.dim_of(t)
-            for j, a in w:
+            for j, a in w.items():
                 for i, x in cols.get(j, ()):
                     y[i] += a * x
             img = q.project(t, y)
-            if any(img) and any(
-                sum(x * img[i] for i, x in row) for row in ech.sparse_rows
-            ):
-                raise TheoremViolation("a kernel level of an ideal is not invariant")
             out[k] = {i: img[c] for i, c in enumerate(free)}
     return _sparse_map(degree, columns)
 
@@ -592,8 +589,8 @@ def _kernel_filtration(space: GradedSpace, nil, top):
     them to its basis and takes one normal form per image) and its basis,
     per degree, as vectors of V.
     ``nil`` must span an ideal of the algebra the maps come from, so
-    every level is invariant; the levels stop at V or at the first empty
-    kernel.
+    every level is invariant (which the flag's certificate checks); the
+    levels stop at V or at the first empty kernel.
     """
     by_source: dict = {}
     for _, blocks in nil:
@@ -617,8 +614,9 @@ def _kernel_filtration(space: GradedSpace, nil, top):
             ks = ech.kernel()
             if ks:
                 free = q.free[h]
-                rows[h] = [q.lift(h, k) for k in ks]
-                sparse[h] = [[(free[i], x) for i, x in enumerate(k) if x] for k in ks]
+                sparse[h] = [{free[i]: x for i, x in k.items()} for k in ks]
+                cols = range(space.dim_of(h))
+                rows[h] = [[v.get(c, _ZERO) for c in cols] for v in sparse[h]]
         if not rows:
             return
         level = make_space(space.group, {h: len(vs) for h, vs in rows.items()})
@@ -874,8 +872,11 @@ def _certify(space: GradedSpace, vectors, certify) -> list[list[Fraction]]:
     index: dict = {}  # degree -> flag indices of its vectors, in order
     for i, v in enumerate(vectors):
         index.setdefault(v.degree(), []).append(i)
+    entries = [
+        {c: a for c, a in enumerate(v.components[0][1]) if a} for v in vectors
+    ]
     echs = {
-        g: _Echelon(space.dim_of(g), [vectors[i].component(g) for i in idx], track=True)
+        g: _Echelon(space.dim_of(g), [entries[i] for i in idx], track=True)
         for g, idx in index.items()
     }
     if len(vectors) != space.total_dim or any(
@@ -886,14 +887,13 @@ def _certify(space: GradedSpace, vectors, certify) -> list[list[Fraction]]:
         g: [[(index[g][k], x) for k, x in t.items()] for t in ech.transform]
         for g, ech in echs.items()
     }
-    entries = [_sparse(v.components[0][1]) for v in vectors]
     diagonals = []
     for _, blocks in certify:
         diag = [_ZERO] * len(vectors)
         for h, t, cols in blocks:
             for j in index.get(h, ()):
                 y: dict = {}
-                for c, a in entries[j]:
+                for c, a in entries[j].items():
                     for r, x in cols.get(c, ()):
                         y[r] = y[r] + a * x if r in y else a * x
                 z: dict = {}
@@ -963,11 +963,14 @@ def ideal_chain(
     units = _sparse_ads(L, [(g, L._unit(i)) for i, g in enumerate(L._degrees)])
     vectors, _ = _lie_phase(profile, levels, units, check_hypotheses)
 
-    coords = [L._from_profile(v) for v in vectors]
+    # the prefixes, each a copy of one growing echelon
+    grown = _GradedEchelon(L.dim)
     chain = [Subspace(L, [])]
-    for i in range(1, len(coords) + 1):
-        sub = Subspace._span(L, coords[:i])
-        if sub.dim != i:
+    for g, v in map(L._from_profile, vectors):
+        grown.add_vector(g, v)
+        sub = Subspace(L, [])
+        sub._ech = grown.copy()
+        if sub.dim != len(chain):
             raise TheoremViolation("chain member has the wrong dimension")
         chain.append(sub)
     return IdealChain(tuple(chain))

@@ -1,15 +1,17 @@
-"""Growth curve of ``color_flag``, ``ideal_chain`` and ``nil_subspace_check``.
+"""Growth curve of ``color_flag``, ``ideal_chain``, the structure table
+and ``nil_subspace_check``.
 
-    PYTHONPATH=src python3 tests/growth.py --label change --out BENCH_15.json
+    PYTHONPATH=src python3 tests/growth.py --label change --out BENCH_17.json
 
-Times ``color_flag`` and ``ideal_chain`` on the n x n Borel algebra
-(``corpus.borel_generators``) in the ``plain`` and ``z`` gradings, and
-``nil_subspace_check`` (deterministic policy) on a nil span of s = 3 and
-s = 4 unimodular-conjugated strictly upper triangular n x n matrices
-(``corpus.conjugated_nil_span``, seeded by n and s), for every n in
-``--sizes``.  Each algebra call gets a freshly closed algebra, so its
-structure table is built inside the timed call; the median of
-``--repeats`` runs is kept.  Times are CPU seconds of this process
+Times ``color_flag``, ``ideal_chain`` and the structure-constant table
+(``ColorAlgebra._structure``, rows ``table/...``) on the n x n Borel
+algebra (``corpus.borel_generators``) in the ``plain`` and ``z``
+gradings, and ``nil_subspace_check`` (deterministic policy) on a nil
+span of s = 3 and s = 4 unimodular-conjugated strictly upper triangular
+n x n matrices (``corpus.conjugated_nil_span``, seeded by n and s), for
+every n in ``--sizes``.  Each algebra call gets a freshly closed
+algebra, so its structure table is built inside the timed call; the
+median of ``--repeats`` runs is kept.  Times are CPU seconds of this process
 (``time.process_time``), which a shared machine's other load disturbs
 less than wall-clock time.  The package is whatever ``colorlie``
 imports, so pointing PYTHONPATH at another checkout's ``src`` times that
@@ -27,11 +29,14 @@ import random
 import statistics
 import time
 
-from colorlie import bracket_closure, color_flag, ideal_chain, nil_subspace_check
+from colorlie import (
+    ColorAlgebra, bracket_closure, color_flag, ideal_chain, nil_subspace_check,
+)
 from corpus import borel_generators, conjugated_nil_span
 
 CLOCK = time.process_time
-CALLS = {"color_flag": color_flag, "ideal_chain": ideal_chain}
+CALLS = {"color_flag": color_flag, "ideal_chain": ideal_chain,
+         "table": ColorAlgebra._structure}
 NIL_SIZES = (3, 4)
 
 

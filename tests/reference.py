@@ -38,7 +38,17 @@ from colorlie import (
     make_space,
     unflatten_map,
 )
-from colorlie.algebra import _flat, _sparse, _sparse_bracket
+from colorlie.algebra import _sparse_bracket
+
+
+def _flat(f) -> list[Fraction]:
+    """f's flattened matrix as one dense row, row-major."""
+    return [x for row in flatten_map(f).data for x in row]
+
+
+def densify(vec: dict, width: int) -> list[Fraction]:
+    """The sparse vector ``{index: value}`` as a dense list."""
+    return [vec.get(i, Fraction(0)) for i in range(width)]
 
 
 def ref_rref(rows, width: int) -> list[list[Fraction]]:
@@ -196,14 +206,16 @@ def ref_codim_one_ideal(L) -> tuple[list, object]:
 
 
 def assert_kernel_matches_color_bracket(r, a, b):
-    """The sparse kernel, given a and b as the nonzero (index, value)
-    pairs of their flattened matrices, returns the flattened
+    """The sparse kernel, given a and b as the nonzero entries
+    ``{index: value}`` of their flattened matrices, returns the flattened
     ``color_bracket``, whose degree is |a| + |b|."""
     s = eval_bicharacter(r, b.degree, a.degree)
-    got = _sparse_bracket(a.space.total_dim, _sparse(_flat(a)), _sparse(_flat(b)), s)
+    n = a.space.total_dim
+    sparse = [{i: x for i, x in enumerate(_flat(f)) if x} for f in (a, b)]
+    got = _sparse_bracket(n, *sparse, s)
     want = color_bracket(r, a, b)
     assert want.degree == a.degree + b.degree
-    assert got == _flat(want)
+    assert densify(got, n * n) == _flat(want)
 
 
 def assert_table_matches_brackets(L):
@@ -211,22 +223,21 @@ def assert_table_matches_brackets(L):
     echelon rows R_i and R_j, and (j, i) is (i, j) twisted by skew
     symmetry."""
     n = L.space.total_dim
-    rows = L._solver.rows
+    rows = [densify(row, n * n) for row in L._solver.sparse_rows]
     rs = [L._element(d, L._unit(k)) for k, d in enumerate(L._degrees)]
     for k, f in enumerate(rs):
-        assert [x for row in flatten_map(f).data for x in row] == rows[k]
+        assert _flat(f) == rows[k]
     table = L._structure()
     for i, a in enumerate(rs):
         for j, b in enumerate(rs):
-            entries = table[i].get(j, ())
-            assert all(c != 0 for _, c in entries)
+            entries = table[i].get(j, {})
+            assert all(c != 0 for c in entries.values())
             flat = [Fraction(0)] * (n * n)
-            for k, c in entries:
+            for k, c in entries.items():
                 flat = [x + c * y for x, y in zip(flat, rows[k])]
-            want = flatten_map(color_bracket(L.r, a, b)).data
-            assert flat == [x for row in want for x in row]
+            assert flat == _flat(color_bracket(L.r, a, b))
             twist = -eval_bicharacter(L.r, a.degree, b.degree)
-            assert table[j].get(i, ()) == tuple((k, twist * c) for k, c in entries)
+            assert table[j].get(i, {}) == {k: twist * c for k, c in entries.items()}
 
 
 def assert_series_and_center_match(L):

@@ -693,13 +693,15 @@ def test_table_reproduces_brackets():
 
 def test_pivot_coordinates_read_the_echelon_rows():
     for L in _table_cases():
-        flat_rows = L._solver.rows
+        flat_rows = L._solver.sparse_rows
+        pivots = L._solver.pivots
         for f, coords in zip(L.basis, L._basis_coords):
             flat = [x for row in flatten_map(f).data for x in row]
-            assert coords == [flat[p] for p in L._solver.pivots]
+            dense = [coords.get(k, 0) for k in range(len(pivots))]
+            assert dense == [flat[p] for p in pivots]
             assert L._pivot_coords(f) == coords
             assert L._element(f.degree, coords) == f
-        for row, p in zip(flat_rows, L._solver.pivots):
+        for row, p in zip(flat_rows, pivots):
             assert row[p] == 1
 
 

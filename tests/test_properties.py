@@ -30,6 +30,7 @@ from reference import (
     assert_kernel_matches_color_bracket,
     assert_series_and_center_match,
     assert_table_matches_brackets,
+    densify,
     ref_kernel,
     ref_rref,
 )
@@ -113,24 +114,59 @@ def test_rref_invariant_under_row_operations(m, data):
 def test_echelon_tracks_transform_and_drops_dependent_rows(m):
     ech = _Echelon(m.cols, track=True)
     for k, v in enumerate(m.data):
-        inside = ech.reduce(v) is not None
-        assert ech.add(v) is not inside
+        inside = ech.reduce(dict(enumerate(v))) is not None
+        assert ech.add(dict(enumerate(v))) is not inside
         assert inside is (_rank(m.data[: k + 1], m.cols) == _rank(m.data[:k], m.cols))
     assert ech.count == m.rows
-    assert ech.rows == ref_rref(m.data, m.cols)
+    rows = [densify(row, m.cols) for row in ech.sparse_rows]
+    assert rows == ref_rref(m.data, m.cols)
     # R = T V, exactly
-    for row, tr in zip(ech.rows, ech.transform):
+    for row, tr in zip(rows, ech.transform):
         combo = [Fraction(0)] * m.cols
         for i, t in tr.items():
             combo = [x + t * y for x, y in zip(combo, m.data[i])]
         assert combo == row
     # every inserted row comes back from its pivot coordinates
     for v in m.data:
-        coords = ech.to_basis(ech.reduce(v))
+        coords = ech.to_basis(ech.reduce(dict(enumerate(v))))
         combo = [Fraction(0)] * m.cols
         for c, w in zip(coords, m.data):
             combo = [x + c * y for x, y in zip(combo, w)]
         assert combo == list(v)
+
+
+@st.composite
+def shuffled_dicts(draw, rows):
+    """Each dense row as a dict {index: value} in a random order, with
+    some of its zeros stored explicitly: a bracket's terms can cancel."""
+    out = []
+    for row in rows:
+        items = [(i, x) for i, x in enumerate(row) if x or draw(st.booleans())]
+        out.append(dict(draw(st.permutations(items))))
+    return out
+
+
+@given(m=st.one_of(matrices(), matrices(entries=WIDE)), data=st.data())
+def test_echelon_takes_dicts_with_zeros_in_any_order(m, data):
+    """Dict rows with explicit zeros, in any order, reduce to sympy's RREF;
+    ``reduce`` gives a combination of the span its pivot coordinates and
+    a vector off the span None."""
+    sympy = pytest.importorskip("sympy")
+    flat = [sympy.Rational(x.numerator, x.denominator) for row in m.data for x in row]
+    red, pivots = sympy.Matrix(m.rows, m.cols, flat).rref()
+    want = [[Fraction(int(x.p), int(x.q)) for x in red.row(i)] for i in range(len(pivots))]
+    ech = _Echelon(m.cols, data.draw(shuffled_dicts(m.data)))
+    assert ech.pivots == list(pivots)
+    assert [densify(row, m.cols) for row in ech.sparse_rows] == want
+    cs = data.draw(st.lists(RATIONALS, min_size=len(want), max_size=len(want)))
+    v = [sum((c * row[j] for c, row in zip(cs, want)), Fraction(0)) for j in range(m.cols)]
+    (vec,) = data.draw(shuffled_dicts([v]))
+    assert densify(ech.reduce(vec), len(want)) == cs
+    if len(want) < m.cols:
+        free = next(j for j in range(m.cols) if j not in pivots)
+        v[free] += data.draw(st.fractions(min_value=1, max_value=5, max_denominator=4))
+        (vec,) = data.draw(shuffled_dicts([v]))
+        assert ech.reduce(vec) is None
 
 
 @given(m=matrices(square=True))
@@ -201,8 +237,10 @@ def test_quotient_project_gives_the_normal_form(m, data):
     assert [sum((a * v[r] for r, a in phi), Fraction(0))
             for phi in q.functionals(g)] == [want[c] for c in free]
     for track in (False, True):
-        coeffs = _Echelon(m.cols, m.data, track=track).reduce(v)
-        assert coeffs == ([v[p] for p in pivots] if not any(want) else None)
+        ech = _Echelon(m.cols, map(dict, map(enumerate, m.data)), track=track)
+        coeffs = ech.reduce(dict(enumerate(v)))
+        got = None if coeffs is None else densify(coeffs, len(pivots))
+        assert got == ([v[p] for p in pivots] if not any(want) else None)
 
 
 def _stacked_kernel(maps, space):

@@ -721,7 +721,7 @@ def test_quotient_in_steps_equals_quotient_at_once():
             })
             assert q_s.free == q_t.free
             for g, part in q_t.parts.items():
-                assert q_s.parts[g].rows == part.rows
+                assert q_s.parts[g].sparse_rows == part.sparse_rows
 
 
 def test_weights_vanish_on_nonzero_degrees():
@@ -1158,8 +1158,8 @@ def test_kernel_filtration_matches_induced_map_reference():
         )
         # elements with several nonzero coordinates per degree
         mixed = [
-            (g, [Fraction(rng.randint(-2, 2)) if d == g else Fraction(0)
-                 for d in L._degrees])
+            (g, dict(enumerate(Fraction(rng.randint(-2, 2)) if d == g else Fraction(0)
+                               for d in L._degrees)))
             for g in L.degrees()
         ]
         for sparse, dense in ((_sparse_elements, L._element), (_sparse_ads, L._ad)):
@@ -1171,10 +1171,11 @@ def test_kernel_filtration_matches_induced_map_reference():
 def test_kernel_filtration_rejects_non_invariant_level():
     # E_12 kills only e_1, which E_21 moves out of the level; graded, the
     # shift V_1 -> V_0 kills only V_0, which the shift back moves to a
-    # degree where the level has no component
+    # degree where the level has no component.  Every level is a prefix
+    # of the flag, so the flag's certificate catches the moved level
     from reference import ref_kernel_filtration
     from colorlie import TheoremViolation
-    from colorlie.structure import _kernel_filtration, _sparse_of
+    from colorlie.structure import _kernel_filtration, _lie_phase, _sparse_of
 
     v = gl(2)
     z = make_group(1, [])
@@ -1185,8 +1186,10 @@ def test_kernel_filtration_rejects_non_invariant_level():
         (w, make_map(w, z.element([-1]), {z1: [[1]]}), make_map(w, z1, {z0: [[1]]})),
     ]
     for space, nil, top in cases:
-        with pytest.raises(TheoremViolation, match="kernel level of an ideal"):
-            list(_kernel_filtration(space, [_sparse_of(nil)], [_sparse_of(top)]))
+        nil_s, top_s = _sparse_of(nil), _sparse_of(top)
+        levels = list(_kernel_filtration(space, [nil_s], [top_s]))
+        with pytest.raises(TheoremViolation, match="not upper triangular in the flag basis"):
+            _lie_phase(space, levels, [nil_s, top_s], True)
         with pytest.raises(TheoremViolation, match="kernel level of an ideal"):
             ref_kernel_filtration(space, [nil], [top])
         # without the top map the filtration reaches V in two levels
