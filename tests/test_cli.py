@@ -584,3 +584,88 @@ def test_sl2_outputs(capsys):
             assert run(capsys, command, path, "--skip-hypotheses", *extra) == (
                 3, "", f"{SL2_ERR} [flag depth {depth}]\n"
             )
+
+
+# ------------------------------------------------------------- fuzzing
+
+
+def _paths(node, path=()):
+    """Every (path, value) under node, the root excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from _paths(value, path + (key,))
+
+
+def _set(doc, path, value):
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+
+
+def _add_torsion(rng, doc):
+    """Append a torsion generator of order 2 or 3: a bicharacter row and
+    column of ones and a random torsion coordinate on every degree."""
+    m = rng.choice([2, 3])
+    group = doc.get("group")
+    if not isinstance(group, dict) or not isinstance(doc.get("bicharacter"), list):
+        return
+    group["torsion_moduli"] = list(group.get("torsion_moduli", [])) + [m]
+    bichar = [row + ["1"] if isinstance(row, list) else row for row in doc["bicharacter"]]
+    doc["bicharacter"] = bichar + [["1"] * (len(bichar) + 1)]
+    for path, value in list(_paths(doc)):
+        if path[-1] in ("degree", "source") and isinstance(value, list):
+            _set(doc, path, value + [rng.randrange(m)])
+
+
+def _mutate(rng, doc):
+    """One random defect: a dropped key, a value of the wrong type, a
+    float, a zero denominator, a changed small integer or torsion."""
+    kind = rng.choice(["drop", "type", "float", "zero", "int", "torsion"])
+    paths = list(_paths(doc))
+    if kind == "torsion":
+        _add_torsion(rng, doc)
+        return
+    if kind == "drop":
+        keyed = [p for p, _ in paths if isinstance(p[-1], str)] or [p for p, _ in paths]
+        path = rng.choice(keyed)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        return
+    leaves = [p for p, v in paths if not isinstance(v, (dict, list))] or [p for p, _ in paths]
+    path = rng.choice(leaves if kind != "type" else [p for p, _ in paths])
+    if kind == "type":
+        value = rng.choice([None, True, "x", [], {}, [[1]], {"dim": 1}, "2", 3])
+    elif kind == "float":
+        value = rng.choice([0.5, 1.0, -2.25])
+    elif kind == "zero":
+        value = rng.choice(["1/0", "0/0", "-3/0"])
+    else:
+        value = rng.randint(-2, 3)
+    _set(doc, path, value)
+
+
+def test_mutated_problem_files_exit_cleanly(tmp_path, capsys):
+    # every command, with and without --json, on seeded mutants of the
+    # sample problems: a documented exit code and never a traceback
+    import random
+
+    rng = random.Random(20)
+    samples = sorted(PROBLEMS.glob("*.json"))
+    codes = set()
+    for case in range(150):
+        doc = json.loads(rng.choice(samples).read_text())
+        for _ in range(rng.randint(1, 2)):
+            _mutate(rng, doc)
+        path = tmp_path / f"case{case}.json"
+        path.write_text(json.dumps(doc))
+        for command in ("validate", "series", "triangularize", "chain"):
+            for extra in ([], ["--json"]):
+                code, out, err = run(capsys, command, str(path), *extra)
+                assert code in (0, 2, 3, 4), (doc, command, extra, err)
+                assert "Traceback" not in err
+                codes.add(code)
+    assert {0, 2, 3} <= codes

@@ -4,9 +4,12 @@ wide entries, the quotient's normal form against a reference
 Gauss-Jordan, ``char_poly`` against sympy, the incremental graded kernel
 against a stacked reference elimination, the sparse bracket kernel
 against ``color_bracket``, the structure-constant table against
-flattened brackets, and the solvability that a kernel filtration of
-[L, L] reaching V proves."""
+flattened brackets, the solvability that a kernel filtration of
+[L, L] reaching V proves, flags and ideal chains of planted solvable
+algebras against the dense certificate and reference brackets, and the
+problem-file round trip."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -17,22 +20,29 @@ import hypothesis
 from hypothesis import given, strategies as st
 
 from colorlie import (
-    Matrix, NotSolvable, bracket_closure, char_poly, color_flag,
-    common_homogeneous_eigenvector, derived_series, graded_kernel, ideal_chain, inverse,
-    make_group, make_space, rref, solve_unique,
+    Matrix, NotSolvable, ProblemFile, bracket_closure, char_poly, color_bracket, color_flag,
+    common_homogeneous_eigenvector, derived_series, flatten_map, flatten_vector,
+    graded_kernel, ideal_chain, inverse, make_group, make_space, parse_problem, rref,
+    serialize_problem, solve_unique,
 )
 from colorlie.algebra import _square
 from colorlie.graded import _vector
 from colorlie.linalg import _Echelon
 from colorlie.structure import _Quotient, _filtration_dim, _kernel_filtration, _sparse_elements
-from corpus import all_configs, random_homogeneous_map, random_solvable_instance, random_space
+from corpus import (
+    all_configs, random_homogeneous_map, random_solvable_instance, random_space,
+    torsion_free_configs,
+)
 from reference import (
     assert_kernel_matches_color_bracket,
     assert_series_and_center_match,
     assert_table_matches_brackets,
     densify,
+    ref_certificate,
+    ref_contains,
     ref_kernel,
     ref_rref,
+    ref_span,
 )
 
 CONFIGS = all_configs()
@@ -344,3 +354,50 @@ def test_checked_calls_refuse_non_solvable_closures(config, seed):
         assert getattr(info.value, "flag_depth", None) is None
         assert info.value.witness is None
         assert str(info.value) == "algebra is not solvable"
+
+
+# ------------------------------------- flags and chains of solvable algebras
+
+
+@given(seed=st.integers(0, 10**9))
+def test_flags_and_chains_of_solvable_instances_pass_the_references(seed):
+    # in every torsion-free grading: the flag passes the dense T^-1 M T
+    # certificate on its flattened vectors, with the weights on its
+    # diagonals, and every chain member is an ideal under brackets
+    # formed by color_bracket and reduced by the reference elimination
+    rng = random.Random(seed)
+    for _, group, r in torsion_free_configs():
+        L = random_solvable_instance(rng, group, r)
+        flag = color_flag(L)
+        assert all(v.is_homogeneous() for v in flag.ordered_basis)
+        diagonals = ref_certificate(
+            [flatten_vector(v) for v in flag.ordered_basis],
+            [flatten_map(f) for f in L.basis],
+        )
+        assert [list(w.values) for w in flag.weights] == [list(d) for d in zip(*diagonals)]
+        chain = ideal_chain(L).chain
+        assert [s.dim for s in chain] == list(range(L.dim + 1))
+        for below, sub in zip(chain, chain[1:]):
+            span = ref_span(L.space, sub.elements())
+            assert len(span) == sub.dim
+            assert all(ref_contains(span, f) for f in below.elements())
+            assert all(
+                ref_contains(span, color_bracket(L.r, a, b))
+                for a in L.basis for b in sub.elements()
+            )
+
+
+# ------------------------------------------------------ problem files
+
+
+@given(seed=st.integers(0, 10**9), count=st.integers(0, 3))
+def test_problem_round_trips_through_serialization(seed, count):
+    # in every grading, torsion included, as the document and as JSON text
+    rng = random.Random(seed)
+    for _, group, r in CONFIGS:
+        space = random_space(rng, group)
+        gens = tuple(random_homogeneous_map(rng, space, density=0.6) for _ in range(count))
+        problem = ProblemFile(group, r, space, gens)
+        doc = serialize_problem(problem)
+        assert parse_problem(doc) == problem
+        assert parse_problem(json.loads(json.dumps(doc))) == problem
