@@ -17,9 +17,9 @@ basis elements of L independent modulo [L, L] (``_derived_coords``).
      for nonzero degree to its graded kernel (a homogeneous eigenvector
      of a degree-shifting map has eigenvalue zero), for degree zero to
      the eigenspace, on every component, of a rational eigenvalue of some
-     diagonal block.  The factor is flagged line by line through its
-     graded quotients by the lines found so far, and the vectors are
-     lifted back to V.
+     diagonal block, until W is a line.  The factor is flagged line by
+     line through its graded quotients by the lines found so far, and
+     the vectors are lifted back to V.
 
 The whole filtration is computed before any eigenvalue is searched for.
 When it reaches V, [L, L] acts nilpotently, so its components are nil,
@@ -41,18 +41,22 @@ the policy has more than 2p of them; when the chain stalls the full point
 set runs.  A non-nil component is only ever reported at a point, which
 the HypothesisFailed carries as its ``witness`` (degree, point).
 
-Kernels and restrictions reduce through ``linalg._Echelon``, and both
-phases hold V/S as S's reduced echelon in V's coordinates
+Kernels reduce through ``linalg._Echelon``, and both phases hold F/S
+(F is V or a level's factor) as S's reduced echelon in F's coordinates
 (``_Quotient``), which quotienting again only adds rows to.  Neither
-phase induces a map; both work on the maps' sparse blocks.  Phase 1
-reads the normal form modulo K_j at each free column c by a functional
-phi_c, and the rows phi_c N of the nil maps N give the next level.
-Phase 2 restricts each top map to the current W alone: W's basis is
-lifted, mapped by the map's sparse columns and projected back.  The
-eigenvalue of a degree-zero map is searched for one diagonal block at a
-time, and only until one is found; once W is a line the later maps are
-only checked to leave it invariant, and a 1-dimensional factor is its
-own line.
+phase induces a map; both work on the maps' sparse blocks, and both
+restrict them the same way (``_restrict``): a subspace W of F/S is held
+as sparse vectors of F and the free columns at which they read 1 and 0,
+so an image, projected, has its coordinates in W's basis at those
+columns, with no solve.  Phase 1 reads the normal form modulo K_j at
+each free column c by a functional phi_c, and the rows phi_c N of the
+nil maps N give the next level, to which the top maps are restricted.
+Phase 2 narrows W to kernels of the restricted top maps, less an
+eigenvalue for degree zero.  The eigenvalue is searched for one
+diagonal block at a time, and only until one is found; narrowing stops
+once W is a line, and a 1-dimensional factor is its own line.  No
+restriction checks that W is invariant: the theorem guarantees it (see
+``_chain_eigenvector``), and the certificate checks the flag.
 
 The flag itself is verified exactly in the end, with no n x n product:
 for every map M and flag vector t_j, T^-1 (M t_j) is formed from sparse
@@ -86,7 +90,6 @@ from .graded import (
     GradedVector,
     HomogeneousMap,
     _GradedEchelon,
-    _map,
     _vector,
     apply,
     flatten_map,
@@ -227,8 +230,8 @@ def common_annihilated_vector(
         raise NoHomogeneousEigenvector(
             "no nonzero homogeneous vector is annihilated by the algebra"
         )
-    g, vs = next(iter(first[2].items()))
-    return _vector(L.space, {g: vs[0]})
+    basis = first[2]
+    return _lift(L.space, basis, next(iter(basis)), {0: _ONE})
 
 
 def engel_check(
@@ -312,6 +315,19 @@ def _sparse_of(f: HomogeneousMap) -> tuple:
     return _sparse_map(f.degree, columns)
 
 
+def _sum_of(vectors, coeffs: dict) -> dict:
+    """sum_j coeffs[j] vectors[j], for sparse vectors."""
+    out: dict = {}
+    for j, c in coeffs.items():
+        if c:
+            unit = c == 1
+            for i, x in vectors[j].items():
+                if not unit:
+                    x = c * x
+                out[i] = out[i] + x if i in out else x
+    return out
+
+
 def _sparse_elements(L: ColorAlgebra, coords) -> list[tuple]:
     """The sparse blocks of the elements of L with the given (degree,
     pivot coordinates): each combines the solver's sparse rows, the
@@ -321,16 +337,8 @@ def _sparse_elements(L: ColorAlgebra, coords) -> list[tuple]:
     rows = L._solver.sparse_rows
     out = []
     for degree, v in coords:
-        flat: dict[int, Fraction] = {}
-        for k, c in v.items():
-            if c:
-                unit = c == 1
-                for i, y in rows[k].items():
-                    if not unit:
-                        y = c * y
-                    flat[i] = flat[i] + y if i in flat else y
         columns: dict = {}
-        for i, x in flat.items():
+        for i, x in _sum_of(rows, v).items():
             (h, j), (_, k) = where[i % n], where[i // n]
             columns.setdefault(h, {}).setdefault(j, {})[k] = x
         out.append(_sparse_map(degree, columns))
@@ -379,98 +387,24 @@ def codim_one_ideal(
     return Subspace._span(L, chain[:-1]), L._element(*chain[-1])
 
 
-class _NotInvariant(Exception):
-    pass
-
-
-class _EmbeddedSubspace:
-    """Graded subspace W of a quotient F/S (``_Quotient``; S may be 0),
-    presented by per-degree bases in the quotient's coordinates, with
-    exact restriction of sparse maps on F that leave S and W invariant.
-    Each component's basis is independent, so coordinates are unique and
-    one solver per component, eliminated once, serves every column."""
-
-    def __init__(self, q: _Quotient, bases: dict):
-        self.q = q
-        self.bases = {g: list(vs) for g, vs in bases.items() if vs}
-        dims = {g: len(vs) for g, vs in self.bases.items()}
-        self.space = make_space(q.ambient.group, dims)
-        self.solvers = {
-            g: _Echelon(len(q.free[g]), map(dict, map(enumerate, vs)), track=True)
-            for g, vs in self.bases.items()
-        }
-
-    def restrict(self, f) -> HomogeneousMap:
-        """The sparse map f (``_sparse_map``) on F, induced on F/S and
-        restricted to W: each basis vector of W is lifted to F, mapped by
-        f's sparse columns and projected back, and its image must lie in
-        W (else _NotInvariant); its coordinates in W's basis are the
-        column.  No map is induced on the whole quotient."""
-        degree, blocks = f
-        q = self.q
-        out = {}
-        for h, t, cols in blocks:
-            if h not in self.bases:
-                continue
-            solver = self.solvers.get(t)
-            columns = []
-            for w in self.bases[h]:
-                y = [_ZERO] * q.ambient.dim_of(t)
-                for c, a in zip(q.free[h], w):
-                    if a:
-                        for i, x in cols.get(c, ()):
-                            y[i] += a * x
-                img = q.project(t, y)
-                if solver is None:
-                    if any(img):
-                        raise _NotInvariant
-                    continue
-                coords = solver.reduce(dict(enumerate(img)))
-                if coords is None:
-                    raise _NotInvariant
-                columns.append(solver.to_basis(coords))
-            if columns:
-                out[h] = Matrix._raw(tuple(zip(*columns)), len(columns))
-        return _map(self.space, degree, out)
-
-    def eigenspace(self, f_res: HomogeneousMap, lam: Fraction) -> _EmbeddedSubspace:
-        """Vectors w with f w = lam w, given f's restriction f_res to this
-        subspace; a map of nonzero degree is only asked for its kernel.
-        Every component is narrowed, so a joint weight space stays one."""
-        bases = {}
-        for g in self.space.degrees:
-            m = f_res.block(g)
-            rows = m.data
-            if f_res.degree.is_zero():
-                rows = [
-                    [x - lam if i == j else x for j, x in enumerate(row)]
-                    for i, row in enumerate(rows)
-                ]
-            vs = self.bases[g]
-            width = len(self.q.free[g])
-            ech = _Echelon(m.cols, map(dict, map(enumerate, rows)))
-            bases[g] = [_combine(vs, k, width) for k in ech.kernel()]
-        return _EmbeddedSubspace(self.q, bases)
-
-    @staticmethod
-    def whole(q: _Quotient) -> _EmbeddedSubspace:
-        """W = F/S, in the standard basis."""
-        return _EmbeddedSubspace(q, {
-            g: [tuple(_ONE if i == j else _ZERO for i in range(n)) for j in range(n)]
-            for g, n in q.space.dims
-        })
-
-
 class _Quotient:
-    """Graded quotient V/S, held as S's reduced echelon in V's
+    """Graded quotient F/S, held as S's reduced echelon in F's
     coordinates, one ``_Echelon`` per degree.
 
-    The free (non-pivot) columns are the quotient's coordinates: a vector
-    projects to its normal form modulo S read at them, by one functional
-    per free column, and lifts by inclusion.  Quotienting V/S again by T/S adds T/S's lifted rows: T's
+    The free (non-pivot) columns are the quotient's coordinates: a sparse
+    vector of F projects to its normal form modulo S read at them, keyed
+    by position among them, by one functional per free column.
+    Quotienting F/S again by T/S adds T/S's rows, as vectors of F: T's
     reduced echelon leads at the union of the pivots of S and T/S, and
     the normal form modulo T is the composite of the two projections, so
-    the result is V/T in the same coordinates.
+    the result is F/T in the same coordinates.
+
+    A subspace W of F/S is held per degree as sparse vectors of F (its
+    basis) and ``cols``: cols[g][i] is the position of the free column at
+    which W's i-th vector of degree g projects to 1 and W's other vectors
+    to 0, so the coordinates in W's basis of a vector of W are read off
+    its projection at ``cols`` (``_restrict``).  W = F/S itself is a unit
+    vector per free column (``_whole``), and ``_narrow`` keeps the form.
     """
 
     def __init__(self, ambient: GradedSpace):
@@ -479,22 +413,27 @@ class _Quotient:
         self.add({})
 
     def add(self, rows: dict):
-        """Quotient further by the span of ``rows``, per-degree vectors in
-        V's coordinates."""
+        """Quotient further by the span of ``rows``, per-degree sparse
+        vectors of F."""
         for g, vs in rows.items():
             for v in vs:
-                self.parts[g].add(dict(enumerate(v)))
+                self.parts[g].add(v)
         self.free = {g: part.free() for g, part in self.parts.items()}
         dims = {g: len(cs) for g, cs in self.free.items() if cs}
         self.space = make_space(self.ambient.group, dims)
         self._phis: dict = {}
+        self._units: dict = {}
 
-    def project(self, g, vec) -> tuple[Fraction, ...]:
-        """vec's normal form modulo S, read at the free columns."""
-        return tuple(
-            sum((a * vec[r] for r, a in phi if vec[r]), _ZERO)
-            for phi in self.functionals(g)
-        )
+    def project(self, g, vec: dict) -> dict:
+        """vec's normal form modulo S, read at the free columns, keyed by
+        position among them: the combination, at vec's entries, of the
+        projections of the unit vectors."""
+        if g not in self._units:
+            units = self._units[g] = [{} for _ in range(self.ambient.dim_of(g))]
+            for i, phi in enumerate(self.functionals(g)):
+                for r, a in phi:
+                    units[r][i] = a
+        return _sum_of(self._units[g], vec)
 
     def functionals(self, g) -> list[list]:
         """phi_c = e_c - sum_p R_p[c] e_p for each free column c of degree
@@ -510,26 +449,48 @@ class _Quotient:
             self._phis[g] = list(phis.values())
         return self._phis[g]
 
-    def lift(self, g, comp) -> list[Fraction]:
-        at = dict(zip(self.free[g], comp))
-        return [at.get(c, _ZERO) for c in range(self.ambient.dim_of(g))]
+
+def _whole(q: _Quotient) -> tuple[dict, dict]:
+    """(basis, cols) of W = F/S (see ``_Quotient``)."""
+    basis = {g: [{c: _ONE} for c in cs] for g, cs in q.free.items() if cs}
+    return basis, {g: list(range(len(vs))) for g, vs in basis.items()}
 
 
-def _combine(vectors, coeffs: dict, width: int) -> list[Fraction]:
-    """sum_j coeffs[j] vectors[j], for vectors of the given width."""
-    out = [_ZERO] * width
-    for j, c in coeffs.items():
-        if c:
-            for i, x in enumerate(vectors[j]):
-                if x:
-                    out[i] += c * x
-    return out
+def _narrow(basis: dict, cols: dict, echs: dict) -> tuple[dict, dict]:
+    """(basis, cols) of the vectors of W whose coordinates in W's basis
+    lie in the kernel of their degree's echelon in ``echs``: the kernel
+    vector at each free column f of it is 1 at f and 0 at the others, so
+    its combination of W's basis projects to 1 at cols[f]."""
+    out, at = {}, {}
+    for g, ech in echs.items():
+        ks = ech.kernel()
+        if ks:
+            out[g] = [_sum_of(basis[g], k) for k in ks]
+            at[g] = [cols[g][f] for f in ech.free()]
+    return out, at
 
 
-def _lift(space: GradedSpace, basis: dict, d, comp) -> GradedVector:
-    """sum_j comp[j] basis[d][j], a vector of V."""
-    coeffs = dict(enumerate(comp))
-    return _vector(space, {d: _combine(basis[d], coeffs, space.dim_of(d))})
+def _lift(space: GradedSpace, basis: dict, d, coeffs: dict) -> GradedVector:
+    """sum_j coeffs[j] basis[d][j], a vector of V."""
+    v = _sum_of(basis[d], coeffs)
+    return _vector(space, {d: [v.get(i, _ZERO) for i in range(space.dim_of(d))]})
+
+
+def _rows(cols: dict) -> dict:
+    """A sparse block given by its columns (``_sparse_map``) by its rows,
+    ``{i: {j: x}}``."""
+    rows: dict = {}
+    for j, pairs in cols.items():
+        for i, x in pairs:
+            rows.setdefault(i, {})[j] = x
+    return rows
+
+
+def _dense(rows: dict, n: int) -> Matrix:
+    """The n x n matrix with the rows ``{i: {j: x}}``."""
+    return Matrix._raw(tuple(
+        tuple(rows.get(i, {}).get(j, _ZERO) for j in range(n)) for i in range(n)
+    ), n)
 
 
 def _level_rows(q: _Quotient, free: list[int], blocks):
@@ -549,28 +510,26 @@ def _level_rows(q: _Quotient, free: list[int], blocks):
                 yield out
 
 
-def _restrict(f, q: _Quotient, basis: dict, kernels: dict):
-    """The sparse map f restricted to a level of the filtration of V/K_j
-    (``q``), whose ``basis`` holds sparse vectors of V per degree, as a
-    sparse map on the level, which it leaves invariant: the image of each
-    basis vector, taken to V/K_j, has its coordinates in the level's basis
-    at the free columns of that degree's rows in ``kernels``.  A map that
-    moves the level out of itself is caught by ``_certify``, as every
-    level is a prefix of the flag."""
+def _restrict(f, q: _Quotient, basis: dict, cols: dict):
+    """The sparse map f on F restricted to a subspace W of F/S (``q``),
+    given by its ``basis`` and ``cols`` (see ``_Quotient``), as a sparse
+    map on W, which it must leave invariant: the image of each basis
+    vector, projected to F/S, has its coordinates in W's basis at
+    ``cols``.  A map that moves W out of itself is not noticed here; the
+    flag's certificate (``_certify``) checks every level and line."""
     degree, blocks = f
     columns: dict = {}
-    for h, t, cols in blocks:
-        if h not in basis or t not in kernels:
+    for h, t, cs in blocks:
+        if h not in basis or t not in cols:
             continue
-        free = kernels[t].free()
         out = columns[h] = {}
         for k, w in enumerate(basis[h]):
-            y = [_ZERO] * q.ambient.dim_of(t)
+            y: dict = {}
             for j, a in w.items():
-                for i, x in cols.get(j, ()):
-                    y[i] += a * x
+                for i, x in cs.get(j, ()):
+                    y[i] = y[i] + a * x if i in y else a * x
             img = q.project(t, y)
-            out[k] = {i: img[c] for i, c in enumerate(free)}
+            out[k] = {i: img[c] for i, c in enumerate(cols[t]) if c in img}
     return _sparse_map(degree, columns)
 
 
@@ -583,11 +542,10 @@ def _kernel_filtration(space: GradedSpace, nil, top):
     functional phi_c = e_c - sum_p R_p[c] e_p reads the normal form at
     its free column c, so row c of the map a block N induces on V/K_j
     is phi_c N at the free columns.  Those rows go, per source degree,
-    into one ``_Echelon``, which stops at full rank, and the kernel is
-    read off it.  Each level is yielded as its factor space, the ``top``
-    maps restricted to it as sparse maps (``_restrict``, which applies
-    them to its basis and takes one normal form per image) and its basis,
-    per degree, as vectors of V.
+    into one ``_Echelon``, which stops at full rank, and V/K_j is
+    narrowed to its kernel (``_narrow``).  Each level is yielded as its
+    factor space, the ``top`` maps restricted to it as sparse maps
+    (``_restrict``) and its basis, per degree, as sparse vectors of V.
     ``nil`` must span an ideal of the algebra the maps come from, so
     every level is invariant (which the flag's certificate checks); the
     levels stop at V or at the first empty kernel.
@@ -609,33 +567,27 @@ def _kernel_filtration(space: GradedSpace, nil, top):
                 for row in _level_rows(q, free, by_source.get(h, ())):
                     if ech.add(row) and len(ech.pivots) == len(free):
                         break
-        rows, sparse = {}, {}
-        for h, ech in kernels.items():
-            ks = ech.kernel()
-            if ks:
-                free = q.free[h]
-                sparse[h] = [{free[i]: x for i, x in k.items()} for k in ks]
-                cols = range(space.dim_of(h))
-                rows[h] = [[v.get(c, _ZERO) for c in cols] for v in sparse[h]]
-        if not rows:
+        basis, cols = _narrow(*_whole(q), kernels)
+        if not basis:
             return
-        level = make_space(space.group, {h: len(vs) for h, vs in rows.items()})
-        yield level, [_restrict(f, q, sparse, kernels) for f in top], rows
-        q.add(rows)
+        level = make_space(space.group, {h: len(vs) for h, vs in basis.items()})
+        yield level, [_restrict(f, q, basis, cols) for f in top], basis
+        q.add(basis)
 
 
 def _filtration_dim(levels) -> int:
     return sum(space.total_dim for space, _, _ in levels)
 
 
-def _rational_eigenvalue(f_res: HomogeneousMap) -> Fraction:
-    """The smallest rational eigenvalue of the first diagonal block, in
-    the canonical degree order, that has one.  The blocks are searched
-    one at a time and no eigenvector is built; IrrationalEigenvalue
-    reports the characteristic polynomial of the first root-free block."""
+def _rational_eigenvalue(blocks) -> Fraction:
+    """The smallest rational eigenvalue of the first of the diagonal
+    ``blocks``, in the canonical degree order, that has one.  The blocks
+    are searched one at a time and no eigenvector is built;
+    IrrationalEigenvalue reports the characteristic polynomial of the
+    first root-free block."""
     first_irrational: Poly | None = None
-    for g, _ in f_res.space.dims:
-        p = char_poly(f_res.block(g))
+    for m in blocks:
+        p = char_poly(m)
         roots = rational_roots(p)
         if roots:
             return roots[0][0]
@@ -648,33 +600,43 @@ def _rational_eigenvalue(f_res: HomogeneousMap) -> Fraction:
     )
 
 
-def _chain_eigenvector(q: _Quotient, chain, strict: bool) -> GradedVector:
-    """Homogeneous vector of the quotient F/S (``q``) in the joint weight
-    space of the span of the chain, sparse maps on F that leave S
-    invariant, found by narrowing W = F/S one chain element at a time.  A
-    line is its own joint weight space: there a map of nonzero degree is
-    zero and one of degree zero a scalar, so once W is a line the later
-    chain elements are only checked to leave it invariant."""
-    if q.space.total_dim == 1:
-        return _vector(q.space, {q.space.degrees[0]: (_ONE,)})
-    w = _EmbeddedSubspace.whole(q)
+def _chain_eigenvector(q: _Quotient, chain, strict: bool) -> tuple:
+    """(degree, sparse vector of F) of a homogeneous vector of the
+    quotient F/S (``q``) in the joint weight space of the span of the
+    chain, sparse maps on F that leave S invariant, found by narrowing
+    W = F/S one chain element at a time until W is a line.
+
+    Each element b is restricted to W (``_restrict``) and W narrowed, on
+    every component, to the kernel of b - lam: lam = 0 for nonzero
+    degree (a homogeneous eigenvector of a degree-shifting map has
+    eigenvalue zero), else a rational eigenvalue of a diagonal block.
+    [L, L] acts as zero on F/S, so there b b' = r(deg b, deg b') b' b
+    for chain elements b, b', and W stays invariant: b w = lam w gives
+    b (b' w) = r lam b' w, and r lam = lam, as lam = 0 or deg b = 0 and
+    r(0, g) = 1.  A line is its own joint weight space, so the later
+    elements are not restricted."""
+    basis, cols = _whole(q)
     for b in chain:
+        if sum(map(len, basis.values())) == 1:
+            break
         degree, blocks = b
         if not blocks:
             continue
-        try:
-            b_res = w.restrict(b)
-        except _NotInvariant:
-            if strict:
-                raise TheoremViolation("algebra does not stabilize the weight space")
-            raise NoHomogeneousEigenvector(
-                "the algebra does not stabilize the candidate weight space"
+        rows = {h: _rows(cs) for h, _, cs in _restrict(b, q, basis, cols)[1]}
+        lam = _ZERO
+        if degree.is_zero():
+            lam = _rational_eigenvalue(
+                _dense(rows.get(g, {}), len(vs)) for g, vs in basis.items()
             )
-        if w.space.total_dim == 1:
-            continue
-        lam = _rational_eigenvalue(b_res) if degree.is_zero() else _ZERO
-        w = w.eigenspace(b_res, lam)
-        if w.space.total_dim == 0:
+        echs = {}
+        for g, vs in basis.items():
+            r = rows.get(g, {})
+            if lam:
+                r = {i: {**r.get(i, {}), i: r.get(i, {}).get(i, _ZERO) - lam}
+                     for i in range(len(vs))}
+            echs[g] = _Echelon(len(vs), r.values())
+        basis, cols = _narrow(basis, cols, echs)
+        if not basis:
             if strict:
                 raise TheoremViolation(
                     "degree-shifting chain element has no homogeneous kernel "
@@ -684,8 +646,8 @@ def _chain_eigenvector(q: _Quotient, chain, strict: bool) -> GradedVector:
                 "chain element has no homogeneous eigenvector in the "
                 "weight space (its degree has finite order)"
             )
-    g, vs = next(iter(w.bases.items()))
-    return _vector(q.space, {g: vs[0]})
+    g, vs = next(iter(basis.items()))
+    return g, vs[0]
 
 
 def _check_triangularization_hypotheses(L: ColorAlgebra):
@@ -772,9 +734,8 @@ def common_homogeneous_eigenvector(
     if first is None:
         _stall(L, None, 0, False, nil_policy, seed)
     space, top, basis = first
-    v = _chain_eigenvector(_Quotient(space), top, strict=check_hypotheses)
-    d = v.degree()
-    v0 = _lift(L.space, basis, d, v.component(d))
+    d, line = _chain_eigenvector(_Quotient(space), top, strict=check_hypotheses)
+    v0 = _lift(L.space, basis, d, line)
 
     flat = flatten_vector(v0)
     p = next(i for i, x in enumerate(flat) if x != 0)
@@ -841,14 +802,11 @@ def _lie_phase(space: GradedSpace, levels, certify, strict: bool):
     try:
         for fspace, top, basis in levels:
             if fspace.total_dim == 1:
-                (d, (line,)), = basis.items()
-                vectors.append(_vector(space, {d: line}))
+                vectors.append(_lift(space, basis, next(iter(basis)), {0: _ONE}))
                 continue
             q = _Quotient(fspace)
             while q.space.total_dim > 0:
-                v = _chain_eigenvector(q, top, strict)
-                d = v.degree()
-                line = q.lift(d, v.components[0][1])
+                d, line = _chain_eigenvector(q, top, strict)
                 vectors.append(_lift(space, basis, d, line))
                 q.add({d: [line]})
     except (TheoremViolation, NoHomogeneousEigenvector, IrrationalEigenvalue) as e:

@@ -2,6 +2,7 @@
 stable exit-code contract."""
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -591,17 +592,22 @@ def test_sl2_outputs(capsys):
 
 def _paths(node, path=()):
     """Every (path, value) under node, the root excluded."""
-    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
     for key, value in items:
         yield path + (key,), value
         yield from _paths(value, path + (key,))
 
 
-def _set(doc, path, value):
-    node = doc
+def _parent(doc, path):
+    """The container holding the value at path."""
     for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+        doc = doc[key]
+    return doc
 
 
 def _add_torsion(rng, doc):
@@ -616,7 +622,7 @@ def _add_torsion(rng, doc):
     doc["bicharacter"] = bichar + [["1"] * (len(bichar) + 1)]
     for path, value in list(_paths(doc)):
         if path[-1] in ("degree", "source") and isinstance(value, list):
-            _set(doc, path, value + [rng.randrange(m)])
+            _parent(doc, path)[path[-1]] = value + [rng.randrange(m)]
 
 
 def _mutate(rng, doc):
@@ -628,12 +634,8 @@ def _mutate(rng, doc):
         _add_torsion(rng, doc)
         return
     if kind == "drop":
-        keyed = [p for p, _ in paths if isinstance(p[-1], str)] or [p for p, _ in paths]
-        path = rng.choice(keyed)
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        del node[path[-1]]
+        path = rng.choice([p for p, _ in paths if isinstance(p[-1], str)])
+        del _parent(doc, path)[path[-1]]
         return
     leaves = [p for p, v in paths if not isinstance(v, (dict, list))] or [p for p, _ in paths]
     path = rng.choice(leaves if kind != "type" else [p for p, _ in paths])
@@ -645,14 +647,12 @@ def _mutate(rng, doc):
         value = rng.choice(["1/0", "0/0", "-3/0"])
     else:
         value = rng.randint(-2, 3)
-    _set(doc, path, value)
+    _parent(doc, path)[path[-1]] = value
 
 
 def test_mutated_problem_files_exit_cleanly(tmp_path, capsys):
     # every command, with and without --json, on seeded mutants of the
     # sample problems: a documented exit code and never a traceback
-    import random
-
     rng = random.Random(20)
     samples = sorted(PROBLEMS.glob("*.json"))
     codes = set()

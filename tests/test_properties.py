@@ -241,9 +241,9 @@ def test_quotient_project_gives_the_normal_form(m, data):
     free = [c for c in range(m.cols) if c not in pivots]
     g = Z1.identity()
     q = _Quotient(make_space(Z1, {g: m.cols}))
-    q.add({g: list(m.data)})
+    q.add({g: [dict(enumerate(row)) for row in m.data]})
     assert q.free[g] == free
-    assert list(q.project(g, v)) == [want[c] for c in free]
+    assert densify(q.project(g, dict(enumerate(v))), len(free)) == [want[c] for c in free]
     assert [sum((a * v[r] for r, a in phi), Fraction(0))
             for phi in q.functionals(g)] == [want[c] for c in free]
     for track in (False, True):

@@ -43,6 +43,7 @@ from colorlie import (
 )
 from corpus import (
     borel_generators,
+    conjugated_nil_span,
     noncanonical_borel_algebras,
     random_homogeneous_map,
     random_nil_instance,
@@ -597,7 +598,7 @@ def test_ideal_chain_members_are_ideals():
 def test_quotient_projection_kills_subspace():
     # projection after inclusion is the identity on the free coordinates,
     # and the projection kills S
-    from colorlie.structure import _Quotient
+    from colorlie.structure import _Quotient, _whole
 
     rng = random.Random(89)
     for _, group, _ in torsion_free_configs():
@@ -609,26 +610,29 @@ def test_quotient_projection_kills_subspace():
                 for g, n in space.dims
             }
             q = _Quotient(space)
-            q.add(rows)
+            q.add({g: [_sparse(v) for v in vs] for g, vs in rows.items()})
             for g, n in space.dims:
                 assert q.space.dim_of(g) == n - _rank(rows[g], n)
                 for v in rows[g]:
-                    assert not any(q.project(g, v))
-            for g, unit in _units(q.space):
-                assert q.project(g, q.lift(g, unit)) == unit
+                    assert not any(q.project(g, _sparse(v)).values())
+            basis, cols = _whole(q)
+            for g, ws in basis.items():
+                for i, w in enumerate(ws):
+                    assert q.project(g, w) == {cols[g][i]: 1}
 
 
 def test_quotient_induced_map_is_projection_of_map_on_lift():
     # by hand: (1, 1) spans the eigenvalue-3 line of [[1, 2], [0, 3]], so
     # the map induces the other eigenvalue, 1, on the quotient
-    from colorlie.structure import _Quotient
+    from reference import densify
+    from colorlie.structure import _Quotient, _whole
 
     z = make_group(1, [])
     z0, z1 = z.element([0]), z.element([1])
     v = make_space(z, {z0: 2, z1: 1})
     d = make_map(v, z0, {z0: [[1, 2], [0, 3]], z1: [[5]]})
     q = _Quotient(v)
-    q.add({z0: [(Fraction(1), Fraction(1))]})
+    q.add({z0: [{0: Fraction(1), 1: Fraction(1)}]})
     assert _induce(q, d) == make_map(q.space, z0, {z0: [[1]], z1: [[5]]})
     # in general: flatten(induced f) = P flatten(f) I, for the normal-form
     # projection P and the inclusion I of the free coordinates
@@ -638,16 +642,18 @@ def test_quotient_induced_map_is_projection_of_map_on_lift():
             space = random_space(rng, group)
             q = _Quotient(space)
             q.add({
-                g: [tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))]
+                g: [{i: Fraction(rng.randint(-2, 2)) for i in range(n)}]
                 for g, n in space.dims if rng.random() < 0.5
             })
             f = random_homogeneous_map(rng, space)
             incl = Matrix.from_columns(
-                [_place(space, g, q.lift(g, u)) for g, u in _units(q.space)],
+                [_place(space, g, densify(w, space.dim_of(g)))
+                 for g, ws in _whole(q)[0].items() for w in ws],
                 rows=space.total_dim,
             )
             proj = Matrix.from_columns(
-                [_place(q.space, g, q.project(g, u)) for g, u in _units(space)],
+                [_place(q.space, g, densify(q.project(g, _sparse(u)), q.space.dim_of(g)))
+                 for g, u in _units(space)],
                 rows=q.space.total_dim,
             )
             assert flatten_map(_induce(q, f)) == proj * flatten_map(f) * incl
@@ -655,10 +661,32 @@ def test_quotient_induced_map_is_projection_of_map_on_lift():
 
 def _induce(q, f):
     """The map f induces on the quotient q, as phase 2 reads it: f's
-    sparse columns restricted to the whole quotient."""
-    from colorlie.structure import _EmbeddedSubspace, _sparse_of
+    sparse columns restricted to the whole quotient, as a map on it."""
+    from colorlie.structure import _restrict, _sparse_of, _whole
 
-    return _EmbeddedSubspace.whole(q).restrict(_sparse_of(f))
+    return _dense_map(q.space, _restrict(_sparse_of(f), q, *_whole(q)))
+
+
+def _dense_map(space, sparse):
+    """The sparse map (``structure._sparse_map``) on space as a map."""
+    degree, blocks = sparse
+    dense = {}
+    for h, t, cols in blocks:
+        rows = [[Fraction(0)] * space.dim_of(h) for _ in range(space.dim_of(t))]
+        for j, pairs in cols.items():
+            for i, x in pairs:
+                rows[i][j] = x
+        dense[h] = rows
+    return make_map(space, degree, dense)
+
+
+def _sparse(v):
+    """The dense vector v as ``{index: value}``, zeros included."""
+    return dict(enumerate(v))
+
+
+def _nonzero(v):
+    return {i: x for i, x in v.items() if x}
 
 
 def _units(space):
@@ -688,7 +716,7 @@ def test_quotient_in_steps_equals_quotient_at_once():
         rows: dict = {}
         for flat in vectors:
             (g, comp), = unflatten_vector(space, flat).components
-            rows.setdefault(g, []).append(comp)
+            rows.setdefault(g, []).append(_sparse(comp))
         return rows
 
     rng = random.Random(101)
@@ -713,11 +741,15 @@ def test_quotient_in_steps_equals_quotient_at_once():
             for b in L.basis:
                 assert _induce(q_ts, _induce(q_s, b)) == _induce(q_t, b)
             for g, n in L.space.dims:
-                x = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
+                x = {i: Fraction(rng.randint(-3, 3)) for i in range(n)}
                 if q_s.space.dim_of(g):
-                    assert q_ts.project(g, q_s.project(g, x)) == q_t.project(g, x)
+                    assert _nonzero(q_ts.project(g, q_s.project(g, x))) == _nonzero(
+                        q_t.project(g, x)
+                    )
+            # T/S's rows, lifted to V at the free columns of S
             q_s.add({
-                g: [q_s.lift(g, v) for v in vs] for g, vs in t_mod_s.items()
+                g: [{q_s.free[g][i]: x for i, x in v.items()} for v in vs]
+                for g, vs in t_mod_s.items()
             })
             assert q_s.free == q_t.free
             for g, part in q_t.parts.items():
@@ -824,41 +856,110 @@ def test_z3_counterexample_report():
 
 
 def test_restrict_matches_per_column_solve():
-    # one solver per target component gives the coordinates a fresh
-    # solve of each column would, and refuses a column outside W
-    from corpus import random_homogeneous_map, random_space, random_unimodular
-    from colorlie.linalg import solve_unique
-    from colorlie.structure import (
-        _EmbeddedSubspace, _NotInvariant, _Quotient, _sparse_of,
-    )
+    # reading each image's coordinates at cols gives what a fresh solve
+    # of each column in W's basis would, for W built by narrowing and by
+    # the kernel filtration
+    from colorlie.structure import _Quotient, _restrict, _sparse_of
 
     rng = random.Random(83)
-    for _, group, _ in torsion_free_configs():
+    narrowed = 0
+    for _, group, r in torsion_free_configs():
         for _ in range(10):
             space = random_space(rng, group)
-            # W = V in a scrambled basis: every map is invariant
-            w = _EmbeddedSubspace(_Quotient(space), {
-                g: [tuple(col) for col in zip(*random_unimodular(rng, n).data)]
-                for g, n in space.dims
-            })
-            embed = {
-                g: Matrix.from_columns(vs, rows=space.dim_of(g))
-                for g, vs in w.bases.items()
-            }
-            f = random_homogeneous_map(rng, space)
-            res = w.restrict(_sparse_of(f))
-            for g in w.space.degrees:
-                target = g + f.degree
-                if w.space.dim_of(target) == 0:
-                    continue
-                images = f.block(g) * embed[g]
-                want = [solve_unique(embed[target], col) for col in zip(*images.data)]
-                assert list(zip(*res.block(g).data)) == want
+            f = random_homogeneous_map(rng, space, density=0.5)
+            narrowed += _assert_restrict_solves_on_kernel(space, f)
+        for _ in range(3):
+            _assert_restrict_solves_on_levels(random_solvable_instance(rng, group, r))
+    # a nilpotent f of index n: each narrowing keeps a proper subset of
+    # W's columns, so cols are read through more than one narrowing
+    for n in (5, 6, 7):
+        for _ in range(3):
+            f = make_map(gl(n), E0, {E0: conjugated_nil_span(rng, n, 1)[0]})
+            assert _assert_restrict_solves_on_kernel(gl(n), f) == 2
+    assert narrowed >= 10
+    # an invariant line: E_12 kills e_1
     v = gl(2)
-    line = _EmbeddedSubspace(_Quotient(v), {E0: [(Fraction(1), Fraction(0))]})
-    assert line.restrict(_sparse_of(unit_map(v, 0, 1))).is_zero()
-    with pytest.raises(_NotInvariant):
-        line.restrict(_sparse_of(unit_map(v, 1, 0)))
+    line = {E0: [{0: Fraction(1)}]}, {E0: [0]}
+    assert _restrict(_sparse_of(unit_map(v, 0, 1)), _Quotient(v), *line)[1] == []
+
+
+def _assert_restrict_solves_on_kernel(space, f) -> int:
+    """f restricted to W = ker f^3 / ker f in V / ker f, narrowed from
+    the whole quotient to ker f^4 / ker f, the kernel of f^3 there, and
+    then to the kernel of f^2, against solve_unique in W's basis; the
+    dimension of W."""
+    from reference import densify
+    from colorlie.graded import compose
+    from colorlie.linalg import _Echelon, solve_unique
+    from colorlie.structure import (
+        _Quotient, _narrow, _restrict, _rows, _sparse_of, _whole,
+    )
+
+    def narrowed(q, g, w):
+        # W narrowed to the kernel of the map g induces on it
+        rows = {h: _rows(cs) for h, _, cs in _restrict(_sparse_of(g), q, *w)[1]}
+        return _narrow(*w, {
+            h: _Echelon(len(vs), rows.get(h, {}).values()) for h, vs in w[0].items()
+        })
+
+    f2 = compose(f, f)
+    q = _Quotient(space)
+    q.add(narrowed(q, f, _whole(q))[0])
+    basis, cols = narrowed(q, f2, narrowed(q, compose(f2, f), _whole(q)))
+    if not basis:
+        return 0
+    w_space = make_space(space.group, {g: len(ws) for g, ws in basis.items()})
+    res = _dense_map(w_space, _restrict(_sparse_of(f), q, basis, cols))
+
+    def project(g, v):
+        return densify(q.project(g, _sparse(v)), q.space.dim_of(g))
+
+    for h, ws in basis.items():
+        target = h + f.degree
+        if target not in basis:
+            continue
+        embed = Matrix.from_columns(
+            [project(target, densify(w, space.dim_of(target))) for w in basis[target]],
+            rows=q.space.dim_of(target),
+        )
+        images = [project(target, f.block(h).apply(densify(w, space.dim_of(h)))) for w in ws]
+        want = [solve_unique(embed, col) for col in images]
+        assert list(zip(*res.block(h).data)) == want
+    return w_space.total_dim
+
+
+def _assert_restrict_solves_on_levels(L):
+    """The top maps the kernel filtration restricts to each level K_{j+1}
+    / K_j, against solve_unique of each image in the basis of K_j
+    followed by the level's basis."""
+    from reference import densify
+    from colorlie.algebra import _square
+    from colorlie.linalg import solve_unique
+    from colorlie.structure import (
+        _derived_coords, _kernel_filtration, _sparse_elements,
+    )
+
+    derived = _square(L)
+    coords = _derived_coords(L, derived)
+    k = derived.dim
+    maps = [L._element(g, v) for g, v in coords[k:]]
+    below = {g: [] for g in L.space.degrees}
+    nil, top_maps = _sparse_elements(L, coords[:k]), _sparse_elements(L, coords[k:])
+    for level, top, basis in _kernel_filtration(L.space, nil, top_maps):
+        dense = {g: [densify(w, L.space.dim_of(g)) for w in ws] for g, ws in basis.items()}
+        for f, sparse in zip(maps, top):
+            res = _dense_map(level, sparse)
+            for h, ws in dense.items():
+                t = h + f.degree
+                if t not in dense:
+                    continue
+                span = Matrix.from_columns(below[t] + dense[t], rows=L.space.dim_of(t))
+                want = [
+                    solve_unique(span, f.block(h).apply(w))[len(below[t]):] for w in ws
+                ]
+                assert list(zip(*res.block(h).data)) == want
+        for g, ws in dense.items():
+            below[g] += ws
 
 
 # ------------------------------------- kernel filtration of [L, L]
@@ -1047,8 +1148,7 @@ def _levels_in_v(L):
         assert top == []
         for g, n in space.dims:
             for j in range(n):
-                unit = tuple(Fraction(int(i == j)) for i in range(n))
-                acc.append(flatten_vector(_lift(L.space, basis, g, unit)))
+                acc.append(flatten_vector(_lift(L.space, basis, g, {j: Fraction(1)})))
         out.append(list(acc))
     return out
 
@@ -1114,13 +1214,17 @@ def _normal(sparse):
 
 def _assert_filtration_matches_reference(space, maps, sparse, k):
     # the first k maps drive the filtration, the rest are restricted
-    from reference import ref_kernel_filtration
+    from reference import densify, ref_kernel_filtration
     from colorlie.structure import _kernel_filtration, _sparse_of
 
     assert [_normal(x) for x in sparse] == [_normal(_sparse_of(f)) for f in maps]
     got = list(_kernel_filtration(space, sparse[:k], sparse[k:]))
     want = ref_kernel_filtration(space, maps[:k], maps[k:])
-    assert [(s, [_normal(f) for f in t], list(r.items())) for s, t, r in got] == [
+    assert [
+        (s, [_normal(f) for f in t],
+         [(g, [densify(v, space.dim_of(g)) for v in vs]) for g, vs in r.items()])
+        for s, t, r in got
+    ] == [
         (s, [_normal(_sparse_of(f)) for f in t], list(r.items())) for s, t, r in want
     ]
     assert sum(s.total_dim for s, _, _ in got) == space.total_dim
@@ -1242,15 +1346,16 @@ def test_lazy_eigenvalue_matches_first_eigenpair():
                 p = random_unimodular(rng, n)
                 blocks[g] = p * Matrix(rows) * inverse(p)
             f = make_map(space, group.identity(), blocks)
+            diagonal = [f.block(g) for g, _ in space.dims]
             reports = homogeneous_eigenvalues(f)
             first = next((r for r in reports if r.pairs), None)
             if first is not None:
                 outcomes["rational"] += 1
-                assert _rational_eigenvalue(f) == first.pairs[0][0]
+                assert _rational_eigenvalue(diagonal) == first.pairs[0][0]
             else:
                 outcomes["irrational"] += 1
                 with pytest.raises(IrrationalEigenvalue) as info:
-                    _rational_eigenvalue(f)
+                    _rational_eigenvalue(diagonal)
                 assert info.value.char_poly == reports[0].irrational_factor
                 assert str(reports[0].irrational_factor) in str(info.value)
     assert min(outcomes.values()) >= 5
@@ -1259,14 +1364,11 @@ def test_lazy_eigenvalue_matches_first_eigenpair():
 def test_non_invariant_line_has_no_homogeneous_eigenvector():
     # diag(1, 2) narrows W to the line <e_1>; E_21 moves it, E_12 kills
     # it.  Graded: the eigenvalue 1 leaves the line in V_0, which the
-    # shift V_0 -> V_1 moves to a degree where W has no component
+    # shift V_0 -> V_1 moves to a degree where W has no component.  Once
+    # W is a line the later maps are not restricted, so the flag's
+    # certificate catches the moved line
     from colorlie import TheoremViolation
-    from colorlie.structure import _Quotient, _chain_eigenvector, _sparse_of
-
-    def eigenvector(space, chain, strict):
-        return _chain_eigenvector(
-            _Quotient(space), [_sparse_of(f) for f in chain], strict
-        )
+    from colorlie.structure import _Quotient, _chain_eigenvector, _lie_phase, _sparse_of
 
     v = gl(2)
     d = make_map(v, E0, {E0: [[1, 0], [0, 2]]})
@@ -1281,12 +1383,14 @@ def test_non_invariant_line_has_no_homogeneous_eigenvector():
         (w, [dz, dz, make_map(w, z1, {z0: [[1, 0]]})]),
     ]
     for space, chain in cases:
-        with pytest.raises(NoHomogeneousEigenvector, match="does not stabilize"):
-            eigenvector(space, chain, strict=False)
-        with pytest.raises(TheoremViolation, match="does not stabilize"):
-            eigenvector(space, chain, strict=True)
-    line = eigenvector(v, [d, unit_map(v, 0, 1), d], strict=False)
-    assert line.components == ((E0, (Fraction(1), Fraction(0))),)
+        sparse = [_sparse_of(f) for f in chain]
+        # one level, the whole space in its standard basis
+        units = {g: [{i: Fraction(1)} for i in range(n)] for g, n in space.dims}
+        for strict in (False, True):
+            with pytest.raises(TheoremViolation, match="not upper triangular in the flag basis"):
+                _lie_phase(space, [(space, sparse, units)], sparse, strict)
+    chain = [_sparse_of(f) for f in (d, unit_map(v, 0, 1), d)]
+    assert _chain_eigenvector(_Quotient(v), chain, False) == (E0, {0: Fraction(1)})
 
 
 def _adjoint_flag(L):
