@@ -21,7 +21,11 @@ the package's one elimination kernel, as are all echelon rows here.  Every
 vector here is sparse, a dict ``{index: value}`` as the kernel takes and
 gives it: flattened maps, pivot coordinates and table entries alike.
 
-A subspace is stored as per-degree reduced echelon rows in pivot
+A graded span is one ``_Echelon``, with no split by degree: homogeneous
+vectors of different degrees share no coordinate, flattened or pivot, so
+its reduced rows stay homogeneous, and a row's degree is read off its
+pivot, L._degrees[p] in pivot coordinates.  Rows are listed stably
+sorted by degree.  A subspace is stored as reduced echelon rows in pivot
 coordinates.  The leading flattened entry of x in L sits at p_k for the
 first k with x[p_k] != 0, so taking pivot entries maps the reduced
 echelon basis of a subspace over flattened coordinates onto its reduced
@@ -69,14 +73,12 @@ from .graded import (
     GradedSpace,
     GradedVector,
     HomogeneousMap,
-    _GradedEchelon,
     _flat,
     _map,
     _unflatten,
     add_maps,
     compose,
     flatten_map,
-    graded_kernel,
     make_space,
     map_power,
     scale_map,
@@ -165,13 +167,21 @@ class ColorAlgebra:
 
     @classmethod
     def _spanned(cls, space: GradedSpace, r: Bicharacter,
-                 ech: _GradedEchelon) -> "ColorAlgebra":
+                 ech: _Echelon) -> "ColorAlgebra":
         """The trusted closed algebra whose basis is the reduced rows of
-        ``ech``, a ``_GradedEchelon`` of flattened maps on ``space``.  The
-        rows are independent and already reduced, so the basis maps are
-        read off them without a pattern check, and they enter the solver
+        ``ech``, an ``_Echelon`` of flattened maps on ``space``, stably
+        sorted by degree: a row with pivot p has degree deg(p // n) -
+        deg(p % n), deg(i) the degree of V's i-th coordinate.  The rows
+        are independent and already reduced, so the basis maps are read
+        off them without a pattern check, and they enter the solver
         without being reduced again: each meets no other row's pivot."""
-        vectors = ech.vectors()
+        n = space.total_dim
+        where = [g for g, m in space.dims for _ in range(m)]
+        vectors = sorted(
+            ((where[p // n] + -where[p % n], row)
+             for p, row in zip(ech.pivots, ech.sparse_rows)),
+            key=lambda gv: gv[0].sort_key(),
+        )
         flat = [v for _, v in vectors]
         basis = tuple(_unflatten(space, g, v) for g, v in vectors)
         solver = _Echelon(space.total_dim ** 2, flat, track=True)
@@ -315,35 +325,11 @@ class ColorAlgebra:
                         out[k] = out[k] + ab * c if k in out else ab * c
         return out
 
-    def _ad(self, degree: GroupElement, x) -> HomogeneousMap:
-        """ad x for x of the given degree and pivot coordinates, acting
-        on the profile space in pivot coordinates: the component of
-        degree g has the R_k of degree g as its basis, in order of k."""
-        table = self._structure()
-        cols: dict[int, dict[int, Fraction]] = {}
-        for i, a in x.items():
-            if a:
-                for j, e in table[i].items():
-                    col = cols.setdefault(j, {})
-                    for k, c in e.items():
-                        col[k] = col.get(k, _ZERO) + a * c
-        blocks = {}
-        for h, src in self._local.items():
-            tgt = self._local.get(element_add(h, degree))
-            if tgt is None:
-                continue
-            rows = [[_ZERO] * len(src) for _ in tgt]
-            for b, j in enumerate(src):
-                for k, v in cols.get(j, {}).items():
-                    rows[self._pos[k]][b] = v
-            blocks[h] = Matrix._raw(tuple(tuple(row) for row in rows), len(src))
-        return _map(self.profile_space(), degree, blocks)
-
-    def _from_profile(self, v: GradedVector) -> tuple[GroupElement, dict[int, Fraction]]:
-        """Degree and pivot coordinates of a homogeneous vector of the
-        profile space in pivot coordinates."""
+    def _from_profile(self, v: GradedVector) -> dict[int, Fraction]:
+        """Pivot coordinates of a homogeneous vector of the profile space
+        in pivot coordinates."""
         g, comp = v.components[0]
-        return g, dict(zip(self._local[g], comp))
+        return dict(zip(self._local[g], comp))
 
 
 def bracket_closure(space: GradedSpace, r: Bicharacter, generators) -> ColorAlgebra:
@@ -360,17 +346,17 @@ def bracket_closure(space: GradedSpace, r: Bicharacter, generators) -> ColorAlge
     dim V^2 maps are independent, so the scan ends.
 
     The worklist holds (degree, sparse flattened row) pairs and brackets
-    them with ``_sparse_bracket``; the span is a ``_GradedEchelon`` over
+    them with ``_sparse_bracket``; the span is one ``_Echelon`` over
     flattened rows, whose reduced rows become the returned basis.
     """
     n = space.total_dim
-    ech = _GradedEchelon(n * n)
+    ech = _Echelon(n * n)
     elems = []
     for g in generators:
         if g.space != space:
             raise SpaceMismatch("generator acts on a different space")
         flat = _flat(g)
-        if ech.add_vector(g.degree, flat):
+        if ech.add(flat):
             elems.append((g.degree, flat))
     if r.spec != space.group:
         raise GroupMismatch("bicharacter group differs from the grading group")
@@ -379,66 +365,74 @@ def bracket_closure(space: GradedSpace, r: Bicharacter, generators) -> ColorAlge
         da, a = elems[i]
         for db, b in elems[: i + 1]:
             c = _sparse_bracket(n, a, b, eval_bicharacter(r, db, da))
-            if c:
-                d = element_add(da, db)
-                if ech.add_vector(d, c):
-                    elems.append((d, c))
+            if c and ech.add(c):
+                elems.append((element_add(da, db), c))
         i += 1
     return ColorAlgebra._spanned(space, r, ech)
 
 
 class Subspace:
-    """Graded subspace of a ColorAlgebra, stored as per-degree reduced
-    echelon rows in the parent's pivot coordinates; maps are built from
-    the rows only by ``elements``."""
+    """Graded subspace of a ColorAlgebra, stored as one ``_Echelon`` of
+    reduced rows in the parent's pivot coordinates, each homogeneous of
+    its pivot's degree; maps are built from the rows only by
+    ``elements``."""
 
     def __init__(self, parent: ColorAlgebra, elements):
         self.parent = parent
-        self._ech = _GradedEchelon(parent.dim)
+        self._ech = _Echelon(parent.dim)
         for f in elements:
             coords = parent._pivot_coords(f)
             if coords is None:
                 raise NotInAlgebra("element lies outside the parent algebra")
-            self._ech.add_vector(f.degree, coords)
+            self._ech.add(coords)
 
     @classmethod
     def _span(cls, parent: ColorAlgebra, vectors) -> "Subspace":
-        """The span of (degree, pivot coordinates) pairs."""
+        """The span of sparse vectors of pivot coordinates."""
         s = cls(parent, ())
-        for g, v in vectors:
-            s._ech.add_vector(g, v)
+        for v in vectors:
+            s._ech.add(v)
         return s
+
+    def _vectors(self) -> list[tuple[GroupElement, dict[int, Fraction]]]:
+        """The reduced rows with their degrees, stably sorted by degree."""
+        degrees = self.parent._degrees
+        rows = zip((degrees[p] for p in self._ech.pivots), self._ech.sparse_rows)
+        return sorted(rows, key=lambda gv: gv[0].sort_key())
 
     @property
     def dim(self) -> int:
-        return self._ech.dim()
+        return len(self._ech.pivots)
 
     def is_zero(self) -> bool:
         return self.dim == 0
 
     def degrees(self) -> list[GroupElement]:
-        return self._ech.degrees()
+        return list(self.dims_by_degree())
 
     def dims_by_degree(self) -> dict[GroupElement, int]:
-        return self._ech.dims()
+        out: dict[GroupElement, int] = {}
+        for g, _ in self._vectors():
+            out[g] = out.get(g, 0) + 1
+        return out
 
     def elements(self) -> list[HomogeneousMap]:
-        return [self.parent._element(g, v) for g, v in self._ech.vectors()]
+        return [self.parent._element(g, v) for g, v in self._vectors()]
 
     def contains(self, f: HomogeneousMap) -> bool:
         coords = self.parent._pivot_coords(f)
-        return coords is not None and self._ech.contains_vector(f.degree, coords)
+        return coords is not None and self._ech.reduce(coords) is not None
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.parent is other.parent
-            and self._ech.canonical_rows() == other._ech.canonical_rows()
+            and self._ech.sparse_rows == other._ech.sparse_rows
         )
 
 
 def full_subspace(L: ColorAlgebra) -> Subspace:
-    return Subspace._span(L, ((d, L._unit(k)) for k, d in enumerate(L._degrees)))
+    return Subspace._span(L, map(L._unit, range(L.dim)))
 
 
 def bracket_subspaces(s: Subspace, t: Subspace) -> Subspace:
@@ -448,13 +442,12 @@ def bracket_subspaces(s: Subspace, t: Subspace) -> Subspace:
     out = Subspace(L, ())
     # [S, S]: the pairs i <= j suffice by skew symmetry
     same = s is t
-    t_vecs = t._ech.vectors()
-    s_vecs = t_vecs if same else s._ech.vectors()
-    for i, (g, x) in enumerate(s_vecs):
-        for h, y in t_vecs[i:] if same else t_vecs:
+    t_rows = t._ech.sparse_rows
+    for i, x in enumerate(s._ech.sparse_rows):
+        for y in t_rows[i:] if same else t_rows:
             c = L._bracket(x, y)
             if c:
-                out._ech.add_vector(element_add(g, h), c)
+                out._ech.add(c)
     return out
 
 
@@ -467,11 +460,10 @@ def _square(L: ColorAlgebra) -> Subspace:
     """[L, L], read off the table: the span of its entries [R_i, R_j]
     with i <= j, which span every [R_j, R_i] by skew symmetry."""
     out = Subspace(L, ())
-    degrees = L._degrees
     for i, row in enumerate(L._structure()):
         for j, e in row.items():
             if j >= i:
-                out._ech.add_vector(element_add(degrees[i], degrees[j]), e)
+                out._ech.add(e)
     return out
 
 
@@ -513,15 +505,19 @@ def is_nilpotent_algebra(L: ColorAlgebra) -> bool:
 
 
 def center(L: ColorAlgebra) -> Subspace:
-    """Z(L) = {x : [x, y] = 0 for all y}: by skew symmetry the common
-    graded kernel of every ad R_k, read off the table.  The result is
-    graded because homogeneous components of central elements are
-    central."""
+    """Z(L) = {x : [R_k, x] = 0 for all k}, by skew symmetry: the kernel
+    of one ``_Echelon`` of the table's equations sum_j c_kj^l x_j = 0,
+    one for each k and l.  Such an equation involves only the x_j of
+    degree |R_l| - |R_k|, so the reduced rows are homogeneous, and so is
+    the kernel vector at each free column."""
     _require_closed(L)
-    if L.dim == 0:
-        return Subspace(L, [])
-    ads = [L._ad(d, L._unit(k)) for k, d in enumerate(L._degrees)]
-    return Subspace._span(L, (L._from_profile(v) for v in graded_kernel(ads)))
+    equations: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for k, row in enumerate(L._structure()):
+        for j, e in row.items():
+            for l, c in e.items():
+                equations.setdefault((k, l), {})[j] = c
+    ech = _Echelon(L.dim, equations.values())
+    return Subspace._span(L, ech.kernel())
 
 
 def ad_map(L: ColorAlgebra, x: HomogeneousMap) -> HomogeneousMap:
@@ -554,9 +550,9 @@ def ad_representation(L: ColorAlgebra) -> ColorAlgebra:
     dimension profile; its kernel is the center of L."""
     _require_closed(L)
     profile = L.profile_space()
-    ech = _GradedEchelon(profile.total_dim ** 2)
+    ech = _Echelon(profile.total_dim ** 2)
     for b in L.basis:
-        ech.add_map(ad_map(L, b))
+        ech.add(_flat(ad_map(L, b)))
     return ColorAlgebra._spanned(profile, L.r, ech)
 
 
@@ -642,9 +638,9 @@ def is_ideal(L: ColorAlgebra, s: Subspace) -> bool:
     _require_closed(L)
     if s.parent is not L:
         raise ParentMismatch("subspace of a different algebra")
-    for h, y in s._ech.vectors():
-        for k, g in enumerate(L._degrees):
-            c = L._bracket({k: _ONE}, y)
-            if c and not s._ech.contains_vector(element_add(g, h), c):
+    for y in s._ech.sparse_rows:
+        for k in range(L.dim):
+            c = L._bracket(L._unit(k), y)
+            if c and s._ech.reduce(c) is None:
                 return False
     return True

@@ -4,8 +4,12 @@ A homogeneous map of degree u sends the component of degree h into the
 component of degree h + u; it is stored as a dictionary of blocks keyed
 by source degree.  Blocks whose target falls outside the support are
 identically zero and never stored, which keeps all data finite.
-Graded spans and kernels are echelonized per degree by ``linalg._Echelon``,
-on sparse vectors ``{index: value}``.
+Graded kernels are echelonized per degree by ``linalg._Echelon``, on
+sparse vectors ``{index: value}``.  A span of homogeneous maps needs no
+such split: flattened maps of different degrees have disjoint supports,
+so one ``_Echelon`` of their flattened matrices keeps its reduced rows
+homogeneous, the degree of a row with pivot p being deg(p // N) -
+deg(p % N) on a space of dimension N.
 """
 
 from __future__ import annotations
@@ -370,63 +374,6 @@ def unflatten_map(space: GradedSpace, degree: GroupElement, m: Matrix) -> Homoge
                     "matrix has entries outside the homogeneous pattern"
                 )
     return _map(space, degree, blocks)
-
-
-class _GradedEchelon:
-    """Reduced echelon bases of graded spans: one ``_Echelon`` of the given
-    width per degree.
-
-    Rows are sparse coordinate vectors: flattened matrices for spans of
-    homogeneous maps (``add_map``, width N^2), or the pivot coordinates of
-    an algebra's elements (``add_vector``, width dim L).
-    """
-
-    def __init__(self, width: int):
-        self.width = width
-        self.parts: dict[GroupElement, _Echelon] = {}
-
-    def copy(self) -> "_GradedEchelon":
-        out = _GradedEchelon(self.width)
-        out.parts = {g: part.copy() for g, part in self.parts.items()}
-        return out
-
-    def add_map(self, f: HomogeneousMap) -> bool:
-        return self.add_vector(f.degree, _flat(f))
-
-    def add_vector(self, degree: GroupElement, vec: dict) -> bool:
-        part = self.parts.get(degree)
-        if part is None:
-            part = self.parts[degree] = _Echelon(self.width)
-        return part.add(vec)
-
-    def contains_vector(self, degree: GroupElement, vec: dict) -> bool:
-        part = self.parts.get(degree) or _Echelon(self.width)
-        return part.reduce(vec) is not None
-
-    def dims(self) -> dict[GroupElement, int]:
-        return {g: len(self.parts[g].pivots) for g in self.degrees()}
-
-    def dim(self) -> int:
-        return sum(len(part.pivots) for part in self.parts.values())
-
-    def degrees(self) -> list[GroupElement]:
-        return sorted(
-            (g for g, part in self.parts.items() if part.pivots),
-            key=lambda g: g.sort_key(),
-        )
-
-    def vectors(self) -> list[tuple[GroupElement, dict[int, Fraction]]]:
-        """The rows with their degrees, degrees in canonical order."""
-        return [(g, row) for g in self.degrees() for row in self.parts[g].sparse_rows]
-
-    def canonical_rows(self) -> dict:
-        """The rows per degree, dense."""
-        cols = range(self.width)
-        return {
-            g: tuple(tuple(row.get(c, _ZERO) for c in cols) for row in part.sparse_rows)
-            for g, part in self.parts.items()
-            if part.pivots
-        }
 
 
 def graded_kernel(maps, space: GradedSpace | None = None) -> list[GradedVector]:

@@ -34,12 +34,14 @@ has zero diagonal, and for degree zero r(0, 0) = 1 cancels the diagonal
 of ab - ba).  Only then is the derived series computed (``_stall``), for
 a NotSolvable verdict, and are the components of [L, L] checked for nil
 (``linalg._non_nilpotent_point``, the loop behind ``nil_subspace_check``),
-to tell a failed hypothesis from a violated theorem.  That check proves a
-span nil once the product chain I_{j+1} = sum_i B_i I_j of its maps
-reaches 0, run after the first p = ceil(s n / ceil(log2 n)) points when
-the policy has more than 2p of them; when the chain stalls the full point
-set runs.  A non-nil component is only ever reported at a point, which
-the HypothesisFailed carries as its ``witness`` (degree, point).
+to tell a failed hypothesis from a violated theorem; the check reads the
+sparse maps the filtration already holds, flattened per degree.  That
+check proves a span nil once the product chain I_{j+1} = sum_i B_i I_j
+of its maps reaches 0, run after the first p = ceil(s n / ceil(log2 n))
+points when the policy has more than 2p of them; when the chain stalls
+the full point set runs.  A non-nil component is only ever reported at
+a point, which the HypothesisFailed carries as its ``witness`` (degree,
+point).
 
 Kernels reduce through ``linalg._Echelon``, and both phases hold F/S
 (F is V or a level's factor) as S's reduced echelon in F's coordinates
@@ -89,7 +91,6 @@ from .graded import (
     GradedSpace,
     GradedVector,
     HomogeneousMap,
-    _GradedEchelon,
     _vector,
     apply,
     flatten_map,
@@ -104,10 +105,8 @@ from .algebra import (
     Subspace,
     ad_representation,
     bracket_closure,
-    bracket_subspaces,
     center,
     derived_series,
-    full_subspace,
     lower_central_series,
     _require_closed,
     _square,
@@ -180,17 +179,14 @@ class EngelReport:
     central_witness: HomogeneousMap | None
 
 
-def _component_matrices(maps) -> list[Matrix]:
-    return [flatten_map(f) for f in maps]
-
-
-def _check_nil_components(elements, what: str, policy: str, seed: int):
+def _check_nil_components(space: GradedSpace, maps, what: str, policy: str,
+                          seed: int):
     """HypothesisFailed at the first degree, in canonical order, where the
-    span of the homogeneous maps is not nil.  Its ``witness`` is
-    (degree, t): sum t_i f_i over that degree's maps, in the given order,
-    is not nilpotent."""
-    for g in sorted({f.degree for f in elements}, key=lambda g: g.sort_key()):
-        mats = _component_matrices([f for f in elements if f.degree == g])
+    span of the sparse maps on ``space`` (``_sparse_map``) is not nil.
+    Its ``witness`` is (degree, t): sum t_i f_i over that degree's maps,
+    in the given order, is not nilpotent."""
+    for g in sorted({d for d, _ in maps}, key=lambda g: g.sort_key()):
+        mats = [_flatten(space, f) for f in maps if f[0] == g]
         point = _non_nilpotent_point(mats, policy, seed)
         if point is not None:
             err = HypothesisFailed(
@@ -219,11 +215,12 @@ def common_annihilated_vector(
     _require_closed(L)
     if L.space.total_dim == 0:
         raise EmptySpace("the representation space is zero")
-    levels = _kernel_filtration(L.space, [_sparse_of(f) for f in L.basis], [])
+    maps = [_sparse_of(f) for f in L.basis]
+    levels = _kernel_filtration(L.space, maps, [])
     if check_hypotheses:
         levels = list(levels)
         if _filtration_dim(levels) < L.space.total_dim:
-            _check_nil_components(L.basis, "algebra", nil_policy, seed)
+            _check_nil_components(L.space, maps, "algebra", nil_policy, seed)
             raise TheoremViolation("nil algebra does not act nilpotently")
     first = next(iter(levels), None)
     if first is None:
@@ -251,7 +248,7 @@ def engel_check(
         ad_l = ad_representation(L)
         all_ad = all(
             nil_subspace_check(
-                _component_matrices(ad_l.basis_of_degree(g)),
+                [flatten_map(f) for f in ad_l.basis_of_degree(g)],
                 policy=nil_policy,
                 seed=seed,
             )
@@ -280,9 +277,9 @@ def _derived_coords(L: ColorAlgebra, derived: Subspace) -> list[tuple]:
     kernel levels are canonical subspaces.  Every subspace containing
     [L, L] is an ideal, so each prefix of length at least k is one.
     """
-    ech = _GradedEchelon(L.dim)
+    ech = _Echelon(L.dim)
     basis = [(f.degree, c) for f, c in zip(L.basis, L._basis_coords)]
-    return [(g, v) for g, v in derived._ech.vectors() + basis if ech.add_vector(g, v)]
+    return [(g, v) for g, v in derived._vectors() + basis if ech.add(v)]
 
 
 def _sparse_map(degree: GroupElement, columns: dict) -> tuple:
@@ -348,7 +345,9 @@ def _sparse_elements(L: ColorAlgebra, coords) -> list[tuple]:
 def _sparse_ads(L: ColorAlgebra, coords) -> list[tuple]:
     """The sparse blocks of ad x on the profile space, in pivot
     coordinates, for each (degree, pivot coordinates) x, read off the
-    structure-constant table as ``ColorAlgebra._ad`` does."""
+    structure-constant table: the component of degree g has the R_k of
+    degree g as its basis, in order of k, and column j of ad x is
+    [x, R_j] = sum_i x_i sum_k c_ij^k R_k."""
     table = L._structure()
     deg, pos = L._degrees, L._pos
     out = []
@@ -384,7 +383,7 @@ def codim_one_ideal(
     if derived.dim == L.dim:
         raise NotSolvable("derived subalgebra equals the whole algebra")
     chain = _derived_coords(L, derived)
-    return Subspace._span(L, chain[:-1]), L._element(*chain[-1])
+    return Subspace._span(L, (v for _, v in chain[:-1])), L._element(*chain[-1])
 
 
 class _Quotient:
@@ -491,6 +490,19 @@ def _dense(rows: dict, n: int) -> Matrix:
     return Matrix._raw(tuple(
         tuple(rows.get(i, {}).get(j, _ZERO) for j in range(n)) for i in range(n)
     ), n)
+
+
+def _flatten(space: GradedSpace, f) -> Matrix:
+    """The matrix of the sparse map f on ``space``, as ``flatten_map``
+    gives it for the same map."""
+    _, blocks = f
+    off = space.offsets()
+    rows: dict = {}
+    for h, t, cols in blocks:
+        for j, pairs in cols.items():
+            for i, x in pairs:
+                rows.setdefault(off[t] + i, {})[off[h] + j] = x
+    return _dense(rows, space.total_dim)
 
 
 def _level_rows(q: _Quotient, free: list[int], blocks):
@@ -662,20 +674,21 @@ def _check_triangularization_hypotheses(L: ColorAlgebra):
         )
 
 
-def _stall(L, nil_maps, depth, strict, nil_policy, seed):
-    """Raise for a kernel filtration of maps spanning [L, L] as it acts,
-    built by ``nil_maps`` as ``HomogeneousMap``s, that stopped at
+def _stall(L, space, nil, depth, strict, nil_policy, seed):
+    """Raise for a kernel filtration of the sparse maps ``nil`` on
+    ``space``, spanning [L, L] as it acts there, that stopped at
     dimension ``depth`` below the space.  No homogeneous flag exists then
     (see the module docstring).  NotSolvable comes from L's derived
     series, with no flag depth when ``strict`` (a failed hypothesis);
-    with a solvable L and ``strict``, the nil check tells a non-nil
-    component of [L, L] (HypothesisFailed) from a bug."""
+    with a solvable L and ``strict``, the nil check of ``nil``, the maps
+    the filtration already holds, tells a non-nil component of [L, L]
+    (HypothesisFailed) from a bug."""
     if derived_series(L)[-1].dim != 0:
         err = NotSolvable("algebra is not solvable")
         if strict:
             raise err
     elif strict:
-        _check_nil_components(nil_maps(), "derived subalgebra", nil_policy, seed)
+        _check_nil_components(space, nil, "derived subalgebra", nil_policy, seed)
         err = TheoremViolation(
             "derived subalgebra with nil components does not act nilpotently"
         )
@@ -688,14 +701,13 @@ def _stall(L, nil_maps, depth, strict, nil_policy, seed):
     raise err
 
 
-def _engel_phase(L, space, nil, top, strict, nil_policy, seed, nil_maps) -> list:
+def _engel_phase(L, space, nil, top, strict, nil_policy, seed) -> list:
     """The whole kernel filtration of ``nil`` (spanning [L, L] as it acts
-    on ``space``), or the stall error (``_stall``); ``nil_maps`` builds
-    ``nil`` as maps for the stall's nil check."""
+    on ``space``), or the stall error (``_stall``)."""
     levels = list(_kernel_filtration(space, nil, top))
     depth = _filtration_dim(levels)
     if depth < space.total_dim:
-        _stall(L, nil_maps, depth, strict, nil_policy, seed)
+        _stall(L, space, nil, depth, strict, nil_policy, seed)
     return levels
 
 
@@ -726,13 +738,13 @@ def common_homogeneous_eigenvector(
     k = derived.dim
     if check_hypotheses:
         levels = _engel_phase(
-            L, L.space, chain[:k], chain[k:], True, nil_policy, seed, derived.elements
+            L, L.space, chain[:k], chain[k:], True, nil_policy, seed
         )
     else:
         levels = _kernel_filtration(L.space, chain[:k], chain[k:])
     first = next(iter(levels), None)
     if first is None:
-        _stall(L, None, 0, False, nil_policy, seed)
+        _stall(L, L.space, chain[:k], 0, False, nil_policy, seed)
     space, top, basis = first
     d, line = _chain_eigenvector(_Quotient(space), top, strict=check_hypotheses)
     v0 = _lift(L.space, basis, d, line)
@@ -776,8 +788,7 @@ def color_flag(
     chain = _sparse_elements(L, _derived_coords(L, derived))
     k = derived.dim
     levels = _engel_phase(
-        L, L.space, chain[:k], chain[k:], check_hypotheses, nil_policy, seed,
-        derived.elements,
+        L, L.space, chain[:k], chain[k:], check_hypotheses, nil_policy, seed
     )
     basis = _sparse_elements(
         L, [(f.degree, c) for f, c in zip(L.basis, L._basis_coords)]
@@ -906,8 +917,7 @@ def ideal_chain(
     k = derived.dim
     if check_hypotheses:
         _engel_phase(
-            L, L.space, _sparse_elements(L, coords[:k]), [], True, nil_policy,
-            seed, derived.elements,
+            L, L.space, _sparse_elements(L, coords[:k]), [], True, nil_policy, seed
         )
     if L.dim == 0:
         return IdealChain((Subspace(L, []),))
@@ -915,21 +925,19 @@ def ideal_chain(
     ads = _sparse_ads(L, coords)
     profile = L.profile_space()
     levels = _engel_phase(
-        L, profile, ads[:k], ads[k:], check_hypotheses, nil_policy, seed,
-        lambda: [L._ad(g, v) for g, v in coords[:k]],
+        L, profile, ads[:k], ads[k:], check_hypotheses, nil_policy, seed
     )
     units = _sparse_ads(L, [(g, L._unit(i)) for i, g in enumerate(L._degrees)])
     vectors, _ = _lie_phase(profile, levels, units, check_hypotheses)
 
-    # the prefixes, each a copy of one growing echelon
-    grown = _GradedEchelon(L.dim)
+    # the prefixes, each a copy of one growing echelon; the certificate
+    # checked that the flag vectors form a basis, so each adds a row
+    grown = _Echelon(L.dim)
     chain = [Subspace(L, [])]
-    for g, v in map(L._from_profile, vectors):
-        grown.add_vector(g, v)
+    for v in vectors:
+        grown.add(L._from_profile(v))
         sub = Subspace(L, [])
         sub._ech = grown.copy()
-        if sub.dim != len(chain):
-            raise TheoremViolation("chain member has the wrong dimension")
         chain.append(sub)
     return IdealChain(tuple(chain))
 
@@ -981,11 +989,11 @@ def z3_counterexample() -> Z3Report:
     series = derived_series(L)
     derived_dims = tuple(s.dim for s in series)
     solvable = series[-1].dim == 0
-    derived = bracket_subspaces(full_subspace(L), full_subspace(L))
+    derived = _square(L)
     derived_zero = derived.dim == 0
     nil_vacuous = all(
         nil_subspace_check(
-            _component_matrices([f for f in derived.elements() if f.degree == g])
+            [flatten_map(f) for f in derived.elements() if f.degree == g]
         )
         for g in derived.degrees()
     )

@@ -17,7 +17,9 @@ multiplies out every word, the oracle for ``linalg._products_vanish``.
 
 ``ref_kernel_filtration`` is the kernel filtration by induced maps, the
 oracle for ``structure._kernel_filtration``, and ``ref_certificate`` the
-dense T^-1 M T check, the oracle for ``structure._certify``.
+dense T^-1 M T check, the oracle for ``structure._certify``.  ``ref_ad``
+builds ad x column by column with ``color_bracket``, the oracle for the
+table-read ``structure._sparse_ads``.
 """
 
 from __future__ import annotations
@@ -191,6 +193,27 @@ def ref_center(L) -> list:
             if any(part):
                 out.append(L.from_coordinates(part))
     return ref_span(L.space, out)
+
+
+def ref_ad(L, degree, coords):
+    """ad x for x of the given degree and pivot coordinates, acting on
+    L's profile space in pivot coordinates: the component of degree g has
+    the R_k of degree g as its basis, in order of k.  Column j is
+    [x, R_j] by ``color_bracket``, read at the pivots of the R_k, so the
+    structure-constant table is not used."""
+    x = L._element(degree, coords)
+    profile = L.profile_space()
+    off, seen, at = profile.offsets(), {}, []
+    for d in L._degrees:
+        at.append(off[d] + seen.get(d, 0))
+        seen[d] = seen.get(d, 0) + 1
+    m = profile.total_dim
+    rows = [[Fraction(0)] * m for _ in range(m)]
+    for j, d in enumerate(L._degrees):
+        flat = _flat(color_bracket(L.r, x, L._element(d, L._unit(j))))
+        for k, p in enumerate(L._solver.pivots):
+            rows[at[k]][at[j]] = flat[p]
+    return unflatten_map(profile, degree, Matrix(rows, cols=m))
 
 
 def ref_codim_one_ideal(L) -> tuple[list, object]:

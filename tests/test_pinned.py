@@ -11,6 +11,7 @@ intended and shown valid, recompute the digests with ``pinned_digests``.
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 from pathlib import Path
 
@@ -101,10 +102,9 @@ def _borel_outputs(n: int, grading: str):
         "weights": [[str(x) for x in w.values] for w in flag.weights],
         "chain": [
             [
-                [list(g.coords()), [[str(x) for x in row] for row in rows]]
-                for g, rows in sorted(
-                    sub._ech.canonical_rows().items(), key=lambda kv: kv[0].sort_key()
-                )
+                [list(g.coords()), [[str(row.get(c, 0)) for c in range(L.dim)]
+                                    for _, row in rows]]
+                for g, rows in itertools.groupby(sub._vectors(), key=lambda gv: gv[0])
             ]
             for sub in chain.chain
         ],

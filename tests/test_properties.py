@@ -4,11 +4,13 @@ wide entries, the quotient's normal form against a reference
 Gauss-Jordan, ``char_poly`` against sympy, the incremental graded kernel
 against a stacked reference elimination, the sparse bracket kernel
 against ``color_bracket``, the structure-constant table against
-flattened brackets, the solvability that a kernel filtration of
+flattened brackets and against color skew symmetry and the color Jacobi
+identity, the flattening of sparse maps, the solvability that a kernel filtration of
 [L, L] reaching V proves, flags and ideal chains of planted solvable
 algebras against the dense certificate and reference brackets, and the
 problem-file round trip."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -21,14 +23,16 @@ from hypothesis import given, strategies as st
 
 from colorlie import (
     Matrix, NotSolvable, ProblemFile, bracket_closure, char_poly, color_bracket, color_flag,
-    common_homogeneous_eigenvector, derived_series, flatten_map, flatten_vector,
-    graded_kernel, ideal_chain, inverse, make_group, make_space, parse_problem, rref,
+    common_homogeneous_eigenvector, derived_series, eval_bicharacter, flatten_map,
+    flatten_vector, graded_kernel, ideal_chain, inverse, make_group, make_space, parse_problem, rref,
     serialize_problem, solve_unique,
 )
 from colorlie.algebra import _square
 from colorlie.graded import _vector
 from colorlie.linalg import _Echelon
-from colorlie.structure import _Quotient, _filtration_dim, _kernel_filtration, _sparse_elements
+from colorlie.structure import (
+    _Quotient, _filtration_dim, _flatten, _kernel_filtration, _sparse_elements, _sparse_of,
+)
 from corpus import (
     all_configs, random_homogeneous_map, random_solvable_instance, random_space,
     torsion_free_configs,
@@ -315,12 +319,57 @@ def test_series_and_center_match_flattened_reference(config, seed):
     assert_series_and_center_match(_random_closure(config, seed))
 
 
+def _combine(*terms) -> dict:
+    """sum c v over the (c, sparse vector) terms, zeros dropped."""
+    out: dict = {}
+    for c, v in terms:
+        for k, x in v.items():
+            out[k] = out.get(k, 0) + c * x
+    return {k: x for k, x in out.items() if x}
+
+
+@given(config=st.sampled_from(CONFIGS), seed=st.integers(0, 10**9))
+def test_table_is_color_skew_and_color_jacobi(config, seed):
+    # on every pair and triple of the canonical basis, through L._bracket:
+    # [R_j, R_i] = -r(|R_i|, |R_j|) [R_i, R_j] and, for [a, b] = ab -
+    # r(|b|, |a|) ba, the color Jacobi identity
+    # r(|x|, |z|) [x, [y, z]] + r(|y|, |x|) [y, [z, x]] + r(|z|, |y|) [z, [x, y]] = 0
+    L = _random_closure(config, seed)
+    units, deg = [L._unit(k) for k in range(L.dim)], L._degrees
+
+    def r(i, j):
+        return eval_bicharacter(L.r, deg[i], deg[j])
+
+    for i, j in itertools.product(range(L.dim), repeat=2):
+        twisted = _combine((-r(i, j), L._bracket(units[i], units[j])))
+        assert _combine((1, L._bracket(units[j], units[i]))) == twisted
+    for i, j, k in itertools.product(range(L.dim), repeat=3):
+        x, y, z = units[i], units[j], units[k]
+        assert not _combine(
+            (r(i, k), L._bracket(x, L._bracket(y, z))),
+            (r(j, i), L._bracket(y, L._bracket(z, x))),
+            (r(k, j), L._bracket(z, L._bracket(x, y))),
+        )
+
+
+@given(config=st.sampled_from(CONFIGS), seed=st.integers(0, 10**9),
+       density=st.floats(0.1, 1.0))
+def test_flatten_of_sparse_map_matches_flatten_map(config, seed, density):
+    # the stall's nil check flattens the sparse maps it already holds
+    _, group, _ = config
+    rng = random.Random(seed)
+    space = random_space(rng, group)
+    for _ in range(3):
+        f = random_homogeneous_map(rng, space, density=density)
+        assert _flatten(space, _sparse_of(f)) == flatten_map(f)
+
+
 # ----------------------------------------- solvability by the filtration
 
 
 def _filtration_reaches_v(L):
     """Whether the kernel filtration of [L, L] on V reaches V."""
-    nil = _sparse_elements(L, _square(L)._ech.vectors())
+    nil = _sparse_elements(L, _square(L)._vectors())
     return _filtration_dim(_kernel_filtration(L.space, nil, [])) == L.space.total_dim
 
 

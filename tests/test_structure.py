@@ -2,6 +2,7 @@
 ideals, common homogeneous eigenvectors, color flags, ideal chains and the
 cyclic-grading counterexample."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -1104,12 +1105,12 @@ def test_hypothesis_failure_carries_non_nilpotent_witness():
     _assert_witness(info.value, B.basis)
     # t1 E13 + t2 E12 + t3 E21 is nilpotent iff t2 t3 = 0: the point
     # reads the maps in the given order
-    from colorlie.structure import _check_nil_components
+    from colorlie.structure import _check_nil_components, _sparse_of
 
     v = gl(3)
     maps = [unit_map(v, 0, 2), unit_map(v, 0, 1), unit_map(v, 1, 0)]
     with pytest.raises(HypothesisFailed) as info:
-        _check_nil_components(maps, "span", "deterministic", 0)
+        _check_nil_components(v, [_sparse_of(f) for f in maps], "span", "deterministic", 0)
     assert info.value.witness[1] == (0, 1, 2)
     _assert_witness(info.value, maps)
 
@@ -1117,14 +1118,14 @@ def test_hypothesis_failure_carries_non_nilpotent_witness():
 def test_witness_reads_fraction_maps_as_given():
     # 2 M1 + M2 is not nilpotent at (1, 1), but M1 + M2 is: the point
     # must be a witness for the maps themselves, not a rescaling of them
-    from colorlie.structure import _check_nil_components
+    from colorlie.structure import _check_nil_components, _sparse_of
 
     v = gl(2)
     m1 = make_map(v, E0, {E0: [[0, -1], [Fraction(-1, 2), 0]]})
     maps = [m1, unit_map(v, 0, 1)]
     for policy in ("deterministic", "probabilistic"):
         with pytest.raises(HypothesisFailed) as info:
-            _check_nil_components(maps, "span", policy, 0)
+            _check_nil_components(v, [_sparse_of(f) for f in maps], "span", policy, 0)
         _assert_witness(info.value, maps)
 
 
@@ -1234,6 +1235,7 @@ def test_kernel_filtration_matches_induced_map_reference():
     # factor spaces, restricted top maps and bases per level equal those
     # of the filtration by induced maps, on V for the chain of color_flag
     # and on L for the adjoint chain of ideal_chain
+    from reference import ref_ad
     from colorlie.algebra import _square
     from colorlie.structure import (
         _derived_coords, _sparse_ads, _sparse_elements, _sparse_of,
@@ -1257,7 +1259,7 @@ def test_kernel_filtration_matches_induced_map_reference():
             _sparse_elements(L, coords), k,
         )
         _assert_filtration_matches_reference(
-            L.profile_space(), [L._ad(g, v) for g, v in coords],
+            L.profile_space(), [ref_ad(L, g, v) for g, v in coords],
             _sparse_ads(L, coords), k,
         )
         # elements with several nonzero coordinates per degree
@@ -1266,7 +1268,8 @@ def test_kernel_filtration_matches_induced_map_reference():
                                for d in L._degrees)))
             for g in L.degrees()
         ]
-        for sparse, dense in ((_sparse_elements, L._element), (_sparse_ads, L._ad)):
+        ad = functools.partial(ref_ad, L)
+        for sparse, dense in ((_sparse_elements, L._element), (_sparse_ads, ad)):
             assert [_normal(x) for x in sparse(L, mixed)] == [
                 _normal(_sparse_of(dense(g, v))) for g, v in mixed
             ]
@@ -1412,6 +1415,7 @@ def _adjoint_flag(L):
 def _certificate_cases(L):
     """(space, flag vectors, sparse maps, the same maps dense) for the
     certificates of color_flag on V and of ideal_chain on L."""
+    from reference import ref_ad
     from colorlie.structure import _sparse_ads, _sparse_elements
 
     units = [(g, L._unit(i)) for i, g in enumerate(L._degrees)]
@@ -1420,7 +1424,7 @@ def _certificate_cases(L):
         (L.space, list(color_flag(L).ordered_basis), _sparse_elements(L, basis),
          [flatten_map(f) for f in L.basis]),
         (L.profile_space(), _adjoint_flag(L), _sparse_ads(L, units),
-         [flatten_map(L._ad(g, v)) for g, v in units]),
+         [flatten_map(ref_ad(L, g, v)) for g, v in units]),
     ]
 
 
