@@ -76,7 +76,7 @@ class GradedSpace:
 def make_space(group: GroupSpec, dims) -> GradedSpace:
     items = dict(dims)
     for g, n in items.items():
-        if g.spec != group:
+        if g.spec is not group and g.spec != group:
             raise ValidationError("degree belongs to a different group")
         if n < 1:
             raise ValidationError(f"component dimension must be positive, got {n}")

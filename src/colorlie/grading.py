@@ -68,11 +68,26 @@ def make_group(free_rank: int, torsion_moduli) -> GroupSpec:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Element of a GroupSpec; torsion coordinates are kept reduced."""
+    """Element of a GroupSpec; torsion coordinates are kept reduced.  The
+    hash is kept from its first use and equality tries identity first."""
 
     spec: GroupSpec
     free: tuple[int, ...]
     torsion: tuple[int, ...]
+    _hash = None
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.spec, self.free, self.torsion)))
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not GroupElement:
+            return NotImplemented
+        return self.free == other.free and self.torsion == other.torsion and (
+            self.spec is other.spec or self.spec == other.spec)
 
     def coords(self) -> tuple[int, ...]:
         return self.free + self.torsion
@@ -159,7 +174,8 @@ def make_bicharacter(spec: GroupSpec, values) -> Bicharacter:
 def eval_bicharacter(r: Bicharacter, g: GroupElement, h: GroupElement) -> Fraction:
     """r(g, h) as the product of generator values raised to coordinate
     products; exact and well defined modulo the torsion moduli."""
-    if g.spec != r.spec or h.spec != r.spec:
+    spec = r.spec
+    if (g.spec is not spec and g.spec != spec) or (h.spec is not spec and h.spec != spec):
         raise GroupMismatch("element does not belong to the bicharacter's group")
     gc = g.coords()
     hc = h.coords()

@@ -5,7 +5,8 @@ algebras (Engel-type) and the flag of a solvable algebra over a
 torsion-free grading (Lie-type).  The flag is built in two phases from a
 homogeneous basis b_1..b_m of L whose first k = dim [L, L] entries span
 [L, L] (read off the structure-constant table) and whose rest are the
-basis elements of L independent modulo [L, L] (``_derived_coords``).
+basis elements of L independent modulo [L, L] (``_derived_coords``),
+whose sparse maps are those of L's basis, built once per call.
 
   1. Engel: K_0 = 0 and K_{j+1} = {v : [L, L] v in K_j}, each level the
      common graded kernel of [L, L] on V/K_j.  [L, L] is an ideal, so
@@ -52,13 +53,14 @@ as sparse vectors of F and the free columns at which they read 1 and 0,
 so an image, projected, has its coordinates in W's basis at those
 columns, with no solve.  Phase 1 reads the normal form modulo K_j at
 each free column c by a functional phi_c, and the rows phi_c N of the
-nil maps N give the next level, to which the top maps are restricted.
-Phase 2 narrows W to kernels of the restricted top maps, less an
-eigenvalue for degree zero.  The eigenvalue is searched for one
-diagonal block at a time, and only until one is found; narrowing stops
-once W is a line, and a 1-dimensional factor is its own line.  No
-restriction checks that W is invariant: the theorem guarantees it (see
-``_chain_eigenvector``), and the certificate checks the flag.
+nil maps N give the next level, to which the top maps are restricted
+unless it is a line (its own flag, where phase 2 reads no map).  Phase 2
+narrows W to kernels of the restricted top maps, less an eigenvalue for
+degree zero, searched for one diagonal block at a time and only until
+one is found (an upper triangular block's smallest diagonal entry);
+narrowing stops once W is a line.  No restriction checks that W is
+invariant: the theorem guarantees it (see ``_chain_eigenvector``), and
+the certificate checks the flag.
 
 The flag itself is verified exactly in the end, with no n x n product:
 for every map M and flag vector t_j, T^-1 (M t_j) is formed from sparse
@@ -267,19 +269,21 @@ def engel_check(
     return EngelReport(all_ad, nilpotent, witness)
 
 
-def _derived_coords(L: ColorAlgebra, derived: Subspace) -> list[tuple]:
+def _derived_coords(L: ColorAlgebra, derived: Subspace) -> tuple[list, list]:
     """Homogeneous basis b_1..b_m of L adapted to [L, L] (``derived``), as
     (degree, pivot coordinates) pairs: the reduced rows of [L, L] first,
-    then the basis elements of L independent modulo [L, L], in order.
+    then the basis elements of L independent modulo [L, L], in order;
+    and the indices in L's basis of the latter.
 
     The first k = dim [L, L] entries drive phase 1 and the rest phase 2
     (see the module docstring); any basis of [L, L] serves, since the
     kernel levels are canonical subspaces.  Every subspace containing
     [L, L] is an ideal, so each prefix of length at least k is one.
     """
-    ech = _Echelon(L.dim)
-    basis = [(f.degree, c) for f, c in zip(L.basis, L._basis_coords)]
-    return [(g, v) for g, v in derived._vectors() + basis if ech.add(v)]
+    ech = derived._ech.copy()
+    taken = [i for i, c in enumerate(L._basis_coords) if ech.add(c)]
+    rest = [(L.basis[i].degree, L._basis_coords[i]) for i in taken]
+    return derived._vectors() + rest, taken
 
 
 def _sparse_map(degree: GroupElement, columns: dict) -> tuple:
@@ -382,7 +386,7 @@ def codim_one_ideal(
     derived = _square(L)
     if derived.dim == L.dim:
         raise NotSolvable("derived subalgebra equals the whole algebra")
-    chain = _derived_coords(L, derived)
+    chain, _ = _derived_coords(L, derived)
     return Subspace._span(L, (v for _, v in chain[:-1])), L._element(*chain[-1])
 
 
@@ -557,7 +561,8 @@ def _kernel_filtration(space: GradedSpace, nil, top):
     into one ``_Echelon``, which stops at full rank, and V/K_j is
     narrowed to its kernel (``_narrow``).  Each level is yielded as its
     factor space, the ``top`` maps restricted to it as sparse maps
-    (``_restrict``) and its basis, per degree, as sparse vectors of V.
+    (``_restrict``; none on a line, on which phase 2 reads no map) and
+    its basis, per degree, as sparse vectors of V.
     ``nil`` must span an ideal of the algebra the maps come from, so
     every level is invariant (which the flag's certificate checks); the
     levels stop at V or at the first empty kernel.
@@ -583,7 +588,8 @@ def _kernel_filtration(space: GradedSpace, nil, top):
         if not basis:
             return
         level = make_space(space.group, {h: len(vs) for h, vs in basis.items()})
-        yield level, [_restrict(f, q, basis, cols) for f in top], basis
+        wide = level.total_dim > 1
+        yield level, [_restrict(f, q, basis, cols) for f in top if wide], basis
         q.add(basis)
 
 
@@ -594,11 +600,14 @@ def _filtration_dim(levels) -> int:
 def _rational_eigenvalue(blocks) -> Fraction:
     """The smallest rational eigenvalue of the first of the diagonal
     ``blocks``, in the canonical degree order, that has one.  The blocks
-    are searched one at a time and no eigenvector is built;
-    IrrationalEigenvalue reports the characteristic polynomial of the
-    first root-free block."""
+    are searched one at a time and no eigenvector is built, nor a
+    triangular block's characteristic polynomial (its roots are its
+    diagonal); IrrationalEigenvalue reports that of the first root-free block."""
     first_irrational: Poly | None = None
     for m in blocks:
+        d = m.data
+        if d and not any(x for i, row in enumerate(d) for x in row[:i]):
+            return min(row[i] for i, row in enumerate(d))
         p = char_poly(m)
         roots = rational_roots(p)
         if roots:
@@ -734,7 +743,7 @@ def common_homogeneous_eigenvector(
     elif derived_series(L)[-1].dim != 0:
         raise NotSolvable("algebra is not solvable")
     derived = _square(L)
-    chain = _sparse_elements(L, _derived_coords(L, derived))
+    chain = _sparse_elements(L, _derived_coords(L, derived)[0])
     k = derived.dim
     if check_hypotheses:
         levels = _engel_phase(
@@ -785,13 +794,13 @@ def color_flag(
     elif L.space.total_dim == 0:
         raise EmptySpace("the representation space is zero")
     derived = _square(L)
-    chain = _sparse_elements(L, _derived_coords(L, derived))
-    k = derived.dim
-    levels = _engel_phase(
-        L, L.space, chain[:k], chain[k:], check_hypotheses, nil_policy, seed
-    )
+    coords, taken = _derived_coords(L, derived)
     basis = _sparse_elements(
         L, [(f.degree, c) for f, c in zip(L.basis, L._basis_coords)]
+    )
+    levels = _engel_phase(
+        L, L.space, _sparse_elements(L, coords[:derived.dim]),
+        [basis[i] for i in taken], check_hypotheses, nil_policy, seed,
     )
     vectors, diagonals = _lie_phase(L.space, levels, basis, check_hypotheses)
     weights = tuple(
@@ -896,9 +905,9 @@ def ideal_chain(
     adapted to [L, L] (``_derived_coords``), whose first dim [L, L]
     entries span ad [L, L] = [ad L, ad L], since ad is a homomorphism.
     Those drive phase 1 and the rest phase 2 (see the module docstring);
-    ad L is never built as an algebra.  The flag is certified with ad R_k
-    for every canonical basis element R_k, so every prefix is
-    ad-invariant, hence an ideal.
+    ad L is never built as an algebra.  The flag is certified with those
+    same maps, ad of a basis of L, so every prefix is ad-invariant, hence
+    an ideal.
 
     The hypotheses are checked on L only: ad([L, L]_g) = [ad L, ad L]_g
     and ad of a nilpotent element is nilpotent, so ad L inherits them.
@@ -913,7 +922,7 @@ def ideal_chain(
     if check_hypotheses and not L.space.group.is_torsion_free():
         raise TorsionGrading("grading group has torsion")
     derived = _square(L)
-    coords = _derived_coords(L, derived)
+    coords, _ = _derived_coords(L, derived)
     k = derived.dim
     if check_hypotheses:
         _engel_phase(
@@ -927,8 +936,7 @@ def ideal_chain(
     levels = _engel_phase(
         L, profile, ads[:k], ads[k:], check_hypotheses, nil_policy, seed
     )
-    units = _sparse_ads(L, [(g, L._unit(i)) for i, g in enumerate(L._degrees)])
-    vectors, _ = _lie_phase(profile, levels, units, check_hypotheses)
+    vectors, _ = _lie_phase(profile, levels, ads, check_hypotheses)
 
     # the prefixes, each a copy of one growing echelon; the certificate
     # checked that the flag vectors form a basis, so each adds a row

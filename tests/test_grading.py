@@ -181,3 +181,46 @@ def test_element_scale():
     assert element_scale(4, z3.element([2])) == z3.element([2])
     z = make_group(1, [])
     assert element_scale(-2, z.element([3])) == z.element([-6])
+
+
+def test_group_element_equality_and_hash():
+    # a degree's hash is kept after its first use and equality tries
+    # identity first; both agree with the field-wise definitions, so
+    # elements built by element, element_add and identity are equal and
+    # hash equal, and equal coordinates in different groups are not equal
+    from colorlie import GroupElement
+
+    rng = random.Random(137)
+    for _, group, _ in all_configs():
+        zero = group.identity()
+        assert zero == group.element([0] * group.generator_count)
+        assert hash(zero) == hash(group.element([0] * group.generator_count))
+        for _ in range(10):
+            g = random_degree(rng, group)
+            h = random_degree(rng, group)
+            built = [
+                group.element(g.coords()),
+                element_add(g, zero),
+                element_add(zero, g),
+                element_add(element_add(g, h), element_scale(-1, h)),
+                GroupElement(group, g.free, g.torsion),
+            ]
+            for x in built:
+                assert x == g and g == x and not x != g
+                assert hash(x) == hash(g) == hash((group, g.free, g.torsion))
+                assert x.sort_key() == g.sort_key()
+            assert (g == h) == (g.coords() == h.coords())
+    a, b = make_group(2, []), make_group(1, [5])
+    x, y = a.element([1, 2]), b.element([1, 2])
+    assert x.coords() == y.coords() and x != y and not x == y
+    assert x.__eq__((1, 2)) is NotImplemented
+    # the same free and torsion coordinates, in Z_3 and in Z_5
+    u, w = make_group(0, [3]).element([2]), make_group(0, [5]).element([2])
+    assert (u.free, u.torsion) == (w.free, w.torsion) and u != w and not u == w
+    # an equal group held by another object
+    c = make_group(2, [])
+    assert c is not a and c.element([1, 2]) == x and hash(c.element([1, 2])) == hash(x)
+    keys = {x: "a", y: "b", a.identity(): "a0", b.identity(): "b0"}
+    assert len(keys) == 4
+    assert keys[c.element([1, 2])] == "a" and keys[b.element([1, 7])] == "b"
+    assert keys[c.identity()] == "a0" and keys[b.element([0, 5])] == "b0"

@@ -450,3 +450,15 @@ def test_problem_round_trips_through_serialization(seed, count):
         doc = serialize_problem(problem)
         assert parse_problem(doc) == problem
         assert parse_problem(json.loads(json.dumps(doc))) == problem
+
+
+@given(m=matrices(square=True))
+def test_triangular_block_eigenvalue_is_its_smallest_root(m):
+    # an upper triangular block's smallest diagonal entry, with no
+    # characteristic polynomial, is the first of its sorted rational roots
+    from colorlie.linalg import rational_roots
+    from colorlie.structure import _rational_eigenvalue
+
+    upper = Matrix([[x if j >= i else 0 for j, x in enumerate(row)]
+                    for i, row in enumerate(m.data)])
+    assert _rational_eigenvalue([upper]) == rational_roots(char_poly(upper))[0][0]

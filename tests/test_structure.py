@@ -519,14 +519,17 @@ def _assert_derived_chain(L):
     # the basis adapted to [L, L]: its first k = dim [L, L] elements span
     # [L, L] (brackets formed here, not read off the table), the rest are
     # basis elements of L, and from [L, L] up every prefix is an ideal,
-    # each of codimension one in the next
+    # each of codimension one in the next; the indices name the basis
+    # elements taken
     from colorlie.algebra import _square
     from colorlie.structure import _derived_coords
 
     full = full_subspace(L)
     derived = bracket_subspaces(full, full)
     k = derived.dim
-    chain = [L._element(g, v) for g, v in _derived_coords(L, _square(L))]
+    coords, taken = _derived_coords(L, _square(L))
+    chain = [L._element(g, v) for g, v in coords]
+    assert chain[k:] == [L.basis[i] for i in taken]
     assert len(chain) == L.dim
     assert Subspace(L, chain).dim == L.dim
     for b in chain:
@@ -941,12 +944,13 @@ def _assert_restrict_solves_on_levels(L):
     )
 
     derived = _square(L)
-    coords = _derived_coords(L, derived)
+    coords, _ = _derived_coords(L, derived)
     k = derived.dim
     maps = [L._element(g, v) for g, v in coords[k:]]
     below = {g: [] for g in L.space.degrees}
     nil, top_maps = _sparse_elements(L, coords[:k]), _sparse_elements(L, coords[k:])
-    for level, top, basis in _kernel_filtration(L.space, nil, top_maps):
+    levels = list(_kernel_filtration(L.space, nil, top_maps))
+    for (level, _, basis), top in zip(levels, _restricted_tops(L.space, levels, top_maps)):
         dense = {g: [densify(w, L.space.dim_of(g)) for w in ws] for g, ws in basis.items()}
         for f, sparse in zip(maps, top):
             res = _dense_map(level, sparse)
@@ -1204,6 +1208,27 @@ def test_kernel_filtration_properties():
     )
 
 
+def _restricted_tops(space, levels, top):
+    """The ``top`` maps restricted to every level of a kernel filtration
+    of ``space``: as the filtration yields them on a level of dimension
+    > 1, and on a 1-dimensional level, where it restricts none, here by
+    ``_restrict``, on a ``_Quotient`` rebuilt from the earlier levels and
+    read at a free column where the level's vector projects to 1."""
+    from colorlie.structure import _Quotient, _restrict
+
+    q = _Quotient(space)
+    out = []
+    for level, maps, basis in levels:
+        if level.total_dim == 1:
+            assert maps == []
+            ((g, [w]),) = basis.items()
+            c = min(i for i, x in q.project(g, w).items() if x == 1)
+            maps = [_restrict(f, q, basis, {g: [c]}) for f in top]
+        out.append(maps)
+        q.add(basis)
+    return out
+
+
 def _normal(sparse):
     """A sparse map with its blocks and their pairs in a fixed order."""
     degree, blocks = sparse
@@ -1221,10 +1246,11 @@ def _assert_filtration_matches_reference(space, maps, sparse, k):
     assert [_normal(x) for x in sparse] == [_normal(_sparse_of(f)) for f in maps]
     got = list(_kernel_filtration(space, sparse[:k], sparse[k:]))
     want = ref_kernel_filtration(space, maps[:k], maps[k:])
+    tops = _restricted_tops(space, got, sparse[k:])
     assert [
         (s, [_normal(f) for f in t],
          [(g, [densify(v, space.dim_of(g)) for v in vs]) for g, vs in r.items()])
-        for s, t, r in got
+        for (s, _, r), t in zip(got, tops)
     ] == [
         (s, [_normal(_sparse_of(f)) for f in t], list(r.items())) for s, t, r in want
     ]
@@ -1252,7 +1278,7 @@ def test_kernel_filtration_matches_induced_map_reference():
     ]
     for L in algebras:
         derived = _square(L)
-        coords = _derived_coords(L, derived)
+        coords, _ = _derived_coords(L, derived)
         k = derived.dim
         _assert_filtration_matches_reference(
             L.space, [L._element(g, v) for g, v in coords],
@@ -1405,7 +1431,7 @@ def _adjoint_flag(L):
     )
 
     derived = _square(L)
-    coords = _derived_coords(L, derived)
+    coords, _ = _derived_coords(L, derived)
     ads = _sparse_ads(L, coords)
     k = derived.dim
     levels = list(_kernel_filtration(L.profile_space(), ads[:k], ads[k:]))
@@ -1504,3 +1530,74 @@ def test_corrupted_flag_fails_the_certificate():
                     _certify(space, repeated, sparse)
                 with pytest.raises(TheoremViolation, match="do not form a basis"):
                     _certify(space, vectors[:-1], sparse)
+
+
+def test_adjoint_certificate_with_the_adapted_basis(monkeypatch):
+    # ideal_chain certifies its flag with the ad maps it already holds:
+    # ad of L's basis adapted to [L, L], which spans ad L.  That
+    # certificate agrees with the dense reference and rejects a flag with
+    # its first and last vectors swapped
+    from reference import ref_ad, ref_certificate
+    import colorlie.structure as structure
+    from colorlie import TheoremViolation
+    from colorlie.algebra import _square
+    from colorlie.linalg import _Echelon
+    from colorlie.structure import _certify, _derived_coords, _sparse_ads
+
+    seen = []
+    monkeypatch.setattr(
+        structure, "_certify", lambda s, vs, maps: seen.append(maps) or _certify(s, vs, maps)
+    )
+    for n in (3, 4):
+        for grading in ("plain", "z", "zsuper", "z2"):
+            L = _borel(n, grading)
+            coords, _ = _derived_coords(L, _square(L))
+            assert len(_Echelon(L.dim, [v for _, v in coords]).pivots) == L.dim
+            ads = _sparse_ads(L, coords)
+            dense = [flatten_map(ref_ad(L, g, v)) for g, v in coords]
+            space, vectors = L.profile_space(), _adjoint_flag(L)
+            flat = [flatten_vector(v) for v in vectors]
+            assert _certify(space, vectors, ads) == ref_certificate(flat, dense)
+            swapped = list(vectors)
+            swapped[0], swapped[-1] = swapped[-1], swapped[0]
+            with pytest.raises(TheoremViolation, match="not upper triangular"):
+                _certify(space, swapped, ads)
+            with pytest.raises(TheoremViolation, match="not upper triangular"):
+                ref_certificate([flatten_vector(v) for v in swapped], dense)
+            # and these are the maps ideal_chain certifies with
+            del seen[:]
+            ideal_chain(L)
+            assert [[_normal(x) for x in maps] for maps in seen] == [[_normal(x) for x in ads]]
+
+
+def test_flag_builds_each_map_once(monkeypatch):
+    # color_flag builds the sparse maps of L's basis once and those of
+    # [L, L]'s rows: dim L + dim [L, L] coordinate vectors in all.  On
+    # the plain Borel algebra every kernel level is a line, so nothing is
+    # restricted, and ideal_chain's diagonal blocks are all upper
+    # triangular, so no characteristic polynomial is formed
+    import collections
+
+    import colorlie.structure as structure
+    from colorlie.algebra import _square
+
+    calls = collections.Counter()
+
+    def counting(name, size):
+        real = getattr(structure, name)
+
+        def counted(*args):
+            calls[name] += size(*args)
+            return real(*args)
+
+        monkeypatch.setattr(structure, name, counted)
+
+    counting("_sparse_elements", lambda L, coords: len(coords))
+    counting("_restrict", lambda *args: 1)
+    counting("char_poly", lambda m: 1)
+    L = _borel(5, "plain")
+    _assert_flag_valid(L, color_flag(L))
+    assert dict(calls) == {"_sparse_elements": L.dim + _square(L).dim}
+    calls.clear()
+    _assert_chain_of_ideals(L)
+    assert calls["_restrict"] > 0 and calls["char_poly"] == 0
