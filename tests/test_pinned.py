@@ -2,10 +2,14 @@
 
 The flag vectors, weights and ideal-chain echelon rows are canonical
 outputs that no other test fixes exactly: any valid flag passes the
-structural checks.  These SHA-256 digests pin them, and the CLI's
-``triangularize`` and ``chain --json`` output on the sample problems, so
-a refactor that changes a basis shows up here.  When a basis change is
-intended and shown valid, recompute the digests with ``pinned_digests``.
+structural checks.  These SHA-256 digests pin them, on Borel algebras
+in four gradings, on planted solvable algebras (``random_solvable_instance``
+at seeds 0-9 in every torsion-free grading) and on a Borel algebra
+conjugated by a rational unit lower triangular matrix, whose canonical
+basis is dense; and the CLI's ``triangularize`` and ``chain`` output,
+with and without ``--json``, on the sample problems.  So a refactor that
+changes a basis shows up here.  When a basis change is intended and
+shown valid, recompute the digests with ``pinned_digests``.
 """
 
 import contextlib
@@ -13,11 +17,15 @@ import hashlib
 import io
 import itertools
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
-from colorlie import bracket_closure, color_flag, ideal_chain
+from colorlie import (
+    ColorAlgebra, Matrix, bracket_closure, color_flag, ideal_chain, inverse, make_map,
+)
 from colorlie.cli import main
-from corpus import borel_generators
+from corpus import borel_generators, random_solvable_instance, torsion_free_configs
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -82,6 +90,44 @@ PINNED = {
         "2dc4930f0776e350f770ea7a7a1ab09a7fbfafac3e136e1d33dde5bd45d01aee",
     "cli.chain.z3_torsion":
         "2dc4930f0776e350f770ea7a7a1ab09a7fbfafac3e136e1d33dde5bd45d01aee",
+    "random.trivial":
+        "bec3d9fce5941d8fab2ba0487baf9052d0933c471c387c4786b2059addbe1cc6",
+    "random.Z":
+        "96b99f8c4b1de996e7eff827e88559c7a926086815f81cf56158911fc02a3cdc",
+    "random.Z_super":
+        "96b99f8c4b1de996e7eff827e88559c7a926086815f81cf56158911fc02a3cdc",
+    "random.Z2_free":
+        "c6628f070c165180cebc727eceacabd5ce0726e0a88de44965b83f6a7e164778",
+    "borel.conjugated.4":
+        "86cc640d796eb98b70a1636a6d4b613093581cf486ed04e204f37354699b754b",
+    "cli.text.triangularize.borel2":
+        "aed8c268b2641ba29741baf3554468ae1495340ddf78da921e65d9b07ff49e8b",
+    "cli.text.chain.borel2":
+        "13571872d97754c48b3befe1e299417e47620e3f70cf966ab7858d7db456bad6",
+    "cli.text.triangularize.graded_solvable":
+        "e63034f4aed413a5e44d8d1b06ef836c5435e33544c16f75b0b3107828fe9b90",
+    "cli.text.chain.graded_solvable":
+        "b3e651c3a8e7ebf4ab947a87c316a9463f37956e60602356465698d8f0f5322e",
+    "cli.text.triangularize.heisenberg":
+        "0de2dd8ca0d0931dceda8dbe19bc1ac5c244395cf350265e8c2102e699395746",
+    "cli.text.chain.heisenberg":
+        "7580e99ed98d26a21baae6d7794c3f69529716231bd4ef978898d7f28ccbb1cf",
+    "cli.text.triangularize.nonnil_derived":
+        "f9782c87a267cecd5d13f1482091bb6ce3dfe402517d7f44b69bf99adde241db",
+    "cli.text.chain.nonnil_derived":
+        "f9782c87a267cecd5d13f1482091bb6ce3dfe402517d7f44b69bf99adde241db",
+    "cli.text.triangularize.rotation":
+        "108f9ea14835966f3467e094f356c286bdb3d1cf24c70d0b2e1e6acb6d7ea239",
+    "cli.text.chain.rotation":
+        "bd25e3de0b21642092e4aacd8c6e41e93672382e4034d7f265ee5ab95a53b9ad",
+    "cli.text.triangularize.sl2":
+        "f8bfe67c4d9f1e970cd7091cafc5a4689df28218a5f6c47c0f1f309084568740",
+    "cli.text.chain.sl2":
+        "f8bfe67c4d9f1e970cd7091cafc5a4689df28218a5f6c47c0f1f309084568740",
+    "cli.text.triangularize.z3_torsion":
+        "0b7b8fc2273a8ec2a0ba955726fa74b6ee1dc341aa8d98a5f7fa4c91805ee2b0",
+    "cli.text.chain.z3_torsion":
+        "bddc5492002ec41544d959156fe6aedea7d64cebf1eba63e00f10e516831eb41",
 }
 
 
@@ -91,7 +137,37 @@ def _sha(obj) -> str:
 
 
 def _borel_outputs(n: int, grading: str):
-    L = bracket_closure(*borel_generators(n, grading))
+    return _outputs(bracket_closure(*borel_generators(n, grading)))
+
+
+def _random_outputs(name: str):
+    """The outputs at seeds 0-9 of the planted solvable algebras in the
+    torsion-free grading ``name``."""
+    ((_, group, r),) = [c for c in torsion_free_configs() if c[0] == name]
+    return [
+        _outputs(random_solvable_instance(random.Random(seed), group, r))
+        for seed in range(10)
+    ]
+
+
+def _conjugated_borel_outputs(n: int):
+    """The outputs of P E_ij P^-1 (i <= j), ungraded, for the unit lower
+    triangular P with P[i][j] = ((3 i + j) mod 5 - 2) / (1 + (i + j) mod 3)
+    below the diagonal."""
+    space, r, gens = borel_generators(n, "plain")
+    p = Matrix([
+        [Fraction(1) if i == j else
+         Fraction((3 * i + j) % 5 - 2, 1 + (i + j) % 3) if i > j else Fraction(0)
+         for j in range(n)]
+        for i in range(n)
+    ])
+    p_inv = inverse(p)
+    ((g, _),) = space.dims
+    conj = [make_map(space, g, {g: p * f.block(g) * p_inv}) for f in gens]
+    return _outputs(ColorAlgebra(space, r, conj, closed=True))
+
+
+def _outputs(L):
     flag = color_flag(L)
     chain = ideal_chain(L)
     return {
@@ -118,15 +194,26 @@ def _cli_outputs(command: str, path: Path):
     return {"stdout": out.getvalue(), "exit": code}
 
 
+def _cli_text_outputs(command: str, path: Path):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(path)])
+    return {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
+
+
 def pinned_digests() -> dict:
     """The digest of every pinned output under its key."""
     out = {}
     for grading in ("plain", "z", "zsuper", "z2"):
         for n in range(3, 7):
             out[f"borel.{grading}.{n}"] = _sha(_borel_outputs(n, grading))
+    for name, _, _ in torsion_free_configs():
+        out[f"random.{name}"] = _sha(_random_outputs(name))
+    out["borel.conjugated.4"] = _sha(_conjugated_borel_outputs(4))
     for path in sorted(PROBLEMS.glob("*.json")):
         for command in ("triangularize", "chain"):
             out[f"cli.{command}.{path.stem}"] = _sha(_cli_outputs(command, path))
+            out[f"cli.text.{command}.{path.stem}"] = _sha(_cli_text_outputs(command, path))
     return out
 
 
