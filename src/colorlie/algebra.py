@@ -71,7 +71,6 @@ from .grading import (
 )
 from .graded import (
     GradedSpace,
-    GradedVector,
     HomogeneousMap,
     _flat,
     _map,
@@ -205,12 +204,6 @@ class ColorAlgebra:
         self._degrees = [
             basis[min(i for i in row if i >= w) - w].degree for row in solver.int_rows
         ]
-        self._local: dict[GroupElement, list[int]] = {}
-        self._pos = []
-        for k, d in enumerate(self._degrees):
-            ks = self._local.setdefault(d, [])
-            self._pos.append(len(ks))
-            ks.append(k)
         self._basis_coords = [
             {k: v[p] for k, p in enumerate(solver.pivots) if p in v} for v in flat
         ]
@@ -324,12 +317,6 @@ class ColorAlgebra:
                     for k, c in e.items():
                         out[k] = out[k] + ab * c if k in out else ab * c
         return out
-
-    def _from_profile(self, v: GradedVector) -> dict[int, Fraction]:
-        """Pivot coordinates of a homogeneous vector of the profile space
-        in pivot coordinates."""
-        g, comp = v.components[0]
-        return dict(zip(self._local[g], comp))
 
 
 def bracket_closure(space: GradedSpace, r: Bicharacter, generators) -> ColorAlgebra:

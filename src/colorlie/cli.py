@@ -152,18 +152,14 @@ def cmd_triangularize(args) -> int:
         }
         for k, w in enumerate(flag.weights)
     ]
-    matrices = [
-        {
-            "generator": i,
-            "matrix": _fmt_matrix(t_inv * flatten_map(g) * t),
-        }
-        for i, g in enumerate(problem.generators)
-    ]
+    in_flag = [t_inv * flatten_map(g) * t for g in problem.generators]
     if args.json:
         print(json.dumps({
             "flag_basis": basis_payload,
             "weights_on_closure_basis": weight_payload,
-            "generator_matrices_in_flag_basis": matrices,
+            "generator_matrices_in_flag_basis": [
+                {"generator": i, "matrix": _fmt_matrix(m)} for i, m in enumerate(in_flag)
+            ],
         }, indent=2))
     else:
         print("homogeneous flag basis (flattened coordinates):")
@@ -172,9 +168,9 @@ def cmd_triangularize(args) -> int:
         print("weights along the flag (values on the closure basis):")
         for item in weight_payload:
             print(f"  step {item['step']}: [{', '.join(item['values'])}]")
-        for i, g in enumerate(problem.generators):
+        for i, m in enumerate(in_flag):
             print(f"generator {i} in the flag basis (upper triangular):")
-            _print_matrix(t_inv * flatten_map(g) * t)
+            _print_matrix(m)
     return EXIT_OK
 
 

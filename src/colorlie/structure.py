@@ -36,7 +36,7 @@ of ab - ba).  Only then is the derived series computed (``_stall``), for
 a NotSolvable verdict, and are the components of [L, L] checked for nil
 (``linalg._non_nilpotent_point``, the loop behind ``nil_subspace_check``),
 to tell a failed hypothesis from a violated theorem; the check reads the
-sparse maps the filtration already holds, flattened per degree.  That
+sparse maps the filtration already holds, made dense per degree.  That
 check proves a span nil once the product chain I_{j+1} = sum_i B_i I_j
 of its maps reaches 0, run after the first p = ceil(s n / ceil(log2 n))
 points when the policy has more than 2p of them; when the chain stalls
@@ -44,33 +44,40 @@ the full point set runs.  A non-nil component is only ever reported at
 a point, which the HypothesisFailed carries as its ``witness`` (degree,
 point).
 
-Kernels reduce through ``linalg._Echelon``, and both phases hold F/S
-(F is V or a level's factor) as S's reduced echelon in F's coordinates
-(``_Quotient``), which quotienting again only adds rows to.  Neither
-phase induces a map; both work on the maps' sparse blocks, and both
-restrict them the same way (``_restrict``): a subspace W of F/S is held
-as sparse vectors of F and the free columns at which they read 1 and 0,
-so an image, projected, has its coordinates in W's basis at those
-columns, with no solve.  Phase 1 reads the normal form modulo K_j at
-each free column c by a functional phi_c, and the rows phi_c N of the
-nil maps N give the next level, to which the top maps are restricted
-unless it is a line (its own flag, where phase 2 reads no map).  Phase 2
-narrows W to kernels of the restricted top maps, less an eigenvalue for
-degree zero, searched for one diagonal block at a time and only until
-one is found (an upper triangular block's smallest diagonal entry);
-narrowing stops once W is a line.  No restriction checks that W is
-invariant: the theorem guarantees it (see ``_chain_eigenvector``), and
-the certificate checks the flag.
+Kernels reduce through ``linalg._Echelon``, on each space's own
+coordinates: V's flattened ones for ``color_flag``, and for
+``ideal_chain`` the profile space's, L's pivot coordinates ordered
+stably by degree (``_profile_order``).  Homogeneous vectors of different
+degrees share no coordinate, so one echelon over a space's coordinates
+keeps its rows homogeneous, and a vector's degree is that of any of its
+coordinates; no span is split by degree.  A map is (degree, cols),
+cols[j] its column j as a sparse dict (``_map_of``).  Both phases hold
+F/S (F is V or a level's factor) as S's reduced echelon in F's
+coordinates (``_Quotient``), which quotienting again only adds rows to.
+Neither phase induces a map, and both restrict the maps the same way
+(``_restrict``): a subspace W of F/S is held as sparse vectors of F and
+the free columns at which they read 1 and 0, so an image, projected, has
+its coordinates in W's basis at those columns, with no solve.  Phase 1
+projects the nil maps' columns at the free columns of K_j, and those
+columns, by rows, give the next level, to which the top maps are
+restricted unless it is a line (its own flag, where phase 2 reads no
+map).  Phase 2 narrows W to kernels of the restricted top maps, less an
+eigenvalue for degree zero, searched for one diagonal block at a time
+and only until one is found (an upper triangular block's smallest
+diagonal entry); narrowing stops once W is a line.  No restriction
+checks that W is invariant: the theorem guarantees it (see
+``_chain_eigenvector``), and the certificate checks the flag.
 
 The flag itself is verified exactly in the end, with no n x n product:
-for every map M and flag vector t_j, T^-1 (M t_j) is formed from sparse
-columns of T^-1 and must vanish below j, and its entry at j is M's
-weight.  A conclusion failing after its hypotheses were checked raises
-TheoremViolation.
+every flag vector must be homogeneous, and for every map M and flag
+vector t_j, T^-1 (M t_j) is formed from sparse columns of T^-1 and must
+vanish below j, and its entry at j is M's weight.  A conclusion failing
+after its hypotheses were checked raises TheoremViolation.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,12 +95,12 @@ from .errors import (
     ValidationError,
     ZeroAlgebra,
 )
-from .grading import GroupElement, element_add, make_bicharacter, make_group
+from .grading import GroupElement, make_bicharacter, make_group
 from .graded import (
     GradedSpace,
     GradedVector,
     HomogeneousMap,
-    _vector,
+    _flat,
     apply,
     flatten_map,
     flatten_vector,
@@ -181,14 +188,13 @@ class EngelReport:
     central_witness: HomogeneousMap | None
 
 
-def _check_nil_components(space: GradedSpace, maps, what: str, policy: str,
-                          seed: int):
+def _check_nil_components(maps, what: str, policy: str, seed: int):
     """HypothesisFailed at the first degree, in canonical order, where the
-    span of the sparse maps on ``space`` (``_sparse_map``) is not nil.
-    Its ``witness`` is (degree, t): sum t_i f_i over that degree's maps,
-    in the given order, is not nilpotent."""
+    span of the sparse maps (``_map_of``) is not nil.  Its ``witness`` is
+    (degree, t): sum t_i f_i over that degree's maps, in the given order,
+    is not nilpotent."""
     for g in sorted({d for d, _ in maps}, key=lambda g: g.sort_key()):
-        mats = [_flatten(space, f) for f in maps if f[0] == g]
+        mats = [_dense(_rows(cols), range(len(cols))) for d, cols in maps if d == g]
         point = _non_nilpotent_point(mats, policy, seed)
         if point is not None:
             err = HypothesisFailed(
@@ -217,20 +223,20 @@ def common_annihilated_vector(
     _require_closed(L)
     if L.space.total_dim == 0:
         raise EmptySpace("the representation space is zero")
-    maps = [_sparse_of(f) for f in L.basis]
-    levels = _kernel_filtration(L.space, maps, [])
+    n = L.space.total_dim
+    maps = [_map_of(f.degree, _flat(f), n) for f in L.basis]
+    levels = _kernel_filtration(_coordinate_degrees(L.space), maps, [])
     if check_hypotheses:
         levels = list(levels)
-        if _filtration_dim(levels) < L.space.total_dim:
-            _check_nil_components(L.space, maps, "algebra", nil_policy, seed)
+        if _filtration_dim(levels) < n:
+            _check_nil_components(maps, "algebra", nil_policy, seed)
             raise TheoremViolation("nil algebra does not act nilpotently")
     first = next(iter(levels), None)
     if first is None:
         raise NoHomogeneousEigenvector(
             "no nonzero homogeneous vector is annihilated by the algebra"
         )
-    basis = first[2]
-    return _lift(L.space, basis, next(iter(basis)), {0: _ONE})
+    return _graded(L.space, first[2][0])
 
 
 def engel_check(
@@ -286,34 +292,15 @@ def _derived_coords(L: ColorAlgebra, derived: Subspace) -> tuple[list, list]:
     return derived._vectors() + rest, taken
 
 
-def _sparse_map(degree: GroupElement, columns: dict) -> tuple:
-    """A homogeneous map as (degree, blocks), from its columns given as
-    ``columns[h][j] = {i: x}``: the entry at row i of the target component
-    and column j of the component of degree h.  Each block is (h, target,
-    cols), cols[j] the nonzero (index, entry) pairs of its column j, in
-    component coordinates."""
-    blocks = []
-    for h, cs in columns.items():
-        cols = {}
-        for j, col in cs.items():
-            pairs = [(i, x) for i, x in col.items() if x]
-            if pairs:
-                cols[j] = pairs
-        if cols:
-            blocks.append((h, element_add(h, degree), cols))
-    return degree, blocks
-
-
-def _sparse_of(f: HomogeneousMap) -> tuple:
-    """The sparse blocks of a map given by its dense blocks."""
-    columns: dict = {}
-    for h, b in f.blocks:
-        cs = columns[h] = {}
-        for i, row in enumerate(b.data):
-            for j, x in enumerate(row):
-                if x:
-                    cs.setdefault(j, {})[i] = x
-    return _sparse_map(f.degree, columns)
+def _map_of(degree: GroupElement, flat: dict, n: int) -> tuple:
+    """The sparse map (degree, cols) on an n-dimensional space whose
+    flattened matrix, row-major, has the entries ``flat``: cols[j] is its
+    column j as ``{i: x}``, with no zero entry."""
+    cols: list[dict] = [{} for _ in range(n)]
+    for k, x in flat.items():
+        if x:
+            cols[k % n][k // n] = x
+    return degree, cols
 
 
 def _sum_of(vectors, coeffs: dict) -> dict:
@@ -329,41 +316,48 @@ def _sum_of(vectors, coeffs: dict) -> dict:
     return out
 
 
+def _coordinate_degrees(space: GradedSpace) -> list[GroupElement]:
+    """The degree of each coordinate of ``space``, in flattened order."""
+    return [g for g, n in space.dims for _ in range(n)]
+
+
+def _graded(space: GradedSpace, v: dict) -> GradedVector:
+    """The vector of ``space`` with the sparse flattened coordinates v."""
+    return unflatten_vector(space, [v.get(i, _ZERO) for i in range(space.total_dim)])
+
+
 def _sparse_elements(L: ColorAlgebra, coords) -> list[tuple]:
-    """The sparse blocks of the elements of L with the given (degree,
-    pivot coordinates): each combines the solver's sparse rows, the
-    flattened matrices of R_k, at its nonzero coordinates."""
-    n = L.space.total_dim
-    where = [(g, i) for g, m in L.space.dims for i in range(m)]
-    rows = L._solver.sparse_rows
-    out = []
-    for degree, v in coords:
-        columns: dict = {}
-        for i, x in _sum_of(rows, v).items():
-            (h, j), (_, k) = where[i % n], where[i // n]
-            columns.setdefault(h, {}).setdefault(j, {})[k] = x
-        out.append(_sparse_map(degree, columns))
-    return out
+    """The sparse maps of the elements of L with the given (degree, pivot
+    coordinates): each combines the solver's rows, the flattened R_k."""
+    rows, n = L._solver.sparse_rows, L.space.total_dim
+    return [_map_of(degree, _sum_of(rows, v), n) for degree, v in coords]
+
+
+def _profile_order(L: ColorAlgebra) -> list[int]:
+    """The k of each coordinate of the profile space: R_k sorted stably by
+    degree, so the component of degree g has the R_k of degree g as its
+    basis, in order of k."""
+    return sorted(range(L.dim), key=lambda k: L._degrees[k].sort_key())
 
 
 def _sparse_ads(L: ColorAlgebra, coords) -> list[tuple]:
-    """The sparse blocks of ad x on the profile space, in pivot
-    coordinates, for each (degree, pivot coordinates) x, read off the
-    structure-constant table: the component of degree g has the R_k of
-    degree g as its basis, in order of k, and column j of ad x is
+    """The sparse maps of ad x on the profile space (``_profile_order``),
+    for each (degree, pivot coordinates) x, read off the
+    structure-constant table: column j of ad x is
     [x, R_j] = sum_i x_i sum_k c_ij^k R_k."""
     table = L._structure()
-    deg, pos = L._degrees, L._pos
+    m = L.dim
+    at = {k: i for i, k in enumerate(_profile_order(L))}
     out = []
     for degree, x in coords:
-        columns: dict = {}
+        flat: dict = {}
         for i, a in x.items():
             if a:
                 for j, e in table[i].items():
-                    col = columns.setdefault(deg[j], {}).setdefault(pos[j], {})
                     for k, c in e.items():
-                        col[pos[k]] = col.get(pos[k], _ZERO) + a * c
-        out.append(_sparse_map(degree, columns))
+                        p = at[k] * m + at[j]
+                        flat[p] = flat[p] + a * c if p in flat else a * c
+        out.append(_map_of(degree, flat, m))
     return out
 
 
@@ -392,209 +386,163 @@ def codim_one_ideal(
 
 class _Quotient:
     """Graded quotient F/S, held as S's reduced echelon in F's
-    coordinates, one ``_Echelon`` per degree.
+    coordinates, whose degrees are ``degrees``: one ``_Echelon``, with no
+    split by degree, since homogeneous vectors of different degrees share
+    no coordinate and its reduced rows stay homogeneous.
 
-    The free (non-pivot) columns are the quotient's coordinates: a sparse
-    vector of F projects to its normal form modulo S read at them, keyed
-    by position among them, by one functional per free column.
-    Quotienting F/S again by T/S adds T/S's rows, as vectors of F: T's
-    reduced echelon leads at the union of the pivots of S and T/S, and
-    the normal form modulo T is the composite of the two projections, so
-    the result is F/T in the same coordinates.
+    The free (non-pivot) columns are the quotient's coordinates, in
+    order, so its components keep F's degree order.  A sparse vector of F
+    projects to its normal form modulo S read at them, keyed by position
+    among them: the combination, at its entries, of the projections of
+    F's unit vectors (``project``).  Quotienting F/S again by T/S adds
+    T/S's rows, as vectors of F: T's reduced echelon leads at the union
+    of the pivots of S and T/S, and the normal form modulo T is the
+    composite of the two projections, so the result is F/T in the same
+    coordinates.
 
-    A subspace W of F/S is held per degree as sparse vectors of F (its
-    basis) and ``cols``: cols[g][i] is the position of the free column at
-    which W's i-th vector of degree g projects to 1 and W's other vectors
-    to 0, so the coordinates in W's basis of a vector of W are read off
-    its projection at ``cols`` (``_restrict``).  W = F/S itself is a unit
+    A subspace W of F/S is held as a list of sparse vectors of F (its
+    basis) and ``cols``: cols[i] is the position of the free column at
+    which W's i-th vector projects to 1 and W's other vectors to 0, so
+    the coordinates in W's basis of a vector of W are read off its
+    projection at ``cols`` (``_restrict``), and the degree of W's i-th
+    coordinate is that of its free column.  W = F/S itself is a unit
     vector per free column (``_whole``), and ``_narrow`` keeps the form.
     """
 
-    def __init__(self, ambient: GradedSpace):
-        self.ambient = ambient
-        self.parts = {g: _Echelon(n) for g, n in ambient.dims}
-        self.add({})
+    def __init__(self, degrees: list):
+        self.degrees = degrees
+        self.ech = _Echelon(len(degrees))
+        self.add(())
 
-    def add(self, rows: dict):
-        """Quotient further by the span of ``rows``, per-degree sparse
-        vectors of F."""
-        for g, vs in rows.items():
-            for v in vs:
-                self.parts[g].add(v)
-        self.free = {g: part.free() for g, part in self.parts.items()}
-        dims = {g: len(cs) for g, cs in self.free.items() if cs}
-        self.space = make_space(self.ambient.group, dims)
-        self._phis: dict = {}
-        self._units: dict = {}
+    def add(self, rows):
+        """Quotient further by the span of ``rows``, sparse vectors of F."""
+        for v in rows:
+            self.ech.add(v)
+        self.free = self.ech.free()
+        self._units: list | None = None
 
-    def project(self, g, vec: dict) -> dict:
-        """vec's normal form modulo S, read at the free columns, keyed by
-        position among them: the combination, at vec's entries, of the
-        projections of the unit vectors."""
-        if g not in self._units:
-            units = self._units[g] = [{} for _ in range(self.ambient.dim_of(g))]
-            for i, phi in enumerate(self.functionals(g)):
-                for r, a in phi:
-                    units[r][i] = a
-        return _sum_of(self._units[g], vec)
+    @property
+    def units(self) -> list[dict]:
+        """The projection of each unit vector e_c of F: the unit at c's
+        position for a free column c, and -R_p[c] at each free c for the
+        pivot p of a reduced row R_p."""
+        if self._units is None:
+            units: list[dict] = [{} for _ in self.degrees]
+            at = {}
+            for i, c in enumerate(self.free):
+                units[c], at[c] = {i: _ONE}, i
+            for p, row in zip(self.ech.pivots, self.ech.sparse_rows):
+                units[p] = {at[c]: -x for c, x in row.items() if c != p}
+            self._units = units
+        return self._units
 
-    def functionals(self, g) -> list[list]:
-        """phi_c = e_c - sum_p R_p[c] e_p for each free column c of degree
-        g, as sparse (index, entry) pairs: the normal form of v read at c
-        is phi_c . v."""
-        if g not in self._phis:
-            part = self.parts[g]
-            phis = {c: [(c, _ONE)] for c in self.free[g]}
-            for p, row in zip(part.pivots, part.sparse_rows):
-                for c, x in row.items():
-                    if c != p:
-                        phis[c].append((p, -x))
-            self._phis[g] = list(phis.values())
-        return self._phis[g]
+    def project(self, vec: dict) -> dict:
+        """vec's normal form modulo S, read at the free columns."""
+        return _sum_of(self.units, vec)
+
+    def coordinate_degrees(self, cols) -> list:
+        """The degrees of the free columns at the positions ``cols``."""
+        return [self.degrees[self.free[c]] for c in cols]
 
 
-def _whole(q: _Quotient) -> tuple[dict, dict]:
+def _whole(q: _Quotient) -> tuple[list, list]:
     """(basis, cols) of W = F/S (see ``_Quotient``)."""
-    basis = {g: [{c: _ONE} for c in cs] for g, cs in q.free.items() if cs}
-    return basis, {g: list(range(len(vs))) for g, vs in basis.items()}
+    return [{c: _ONE} for c in q.free], list(range(len(q.free)))
 
 
-def _narrow(basis: dict, cols: dict, echs: dict) -> tuple[dict, dict]:
+def _narrow(basis: list, cols: list, ech: _Echelon) -> tuple[list, list]:
     """(basis, cols) of the vectors of W whose coordinates in W's basis
-    lie in the kernel of their degree's echelon in ``echs``: the kernel
-    vector at each free column f of it is 1 at f and 0 at the others, so
-    its combination of W's basis projects to 1 at cols[f]."""
-    out, at = {}, {}
-    for g, ech in echs.items():
-        ks = ech.kernel()
-        if ks:
-            out[g] = [_sum_of(basis[g], k) for k in ks]
-            at[g] = [cols[g][f] for f in ech.free()]
-    return out, at
+    lie in the kernel of ``ech``: the kernel vector at each free column f
+    of it is 1 at f and 0 at the others, so its combination of W's basis
+    projects to 1 at cols[f]."""
+    return [_sum_of(basis, k) for k in ech.kernel()], [cols[f] for f in ech.free()]
 
 
-def _lift(space: GradedSpace, basis: dict, d, coeffs: dict) -> GradedVector:
-    """sum_j coeffs[j] basis[d][j], a vector of V."""
-    v = _sum_of(basis[d], coeffs)
-    return _vector(space, {d: [v.get(i, _ZERO) for i in range(space.dim_of(d))]})
-
-
-def _rows(cols: dict) -> dict:
-    """A sparse block given by its columns (``_sparse_map``) by its rows,
-    ``{i: {j: x}}``."""
+def _rows(cols) -> dict:
+    """A sparse map's matrix, given by its columns (``_map_of``), by its
+    rows, ``{i: {j: x}}``."""
     rows: dict = {}
-    for j, pairs in cols.items():
-        for i, x in pairs:
+    for j, col in enumerate(cols):
+        for i, x in col.items():
             rows.setdefault(i, {})[j] = x
     return rows
 
 
-def _dense(rows: dict, n: int) -> Matrix:
-    """The n x n matrix with the rows ``{i: {j: x}}``."""
+def _dense(rows: dict, idx) -> Matrix:
+    """The square matrix of the rows ``{i: {j: x}}`` at the indices idx."""
     return Matrix._raw(tuple(
-        tuple(rows.get(i, {}).get(j, _ZERO) for j in range(n)) for i in range(n)
-    ), n)
+        tuple(rows.get(i, {}).get(j, _ZERO) for j in idx) for i in idx
+    ), len(idx))
 
 
-def _flatten(space: GradedSpace, f) -> Matrix:
-    """The matrix of the sparse map f on ``space``, as ``flatten_map``
-    gives it for the same map."""
-    _, blocks = f
-    off = space.offsets()
-    rows: dict = {}
-    for h, t, cols in blocks:
-        for j, pairs in cols.items():
-            for i, x in pairs:
-                rows.setdefault(off[t] + i, {})[off[h] + j] = x
-    return _dense(rows, space.total_dim)
-
-
-def _level_rows(q: _Quotient, free: list[int], blocks):
-    """The rows phi_c . N read at ``free``, for each (target, rows) block
-    N and each functional phi_c of its target: row c of the map N
-    induces on V/K_j."""
-    at = {c: i for i, c in enumerate(free)}
-    for t, rows in blocks:
-        for phi in q.functionals(t):
-            out: dict = {}
-            for r, a in phi:
-                for j, x in rows.get(r, ()):
-                    i = at.get(j)
-                    if i is not None:
-                        out[i] = out[i] + a * x if i in out else a * x
-            if out:
-                yield out
-
-
-def _restrict(f, q: _Quotient, basis: dict, cols: dict):
+def _restrict(f, q: _Quotient, basis: list, cols: list):
     """The sparse map f on F restricted to a subspace W of F/S (``q``),
     given by its ``basis`` and ``cols`` (see ``_Quotient``), as a sparse
     map on W, which it must leave invariant: the image of each basis
     vector, projected to F/S, has its coordinates in W's basis at
     ``cols``.  A map that moves W out of itself is not noticed here; the
     flag's certificate (``_certify``) checks every level and line."""
-    degree, blocks = f
-    columns: dict = {}
-    for h, t, cs in blocks:
-        if h not in basis or t not in cols:
-            continue
-        out = columns[h] = {}
-        for k, w in enumerate(basis[h]):
-            y: dict = {}
-            for j, a in w.items():
-                for i, x in cs.get(j, ()):
-                    y[i] = y[i] + a * x if i in y else a * x
-            img = q.project(t, y)
-            out[k] = {i: img[c] for i, c in enumerate(cols[t]) if c in img}
-    return _sparse_map(degree, columns)
+    degree, fcols = f
+    at = {c: i for i, c in enumerate(cols)}
+    out = []
+    for w in basis:
+        img = q.project(_sum_of(fcols, w))
+        out.append({at[c]: x for c, x in img.items() if c in at and x})
+    return degree, out
 
 
-def _kernel_filtration(space: GradedSpace, nil, top):
-    """Phase 1 (Engel): the levels K_1 < K_2 < ... of V, each K_{j+1}/K_j
-    the common graded kernel of ``nil`` on V/K_j, lazily.
+def _kernel_filtration(degrees: list, nil, top):
+    """Phase 1 (Engel): the levels K_1 < K_2 < ... of the space F with the
+    coordinate degrees ``degrees``, each K_{j+1}/K_j the common graded
+    kernel of ``nil`` on F/K_j, lazily.
 
-    The maps are sparse blocks (``_sparse_map``) and are never induced.
-    V/K_j is one ``_Quotient``: with R_p the reduced rows of K_j, the
-    functional phi_c = e_c - sum_p R_p[c] e_p reads the normal form at
-    its free column c, so row c of the map a block N induces on V/K_j
-    is phi_c N at the free columns.  Those rows go, per source degree,
-    into one ``_Echelon``, which stops at full rank, and V/K_j is
-    narrowed to its kernel (``_narrow``).  Each level is yielded as its
-    factor space, the ``top`` maps restricted to it as sparse maps
-    (``_restrict``; none on a line, on which phase 2 reads no map) and
-    its basis, per degree, as sparse vectors of V.
+    The maps are sparse (``_map_of``) and are never induced.  F/K_j is
+    one ``_Quotient``: the map a nil map N induces there has, at each
+    free column c, N's column c projected, and those columns, by rows,
+    go into one ``_Echelon`` over the free columns.  Its rows are
+    homogeneous, so each new pivot lies in its row's source degree, and
+    the rows of a source degree whose free columns all hold pivots are
+    not formed.  F/K_j is narrowed to the echelon's kernel (``_narrow``).
+    Each level is yielded as the degrees of its coordinates, the ``top``
+    maps restricted to it as sparse maps (``_restrict``; none on a line,
+    on which phase 2 reads no map) and its basis, sparse vectors of F.
     ``nil`` must span an ideal of the algebra the maps come from, so
     every level is invariant (which the flag's certificate checks); the
-    levels stop at V or at the first empty kernel.
+    levels stop at F or at the first empty kernel.
     """
-    by_source: dict = {}
-    for _, blocks in nil:
-        for h, t, cols in blocks:
+    nonzero = [[(c, col) for c, col in enumerate(cols) if col] for _, cols in nil]
+    q = _Quotient(degrees)
+    while q.free:
+        free, units = q.free, q.units
+        at = {c: j for j, c in enumerate(free)}
+        ech = _Echelon(len(free))
+        left = collections.Counter(degrees[c] for c in free)  # without a pivot
+        for cols in nonzero:
+            if not any(left.values()):
+                break
+            # the rows of the induced map: column j is column c projected
             rows: dict = {}
-            for j, pairs in cols.items():
-                for i, x in pairs:
-                    rows.setdefault(i, []).append((j, x))
-            by_source.setdefault(h, []).append((t, rows))
-    q = _Quotient(space)
-    while q.space.total_dim > 0:
-        kernels = {}
-        for h, free in q.free.items():
-            if free:
-                ech = kernels[h] = _Echelon(len(free))
-                for row in _level_rows(q, free, by_source.get(h, ())):
-                    if ech.add(row) and len(ech.pivots) == len(free):
-                        break
-        basis, cols = _narrow(*_whole(q), kernels)
+            for c, col in cols:
+                j = at.get(c)
+                if j is not None and left[degrees[c]]:
+                    for r, x in col.items():
+                        for i, a in units[r].items():
+                            row = rows.setdefault(i, {})
+                            row[j] = row[j] + a * x if j in row else a * x
+            for row in rows.values():
+                g = degrees[free[next(iter(row))]]
+                if left[g] and ech.add(row):
+                    left[g] -= 1
+        basis, cols = _narrow(*_whole(q), ech)
         if not basis:
             return
-        level = make_space(space.group, {h: len(vs) for h, vs in basis.items()})
-        wide = level.total_dim > 1
-        yield level, [_restrict(f, q, basis, cols) for f in top if wide], basis
+        tops = [_restrict(f, q, basis, cols) for f in top] if len(basis) > 1 else []
+        yield q.coordinate_degrees(cols), tops, basis
         q.add(basis)
 
 
 def _filtration_dim(levels) -> int:
-    return sum(space.total_dim for space, _, _ in levels)
+    return sum(len(basis) for _, _, basis in levels)
 
 
 def _rational_eigenvalue(blocks) -> Fraction:
@@ -621,16 +569,17 @@ def _rational_eigenvalue(blocks) -> Fraction:
     )
 
 
-def _chain_eigenvector(q: _Quotient, chain, strict: bool) -> tuple:
-    """(degree, sparse vector of F) of a homogeneous vector of the
-    quotient F/S (``q``) in the joint weight space of the span of the
-    chain, sparse maps on F that leave S invariant, found by narrowing
-    W = F/S one chain element at a time until W is a line.
+def _chain_eigenvector(q: _Quotient, chain, strict: bool) -> dict:
+    """A homogeneous vector, sparse in F's coordinates, of the quotient
+    F/S (``q``) in the joint weight space of the span of the chain,
+    sparse maps on F that leave S invariant, found by narrowing W = F/S
+    one chain element at a time until W is a line.
 
-    Each element b is restricted to W (``_restrict``) and W narrowed, on
-    every component, to the kernel of b - lam: lam = 0 for nonzero
+    Each element b is restricted to W (``_restrict``) and W narrowed to
+    the kernel of b - lam, one echelon for all of W: lam = 0 for nonzero
     degree (a homogeneous eigenvector of a degree-shifting map has
-    eigenvalue zero), else a rational eigenvalue of a diagonal block.
+    eigenvalue zero), else a rational eigenvalue of a diagonal block, the
+    blocks being W's coordinates grouped by degree, in degree order.
     [L, L] acts as zero on F/S, so there b b' = r(deg b, deg b') b' b
     for chain elements b, b', and W stays invariant: b w = lam w gives
     b (b' w) = r lam b' w, and r lam = lam, as lam = 0 or deg b = 0 and
@@ -638,25 +587,20 @@ def _chain_eigenvector(q: _Quotient, chain, strict: bool) -> tuple:
     elements are not restricted."""
     basis, cols = _whole(q)
     for b in chain:
-        if sum(map(len, basis.values())) == 1:
+        if len(basis) == 1:
             break
-        degree, blocks = b
-        if not blocks:
-            continue
-        rows = {h: _rows(cs) for h, _, cs in _restrict(b, q, basis, cols)[1]}
-        lam = _ZERO
-        if degree.is_zero():
+        rows = _rows(_restrict(b, q, basis, cols)[1])
+        if b[0].is_zero():
+            degrees = q.coordinate_degrees(cols)
             lam = _rational_eigenvalue(
-                _dense(rows.get(g, {}), len(vs)) for g, vs in basis.items()
+                _dense(rows, [i for i, _ in run])
+                for _, run in itertools.groupby(enumerate(degrees), key=lambda x: x[1])
             )
-        echs = {}
-        for g, vs in basis.items():
-            r = rows.get(g, {})
             if lam:
-                r = {i: {**r.get(i, {}), i: r.get(i, {}).get(i, _ZERO) - lam}
-                     for i in range(len(vs))}
-            echs[g] = _Echelon(len(vs), r.values())
-        basis, cols = _narrow(basis, cols, echs)
+                for i in range(len(basis)):
+                    row = rows.setdefault(i, {})
+                    row[i] = row.get(i, _ZERO) - lam
+        basis, cols = _narrow(basis, cols, _Echelon(len(basis), rows.values()))
         if not basis:
             if strict:
                 raise TheoremViolation(
@@ -667,8 +611,7 @@ def _chain_eigenvector(q: _Quotient, chain, strict: bool) -> tuple:
                 "chain element has no homogeneous eigenvector in the "
                 "weight space (its degree has finite order)"
             )
-    g, vs = next(iter(basis.items()))
-    return g, vs[0]
+    return basis[0]
 
 
 def _check_triangularization_hypotheses(L: ColorAlgebra):
@@ -683,21 +626,21 @@ def _check_triangularization_hypotheses(L: ColorAlgebra):
         )
 
 
-def _stall(L, space, nil, depth, strict, nil_policy, seed):
-    """Raise for a kernel filtration of the sparse maps ``nil`` on
-    ``space``, spanning [L, L] as it acts there, that stopped at
-    dimension ``depth`` below the space.  No homogeneous flag exists then
-    (see the module docstring).  NotSolvable comes from L's derived
-    series, with no flag depth when ``strict`` (a failed hypothesis);
-    with a solvable L and ``strict``, the nil check of ``nil``, the maps
-    the filtration already holds, tells a non-nil component of [L, L]
-    (HypothesisFailed) from a bug."""
+def _stall(L, nil, depth, strict, nil_policy, seed):
+    """Raise for a kernel filtration of the sparse maps ``nil``, spanning
+    [L, L] as it acts on their space, that stopped at dimension ``depth``
+    below the space.  No homogeneous flag exists then (see the module
+    docstring).  NotSolvable comes from L's derived series, with no flag
+    depth when ``strict`` (a failed hypothesis); with a solvable L and
+    ``strict``, the nil check of ``nil``, the maps the filtration already
+    holds, tells a non-nil component of [L, L] (HypothesisFailed) from a
+    bug."""
     if derived_series(L)[-1].dim != 0:
         err = NotSolvable("algebra is not solvable")
         if strict:
             raise err
     elif strict:
-        _check_nil_components(space, nil, "derived subalgebra", nil_policy, seed)
+        _check_nil_components(nil, "derived subalgebra", nil_policy, seed)
         err = TheoremViolation(
             "derived subalgebra with nil components does not act nilpotently"
         )
@@ -710,13 +653,14 @@ def _stall(L, space, nil, depth, strict, nil_policy, seed):
     raise err
 
 
-def _engel_phase(L, space, nil, top, strict, nil_policy, seed) -> list:
+def _engel_phase(L, degrees, nil, top, strict, nil_policy, seed) -> list:
     """The whole kernel filtration of ``nil`` (spanning [L, L] as it acts
-    on ``space``), or the stall error (``_stall``)."""
-    levels = list(_kernel_filtration(space, nil, top))
+    on the space with the coordinate degrees ``degrees``), or the stall
+    error (``_stall``)."""
+    levels = list(_kernel_filtration(degrees, nil, top))
     depth = _filtration_dim(levels)
-    if depth < space.total_dim:
-        _stall(L, space, nil, depth, strict, nil_policy, seed)
+    if depth < len(degrees):
+        _stall(L, nil, depth, strict, nil_policy, seed)
     return levels
 
 
@@ -745,18 +689,19 @@ def common_homogeneous_eigenvector(
     derived = _square(L)
     chain = _sparse_elements(L, _derived_coords(L, derived)[0])
     k = derived.dim
+    degrees = _coordinate_degrees(L.space)
     if check_hypotheses:
         levels = _engel_phase(
-            L, L.space, chain[:k], chain[k:], True, nil_policy, seed
+            L, degrees, chain[:k], chain[k:], True, nil_policy, seed
         )
     else:
-        levels = _kernel_filtration(L.space, chain[:k], chain[k:])
+        levels = _kernel_filtration(degrees, chain[:k], chain[k:])
     first = next(iter(levels), None)
     if first is None:
-        _stall(L, L.space, chain[:k], 0, False, nil_policy, seed)
-    space, top, basis = first
-    d, line = _chain_eigenvector(_Quotient(space), top, strict=check_hypotheses)
-    v0 = _lift(L.space, basis, d, line)
+        _stall(L, chain[:k], 0, False, nil_policy, seed)
+    level, top, basis = first
+    line = _chain_eigenvector(_Quotient(level), top, strict=check_hypotheses)
+    v0 = _graded(L.space, _sum_of(basis, line))
 
     flat = flatten_vector(v0)
     p = next(i for i, x in enumerate(flat) if x != 0)
@@ -798,93 +743,79 @@ def color_flag(
     basis = _sparse_elements(
         L, [(f.degree, c) for f, c in zip(L.basis, L._basis_coords)]
     )
+    degrees = _coordinate_degrees(L.space)
     levels = _engel_phase(
-        L, L.space, _sparse_elements(L, coords[:derived.dim]),
+        L, degrees, _sparse_elements(L, coords[:derived.dim]),
         [basis[i] for i in taken], check_hypotheses, nil_policy, seed,
     )
-    vectors, diagonals = _lie_phase(L.space, levels, basis, check_hypotheses)
+    vectors, diagonals = _lie_phase(degrees, levels, basis, check_hypotheses)
     weights = tuple(
-        Weight(L, tuple(d[i] for d in diagonals))
-        for i in range(L.space.total_dim)
+        Weight(L, tuple(d[i] for d in diagonals)) for i in range(len(degrees))
     )
-    return ColorFlag(tuple(vectors), weights)
+    return ColorFlag(tuple(_graded(L.space, v) for v in vectors), weights)
 
 
-def _lie_phase(space: GradedSpace, levels, certify, strict: bool):
-    """Phase 2 on the levels of a finished kernel filtration of ``space``:
-    each factor flagged line by line and lifted back (a 1-dimensional
-    factor is its own line), then the exact certificate (``_certify``) on
-    the sparse maps ``certify``.  Returns the flag vectors and, for each
-    map M, the diagonal of T^-1 M T, with T the flag vectors as columns.
-    A failure records in ``flag_depth`` the number of flag vectors found
-    (a filtration stall, raised before, records dim K_j)."""
-    vectors: list[GradedVector] = []
+def _lie_phase(degrees: list, levels, certify, strict: bool):
+    """Phase 2 on the levels of a finished kernel filtration of the space
+    with the coordinate degrees ``degrees``: each factor flagged line by
+    line and lifted back (a 1-dimensional factor is its own line), then
+    the exact certificate (``_certify``) on the sparse maps ``certify``.
+    Returns the flag vectors, sparse, and, for each map M, the diagonal
+    of T^-1 M T, with T the flag vectors as columns.  A failure records
+    in ``flag_depth`` the number of flag vectors found (a filtration
+    stall, raised before, records dim K_j)."""
+    vectors: list[dict] = []
     try:
-        for fspace, top, basis in levels:
-            if fspace.total_dim == 1:
-                vectors.append(_lift(space, basis, next(iter(basis)), {0: _ONE}))
+        for level, top, basis in levels:
+            if len(basis) == 1:
+                vectors.append(basis[0])
                 continue
-            q = _Quotient(fspace)
-            while q.space.total_dim > 0:
-                d, line = _chain_eigenvector(q, top, strict)
-                vectors.append(_lift(space, basis, d, line))
-                q.add({d: [line]})
+            q = _Quotient(level)
+            while q.free:
+                line = _chain_eigenvector(q, top, strict)
+                vectors.append(_sum_of(basis, line))
+                q.add([line])
     except (TheoremViolation, NoHomogeneousEigenvector, IrrationalEigenvalue) as e:
         e.flag_depth = len(vectors)
         raise
-    return vectors, _certify(space, vectors, certify)
+    return vectors, _certify(degrees, vectors, certify)
 
 
-def _certify(space: GradedSpace, vectors, certify) -> list[list[Fraction]]:
-    """The diagonal of T^-1 M T for each sparse map M (``_sparse_map``)
-    in ``certify``, after checking that its entries below the diagonal
-    vanish; T has the flag ``vectors`` as columns and must be invertible.
+def _certify(degrees: list, vectors, certify) -> list[list[Fraction]]:
+    """The diagonal of T^-1 M T for each sparse map M (``_map_of``) in
+    ``certify``, after checking that its entries below the diagonal
+    vanish; T has the flag ``vectors``, sparse vectors of the space with
+    the coordinate degrees ``degrees``, as columns, and must be invertible
+    with each column homogeneous.
 
-    The vectors are homogeneous, so T is block diagonal by degree, and no
-    n x n product is formed.  The vectors of degree g, inserted into a
-    tracked ``_Echelon``, reduce to the identity, so its transform is
-    (T_g^T)^-1: row r of it is column r of T_g^-1, sparse.  Column j of
-    T^-1 M T is T^-1 y for y = M t_j, the combination of those columns
-    at y's nonzero entries, formed from M's sparse columns; its entries
-    at flag indices i > j must vanish, and the one at j is M's weight."""
-    index: dict = {}  # degree -> flag indices of its vectors, in order
-    for i, v in enumerate(vectors):
-        index.setdefault(v.degree(), []).append(i)
-    entries = [
-        {c: a for c, a in enumerate(v.components[0][1]) if a} for v in vectors
-    ]
-    echs = {
-        g: _Echelon(space.dim_of(g), [entries[i] for i in idx], track=True)
-        for g, idx in index.items()
-    }
-    if len(vectors) != space.total_dim or any(
-        len(echs[g].pivots) < len(idx) for g, idx in index.items()
-    ):
+    No n x n product is formed.  The vectors, inserted into one tracked
+    ``_Echelon``, reduce to the identity, so its transform is
+    (T^T)^-1: row r of it is column r of T^-1, sparse and keyed by flag
+    index.  Column j of T^-1 M T is T^-1 y for y = M t_j, the combination
+    of those rows at y's nonzero entries, formed from M's sparse columns;
+    its entries at flag indices i > j must vanish, and the one at j is
+    M's weight."""
+    n = len(degrees)
+    ech = _Echelon(n, vectors, track=True)
+    if len(vectors) != n or len(ech.pivots) < n:
         raise TheoremViolation("flag vectors do not form a basis")
-    cols_inv = {
-        g: [[(index[g][k], x) for k, x in t.items()] for t in ech.transform]
-        for g, ech in echs.items()
-    }
+    for v in vectors:
+        if len({degrees[i] for i, x in v.items() if x}) != 1:
+            raise TheoremViolation("flag vector is not homogeneous")
+    inverse_rows = ech.transform
     diagonals = []
-    for _, blocks in certify:
-        diag = [_ZERO] * len(vectors)
-        for h, t, cols in blocks:
-            for j in index.get(h, ()):
-                y: dict = {}
-                for c, a in entries[j].items():
-                    for r, x in cols.get(c, ()):
-                        y[r] = y[r] + a * x if r in y else a * x
-                z: dict = {}
-                for r, x in y.items():
-                    if x:
-                        for i, u in cols_inv[t][r]:
-                            z[i] = z[i] + x * u if i in z else x * u
-                if any(x for i, x in z.items() if i > j):
-                    raise TheoremViolation(
-                        "matrix is not upper triangular in the flag basis"
-                    )
-                if h == t and j in z:
-                    diag[j] = z[j]
+    for _, cols in certify:
+        diag = [_ZERO] * n
+        for j, t in enumerate(vectors):
+            y = _sum_of(cols, t)
+            if not y:
+                continue
+            z = _sum_of(inverse_rows, y)
+            if any(x for i, x in z.items() if i > j):
+                raise TheoremViolation(
+                    "matrix is not upper triangular in the flag basis"
+                )
+            diag[j] = z.get(j, _ZERO)
         diagonals.append(diag)
     return diagonals
 
@@ -899,8 +830,9 @@ def ideal_chain(
     adjoint action.
 
     ad acts on L's own graded coordinate space, in pivot coordinates (see
-    ``colorlie.algebra``), so its flag vectors are literally elements of
-    L; a subspace invariant under every ad x is exactly a color ideal.
+    ``colorlie.algebra``) ordered stably by degree (``_profile_order``),
+    so its flag vectors are literally elements of L; a subspace invariant
+    under every ad x is exactly a color ideal.
     The maps are read off the structure-constant table: ad of L's basis
     adapted to [L, L] (``_derived_coords``), whose first dim [L, L]
     entries span ad [L, L] = [ad L, ad L], since ad is a homomorphism.
@@ -926,24 +858,26 @@ def ideal_chain(
     k = derived.dim
     if check_hypotheses:
         _engel_phase(
-            L, L.space, _sparse_elements(L, coords[:k]), [], True, nil_policy, seed
+            L, _coordinate_degrees(L.space), _sparse_elements(L, coords[:k]), [],
+            True, nil_policy, seed,
         )
     if L.dim == 0:
         return IdealChain((Subspace(L, []),))
 
     ads = _sparse_ads(L, coords)
-    profile = L.profile_space()
+    order = _profile_order(L)
+    degrees = [L._degrees[i] for i in order]
     levels = _engel_phase(
-        L, profile, ads[:k], ads[k:], check_hypotheses, nil_policy, seed
+        L, degrees, ads[:k], ads[k:], check_hypotheses, nil_policy, seed
     )
-    vectors, _ = _lie_phase(profile, levels, ads, check_hypotheses)
+    vectors, _ = _lie_phase(degrees, levels, ads, check_hypotheses)
 
     # the prefixes, each a copy of one growing echelon; the certificate
     # checked that the flag vectors form a basis, so each adds a row
     grown = _Echelon(L.dim)
     chain = [Subspace(L, [])]
     for v in vectors:
-        grown.add(L._from_profile(v))
+        grown.add({order[i]: x for i, x in v.items()})
         sub = Subspace(L, [])
         sub._ech = grown.copy()
         chain.append(sub)

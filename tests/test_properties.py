@@ -24,14 +24,15 @@ from hypothesis import given, strategies as st
 from colorlie import (
     Matrix, NotSolvable, ProblemFile, bracket_closure, char_poly, color_bracket, color_flag,
     common_homogeneous_eigenvector, derived_series, eval_bicharacter, flatten_map,
-    flatten_vector, graded_kernel, ideal_chain, inverse, make_group, make_space, parse_problem, rref,
+    flatten_vector, graded_kernel, ideal_chain, inverse, make_group, parse_problem, rref,
     serialize_problem, solve_unique,
 )
 from colorlie.algebra import _square
-from colorlie.graded import _vector
+from colorlie.graded import _flat, _vector
 from colorlie.linalg import _Echelon
 from colorlie.structure import (
-    _Quotient, _filtration_dim, _flatten, _kernel_filtration, _sparse_elements, _sparse_of,
+    _Quotient, _coordinate_degrees, _dense, _filtration_dim, _kernel_filtration, _map_of,
+    _rows, _sparse_elements,
 )
 from corpus import (
     all_configs, random_homogeneous_map, random_solvable_instance, random_space,
@@ -226,8 +227,9 @@ def test_inverse_or_singular_for_wide_entries(m):
 @given(m=st.one_of(matrices(), matrices(entries=WIDE)), data=st.data())
 def test_quotient_project_gives_the_normal_form(m, data):
     """``_Quotient.project`` reads v - sum_k v[p_k] R_k, for the reduced
-    rows R_k with pivots p_k, at the free columns, through the
-    functionals phi_c; ``_Echelon.reduce`` gives v's pivot coordinates
+    rows R_k with pivots p_k, at the free columns, and so does the
+    functional phi_c at each free column c, whose entry at r is the
+    projection of e_r read at c; ``_Echelon.reduce`` gives v's pivot coordinates
     [v[p_k]] when v lies in the span, with or without a transform."""
     if m.rows and data.draw(st.booleans()):
         # a vector of the span, whose normal form is zero
@@ -243,13 +245,14 @@ def test_quotient_project_gives_the_normal_form(m, data):
     for p, row in zip(pivots, red):
         want = [x - v[p] * y for x, y in zip(want, row)]
     free = [c for c in range(m.cols) if c not in pivots]
-    g = Z1.identity()
-    q = _Quotient(make_space(Z1, {g: m.cols}))
-    q.add({g: [dict(enumerate(row)) for row in m.data]})
-    assert q.free[g] == free
-    assert densify(q.project(g, dict(enumerate(v))), len(free)) == [want[c] for c in free]
+    q = _Quotient([Z1.identity()] * m.cols)
+    q.add([dict(enumerate(row)) for row in m.data])
+    assert q.free == free
+    assert densify(q.project(dict(enumerate(v))), len(free)) == [want[c] for c in free]
+    phis = [[(r, q.project({r: Fraction(1)}).get(i, Fraction(0))) for r in range(m.cols)]
+            for i in range(len(free))]
     assert [sum((a * v[r] for r, a in phi), Fraction(0))
-            for phi in q.functionals(g)] == [want[c] for c in free]
+            for phi in phis] == [want[c] for c in free]
     for track in (False, True):
         ech = _Echelon(m.cols, map(dict, map(enumerate, m.data)), track=track)
         coeffs = ech.reduce(dict(enumerate(v)))
@@ -361,7 +364,9 @@ def test_flatten_of_sparse_map_matches_flatten_map(config, seed, density):
     space = random_space(rng, group)
     for _ in range(3):
         f = random_homogeneous_map(rng, space, density=density)
-        assert _flatten(space, _sparse_of(f)) == flatten_map(f)
+        n = space.total_dim
+        _, cols = _map_of(f.degree, _flat(f), n)
+        assert _dense(_rows(cols), range(n)) == flatten_map(f)
 
 
 # ----------------------------------------- solvability by the filtration
@@ -370,7 +375,8 @@ def test_flatten_of_sparse_map_matches_flatten_map(config, seed, density):
 def _filtration_reaches_v(L):
     """Whether the kernel filtration of [L, L] on V reaches V."""
     nil = _sparse_elements(L, _square(L)._vectors())
-    return _filtration_dim(_kernel_filtration(L.space, nil, [])) == L.space.total_dim
+    levels = _kernel_filtration(_coordinate_degrees(L.space), nil, [])
+    return _filtration_dim(levels) == L.space.total_dim
 
 
 @given(config=st.sampled_from(CONFIGS), seed=st.integers(0, 10**9), planted=st.booleans())

@@ -2,6 +2,7 @@
 ideals, common homogeneous eigenvectors, color flags, ideal chains and the
 cyclic-grading counterexample."""
 
+import collections
 import functools
 import itertools
 import random
@@ -613,16 +614,15 @@ def test_quotient_projection_kills_subspace():
                     for _ in range(rng.randint(0, n))]
                 for g, n in space.dims
             }
-            q = _Quotient(space)
-            q.add({g: [_sparse(v) for v in vs] for g, vs in rows.items()})
+            q = _Quotient(_degrees(space))
+            q.add([_at(space, g, v) for g, vs in rows.items() for v in vs])
             for g, n in space.dims:
-                assert q.space.dim_of(g) == n - _rank(rows[g], n)
+                assert q.coordinate_degrees(range(len(q.free))).count(g) == n - _rank(rows[g], n)
                 for v in rows[g]:
-                    assert not any(q.project(g, _sparse(v)).values())
+                    assert not any(q.project(_at(space, g, v)).values())
             basis, cols = _whole(q)
-            for g, ws in basis.items():
-                for i, w in enumerate(ws):
-                    assert q.project(g, w) == {cols[g][i]: 1}
+            for i, w in enumerate(basis):
+                assert q.project(w) == {cols[i]: 1}
 
 
 def test_quotient_induced_map_is_projection_of_map_on_lift():
@@ -635,30 +635,26 @@ def test_quotient_induced_map_is_projection_of_map_on_lift():
     z0, z1 = z.element([0]), z.element([1])
     v = make_space(z, {z0: 2, z1: 1})
     d = make_map(v, z0, {z0: [[1, 2], [0, 3]], z1: [[5]]})
-    q = _Quotient(v)
-    q.add({z0: [{0: Fraction(1), 1: Fraction(1)}]})
-    assert _induce(q, d) == make_map(q.space, z0, {z0: [[1]], z1: [[5]]})
+    q = _Quotient(_degrees(v))
+    q.add([{0: Fraction(1), 1: Fraction(1)}])
+    assert _induce(q, d) == make_map(_quotient_space(v, q), z0, {z0: [[1]], z1: [[5]]})
     # in general: flatten(induced f) = P flatten(f) I, for the normal-form
     # projection P and the inclusion I of the free coordinates
     rng = random.Random(97)
     for _, group, _ in torsion_free_configs():
         for _ in range(5):
             space = random_space(rng, group)
-            q = _Quotient(space)
-            q.add({
-                g: [{i: Fraction(rng.randint(-2, 2)) for i in range(n)}]
-                for g, n in space.dims if rng.random() < 0.5
-            })
+            n = space.total_dim
+            q = _Quotient(_degrees(space))
+            q.add([
+                _at(space, g, [Fraction(rng.randint(-2, 2)) for _ in range(m)])
+                for g, m in space.dims if rng.random() < 0.5
+            ])
             f = random_homogeneous_map(rng, space)
-            incl = Matrix.from_columns(
-                [_place(space, g, densify(w, space.dim_of(g)))
-                 for g, ws in _whole(q)[0].items() for w in ws],
-                rows=space.total_dim,
-            )
+            incl = Matrix.from_columns([densify(w, n) for w in _whole(q)[0]], rows=n)
             proj = Matrix.from_columns(
-                [_place(q.space, g, densify(q.project(g, _sparse(u)), q.space.dim_of(g)))
-                 for g, u in _units(space)],
-                rows=q.space.total_dim,
+                [densify(q.project({c: Fraction(1)}), len(q.free)) for c in range(n)],
+                rows=len(q.free),
             )
             assert flatten_map(_induce(q, f)) == proj * flatten_map(f) * incl
 
@@ -666,39 +662,62 @@ def test_quotient_induced_map_is_projection_of_map_on_lift():
 def _induce(q, f):
     """The map f induces on the quotient q, as phase 2 reads it: f's
     sparse columns restricted to the whole quotient, as a map on it."""
-    from colorlie.structure import _restrict, _sparse_of, _whole
+    from colorlie.structure import _restrict, _whole
 
-    return _dense_map(q.space, _restrict(_sparse_of(f), q, *_whole(q)))
+    space = _quotient_space(f.space, q)
+    return _dense_map(space, _restrict(_sparse_of(f), q, *_whole(q)))
+
+
+def _degrees(space):
+    """The degree of each coordinate of space, in flattened order."""
+    from colorlie.structure import _coordinate_degrees
+
+    return _coordinate_degrees(space)
+
+
+def _quotient_space(space, q):
+    """The graded space of the quotient q of a quotient of space."""
+    return _space_of(space.group, q.coordinate_degrees(range(len(q.free))))
+
+
+def _space_of(group, degrees):
+    """The graded space whose coordinates have the given degrees."""
+    return make_space(group, collections.Counter(degrees))
+
+
+def _sparse_of(f):
+    """The sparse map (``structure._map_of``) of the map f."""
+    from colorlie.graded import _flat
+    from colorlie.structure import _map_of
+
+    return _map_of(f.degree, _flat(f), f.space.total_dim)
+
+
+def _sparse_vector(v):
+    """The vector v as its nonzero flattened coordinates."""
+    return {i: x for i, x in enumerate(flatten_vector(v)) if x}
 
 
 def _dense_map(space, sparse):
-    """The sparse map (``structure._sparse_map``) on space as a map."""
-    degree, blocks = sparse
-    dense = {}
-    for h, t, cols in blocks:
-        rows = [[Fraction(0)] * space.dim_of(h) for _ in range(space.dim_of(t))]
-        for j, pairs in cols.items():
-            for i, x in pairs:
-                rows[i][j] = x
-        dense[h] = rows
-    return make_map(space, degree, dense)
+    """The sparse map (``structure._map_of``) on space as a map."""
+    degree, cols = sparse
+    n = space.total_dim
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            rows[i][j] = x
+    return unflatten_map(space, degree, Matrix(rows, cols=n))
 
 
-def _sparse(v):
-    """The dense vector v as ``{index: value}``, zeros included."""
-    return dict(enumerate(v))
+def _at(space, g, comp):
+    """The component comp at degree g, as a sparse vector of space, its
+    zeros included."""
+    off = space.offsets()[g]
+    return {off + i: x for i, x in enumerate(comp)}
 
 
 def _nonzero(v):
     return {i: x for i, x in v.items() if x}
-
-
-def _units(space):
-    """(degree, component) of every standard basis vector of space."""
-    return [
-        (g, tuple(Fraction(int(i == j)) for i in range(n)))
-        for g, n in space.dims for j in range(n)
-    ]
 
 
 def _place(space, g, comp):
@@ -713,15 +732,7 @@ def test_quotient_in_steps_equals_quotient_at_once():
     # V/S/(T/S) = V/T for invariant S < T: the same space, projections
     # and induced maps; quotienting V/S again by T/S adds T/S's lifted
     # rows and gives T's reduced echelon
-    from colorlie import unflatten_vector
     from colorlie.structure import _Quotient
-
-    def rows_of(space, vectors):
-        rows: dict = {}
-        for flat in vectors:
-            (g, comp), = unflatten_vector(space, flat).components
-            rows.setdefault(g, []).append(_sparse(comp))
-        return rows
 
     rng = random.Random(101)
     algebras = [
@@ -731,33 +742,28 @@ def test_quotient_in_steps_equals_quotient_at_once():
     algebras += [_borel(4, grading) for grading in ("plain", "z", "zsuper", "z2")]
     for L in algebras:
         levels = [[]] + _levels_in_v(L)
+        degrees = _degrees(L.space)
         for s_vecs, t_vecs in itertools.combinations(levels, 2):
-            s_rows, t_rows = rows_of(L.space, s_vecs), rows_of(L.space, t_vecs)
-            q_s, q_t = _Quotient(L.space), _Quotient(L.space)
+            s_rows, t_rows = [dict(enumerate(v)) for v in s_vecs], [dict(enumerate(v)) for v in t_vecs]
+            q_s, q_t = _Quotient(degrees), _Quotient(degrees)
             q_s.add(s_rows)
             q_t.add(t_rows)
-            t_mod_s = {
-                g: [q_s.project(g, v) for v in vs] for g, vs in t_rows.items()
-            }
-            q_ts = _Quotient(q_s.space)
-            q_ts.add({g: vs for g, vs in t_mod_s.items() if q_s.space.dim_of(g)})
-            assert q_ts.space == q_t.space
+            t_mod_s = [q_s.project(v) for v in t_rows]
+            q_ts = _Quotient(q_s.coordinate_degrees(range(len(q_s.free))))
+            q_ts.add(t_mod_s)
+            assert _quotient_space(L.space, q_ts) == _quotient_space(L.space, q_t)
             for b in L.basis:
                 assert _induce(q_ts, _induce(q_s, b)) == _induce(q_t, b)
             for g, n in L.space.dims:
-                x = {i: Fraction(rng.randint(-3, 3)) for i in range(n)}
-                if q_s.space.dim_of(g):
-                    assert _nonzero(q_ts.project(g, q_s.project(g, x))) == _nonzero(
-                        q_t.project(g, x)
+                x = _at(L.space, g, [Fraction(rng.randint(-3, 3)) for _ in range(n)])
+                if g in q_s.coordinate_degrees(range(len(q_s.free))):
+                    assert _nonzero(q_ts.project(q_s.project(x))) == _nonzero(
+                        q_t.project(x)
                     )
             # T/S's rows, lifted to V at the free columns of S
-            q_s.add({
-                g: [{q_s.free[g][i]: x for i, x in v.items()} for v in vs]
-                for g, vs in t_mod_s.items()
-            })
+            q_s.add([{q_s.free[i]: x for i, x in v.items()} for v in t_mod_s])
             assert q_s.free == q_t.free
-            for g, part in q_t.parts.items():
-                assert q_s.parts[g].sparse_rows == part.sparse_rows
+            assert q_s.ech.sparse_rows == q_t.ech.sparse_rows
 
 
 def test_weights_vanish_on_nonzero_degrees():
@@ -863,7 +869,7 @@ def test_restrict_matches_per_column_solve():
     # reading each image's coordinates at cols gives what a fresh solve
     # of each column in W's basis would, for W built by narrowing and by
     # the kernel filtration
-    from colorlie.structure import _Quotient, _restrict, _sparse_of
+    from colorlie.structure import _Quotient, _restrict
 
     rng = random.Random(83)
     narrowed = 0
@@ -883,8 +889,8 @@ def test_restrict_matches_per_column_solve():
     assert narrowed >= 10
     # an invariant line: E_12 kills e_1
     v = gl(2)
-    line = {E0: [{0: Fraction(1)}]}, {E0: [0]}
-    assert _restrict(_sparse_of(unit_map(v, 0, 1)), _Quotient(v), *line)[1] == []
+    line = [{0: Fraction(1)}], [0]
+    assert _restrict(_sparse_of(unit_map(v, 0, 1)), _Quotient(_degrees(v)), *line)[1] == [{}]
 
 
 def _assert_restrict_solves_on_kernel(space, f) -> int:
@@ -895,38 +901,39 @@ def _assert_restrict_solves_on_kernel(space, f) -> int:
     from reference import densify
     from colorlie.graded import compose
     from colorlie.linalg import _Echelon, solve_unique
-    from colorlie.structure import (
-        _Quotient, _narrow, _restrict, _rows, _sparse_of, _whole,
-    )
+    from colorlie.structure import _Quotient, _narrow, _restrict, _rows, _whole
 
     def narrowed(q, g, w):
         # W narrowed to the kernel of the map g induces on it
-        rows = {h: _rows(cs) for h, _, cs in _restrict(_sparse_of(g), q, *w)[1]}
-        return _narrow(*w, {
-            h: _Echelon(len(vs), rows.get(h, {}).values()) for h, vs in w[0].items()
-        })
+        rows = _rows(_restrict(_sparse_of(g), q, *w)[1])
+        return _narrow(*w, _Echelon(len(w[0]), rows.values()))
 
+    n = space.total_dim
     f2 = compose(f, f)
-    q = _Quotient(space)
+    q = _Quotient(_degrees(space))
     q.add(narrowed(q, f, _whole(q))[0])
     basis, cols = narrowed(q, f2, narrowed(q, compose(f2, f), _whole(q)))
     if not basis:
         return 0
-    w_space = make_space(space.group, {g: len(ws) for g, ws in basis.items()})
+    w_degrees = q.coordinate_degrees(cols)
+    w_space = _space_of(space.group, w_degrees)
     res = _dense_map(w_space, _restrict(_sparse_of(f), q, basis, cols))
 
-    def project(g, v):
-        return densify(q.project(g, _sparse(v)), q.space.dim_of(g))
+    def project(v):
+        return densify(q.project(dict(enumerate(v))), len(q.free))
 
-    for h, ws in basis.items():
+    by_degree = {}
+    for w, g in zip(basis, w_degrees):
+        by_degree.setdefault(g, []).append(densify(w, n))
+    m = flatten_map(f)
+    for h, ws in by_degree.items():
         target = h + f.degree
-        if target not in basis:
+        if target not in by_degree:
             continue
         embed = Matrix.from_columns(
-            [project(target, densify(w, space.dim_of(target))) for w in basis[target]],
-            rows=q.space.dim_of(target),
+            [project(w) for w in by_degree[target]], rows=len(q.free)
         )
-        images = [project(target, f.block(h).apply(densify(w, space.dim_of(h)))) for w in ws]
+        images = [project(m.apply(w)) for w in ws]
         want = [solve_unique(embed, col) for col in images]
         assert list(zip(*res.block(h).data)) == want
     return w_space.total_dim
@@ -946,22 +953,25 @@ def _assert_restrict_solves_on_levels(L):
     derived = _square(L)
     coords, _ = _derived_coords(L, derived)
     k = derived.dim
+    n = L.space.total_dim
     maps = [L._element(g, v) for g, v in coords[k:]]
     below = {g: [] for g in L.space.degrees}
     nil, top_maps = _sparse_elements(L, coords[:k]), _sparse_elements(L, coords[k:])
-    levels = list(_kernel_filtration(L.space, nil, top_maps))
-    for (level, _, basis), top in zip(levels, _restricted_tops(L.space, levels, top_maps)):
-        dense = {g: [densify(w, L.space.dim_of(g)) for w in ws] for g, ws in basis.items()}
+    degrees = _degrees(L.space)
+    levels = list(_kernel_filtration(degrees, nil, top_maps))
+    for (level, _, basis), top in zip(levels, _restricted_tops(degrees, levels, top_maps)):
+        dense = {}
+        for w, g in zip(basis, level):
+            dense.setdefault(g, []).append(densify(w, n))
         for f, sparse in zip(maps, top):
-            res = _dense_map(level, sparse)
+            res = _dense_map(_space_of(L.space.group, level), sparse)
+            m = flatten_map(f)
             for h, ws in dense.items():
                 t = h + f.degree
                 if t not in dense:
                     continue
-                span = Matrix.from_columns(below[t] + dense[t], rows=L.space.dim_of(t))
-                want = [
-                    solve_unique(span, f.block(h).apply(w))[len(below[t]):] for w in ws
-                ]
+                span = Matrix.from_columns(below[t] + dense[t], rows=n)
+                want = [solve_unique(span, m.apply(w))[len(below[t]):] for w in ws]
                 assert list(zip(*res.block(h).data)) == want
         for g, ws in dense.items():
             below[g] += ws
@@ -1109,12 +1119,12 @@ def test_hypothesis_failure_carries_non_nilpotent_witness():
     _assert_witness(info.value, B.basis)
     # t1 E13 + t2 E12 + t3 E21 is nilpotent iff t2 t3 = 0: the point
     # reads the maps in the given order
-    from colorlie.structure import _check_nil_components, _sparse_of
+    from colorlie.structure import _check_nil_components
 
     v = gl(3)
     maps = [unit_map(v, 0, 2), unit_map(v, 0, 1), unit_map(v, 1, 0)]
     with pytest.raises(HypothesisFailed) as info:
-        _check_nil_components(v, [_sparse_of(f) for f in maps], "span", "deterministic", 0)
+        _check_nil_components([_sparse_of(f) for f in maps], "span", "deterministic", 0)
     assert info.value.witness[1] == (0, 1, 2)
     _assert_witness(info.value, maps)
 
@@ -1122,14 +1132,14 @@ def test_hypothesis_failure_carries_non_nilpotent_witness():
 def test_witness_reads_fraction_maps_as_given():
     # 2 M1 + M2 is not nilpotent at (1, 1), but M1 + M2 is: the point
     # must be a witness for the maps themselves, not a rescaling of them
-    from colorlie.structure import _check_nil_components, _sparse_of
+    from colorlie.structure import _check_nil_components
 
     v = gl(2)
     m1 = make_map(v, E0, {E0: [[0, -1], [Fraction(-1, 2), 0]]})
     maps = [m1, unit_map(v, 0, 1)]
     for policy in ("deterministic", "probabilistic"):
         with pytest.raises(HypothesisFailed) as info:
-            _check_nil_components(v, [_sparse_of(f) for f in maps], "span", policy, 0)
+            _check_nil_components([_sparse_of(f) for f in maps], "span", policy, 0)
         _assert_witness(info.value, maps)
 
 
@@ -1144,16 +1154,15 @@ def test_witness_is_none_without_a_point():
 def _levels_in_v(L):
     """K_1 < K_2 < ... of the kernel filtration of [L, L], as lists of
     flattened vectors of V."""
+    from reference import densify
     from colorlie.algebra import _square
-    from colorlie.structure import _kernel_filtration, _lift, _sparse_of
+    from colorlie.structure import _kernel_filtration
 
     nil = [_sparse_of(f) for f in _square(L).elements()]
     out, acc = [], []
-    for space, top, basis in _kernel_filtration(L.space, nil, []):
+    for _, top, basis in _kernel_filtration(_degrees(L.space), nil, []):
         assert top == []
-        for g, n in space.dims:
-            for j in range(n):
-                acc.append(flatten_vector(_lift(L.space, basis, g, {j: Fraction(1)})))
+        acc += [densify(w, L.space.total_dim) for w in basis]
         out.append(list(acc))
     return out
 
@@ -1208,53 +1217,49 @@ def test_kernel_filtration_properties():
     )
 
 
-def _restricted_tops(space, levels, top):
+def _restricted_tops(degrees, levels, top):
     """The ``top`` maps restricted to every level of a kernel filtration
-    of ``space``: as the filtration yields them on a level of dimension
-    > 1, and on a 1-dimensional level, where it restricts none, here by
-    ``_restrict``, on a ``_Quotient`` rebuilt from the earlier levels and
-    read at a free column where the level's vector projects to 1."""
+    of the space with the coordinate degrees ``degrees``: as the
+    filtration yields them on a level of dimension > 1, and on a
+    1-dimensional level, where it restricts none, here by ``_restrict``,
+    on a ``_Quotient`` rebuilt from the earlier levels and read at a free
+    column where the level's vector projects to 1."""
     from colorlie.structure import _Quotient, _restrict
 
-    q = _Quotient(space)
+    q = _Quotient(degrees)
     out = []
-    for level, maps, basis in levels:
-        if level.total_dim == 1:
+    for _, maps, basis in levels:
+        if len(basis) == 1:
             assert maps == []
-            ((g, [w]),) = basis.items()
-            c = min(i for i, x in q.project(g, w).items() if x == 1)
-            maps = [_restrict(f, q, basis, {g: [c]}) for f in top]
+            (w,) = basis
+            c = min(i for i, x in q.project(w).items() if x == 1)
+            maps = [_restrict(f, q, basis, [c]) for f in top]
         out.append(maps)
         q.add(basis)
     return out
 
 
-def _normal(sparse):
-    """A sparse map with its blocks and their pairs in a fixed order."""
-    degree, blocks = sparse
-    return degree, sorted(
-        ((h, t, {j: sorted(p) for j, p in cols.items()}) for h, t, cols in blocks),
-        key=lambda b: b[0].sort_key(),
-    )
-
-
 def _assert_filtration_matches_reference(space, maps, sparse, k):
     # the first k maps drive the filtration, the rest are restricted
     from reference import densify, ref_kernel_filtration
-    from colorlie.structure import _kernel_filtration, _sparse_of
+    from colorlie.structure import _kernel_filtration
 
-    assert [_normal(x) for x in sparse] == [_normal(_sparse_of(f)) for f in maps]
-    got = list(_kernel_filtration(space, sparse[:k], sparse[k:]))
+    assert sparse == [_sparse_of(f) for f in maps]
+    degrees = _degrees(space)
+    got = list(_kernel_filtration(degrees, sparse[:k], sparse[k:]))
     want = ref_kernel_filtration(space, maps[:k], maps[k:])
-    tops = _restricted_tops(space, got, sparse[k:])
+    tops = _restricted_tops(degrees, got, sparse[k:])
     assert [
-        (s, [_normal(f) for f in t],
-         [(g, [densify(v, space.dim_of(g)) for v in vs]) for g, vs in r.items()])
-        for (s, _, r), t in zip(got, tops)
+        (_space_of(space.group, level), t, [densify(w, space.total_dim) for w in basis])
+        for (level, _, basis), t in zip(got, tops)
     ] == [
-        (s, [_normal(_sparse_of(f)) for f in t], list(r.items())) for s, t, r in want
+        (s, [_sparse_of(f) for f in t], [_place(space, g, v) for g, vs in r.items() for v in vs])
+        for s, t, r in want
     ]
-    assert sum(s.total_dim for s, _, _ in got) == space.total_dim
+    assert [level for level, _, _ in got] == [
+        [g for g, vs in r.items() for _ in vs] for _, _, r in want
+    ]
+    assert sum(len(basis) for _, _, basis in got) == space.total_dim
 
 
 def test_kernel_filtration_matches_induced_map_reference():
@@ -1264,7 +1269,7 @@ def test_kernel_filtration_matches_induced_map_reference():
     from reference import ref_ad
     from colorlie.algebra import _square
     from colorlie.structure import (
-        _derived_coords, _sparse_ads, _sparse_elements, _sparse_of,
+        _derived_coords, _profile_order, _sparse_ads, _sparse_elements,
     )
 
     rng = random.Random(113)
@@ -1288,6 +1293,8 @@ def test_kernel_filtration_matches_induced_map_reference():
             L.profile_space(), [ref_ad(L, g, v) for g, v in coords],
             _sparse_ads(L, coords), k,
         )
+        # the profile order lists the profile space's coordinates
+        assert [L._degrees[i] for i in _profile_order(L)] == _degrees(L.profile_space())
         # elements with several nonzero coordinates per degree
         mixed = [
             (g, dict(enumerate(Fraction(rng.randint(-2, 2)) if d == g else Fraction(0)
@@ -1296,9 +1303,7 @@ def test_kernel_filtration_matches_induced_map_reference():
         ]
         ad = functools.partial(ref_ad, L)
         for sparse, dense in ((_sparse_elements, L._element), (_sparse_ads, ad)):
-            assert [_normal(x) for x in sparse(L, mixed)] == [
-                _normal(_sparse_of(dense(g, v))) for g, v in mixed
-            ]
+            assert sparse(L, mixed) == [_sparse_of(dense(g, v)) for g, v in mixed]
 
 
 def test_kernel_filtration_rejects_non_invariant_level():
@@ -1308,7 +1313,7 @@ def test_kernel_filtration_rejects_non_invariant_level():
     # of the flag, so the flag's certificate catches the moved level
     from reference import ref_kernel_filtration
     from colorlie import TheoremViolation
-    from colorlie.structure import _kernel_filtration, _lie_phase, _sparse_of
+    from colorlie.structure import _kernel_filtration, _lie_phase
 
     v = gl(2)
     z = make_group(1, [])
@@ -1320,14 +1325,15 @@ def test_kernel_filtration_rejects_non_invariant_level():
     ]
     for space, nil, top in cases:
         nil_s, top_s = _sparse_of(nil), _sparse_of(top)
-        levels = list(_kernel_filtration(space, [nil_s], [top_s]))
+        degrees = _degrees(space)
+        levels = list(_kernel_filtration(degrees, [nil_s], [top_s]))
         with pytest.raises(TheoremViolation, match="not upper triangular in the flag basis"):
-            _lie_phase(space, levels, [nil_s, top_s], True)
+            _lie_phase(degrees, levels, [nil_s, top_s], True)
         with pytest.raises(TheoremViolation, match="kernel level of an ideal"):
             ref_kernel_filtration(space, [nil], [top])
         # without the top map the filtration reaches V in two levels
-        levels = list(_kernel_filtration(space, [_sparse_of(nil)], []))
-        assert [s.total_dim for s, _, _ in levels] == [1, 1]
+        levels = list(_kernel_filtration(degrees, [_sparse_of(nil)], []))
+        assert [len(basis) for _, _, basis in levels] == [1, 1]
 
 
 def test_filtration_stall_depth_skip_hypotheses():
@@ -1397,7 +1403,7 @@ def test_non_invariant_line_has_no_homogeneous_eigenvector():
     # W is a line the later maps are not restricted, so the flag's
     # certificate catches the moved line
     from colorlie import TheoremViolation
-    from colorlie.structure import _Quotient, _chain_eigenvector, _lie_phase, _sparse_of
+    from colorlie.structure import _Quotient, _chain_eigenvector, _lie_phase
 
     v = gl(2)
     d = make_map(v, E0, {E0: [[1, 0], [0, 2]]})
@@ -1414,16 +1420,19 @@ def test_non_invariant_line_has_no_homogeneous_eigenvector():
     for space, chain in cases:
         sparse = [_sparse_of(f) for f in chain]
         # one level, the whole space in its standard basis
-        units = {g: [{i: Fraction(1)} for i in range(n)] for g, n in space.dims}
+        degrees = _degrees(space)
+        units = [{i: Fraction(1)} for i in range(space.total_dim)]
         for strict in (False, True):
             with pytest.raises(TheoremViolation, match="not upper triangular in the flag basis"):
-                _lie_phase(space, [(space, sparse, units)], sparse, strict)
+                _lie_phase(degrees, [(degrees, sparse, units)], sparse, strict)
     chain = [_sparse_of(f) for f in (d, unit_map(v, 0, 1), d)]
-    assert _chain_eigenvector(_Quotient(v), chain, False) == (E0, {0: Fraction(1)})
+    q = _Quotient(_degrees(v))
+    assert _chain_eigenvector(q, chain, False) == {0: Fraction(1)}
+    assert q.degrees[0] == E0
 
 
 def _adjoint_flag(L):
-    """ideal_chain's flag vectors on the profile space, with no
+    """ideal_chain's flag vectors on the profile space, sparse, with no
     certificate."""
     from colorlie.algebra import _square
     from colorlie.structure import (
@@ -1434,24 +1443,34 @@ def _adjoint_flag(L):
     coords, _ = _derived_coords(L, derived)
     ads = _sparse_ads(L, coords)
     k = derived.dim
-    levels = list(_kernel_filtration(L.profile_space(), ads[:k], ads[k:]))
-    return _lie_phase(L.profile_space(), levels, [], True)[0]
+    degrees = _degrees(L.profile_space())
+    levels = list(_kernel_filtration(degrees, ads[:k], ads[k:]))
+    return _lie_phase(degrees, levels, [], True)[0]
 
 
 def _certificate_cases(L):
     """(space, flag vectors, sparse maps, the same maps dense) for the
     certificates of color_flag on V and of ideal_chain on L."""
-    from reference import ref_ad
+    from reference import densify, ref_ad
+    from colorlie import unflatten_vector
     from colorlie.structure import _sparse_ads, _sparse_elements
 
     units = [(g, L._unit(i)) for i, g in enumerate(L._degrees)]
     basis = [(f.degree, c) for f, c in zip(L.basis, L._basis_coords)]
+    profile = L.profile_space()
     return [
         (L.space, list(color_flag(L).ordered_basis), _sparse_elements(L, basis),
          [flatten_map(f) for f in L.basis]),
-        (L.profile_space(), _adjoint_flag(L), _sparse_ads(L, units),
-         [flatten_map(ref_ad(L, g, v)) for g, v in units]),
+        (profile, [unflatten_vector(profile, densify(v, L.dim)) for v in _adjoint_flag(L)],
+         _sparse_ads(L, units), [flatten_map(ref_ad(L, g, v)) for g, v in units]),
     ]
+
+
+def _certify_graded(space, vectors, sparse):
+    """The sparse certificate of the flag ``vectors``, vectors of space."""
+    from colorlie.structure import _certify
+
+    return _certify(_degrees(space), [_sparse_vector(v) for v in vectors], sparse)
 
 
 def _certificates(space, vectors, sparse, dense):
@@ -1459,7 +1478,6 @@ def _certificates(space, vectors, sparse, dense):
     diagonals or the message of the TheoremViolation it raised."""
     from reference import ref_certificate
     from colorlie import TheoremViolation
-    from colorlie.structure import _certify
 
     def run(check):
         try:
@@ -1468,7 +1486,7 @@ def _certificates(space, vectors, sparse, dense):
             return str(e)
 
     return (
-        run(lambda: _certify(space, vectors, sparse)),
+        run(lambda: _certify_graded(space, vectors, sparse)),
         run(lambda: ref_certificate([flatten_vector(v) for v in vectors], dense)),
     )
 
@@ -1513,7 +1531,6 @@ def test_corrupted_flag_fails_the_certificate():
     # triangularity; a repeated vector is no basis
     from reference import ref_certificate
     from colorlie import TheoremViolation
-    from colorlie.structure import _certify
 
     for n in (3, 4):
         for grading in ("plain", "z", "zsuper", "z2"):
@@ -1522,14 +1539,36 @@ def test_corrupted_flag_fails_the_certificate():
                 swapped[0], swapped[-1] = swapped[-1], swapped[0]
                 flat = [flatten_vector(v) for v in swapped]
                 with pytest.raises(TheoremViolation, match="not upper triangular"):
-                    _certify(space, swapped, sparse)
+                    _certify_graded(space, swapped, sparse)
                 with pytest.raises(TheoremViolation, match="not upper triangular"):
                     ref_certificate(flat, dense)
                 repeated = vectors[:-1] + vectors[:1]
                 with pytest.raises(TheoremViolation, match="do not form a basis"):
-                    _certify(space, repeated, sparse)
+                    _certify_graded(space, repeated, sparse)
                 with pytest.raises(TheoremViolation, match="do not form a basis"):
-                    _certify(space, vectors[:-1], sparse)
+                    _certify_graded(space, vectors[:-1], sparse)
+
+
+def test_certificate_rejects_a_mixed_vector():
+    # e_0 + e_1 and e_1, of degrees 0 and 1, triangularize the identity
+    # and a degree-zero diagonal map, as the dense reference shows, but
+    # e_0 + e_1 is not homogeneous, so the flag is not a color flag
+    from reference import ref_certificate
+    from colorlie import TheoremViolation
+    from colorlie.structure import _certify
+
+    z = make_group(1, [])
+    z0, z1 = z.element([0]), z.element([1])
+    w = make_space(z, {z0: 1, z1: 1})
+    maps = [make_map(w, z0, {z0: [[1]], z1: [[1]]}), make_map(w, z0, {z0: [[2]], z1: [[2]]})]
+    mixed = [{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(1)}]
+    flat = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
+    assert ref_certificate(flat, [flatten_map(f) for f in maps]) == [[1, 1], [2, 2]]
+    with pytest.raises(TheoremViolation, match="flag vector is not homogeneous"):
+        _certify(_degrees(w), mixed, [_sparse_of(f) for f in maps])
+    # the same vectors split by degree pass
+    assert _certify(_degrees(w), [{0: Fraction(1)}, {1: Fraction(1)}],
+                    [_sparse_of(f) for f in maps]) == [[1, 1], [2, 2]]
 
 
 def test_adjoint_certificate_with_the_adapted_basis(monkeypatch):
@@ -1537,7 +1576,7 @@ def test_adjoint_certificate_with_the_adapted_basis(monkeypatch):
     # ad of L's basis adapted to [L, L], which spans ad L.  That
     # certificate agrees with the dense reference and rejects a flag with
     # its first and last vectors swapped
-    from reference import ref_ad, ref_certificate
+    from reference import densify, ref_ad, ref_certificate
     import colorlie.structure as structure
     from colorlie import TheoremViolation
     from colorlie.algebra import _square
@@ -1555,19 +1594,19 @@ def test_adjoint_certificate_with_the_adapted_basis(monkeypatch):
             assert len(_Echelon(L.dim, [v for _, v in coords]).pivots) == L.dim
             ads = _sparse_ads(L, coords)
             dense = [flatten_map(ref_ad(L, g, v)) for g, v in coords]
-            space, vectors = L.profile_space(), _adjoint_flag(L)
-            flat = [flatten_vector(v) for v in vectors]
-            assert _certify(space, vectors, ads) == ref_certificate(flat, dense)
+            degrees, vectors = _degrees(L.profile_space()), _adjoint_flag(L)
+            flat = [densify(v, L.dim) for v in vectors]
+            assert _certify(degrees, vectors, ads) == ref_certificate(flat, dense)
             swapped = list(vectors)
             swapped[0], swapped[-1] = swapped[-1], swapped[0]
             with pytest.raises(TheoremViolation, match="not upper triangular"):
-                _certify(space, swapped, ads)
+                _certify(degrees, swapped, ads)
             with pytest.raises(TheoremViolation, match="not upper triangular"):
-                ref_certificate([flatten_vector(v) for v in swapped], dense)
+                ref_certificate([densify(v, L.dim) for v in swapped], dense)
             # and these are the maps ideal_chain certifies with
             del seen[:]
             ideal_chain(L)
-            assert [[_normal(x) for x in maps] for maps in seen] == [[_normal(x) for x in ads]]
+            assert seen == [ads]
 
 
 def test_flag_builds_each_map_once(monkeypatch):
