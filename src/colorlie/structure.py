@@ -391,7 +391,8 @@ class _Quotient:
     no coordinate and its reduced rows stay homogeneous.
 
     The free (non-pivot) columns are the quotient's coordinates, in
-    order, so its components keep F's degree order.  A sparse vector of F
+    order (``at`` maps each to its position), so its components keep F's
+    degree order.  A sparse vector of F
     projects to its normal form modulo S read at them, keyed by position
     among them: the combination, at its entries, of the projections of
     F's unit vectors (``project``).  Quotienting F/S again by T/S adds
@@ -419,6 +420,7 @@ class _Quotient:
         for v in rows:
             self.ech.add(v)
         self.free = self.ech.free()
+        self.at = {c: i for i, c in enumerate(self.free)}
         self._units: list | None = None
 
     @property
@@ -428,9 +430,9 @@ class _Quotient:
         pivot p of a reduced row R_p."""
         if self._units is None:
             units: list[dict] = [{} for _ in self.degrees]
-            at = {}
-            for i, c in enumerate(self.free):
-                units[c], at[c] = {i: _ONE}, i
+            at = self.at
+            for c, i in at.items():
+                units[c] = {i: _ONE}
             for p, row in zip(self.ech.pivots, self.ech.sparse_rows):
                 units[p] = {at[c]: -x for c, x in row.items() if c != p}
             self._units = units
@@ -513,8 +515,7 @@ def _kernel_filtration(degrees: list, nil, top):
     nonzero = [[(c, col) for c, col in enumerate(cols) if col] for _, cols in nil]
     q = _Quotient(degrees)
     while q.free:
-        free, units = q.free, q.units
-        at = {c: j for j, c in enumerate(free)}
+        free, at, units = q.free, q.at, q.units
         ech = _Echelon(len(free))
         left = collections.Counter(degrees[c] for c in free)  # without a pivot
         for cols in nonzero:

@@ -43,6 +43,8 @@ from colorlie import (
     unflatten_map,
     z3_counterexample,
 )
+from colorlie.graded import _flat
+from colorlie.structure import _coordinate_degrees, _map_of
 from corpus import (
     borel_generators,
     conjugated_nil_span,
@@ -614,10 +616,11 @@ def test_quotient_projection_kills_subspace():
                     for _ in range(rng.randint(0, n))]
                 for g, n in space.dims
             }
-            q = _Quotient(_degrees(space))
+            q = _Quotient(_coordinate_degrees(space))
             q.add([_at(space, g, v) for g, vs in rows.items() for v in vs])
             for g, n in space.dims:
-                assert q.coordinate_degrees(range(len(q.free))).count(g) == n - _rank(rows[g], n)
+                free_degrees = q.coordinate_degrees(range(len(q.free)))
+                assert free_degrees.count(g) == n - _rank(rows[g], n)
                 for v in rows[g]:
                     assert not any(q.project(_at(space, g, v)).values())
             basis, cols = _whole(q)
@@ -635,7 +638,7 @@ def test_quotient_induced_map_is_projection_of_map_on_lift():
     z0, z1 = z.element([0]), z.element([1])
     v = make_space(z, {z0: 2, z1: 1})
     d = make_map(v, z0, {z0: [[1, 2], [0, 3]], z1: [[5]]})
-    q = _Quotient(_degrees(v))
+    q = _Quotient(_coordinate_degrees(v))
     q.add([{0: Fraction(1), 1: Fraction(1)}])
     assert _induce(q, d) == make_map(_quotient_space(v, q), z0, {z0: [[1]], z1: [[5]]})
     # in general: flatten(induced f) = P flatten(f) I, for the normal-form
@@ -645,7 +648,7 @@ def test_quotient_induced_map_is_projection_of_map_on_lift():
         for _ in range(5):
             space = random_space(rng, group)
             n = space.total_dim
-            q = _Quotient(_degrees(space))
+            q = _Quotient(_coordinate_degrees(space))
             q.add([
                 _at(space, g, [Fraction(rng.randint(-2, 2)) for _ in range(m)])
                 for g, m in space.dims if rng.random() < 0.5
@@ -668,13 +671,6 @@ def _induce(q, f):
     return _dense_map(space, _restrict(_sparse_of(f), q, *_whole(q)))
 
 
-def _degrees(space):
-    """The degree of each coordinate of space, in flattened order."""
-    from colorlie.structure import _coordinate_degrees
-
-    return _coordinate_degrees(space)
-
-
 def _quotient_space(space, q):
     """The graded space of the quotient q of a quotient of space."""
     return _space_of(space.group, q.coordinate_degrees(range(len(q.free))))
@@ -687,9 +683,6 @@ def _space_of(group, degrees):
 
 def _sparse_of(f):
     """The sparse map (``structure._map_of``) of the map f."""
-    from colorlie.graded import _flat
-    from colorlie.structure import _map_of
-
     return _map_of(f.degree, _flat(f), f.space.total_dim)
 
 
@@ -720,14 +713,6 @@ def _nonzero(v):
     return {i: x for i, x in v.items() if x}
 
 
-def _place(space, g, comp):
-    """The component comp at degree g, flattened in space."""
-    out = [Fraction(0)] * space.total_dim
-    for i, x in enumerate(comp):
-        out[space.offsets()[g] + i] = x
-    return out
-
-
 def test_quotient_in_steps_equals_quotient_at_once():
     # V/S/(T/S) = V/T for invariant S < T: the same space, projections
     # and induced maps; quotienting V/S again by T/S adds T/S's lifted
@@ -742,9 +727,10 @@ def test_quotient_in_steps_equals_quotient_at_once():
     algebras += [_borel(4, grading) for grading in ("plain", "z", "zsuper", "z2")]
     for L in algebras:
         levels = [[]] + _levels_in_v(L)
-        degrees = _degrees(L.space)
+        degrees = _coordinate_degrees(L.space)
         for s_vecs, t_vecs in itertools.combinations(levels, 2):
-            s_rows, t_rows = [dict(enumerate(v)) for v in s_vecs], [dict(enumerate(v)) for v in t_vecs]
+            s_rows = [dict(enumerate(v)) for v in s_vecs]
+            t_rows = [dict(enumerate(v)) for v in t_vecs]
             q_s, q_t = _Quotient(degrees), _Quotient(degrees)
             q_s.add(s_rows)
             q_t.add(t_rows)
@@ -890,7 +876,8 @@ def test_restrict_matches_per_column_solve():
     # an invariant line: E_12 kills e_1
     v = gl(2)
     line = [{0: Fraction(1)}], [0]
-    assert _restrict(_sparse_of(unit_map(v, 0, 1)), _Quotient(_degrees(v)), *line)[1] == [{}]
+    q = _Quotient(_coordinate_degrees(v))
+    assert _restrict(_sparse_of(unit_map(v, 0, 1)), q, *line)[1] == [{}]
 
 
 def _assert_restrict_solves_on_kernel(space, f) -> int:
@@ -910,7 +897,7 @@ def _assert_restrict_solves_on_kernel(space, f) -> int:
 
     n = space.total_dim
     f2 = compose(f, f)
-    q = _Quotient(_degrees(space))
+    q = _Quotient(_coordinate_degrees(space))
     q.add(narrowed(q, f, _whole(q))[0])
     basis, cols = narrowed(q, f2, narrowed(q, compose(f2, f), _whole(q)))
     if not basis:
@@ -957,7 +944,7 @@ def _assert_restrict_solves_on_levels(L):
     maps = [L._element(g, v) for g, v in coords[k:]]
     below = {g: [] for g in L.space.degrees}
     nil, top_maps = _sparse_elements(L, coords[:k]), _sparse_elements(L, coords[k:])
-    degrees = _degrees(L.space)
+    degrees = _coordinate_degrees(L.space)
     levels = list(_kernel_filtration(degrees, nil, top_maps))
     for (level, _, basis), top in zip(levels, _restricted_tops(degrees, levels, top_maps)):
         dense = {}
@@ -1160,7 +1147,7 @@ def _levels_in_v(L):
 
     nil = [_sparse_of(f) for f in _square(L).elements()]
     out, acc = [], []
-    for _, top, basis in _kernel_filtration(_degrees(L.space), nil, []):
+    for _, top, basis in _kernel_filtration(_coordinate_degrees(L.space), nil, []):
         assert top == []
         acc += [densify(w, L.space.total_dim) for w in basis]
         out.append(list(acc))
@@ -1245,7 +1232,7 @@ def _assert_filtration_matches_reference(space, maps, sparse, k):
     from colorlie.structure import _kernel_filtration
 
     assert sparse == [_sparse_of(f) for f in maps]
-    degrees = _degrees(space)
+    degrees = _coordinate_degrees(space)
     got = list(_kernel_filtration(degrees, sparse[:k], sparse[k:]))
     want = ref_kernel_filtration(space, maps[:k], maps[k:])
     tops = _restricted_tops(degrees, got, sparse[k:])
@@ -1253,7 +1240,8 @@ def _assert_filtration_matches_reference(space, maps, sparse, k):
         (_space_of(space.group, level), t, [densify(w, space.total_dim) for w in basis])
         for (level, _, basis), t in zip(got, tops)
     ] == [
-        (s, [_sparse_of(f) for f in t], [_place(space, g, v) for g, vs in r.items() for v in vs])
+        (s, [_sparse_of(f) for f in t],
+         [densify(_at(space, g, v), space.total_dim) for g, vs in r.items() for v in vs])
         for s, t, r in want
     ]
     assert [level for level, _, _ in got] == [
@@ -1294,7 +1282,7 @@ def test_kernel_filtration_matches_induced_map_reference():
             _sparse_ads(L, coords), k,
         )
         # the profile order lists the profile space's coordinates
-        assert [L._degrees[i] for i in _profile_order(L)] == _degrees(L.profile_space())
+        assert [L._degrees[i] for i in _profile_order(L)] == _coordinate_degrees(L.profile_space())
         # elements with several nonzero coordinates per degree
         mixed = [
             (g, dict(enumerate(Fraction(rng.randint(-2, 2)) if d == g else Fraction(0)
@@ -1325,7 +1313,7 @@ def test_kernel_filtration_rejects_non_invariant_level():
     ]
     for space, nil, top in cases:
         nil_s, top_s = _sparse_of(nil), _sparse_of(top)
-        degrees = _degrees(space)
+        degrees = _coordinate_degrees(space)
         levels = list(_kernel_filtration(degrees, [nil_s], [top_s]))
         with pytest.raises(TheoremViolation, match="not upper triangular in the flag basis"):
             _lie_phase(degrees, levels, [nil_s, top_s], True)
@@ -1420,13 +1408,13 @@ def test_non_invariant_line_has_no_homogeneous_eigenvector():
     for space, chain in cases:
         sparse = [_sparse_of(f) for f in chain]
         # one level, the whole space in its standard basis
-        degrees = _degrees(space)
+        degrees = _coordinate_degrees(space)
         units = [{i: Fraction(1)} for i in range(space.total_dim)]
         for strict in (False, True):
             with pytest.raises(TheoremViolation, match="not upper triangular in the flag basis"):
                 _lie_phase(degrees, [(degrees, sparse, units)], sparse, strict)
     chain = [_sparse_of(f) for f in (d, unit_map(v, 0, 1), d)]
-    q = _Quotient(_degrees(v))
+    q = _Quotient(_coordinate_degrees(v))
     assert _chain_eigenvector(q, chain, False) == {0: Fraction(1)}
     assert q.degrees[0] == E0
 
@@ -1443,7 +1431,7 @@ def _adjoint_flag(L):
     coords, _ = _derived_coords(L, derived)
     ads = _sparse_ads(L, coords)
     k = derived.dim
-    degrees = _degrees(L.profile_space())
+    degrees = _coordinate_degrees(L.profile_space())
     levels = list(_kernel_filtration(degrees, ads[:k], ads[k:]))
     return _lie_phase(degrees, levels, [], True)[0]
 
@@ -1470,7 +1458,7 @@ def _certify_graded(space, vectors, sparse):
     """The sparse certificate of the flag ``vectors``, vectors of space."""
     from colorlie.structure import _certify
 
-    return _certify(_degrees(space), [_sparse_vector(v) for v in vectors], sparse)
+    return _certify(_coordinate_degrees(space), [_sparse_vector(v) for v in vectors], sparse)
 
 
 def _certificates(space, vectors, sparse, dense):
@@ -1565,9 +1553,9 @@ def test_certificate_rejects_a_mixed_vector():
     flat = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
     assert ref_certificate(flat, [flatten_map(f) for f in maps]) == [[1, 1], [2, 2]]
     with pytest.raises(TheoremViolation, match="flag vector is not homogeneous"):
-        _certify(_degrees(w), mixed, [_sparse_of(f) for f in maps])
+        _certify(_coordinate_degrees(w), mixed, [_sparse_of(f) for f in maps])
     # the same vectors split by degree pass
-    assert _certify(_degrees(w), [{0: Fraction(1)}, {1: Fraction(1)}],
+    assert _certify(_coordinate_degrees(w), [{0: Fraction(1)}, {1: Fraction(1)}],
                     [_sparse_of(f) for f in maps]) == [[1, 1], [2, 2]]
 
 
@@ -1594,7 +1582,7 @@ def test_adjoint_certificate_with_the_adapted_basis(monkeypatch):
             assert len(_Echelon(L.dim, [v for _, v in coords]).pivots) == L.dim
             ads = _sparse_ads(L, coords)
             dense = [flatten_map(ref_ad(L, g, v)) for g, v in coords]
-            degrees, vectors = _degrees(L.profile_space()), _adjoint_flag(L)
+            degrees, vectors = _coordinate_degrees(L.profile_space()), _adjoint_flag(L)
             flat = [densify(v, L.dim) for v in vectors]
             assert _certify(degrees, vectors, ads) == ref_certificate(flat, dense)
             swapped = list(vectors)
