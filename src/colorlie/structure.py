@@ -517,7 +517,7 @@ def _kernel_filtration(degrees: list, nil, top):
     while q.free:
         free, at, units = q.free, q.at, q.units
         ech = _Echelon(len(free))
-        left = collections.Counter(degrees[c] for c in free)  # without a pivot
+        left = collections.Counter(degrees[c] for c in free)  # free columns without a pivot
         for cols in nonzero:
             if not any(left.values()):
                 break
