@@ -45,12 +45,14 @@ Those brackets, the closure's and the table's, are the only ones taken
 of maps, and ``_sparse_bracket`` computes them on sparse flattened rows
 of the N x N matrices, without building block maps; the caller tracks
 the degree |a| + |b|.  ``color_bracket`` stays the
-public bracket of block maps, composed block by block, so the tests can
-check the kernel and the table against it.
+public bracket of block maps, by block arithmetic (``compose``,
+``add_maps``), so the tests can check the kernel and the table against
+it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,8 +74,8 @@ from .grading import (
 from .graded import (
     GradedSpace,
     HomogeneousMap,
+    _coordinate_degrees,
     _flat,
-    _map,
     _unflatten,
     add_maps,
     compose,
@@ -83,7 +85,7 @@ from .graded import (
     scale_map,
     zero_map,
 )
-from .linalg import _ONE, _ZERO, Matrix, _Echelon, is_nilpotent_matrix
+from .linalg import _ONE, _ZERO, _Echelon, is_nilpotent_matrix
 
 
 def color_bracket(r: Bicharacter, a: HomogeneousMap, b: HomogeneousMap) -> HomogeneousMap:
@@ -93,21 +95,7 @@ def color_bracket(r: Bicharacter, a: HomogeneousMap, b: HomogeneousMap) -> Homog
     if r.spec != a.space.group:
         raise GroupMismatch("bicharacter group differs from the grading group")
     s = eval_bicharacter(r, b.degree, a.degree)
-    ab = compose(a, b)
-    blocks = dict(ab.blocks)
-    for h, m in compose(b, a).blocks:
-        p = blocks.get(h)
-        if p is None:
-            blocks[h] = m.scale(-s)
-        else:
-            blocks[h] = Matrix._raw(
-                tuple(
-                    tuple(x - s * y for x, y in zip(rp, rm))
-                    for rp, rm in zip(p.data, m.data)
-                ),
-                m.cols,
-            )
-    return _map(a.space, ab.degree, blocks)
+    return add_maps(compose(a, b), scale_map(-s, compose(b, a)))
 
 
 def _sparse_bracket(n: int, x: dict, y: dict, s: Fraction) -> dict[int, Fraction]:
@@ -136,6 +124,15 @@ def _sparse_bracket(n: int, x: dict, y: dict, s: Fraction) -> dict[int, Fraction
     return out
 
 
+def _pivot_degrees(space: GradedSpace, pivots) -> list[GroupElement]:
+    """The degree of each flattened row with the given pivot: deg(p // n)
+    - deg(p % n) on a space of dimension n (see the module docstring)."""
+    n = space.total_dim
+    degrees = _coordinate_degrees(space)
+    negated = [-g for g in degrees]
+    return [element_add(degrees[p // n], negated[p % n]) for p in pivots]
+
+
 class ColorAlgebra:
     """A span of linearly independent homogeneous maps; with closed=True
     the span is verified (or trusted, for internally built algebras) to be
@@ -156,11 +153,7 @@ class ColorAlgebra:
         for f in basis:
             if f.space != space:
                 raise SpaceMismatch("basis map acts on a different space")
-        flat = [_flat(f) for f in basis]
-        solver = _Echelon(space.total_dim ** 2, flat, track=True)
-        if len(solver.pivots) < len(basis):
-            raise ValidationError("basis maps are linearly dependent")
-        self._setup(space, r, basis, closed, flat, solver)
+        self._setup(space, r, basis, closed, [_flat(f) for f in basis])
         if closed:
             self._structure()
 
@@ -169,28 +162,25 @@ class ColorAlgebra:
                  ech: _Echelon) -> "ColorAlgebra":
         """The trusted closed algebra whose basis is the reduced rows of
         ``ech``, an ``_Echelon`` of flattened maps on ``space``, stably
-        sorted by degree: a row with pivot p has degree deg(p // n) -
-        deg(p % n), deg(i) the degree of V's i-th coordinate.  The rows
-        are independent and already reduced, so the basis maps are read
-        off them without a pattern check, and they enter the solver
-        without being reduced again: each meets no other row's pivot."""
-        n = space.total_dim
-        where = [g for g, m in space.dims for _ in range(m)]
+        sorted by degree (``_pivot_degrees``).  The rows are independent
+        and already reduced, so the basis maps are read off them without a
+        pattern check, and they enter the solver without being reduced
+        again: each meets no other row's pivot."""
         vectors = sorted(
-            ((where[p // n] + -where[p % n], row)
-             for p, row in zip(ech.pivots, ech.sparse_rows)),
+            zip(_pivot_degrees(space, ech.pivots), ech.sparse_rows),
             key=lambda gv: gv[0].sort_key(),
         )
-        flat = [v for _, v in vectors]
-        basis = tuple(_unflatten(space, g, v) for g, v in vectors)
-        solver = _Echelon(space.total_dim ** 2, flat, track=True)
         L = cls.__new__(cls)
-        L._setup(space, r, basis, True, flat, solver)
+        L._setup(space, r, tuple(_unflatten(space, g, v) for g, v in vectors), True,
+                 [v for _, v in vectors])
         return L
 
-    def _setup(self, space, r, basis, closed, flat, solver):
-        """The fields both constructors set, from the basis, its flattened
-        rows and their tracked echelon."""
+    def _setup(self, space, r, basis, closed, flat):
+        """The fields both constructors set, from the basis and its
+        flattened rows, whose tracked echelon is the solver."""
+        solver = _Echelon(space.total_dim ** 2, flat, track=True)
+        if len(solver.pivots) < len(basis):
+            raise ValidationError("basis maps are linearly dependent")
         self.space = space
         self.r = r
         self.basis = basis
@@ -198,12 +188,7 @@ class ColorAlgebra:
         self._solver = solver
         self._profile: GradedSpace | None = None
         self._table: list[dict] | None = None
-        # R_k combines basis maps of its own degree only; they are the
-        # tracked columns of its integer row, keyed width + i for basis[i]
-        w = solver.width
-        self._degrees = [
-            basis[min(i for i in row if i >= w) - w].degree for row in solver.int_rows
-        ]
+        self._degrees = _pivot_degrees(space, solver.pivots)
         self._basis_coords = [
             {k: v[p] for k, p in enumerate(solver.pivots) if p in v} for v in flat
         ]
@@ -213,11 +198,7 @@ class ColorAlgebra:
         return len(self.basis)
 
     def degrees(self) -> list[GroupElement]:
-        seen = []
-        for f in self.basis:
-            if f.degree not in seen:
-                seen.append(f.degree)
-        return sorted(seen, key=lambda g: g.sort_key())
+        return sorted({f.degree for f in self.basis}, key=lambda g: g.sort_key())
 
     def basis_indices_of_degree(self, g: GroupElement) -> list[int]:
         return [i for i, f in enumerate(self.basis) if f.degree == g]
@@ -251,9 +232,7 @@ class ColorAlgebra:
         """The graded space with one dimension per basis element, used by
         the adjoint representation."""
         if self._profile is None:
-            dims = {}
-            for f in self.basis:
-                dims[f.degree] = dims.get(f.degree, 0) + 1
+            dims = Counter(f.degree for f in self.basis)
             self._profile = make_space(self.space.group, dims)
         return self._profile
 
@@ -324,13 +303,18 @@ def bracket_closure(space: GradedSpace, r: Bicharacter, generators) -> ColorAlge
 
     A worklist, as in semi-naive evaluation (Bancilhon and Ramakrishnan,
     SIGMOD 1986): ``elems`` holds the independent maps found so far, the
-    generators first and then every new bracket.  Each ``elems[i]`` is
-    bracketed once with ``elems[0..i]``, itself included, and every
-    result that enlarges the span is appended.  When the scan reaches
-    the end, every unordered pair of a spanning set has been bracketed
-    and, by skew symmetry (see the module docstring), every ordered pair
-    lies in the span, so the span is closed by bilinearity.  At most
-    dim V^2 maps are independent, so the scan ends.
+    independent generators ``gens`` first and then every new bracket.
+    Each ``elems[i]`` is bracketed once with ``gens[0..i]``, itself
+    included while it is a generator, and every result that enlarges the
+    span is appended.  When the scan reaches the end, each generator pair
+    has been bracketed once and every other element with every generator,
+    so by skew symmetry (see the module docstring) the span S has
+    [g, S] in S for each generator g.  By color Jacobi the x with
+    [x, S] in S form a subalgebra; it holds the generators, hence the
+    algebra they generate, which holds S, so S is closed: left-normed
+    brackets of generators span the generated algebra (de Graaf, *Lie
+    Algebras: Theory and Algorithms*, 2000).  At most dim V^2 maps are
+    independent, so the scan ends.
 
     The worklist holds (degree, sparse flattened row) pairs and brackets
     them with ``_sparse_bracket``; the span is one ``_Echelon`` over
@@ -347,14 +331,13 @@ def bracket_closure(space: GradedSpace, r: Bicharacter, generators) -> ColorAlge
             elems.append((g.degree, flat))
     if r.spec != space.group:
         raise GroupMismatch("bicharacter group differs from the grading group")
-    i = 0
-    while i < len(elems):
-        da, a = elems[i]
-        for db, b in elems[: i + 1]:
+    gens = elems[:]
+    # the scan reaches the brackets it appends
+    for i, (da, a) in enumerate(elems):
+        for db, b in gens[: i + 1]:
             c = _sparse_bracket(n, a, b, eval_bicharacter(r, db, da))
             if c and ech.add(c):
                 elems.append((element_add(da, db), c))
-        i += 1
     return ColorAlgebra._spanned(space, r, ech)
 
 
@@ -398,10 +381,7 @@ class Subspace:
         return list(self.dims_by_degree())
 
     def dims_by_degree(self) -> dict[GroupElement, int]:
-        out: dict[GroupElement, int] = {}
-        for g, _ in self._vectors():
-            out[g] = out.get(g, 0) + 1
-        return out
+        return dict(Counter(g for g, _ in self._vectors()))
 
     def elements(self) -> list[HomogeneousMap]:
         return [self.parent._element(g, v) for g, v in self._vectors()]
@@ -454,9 +434,10 @@ def _square(L: ColorAlgebra) -> Subspace:
     return out
 
 
-def derived_series(L: ColorAlgebra) -> list[Subspace]:
-    """L, [L,L], [[L,L],[L,L]], ... until the terms stabilize; [L, L]
-    comes straight off the table (``_square``)."""
+def _series(L: ColorAlgebra, derived: bool) -> list[Subspace]:
+    """L, [L, L], then [S, S] (derived) or [L, S] (lower central) of the
+    last term S, until the terms stabilize; [L, L] comes straight off the
+    table (``_square``)."""
     _require_closed(L)
     series = [full_subspace(L)]
     nxt = _square(L)
@@ -464,23 +445,18 @@ def derived_series(L: ColorAlgebra) -> list[Subspace]:
         series.append(nxt)
         if nxt.dim == 0:
             break
-        nxt = bracket_subspaces(nxt, nxt)
+        nxt = bracket_subspaces(nxt if derived else series[0], nxt)
     return series
+
+
+def derived_series(L: ColorAlgebra) -> list[Subspace]:
+    """L, [L,L], [[L,L],[L,L]], ... until the terms stabilize."""
+    return _series(L, True)
 
 
 def lower_central_series(L: ColorAlgebra) -> list[Subspace]:
-    """L, [L,L], [L,[L,L]], ... until the terms stabilize; [L, L] comes
-    straight off the table (``_square``)."""
-    _require_closed(L)
-    top = full_subspace(L)
-    series = [top]
-    nxt = _square(L)
-    while nxt.dim != series[-1].dim:
-        series.append(nxt)
-        if nxt.dim == 0:
-            break
-        nxt = bracket_subspaces(top, nxt)
-    return series
+    """L, [L,L], [L,[L,L]], ... until the terms stabilize."""
+    return _series(L, False)
 
 
 def is_solvable(L: ColorAlgebra) -> bool:
@@ -516,20 +492,18 @@ def ad_map(L: ColorAlgebra, x: HomogeneousMap) -> HomogeneousMap:
     xs = L._pivot_coords(x)
     if xs is None:
         raise NotInAlgebra("ad of a map outside the algebra")
-    profile = L.profile_space()
-    blocks = {}
-    for h in L.degrees():
-        src = L.basis_indices_of_degree(h)
-        target = element_add(h, x.degree)
-        tgt = L.basis_indices_of_degree(target)
-        if not tgt:
-            continue
-        cols = []
-        for j in src:
-            coords = L._solver.to_basis(L._bracket(xs, L._basis_coords[j]))
-            cols.append([coords[i] for i in tgt])
-        blocks[h] = Matrix.from_columns(cols, rows=len(tgt))
-    return _map(profile, x.degree, blocks)
+    # the profile space lists the basis stably sorted by degree, basis[i]
+    # at coordinate at[i]
+    m = L.dim
+    order = sorted(range(m), key=lambda i: L.basis[i].degree.sort_key())
+    at = {i: k for k, i in enumerate(order)}
+    flat = {}
+    for j in range(m):
+        coords = L._solver.to_basis(L._bracket(xs, L._basis_coords[j]))
+        for i, c in enumerate(coords):
+            if c:
+                flat[at[i] * m + at[j]] = c
+    return _unflatten(L.profile_space(), x.degree, flat)
 
 
 def ad_representation(L: ColorAlgebra) -> ColorAlgebra:

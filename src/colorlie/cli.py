@@ -66,8 +66,7 @@ def _subspace_dims(sub) -> dict:
     return {
         "dimension": sub.dim,
         "by_degree": [
-            {"degree": _coords(g), "dim": n}
-            for g, n in sorted(sub.dims_by_degree().items(), key=lambda kv: kv[0].sort_key())
+            {"degree": _coords(g), "dim": n} for g, n in sub.dims_by_degree().items()
         ],
     }
 
@@ -115,9 +114,7 @@ def cmd_series(args) -> int:
             print(f"{name} series, per-degree dimensions:")
             for i, s in enumerate(series):
                 parts = ", ".join(
-                    f"{_coords(g)}: {n}" for g, n in sorted(
-                        s.dims_by_degree().items(), key=lambda kv: kv[0].sort_key()
-                    )
+                    f"{_coords(g)}: {n}" for g, n in s.dims_by_degree().items()
                 ) or "0"
                 print(f"  step {i}: {parts}")
         print(f"solvable: {payload['solvable']}")

@@ -4,12 +4,15 @@ A homogeneous map of degree u sends the component of degree h into the
 component of degree h + u; it is stored as a dictionary of blocks keyed
 by source degree.  Blocks whose target falls outside the support are
 identically zero and never stored, which keeps all data finite.
-Graded kernels are echelonized per degree by ``linalg._Echelon``, on
-sparse vectors ``{index: value}``.  A span of homogeneous maps needs no
-such split: flattened maps of different degrees have disjoint supports,
-so one ``_Echelon`` of their flattened matrices keeps its reduced rows
-homogeneous, the degree of a row with pivot p being deg(p // N) -
-deg(p % N) on a space of dimension N.
+No span or kernel here is split by degree.  A row of a homogeneous map's
+flattened matrix reads coordinates of one degree only, so one
+``linalg._Echelon`` of such rows, on sparse vectors ``{index: value}``,
+keeps its reduced rows homogeneous, and with them the kernel vector at
+each free column.  Likewise flattened maps of different degrees have
+disjoint supports, so one ``_Echelon`` of flattened matrices keeps its
+reduced rows homogeneous, the degree of a row with pivot p being
+deg(p // N) - deg(p % N) on a space of dimension N, deg(i) the degree of
+V's i-th coordinate (``_coordinate_degrees``).
 """
 
 from __future__ import annotations
@@ -71,6 +74,11 @@ class GradedSpace:
             out[g] = pos
             pos += n
         return out
+
+
+def _coordinate_degrees(space: GradedSpace) -> list[GroupElement]:
+    """The degree of each coordinate of ``space``, in flattened order."""
+    return [g for g, n in space.dims for _ in range(n)]
 
 
 def make_space(group: GroupSpec, dims) -> GradedSpace:
@@ -156,22 +164,21 @@ def standard_basis_vector(space: GradedSpace, g: GroupElement, i: int) -> Graded
 
 
 def flatten_vector(v: GradedVector) -> tuple[Fraction, ...]:
-    off = v.space.offsets()
-    out = [_ZERO] * v.space.total_dim
-    for g, comp in v.components:
-        base = off[g]
-        for i, x in enumerate(comp):
-            out[base + i] = x
-    return tuple(out)
+    return tuple(x for g, _ in v.space.dims for x in v.component(g))
 
 
 def unflatten_vector(space: GradedSpace, flat) -> GradedVector:
-    off = space.offsets()
-    comps = {}
-    for g, n in space.dims:
-        base = off[g]
-        comps[g] = tuple(frac(x) for x in flat[base : base + n])
+    if len(flat) != space.total_dim:
+        raise ShapeMismatch(f"vector must have length {space.total_dim}, got {len(flat)}")
+    comps: dict[GroupElement, list[Fraction]] = {}
+    for g, x in zip(_coordinate_degrees(space), flat):
+        comps.setdefault(g, []).append(frac(x))
     return _vector(space, comps)
+
+
+def _graded(space: GradedSpace, v: dict) -> GradedVector:
+    """The vector of ``space`` with the sparse flattened coordinates v."""
+    return unflatten_vector(space, [v.get(i, _ZERO) for i in range(space.total_dim)])
 
 
 @dataclass(frozen=True)
@@ -351,37 +358,24 @@ def _unflatten(space: GradedSpace, degree: GroupElement, flat: dict) -> Homogene
 
 def unflatten_map(space: GradedSpace, degree: GroupElement, m: Matrix) -> HomogeneousMap:
     """Inverse of flatten_map for matrices supported on the degree pattern."""
-    off = space.offsets()
-    blocks = {}
-    seen = [[False] * space.total_dim for _ in range(space.total_dim)]
-    for h, n_src in space.dims:
-        target = element_add(h, degree)
-        n_tgt = space.dim_of(target)
-        if n_tgt == 0:
-            continue
-        r0, c0 = off[target], off[h]
-        blocks[h] = Matrix(
-            [[m.data[r0 + i][c0 + j] for j in range(n_src)] for i in range(n_tgt)],
-            cols=n_src,
-        )
-        for i in range(n_tgt):
-            for j in range(n_src):
-                seen[r0 + i][c0 + j] = True
-    for i in range(space.total_dim):
-        for j in range(space.total_dim):
-            if m.data[i][j] != 0 and not seen[i][j]:
-                raise ValidationError(
-                    "matrix has entries outside the homogeneous pattern"
-                )
-    return _map(space, degree, blocks)
+    n = space.total_dim
+    if m.rows != n or m.cols != n:
+        raise ShapeMismatch(f"matrix must be {n}x{n}, got {m.rows}x{m.cols}")
+    flat = {i * n + j: x for i, row in enumerate(m.data) for j, x in enumerate(row) if x}
+    degrees = _coordinate_degrees(space)
+    targets = [element_add(g, degree) for g in degrees]
+    if any(degrees[i // n] != targets[i % n] for i in flat):
+        raise ValidationError("matrix has entries outside the homogeneous pattern")
+    return _unflatten(space, degree, flat)
 
 
 def graded_kernel(maps, space: GradedSpace | None = None) -> list[GradedVector]:
     """Homogeneous basis of the intersection of the kernels of the maps.
 
-    Computed per degree h: the blocks' rows at source h go into one
-    ``_Echelon``, the scan stopping once the rank reaches the component's
-    dimension, and the kernel is read straight off its reduced rows.
+    The rows of the maps' flattened matrices go into one ``_Echelon``
+    over V's coordinates, the scan stopping once the rank reaches dim V,
+    and the kernel is read straight off its reduced rows; each is
+    homogeneous (see the module docstring), in order of its free column.
     With an empty map list this is the full homogeneous standard basis of
     V (pass ``space`` then).
     """
@@ -393,16 +387,12 @@ def graded_kernel(maps, space: GradedSpace | None = None) -> list[GradedVector]:
         for f in maps:
             if f.space != space:
                 raise SpaceMismatch("kernel maps act on different spaces")
-    out = []
-    for h, n in space.dims:
-        ech = _Echelon(n)
-        rows = (row for f in maps for g, b in f.blocks if g == h for row in b.data)
-        for row in rows:
-            if ech.add(dict(enumerate(row))) and len(ech.pivots) == n:
-                break
-        for v in ech.kernel():
-            out.append(_vector(space, {h: [v.get(c, _ZERO) for c in range(n)]}))
-    return out
+    n = space.total_dim
+    ech = _Echelon(n)
+    for row in (row for f in maps for row in flatten_map(f).data):
+        if ech.add(dict(enumerate(row))) and len(ech.pivots) == n:
+            break
+    return [_graded(space, v) for v in ech.kernel()]
 
 
 @dataclass(frozen=True)

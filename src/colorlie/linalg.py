@@ -24,8 +24,6 @@ from operator import mul
 
 from .errors import NotSquare, SizeMismatch, ZeroPolynomial
 
-Rat = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -175,7 +173,9 @@ class Matrix:
         return tuple(out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(tuple(zip(*self.data)) if self.data else (), cols=self.rows)
+        # a 0 x k matrix transposes to k empty rows
+        rows = tuple(zip(*self.data)) if self.data else ((),) * self.cols
+        return Matrix(rows, cols=self.rows)
 
     def trace(self) -> Fraction:
         if self.rows != self.cols:
@@ -771,6 +771,8 @@ def _non_nilpotent_point(mats, policy: str, seed: int) -> tuple | None:
     as much as k = ceil(s n / c) points.  So the chain runs only after k
     points, which most non-nil spans do not outlast, and only when more
     than k points would remain."""
+    if policy not in ("auto", "deterministic", "probabilistic"):
+        raise ValueError(f"unknown policy {policy!r}")
     mats = list(mats)
     if not mats:
         return None
@@ -783,8 +785,6 @@ def _non_nilpotent_point(mats, policy: str, seed: int) -> tuple | None:
     s = len(mats)
     if policy == "auto":
         policy = "deterministic" if s <= 4 else "probabilistic"
-    if policy not in ("deterministic", "probabilistic"):
-        raise ValueError(f"unknown policy {policy!r}")
     # one common denominator d: sum t_i (d B_i) = d X(t), so a point at
     # which the integer sum is not nilpotent is one for the maps as given
     d = math.lcm(*(x.denominator for m in mats for row in m.data for x in row))

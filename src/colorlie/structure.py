@@ -100,7 +100,9 @@ from .graded import (
     GradedSpace,
     GradedVector,
     HomogeneousMap,
+    _coordinate_degrees,
     _flat,
+    _graded,
     apply,
     flatten_map,
     flatten_vector,
@@ -314,16 +316,6 @@ def _sum_of(vectors, coeffs: dict) -> dict:
                     x = c * x
                 out[i] = out[i] + x if i in out else x
     return out
-
-
-def _coordinate_degrees(space: GradedSpace) -> list[GroupElement]:
-    """The degree of each coordinate of ``space``, in flattened order."""
-    return [g for g, n in space.dims for _ in range(n)]
-
-
-def _graded(space: GradedSpace, v: dict) -> GradedVector:
-    """The vector of ``space`` with the sparse flattened coordinates v."""
-    return unflatten_vector(space, [v.get(i, _ZERO) for i in range(space.total_dim)])
 
 
 def _sparse_elements(L: ColorAlgebra, coords) -> list[tuple]:

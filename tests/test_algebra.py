@@ -592,7 +592,9 @@ def test_closure_brackets_each_pair_once(monkeypatch):
     calls = _count_brackets(monkeypatch)
     L = bracket_closure(v, R0, gens)
     assert L.dim == 15
-    assert calls == {"kernel": 15 * 16 // 2, "color_bracket": 0}
+    # each generator pair once, then each of the 6 new elements with the
+    # 9 generators
+    assert calls == {"kernel": 9 * 10 // 2 + 6 * 9, "color_bracket": 0}
 
 
 def test_closure_matches_all_pairs_reference():

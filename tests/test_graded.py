@@ -13,6 +13,7 @@ from colorlie import (
     ShapeMismatch,
     TorsionDegree,
     UnknownDegree,
+    ValidationError,
     ZeroDegree,
     add_maps,
     apply,
@@ -33,6 +34,7 @@ from colorlie import (
     nilpotent_by_grading,
     scale_map,
     standard_basis_vector,
+    unflatten_map,
     unflatten_vector,
 )
 from corpus import random_homogeneous_map, random_space, torsion_free_configs
@@ -308,6 +310,29 @@ def test_flatten_vector_roundtrip():
     v = shift_space()
     vec = make_vector(v, {Z0: [Fraction(1, 2)], Z1: [3]})
     assert unflatten_vector(v, flatten_vector(vec)) == vec
+
+
+def test_unflatten_vector_checks_length():
+    v = shift_space()
+    for flat in ([1], [1, 2, 3]):
+        with pytest.raises(ShapeMismatch):
+            unflatten_vector(v, flat)
+
+
+def test_unflatten_map_checks_shape_and_pattern():
+    v = shift_space()
+    f = make_map(v, Z1, {Z0: [[5]]})
+    assert unflatten_map(v, Z1, flatten_map(f)) == f
+    # an oversized matrix is not truncated, an undersized one not indexed
+    # past its end
+    with pytest.raises(ShapeMismatch):
+        unflatten_map(v, Z1, Matrix([[0, 0, 0], [5, 0, 0], [0, 0, 7]]))
+    with pytest.raises(ShapeMismatch):
+        unflatten_map(v, Z1, Matrix([[5]]))
+    with pytest.raises(ShapeMismatch):
+        unflatten_map(v, Z1, Matrix([[0, 0], [5, 0], [0, 0]]))
+    with pytest.raises(ValidationError):
+        unflatten_map(v, Z1, Matrix([[0, 0], [5, 1]]))
 
 
 def test_map_power_zero_is_identity():

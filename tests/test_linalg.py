@@ -37,6 +37,17 @@ def rand_matrix(rng, n, m, lo=-4, hi=4, den=2):
     )
 
 
+# -------------------------------------------------------------- matrix
+
+
+def test_transpose_of_empty_shapes():
+    for rows, cols in ((0, 3), (3, 0), (0, 0)):
+        t = Matrix.zero(rows, cols).transpose()
+        assert (t.rows, t.cols) == (cols, rows)
+        assert t == Matrix.zero(cols, rows)
+        assert t.transpose() == Matrix.zero(rows, cols)
+
+
 # ---------------------------------------------------------------- rref
 
 
@@ -443,6 +454,12 @@ def test_nil_subspace_pair_not_nil():
 
 def test_nil_subspace_empty():
     assert nil_subspace_check([])
+
+
+def test_nil_subspace_rejects_unknown_policy_before_early_returns():
+    for mats in ([], [Matrix([])], [Matrix([[0, 1], [0, 0]])]):
+        with pytest.raises(ValueError):
+            nil_subspace_check(mats, policy="bogus")
 
 
 def test_nil_subspace_size_mismatch():
