@@ -442,6 +442,21 @@ def test_flags_and_chains_of_solvable_instances_pass_the_references(seed):
             )
 
 
+@given(seed=st.integers(0, 10**9))
+def test_eigenvector_is_the_first_flag_vector(seed):
+    # in every torsion-free grading, checked and unchecked: the common
+    # homogeneous eigenvector and its weight are the flag's first vector
+    # and first weight
+    rng = random.Random(seed)
+    for _, group, r in torsion_free_configs():
+        L = random_solvable_instance(rng, group, r)
+        for check in (True, False):
+            flag = color_flag(L, check_hypotheses=check)
+            vec, weight = common_homogeneous_eigenvector(L, check_hypotheses=check)
+            assert vec == flag.ordered_basis[0]
+            assert weight == flag.weights[0]
+
+
 # ------------------------------------------------------ problem files
 
 

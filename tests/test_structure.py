@@ -141,6 +141,16 @@ def test_annihilated_empty_space_rejected():
         common_annihilated_vector(L)
 
 
+def test_annihilated_skip_hypotheses_without_kernel():
+    # the identity kills no vector: unchecked, the empty first level is
+    # reported as such
+    v = gl(1)
+    L = bracket_closure(v, R0, [unit_map(v, 0, 0)])
+    with pytest.raises(NoHomogeneousEigenvector) as info:
+        common_annihilated_vector(L, check_hypotheses=False)
+    assert str(info.value) == "no nonzero homogeneous vector is annihilated by the algebra"
+
+
 def test_annihilated_randomized_nil_corpus():
     rng = random.Random(87)
     for _, group, r in torsion_free_configs():
@@ -384,6 +394,91 @@ def test_eigenvector_irrational():
         common_homogeneous_eigenvector(L)
     assert info.value.char_poly is not None
     assert info.value.char_poly.degree == 2
+
+
+def test_eigenvector_errors_carry_no_flag_depth():
+    # the flag records how many vectors it found; the eigenvector's own
+    # phase-2 failures do not, in either mode
+    v = gl(2)
+    L = bracket_closure(v, R0, [make_map(v, E0, {E0: [[0, -1], [1, 0]]})])
+    for check in (True, False):
+        with pytest.raises(IrrationalEigenvalue) as info:
+            common_homogeneous_eigenvector(L, check_hypotheses=check)
+        assert getattr(info.value, "flag_depth", None) is None
+        assert "[flag depth" not in str(info.value)
+        assert str(info.value).endswith("(characteristic factor t^2 + 1)")
+        with pytest.raises(IrrationalEigenvalue) as info:
+            color_flag(L, check_hypotheses=check)
+        assert str(info.value).endswith("[flag depth 0]")
+
+
+def test_empty_space_rejected_by_flag_and_eigenvector():
+    # V = 0 is refused in both modes, before any map is built
+    from colorlie import ColorAlgebra, GradedSpace
+
+    z = make_group(1, [])
+    L = ColorAlgebra(GradedSpace(z, ()), make_bicharacter(z, [[1]]), (), closed=True)
+    for call in (color_flag, common_homogeneous_eigenvector):
+        for check in (True, False):
+            with pytest.raises(EmptySpace) as info:
+                call(L, check_hypotheses=check)
+            assert str(info.value) == "the representation space is zero"
+            assert getattr(info.value, "flag_depth", None) is None
+
+
+def test_eigenvector_not_solvable_skip_hypotheses():
+    # sl2 on F^2 plus a trivial line (problems/sl2.json): the filtration
+    # stalls after the line, and the verdict is L's, with no flag depth;
+    # sl2 on F^2 alone stalls at once, with the same verdict
+    from pathlib import Path
+
+    from colorlie import load_problem
+
+    problem = load_problem(
+        Path(__file__).resolve().parent.parent / "problems" / "sl2.json"
+    )
+    on_three = bracket_closure(problem.space, problem.bicharacter, problem.generators)
+    v = gl(2)
+    on_two = bracket_closure(v, R0, [unit_map(v, 0, 1), unit_map(v, 1, 0)])
+    for L in (on_three, on_two):
+        with pytest.raises(NotSolvable) as info:
+            common_homogeneous_eigenvector(L, check_hypotheses=False)
+        assert type(info.value) is NotSolvable
+        assert str(info.value) == "algebra is not solvable"
+        assert getattr(info.value, "flag_depth", None) is None
+
+
+def test_eigenvector_of_a_stalled_solvable_filtration():
+    # Z under the super sign, V_0 = <e_0, e_1>, V_1 = <f>: x = f e_0^*
+    # and y = e_0 f^* give a solvable L whose [L, L] = <xy + yx> is not
+    # nil.  The filtration stalls after the line <e_1>, which L kills:
+    # unchecked, the eigenvector is that line and the flag stops after it;
+    # checked, both report the failed hypothesis.  With no line below the
+    # stall the unchecked eigenvector fails at flag depth 0
+    z = make_group(1, [])
+    r = make_bicharacter(z, [[-1]])
+    z0, z1, zm = z.element([0]), z.element([1]), z.element([-1])
+    v = make_space(z, {z0: 2, z1: 1})
+    x = make_map(v, z1, {z0: [[1, 0]]})
+    y = make_map(v, zm, {z1: [[1], [0]]})
+    L = bracket_closure(v, r, [x, y])
+    vec, lam = common_homogeneous_eigenvector(L, check_hypotheses=False)
+    assert flatten_vector(vec) == (Fraction(0), Fraction(1), Fraction(0))
+    assert lam.values == (Fraction(0),) * L.dim
+    with pytest.raises(NoHomogeneousEigenvector) as info:
+        color_flag(L, check_hypotheses=False)
+    assert info.value.flag_depth == 1
+    for call in (color_flag, common_homogeneous_eigenvector):
+        with pytest.raises(HypothesisFailed) as info:
+            call(L)
+        assert type(info.value) is HypothesisFailed
+    with pytest.raises(NoHomogeneousEigenvector) as info:
+        common_homogeneous_eigenvector(nonnil_derived(), check_hypotheses=False)
+    assert info.value.flag_depth == 0
+    assert str(info.value) == (
+        "the derived subalgebra does not act nilpotently, so no homogeneous "
+        "flag exists [flag depth 0]"
+    )
 
 
 # ----------------------------------------------------------- color flag
