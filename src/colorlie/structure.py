@@ -22,27 +22,27 @@ whose sparse maps are those of L's basis, built once per call.
      line through its graded quotients by the lines found so far, and
      the vectors are lifted back to V.
 
-The whole filtration is computed before any eigenvalue is searched for.
-When it reaches V, [L, L] acts nilpotently, so its components are nil,
-and L is solvable: every element of [L, L] strictly raises the
-filtration, so a product of two, and with it their color bracket, raises
-it by at least two, and the m-th derived term by at least 2^(m-1).  The
-argument uses neither torsion-freeness nor the bicharacter, and neither
-the derived series nor a point-based nil check runs.
-When it stops below V, no homogeneous flag exists: in any
-such flag [L, L] is strictly upper triangular (a map of nonzero degree
-has zero diagonal, and for degree zero r(0, 0) = 1 cancels the diagonal
-of ab - ba).  Only then is the derived series computed (``_stall``), for
-a NotSolvable verdict, and are the components of [L, L] checked for nil
-(``linalg._non_nilpotent_point``, the loop behind ``nil_subspace_check``),
-to tell a failed hypothesis from a violated theorem; the check reads the
-sparse maps the filtration already holds, made dense per degree.  That
+Phase 2 yields the flag's vectors lazily (``_flag_vectors``): the common
+homogeneous eigenvector is the first, its weight read off the sparse
+maps of L's basis.  The flag and the eigenvector build the whole
+filtration first, checked or not.  When it reaches V, [L, L] acts
+nilpotently, so its components are nil, and L is solvable: every element
+of [L, L] strictly raises the filtration, so a product of two, and with
+it their color bracket, raises it by at least two, and the m-th derived
+term by at least 2^(m-1), with neither torsion-freeness nor the
+bicharacter used.  When it stops below V, no homogeneous flag exists: in
+any such flag [L, L] is strictly upper triangular (a map of nonzero
+degree has zero diagonal, and for degree zero r(0, 0) = 1 cancels the
+diagonal of ab - ba).  Only then is the derived series computed
+(``_stall``), for a NotSolvable verdict, and, with the hypotheses
+checked, the components of [L, L] checked for nil on the sparse maps the
+filtration holds (``linalg._non_nilpotent_point``, the loop behind
+``nil_subspace_check``), to tell a failed hypothesis, with a non-nil
+point as its ``witness`` (degree, point), from a violated theorem.  That
 check proves a span nil once the product chain I_{j+1} = sum_i B_i I_j
 of its maps reaches 0, run after the first p = ceil(s n / ceil(log2 n))
-points when the policy has more than 2p of them; when the chain stalls
-the full point set runs.  A non-nil component is only ever reported at
-a point, which the HypothesisFailed carries as its ``witness`` (degree,
-point).
+points when the policy has more than 2p of them; a stalled chain runs
+them all.
 
 Kernels reduce through ``linalg._Echelon``, on each space's own
 coordinates: V's flattened ones for ``color_flag``, and for
@@ -64,9 +64,10 @@ restricted unless it is a line (its own flag, where phase 2 reads no
 map).  Phase 2 narrows W to kernels of the restricted top maps, less an
 eigenvalue for degree zero, searched for one diagonal block at a time
 and only until one is found (an upper triangular block's smallest
-diagonal entry); narrowing stops once W is a line.  No restriction
-checks that W is invariant: the theorem guarantees it (see
-``_chain_eigenvector``), and the certificate checks the flag.
+diagonal entry, read off its sparse rows); narrowing stops once W is a
+line.  No restriction checks that W is invariant: the theorem
+guarantees it (see ``_chain_eigenvector``), and the certificate checks
+the flag.
 
 The flag itself is verified exactly in the end, with no n x n product:
 every flag vector must be homogeneous, and for every map M and flag
@@ -101,11 +102,8 @@ from .graded import (
     GradedVector,
     HomogeneousMap,
     _coordinate_degrees,
-    _flat,
     _graded,
-    apply,
     flatten_map,
-    flatten_vector,
     make_map,
     make_space,
     nilpotent_by_grading,
@@ -223,10 +221,10 @@ def common_annihilated_vector(
     the filtration stops below V.
     """
     _require_closed(L)
-    if L.space.total_dim == 0:
-        raise EmptySpace("the representation space is zero")
     n = L.space.total_dim
-    maps = [_map_of(f.degree, _flat(f), n) for f in L.basis]
+    if n == 0:
+        raise EmptySpace("the representation space is zero")
+    maps = _basis_maps(L)
     levels = _kernel_filtration(_coordinate_degrees(L.space), maps, [])
     if check_hypotheses:
         levels = list(levels)
@@ -323,6 +321,11 @@ def _sparse_elements(L: ColorAlgebra, coords) -> list[tuple]:
     coordinates): each combines the solver's rows, the flattened R_k."""
     rows, n = L._solver.sparse_rows, L.space.total_dim
     return [_map_of(degree, _sum_of(rows, v), n) for degree, v in coords]
+
+
+def _basis_maps(L: ColorAlgebra) -> list[tuple]:
+    """The sparse maps of L's basis elements, in order."""
+    return _sparse_elements(L, [(f.degree, c) for f, c in zip(L.basis, L._basis_coords)])
 
 
 def _profile_order(L: ColorAlgebra) -> list[int]:
@@ -538,18 +541,20 @@ def _filtration_dim(levels) -> int:
     return sum(len(basis) for _, _, basis in levels)
 
 
-def _rational_eigenvalue(blocks) -> Fraction:
+def _rational_eigenvalue(rows: dict, blocks) -> Fraction:
     """The smallest rational eigenvalue of the first of the diagonal
-    ``blocks``, in the canonical degree order, that has one.  The blocks
-    are searched one at a time and no eigenvector is built, nor a
-    triangular block's characteristic polynomial (its roots are its
-    diagonal); IrrationalEigenvalue reports that of the first root-free block."""
+    ``blocks`` of the sparse matrix ``rows`` (``{i: {j: x}}``, no zero
+    entry), each a run of consecutive indices, in the canonical degree
+    order, that has one.  The blocks are searched one at a time and no
+    eigenvector is built, nor a triangular block's characteristic
+    polynomial: its roots are its diagonal, read off the sparse rows, so
+    it costs its nonzero entries, not its square.  IrrationalEigenvalue
+    reports that of the first root-free block."""
     first_irrational: Poly | None = None
-    for m in blocks:
-        d = m.data
-        if d and not any(x for i, row in enumerate(d) for x in row[:i]):
-            return min(row[i] for i, row in enumerate(d))
-        p = char_poly(m)
+    for idx in blocks:
+        if not any(idx[0] <= j < i for i in idx for j in rows.get(i, ())):
+            return min(rows.get(i, {}).get(i, _ZERO) for i in idx)
+        p = char_poly(_dense(rows, idx))
         roots = rational_roots(p)
         if roots:
             return roots[0][0]
@@ -585,10 +590,10 @@ def _chain_eigenvector(q: _Quotient, chain, strict: bool) -> dict:
         rows = _rows(_restrict(b, q, basis, cols)[1])
         if b[0].is_zero():
             degrees = q.coordinate_degrees(cols)
-            lam = _rational_eigenvalue(
-                _dense(rows, [i for i, _ in run])
+            lam = _rational_eigenvalue(rows, (
+                [i for i, _ in run]
                 for _, run in itertools.groupby(enumerate(degrees), key=lambda x: x[1])
-            )
+            ))
             if lam:
                 for i in range(len(basis)):
                     row = rows.setdefault(i, {})
@@ -607,27 +612,33 @@ def _chain_eigenvector(q: _Quotient, chain, strict: bool) -> dict:
     return basis[0]
 
 
-def _check_triangularization_hypotheses(L: ColorAlgebra):
-    """A nonzero space and a torsion-free grading; solvability and nil
-    [L, L] are certified by the kernel filtration (``_engel_phase``)."""
+def _flag_setup(L: ColorAlgebra, check_hypotheses: bool):
+    """V's coordinate degrees and the sparse maps of the rows of [L, L]
+    (phase 1), of L's basis elements outside it (phase 2,
+    ``_derived_coords``) and of L's basis, for a nonzero V and, checked, a
+    torsion-free grading; the filtration certifies the rest."""
+    _require_closed(L)
     if L.space.total_dim == 0:
         raise EmptySpace("the representation space is zero")
-    if not L.space.group.is_torsion_free():
+    if check_hypotheses and not L.space.group.is_torsion_free():
         raise TorsionGrading(
             "grading group has torsion; triangularization can fail "
             "(run the cyclic-group demo for a 3-dimensional example)"
         )
+    derived = _square(L)
+    coords, taken = _derived_coords(L, derived)
+    basis = _basis_maps(L)
+    nil = _sparse_elements(L, coords[:derived.dim])
+    return _coordinate_degrees(L.space), nil, [basis[i] for i in taken], basis
 
 
 def _stall(L, nil, depth, strict, nil_policy, seed):
-    """Raise for a kernel filtration of the sparse maps ``nil``, spanning
-    [L, L] as it acts on their space, that stopped at dimension ``depth``
-    below the space.  No homogeneous flag exists then (see the module
-    docstring).  NotSolvable comes from L's derived series, with no flag
-    depth when ``strict`` (a failed hypothesis); with a solvable L and
-    ``strict``, the nil check of ``nil``, the maps the filtration already
-    holds, tells a non-nil component of [L, L] (HypothesisFailed) from a
-    bug."""
+    """Raise for a kernel filtration of ``nil``, the sparse maps of
+    [L, L], stopped at dimension ``depth`` below the space (see the module
+    docstring): NotSolvable from L's derived series, with no flag depth
+    when ``strict``; for a solvable L, HypothesisFailed from the nil check
+    of ``nil`` or else TheoremViolation when ``strict``, and otherwise
+    NoHomogeneousEigenvector."""
     if derived_series(L)[-1].dim != 0:
         err = NotSolvable("algebra is not solvable")
         if strict:
@@ -666,46 +677,32 @@ def common_homogeneous_eigenvector(
     """Common homogeneous eigenvector of a solvable algebra over a
     torsion-free grading, with the weight functional on L's basis.
 
-    The vector is found in the first level of the kernel filtration of
-    [L, L]; with the hypotheses checked the whole filtration is built
-    first, as the certificate that [L, L] is nil.  The weight is read off
-    by applying every basis element of L to the vector, which also
-    certifies that it is a common eigenvector.
+    The vector is the first of ``color_flag``'s (see the module
+    docstring); unchecked, the filtration of a solvable L may stall above
+    it.  Each sparse map of L's basis must map it to a multiple of itself,
+    the weight's value there.
     """
-    _require_closed(L)
+    degrees, nil, top, basis = _flag_setup(L, check_hypotheses)
     if check_hypotheses:
-        _check_triangularization_hypotheses(L)
-    elif L.space.total_dim == 0:
-        raise EmptySpace("the representation space is zero")
-    elif derived_series(L)[-1].dim != 0:
-        raise NotSolvable("algebra is not solvable")
-    derived = _square(L)
-    chain = _sparse_elements(L, _derived_coords(L, derived)[0])
-    k = derived.dim
-    degrees = _coordinate_degrees(L.space)
-    if check_hypotheses:
-        levels = _engel_phase(
-            L, degrees, chain[:k], chain[k:], True, nil_policy, seed
-        )
+        levels = _engel_phase(L, degrees, nil, top, True, nil_policy, seed)
     else:
-        levels = _kernel_filtration(degrees, chain[:k], chain[k:])
-    first = next(iter(levels), None)
-    if first is None:
-        _stall(L, chain[:k], 0, False, nil_policy, seed)
-    level, top, basis = first
-    line = _chain_eigenvector(_Quotient(level), top, strict=check_hypotheses)
-    v0 = _graded(L.space, _sum_of(basis, line))
+        levels = list(_kernel_filtration(degrees, nil, top))
+        if _filtration_dim(levels) < len(degrees) and derived_series(L)[-1].dim != 0:
+            raise NotSolvable("algebra is not solvable")
+    v = next(_flag_vectors(levels, check_hypotheses), None)
+    if v is None:
+        _stall(L, nil, 0, False, nil_policy, seed)
 
-    flat = flatten_vector(v0)
-    p = next(i for i, x in enumerate(flat) if x != 0)
+    p = min(i for i, x in v.items() if x)
     values = []
-    for b in L.basis:
-        image = apply(b, v0)
-        val = flatten_vector(image)[p] / flat[p]
-        if image != v0.scale(val):
+    for _, cols in basis:
+        image = _sum_of(cols, v)
+        val = image.get(p, _ZERO) / v[p]
+        if any(image.get(i, _ZERO) != val * v.get(i, _ZERO)
+               for i in image.keys() | v.keys()):
             raise TheoremViolation("computed vector is not a common eigenvector")
         values.append(val)
-    return v0, Weight(L, tuple(values))
+    return _graded(L.space, v), Weight(L, tuple(values))
 
 
 def color_flag(
@@ -715,32 +712,12 @@ def color_flag(
     seed: int = 0,
 ) -> ColorFlag:
     """Homogeneous basis of V in which every element of L is upper
-    triangular, built in two phases (see the module docstring): the
-    kernel filtration of [L, L] first, then each factor flagged line by
-    line, splitting off a common homogeneous eigenvector of the basis
-    elements of L outside [L, L] and passing to the graded quotient.
-
-    A filtration that reaches V certifies that [L, L] is nil and L
-    solvable, so the derived series, ``nil_policy`` and ``seed`` are used
-    only when it stops below V.  The result is verified exactly: the
-    change of basis is applied to every basis element of L, strict lower
-    entries must vanish and the weights are read off the diagonal.
+    triangular, built in two phases (see the module docstring), with the
+    weights read off the diagonal of the exact certificate.
+    ``nil_policy`` and ``seed`` are used only if the filtration stalls.
     """
-    _require_closed(L)
-    if check_hypotheses:
-        _check_triangularization_hypotheses(L)
-    elif L.space.total_dim == 0:
-        raise EmptySpace("the representation space is zero")
-    derived = _square(L)
-    coords, taken = _derived_coords(L, derived)
-    basis = _sparse_elements(
-        L, [(f.degree, c) for f, c in zip(L.basis, L._basis_coords)]
-    )
-    degrees = _coordinate_degrees(L.space)
-    levels = _engel_phase(
-        L, degrees, _sparse_elements(L, coords[:derived.dim]),
-        [basis[i] for i in taken], check_hypotheses, nil_policy, seed,
-    )
+    degrees, nil, top, basis = _flag_setup(L, check_hypotheses)
+    levels = _engel_phase(L, degrees, nil, top, check_hypotheses, nil_policy, seed)
     vectors, diagonals = _lie_phase(degrees, levels, basis, check_hypotheses)
     weights = tuple(
         Weight(L, tuple(d[i] for d in diagonals)) for i in range(len(degrees))
@@ -748,26 +725,30 @@ def color_flag(
     return ColorFlag(tuple(_graded(L.space, v) for v in vectors), weights)
 
 
+def _flag_vectors(levels, strict: bool):
+    """Phase 2, lazily: each level's factor flagged line by line (a line
+    is its own flag), the vectors lifted back as sparse vectors."""
+    for level, top, basis in levels:
+        if len(basis) == 1:
+            yield basis[0]
+            continue
+        q = _Quotient(level)
+        while q.free:
+            line = _chain_eigenvector(q, top, strict)
+            yield _sum_of(basis, line)
+            q.add([line])
+
+
 def _lie_phase(degrees: list, levels, certify, strict: bool):
-    """Phase 2 on the levels of a finished kernel filtration of the space
-    with the coordinate degrees ``degrees``: each factor flagged line by
-    line and lifted back (a 1-dimensional factor is its own line), then
-    the exact certificate (``_certify``) on the sparse maps ``certify``.
-    Returns the flag vectors, sparse, and, for each map M, the diagonal
-    of T^-1 M T, with T the flag vectors as columns.  A failure records
-    in ``flag_depth`` the number of flag vectors found (a filtration
-    stall, raised before, records dim K_j)."""
+    """Phase 2 (``_flag_vectors``) on a finished kernel filtration of the
+    space with the coordinate degrees ``degrees``, then the certificate
+    (``_certify``) on the sparse maps ``certify``: the flag vectors and,
+    for each map, its diagonal in the flag.  A failure records in
+    ``flag_depth`` the number of vectors found (a stall records dim K_j)."""
     vectors: list[dict] = []
     try:
-        for level, top, basis in levels:
-            if len(basis) == 1:
-                vectors.append(basis[0])
-                continue
-            q = _Quotient(level)
-            while q.free:
-                line = _chain_eigenvector(q, top, strict)
-                vectors.append(_sum_of(basis, line))
-                q.add([line])
+        for v in _flag_vectors(levels, strict):
+            vectors.append(v)
     except (TheoremViolation, NoHomogeneousEigenvector, IrrationalEigenvalue) as e:
         e.flag_depth = len(vectors)
         raise

@@ -482,4 +482,6 @@ def test_triangular_block_eigenvalue_is_its_smallest_root(m):
 
     upper = Matrix([[x if j >= i else 0 for j, x in enumerate(row)]
                     for i, row in enumerate(m.data)])
-    assert _rational_eigenvalue([upper]) == rational_roots(char_poly(upper))[0][0]
+    rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(upper.data)}
+    assert (_rational_eigenvalue(rows, [range(upper.rows)])
+            == rational_roots(char_poly(upper))[0][0])

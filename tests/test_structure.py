@@ -1140,6 +1140,28 @@ def test_success_path_makes_no_point_checks(monkeypatch):
     assert calls == []
 
 
+def test_success_path_runs_no_derived_series(monkeypatch):
+    # a filtration that reaches V proves L solvable, so neither the flag
+    # nor the eigenvector runs the derived series, in either mode; a stall
+    # runs it once, for the verdict
+    import colorlie.structure as structure
+
+    calls = []
+    real = structure.derived_series
+    monkeypatch.setattr(structure, "derived_series", lambda L: calls.append(L) or real(L))
+    for grading in ("plain", "z", "zsuper", "z2"):
+        L = _borel(4, grading)
+        for check in (True, False):
+            color_flag(L, check_hypotheses=check)
+            common_homogeneous_eigenvector(L, check_hypotheses=check)
+    assert calls == []
+    v = gl(3)
+    L = bracket_closure(v, R0, [unit_map(v, 0, 1), unit_map(v, 1, 0)])
+    with pytest.raises(NotSolvable):
+        common_homogeneous_eigenvector(L, check_hypotheses=False)
+    assert calls == [L]
+
+
 def test_stall_runs_point_check_with_given_policy(monkeypatch):
     calls = _count_nil_checks(monkeypatch)
     L = nonnil_derived()
@@ -1441,7 +1463,7 @@ def test_lazy_eigenvalue_matches_first_eigenpair():
     # homogeneous_eigenvalues' first pair; with none, the characteristic
     # polynomial of the first block is reported
     from colorlie.graded import homogeneous_eigenvalues
-    from colorlie.structure import _rational_eigenvalue
+    from colorlie.structure import _rational_eigenvalue, _rows
     from corpus import random_rational, random_unimodular
 
     rng = random.Random(127)
@@ -1464,16 +1486,21 @@ def test_lazy_eigenvalue_matches_first_eigenpair():
                 p = random_unimodular(rng, n)
                 blocks[g] = p * Matrix(rows) * inverse(p)
             f = make_map(space, group.identity(), blocks)
-            diagonal = [f.block(g) for g, _ in space.dims]
+            # f's sparse rows and its diagonal blocks, as runs of indices
+            sparse_rows = _rows(_sparse_of(f)[1])
+            diagonal = [
+                [i for i, _ in run] for _, run in itertools.groupby(
+                    enumerate(_coordinate_degrees(space)), key=lambda x: x[1])
+            ]
             reports = homogeneous_eigenvalues(f)
             first = next((r for r in reports if r.pairs), None)
             if first is not None:
                 outcomes["rational"] += 1
-                assert _rational_eigenvalue(diagonal) == first.pairs[0][0]
+                assert _rational_eigenvalue(sparse_rows, diagonal) == first.pairs[0][0]
             else:
                 outcomes["irrational"] += 1
                 with pytest.raises(IrrationalEigenvalue) as info:
-                    _rational_eigenvalue(diagonal)
+                    _rational_eigenvalue(sparse_rows, diagonal)
                 assert info.value.char_poly == reports[0].irrational_factor
                 assert str(reports[0].irrational_factor) in str(info.value)
     assert min(outcomes.values()) >= 5
