@@ -16,6 +16,10 @@ cost nothing; torsion generators can carry no other values.  A file in
 which some value v != +-1 gives (2B)^2 * bits(v) > 2**20 is refused
 with a ParseError.
 
+So are a space of total dimension above 2**10, before anything is
+built, a file nested too deeply to decode and a number with more digits
+than the interpreter converts to an integer.
+
 Example document::
 
     {
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -42,8 +47,10 @@ from .graded import GradedSpace, HomogeneousMap, make_map, make_space
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
-# bound on the bit size of any bicharacter power r(g, h), see above
+# bounds on the bit size of any bicharacter power r(g, h) and on the
+# total dimension of the space, see above
 POWER_BITS_LIMIT = 2 ** 20
+DIM_LIMIT = 2 ** 10
 
 
 @dataclass(frozen=True)
@@ -68,7 +75,10 @@ def _rational(value, where: str) -> Fraction:
     if isinstance(value, str):
         if not _RATIONAL.match(value):
             _fail(where, f"malformed rational {value!r}; expected \"p\" or \"p/q\"")
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ValueError:  # past the interpreter's digit limit
+            _fail(where, f"a rational has more than {sys.get_int_max_str_digits()} digits")
     _fail(where, f"expected a rational, got {type(value).__name__}")
 
 
@@ -111,10 +121,10 @@ def _matrix(value, where: str) -> list[list[Fraction]]:
 def parse_problem(data, where: str = "") -> ProblemFile:
     """Build validated domain objects from a decoded JSON document.
 
-    Schema errors, and bicharacter powers larger than POWER_BITS_LIMIT
-    bits, raise ParseError anchored to the JSON path; semantic errors
-    (bad bicharacter, wrong block shapes) propagate from the underlying
-    constructors.
+    Schema errors, a total space dimension above DIM_LIMIT and
+    bicharacter powers larger than POWER_BITS_LIMIT bits raise ParseError
+    anchored to the JSON path; semantic errors (bad bicharacter, wrong
+    block shapes) propagate from the underlying constructors.
     """
     doc = _dict(data, where)
     for key in ("group", "bicharacter", "space", "generators"):
@@ -139,6 +149,9 @@ def parse_problem(data, where: str = "") -> ProblemFile:
         if g in dims:
             _fail(f"space[{i}].degree", f"duplicate degree {g}")
         dims[g] = _int(e.get("dim"), f"space[{i}].dim")
+    total = sum(dims.values())
+    if total > DIM_LIMIT:
+        _fail("space", f"total dimension {total} exceeds the limit 2**10")
     space = make_space(group, dims)
 
     generators = []
@@ -188,6 +201,11 @@ def load_problem(path) -> ProblemFile:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
+    except ValueError:  # an integer past the interpreter's digit limit
+        digits = sys.get_int_max_str_digits()
+        raise ParseError(f"{path}: an integer has more than {digits} digits")
+    except RecursionError:
+        raise ParseError(f"{path}: nested too deeply to decode")
     return parse_problem(data)
 
 

@@ -3,6 +3,7 @@ stable exit-code contract."""
 
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -153,6 +154,93 @@ def test_parse_bounds_bicharacter_powers(tmp_path, capsys):
     code, out, err = run(capsys, "validate", str(path))
     assert code == 2 and out == ""
     assert "bicharacter" in err and "2**20" in err
+
+
+def _assert_refused(capsys, path, *needles):
+    """Every command exits 2 on the file, with one line on stderr that
+    names the fault."""
+    for command in ("validate", "series", "triangularize", "chain"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(needle in err for needle in needles)
+
+
+def test_parse_refuses_deep_nesting(tmp_path, capsys):
+    # the JSON decoder recurses once per nesting level
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(ParseError):
+        load_problem(path)
+    _assert_refused(capsys, path, "nested too deeply")
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's limit on the digits of an integer it converts
+    from text, set to its default for the test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter converts integers of any length")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def test_parse_refuses_numbers_past_the_digit_limit(tmp_path, capsys, digit_limit):
+    # as a rational string, with its JSON path, and as a bare integer
+    long = "1" * (digit_limit + 1)
+    doc = json.loads((PROBLEMS / "borel2.json").read_text())
+    doc["generators"][0]["blocks"][0]["matrix"][0][0] = f"1/{long}"
+    with pytest.raises(ParseError) as info:
+        parse_problem(doc)
+    assert str(info.value).startswith("generators[0].blocks[0].matrix[0][0]: ")
+    path = tmp_path / "long_string.json"
+    path.write_text(json.dumps(doc))
+    _assert_refused(capsys, path, "matrix[0][0]", f"more than {digit_limit} digits")
+    path = tmp_path / "long_integer.json"
+    path.write_text((PROBLEMS / "borel2.json").read_text().replace('"1"', long, 1))
+    with pytest.raises(ParseError):
+        load_problem(path)
+    _assert_refused(capsys, path, f"more than {digit_limit} digits")
+    # at the limit the rational still parses
+    at_limit = "1" * digit_limit
+    doc["generators"][0]["blocks"][0]["matrix"][0][0] = at_limit
+    assert parse_problem(doc).generators[0].blocks[0][1].data[0][0] == int(at_limit)
+
+
+def _space_doc(dim):
+    return {
+        "group": {"free_rank": 0, "torsion_moduli": []},
+        "bicharacter": [],
+        "space": [{"degree": [], "dim": dim}],
+        "generators": [],
+    }
+
+
+def test_parse_bounds_total_dimension(tmp_path, capsys):
+    # refused before anything is built, so a huge dimension costs nothing
+    from colorlie.fileformat import DIM_LIMIT
+
+    assert DIM_LIMIT == 2 ** 10
+    path = tmp_path / "huge_dim.json"
+    path.write_text(json.dumps(_space_doc(10 ** 9)))
+    with pytest.raises(ParseError) as info:
+        load_problem(path)
+    assert str(info.value) == "space: total dimension 1000000000 exceeds the limit 2**10"
+    _assert_refused(capsys, path, "space", "2**10")
+    # the limit bounds the sum over the components
+    doc = _space_doc(DIM_LIMIT)
+    doc["group"]["free_rank"] = 1
+    doc["bicharacter"] = [["1"]]
+    doc["space"] = [{"degree": [0], "dim": DIM_LIMIT - 1}, {"degree": [1], "dim": 2}]
+    with pytest.raises(ParseError):
+        parse_problem(doc)
+    path = tmp_path / "at_limit.json"
+    path.write_text(json.dumps(_space_doc(DIM_LIMIT)))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, err) == (0, "")
+    assert "closure dimension: 0" in out
 
 
 # ------------------------------------------------------------ validate
