@@ -36,6 +36,7 @@ from colorlie import (
     standard_basis_vector,
     unflatten_map,
     unflatten_vector,
+    zero_map,
 )
 from corpus import random_homogeneous_map, random_space, torsion_free_configs
 
@@ -340,3 +341,92 @@ def test_map_power_zero_is_identity():
     f = make_map(v, Z1, {Z0: [[1]]})
     assert map_power(f, 0) == identity_map(v)
     assert map_power(f, 2).is_zero()
+
+
+def _dense_entries(f) -> list[Fraction]:
+    """f's flattened matrix, row-major, laid out from its blocks here
+    rather than by the package."""
+    n, off = f.space.total_dim, f.space.offsets()
+    out = [Fraction(0)] * (n * n)
+    for h, b in f.blocks:
+        r0, c0 = off[h + f.degree], off[h]
+        for i, row in enumerate(b.data):
+            for j, x in enumerate(row):
+                out[(r0 + i) * n + c0 + j] = x
+    return out
+
+
+def _assert_round_trip(f):
+    """The sparse entries of f and back give f, its blocks as ``make_map``
+    builds them and its flattened matrix."""
+    from colorlie.graded import _flat, _unflatten
+
+    dense = _dense_entries(f)
+    flat = _flat(f)
+    assert flat == {i: x for i, x in enumerate(dense) if x}
+    g = _unflatten(f.space, f.degree, flat)
+    assert g == f
+    assert g.blocks == make_map(f.space, f.degree, dict(f.blocks)).blocks
+    assert flatten_map(g) == flatten_map(f)
+    assert [x for row in flatten_map(g).data for x in row] == dense
+
+
+def _partial_maps():
+    """Maps on several source degrees whose entries touch only some of
+    them."""
+    g = make_group(1, [2])
+    d = [g.element([a, b]) for a in range(2) for b in range(2)]
+    space = make_space(g, {d[0]: 2, d[1]: 1, d[2]: 2, d[3]: 1})
+    zero = g.identity()
+    yield make_map(space, zero, {d[2]: [[1, 0], [0, Fraction(-2, 3)]]})
+    yield make_map(space, zero, {d[1]: [[5]], d[3]: [[Fraction(1, 7)]]})
+    yield make_map(space, d[2], {d[0]: [[0, 1], [0, 0]]})
+    yield make_map(space, d[3], {d[0]: [[0, 0]], d[1]: [[0], [3]]})
+    v = make_space(Z, {Z0: 1, Z1: 2, Z2: 1})
+    yield make_map(v, Z1, {Z1: [[0, 4]]})
+
+
+def test_flat_unflatten_round_trip_on_corpus_maps():
+    from corpus import all_configs
+
+    rng = random.Random(2025)
+    for _, group, _ in all_configs():
+        for _ in range(12):
+            space = random_space(rng, group)
+            for density in (0.3, 0.8):
+                _assert_round_trip(random_homogeneous_map(rng, space, density=density))
+
+
+def test_flat_unflatten_round_trip_on_borel_maps():
+    from colorlie import bracket_closure
+    from corpus import BOREL_GRADINGS, borel_generators
+
+    for grading in BOREL_GRADINGS:
+        space, r, gens = borel_generators(5, grading)
+        for f in gens + list(bracket_closure(space, r, gens).basis):
+            _assert_round_trip(f)
+
+
+def test_flat_unflatten_round_trip_on_partial_maps():
+    for f in _partial_maps():
+        _assert_round_trip(f)
+
+
+def test_unflatten_skips_explicit_zeros():
+    """Zero entries, as a cancelled bracket term leaves them, are skipped
+    on the degree's pattern and off it alike."""
+    from colorlie.graded import _flat, _unflatten
+
+    v = make_space(Z, {Z0: 1, Z1: 2, Z2: 1})
+    n = v.total_dim
+    f = make_map(v, Z1, {Z0: [[2], [0]], Z1: [[0, Fraction(1, 3)]]})
+    on = [(1 * n + 0), (3 * n + 1)]
+    off = [0, 1 * n + 1, 2 * n + 3, 3 * n + 3]
+    for i in on + off:
+        assert _unflatten(v, Z1, {i: Fraction(0)}) == zero_map(v, Z1)
+        assert _unflatten(v, Z0, {i: Fraction(0)}) == zero_map(v, Z0)
+    padded = dict(_flat(f))
+    padded.update({i: Fraction(0) for i in on + off if i not in padded})
+    g = _unflatten(v, Z1, padded)
+    assert g == f
+    assert flatten_map(g) == flatten_map(f)
