@@ -85,7 +85,7 @@ from .graded import (
     scale_map,
     zero_map,
 )
-from .linalg import _ONE, _ZERO, _Echelon, is_nilpotent_matrix
+from .linalg import _ONE, _ZERO, _Echelon, _sum_of, is_nilpotent_matrix
 
 
 def color_bracket(r: Bicharacter, a: HomogeneousMap, b: HomogeneousMap) -> HomogeneousMap:
@@ -246,12 +246,7 @@ class ColorAlgebra:
 
     def _element(self, degree: GroupElement, coords) -> HomogeneousMap:
         """The map with the given pivot coordinates."""
-        rows = self._solver.sparse_rows
-        flat: dict[int, Fraction] = {}
-        for k, c in coords.items():
-            for i, y in rows[k].items():
-                flat[i] = flat[i] + c * y if i in flat else c * y
-        return _unflatten(self.space, degree, flat)
+        return _unflatten(self.space, degree, _sum_of(self._solver.sparse_rows, coords))
 
     def _unit(self, k: int) -> dict[int, Fraction]:
         """Pivot coordinates of R_k."""

@@ -3,8 +3,8 @@
 Exit codes are stable: 0 success, 1 internal error, 2 parse/validation
 failure, 3 theorem-hypothesis failure, 4 field-of-definition failure
 (an eigenvalue exists but is irrational).  All rationals are printed in
-lowest terms as "p/q" or "p"; nothing is ever converted to floating
-point.
+full, in lowest terms as "p/q" or "p", at any length; nothing is ever
+converted to floating point.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .algebra import (
     lower_central_series,
 )
 from .structure import color_flag, ideal_chain, z3_counterexample
-from .linalg import Matrix, inverse
+from .linalg import Matrix, _text, inverse
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -43,16 +43,16 @@ def _coords(g) -> list[int]:
 
 
 def _fmt_matrix(m: Matrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m.data]
+    return [[_text(x) for x in row] for row in m.data]
 
 
 def _print_matrix(m: Matrix, indent: str = "    "):
     widths = [
-        max((len(str(m.data[i][j])) for i in range(m.rows)), default=1)
+        max((len(_text(m.data[i][j])) for i in range(m.rows)), default=1)
         for j in range(m.cols)
     ]
     for row in m.data:
-        cells = "  ".join(str(x).rjust(w) for x, w in zip(row, widths))
+        cells = "  ".join(_text(x).rjust(w) for x, w in zip(row, widths))
         print(f"{indent}[ {cells} ]")
 
 
@@ -138,14 +138,14 @@ def cmd_triangularize(args) -> int:
     basis_payload = [
         {
             "degree": _coords(v.degree()),
-            "components": [str(x) for x in flatten_vector(v)],
+            "components": [_text(x) for x in flatten_vector(v)],
         }
         for v in flag.ordered_basis
     ]
     weight_payload = [
         {
             "step": k,
-            "values": [str(x) for x in w.values],
+            "values": [_text(x) for x in w.values],
         }
         for k, w in enumerate(flag.weights)
     ]
@@ -218,10 +218,10 @@ def cmd_demo_z3(args) -> int:
             "cube_is_identity": report.cube_is_identity,
             "characteristic_polynomial": str(report.characteristic),
             "rational_eigenvalues": [
-                {"value": str(v), "multiplicity": m}
+                {"value": _text(v), "multiplicity": m}
                 for v, m in report.rational_eigenvalues
             ],
-            "ungraded_eigenvector": [str(x) for x in report.ungraded_eigenvector],
+            "ungraded_eigenvector": [_text(x) for x in report.ungraded_eigenvector],
             "eigenvector_homogeneous": report.eigenvector_homogeneous,
             "grading_certificate_error": report.grading_certificate_error,
             "flag_error": report.flag_error,
@@ -244,10 +244,10 @@ def cmd_demo_z3(args) -> int:
         print(f"A^3 = identity: {report.cube_is_identity}")
         print(f"characteristic polynomial: {report.characteristic}")
         roots = ", ".join(
-            f"{v} (multiplicity {m})" for v, m in report.rational_eigenvalues
+            f"{_text(v)} (multiplicity {m})" for v, m in report.rational_eigenvalues
         )
         print(f"rational eigenvalues: {roots}")
-        vec = ", ".join(str(x) for x in report.ungraded_eigenvector)
+        vec = ", ".join(_text(x) for x in report.ungraded_eigenvector)
         print(f"eigenvector over the rationals: [{vec}] "
               f"(homogeneous: {report.eigenvector_homogeneous})")
         print(f"grading nilpotency certificate: {report.grading_certificate_error}")

@@ -3,7 +3,11 @@
 A homogeneous map of degree u sends the component of degree h into the
 component of degree h + u; it is stored as a dictionary of blocks keyed
 by source degree.  Blocks whose target falls outside the support are
-identically zero and never stored, which keeps all data finite.
+identically zero and never stored, which keeps all data finite.  Entry
+(i, j) of the block at h is entry (off[h + u] + i) N + off[h] + j of the
+flattened N x N matrix, row-major, off the components' offsets; ``_flat``
+reads the nonzero ones into a dict so keyed, ``_unflatten`` builds blocks
+from one, and only ``flatten_map`` makes a dense copy, kept on the map.
 No span or kernel here is split by degree.  A row of a homogeneous map's
 flattened matrix reads coordinates of one degree only, so one
 ``linalg._Echelon`` of such rows, on sparse vectors ``{index: value}``,
@@ -309,51 +313,43 @@ def map_power(f: HomogeneousMap, k: int) -> HomogeneousMap:
 
 
 def flatten_map(f: HomogeneousMap) -> Matrix:
-    """Matrix of f in the canonical degree-ordered basis of V."""
-    cached = getattr(f, "_flat", None)
-    if cached is not None:
-        return cached
-    n = f.space.total_dim
-    off = f.space.offsets()
-    rows = [[_ZERO] * n for _ in range(n)]
-    for h, b in f.blocks:
-        r0 = off[element_add(h, f.degree)]
-        c0 = off[h]
-        for i in range(b.rows):
-            for j in range(b.cols):
-                rows[r0 + i][c0 + j] = b.data[i][j]
-    flat = Matrix._raw(tuple(tuple(row) for row in rows), n)
-    object.__setattr__(f, "_flat", flat)
-    return flat
+    """Matrix of f in the canonical degree-ordered basis of V: ``_flat(f)``
+    laid out densely, made on the first call and kept on f."""
+    if not hasattr(f, "_flattened"):
+        n = f.space.total_dim
+        rows = [[_ZERO] * n for _ in range(n)]
+        for i, x in _flat(f).items():
+            rows[i // n][i % n] = x
+        object.__setattr__(f, "_flattened", Matrix._raw(tuple(map(tuple, rows)), n))
+    return f._flattened
 
 
 def _flat(f: HomogeneousMap) -> dict[int, Fraction]:
-    """f's flattened matrix, row-major, as its nonzero entries."""
-    flat = (x for row in flatten_map(f).data for x in row)
-    return {i: x for i, x in enumerate(flat) if x}
+    """f's flattened matrix as its nonzero entries, read off the blocks in
+    target order; a row meets one block at most, so in index order."""
+    n, off = f.space.total_dim, f.space.offsets()
+    placed = sorted((off[element_add(h, f.degree)], off[h], b) for h, b in f.blocks)
+    return {i * n + j: x for r0, c0, b in placed for i, row in enumerate(b.data, r0)
+            for j, x in enumerate(row, c0) if x}
 
 
 def _unflatten(space: GradedSpace, degree: GroupElement, flat: dict) -> HomogeneousMap:
-    """The map of the given degree whose flattened matrix, row-major, has
-    the entries ``flat``, which must vanish off the degree's blocks; that
-    matrix is kept as the map's ``flatten_map``."""
-    n = space.total_dim
-    rows = [[_ZERO] * n for _ in range(n)]
+    """The map of the given degree with the flattened entries ``flat``,
+    nonzero ones on its blocks and zeros, as cancelled terms leave them,
+    anywhere; only the blocks that a nonzero entry touches are built."""
+    n, off = space.total_dim, space.offsets()
+    degrees = _coordinate_degrees(space)
+    grids: dict[GroupElement, list] = {}
     for i, x in flat.items():
-        rows[i // n][i % n] = x
-    off = space.offsets()
-    blocks = {}
-    for h, n_src in space.dims:
-        target = element_add(h, degree)
-        n_tgt = space.dim_of(target)
-        if n_tgt:
-            r0, c0 = off[target], off[h]
-            blocks[h] = Matrix._raw(tuple(
-                tuple(row[c0 : c0 + n_src]) for row in rows[r0 : r0 + n_tgt]
-            ), n_src)
-    f = _map(space, degree, blocks)
-    object.__setattr__(f, "_flat", Matrix._raw(tuple(map(tuple, rows)), n))
-    return f
+        if x:
+            p, q = divmod(i, n)
+            h = degrees[q]
+            if h not in grids:
+                grids[h] = [[_ZERO] * space.dim_of(h) for _ in range(space.dim_of(degrees[p]))]
+            grids[h][p - off[degrees[p]]][q - off[h]] = x
+    return _map(space, degree, {
+        h: Matrix._raw(tuple(map(tuple, rows)), space.dim_of(h)) for h, rows in grids.items()
+    })
 
 
 def unflatten_map(space: GradedSpace, degree: GroupElement, m: Matrix) -> HomogeneousMap:

@@ -19,6 +19,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from operator import mul
 
@@ -37,6 +38,13 @@ def frac(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def _text(x) -> str:
+    """An int or Fraction as "p" or "p/q" at any size: str() of a Decimal,
+    unlike that of an int, has no ``sys.get_int_max_str_digits()`` limit."""
+    p = str(Decimal(x.numerator))
+    return p if x.denominator == 1 else p + "/" + str(Decimal(x.denominator))
 
 
 class Matrix:
@@ -219,6 +227,19 @@ def _primitive_row(row: dict, pivot: int) -> dict:
     if row[pivot] < 0:
         g = -g
     return row if g == 1 else {i: x // g for i, x in row.items()}
+
+
+def _sum_of(vectors, coeffs: dict) -> dict:
+    """sum_j coeffs[j] vectors[j], for sparse vectors."""
+    out: dict = {}
+    for j, c in coeffs.items():
+        if c:
+            unit = c == 1
+            for i, x in vectors[j].items():
+                if not unit:
+                    x = c * x
+                out[i] = out[i] + x if i in out else x
+    return out
 
 
 class _Echelon:
@@ -504,9 +525,9 @@ class Poly:
             if c == 0:
                 continue
             if k == 0:
-                term = str(abs(c))
+                term = _text(abs(c))
             else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
+                mag = "" if abs(c) == 1 else f"{_text(abs(c))}*"
                 term = f"{mag}t" if k == 1 else f"{mag}t^{k}"
             if not parts:
                 parts.append(term if c > 0 else f"-{term}")
@@ -530,7 +551,7 @@ def char_poly(m: Matrix) -> Poly:
     if m.rows != m.cols:
         raise NotSquare("characteristic polynomial of a non-square matrix")
     n = m.rows
-    d, a = _integer_matrix(m)
+    d, (a,) = _integer_matrix([m])
     p = [1]
     for r in range(n):
         # map(mul, row, v) stops at len(v) = r: only A's columns are read
@@ -699,13 +720,15 @@ def is_nilpotent_matrix(m: Matrix) -> bool:
     """True iff m^n = 0 (n = size), by repeated integer squaring."""
     if m.rows != m.cols:
         raise NotSquare("nilpotency of a non-square matrix")
-    return _nilpotent_at((1,), [_integer_matrix(m)[1]], m.rows)
+    return _nilpotent_at((1,), _integer_matrix([m])[1], m.rows)
 
 
-def _integer_matrix(m: Matrix) -> tuple[int, list[list[int]]]:
-    """(d, d m) for the least common denominator d of m's entries."""
-    d = math.lcm(*(x.denominator for row in m.data for x in row))
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in m.data]
+def _integer_matrix(mats) -> tuple[int, list[list[list[int]]]]:
+    """(d, [d m for m in mats]) for the least common denominator d of the
+    entries of all the matrices ``mats``."""
+    d = math.lcm(*(x.denominator for m in mats for row in m.data for x in row))
+    return d, [[[x.numerator * (d // x.denominator) for x in row] for row in m.data]
+               for m in mats]
 
 
 def _nilpotent_at(point, ints, n: int) -> bool:
@@ -787,11 +810,7 @@ def _non_nilpotent_point(mats, policy: str, seed: int) -> tuple | None:
         policy = "deterministic" if s <= 4 else "probabilistic"
     # one common denominator d: sum t_i (d B_i) = d X(t), so a point at
     # which the integer sum is not nilpotent is one for the maps as given
-    d = math.lcm(*(x.denominator for m in mats for row in m.data for x in row))
-    ints = [
-        [[x.numerator * (d // x.denominator) for x in row] for row in m.data]
-        for m in mats
-    ]
+    ints = _integer_matrix(mats)[1]
     if policy == "deterministic":
         points = _simplex_layer(n, s)
         count = math.comb(n + s - 1, s - 1)

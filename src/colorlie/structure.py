@@ -127,6 +127,7 @@ from .linalg import (
     Poly,
     _Echelon,
     _non_nilpotent_point,
+    _sum_of,
     char_poly,
     frac,
     kernel_basis,
@@ -301,19 +302,6 @@ def _map_of(degree: GroupElement, flat: dict, n: int) -> tuple:
         if x:
             cols[k % n][k // n] = x
     return degree, cols
-
-
-def _sum_of(vectors, coeffs: dict) -> dict:
-    """sum_j coeffs[j] vectors[j], for sparse vectors."""
-    out: dict = {}
-    for j, c in coeffs.items():
-        if c:
-            unit = c == 1
-            for i, x in vectors[j].items():
-                if not unit:
-                    x = c * x
-                out[i] = out[i] + x if i in out else x
-    return out
 
 
 def _sparse_elements(L: ColorAlgebra, coords) -> list[tuple]:

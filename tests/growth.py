@@ -1,12 +1,13 @@
-"""Growth curve of ``color_flag``, ``ideal_chain``, the structure table
-and ``nil_subspace_check``.
+"""Growth curve of ``bracket_closure``, ``color_flag``, ``ideal_chain``,
+the structure table and ``nil_subspace_check``.
 
-    PYTHONPATH=src python3 tests/growth.py --label change --out BENCH_17.json
+    PYTHONPATH=src python3 tests/growth.py --label change --out BENCH_25.json
 
-Times ``color_flag``, ``ideal_chain`` and the structure-constant table
-(``ColorAlgebra._structure``, rows ``table/...``) on the n x n Borel
-algebra (``corpus.borel_generators``) in the ``plain`` and ``z``
-gradings, and ``nil_subspace_check`` (deterministic policy) on a nil
+Times ``bracket_closure`` of the unit maps E_ij (rows ``closure/...``),
+and ``color_flag``, ``ideal_chain`` and the structure-constant table
+(``ColorAlgebra._structure``, rows ``table/...``) on their closure, the
+n x n Borel algebra (``corpus.borel_generators``), in the ``plain`` and
+``z`` gradings, and ``nil_subspace_check`` (deterministic policy) on a nil
 span of s = 3 and s = 4 unimodular-conjugated strictly upper triangular
 n x n matrices (``corpus.conjugated_nil_span``, seeded by n and s), for
 every n in ``--sizes``.  Each algebra call gets a freshly closed
@@ -52,6 +53,11 @@ def median_time(prepare, fn, repeats: int) -> float:
 
 def cases(sizes):
     """(key, prepare, fn) for every timed call."""
+    for grading in ("plain", "z"):
+        for n in sizes:
+            yield (f"closure/{grading}/n={n}",
+                   lambda n=n, grading=grading: borel_generators(n, grading),
+                   lambda args: bracket_closure(*args))
     for name, fn in CALLS.items():
         for grading in ("plain", "z"):
             for n in sizes:

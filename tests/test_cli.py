@@ -2,14 +2,25 @@
 stable exit-code contract."""
 
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from colorlie import ParseError, load_problem, parse_problem, serialize_problem
+from colorlie import (
+    IrrationalEigenvalue,
+    ParseError,
+    bracket_closure,
+    char_poly,
+    color_flag,
+    load_problem,
+    parse_problem,
+    serialize_problem,
+)
 from colorlie.cli import main
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -481,6 +492,62 @@ def test_triangularize_thirty_digit_eigenvalue(tmp_path, capsys):
     assert weights == sorted(["1", str(big)])
 
 
+def _one_block_problem(tmp_path, name, matrix):
+    """A file with one degree-0 generator on an ungraded space."""
+    doc = {
+        "group": {"free_rank": 0, "torsion_moduli": []},
+        "bicharacter": [],
+        "space": [{"degree": [], "dim": len(matrix)}],
+        "generators": [{"degree": [], "blocks": [{"source": [], "matrix": matrix}]}],
+    }
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_triangularize_prints_rationals_past_the_digit_limit(tmp_path, capsys, digit_limit):
+    # 2,500-digit entries parse, but the flag vectors and the matrices in
+    # the flag basis have entries too long for str() of an int
+    rng = random.Random(7)
+    big = [str(rng.randrange(10 ** 2499, 10 ** 2500)) for _ in range(3)]
+    path = _one_block_problem(
+        tmp_path, "long", [["3", big[0], big[1]], ["0", "2", big[2]], ["0", "0", "1"]]
+    )
+    code, out, err = run(capsys, "triangularize", str(path), "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    components = [x for v in payload["flag_basis"] for x in v["components"]]
+    assert max(len(x) for x in components) > digit_limit
+    (m,) = payload["generator_matrices_in_flag_basis"]
+    assert [m["matrix"][i][j] for i in range(3) for j in range(i)] == ["0"] * 3
+    assert sorted(m["matrix"][i][i] for i in range(3)) == ["1", "2", "3"]
+    code, text, err = run(capsys, "triangularize", str(path))
+    assert (code, err) == (0, "")
+    assert all(x in text for x in components)
+
+
+def test_irrational_factor_past_the_digit_limit(tmp_path, capsys, digit_limit):
+    # the characteristic factor of a block of 1,200-digit entries has
+    # coefficients too long for str() of an int; it is still reported
+    rng = random.Random(11)
+    matrix = [
+        [str(rng.choice((-1, 1)) * rng.randrange(10 ** 1199, 10 ** 1200)) for _ in range(4)]
+        for _ in range(4)
+    ]
+    path = _one_block_problem(tmp_path, "dense", matrix)
+    problem = load_problem(path)
+    L = bracket_closure(problem.space, problem.bicharacter, problem.generators)
+    with pytest.raises(IrrationalEigenvalue) as info:
+        color_flag(L)
+    ((_, block),) = L.basis[0].blocks
+    assert info.value.char_poly == char_poly(block)
+    assert len(str(info.value)) > digit_limit
+    code, out, err = run(capsys, "triangularize", str(path))
+    assert (code, out) == (4, "")
+    assert err.startswith("field-of-definition failure: ") and err.count("\n") == 2
+    assert "Traceback" not in err
+
+
 def test_chain_torsion_exit_3(capsys):
     code, out, err = run(capsys, "chain", str(PROBLEMS / "z3_torsion.json"))
     assert code == 3
@@ -757,3 +824,37 @@ def test_mutated_problem_files_exit_cleanly(tmp_path, capsys):
                 assert "Traceback" not in err
                 codes.add(code)
     assert {0, 2, 3} <= codes
+
+
+# ------------------------------------------------------ process entry points
+
+
+def _process(*argv):
+    """``python -m colorlie`` with the given arguments, in a new process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "colorlie", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # README's exit codes, from a new interpreter; each failure is one
+    # stderr line with no traceback, and exit 4 adds the factor's line
+    failing = {"z3_torsion": 3, "rotation": 4, "nonnil_derived": 3, "sl2": 3}
+    for path in sorted(PROBLEMS.glob("*.json")):
+        done = _process("triangularize", str(path))
+        code = done.returncode
+        assert code == failing.get(path.stem, 0), (path.stem, done.stderr)
+        if code:
+            assert done.stdout == "" and "Traceback" not in done.stderr
+            assert done.stderr.count("\n") == (2 if code == 4 else 1)
+        else:
+            assert done.stderr == "" and done.stdout.startswith("homogeneous flag basis")
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"group": ')
+    done = _process("validate", str(malformed))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr

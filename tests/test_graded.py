@@ -17,6 +17,7 @@ from colorlie import (
     ZeroDegree,
     add_maps,
     apply,
+    bracket_closure,
     compose,
     flatten_map,
     flatten_vector,
@@ -38,7 +39,15 @@ from colorlie import (
     unflatten_vector,
     zero_map,
 )
-from corpus import random_homogeneous_map, random_space, torsion_free_configs
+from colorlie.graded import _flat, _unflatten
+from corpus import (
+    BOREL_GRADINGS,
+    all_configs,
+    borel_generators,
+    random_homogeneous_map,
+    random_space,
+    torsion_free_configs,
+)
 
 Z = make_group(1, [])
 Z0, Z1, Z2 = Z.element([0]), Z.element([1]), Z.element([2])
@@ -359,11 +368,10 @@ def _dense_entries(f) -> list[Fraction]:
 def _assert_round_trip(f):
     """The sparse entries of f and back give f, its blocks as ``make_map``
     builds them and its flattened matrix."""
-    from colorlie.graded import _flat, _unflatten
-
     dense = _dense_entries(f)
     flat = _flat(f)
     assert flat == {i: x for i, x in enumerate(dense) if x}
+    assert list(flat) == sorted(flat)
     g = _unflatten(f.space, f.degree, flat)
     assert g == f
     assert g.blocks == make_map(f.space, f.degree, dict(f.blocks)).blocks
@@ -387,8 +395,6 @@ def _partial_maps():
 
 
 def test_flat_unflatten_round_trip_on_corpus_maps():
-    from corpus import all_configs
-
     rng = random.Random(2025)
     for _, group, _ in all_configs():
         for _ in range(12):
@@ -398,9 +404,6 @@ def test_flat_unflatten_round_trip_on_corpus_maps():
 
 
 def test_flat_unflatten_round_trip_on_borel_maps():
-    from colorlie import bracket_closure
-    from corpus import BOREL_GRADINGS, borel_generators
-
     for grading in BOREL_GRADINGS:
         space, r, gens = borel_generators(5, grading)
         for f in gens + list(bracket_closure(space, r, gens).basis):
@@ -415,8 +418,6 @@ def test_flat_unflatten_round_trip_on_partial_maps():
 def test_unflatten_skips_explicit_zeros():
     """Zero entries, as a cancelled bracket term leaves them, are skipped
     on the degree's pattern and off it alike."""
-    from colorlie.graded import _flat, _unflatten
-
     v = make_space(Z, {Z0: 1, Z1: 2, Z2: 1})
     n = v.total_dim
     f = make_map(v, Z1, {Z0: [[2], [0]], Z1: [[0, Fraction(1, 3)]]})
