@@ -42,16 +42,29 @@ diagonal pair is kept, since under a super grading [a, a] = 2 a^2 need
 not vanish.
 
 Those brackets, the closure's and the table's, are the only ones taken
-of maps, and ``_sparse_bracket`` computes them on sparse flattened rows
-of the N x N matrices, without building block maps; the caller tracks
-the degree |a| + |b|.  ``color_bracket`` stays the
-public bracket of block maps, by block arithmetic (``compose``,
-``add_maps``), so the tests can check the kernel and the table against
-it.
+of maps, and ``_sparse_bracket`` computes them on integer rows, without
+building block maps: each operand is an integer multiple of a flattened
+N x N matrix, split by matrix row once (``_split``), and with
+s = r(|b|, |a|) the kernel gives den(s) a b - num(s) b a = den(s) [a, b]
+in Python ints, fraction-free as ``_Echelon`` is; the caller tracks the
+degree |a| + |b|.  The closure brackets primitive integer rows, whose
+span is that of the maps they scale, and the table brackets the
+solver's integer rows lead_k R_k and divides each entry back to
+Fractions once.  Integers stay inside the two; every value returned is
+a Fraction.  ``color_bracket`` stays the public bracket of block maps,
+by block arithmetic (``compose``, ``add_maps``), so the tests can check
+the kernel and the table against it.
+
+An algebra spanned by reduced rows, as closures are, keeps its basis as
+those rows and their degrees (``basis_degrees``); the block maps of
+``basis`` are built on its first read, and the degrees, the dimension,
+the series, the table, flags and chains never read them.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,7 +98,7 @@ from .graded import (
     scale_map,
     zero_map,
 )
-from .linalg import _ONE, _ZERO, _Echelon, _sum_of, is_nilpotent_matrix
+from .linalg import _ONE, _ZERO, _Echelon, _primitive_row, _sum_of, is_nilpotent_matrix
 
 
 def color_bracket(r: Bicharacter, a: HomogeneousMap, b: HomogeneousMap) -> HomogeneousMap:
@@ -98,30 +111,45 @@ def color_bracket(r: Bicharacter, a: HomogeneousMap, b: HomogeneousMap) -> Homog
     return add_maps(compose(a, b), scale_map(-s, compose(b, a)))
 
 
-def _sparse_bracket(n: int, x: dict, y: dict, s: Fraction) -> dict[int, Fraction]:
-    """x y - s y x for maps x, y given as sparse flattened rows
-    ``{index: value}`` of their n x n matrices, row-major, and returned as
-    one, holding a zero where terms cancel.  With s = r(|y|, |x|) this is
-    [x, y] of degree |x| + |y|, which the caller tracks.  Only stored
-    entries are multiplied: (x y)[p, q] collects x[p, k] y[k, q] over
-    the entries of y's row k."""
-    out: dict[int, Fraction] = {}
-    x_rows: dict[int, list] = {}
-    y_rows: dict[int, list] = {}
-    for i, v in x.items():
-        x_rows.setdefault(i // n, []).append((i % n, v))
-    for i, v in y.items():
-        y_rows.setdefault(i // n, []).append((i % n, v))
-    for left, rows, c in ((x, y_rows, _ONE), (y, x_rows, -s)):
-        for i, a in left.items():
-            row = rows.get(i % n)
-            if row:
-                base = i - i % n
-                ca = c * a
-                for q, v in row:
-                    k = base + q
-                    out[k] = out[k] + ca * v if k in out else ca * v
+def _sparse_bracket(n: int, x: dict, y: dict, s: Fraction) -> dict[int, int]:
+    """den(s) x y - num(s) y x for integer maps x, y given split by matrix
+    row (``_split``), returned as a sparse flattened row of the n x n
+    matrix, row-major, holding a zero where terms cancel.  With
+    s = r(|y|, |x|) this is den(s) [x, y] of degree |x| + |y|, which the
+    caller tracks.  Only stored entries are multiplied: (x y)[p, q]
+    collects x[p, k] y[k, q] over the entries of y's row k."""
+    out: dict[int, int] = {}
+    for left, right, c in ((x, y, s.denominator), (y, x, -s.numerator)):
+        for p, row in left.items():
+            base = p * n
+            for k, a in row:
+                other = right.get(k)
+                if other:
+                    ca = c * a
+                    for q, v in other:
+                        i = base + q
+                        out[i] = out[i] + ca * v if i in out else ca * v
     return out
+
+
+def _split(n: int, row: dict) -> dict[int, list]:
+    """The nonzero entries of a sparse flattened row of an n x n matrix,
+    tracked columns past n^2 left out, by matrix row: {p: [(q, x), ...]}
+    for x at p n + q, as ``_sparse_bracket`` takes them."""
+    out: dict[int, list] = {}
+    nn = n * n
+    for i, x in row.items():
+        if x and i < nn:
+            out.setdefault(i // n, []).append((i % n, x))
+    return out
+
+
+def _integral(row: dict) -> dict[int, int]:
+    """The primitive integer multiple of a nonzero sparse row of
+    Fractions or ints, positive at its first index."""
+    d = math.lcm(*[x.denominator for x in row.values()])
+    ints = {i: x.numerator * (d // x.denominator) for i, x in row.items() if x}
+    return _primitive_row(ints, min(ints))
 
 
 def _pivot_degrees(space: GradedSpace, pivots) -> list[GroupElement]:
@@ -140,9 +168,11 @@ class ColorAlgebra:
 
     The canonical basis R and pivot coordinates are those of the module
     docstring: R is the rows of ``_solver``, whose transform leads back
-    to ``basis``.  Verifying the closure builds the structure-constant
-    table; a trusted algebra builds it, verified the same way, on first
-    use.
+    to the basis.  ``basis_degrees`` lists the basis elements' degrees
+    and ``_basis_coords`` their pivot coordinates; ``basis``, their maps,
+    is built from these on first read when the algebra was spanned by
+    rows.  Verifying the closure builds the structure-constant table; a
+    trusted algebra builds it, verified the same way, on first use.
     """
 
     def __init__(self, space: GradedSpace, r: Bicharacter, basis,
@@ -153,7 +183,14 @@ class ColorAlgebra:
         for f in basis:
             if f.space != space:
                 raise SpaceMismatch("basis map acts on a different space")
-        self._setup(space, r, basis, closed, [_flat(f) for f in basis])
+        flat = [_flat(f) for f in basis]
+        solver = _Echelon(space.total_dim ** 2, flat, track=True)
+        if len(solver.pivots) < len(basis):
+            raise ValidationError("basis maps are linearly dependent")
+        self._setup(space, r, solver, closed, [f.degree for f in basis], [
+            {k: v[p] for k, p in enumerate(solver.pivots) if p in v} for v in flat
+        ])
+        self.basis = basis
         if closed:
             self._structure()
 
@@ -161,47 +198,44 @@ class ColorAlgebra:
     def _spanned(cls, space: GradedSpace, r: Bicharacter,
                  ech: _Echelon) -> "ColorAlgebra":
         """The trusted closed algebra whose basis is the reduced rows of
-        ``ech``, an ``_Echelon`` of flattened maps on ``space``, stably
-        sorted by degree (``_pivot_degrees``).  The rows are independent
-        and already reduced, so the basis maps are read off them without a
-        pattern check, and they enter the solver without being reduced
-        again: each meets no other row's pivot."""
-        vectors = sorted(
-            zip(_pivot_degrees(space, ech.pivots), ech.sparse_rows),
-            key=lambda gv: gv[0].sort_key(),
-        )
+        ``ech``, an untracked ``_Echelon`` of flattened maps on ``space``,
+        stably sorted by degree (``_pivot_degrees``).  The rows are
+        independent and already reduced, so they become the solver as
+        they stand (``_Echelon.tracked``), each basis element one R_k."""
+        degrees = _pivot_degrees(space, ech.pivots)
+        order = sorted(range(len(degrees)), key=lambda k: degrees[k].sort_key())
         L = cls.__new__(cls)
-        L._setup(space, r, tuple(_unflatten(space, g, v) for g, v in vectors), True,
-                 [v for _, v in vectors])
+        L._setup(space, r, ech.tracked(order), True, [degrees[k] for k in order],
+                 [{k: _ONE} for k in order])
         return L
 
-    def _setup(self, space, r, basis, closed, flat):
-        """The fields both constructors set, from the basis and its
-        flattened rows, whose tracked echelon is the solver."""
-        solver = _Echelon(space.total_dim ** 2, flat, track=True)
-        if len(solver.pivots) < len(basis):
-            raise ValidationError("basis maps are linearly dependent")
+    def _setup(self, space, r, solver, closed, degrees, coords):
+        """The fields both constructors set, from the solver and the basis
+        elements' degrees and pivot coordinates."""
         self.space = space
         self.r = r
-        self.basis = basis
         self.closed = closed
+        self.basis_degrees = degrees
         self._solver = solver
         self._profile: GradedSpace | None = None
         self._table: list[dict] | None = None
         self._degrees = _pivot_degrees(space, solver.pivots)
-        self._basis_coords = [
-            {k: v[p] for k, p in enumerate(solver.pivots) if p in v} for v in flat
-        ]
+        self._basis_coords = coords
+
+    @functools.cached_property
+    def basis(self) -> tuple[HomogeneousMap, ...]:
+        """The basis maps, built on first read for a spanned algebra."""
+        return tuple(map(self._element, self.basis_degrees, self._basis_coords))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.basis_degrees)
 
     def degrees(self) -> list[GroupElement]:
-        return sorted({f.degree for f in self.basis}, key=lambda g: g.sort_key())
+        return sorted(set(self.basis_degrees), key=lambda g: g.sort_key())
 
     def basis_indices_of_degree(self, g: GroupElement) -> list[int]:
-        return [i for i, f in enumerate(self.basis) if f.degree == g]
+        return [i for i, d in enumerate(self.basis_degrees) if d == g]
 
     def basis_of_degree(self, g: GroupElement) -> list[HomogeneousMap]:
         return [self.basis[i] for i in self.basis_indices_of_degree(g)]
@@ -232,7 +266,7 @@ class ColorAlgebra:
         """The graded space with one dimension per basis element, used by
         the adjoint representation."""
         if self._profile is None:
-            dims = Counter(f.degree for f in self.basis)
+            dims = Counter(self.basis_degrees)
             self._profile = make_space(self.space.group, dims)
         return self._profile
 
@@ -255,21 +289,28 @@ class ColorAlgebra:
     def _structure(self) -> list[dict]:
         """The table: entry [i][j] holds the nonzero c_ij^k as ``{k: c}``,
         and is absent when [R_i, R_j] = 0.  Built once, from the pairs
-        i <= j of the solver's sparse rows, each bracket checked to lie in
-        the span."""
+        i <= j of the solver's integer rows I_k = lead_k R_k, each
+        bracket checked to lie in the span: ``_sparse_bracket`` gives
+        den(s) lead_i lead_j [R_i, R_j], whose pivot coordinates are
+        divided back once per entry."""
         if self._table is None:
             n = self.space.total_dim
-            rs = self._solver.sparse_rows
+            solver = self._solver
+            rows = [_split(n, row) for row in solver.int_rows]
+            leads = [row[p] for p, row in zip(solver.pivots, solver.int_rows)]
             degrees = self._degrees
             table: list[dict] = [{} for _ in degrees]
-            for i, (a, da) in enumerate(zip(rs, degrees)):
-                for j in range(i, len(rs)):
+            for i, (a, da) in enumerate(zip(rows, degrees)):
+                for j in range(i, len(rows)):
                     db = degrees[j]
                     s = eval_bicharacter(self.r, db, da)
-                    c = self._solver.reduce(_sparse_bracket(n, a, rs[j], s))
+                    c = solver.reduce(_sparse_bracket(n, a, rows[j], s))
                     if c is None:
                         raise NotClosed("basis is not closed under the bracket")
                     if c:
+                        d = s.denominator * leads[i] * leads[j]
+                        c = {k: Fraction(x, d) if d != 1 else Fraction(x)
+                             for k, x in c.items()}
                         table[i][j] = c
                         if j != i:
                             t = -eval_bicharacter(self.r, da, db)
@@ -311,9 +352,12 @@ def bracket_closure(space: GradedSpace, r: Bicharacter, generators) -> ColorAlge
     Algebras: Theory and Algorithms*, 2000).  At most dim V^2 maps are
     independent, so the scan ends.
 
-    The worklist holds (degree, sparse flattened row) pairs and brackets
-    them with ``_sparse_bracket``; the span is one ``_Echelon`` over
-    flattened rows, whose reduced rows become the returned basis.
+    The worklist holds (degree, integer map) pairs, each map a primitive
+    integer multiple of a flattened row (``_integral``), split by matrix
+    row once (``_split``), and brackets them with ``_sparse_bracket``;
+    scaling leaves the span, and so its canonical reduced rows, as it is.
+    The span is one ``_Echelon`` over flattened rows, whose reduced rows
+    become the returned basis.
     """
     n = space.total_dim
     ech = _Echelon(n * n)
@@ -323,7 +367,7 @@ def bracket_closure(space: GradedSpace, r: Bicharacter, generators) -> ColorAlge
             raise SpaceMismatch("generator acts on a different space")
         flat = _flat(g)
         if ech.add(flat):
-            elems.append((g.degree, flat))
+            elems.append((g.degree, _split(n, _integral(flat))))
     if r.spec != space.group:
         raise GroupMismatch("bicharacter group differs from the grading group")
     gens = elems[:]
@@ -332,7 +376,7 @@ def bracket_closure(space: GradedSpace, r: Bicharacter, generators) -> ColorAlge
         for db, b in gens[: i + 1]:
             c = _sparse_bracket(n, a, b, eval_bicharacter(r, db, da))
             if c and ech.add(c):
-                elems.append((element_add(da, db), c))
+                elems.append((element_add(da, db), _split(n, _integral(c))))
     return ColorAlgebra._spanned(space, r, ech)
 
 
@@ -490,7 +534,7 @@ def ad_map(L: ColorAlgebra, x: HomogeneousMap) -> HomogeneousMap:
     # the profile space lists the basis stably sorted by degree, basis[i]
     # at coordinate at[i]
     m = L.dim
-    order = sorted(range(m), key=lambda i: L.basis[i].degree.sort_key())
+    order = sorted(range(m), key=lambda i: L.basis_degrees[i].sort_key())
     at = {i: k for k, i in enumerate(order)}
     flat = {}
     for j in range(m):

@@ -3,8 +3,10 @@ a list of homogeneous generators.
 
 Rationals are encoded as strings "p/q" (or "p"); bare JSON integers are
 also accepted.  Floats are rejected everywhere, so no value ever passes
-through floating point.  Degrees are integer arrays, free coordinates
-first and torsion coordinates after.
+through floating point.  A string is matched once, and its Fraction
+built from the match's integer groups; a matrix entry's JSON path is
+formatted only when the entry is refused.  Degrees are integer arrays,
+free coordinates first and torsion coordinates after.
 
 Bicharacter powers are bounded at parse time.  r(g, h) multiplies the
 values v raised to products of degree coordinates; every bracketed map
@@ -44,8 +46,9 @@ from pathlib import Path
 from .errors import ParseError
 from .grading import Bicharacter, GroupSpec, make_bicharacter, make_group
 from .graded import GradedSpace, HomogeneousMap, make_map, make_space
+from .linalg import _text
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
 
 # bounds on the bit size of any bicharacter power r(g, h) and on the
 # total dimension of the space, see above
@@ -65,21 +68,29 @@ def _fail(where: str, message: str):
     raise ParseError(f"{where}: {message}" if where else message)
 
 
-def _rational(value, where: str) -> Fraction:
-    if isinstance(value, bool):
-        _fail(where, "expected a rational, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        _fail(where, "floating-point values are not accepted; use \"p/q\" strings")
+def _rational(value, where: str, i: int, j: int) -> Fraction:
+    """Entry [i][j] of the matrix at ``where``, whose path is formatted
+    only when the entry is refused.  A string is matched once and the
+    Fraction built from the match's integer groups."""
     if isinstance(value, str):
-        if not _RATIONAL.match(value):
-            _fail(where, f"malformed rational {value!r}; expected \"p\" or \"p/q\"")
-        try:
-            return Fraction(value)
-        except ValueError:  # past the interpreter's digit limit
-            _fail(where, f"a rational has more than {sys.get_int_max_str_digits()} digits")
-    _fail(where, f"expected a rational, got {type(value).__name__}")
+        m = _RATIONAL.match(value)
+        if not m:
+            message = f"malformed rational {value!r}; expected \"p\" or \"p/q\""
+        else:
+            p, q = m.groups()
+            try:
+                return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
+            except ValueError:  # past the interpreter's digit limit
+                message = f"a rational has more than {sys.get_int_max_str_digits()} digits"
+    elif isinstance(value, bool):
+        message = "expected a rational, got a boolean"
+    elif isinstance(value, int):
+        return Fraction(value)
+    elif isinstance(value, float):
+        message = "floating-point values are not accepted; use \"p/q\" strings"
+    else:
+        message = f"expected a rational, got {type(value).__name__}"
+    _fail(f"{where}[{i}][{j}]", message)
 
 
 def _int(value, where: str) -> int:
@@ -113,7 +124,7 @@ def _degree(group: GroupSpec, value, where: str):
 def _matrix(value, where: str) -> list[list[Fraction]]:
     rows = _list(value, where)
     return [
-        [_rational(x, f"{where}[{i}][{j}]") for j, x in enumerate(_list(row, f"{where}[{i}]"))]
+        [_rational(x, where, i, j) for j, x in enumerate(_list(row, f"{where}[{i}]"))]
         for i, row in enumerate(rows)
     ]
 
@@ -221,7 +232,7 @@ def serialize_problem(problem: ProblemFile) -> dict:
             "torsion_moduli": list(problem.group.torsion_moduli),
         },
         "bicharacter": [
-            [str(x) for x in row] for row in problem.bicharacter.values
+            [_text(x) for x in row] for row in problem.bicharacter.values
         ],
         "space": [
             {"degree": _degree_coords(g), "dim": n}
@@ -233,7 +244,7 @@ def serialize_problem(problem: ProblemFile) -> dict:
                 "blocks": [
                     {
                         "source": _degree_coords(h),
-                        "matrix": [[str(x) for x in row] for row in b.data],
+                        "matrix": [[_text(x) for x in row] for row in b.data],
                     }
                     for h, b in f.blocks
                 ],

@@ -115,7 +115,7 @@ class Matrix:
         return hash((self.rows, self.cols, self.data))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
+        body = "; ".join(" ".join(map(_text, row)) for row in self.data)
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -262,8 +262,9 @@ class _Echelon:
 
     ``sparse_rows`` reads that RREF as Fractions, each row a dict in
     index order.  A row is converted on the first read after it changed,
-    and a vector that met no pivot and leads with 1 is its own RREF row,
-    kept as given.  No row dict is changed in place once stored, so
+    and a vector of Fractions that met no pivot and leads with 1 is its
+    own RREF row, kept as given; an integer vector, as brackets give
+    them, is converted.  No row dict is changed in place once stored, so
     ``copy`` shares them.  The rank is ``len(pivots)``.
 
     With ``track`` each row also carries its combination of the inserted
@@ -328,9 +329,9 @@ class _Echelon:
         pivot = min(new, default=self.width)
         if pivot >= self.width:
             return False
-        # vec met no pivot and leads with 1: it is its own RREF row
+        # vec met no pivot and leads with Fraction 1: it is its own RREF row
         fresh = None
-        if not coeffs and vec[pivot] == 1:
+        if not coeffs and vec[pivot] == 1 and type(vec[pivot]) is Fraction:
             fresh = {i: vec[i] for i in sorted(new)}
         if self.track:
             new[self.width + index] = s
@@ -359,8 +360,21 @@ class _Echelon:
             if row is None:
                 lead = self.int_rows[k][self.pivots[k]]
                 items = sorted(self.int_rows[k].items())
-                self._rows[k] = {i: Fraction(x, lead) for i, x in items if i < w}
+                self._rows[k] = {i: Fraction(x, lead) if lead != 1 else Fraction(x)
+                                 for i, x in items if i < w}
         return self._rows
+
+    def tracked(self, order) -> "_Echelon":
+        """An untracked echelon's rows, tracked as if R_order[0],
+        R_order[1], ... had been inserted in turn: row k carries itself, at
+        the scale of its pivot entry, as ``_Echelon(width, rows,
+        track=True)`` would hold it."""
+        out = self.copy()
+        out.track, out.count = True, len(order)
+        for i, k in enumerate(order):
+            row = out.int_rows[k]
+            out.int_rows[k] = {**row, self.width + i: row[out.pivots[k]]}
+        return out
 
     @property
     def transform(self) -> list[dict[int, Fraction]] | None:

@@ -153,8 +153,8 @@ class Weight:
         object.__setattr__(self, "values", vals)
         if len(vals) != self.algebra.dim:
             raise ValidationError("one value per basis element is required")
-        for v, b in zip(vals, self.algebra.basis):
-            if v != 0 and not b.degree.is_zero():
+        for v, g in zip(vals, self.algebra.basis_degrees):
+            if v != 0 and not g.is_zero():
                 raise ValidationError(
                     "weights vanish on nonzero-degree basis elements"
                 )
@@ -289,7 +289,7 @@ def _derived_coords(L: ColorAlgebra, derived: Subspace) -> tuple[list, list]:
     """
     ech = derived._ech.copy()
     taken = [i for i, c in enumerate(L._basis_coords) if ech.add(c)]
-    rest = [(L.basis[i].degree, L._basis_coords[i]) for i in taken]
+    rest = [(L.basis_degrees[i], L._basis_coords[i]) for i in taken]
     return derived._vectors() + rest, taken
 
 
@@ -313,7 +313,7 @@ def _sparse_elements(L: ColorAlgebra, coords) -> list[tuple]:
 
 def _basis_maps(L: ColorAlgebra) -> list[tuple]:
     """The sparse maps of L's basis elements, in order."""
-    return _sparse_elements(L, [(f.degree, c) for f, c in zip(L.basis, L._basis_coords)])
+    return _sparse_elements(L, list(zip(L.basis_degrees, L._basis_coords)))
 
 
 def _profile_order(L: ColorAlgebra) -> list[int]:
@@ -616,7 +616,13 @@ def _flag_setup(L: ColorAlgebra, check_hypotheses: bool):
     derived = _square(L)
     coords, taken = _derived_coords(L, derived)
     basis = _basis_maps(L)
-    nil = _sparse_elements(L, coords[:derived.dim])
+    # a row of [L, L] that is a basis element of L has its map already;
+    # looked up by its coordinates' indices, which hash cheaply
+    known = {tuple(c): (c, f) for c, f in zip(L._basis_coords, basis)}
+    nil = []
+    for g, v in coords[:derived.dim]:
+        c, f = known.get(tuple(v), (None, None))
+        nil.append(f if c == v else _sparse_elements(L, [(g, v)])[0])
     return _coordinate_degrees(L.space), nil, [basis[i] for i in taken], basis
 
 

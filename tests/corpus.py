@@ -314,6 +314,29 @@ def borel_problem_generators(rng: random.Random, n: int, grading: str):
     return space, r, out
 
 
+def rational_unimodular(rng: random.Random, n: int) -> Matrix:
+    """Unit lower times unit upper triangular, with random rationals below
+    and above the diagonal: determinant one, denominators in it and in
+    its inverse."""
+    def unit(below):
+        return Matrix([[Fraction(1) if i == j else
+                        random_rational(rng) if (j < i) == below else Fraction(0)
+                        for j in range(n)] for i in range(n)])
+    return unit(True) * unit(False)
+
+
+def rational_conjugated_borel(rng: random.Random, n: int, grading: str):
+    """``borel_generators`` conjugated degree by degree by P_g = c_g U_g,
+    U_g rational unimodular and c_g a nonzero rational: generators with
+    denominators, spanning a Borel algebra in a basis that is not reduced
+    echelon."""
+    space, r, gens = borel_generators(n, grading)
+    p = {g: rational_unimodular(rng, k).scale(Fraction(rng.randint(1, 3), rng.randint(2, 5)))
+         for g, k in space.dims}
+    p_inv = {g: inverse(m) for g, m in p.items()}
+    return space, r, [conjugate_map(f, p, p_inv) for f in gens]
+
+
 def scrambled_basis(rng: random.Random, L: ColorAlgebra) -> list:
     """Another homogeneous basis of L's span: the basis elements of each
     degree recombined by a random unimodular matrix."""

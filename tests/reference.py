@@ -25,6 +25,7 @@ table-read ``structure._sparse_ads``.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from colorlie import (
@@ -229,16 +230,29 @@ def ref_codim_one_ideal(L) -> tuple[list, object]:
 
 
 def assert_kernel_matches_color_bracket(r, a, b):
-    """The sparse kernel, given a and b as the nonzero entries
-    ``{index: value}`` of their flattened matrices, returns the flattened
-    ``color_bracket``, whose degree is |a| + |b|."""
+    """The sparse kernel, given d_a a and d_b b, each map scaled by the lcm
+    d of its denominators, as the nonzero entries of their flattened
+    matrices split by matrix row ``{p: [(q, x), ...]}``, returns the
+    flattened den(s) d_a d_b ``color_bracket``, s = r(|b|, |a|), in ints;
+    the bracket's degree is |a| + |b|."""
     s = eval_bicharacter(r, b.degree, a.degree)
     n = a.space.total_dim
-    sparse = [{i: x for i, x in enumerate(_flat(f)) if x} for f in (a, b)]
-    got = _sparse_bracket(n, *sparse, s)
+    scales, split = [], []
+    for f in (a, b):
+        flat = _flat(f)
+        d = math.lcm(*[x.denominator for x in flat])
+        rows: dict = {}
+        for i, x in enumerate(flat):
+            if x:
+                rows.setdefault(i // n, []).append((i % n, int(x * d)))
+        scales.append(d)
+        split.append(rows)
+    got = _sparse_bracket(n, *split, s)
+    assert all(type(x) is int for x in got.values())
     want = color_bracket(r, a, b)
     assert want.degree == a.degree + b.degree
-    assert densify(got, n * n) == _flat(want)
+    scale = s.denominator * scales[0] * scales[1]
+    assert densify(got, n * n) == [scale * x for x in _flat(want)]
 
 
 def assert_table_matches_brackets(L):

@@ -766,3 +766,88 @@ def test_brackets_only_when_the_table_is_built(monkeypatch):
     derived_series(L)
     color_flag(L)
     assert calls == {"kernel": L.dim * (L.dim + 1) // 2, "color_bracket": 0}
+
+
+# ------------------------------------ integer rows with real denominators
+#
+# The closure and the table bracket integer rows; these inputs give them
+# denominators to clear in the generators, in the reduced rows and in the
+# bicharacter.
+
+
+@functools.lru_cache(maxsize=None)
+def _denominator_cases():
+    """The unit maps E_ij of the Borel algebra conjugated by rational
+    unimodular matrices, ungraded at n = 3, 4 and in the Z^2 grading with
+    bicharacter values 2 and 1/2 at n = 3, 4, all of them and, so that
+    the closure adds brackets, only E_ii and E_i,i+1; with their
+    closures."""
+    from corpus import rational_conjugated_borel
+
+    rng = random.Random(131)
+    cases = []
+    for grading in ("plain", "z2"):
+        for n in (3, 4):
+            space, r, gens = rational_conjugated_borel(rng, n, grading)
+            steps = [j - i for i in range(n) for j in range(i, n)]
+            cases.append((space, r, gens))
+            cases.append((space, r, [f for d, f in zip(steps, gens) if d <= 1]))
+    return tuple((space, r, gens, bracket_closure(space, r, gens))
+                 for space, r, gens in cases)
+
+
+def _entries(f):
+    return [x for _, b in f.blocks for row in b.data for x in row]
+
+
+def test_denominators_closure_and_table_match_reference():
+    from reference import assert_series_and_center_match, assert_table_matches_brackets
+
+    values = {v for _, r, _, _ in _denominator_cases() for row in r.values for v in row}
+    assert {Fraction(2), Fraction(1, 2)} <= values
+    for space, r, gens, L in _denominator_cases():
+        assert any(x.denominator > 1 for f in gens for x in _entries(f))
+        assert L.dim == space.total_dim * (space.total_dim + 1) // 2
+        assert L.basis == _all_pairs_closure(space, r, gens)
+        assert_table_matches_brackets(L)
+        # [L, L] is the derived series' second term
+        assert_series_and_center_match(L)
+
+
+def test_denominators_give_fractions_everywhere():
+    from colorlie import color_flag, ideal_chain
+
+    for _, _, _, L in _denominator_cases():
+        subspaces = derived_series(L) + lower_central_series(L) + [center(L)]
+        subspaces += list(ideal_chain(L).chain)
+        maps = list(L.basis) + [f for s in subspaces for f in s.elements()]
+        assert all(type(x) is Fraction for f in maps for x in _entries(f))
+        assert all(type(c) is Fraction for row in L._structure()
+                   for e in row.values() for c in e.values())
+        flag = color_flag(L)
+        values = [x for v in flag.ordered_basis for _, comp in v.components for x in comp]
+        values += [x for w in flag.weights for x in w.values]
+        assert values and all(type(x) is Fraction for x in values)
+
+
+def test_closure_builds_basis_maps_on_first_read():
+    from colorlie import color_flag, ideal_chain
+    from corpus import borel_generators
+
+    cases = [(space, r, gens) for space, r, gens, _ in _denominator_cases()]
+    cases += [borel_generators(4, grading) for grading in BOREL_GRADINGS]
+    for space, r, gens in cases:
+        L = bracket_closure(space, r, gens)
+        # what the validate, series, triangularize and chain commands read
+        degrees = [(g, L.basis_indices_of_degree(g)) for g in L.degrees()]
+        L.profile_space()
+        derived_series(L)
+        lower_central_series(L)
+        color_flag(L)
+        ideal_chain(L)
+        assert "basis" not in vars(L)
+        assert L.dim == len(L.basis_degrees) == sum(len(ks) for _, ks in degrees)
+        # built on first read, in the reduced rows' order, stably by degree
+        assert L.basis == _all_pairs_closure(space, r, gens)
+        assert [f.degree for f in L.basis] == L.basis_degrees
+        assert L.basis is L.basis

@@ -220,6 +220,69 @@ def test_parse_refuses_numbers_past_the_digit_limit(tmp_path, capsys, digit_limi
     assert parse_problem(doc).generators[0].blocks[0][1].data[0][0] == int(at_limit)
 
 
+def _entry_doc(entry):
+    """borel2.json with ``entry`` at generators[1].blocks[0].matrix[0][0]."""
+    doc = json.loads((PROBLEMS / "borel2.json").read_text())
+    doc["generators"][1]["blocks"][0]["matrix"][0][0] = entry
+    return doc
+
+
+def test_parse_gives_each_accepted_spelling_its_fraction(digit_limit):
+    # every spelling the pattern accepts parses to Fraction(spelling), as
+    # when the string was handed to Fraction whole
+    spellings = ["+3", "-0", "007", "-6/4", "+10/25", "0/7", "5\n", "-6/4\n",
+                 "9" * digit_limit, "-1/" + "7" * digit_limit]
+    for text in spellings:
+        x = parse_problem(_entry_doc(text)).generators[1].blocks[0][1].data[0][0]
+        assert type(x) is Fraction and x == Fraction(text), text
+    for value in (7, -3, 0):
+        x = parse_problem(_entry_doc(value)).generators[1].blocks[0][1].data
+        assert x[0][0] == value
+
+
+def test_parse_refuses_entries_with_their_path(tmp_path, capsys, digit_limit):
+    # byte for byte the messages of the parser that formatted the path of
+    # every entry, for each kind of refused entry
+    where = "error: generators[1].blocks[0].matrix[0][0]: "
+    cases = {
+        1.5: 'floating-point values are not accepted; use "p/q" strings',
+        True: "expected a rational, got a boolean",
+        None: "expected a rational, got NoneType",
+        "1.5": "malformed rational '1.5'; expected \"p\" or \"p/q\"",
+        "1/0": "malformed rational '1/0'; expected \"p\" or \"p/q\"",
+        " 1": "malformed rational ' 1'; expected \"p\" or \"p/q\"",
+        "1" * (digit_limit + 1): f"a rational has more than {digit_limit} digits",
+        "2/" + "3" * (digit_limit + 1): f"a rational has more than {digit_limit} digits",
+    }
+    for k, (entry, message) in enumerate(cases.items()):
+        path = tmp_path / f"entry{k}.json"
+        path.write_text(json.dumps(_entry_doc(entry)))
+        for command in ("validate", "series", "triangularize", "chain"):
+            assert run(capsys, command, str(path)) == (2, "", where + message + "\n")
+
+
+def test_maps_and_documents_format_entries_past_the_digit_limit(digit_limit):
+    # repr of a block, str of a map and the serialized document of a 1 x 1
+    # map with entry 7**6000, a 5,071-digit integer, and its reciprocal
+    from colorlie import make_bicharacter, make_group, make_map, make_space
+    from colorlie.fileformat import ProblemFile
+
+    sys.set_int_max_str_digits(0)
+    big = 7 ** 6000
+    digits = str(big)
+    sys.set_int_max_str_digits(digit_limit)
+    assert len(digits) > digit_limit
+    group = make_group(0, [])
+    space = make_space(group, {group.identity(): 1})
+    for x, text in ((Fraction(big), digits), (Fraction(-1, big), f"-1/{digits}")):
+        f = make_map(space, group.identity(), {group.identity(): [[x]]})
+        ((_, block),) = f.blocks
+        assert repr(block) == f"Matrix(1x1: {text})"
+        assert str(f) == f"HomogeneousMap(deg (), {{(): Matrix(1x1: {text})}})"
+        doc = serialize_problem(ProblemFile(group, make_bicharacter(group, []), space, (f,)))
+        assert doc["generators"][0]["blocks"][0]["matrix"] == [[text]]
+
+
 def _space_doc(dim):
     return {
         "group": {"free_rank": 0, "torsion_moduli": []},

@@ -1721,14 +1721,18 @@ def test_adjoint_certificate_with_the_adapted_basis(monkeypatch):
 
 def test_flag_builds_each_map_once(monkeypatch):
     # color_flag builds the sparse maps of L's basis once and those of
-    # [L, L]'s rows: dim L + dim [L, L] coordinate vectors in all.  On
-    # the plain Borel algebra every kernel level is a line, so nothing is
+    # [L, L]'s rows that are not basis elements of L.  In a closure's
+    # canonical basis every row of [L, L] is one, so dim L coordinate
+    # vectors are built in all; in a basis that is not reduced echelon
+    # no row of [L, L] is, and dim L + dim [L, L] are.  On the plain
+    # Borel algebra every kernel level is a line, so nothing is
     # restricted, and ideal_chain's diagonal blocks are all upper
     # triangular, so no characteristic polynomial is formed
     import collections
 
     import colorlie.structure as structure
     from colorlie.algebra import _square
+    from corpus import noncanonical_borel_algebras
 
     calls = collections.Counter()
 
@@ -1744,9 +1748,13 @@ def test_flag_builds_each_map_once(monkeypatch):
     counting("_sparse_elements", lambda L, coords: len(coords))
     counting("_restrict", lambda *args: 1)
     counting("char_poly", lambda m: 1)
+    M = noncanonical_borel_algebras(random.Random(5), sizes=(4,))[0]
+    _assert_flag_valid(M, color_flag(M))
+    assert dict(calls) == {"_sparse_elements": M.dim + _square(M).dim}
+    calls.clear()
     L = _borel(5, "plain")
     _assert_flag_valid(L, color_flag(L))
-    assert dict(calls) == {"_sparse_elements": L.dim + _square(L).dim}
+    assert dict(calls) == {"_sparse_elements": L.dim}
     calls.clear()
     _assert_chain_of_ideals(L)
     assert calls["_restrict"] > 0 and calls["char_poly"] == 0
