@@ -29,7 +29,7 @@ from .algebra import (
     lower_central_series,
 )
 from .structure import color_flag, ideal_chain, z3_counterexample
-from .linalg import Matrix, _text, inverse
+from .linalg import Matrix, _text
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -130,11 +130,6 @@ def cmd_triangularize(args) -> int:
         nil_policy=args.policy,
         seed=args.seed,
     )
-    n = problem.space.total_dim
-    t = Matrix.from_columns(
-        [flatten_vector(v) for v in flag.ordered_basis], rows=n
-    )
-    t_inv = inverse(t)
     basis_payload = [
         {
             "degree": _coords(v.degree()),
@@ -149,7 +144,7 @@ def cmd_triangularize(args) -> int:
         }
         for k, w in enumerate(flag.weights)
     ]
-    in_flag = [t_inv * flatten_map(g) * t for g in problem.generators]
+    in_flag = [flag.matrix(g) for g in problem.generators]
     if args.json:
         print(json.dumps({
             "flag_basis": basis_payload,

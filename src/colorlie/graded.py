@@ -21,6 +21,7 @@ V's i-th coordinate (``_coordinate_degrees``).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -181,8 +182,17 @@ def unflatten_vector(space: GradedSpace, flat) -> GradedVector:
 
 
 def _graded(space: GradedSpace, v: dict) -> GradedVector:
-    """The vector of ``space`` with the sparse flattened coordinates v."""
-    return unflatten_vector(space, [v.get(i, _ZERO) for i in range(space.total_dim)])
+    """The vector of ``space`` with the sparse flattened Fraction coordinates v."""
+    starts = list(space.offsets().values())
+    comps: dict = {}
+    for i, x in v.items():
+        if x:
+            k = bisect.bisect(starts, i) - 1
+            g, n = space.dims[k]
+            if g not in comps:
+                comps[g] = [_ZERO] * n
+            comps[g][i - starts[k]] = x
+    return _vector(space, comps)
 
 
 @dataclass(frozen=True)

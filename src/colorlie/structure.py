@@ -72,15 +72,17 @@ the flag.
 The flag itself is verified exactly in the end, with no n x n product:
 every flag vector must be homogeneous, and for every map M and flag
 vector t_j, T^-1 (M t_j) is formed from sparse columns of T^-1 and must
-vanish below j, and its entry at j is M's weight.  A conclusion failing
-after its hypotheses were checked raises TheoremViolation.
+vanish below j, and its entry at j is M's weight.  The columns are
+kept: the weights and every matrix the flag gives (``ColorFlag.matrix``)
+are read off them, with no dense inverse.  A conclusion failing after
+its hypotheses were checked raises TheoremViolation.
 """
 
 from __future__ import annotations
 
 import collections
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -169,10 +171,26 @@ class Weight:
 @dataclass(frozen=True)
 class ColorFlag:
     """Ordered homogeneous basis of V in which every element of the
-    algebra is upper triangular, with the weights read off the diagonal."""
+    algebra is upper triangular, with the weights read off the diagonal.
+    ``columns``, not compared or shown: T^-1 b_k T by columns for L's basis (``_certify``)."""
 
     ordered_basis: tuple[GradedVector, ...]
     weights: tuple[Weight, ...]
+    columns: tuple = field(default=(), compare=False, repr=False)
+
+    def matrix(self, f: HomogeneousMap) -> Matrix:
+        """The matrix of f in L in the flag basis, sum_k c_k T^-1 b_k T for
+        c = L.coordinates(f): x -> T^-1 x T is linear, so it combines the
+        certified columns.  NotInAlgebra for a map outside L."""
+        c = self.weights[0].algebra.coordinates(f)
+        if c is None:
+            raise NotInAlgebra("map is outside the flag's algebra")
+        n, c = len(self.ordered_basis), dict(enumerate(c))
+        rows = [[_ZERO] * n for _ in range(n)]
+        for j in range(n):
+            for i, x in _sum_of([m[j] for m in self.columns], c).items():
+                rows[i][j] = x
+        return Matrix._raw(tuple(map(tuple, rows)), n)
 
 
 @dataclass(frozen=True)
@@ -707,16 +725,16 @@ def color_flag(
 ) -> ColorFlag:
     """Homogeneous basis of V in which every element of L is upper
     triangular, built in two phases (see the module docstring), with the
-    weights read off the diagonal of the exact certificate.
+    certificate's columns of L's basis and the weights on its diagonal.
     ``nil_policy`` and ``seed`` are used only if the filtration stalls.
     """
     degrees, nil, top, basis = _flag_setup(L, check_hypotheses)
     levels = _engel_phase(L, degrees, nil, top, check_hypotheses, nil_policy, seed)
-    vectors, diagonals = _lie_phase(degrees, levels, basis, check_hypotheses)
+    vectors, columns = _lie_phase(degrees, levels, basis, check_hypotheses)
     weights = tuple(
-        Weight(L, tuple(d[i] for d in diagonals)) for i in range(len(degrees))
+        Weight(L, tuple(m[i].get(i, _ZERO) for m in columns)) for i in range(len(degrees))
     )
-    return ColorFlag(tuple(_graded(L.space, v) for v in vectors), weights)
+    return ColorFlag(tuple(_graded(L.space, v) for v in vectors), weights, tuple(columns))
 
 
 def _flag_vectors(levels, strict: bool):
@@ -737,7 +755,7 @@ def _lie_phase(degrees: list, levels, certify, strict: bool):
     """Phase 2 (``_flag_vectors``) on a finished kernel filtration of the
     space with the coordinate degrees ``degrees``, then the certificate
     (``_certify``) on the sparse maps ``certify``: the flag vectors and,
-    for each map, its diagonal in the flag.  A failure records in
+    for each map, its certified columns in the flag.  A failure records in
     ``flag_depth`` the number of vectors found (a stall records dim K_j)."""
     vectors: list[dict] = []
     try:
@@ -749,12 +767,12 @@ def _lie_phase(degrees: list, levels, certify, strict: bool):
     return vectors, _certify(degrees, vectors, certify)
 
 
-def _certify(degrees: list, vectors, certify) -> list[list[Fraction]]:
-    """The diagonal of T^-1 M T for each sparse map M (``_map_of``) in
-    ``certify``, after checking that its entries below the diagonal
-    vanish; T has the flag ``vectors``, sparse vectors of the space with
-    the coordinate degrees ``degrees``, as columns, and must be invertible
-    with each column homogeneous.
+def _certify(degrees: list, vectors, certify) -> list[list[dict]]:
+    """The columns of T^-1 M T, the flag's output, for each sparse map M
+    (``_map_of``) in ``certify``: column j as ``{i: x}``, no zero entry,
+    checked to have every i <= j.  T has the flag ``vectors``, sparse
+    vectors of the space with the coordinate degrees ``degrees``, as
+    columns, and must be invertible with each column homogeneous.
 
     No n x n product is formed.  The vectors, inserted into one tracked
     ``_Echelon``, reduce to the identity, so its transform is
@@ -762,7 +780,7 @@ def _certify(degrees: list, vectors, certify) -> list[list[Fraction]]:
     index.  Column j of T^-1 M T is T^-1 y for y = M t_j, the combination
     of those rows at y's nonzero entries, formed from M's sparse columns;
     its entries at flag indices i > j must vanish, and the one at j is
-    M's weight."""
+    M's weight.  Empty images share one empty column, as no column changes."""
     n = len(degrees)
     ech = _Echelon(n, vectors, track=True)
     if len(vectors) != n or len(ech.pivots) < n:
@@ -771,21 +789,17 @@ def _certify(degrees: list, vectors, certify) -> list[list[Fraction]]:
         if len({degrees[i] for i, x in v.items() if x}) != 1:
             raise TheoremViolation("flag vector is not homogeneous")
     inverse_rows = ech.transform
-    diagonals = []
+    columns = []
     for _, cols in certify:
-        diag = [_ZERO] * n
+        out = [{}] * n
         for j, t in enumerate(vectors):
             y = _sum_of(cols, t)
-            if not y:
-                continue
-            z = _sum_of(inverse_rows, y)
-            if any(x for i, x in z.items() if i > j):
-                raise TheoremViolation(
-                    "matrix is not upper triangular in the flag basis"
-                )
-            diag[j] = z.get(j, _ZERO)
-        diagonals.append(diag)
-    return diagonals
+            if y:
+                z = out[j] = {i: x for i, x in _sum_of(inverse_rows, y).items() if x}
+                if max(z, default=j) > j:
+                    raise TheoremViolation("matrix is not upper triangular in the flag basis")
+        columns.append(out)
+    return columns
 
 
 def ideal_chain(

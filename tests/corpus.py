@@ -375,3 +375,37 @@ def noncanonical_borel_algebras(rng: random.Random, sizes=(3, 4)) -> list:
                 L = ColorAlgebra(space, r, scrambled_basis(rng, L), closed=True)
             out.append(L)
     return out
+
+
+def unused_component_doc(dim: int) -> dict:
+    """A problem file's document on a dim-dimensional Z-graded space: one
+    1 x 1 degree-0 generator, [[2]], on the 1-dimensional component of
+    degree 0, beside an unused component of degree 1 and dimension
+    dim - 1.  The flag is the standard basis, but ``triangularize``
+    prints a dim x dim matrix."""
+    return {
+        "group": {"free_rank": 1, "torsion_moduli": []},
+        "bicharacter": [["1"]],
+        "space": [{"degree": [0], "dim": 1}, {"degree": [1], "dim": dim - 1}],
+        "generators": [{"degree": [0], "blocks": [{"source": [0], "matrix": [["2"]]}]}],
+    }
+
+
+def repeated_and_zero_generators_doc() -> dict:
+    """A problem file's document on the Z-graded space of dimensions 2
+    (degree 0) and 1 (degree 1), with the super sign: a degree-0
+    generator A with denominators, a degree-1 generator B given twice and
+    a zero generator.  e_3, e_1, e_2 triangularize A and B, so the
+    closure is solvable with [L, L] nil."""
+    a = {"degree": [0], "blocks": [
+        {"source": [0], "matrix": [["1", "1/2"], ["0", "-2/3"]]},
+        {"source": [1], "matrix": [["3"]]},
+    ]}
+    b = {"degree": [1], "blocks": [{"source": [0], "matrix": [["1", "-1/3"]]}]}
+    zero = {"degree": [0], "blocks": [{"source": [0], "matrix": [["0", "0"], ["0", "0"]]}]}
+    return {
+        "group": {"free_rank": 1, "torsion_moduli": []},
+        "bicharacter": [["-1"]],
+        "space": [{"degree": [0], "dim": 2}, {"degree": [1], "dim": 1}],
+        "generators": [a, b, b, zero],
+    }

@@ -1,5 +1,6 @@
 """Growth curve of ``bracket_closure``, ``color_flag``, ``ideal_chain``,
-the structure table and ``nil_subspace_check``.
+the structure table, ``nil_subspace_check`` and the CLI's
+``triangularize``.
 
     PYTHONPATH=src python3 tests/growth.py --label change --out BENCH_25.json
 
@@ -9,8 +10,12 @@ and ``color_flag``, ``ideal_chain`` and the structure-constant table
 n x n Borel algebra (``corpus.borel_generators``), in the ``plain`` and
 ``z`` gradings, and ``nil_subspace_check`` (deterministic policy) on a nil
 span of s = 3 and s = 4 unimodular-conjugated strictly upper triangular
-n x n matrices (``corpus.conjugated_nil_span``, seeded by n and s), for
-every n in ``--sizes``.  Each algebra call gets a freshly closed
+n x n matrices (``corpus.conjugated_nil_span``, seeded by n and s), and
+``cli.main(["triangularize", "--json", path])`` in process, its output
+captured, on a problem file with a 1 x 1 degree-0 generator beside an
+unused (n^2 - 1)-dimensional component (``corpus.unused_component_doc``,
+rows ``triangularize/unused/...``, an n^2-dimensional space), for every
+n in ``--sizes``.  Each algebra call gets a freshly closed
 algebra, so its structure table is built inside the timed call; the
 median of ``--repeats`` runs is kept.  Times are CPU seconds of this process
 (``time.process_time``), which a shared machine's other load disturbs
@@ -23,17 +28,21 @@ in the ``--out`` JSON file; other labels already there are kept.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
 import random
 import statistics
+import tempfile
 import time
 
 from colorlie import (
     ColorAlgebra, bracket_closure, color_flag, ideal_chain, nil_subspace_check,
 )
-from corpus import borel_generators, conjugated_nil_span
+from colorlie.cli import main as cli_main
+from corpus import borel_generators, conjugated_nil_span, unused_component_doc
 
 CLOCK = time.process_time
 CALLS = {"color_flag": color_flag, "ideal_chain": ideal_chain,
@@ -51,8 +60,16 @@ def median_time(prepare, fn, repeats: int) -> float:
     return statistics.median(runs)
 
 
-def cases(sizes):
-    """(key, prepare, fn) for every timed call."""
+def triangularize(path) -> None:
+    """The CLI's ``triangularize --json`` on path, its output captured."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        if cli_main(["triangularize", "--json", path]) != 0:
+            raise RuntimeError(f"triangularize failed on {path}")
+
+
+def cases(sizes, tmp):
+    """(key, prepare, fn) for every timed call; problem files go in the
+    directory tmp."""
     for grading in ("plain", "z"):
         for n in sizes:
             yield (f"closure/{grading}/n={n}",
@@ -69,6 +86,11 @@ def cases(sizes):
             span = conjugated_nil_span(random.Random(100 * n + s), n, s)
             yield (f"nil_subspace_check/s={s}/n={n}", lambda span=span: span,
                    lambda mats: nil_subspace_check(mats, policy="deterministic"))
+    for n in sizes:
+        path = os.path.join(tmp, f"unused{n * n}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(unused_component_doc(n * n), fh)
+        yield f"triangularize/unused/n={n}", lambda path=path: path, triangularize
 
 
 def main(argv=None):
@@ -79,10 +101,11 @@ def main(argv=None):
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args(argv)
 
-    seconds = {
-        key: round(median_time(prepare, fn, args.repeats), 4)
-        for key, prepare, fn in cases(args.sizes)
-    }
+    with tempfile.TemporaryDirectory() as tmp:
+        seconds = {
+            key: round(median_time(prepare, fn, args.repeats), 4)
+            for key, prepare, fn in cases(args.sizes, tmp)
+        }
     doc = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:

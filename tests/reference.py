@@ -17,7 +17,8 @@ multiplies out every word, the oracle for ``linalg._products_vanish``.
 
 ``ref_kernel_filtration`` is the kernel filtration by induced maps, the
 oracle for ``structure._kernel_filtration``, and ``ref_certificate`` the
-dense T^-1 M T check, the oracle for ``structure._certify``.  ``ref_ad``
+dense T^-1 M T check and product, the oracle for ``structure._certify``
+and its columns (``dense_columns``).  ``ref_ad``
 builds ad x column by column with ``color_bracket``, the oracle for the
 table-read ``structure._sparse_ads``.
 """
@@ -368,8 +369,8 @@ def _solve(basis, img) -> list[Fraction]:
     return x
 
 
-def ref_certificate(flat_vectors, mats) -> list[list[Fraction]]:
-    """The diagonals of T^-1 M T for the dense n x n matrices ``mats``,
+def ref_certificate(flat_vectors, mats) -> list[list[list[Fraction]]]:
+    """T^-1 M T, as dense rows, for the dense n x n matrices ``mats``,
     with T the flattened flag vectors as columns, after checking that
     every entry below the diagonal vanishes: T^-1 by Gauss-Jordan on
     [T | I] (``ref_rref``), the products entry by entry.  TheoremViolation
@@ -389,10 +390,16 @@ def ref_certificate(flat_vectors, mats) -> list[list[Fraction]]:
         return [[sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0))
                  for j in range(n)] for i in range(n)]
 
-    diagonals = []
+    out = []
     for m in mats:
         c = product(t_inv, product([list(row) for row in m.data], t))
         if any(c[i][j] != 0 for i in range(n) for j in range(i)):
             raise TheoremViolation("matrix is not upper triangular in the flag basis")
-        diagonals.append([c[i][i] for i in range(n)])
-    return diagonals
+        out.append(c)
+    return out
+
+
+def dense_columns(columns, n: int) -> list[list[Fraction]]:
+    """The n x n matrix, as dense rows, whose column j is the sparse
+    ``columns[j]``."""
+    return [[columns[j].get(i, Fraction(0)) for j in range(n)] for i in range(n)]

@@ -39,7 +39,7 @@ from colorlie import (
     unflatten_vector,
     zero_map,
 )
-from colorlie.graded import _flat, _unflatten
+from colorlie.graded import _flat, _graded, _unflatten
 from corpus import (
     BOREL_GRADINGS,
     all_configs,
@@ -320,6 +320,29 @@ def test_flatten_vector_roundtrip():
     v = shift_space()
     vec = make_vector(v, {Z0: [Fraction(1, 2)], Z1: [3]})
     assert unflatten_vector(v, flatten_vector(vec)) == vec
+
+
+def test_graded_matches_unflatten_vector():
+    # sparse vectors, as the flag yields them and with the explicit zeros
+    # _sum_of leaves where terms cancel, on multi-component spaces: the
+    # GradedVector is the one the dense round trip builds
+    from reference import densify
+
+    rng = random.Random(271)
+    spaces = [make_space(Z, {Z0: 1, Z1: 3, Z2: 2})]
+    spaces += [random_space(rng, group, max_components=4, max_dim=3, max_total=9)
+               for _, group, _ in all_configs() for _ in range(6)]
+    checked = 0
+    for space in spaces:
+        n = space.total_dim
+        for _ in range(8):
+            v = {i: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                 for i in rng.sample(range(n), rng.randint(0, n))}
+            got = _graded(space, v)
+            assert got == unflatten_vector(space, densify(v, n))
+            assert all(type(x) is Fraction for _, comp in got.components for x in comp)
+            checked += len(space.dims) > 1 and any(x == 0 for x in v.values())
+    assert checked >= 20
 
 
 def test_unflatten_vector_checks_length():

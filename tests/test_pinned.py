@@ -7,7 +7,11 @@ in four gradings, on planted solvable algebras (``random_solvable_instance``
 at seeds 0-9 in every torsion-free grading) and on a Borel algebra
 conjugated by a rational unit lower triangular matrix, whose canonical
 basis is dense; and the CLI's ``triangularize`` and ``chain`` output,
-with and without ``--json``, on the sample problems.  So a refactor that
+with and without ``--json``, on the sample problems, and that of
+``triangularize`` on two generated files: a 1 x 1 generator beside an
+unused 63-dimensional component (``corpus.unused_component_doc``) and a
+generator list with a repeated and a zero generator
+(``corpus.repeated_and_zero_generators_doc``).  So a refactor that
 changes a basis shows up here.  When a basis change is intended and
 shown valid, recompute the digests with ``pinned_digests``.
 """
@@ -18,6 +22,7 @@ import io
 import itertools
 import json
 import random
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +30,13 @@ from colorlie import (
     ColorAlgebra, Matrix, bracket_closure, color_flag, ideal_chain, inverse, make_map,
 )
 from colorlie.cli import main
-from corpus import borel_generators, random_solvable_instance, torsion_free_configs
+from corpus import (
+    borel_generators,
+    random_solvable_instance,
+    repeated_and_zero_generators_doc,
+    torsion_free_configs,
+    unused_component_doc,
+)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -128,6 +139,14 @@ PINNED = {
         "0b7b8fc2273a8ec2a0ba955726fa74b6ee1dc341aa8d98a5f7fa4c91805ee2b0",
     "cli.text.chain.z3_torsion":
         "bddc5492002ec41544d959156fe6aedea7d64cebf1eba63e00f10e516831eb41",
+    "cli.triangularize.unused64":
+        "ecf90de72ac834d7f7cf9ae34bbe9793ddb7d2004f551125b07b1a953ca9a3e6",
+    "cli.text.triangularize.unused64":
+        "ed744020dc2fe14ebb271ae6655978cc2f7a93626b9cd736f7b254a5b566f960",
+    "cli.triangularize.repeated_zero":
+        "4803075d13300e6d0fab87f457489ed2e7b71cdbbb9b8503d4a48fc3d3f078b7",
+    "cli.text.triangularize.repeated_zero":
+        "894a8b13298846f01e1ba0a53f949ede3e2eb18709dae94e2c7e843105e9e063",
 }
 
 
@@ -214,6 +233,16 @@ def pinned_digests() -> dict:
         for command in ("triangularize", "chain"):
             out[f"cli.{command}.{path.stem}"] = _sha(_cli_outputs(command, path))
             out[f"cli.text.{command}.{path.stem}"] = _sha(_cli_text_outputs(command, path))
+    generated = {"unused64": unused_component_doc(64),
+                 "repeated_zero": repeated_and_zero_generators_doc()}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in generated.items():
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            out[f"cli.triangularize.{name}"] = _sha(_cli_outputs("triangularize", path))
+            out[f"cli.text.triangularize.{name}"] = _sha(
+                _cli_text_outputs("triangularize", path)
+            )
     return out
 
 

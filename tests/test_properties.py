@@ -425,10 +425,11 @@ def test_flags_and_chains_of_solvable_instances_pass_the_references(seed):
         L = random_solvable_instance(rng, group, r)
         flag = color_flag(L)
         assert all(v.is_homogeneous() for v in flag.ordered_basis)
-        diagonals = ref_certificate(
+        products = ref_certificate(
             [flatten_vector(v) for v in flag.ordered_basis],
             [flatten_map(f) for f in L.basis],
         )
+        diagonals = [[c[i][i] for i in range(len(c))] for c in products]
         assert [list(w.values) for w in flag.weights] == [list(d) for d in zip(*diagonals)]
         chain = ideal_chain(L).chain
         assert [s.dim for s in chain] == list(range(L.dim + 1))

@@ -1584,9 +1584,9 @@ def _certify_graded(space, vectors, sparse):
 
 
 def _certificates(space, vectors, sparse, dense):
-    """The sparse certificate and the dense reference, each as its
-    diagonals or the message of the TheoremViolation it raised."""
-    from reference import ref_certificate
+    """The sparse certificate and the dense reference, each as the dense
+    matrices T^-1 M T or the message of the TheoremViolation it raised."""
+    from reference import dense_columns, ref_certificate
     from colorlie import TheoremViolation
 
     def run(check):
@@ -1595,8 +1595,9 @@ def _certificates(space, vectors, sparse, dense):
         except TheoremViolation as e:
             return str(e)
 
+    n = space.total_dim
     return (
-        run(lambda: _certify_graded(space, vectors, sparse)),
+        run(lambda: [dense_columns(c, n) for c in _certify_graded(space, vectors, sparse)]),
         run(lambda: ref_certificate([flatten_vector(v) for v in vectors], dense)),
     )
 
@@ -1663,7 +1664,7 @@ def test_certificate_rejects_a_mixed_vector():
     # e_0 + e_1 and e_1, of degrees 0 and 1, triangularize the identity
     # and a degree-zero diagonal map, as the dense reference shows, but
     # e_0 + e_1 is not homogeneous, so the flag is not a color flag
-    from reference import ref_certificate
+    from reference import dense_columns, ref_certificate
     from colorlie import TheoremViolation
     from colorlie.structure import _certify
 
@@ -1673,12 +1674,15 @@ def test_certificate_rejects_a_mixed_vector():
     maps = [make_map(w, z0, {z0: [[1]], z1: [[1]]}), make_map(w, z0, {z0: [[2]], z1: [[2]]})]
     mixed = [{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(1)}]
     flat = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
-    assert ref_certificate(flat, [flatten_map(f) for f in maps]) == [[1, 1], [2, 2]]
+    assert ref_certificate(flat, [flatten_map(f) for f in maps]) == [
+        [[1, 0], [0, 1]], [[2, 0], [0, 2]]
+    ]
     with pytest.raises(TheoremViolation, match="flag vector is not homogeneous"):
         _certify(_coordinate_degrees(w), mixed, [_sparse_of(f) for f in maps])
     # the same vectors split by degree pass
-    assert _certify(_coordinate_degrees(w), [{0: Fraction(1)}, {1: Fraction(1)}],
-                    [_sparse_of(f) for f in maps]) == [[1, 1], [2, 2]]
+    columns = _certify(_coordinate_degrees(w), [{0: Fraction(1)}, {1: Fraction(1)}],
+                       [_sparse_of(f) for f in maps])
+    assert [dense_columns(c, 2) for c in columns] == [[[1, 0], [0, 1]], [[2, 0], [0, 2]]]
 
 
 def test_adjoint_certificate_with_the_adapted_basis(monkeypatch):
@@ -1686,7 +1690,7 @@ def test_adjoint_certificate_with_the_adapted_basis(monkeypatch):
     # ad of L's basis adapted to [L, L], which spans ad L.  That
     # certificate agrees with the dense reference and rejects a flag with
     # its first and last vectors swapped
-    from reference import densify, ref_ad, ref_certificate
+    from reference import dense_columns, densify, ref_ad, ref_certificate
     import colorlie.structure as structure
     from colorlie import TheoremViolation
     from colorlie.algebra import _square
@@ -1706,7 +1710,9 @@ def test_adjoint_certificate_with_the_adapted_basis(monkeypatch):
             dense = [flatten_map(ref_ad(L, g, v)) for g, v in coords]
             degrees, vectors = _coordinate_degrees(L.profile_space()), _adjoint_flag(L)
             flat = [densify(v, L.dim) for v in vectors]
-            assert _certify(degrees, vectors, ads) == ref_certificate(flat, dense)
+            assert [dense_columns(c, L.dim) for c in _certify(degrees, vectors, ads)] == (
+                ref_certificate(flat, dense)
+            )
             swapped = list(vectors)
             swapped[0], swapped[-1] = swapped[-1], swapped[0]
             with pytest.raises(TheoremViolation, match="not upper triangular"):
@@ -1717,6 +1723,65 @@ def test_adjoint_certificate_with_the_adapted_basis(monkeypatch):
             del seen[:]
             ideal_chain(L)
             assert seen == [ads]
+
+
+def _assert_flag_matrices(L, gens, rng):
+    # flag.matrix, read off the certificate's columns, equals the dense
+    # reference T^-1 f T for the generators, the basis and random rational
+    # combinations of the basis
+    from reference import ref_certificate
+
+    flag = color_flag(L)
+    # a combination is homogeneous: one per degree of L
+    combos = [L.from_coordinates([Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                                  if d == g else 0 for d in L.basis_degrees])
+              for g in L.degrees()]
+    maps = list(gens) + list(L.basis) + combos
+    want = ref_certificate([flatten_vector(v) for v in flag.ordered_basis],
+                           [flatten_map(f) for f in maps])
+    assert [[list(row) for row in flag.matrix(f).data] for f in maps] == want
+
+
+def test_flag_matrix_matches_dense_reference():
+    from corpus import rational_conjugated_borel
+
+    rng = random.Random(277)
+    for _, group, r in torsion_free_configs():
+        for _ in range(4):
+            L = random_solvable_instance(rng, group, r)
+            _assert_flag_matrices(L, L.basis, rng)
+    # Borel generators conjugated by rational unimodular matrices, with
+    # denominators; z2 is Z^2 with bicharacter values 2 and 1/2
+    for n in (3, 4):
+        for grading in ("plain", "z", "z2"):
+            space, r, gens = rational_conjugated_borel(rng, n, grading)
+            assert any(x.denominator > 1 for f in gens for row in flatten_map(f).data
+                       for x in row)
+            _assert_flag_matrices(bracket_closure(space, r, gens), gens, rng)
+
+
+def test_flag_matrix_of_zero_and_outside_maps():
+    import dataclasses
+    from colorlie import NotInAlgebra, zero_map
+
+    v, e11, e12, L = borel2()
+    flag = color_flag(L)
+    assert flag.matrix(zero_map(v, E0)) == Matrix.zero(2, 2)
+    assert flag.matrix(e12) == Matrix([[0, 1], [0, 0]])
+    with pytest.raises(NotInAlgebra):
+        flag.matrix(unit_map(v, 1, 0))
+    with pytest.raises(NotInAlgebra):
+        flag.matrix(unit_map(v, 1, 1))
+    # the certified columns are no part of == or repr, and replace keeps them
+    bare = type(flag)(flag.ordered_basis, flag.weights)
+    assert bare == flag and repr(bare) == repr(flag)
+    assert repr(flag) == (
+        f"ColorFlag(ordered_basis={flag.ordered_basis!r}, weights={flag.weights!r})"
+    )
+    swapped = dataclasses.replace(flag, ordered_basis=flag.ordered_basis[::-1])
+    assert swapped.ordered_basis == flag.ordered_basis[::-1]
+    assert swapped.weights == flag.weights and swapped.columns == flag.columns
+    assert swapped != flag
 
 
 def test_flag_builds_each_map_once(monkeypatch):
