@@ -44,6 +44,7 @@ from corpus import (
     BOREL_GRADINGS,
     all_configs,
     borel_generators,
+    noncanonical_borel_algebras,
     random_homogeneous_map,
     random_space,
     torsion_free_configs,
@@ -454,3 +455,122 @@ def test_unflatten_skips_explicit_zeros():
     g = _unflatten(v, Z1, padded)
     assert g == f
     assert flatten_map(g) == flatten_map(f)
+
+
+def _contract_maps():
+    """Maps of every shape the package builds: corpus maps in every
+    grading, maps touching only some source degrees, and the Borel
+    generators and closure bases."""
+    rng = random.Random(404)
+    for _, group, _ in all_configs():
+        for _ in range(6):
+            space = random_space(rng, group)
+            for density in (0.0, 0.3, 0.8):
+                yield random_homogeneous_map(rng, space, density=density)
+    yield from _partial_maps()
+    for grading in BOREL_GRADINGS:
+        space, r, gens = borel_generators(4, grading)
+        yield from gens
+        yield from bracket_closure(space, r, gens).basis
+
+
+def _assert_same(f, g):
+    assert f == g and g == f
+    assert hash(f) == hash(g)
+    assert f.blocks == g.blocks
+    assert str(f) == str(g)
+
+
+def test_maps_built_every_way_are_equal_and_hash_equal():
+    """make_map from lists, "p/q" strings and Matrix blocks,
+    unflatten_map, compose with the identity, add_maps with zero and
+    scale_map by one all give the same map: equal, hash equal and with
+    the same blocks."""
+    for f in _contract_maps():
+        space, u = f.space, f.degree
+        ident, zero = identity_map(space), zero_map(space, u)
+        as_lists = {h: [list(row) for row in b.data] for h, b in f.blocks}
+        as_text = {h: [[str(x) for x in row] for row in b.data] for h, b in f.blocks}
+        for g in (
+            make_map(space, u, as_lists),
+            make_map(space, u, as_text),
+            make_map(space, u, dict(f.blocks)),
+            unflatten_map(space, u, flatten_map(f)),
+            compose(f, ident),
+            compose(ident, f),
+            add_maps(f, zero),
+            add_maps(zero, f),
+            scale_map(1, f),
+            add_maps(scale_map(2, f), scale_map(-1, f)),
+        ):
+            _assert_same(f, g)
+        assert f.is_zero() == (f == zero)
+        if not f.is_zero():
+            assert scale_map(2, f) != f
+            assert add_maps(f, scale_map(-1, f)) == zero
+
+
+def test_maps_differ_by_degree_space_and_entries():
+    v = make_space(Z, {Z0: 1, Z1: 2, Z2: 1})
+    w = make_space(Z, {Z0: 1, Z1: 2})
+    assert zero_map(v, Z0) != zero_map(v, Z1)
+    assert zero_map(v, Z1) != zero_map(w, Z1)
+    f = make_map(v, Z1, {Z0: [[1], [0]]})
+    assert f != make_map(v, Z1, {Z0: [[0], [1]]})
+    assert f != make_map(w, Z1, {Z0: [[1], [0]]})
+    assert f != flatten_map(f)
+    # explicit zero blocks, and explicit zeros, are not stored
+    assert make_map(v, Z1, {Z0: [[0], [0]], Z1: [[0, 0]]}) == zero_map(v, Z1)
+    assert make_map(v, Z1, {Z0: [[0], [0]], Z1: [[0, 0]]}).blocks == ()
+    assert len({f, make_map(v, Z1, {Z0: [["1"], ["0"]]}), zero_map(v, Z1)}) == 2
+
+
+def test_algebra_elements_equal_the_maps_they_stand_for():
+    """L._element on a basis element's pivot coordinates, and
+    from_coordinates on its unit coordinates, give back the map L was
+    presented with, in a basis that is not reduced echelon."""
+    for L in noncanonical_borel_algebras(random.Random(17), sizes=(3,)):
+        for k, f in enumerate(L.basis):
+            unit = [0] * L.dim
+            unit[k] = 1
+            for g in (L._element(f.degree, L._pivot_coords(f)), L.from_coordinates(unit)):
+                _assert_same(f, g)
+
+
+def test_blocks_view_and_absent_blocks():
+    """``blocks`` lists the nonzero blocks in the canonical order of their
+    source degrees; ``block`` of an absent source is the zero block of
+    its shape, 0 rows when the target is outside the support."""
+    v = make_space(Z, {Z0: 1, Z1: 2, Z2: 1})
+    f = make_map(v, Z1, {Z1: [["0", "-3"]], Z0: [["1/2"], [0]]})
+    assert f.blocks == (
+        (Z0, Matrix([[Fraction(1, 2)], [0]])),
+        (Z1, Matrix([[0, -3]])),
+    )
+    assert all(type(x) is Fraction for _, b in f.blocks for row in b.data for x in row)
+    assert f.block(Z2) == Matrix.zero(0, 1)
+    assert f.block(Z2).rows == 0 and f.block(Z2).cols == 1
+    g = make_map(v, Z1, {Z1: [[0, -3]]})
+    assert g.block(Z0) == Matrix.zero(2, 1)
+    assert str(f) == "HomogeneousMap(deg (1), {(0): Matrix(2x1: 1/2; 0), (1): Matrix(1x2: 0 -3)})"
+    assert str(zero_map(v, Z2)) == "HomogeneousMap(deg (2), {})"
+    assert not f.is_zero() and zero_map(v, Z1).is_zero()
+
+
+def test_serialize_round_trip_on_every_problem_file():
+    """Every problem file parses to generators whose serialized blocks
+    parse back to equal maps, and serialize to the same document again."""
+    import json
+    from pathlib import Path
+
+    from colorlie import parse_problem, serialize_problem
+
+    paths = sorted((Path(__file__).resolve().parent.parent / "problems").glob("*.json"))
+    assert paths
+    for path in paths:
+        doc = serialize_problem(parse_problem(json.loads(path.read_text())))
+        again = parse_problem(doc)
+        assert serialize_problem(again) == doc
+        for f, g in zip(parse_problem(json.loads(path.read_text())).generators,
+                        again.generators):
+            _assert_same(f, g)
