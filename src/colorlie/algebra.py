@@ -19,7 +19,10 @@ length-m coordinate vectors instead of on N x N maps.
 R and its transform back to the basis are kept by a ``linalg._Echelon``,
 the package's one elimination kernel, as are all echelon rows here.  Every
 vector here is sparse, a dict ``{index: value}`` as the kernel takes and
-gives it: flattened maps, pivot coordinates and table entries alike.
+gives it: flattened maps, pivot coordinates and table entries alike.  A
+map's flattened vector is the one thing it stores, ``f.entries`` (see
+``graded``), so a map goes into the kernel as it stands, and an element
+is built from its sorted entries, with no blocks either way.
 
 A graded span is one ``_Echelon``, with no split by degree: homogeneous
 vectors of different degrees share no coordinate, flattened or pivot, so
@@ -43,7 +46,7 @@ not vanish.
 
 Those brackets, the closure's and the table's, are the only ones taken
 of maps, and ``_sparse_bracket`` computes them on integer rows, without
-building block maps: each operand is an integer multiple of a flattened
+building maps: each operand is an integer multiple of a flattened
 N x N matrix, split by matrix row once (``_split``), and with
 s = r(|b|, |a|) the kernel gives den(s) a b - num(s) b a = den(s) [a, b]
 in Python ints, fraction-free as ``_Echelon`` is; the caller tracks the
@@ -51,12 +54,12 @@ degree |a| + |b|.  The closure brackets primitive integer rows, whose
 span is that of the maps they scale, and the table brackets the
 solver's integer rows lead_k R_k and divides each entry back to
 Fractions once.  Integers stay inside the two; every value returned is
-a Fraction.  ``color_bracket`` stays the public bracket of block maps,
-by block arithmetic (``compose``, ``add_maps``), so the tests can check
-the kernel and the table against it.
+a Fraction.  ``color_bracket`` stays the public bracket of maps, by
+``compose`` and ``add_maps`` on their Fraction entries, so the tests can
+check the kernel and the table against it.
 
 An algebra spanned by reduced rows, as closures are, keeps its basis as
-those rows and their degrees (``basis_degrees``); the block maps of
+those rows and their degrees (``basis_degrees``); the maps of
 ``basis`` are built on its first read, and the degrees, the dimension,
 the series, the table, flags and chains never read them.
 """
@@ -88,7 +91,6 @@ from .graded import (
     GradedSpace,
     HomogeneousMap,
     _coordinate_degrees,
-    _flat,
     _unflatten,
     add_maps,
     compose,
@@ -183,7 +185,7 @@ class ColorAlgebra:
         for f in basis:
             if f.space != space:
                 raise SpaceMismatch("basis map acts on a different space")
-        flat = [_flat(f) for f in basis]
+        flat = [f.entries for f in basis]
         solver = _Echelon(space.total_dim ** 2, flat, track=True)
         if len(solver.pivots) < len(basis):
             raise ValidationError("basis maps are linearly dependent")
@@ -252,15 +254,10 @@ class ColorAlgebra:
         coords = list(coords)
         if len(coords) != self.dim:
             raise ValidationError("coordinate length mismatch")
-        acc = None
-        for c, f in zip(coords, self.basis):
-            if c == 0:
-                continue
-            term = scale_map(c, f)
-            acc = term if acc is None else add_maps(acc, term)
-        if acc is None:
+        terms = [scale_map(c, f) for c, f in zip(coords, self.basis) if c != 0]
+        if not terms:
             return zero_map(self.space, self.space.group.identity())
-        return acc
+        return functools.reduce(add_maps, terms)
 
     def profile_space(self) -> GradedSpace:
         """The graded space with one dimension per basis element, used by
@@ -276,7 +273,7 @@ class ColorAlgebra:
         """Pivot coordinates of f, or None when f is outside the span."""
         if f.space != self.space:
             raise SpaceMismatch("map acts on a different space")
-        return self._solver.reduce(_flat(f))
+        return self._solver.reduce(f.entries)
 
     def _element(self, degree: GroupElement, coords) -> HomogeneousMap:
         """The map with the given pivot coordinates."""
@@ -365,9 +362,8 @@ def bracket_closure(space: GradedSpace, r: Bicharacter, generators) -> ColorAlge
     for g in generators:
         if g.space != space:
             raise SpaceMismatch("generator acts on a different space")
-        flat = _flat(g)
-        if ech.add(flat):
-            elems.append((g.degree, _split(n, _integral(flat))))
+        if ech.add(g.entries):
+            elems.append((g.degree, _split(n, _integral(g.entries))))
     if r.spec != space.group:
         raise GroupMismatch("bicharacter group differs from the grading group")
     gens = elems[:]
@@ -552,7 +548,7 @@ def ad_representation(L: ColorAlgebra) -> ColorAlgebra:
     profile = L.profile_space()
     ech = _Echelon(profile.total_dim ** 2)
     for b in L.basis:
-        ech.add(_flat(ad_map(L, b)))
+        ech.add(ad_map(L, b).entries)
     return ColorAlgebra._spanned(profile, L.r, ech)
 
 

@@ -47,12 +47,10 @@ def _fmt_matrix(m: Matrix) -> list[list[str]]:
 
 
 def _print_matrix(m: Matrix, indent: str = "    "):
-    widths = [
-        max((len(_text(m.data[i][j])) for i in range(m.rows)), default=1)
-        for j in range(m.cols)
-    ]
-    for row in m.data:
-        cells = "  ".join(_text(x).rjust(w) for x, w in zip(row, widths))
+    rows = _fmt_matrix(m)
+    widths = [max((len(row[j]) for row in rows), default=1) for j in range(m.cols)]
+    for row in rows:
+        cells = "  ".join(x.rjust(w) for x, w in zip(row, widths))
         print(f"{indent}[ {cells} ]")
 
 

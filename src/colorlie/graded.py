@@ -1,13 +1,14 @@
-"""Graded vector spaces and homogeneous linear maps as block matrices.
+"""Graded vector spaces and homogeneous linear maps.
 
 A homogeneous map of degree u sends the component of degree h into the
-component of degree h + u; it is stored as a dictionary of blocks keyed
-by source degree.  Blocks whose target falls outside the support are
-identically zero and never stored, which keeps all data finite.  Entry
-(i, j) of the block at h is entry (off[h + u] + i) N + off[h] + j of the
-flattened N x N matrix, row-major, off the components' offsets; ``_flat``
-reads the nonzero ones into a dict so keyed, ``_unflatten`` builds blocks
-from one, and only ``flatten_map`` makes a dense copy, kept on the map.
+component of degree h + u.  It stores one thing, ``entries``: the
+nonzero Fractions of its flattened N x N matrix in V's canonical basis,
+keyed p N + q in increasing order, as every elimination, bracket and
+flag reads it.  ``blocks``, keyed by source degree, is a view laid out
+on first read: entry (i, j) of the block at h is entry
+(off[h + u] + i) N + off[h] + j, off the components' offsets; a block
+whose target is outside the support is zero.  Only ``flatten_map``
+makes a dense copy.
 No span or kernel here is split by degree.  A row of a homogeneous map's
 flattened matrix reads coordinates of one degree only, so one
 ``linalg._Echelon`` of such rows, on sparse vectors ``{index: value}``,
@@ -22,7 +23,8 @@ V's i-th coordinate (``_coordinate_degrees``).
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -38,6 +40,7 @@ from .errors import (
 )
 from .grading import GroupElement, GroupSpec, element_add, has_infinite_order
 from .linalg import (
+    _ONE,
     _ZERO,
     Matrix,
     Poly,
@@ -182,7 +185,9 @@ def unflatten_vector(space: GradedSpace, flat) -> GradedVector:
 
 
 def _graded(space: GradedSpace, v: dict) -> GradedVector:
-    """The vector of ``space`` with the sparse flattened Fraction coordinates v."""
+    """The vector of ``space`` with the sparse flattened Fraction
+    coordinates v; only components holding a nonzero entry are built, in
+    the canonical order of ``space.dims``."""
     starts = list(space.offsets().values())
     comps: dict = {}
     for i, x in v.items():
@@ -192,17 +197,34 @@ def _graded(space: GradedSpace, v: dict) -> GradedVector:
             if g not in comps:
                 comps[g] = [_ZERO] * n
             comps[g][i - starts[k]] = x
-    return _vector(space, comps)
+    return GradedVector(space, tuple((g, tuple(comps[g])) for g, _ in space.dims if g in comps))
 
 
 @dataclass(frozen=True)
 class HomogeneousMap:
-    """Degree-u block map; blocks[(h)] has shape n_{h+u} x n_h and is
-    stored only when nonzero with both endpoints in the support."""
+    """Degree-u map, stored as ``entries`` (see the module docstring), a
+    dict never changed once built; the hash leaves it out."""
 
     space: GradedSpace
     degree: GroupElement
-    blocks: tuple[tuple[GroupElement, Matrix], ...]
+    entries: dict[int, Fraction] = field(hash=False)
+
+    @functools.cached_property
+    def blocks(self) -> tuple[tuple[GroupElement, Matrix], ...]:
+        """(source degree h, its n_{h+u} x n_h block) for each nonzero
+        block, in the canonical order of the sources."""
+        space = self.space
+        n, off = space.total_dim, space.offsets()
+        degrees = _coordinate_degrees(space)
+        grids: dict[GroupElement, list] = {}
+        for i, x in self.entries.items():
+            p, q = divmod(i, n)
+            h, t = degrees[q], degrees[p]
+            if h not in grids:
+                grids[h] = [[_ZERO] * space.dim_of(h) for _ in range(space.dim_of(t))]
+            grids[h][p - off[t]][q - off[h]] = x
+        return tuple((h, Matrix._raw(tuple(map(tuple, grids[h])), k))
+                     for h, k in space.dims if h in grids)
 
     def block(self, h: GroupElement) -> Matrix:
         for g, b in self.blocks:
@@ -212,54 +234,63 @@ class HomogeneousMap:
         return Matrix.zero(self.space.dim_of(target), self.space.dim_of(h))
 
     def is_zero(self) -> bool:
-        return not self.blocks
+        return not self.entries
 
     def __str__(self) -> str:
         body = ", ".join(f"{g}: {b!r}" for g, b in self.blocks)
         return f"HomogeneousMap(deg {self.degree}, {{{body}}})"
 
 
-def _map(space: GradedSpace, degree: GroupElement, blocks: dict) -> HomogeneousMap:
-    kept = {}
-    for h, b in blocks.items():
-        if space.dim_of(h) == 0:
-            continue
-        if space.dim_of(element_add(h, degree)) == 0:
-            continue
-        if not b.is_zero():
-            kept[h] = b
-    items = tuple(sorted(kept.items(), key=lambda kv: kv[0].sort_key()))
-    return HomogeneousMap(space, degree, items)
+def _unflatten(space: GradedSpace, degree: GroupElement, flat: dict) -> HomogeneousMap:
+    """The map of the given degree with the flattened entries ``flat``, in
+    any order, on the degree's pattern; zeros, as cancelled terms leave
+    them, are dropped."""
+    return HomogeneousMap(space, degree, {i: flat[i] for i in sorted(flat) if flat[i]})
+
+
+def _by_row(f: HomogeneousMap) -> dict[int, dict[int, Fraction]]:
+    """f's entries by row of its flattened matrix: {p: {q: x}}."""
+    n = f.space.total_dim
+    out: dict[int, dict[int, Fraction]] = {}
+    for i, x in f.entries.items():
+        out.setdefault(i // n, {})[i % n] = x
+    return out
 
 
 def make_map(space: GradedSpace, degree: GroupElement, blocks) -> HomogeneousMap:
+    """The map of the given degree with the given blocks, ``{source degree:
+    block}``, each a Matrix or a list of rows of ints, "p/q" strings or
+    Fractions.  A block whose target lies outside the support is zero, and
+    may be given as an empty list."""
     if degree.spec != space.group:
         raise UnknownDegree("degree belongs to a different group")
-    clean = {}
+    n, off = space.total_dim, space.offsets()
+    entries: dict[int, Fraction] = {}
     for h, raw in dict(blocks).items():
-        n_src = space.dim_of(h)
-        if n_src == 0:
+        if space.dim_of(h) == 0:
             raise UnknownDegree(f"source degree {h} is not in the support")
         b = raw if isinstance(raw, Matrix) else Matrix(raw)
         target = element_add(h, degree)
-        n_tgt = space.dim_of(target)
-        if b.cols != n_src or b.rows != n_tgt:
+        n_tgt, n_src = space.dim_of(target), space.dim_of(h)
+        # an empty list is the zero block at a target outside the support
+        if (b.rows, b.cols) != (n_tgt, n_src) and (b.rows, b.cols, n_tgt) != (0, 0, 0):
             raise ShapeMismatch(
                 f"block at source {h} must be {n_tgt}x{n_src}, got {b.rows}x{b.cols}"
             )
-        clean[h] = b
-    return _map(space, degree, clean)
+        for p, row in enumerate(b.data, off.get(target, 0)):
+            for i, x in enumerate(row, p * n + off[h]):
+                if x:
+                    entries[i] = x
+    return _unflatten(space, degree, entries)
 
 
 def zero_map(space: GradedSpace, degree: GroupElement) -> HomogeneousMap:
-    return _map(space, degree, {})
+    return HomogeneousMap(space, degree, {})
 
 
 def identity_map(space: GradedSpace) -> HomogeneousMap:
-    ident = space.group.identity()
-    return _map(
-        space, ident, {g: Matrix.identity(n) for g, n in space.dims}
-    )
+    n = space.total_dim
+    return HomogeneousMap(space, space.group.identity(), {i * (n + 1): _ONE for i in range(n)})
 
 
 def _same_space(f: HomogeneousMap, g: HomogeneousMap):
@@ -268,47 +299,50 @@ def _same_space(f: HomogeneousMap, g: HomogeneousMap):
 
 
 def compose(f: HomogeneousMap, g: HomogeneousMap) -> HomogeneousMap:
-    """f after g; the degree of the composite is deg f + deg g."""
+    """f after g, of degree deg f + deg g: (f g)[p, q] collects
+    f[p, k] g[k, q] over the entries of g's row k."""
     _same_space(f, g)
-    degree = element_add(f.degree, g.degree)
-    blocks = {}
-    for h, gb in g.blocks:
-        mid = element_add(h, g.degree)
-        fb = f.block(mid)
-        if fb.is_zero():
-            continue
-        blocks[h] = fb * gb
-    return _map(f.space, degree, blocks)
+    n = f.space.total_dim
+    rows = _by_row(g)
+    out: dict[int, Fraction] = {}
+    for i, a in f.entries.items():
+        p, k = divmod(i, n)
+        row = rows.get(k)
+        if row:
+            base = p * n
+            for q, b in row.items():
+                j = base + q
+                out[j] = out[j] + a * b if j in out else a * b
+    return _unflatten(f.space, element_add(f.degree, g.degree), out)
 
 
 def add_maps(f: HomogeneousMap, g: HomogeneousMap) -> HomogeneousMap:
     _same_space(f, g)
     if f.degree != g.degree:
         raise DegreeMismatch("cannot add maps of different degrees")
-    sources = {h for h, _ in f.blocks} | {h for h, _ in g.blocks}
-    return _map(f.space, f.degree, {h: f.block(h) + g.block(h) for h in sources})
+    out = dict(f.entries)
+    for i, x in g.entries.items():
+        out[i] = out[i] + x if i in out else x
+    return _unflatten(f.space, f.degree, out)
 
 
 def scale_map(c, f: HomogeneousMap) -> HomogeneousMap:
     c = frac(c)
-    return _map(f.space, f.degree, {h: b.scale(c) for h, b in f.blocks})
+    return HomogeneousMap(f.space, f.degree, {i: c * x for i, x in f.entries.items() if c})
 
 
 def apply(f: HomogeneousMap, v: GradedVector) -> GradedVector:
     if f.space != v.space:
         raise SpaceMismatch("map and vector live on different spaces")
-    acc: dict[GroupElement, list[Fraction]] = {}
-    for g, comp in v.components:
-        b = f.block(g)
-        if b.is_zero():
-            continue
-        target = element_add(g, f.degree)
-        img = b.apply(comp)
-        if target in acc:
-            acc[target] = [a + x for a, x in zip(acc[target], img)]
-        else:
-            acc[target] = list(img)
-    return _vector(f.space, {g: tuple(v) for g, v in acc.items()})
+    n, off = f.space.total_dim, f.space.offsets()
+    coords = {i: x for g, comp in v.components for i, x in enumerate(comp, off[g]) if x}
+    out: dict[int, Fraction] = {}
+    for i, a in f.entries.items():
+        p, q = divmod(i, n)
+        x = coords.get(q)
+        if x:
+            out[p] = out[p] + a * x if p in out else a * x
+    return _graded(f.space, out)
 
 
 def map_power(f: HomogeneousMap, k: int) -> HomogeneousMap:
@@ -323,43 +357,13 @@ def map_power(f: HomogeneousMap, k: int) -> HomogeneousMap:
 
 
 def flatten_map(f: HomogeneousMap) -> Matrix:
-    """Matrix of f in the canonical degree-ordered basis of V: ``_flat(f)``
-    laid out densely, made on the first call and kept on f."""
-    if not hasattr(f, "_flattened"):
-        n = f.space.total_dim
-        rows = [[_ZERO] * n for _ in range(n)]
-        for i, x in _flat(f).items():
-            rows[i // n][i % n] = x
-        object.__setattr__(f, "_flattened", Matrix._raw(tuple(map(tuple, rows)), n))
-    return f._flattened
-
-
-def _flat(f: HomogeneousMap) -> dict[int, Fraction]:
-    """f's flattened matrix as its nonzero entries, read off the blocks in
-    target order; a row meets one block at most, so in index order."""
-    n, off = f.space.total_dim, f.space.offsets()
-    placed = sorted((off[element_add(h, f.degree)], off[h], b) for h, b in f.blocks)
-    return {i * n + j: x for r0, c0, b in placed for i, row in enumerate(b.data, r0)
-            for j, x in enumerate(row, c0) if x}
-
-
-def _unflatten(space: GradedSpace, degree: GroupElement, flat: dict) -> HomogeneousMap:
-    """The map of the given degree with the flattened entries ``flat``,
-    nonzero ones on its blocks and zeros, as cancelled terms leave them,
-    anywhere; only the blocks that a nonzero entry touches are built."""
-    n, off = space.total_dim, space.offsets()
-    degrees = _coordinate_degrees(space)
-    grids: dict[GroupElement, list] = {}
-    for i, x in flat.items():
-        if x:
-            p, q = divmod(i, n)
-            h = degrees[q]
-            if h not in grids:
-                grids[h] = [[_ZERO] * space.dim_of(h) for _ in range(space.dim_of(degrees[p]))]
-            grids[h][p - off[degrees[p]]][q - off[h]] = x
-    return _map(space, degree, {
-        h: Matrix._raw(tuple(map(tuple, rows)), space.dim_of(h)) for h, rows in grids.items()
-    })
+    """Matrix of f in the canonical degree-ordered basis of V: its entries
+    laid out densely, a new copy on each call."""
+    n = f.space.total_dim
+    rows = [[_ZERO] * n for _ in range(n)]
+    for i, x in f.entries.items():
+        rows[i // n][i % n] = x
+    return Matrix._raw(tuple(map(tuple, rows)), n)
 
 
 def unflatten_map(space: GradedSpace, degree: GroupElement, m: Matrix) -> HomogeneousMap:
@@ -367,12 +371,12 @@ def unflatten_map(space: GradedSpace, degree: GroupElement, m: Matrix) -> Homoge
     n = space.total_dim
     if m.rows != n or m.cols != n:
         raise ShapeMismatch(f"matrix must be {n}x{n}, got {m.rows}x{m.cols}")
-    flat = {i * n + j: x for i, row in enumerate(m.data) for j, x in enumerate(row) if x}
+    entries = {i * n + j: x for i, row in enumerate(m.data) for j, x in enumerate(row) if x}
     degrees = _coordinate_degrees(space)
     targets = [element_add(g, degree) for g in degrees]
-    if any(degrees[i // n] != targets[i % n] for i in flat):
+    if any(degrees[i // n] != targets[i % n] for i in entries):
         raise ValidationError("matrix has entries outside the homogeneous pattern")
-    return _unflatten(space, degree, flat)
+    return HomogeneousMap(space, degree, entries)
 
 
 def graded_kernel(maps, space: GradedSpace | None = None) -> list[GradedVector]:
@@ -395,8 +399,8 @@ def graded_kernel(maps, space: GradedSpace | None = None) -> list[GradedVector]:
                 raise SpaceMismatch("kernel maps act on different spaces")
     n = space.total_dim
     ech = _Echelon(n)
-    for row in (row for f in maps for row in flatten_map(f).data):
-        if ech.add(dict(enumerate(row))) and len(ech.pivots) == n:
+    for row in (row for f in maps for row in _by_row(f).values()):
+        if ech.add(row) and len(ech.pivots) == n:
             break
     return [_graded(space, v) for v in ech.kernel()]
 

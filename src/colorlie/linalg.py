@@ -53,7 +53,8 @@ class Matrix:
     __slots__ = ("data", "rows", "cols")
 
     def __init__(self, rows, *, cols: int | None = None):
-        data = tuple(tuple(frac(x) for x in row) for row in rows)
+        # each entry coerced once; a Fraction, as parsing gives, is kept
+        data = tuple(tuple([x if type(x) is Fraction else frac(x) for x in row]) for row in rows)
         if data:
             width = len(data[0])
             if any(len(r) != width for r in data):

@@ -16,6 +16,7 @@ from colorlie import (
     GradedSpace,
     HomogeneousMap,
     Matrix,
+    add_maps,
     bracket_closure,
     inverse,
     make_bicharacter,
@@ -24,7 +25,6 @@ from colorlie import (
     make_space,
     scale_map,
 )
-from colorlie.graded import _map
 
 
 def all_configs():
@@ -153,7 +153,7 @@ def conjugate_map(f: HomogeneousMap, p: dict, p_inv: dict) -> HomogeneousMap:
     for h, b in f.blocks:
         target = h + f.degree
         blocks[h] = p[target] * b * p_inv[h]
-    return _map(f.space, f.degree, blocks)
+    return make_map(f.space, f.degree, blocks)
 
 
 def _flag_order(rng: random.Random, space: GradedSpace):
@@ -348,15 +348,10 @@ def scrambled_basis(rng: random.Random, L: ColorAlgebra) -> list:
             acc = None
             for c, f in zip(row, part):
                 if c:
-                    term = _map(f.space, f.degree, {h: b.scale(c) for h, b in f.blocks})
-                    acc = term if acc is None else _add(acc, term)
+                    term = scale_map(c, f)
+                    acc = term if acc is None else add_maps(acc, term)
             out.append(acc)
     return out
-
-
-def _add(f: HomogeneousMap, g: HomogeneousMap) -> HomogeneousMap:
-    sources = {h for h, _ in f.blocks} | {h for h, _ in g.blocks}
-    return _map(f.space, f.degree, {h: f.block(h) + g.block(h) for h in sources})
 
 
 def noncanonical_borel_algebras(rng: random.Random, sizes=(3, 4)) -> list:

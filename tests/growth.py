@@ -1,6 +1,6 @@
 """Growth curve of ``bracket_closure``, ``color_flag``, ``ideal_chain``,
-the structure table, ``nil_subspace_check`` and the CLI's
-``triangularize``.
+the structure table, ``nil_subspace_check`` and the CLI's ``validate``,
+``chain`` and ``triangularize``.
 
     PYTHONPATH=src python3 tests/growth.py --label change --out BENCH_25.json
 
@@ -11,11 +11,16 @@ n x n Borel algebra (``corpus.borel_generators``), in the ``plain`` and
 ``z`` gradings, and ``nil_subspace_check`` (deterministic policy) on a nil
 span of s = 3 and s = 4 unimodular-conjugated strictly upper triangular
 n x n matrices (``corpus.conjugated_nil_span``, seeded by n and s), and
-``cli.main(["triangularize", "--json", path])`` in process, its output
-captured, on a problem file with a 1 x 1 degree-0 generator beside an
-unused (n^2 - 1)-dimensional component (``corpus.unused_component_doc``,
-rows ``triangularize/unused/...``, an n^2-dimensional space), for every
-n in ``--sizes``.  Each algebra call gets a freshly closed
+``cli.main([command, "--json", path])`` in process, its output captured:
+``validate`` and ``chain`` on the problem file that ``serialize_problem``
+writes for the plain n x n Borel algebra's scaled generators
+(``corpus.borel_problem_generators``, seeded by n; rows
+``validate/borel/...`` and ``chain/borel/...``), which time parsing, the
+closure and printing the chain's maps, and ``triangularize`` on a problem
+file with a 1 x 1 degree-0 generator beside an unused (n^2 - 1)-dimensional
+component (``corpus.unused_component_doc``, rows
+``triangularize/unused/...``, an n^2-dimensional space), for every n in
+``--sizes``.  Each algebra call gets a freshly closed
 algebra, so its structure table is built inside the timed call; the
 median of ``--repeats`` runs is kept.  Times are CPU seconds of this process
 (``time.process_time``), which a shared machine's other load disturbs
@@ -39,10 +44,13 @@ import tempfile
 import time
 
 from colorlie import (
-    ColorAlgebra, bracket_closure, color_flag, ideal_chain, nil_subspace_check,
+    ColorAlgebra, ProblemFile, bracket_closure, color_flag, ideal_chain,
+    nil_subspace_check, serialize_problem,
 )
 from colorlie.cli import main as cli_main
-from corpus import borel_generators, conjugated_nil_span, unused_component_doc
+from corpus import (
+    borel_generators, borel_problem_generators, conjugated_nil_span, unused_component_doc,
+)
 
 CLOCK = time.process_time
 CALLS = {"color_flag": color_flag, "ideal_chain": ideal_chain,
@@ -60,11 +68,19 @@ def median_time(prepare, fn, repeats: int) -> float:
     return statistics.median(runs)
 
 
-def triangularize(path) -> None:
-    """The CLI's ``triangularize --json`` on path, its output captured."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        if cli_main(["triangularize", "--json", path]) != 0:
-            raise RuntimeError(f"triangularize failed on {path}")
+def cli(command: str):
+    """The CLI's ``command --json`` on a path, its output captured."""
+    def run(path) -> None:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            if cli_main([command, "--json", path]) != 0:
+                raise RuntimeError(f"{command} failed on {path}")
+    return run
+
+
+def write_json(path, doc) -> str:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return path
 
 
 def cases(sizes, tmp):
@@ -87,10 +103,14 @@ def cases(sizes, tmp):
             yield (f"nil_subspace_check/s={s}/n={n}", lambda span=span: span,
                    lambda mats: nil_subspace_check(mats, policy="deterministic"))
     for n in sizes:
-        path = os.path.join(tmp, f"unused{n * n}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(unused_component_doc(n * n), fh)
-        yield f"triangularize/unused/n={n}", lambda path=path: path, triangularize
+        space, r, gens = borel_problem_generators(random.Random(n), n, "plain")
+        doc = serialize_problem(ProblemFile(space.group, r, space, tuple(gens)))
+        path = write_json(os.path.join(tmp, f"borel{n}.json"), doc)
+        for command in ("validate", "chain"):
+            yield f"{command}/borel/n={n}", lambda path=path: path, cli(command)
+    for n in sizes:
+        path = write_json(os.path.join(tmp, f"unused{n * n}.json"), unused_component_doc(n * n))
+        yield f"triangularize/unused/n={n}", lambda path=path: path, cli("triangularize")
 
 
 def main(argv=None):

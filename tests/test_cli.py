@@ -365,6 +365,33 @@ def test_validate_empty_generators(tmp_path, capsys):
     assert "closure dimension: 0" in out
 
 
+def test_empty_block_with_target_outside_the_support(tmp_path, capsys):
+    """A file may give a degree-1 generator's block at the top degree 1 as
+    an empty matrix: it is the zero block, and every command prints what
+    it prints without that block."""
+    def doc(top):
+        blocks = [{"source": [0], "matrix": [["1", "2"]]}]
+        return {
+            "group": {"free_rank": 1, "torsion_moduli": []},
+            "bicharacter": [["1"]],
+            "space": [{"degree": [0], "dim": 2}, {"degree": [1], "dim": 1}],
+            "generators": [{"degree": [1], "blocks": blocks + top}],
+        }
+
+    with_empty, without = tmp_path / "empty.json", tmp_path / "plain.json"
+    with_empty.write_text(json.dumps(doc([{"source": [1], "matrix": []}])))
+    without.write_text(json.dumps(doc([])))
+    for command in ("validate", "series", "triangularize", "chain"):
+        code, out, err = run(capsys, command, "--json", str(with_empty))
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run(capsys, command, "--json", str(without))
+    assert load_problem(with_empty) == load_problem(without)
+    rows = tmp_path / "rows.json"
+    rows.write_text(json.dumps(doc([{"source": [1], "matrix": [[]]}])))
+    assert run(capsys, "validate", str(rows)) == (
+        2, "", "error: ShapeMismatch: block at source (1) must be 0x1, got 1x0\n")
+
+
 def test_validate_missing_file(capsys):
     code, out, err = run(capsys, "validate", "/no/such/file.json")
     assert code == 2

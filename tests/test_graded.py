@@ -39,7 +39,7 @@ from colorlie import (
     unflatten_vector,
     zero_map,
 )
-from colorlie.graded import _flat, _graded, _unflatten
+from colorlie.graded import HomogeneousMap, _graded, _unflatten
 from corpus import (
     BOREL_GRADINGS,
     all_configs,
@@ -122,6 +122,25 @@ def test_make_map_validation():
     with pytest.raises(ShapeMismatch):
         # block whose target lies outside the support cannot carry rows
         make_map(v, Z2, {Z0: [[1]]})
+
+
+def test_make_map_takes_no_rows_for_a_target_outside_the_support():
+    """A block whose target lies outside the support has no rows; given
+    as an empty list or Matrix it is the zero block.  Rows or columns that
+    do not fit there, or no rows where the target is in the support, are
+    a ShapeMismatch."""
+    v = make_space(Z, {Z0: 2, Z1: 1})
+    f = make_map(v, Z1, {Z0: [[1, 2]]})
+    for empty in ([], Matrix([]), Matrix.zero(0, 1)):
+        assert make_map(v, Z1, {Z0: [[1, 2]], Z1: empty}) == f
+        assert make_map(v, Z1, {Z1: empty}) == zero_map(v, Z1)
+    for rows, got in (([[]], "1x0"), ([[1]], "1x1"), (Matrix.zero(0, 2), "0x2")):
+        with pytest.raises(ShapeMismatch) as info:
+            make_map(v, Z1, {Z1: rows})
+        assert str(info.value) == f"block at source (1) must be 0x1, got {got}"
+    with pytest.raises(ShapeMismatch) as info:
+        make_map(v, Z1, {Z0: []})
+    assert str(info.value) == "block at source (0) must be 1x2, got 0x0"
 
 
 def test_compose_cyclic_cube_is_identity():
@@ -390,17 +409,21 @@ def _dense_entries(f) -> list[Fraction]:
 
 
 def _assert_round_trip(f):
-    """The sparse entries of f and back give f, its blocks as ``make_map``
-    builds them and its flattened matrix."""
+    """f's entries are the nonzero entries of its blocks laid out flat, in
+    index order; the blocks given back to ``make_map`` give the same
+    entries, and the entries given back as a map the same blocks and
+    flattened matrix."""
     dense = _dense_entries(f)
-    flat = _flat(f)
-    assert flat == {i: x for i, x in enumerate(dense) if x}
-    assert list(flat) == sorted(flat)
-    g = _unflatten(f.space, f.degree, flat)
+    assert f.entries == {i: x for i, x in enumerate(dense) if x}
+    assert list(f.entries) == sorted(f.entries)
+    g = make_map(f.space, f.degree, dict(f.blocks))
     assert g == f
-    assert g.blocks == make_map(f.space, f.degree, dict(f.blocks)).blocks
-    assert flatten_map(g) == flatten_map(f)
-    assert [x for row in flatten_map(g).data for x in row] == dense
+    assert list(g.entries.items()) == list(f.entries.items())
+    h = HomogeneousMap(f.space, f.degree, dict(f.entries))
+    assert h == f
+    assert h.blocks == f.blocks
+    assert flatten_map(h) == flatten_map(f)
+    assert [x for row in flatten_map(h).data for x in row] == dense
 
 
 def _partial_maps():
@@ -450,7 +473,7 @@ def test_unflatten_skips_explicit_zeros():
     for i in on + off:
         assert _unflatten(v, Z1, {i: Fraction(0)}) == zero_map(v, Z1)
         assert _unflatten(v, Z0, {i: Fraction(0)}) == zero_map(v, Z0)
-    padded = dict(_flat(f))
+    padded = dict(f.entries)
     padded.update({i: Fraction(0) for i in on + off if i not in padded})
     g = _unflatten(v, Z1, padded)
     assert g == f

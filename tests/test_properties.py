@@ -28,7 +28,7 @@ from colorlie import (
     serialize_problem, solve_unique,
 )
 from colorlie.algebra import _square
-from colorlie.graded import _flat, _vector
+from colorlie.graded import _vector
 from colorlie.linalg import _Echelon
 from colorlie.structure import (
     _Quotient, _coordinate_degrees, _dense, _filtration_dim, _kernel_filtration, _map_of,
@@ -365,7 +365,7 @@ def test_flatten_of_sparse_map_matches_flatten_map(config, seed, density):
     for _ in range(3):
         f = random_homogeneous_map(rng, space, density=density)
         n = space.total_dim
-        _, cols = _map_of(f.degree, _flat(f), n)
+        _, cols = _map_of(f.degree, f.entries, n)
         assert _dense(_rows(cols), range(n)) == flatten_map(f)
 
 

@@ -43,7 +43,6 @@ from colorlie import (
     unflatten_map,
     z3_counterexample,
 )
-from colorlie.graded import _flat
 from colorlie.structure import _coordinate_degrees, _map_of
 from corpus import (
     borel_generators,
@@ -778,7 +777,7 @@ def _space_of(group, degrees):
 
 def _sparse_of(f):
     """The sparse map (``structure._map_of``) of the map f."""
-    return _map_of(f.degree, _flat(f), f.space.total_dim)
+    return _map_of(f.degree, f.entries, f.space.total_dim)
 
 
 def _sparse_vector(v):
