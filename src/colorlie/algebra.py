@@ -52,9 +52,10 @@ s = r(|b|, |a|) the kernel gives den(s) a b - num(s) b a = den(s) [a, b]
 in Python ints, fraction-free as ``_Echelon`` is; the caller tracks the
 degree |a| + |b|.  The closure brackets primitive integer rows, whose
 span is that of the maps they scale, and the table brackets the
-solver's integer rows lead_k R_k and divides each entry back to
-Fractions once.  Integers stay inside the two; every value returned is
-a Fraction.  ``color_bracket`` stays the public bracket of maps, by
+solver's integer rows lead_k R_k and keeps each entry as the integer
+pivot coordinates over den(s) lead_i lead_j, in lowest terms, which the
+flag engine reads as they are.  Integers stay inside; every value
+returned is a Fraction.  ``color_bracket`` stays the public bracket of maps, by
 ``compose`` and ``add_maps`` on their Fraction entries, so the tests can
 check the kernel and the table against it.
 
@@ -100,7 +101,9 @@ from .graded import (
     scale_map,
     zero_map,
 )
-from .linalg import _ONE, _ZERO, _Echelon, _primitive_row, _sum_of, is_nilpotent_matrix
+from .linalg import (
+    _ONE, _ZERO, _Echelon, _lowest, _primitive_row, _sum_of, is_nilpotent_matrix,
+)
 
 
 def color_bracket(r: Bicharacter, a: HomogeneousMap, b: HomogeneousMap) -> HomogeneousMap:
@@ -208,7 +211,7 @@ class ColorAlgebra:
         order = sorted(range(len(degrees)), key=lambda k: degrees[k].sort_key())
         L = cls.__new__(cls)
         L._setup(space, r, ech.tracked(order), True, [degrees[k] for k in order],
-                 [{k: _ONE} for k in order])
+                 [{k: 1} for k in order])
         return L
 
     def _setup(self, space, r, solver, closed, degrees, coords):
@@ -284,12 +287,13 @@ class ColorAlgebra:
         return {k: _ONE}
 
     def _structure(self) -> list[dict]:
-        """The table: entry [i][j] holds the nonzero c_ij^k as ``{k: c}``,
-        and is absent when [R_i, R_j] = 0.  Built once, from the pairs
-        i <= j of the solver's integer rows I_k = lead_k R_k, each
-        bracket checked to lie in the span: ``_sparse_bracket`` gives
-        den(s) lead_i lead_j [R_i, R_j], whose pivot coordinates are
-        divided back once per entry."""
+        """The table: entry [i][j] holds the nonzero c_ij^k as integers
+        over one positive denominator, ``({k: x}, d)`` with c_ij^k = x / d
+        in lowest terms (``_lowest``), and is absent when [R_i, R_j] = 0.
+        Built once, from the pairs i <= j of the solver's integer rows
+        I_k = lead_k R_k, each bracket checked to lie in the span:
+        ``_sparse_bracket`` gives den(s) lead_i lead_j [R_i, R_j], whose
+        pivot coordinates are integers over that product."""
         if self._table is None:
             n = self.space.total_dim
             solver = self._solver
@@ -305,13 +309,13 @@ class ColorAlgebra:
                     if c is None:
                         raise NotClosed("basis is not closed under the bracket")
                     if c:
-                        d = s.denominator * leads[i] * leads[j]
-                        c = {k: Fraction(x, d) if d != 1 else Fraction(x)
-                             for k, x in c.items()}
-                        table[i][j] = c
+                        (c,), d = _lowest([c], s.denominator * leads[i] * leads[j])
+                        table[i][j] = c, d
                         if j != i:
                             t = -eval_bicharacter(self.r, da, db)
-                            table[j][i] = {k: t * x for k, x in c.items()}
+                            (tc,), td = _lowest([{k: t.numerator * x for k, x in c.items()}],
+                                                d * t.denominator)
+                            table[j][i] = tc, td
             self._table = table
         return self._table
 
@@ -325,9 +329,10 @@ class ColorAlgebra:
             for j, b in ys.items():
                 e = row.get(j)
                 if e is not None:
-                    ab = a * b
-                    for k, c in e.items():
-                        out[k] = out[k] + ab * c if k in out else ab * c
+                    c, d = e
+                    ab = a * b if d == 1 else Fraction(a * b, d)
+                    for k, x in c.items():
+                        out[k] = out[k] + ab * x if k in out else ab * x
         return out
 
 
@@ -463,9 +468,9 @@ def _square(L: ColorAlgebra) -> Subspace:
     with i <= j, which span every [R_j, R_i] by skew symmetry."""
     out = Subspace(L, ())
     for i, row in enumerate(L._structure()):
-        for j, e in row.items():
+        for j, (c, _) in row.items():
             if j >= i:
-                out._ech.add(e)
+                out._ech.add(c)
     return out
 
 
@@ -511,11 +516,11 @@ def center(L: ColorAlgebra) -> Subspace:
     _require_closed(L)
     equations: dict[tuple[int, int], dict[int, Fraction]] = {}
     for k, row in enumerate(L._structure()):
-        for j, e in row.items():
-            for l, c in e.items():
-                equations.setdefault((k, l), {})[j] = c
+        for j, (c, d) in row.items():
+            for l, x in c.items():
+                equations.setdefault((k, l), {})[j] = Fraction(x, d)
     ech = _Echelon(L.dim, equations.values())
-    return Subspace._span(L, ech.kernel())
+    return Subspace._span(L, ech.kernel()[0])
 
 
 def ad_map(L: ColorAlgebra, x: HomogeneousMap) -> HomogeneousMap:

@@ -30,6 +30,7 @@ from fractions import Fraction
 from .errors import (
     NonzeroDegree,
     ShapeMismatch,
+    SizeMismatch,
     SpaceMismatch,
     DegreeMismatch,
     TheoremViolation,
@@ -45,6 +46,7 @@ from .linalg import (
     Matrix,
     Poly,
     _Echelon,
+    _over,
     char_poly,
     frac,
     kernel_basis,
@@ -257,11 +259,41 @@ def _by_row(f: HomogeneousMap) -> dict[int, dict[int, Fraction]]:
     return out
 
 
+def _placed(raw, entries: dict, base: int, n: int) -> tuple[int, int]:
+    """Put the nonzero entries of the block ``raw``, a Matrix or a list of
+    rows of ints, "p/q" strings or Fractions, into ``entries``, row p at
+    base + p n, each coerced once; the block's (rows, columns).  A
+    non-rational entry raises TypeError at once, and ragged rows raise
+    SizeMismatch after the last row, as ``Matrix(raw)`` would."""
+    if isinstance(raw, Matrix):
+        rows, width = raw.data, raw.cols
+    else:
+        rows, width = raw, None
+    p, ragged = -1, False
+    for p, row in enumerate(rows):
+        i = base + p * n
+        k = 0
+        for x in row:
+            if type(x) is not Fraction:
+                x = frac(x)
+            if x:
+                entries[i + k] = x
+            k += 1
+        if width is None:
+            width = k
+        elif k != width:
+            ragged = True
+    if ragged:
+        raise SizeMismatch("ragged rows")
+    return p + 1, width or 0
+
+
 def make_map(space: GradedSpace, degree: GroupElement, blocks) -> HomogeneousMap:
     """The map of the given degree with the given blocks, ``{source degree:
     block}``, each a Matrix or a list of rows of ints, "p/q" strings or
-    Fractions.  A block whose target lies outside the support is zero, and
-    may be given as an empty list."""
+    Fractions, each entry coerced and placed in one pass (``_placed``).
+    A block whose target lies outside the support is zero, and may be
+    given as an empty list."""
     if degree.spec != space.group:
         raise UnknownDegree("degree belongs to a different group")
     n, off = space.total_dim, space.offsets()
@@ -269,18 +301,14 @@ def make_map(space: GradedSpace, degree: GroupElement, blocks) -> HomogeneousMap
     for h, raw in dict(blocks).items():
         if space.dim_of(h) == 0:
             raise UnknownDegree(f"source degree {h} is not in the support")
-        b = raw if isinstance(raw, Matrix) else Matrix(raw)
         target = element_add(h, degree)
         n_tgt, n_src = space.dim_of(target), space.dim_of(h)
+        rows, cols = _placed(raw, entries, off.get(target, 0) * n + off[h], n)
         # an empty list is the zero block at a target outside the support
-        if (b.rows, b.cols) != (n_tgt, n_src) and (b.rows, b.cols, n_tgt) != (0, 0, 0):
+        if (rows, cols) != (n_tgt, n_src) and (rows, cols, n_tgt) != (0, 0, 0):
             raise ShapeMismatch(
-                f"block at source {h} must be {n_tgt}x{n_src}, got {b.rows}x{b.cols}"
+                f"block at source {h} must be {n_tgt}x{n_src}, got {rows}x{cols}"
             )
-        for p, row in enumerate(b.data, off.get(target, 0)):
-            for i, x in enumerate(row, p * n + off[h]):
-                if x:
-                    entries[i] = x
     return _unflatten(space, degree, entries)
 
 
@@ -402,7 +430,8 @@ def graded_kernel(maps, space: GradedSpace | None = None) -> list[GradedVector]:
     for row in (row for f in maps for row in _by_row(f).values()):
         if ech.add(row) and len(ech.pivots) == n:
             break
-    return [_graded(space, v) for v in ech.kernel()]
+    basis, d = ech.kernel()
+    return [_graded(space, _over(v, d)) for v in basis]
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ characteristic polynomials, rational roots, nilpotency certificates) is
 exact and given in Fractions.  Inside, the heavy steps clear
 denominators once and work on Python integers: ``_Echelon``, the
 package's only row reduction, takes and gives sparse vectors
-``{index: value}`` and keeps fraction-free integer rows, and the public
-functions here convert their dense rows at that boundary, once;
+``{index: value}``, takes integer vectors as they are and keeps
+fraction-free integer rows, and the public functions here convert their
+dense rows at that boundary, once;
 ``char_poly``, ``rational_roots`` and the nilpotency tests run on the
 denominator-cleared integer matrix or polynomial.
 """
@@ -230,6 +231,34 @@ def _primitive_row(row: dict, pivot: int) -> dict:
     return row if g == 1 else {i: x // g for i, x in row.items()}
 
 
+def _cleared(vec: dict) -> tuple[dict[int, int], int]:
+    """(r, d) with r = d vec as a sparse integer vector, for the least
+    common denominator d of the entries of vec, ints or Fractions; a zero
+    entry is left out."""
+    d = math.lcm(*[x.denominator for x in vec.values()])
+    if d == 1:
+        return {i: x.numerator for i, x in vec.items() if x}, 1
+    return {i: x.numerator * (d // x.denominator) for i, x in vec.items() if x}, d
+
+
+def _over(vec: dict, d: int) -> dict[int, Fraction]:
+    """The sparse integer vector vec divided by d > 0, as Fractions."""
+    if d == 1:
+        return {i: Fraction(x) for i, x in vec.items()}
+    return {i: Fraction(x, d) for i, x in vec.items()}
+
+
+def _lowest(vectors: list[dict], den: int) -> tuple[list[dict], int]:
+    """The sparse integer vectors over the positive denominator den in
+    lowest terms: all divided, den too, by the gcd of den and their
+    entries."""
+    if den != 1:
+        g = math.gcd(den, *[x for v in vectors for x in v.values()])
+        if g != 1:
+            return [{i: x // g for i, x in v.items()} for v in vectors], den // g
+    return vectors, den
+
+
 def _sum_of(vectors, coeffs: dict) -> dict:
     """sum_j coeffs[j] vectors[j], for sparse vectors."""
     out: dict = {}
@@ -243,29 +272,39 @@ def _sum_of(vectors, coeffs: dict) -> dict:
     return out
 
 
+_INT = {int}
+
+
 class _Echelon:
     """Incremental reduced row echelon form of the span of rows of a
     fixed width: the package's one exact elimination kernel.
 
-    Vectors go in and come out sparse, as dicts ``{index: value}`` in any
-    order; a zero value, as left where a bracket's terms cancel, is
-    skipped.  The rows are fraction-free, as in Bareiss (Math. Comp. 22,
-    1968): ``int_rows`` holds each as a sparse integer row, primitive and
-    positive at its pivot, and they are kept mutually reduced, zero at
-    each other's pivots, so row / row[pivot] is the canonical RREF row.
-    ``add`` clears the denominators of its vector once, subtracts the
-    rows it meets at their pivots, found through the pivot -> row map
-    ``_at``, scaled by the lcm of their pivot entries, divides out the
-    content and eliminates the new pivot from the other rows, all in
-    integers.  The reduced echelon form of a span is unique, so inserting
-    rows one at a time, in any order, gives the canonical RREF.  A vector
-    with no entry at any pivot is not reduced at all.
+    Vectors go in sparse, as dicts ``{index: value}`` in any order, of
+    ints, Fractions or both; a zero value, as left where a bracket's
+    terms cancel, is skipped.  Inside, everything is an integer row, as
+    in Bareiss (Math. Comp. 22, 1968): ``int_rows`` holds each row as a
+    sparse integer row, primitive and positive at its pivot, and they are
+    kept mutually reduced, zero at each other's pivots, so row /
+    row[pivot] is the canonical RREF row.
 
-    ``sparse_rows`` reads that RREF as Fractions, each row a dict in
-    index order.  A row is converted on the first read after it changed,
-    and a vector of Fractions that met no pivot and leads with 1 is its
-    own RREF row, kept as given; an integer vector, as brackets give
-    them, is converted.  No row dict is changed in place once stored, so
+    ``add`` takes an integer vector as it is, copied once without its
+    zeros, and clears the denominators of any other vector once.  A
+    vector that meets no pivot is not reduced at all; otherwise the rows
+    it meets at their pivots, found through the pivot -> row map ``_at``,
+    are subtracted, scaled by the lcm of their pivot entries.  The
+    content is divided out and the new pivot eliminated from the rows
+    that can hold it, those of smaller pivots, all in integers; a row
+    whose pivot comes last is appended.  The reduced echelon form of a
+    span is unique, so inserting rows one at a time, in any order, gives
+    the canonical RREF.
+
+    What the kernel gives back is exact in one of two forms.
+    ``sparse_rows``, ``transform`` and ``to_basis`` give Fractions, each
+    row of ``sparse_rows`` a dict in index order, converted on the first
+    read after it changed (a vector of Fractions that met no pivot and
+    leads with 1 is its own RREF row, kept as given).  ``kernel`` gives
+    integer vectors over one positive denominator, the form the flag
+    engine computes in.  No row dict is changed in place once stored, so
     ``copy`` shares them.  The rank is ``len(pivots)``.
 
     With ``track`` each row also carries its combination of the inserted
@@ -298,15 +337,20 @@ class _Echelon:
         out._rows = list(self._rows)
         return out
 
-    def _reduced(self, vec: dict) -> tuple[int, dict[int, int], dict[int, Fraction]]:
+    def _reduced(self, vec: dict) -> tuple[int, dict[int, int], dict]:
         """(s, r, coeffs): coeffs is vec's pivot coordinates, its nonzero
         entries at the pivots keyed by row index k, and r / s is vec minus
         sum_k coeffs[k] R_k, as a sparse integer row, with the combination,
-        negated, at the tracked columns."""
-        d = math.lcm(*[x.denominator for x in vec.values()])
-        r = {i: x.numerator * (d // x.denominator) for i, x in vec.items() if x}
+        negated, at the tracked columns.  An integer vector is only copied
+        without its zeros."""
+        if set(map(type, vec.values())) <= _INT:
+            r, d = {i: x for i, x in vec.items() if x}, 1
+        else:
+            r, d = _cleared(vec)
         at = self._at
         coeffs = {at[i]: vec[i] for i in r if i in at}
+        if not coeffs:
+            return d, r, coeffs
         rows, pivots = self.int_rows, self.pivots
         m = math.lcm(*[rows[k][pivots[k]] for k in coeffs])
         if m != 1:
@@ -316,7 +360,7 @@ class _Echelon:
             _sub(r, r[pivots[k]] // row[pivots[k]], row)
         return m * d, r, coeffs
 
-    def reduce(self, vec: dict) -> dict[int, Fraction] | None:
+    def reduce(self, vec: dict) -> dict | None:
         """Pivot coordinates of vec, keyed by row index, or None when it
         lies outside the span."""
         _, r, coeffs = self._reduced(vec)
@@ -330,28 +374,38 @@ class _Echelon:
         pivot = min(new, default=self.width)
         if pivot >= self.width:
             return False
-        # vec met no pivot and leads with Fraction 1: it is its own RREF row
+        # vec met no pivot and is Fractions leading with 1: its own RREF row
         fresh = None
-        if not coeffs and vec[pivot] == 1 and type(vec[pivot]) is Fraction:
+        if not coeffs and type(vec[pivot]) is Fraction and vec[pivot] == 1:
             fresh = {i: vec[i] for i in sorted(new)}
+            if not all(type(x) is Fraction for x in fresh.values()):
+                fresh = None
         if self.track:
             new[self.width + index] = s
         new = _primitive_row(new, pivot)
         lead = new[pivot]
-        rows = self.int_rows
-        for k, row in enumerate(rows):
+        rows, pivots = self.int_rows, self.pivots
+        # only a row of smaller pivot can hold an entry at this one
+        k = bisect.bisect(pivots, pivot)
+        for j in range(k):
+            row = rows[j]
             a = row.get(pivot)
             if a:
                 row = {i: lead * x for i, x in row.items()}
                 _sub(row, a, new)
-                rows[k] = _primitive_row(row, self.pivots[k])
-                self._rows[k] = None
-        k = bisect.bisect(self.pivots, pivot)
-        self.pivots.insert(k, pivot)
+                rows[j] = _primitive_row(row, pivots[j])
+                self._rows[j] = None
+        self._at[pivot] = k
+        if k == len(pivots):
+            pivots.append(pivot)
+            rows.append(new)
+            self._rows.append(fresh)
+            return True
+        pivots.insert(k, pivot)
         rows.insert(k, new)
         self._rows.insert(k, fresh)
-        for j in range(k, len(self.pivots)):
-            self._at[self.pivots[j]] = j
+        for j in range(k + 1, len(pivots)):
+            self._at[pivots[j]] = j
         return True
 
     @property
@@ -401,18 +455,20 @@ class _Echelon:
         """The non-pivot columns, in order."""
         return [f for f in range(self.width) if f not in self._at]
 
-    def kernel(self) -> list[dict[int, Fraction]]:
-        """Basis of the vectors orthogonal to every row, one per free
-        column f: 1 at f, minus the rows' entries at f at their pivots."""
-        rows = self.sparse_rows
-        basis = []
-        for f in self.free():
-            v = {f: _ONE}
-            for p, row in zip(self.pivots, rows):
-                if f in row:
-                    v[p] = -row[f]
-            basis.append(v)
-        return basis
+    def kernel(self) -> tuple[list[dict[int, int]], int]:
+        """(basis, d): the vectors orthogonal to every row, one per free
+        column f, 1 at f and minus the rows' entries at f at their pivots,
+        each d times that as a sparse integer vector, for d the lcm of the
+        rows' pivot entries."""
+        w, pivots, rows = self.width, self.pivots, self.int_rows
+        d = math.lcm(*[row[p] for p, row in zip(pivots, rows)])
+        basis = {f: {f: d} for f in self.free()}
+        for p, row in zip(pivots, rows):
+            s = d // row[p]
+            for c, x in row.items():
+                if c in basis:
+                    basis[c][p] = -s * x
+        return list(basis.values()), d
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
@@ -427,9 +483,9 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...], int]:
 
 def kernel_basis(m: Matrix) -> list[tuple[Fraction, ...]]:
     """Exact basis of the null space of m, one vector per free column."""
-    e = _Echelon(m.cols, map(dict, map(enumerate, m.data)))
+    basis, d = _Echelon(m.cols, map(dict, map(enumerate, m.data))).kernel()
     cols = range(m.cols)
-    return [tuple([v.get(c, _ZERO) for c in cols]) for v in e.kernel()]
+    return [tuple([v.get(c, _ZERO) for c in cols]) for v in (_over(u, d) for u in basis)]
 
 
 def solve_unique(a: Matrix, b) -> tuple[Fraction, ...] | None:

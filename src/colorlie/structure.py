@@ -50,8 +50,21 @@ coordinates: V's flattened ones for ``color_flag``, and for
 stably by degree (``_profile_order``).  Homogeneous vectors of different
 degrees share no coordinate, so one echelon over a space's coordinates
 keeps its rows homogeneous, and a vector's degree is that of any of its
-coordinates; no span is split by degree.  A map is (degree, cols),
-cols[j] its column j as a sparse dict (``_map_of``).  Both phases hold
+coordinates; no span is split by degree.
+
+The engine computes in integers, as the elimination kernel does.  A map
+is (degree, cols, den), cols[j] den times its column j as a sparse dict
+of ints, for one positive den in lowest terms (``_map_of``), built from
+the solver's integer rows and the table's integer entries; every vector
+of the engine is likewise a sparse integer vector over one positive
+denominator, shared by a basis or a list of projections.  A positive
+scale changes neither a kernel nor the order of eigenvalues, so phase 1
+eliminates the scaled rows and phase 2's eigenvalue search runs on the
+scaled restricted maps as they are; what depends on the scale, an
+irrational factor or a hypothesis witness, is computed for the maps at
+their own scale, on the failure path only.  Fractions are made once, for
+the returned values: the flag vectors, the weights, the certified columns
+and the chain members.  Both phases hold
 F/S (F is V or a level's factor) as S's reduced echelon in F's
 coordinates (``_Quotient``), which quotienting again only adds rows to.
 Neither phase induces a map, and both restrict the maps the same way
@@ -71,17 +84,18 @@ the flag.
 
 The flag itself is verified exactly in the end, with no n x n product:
 every flag vector must be homogeneous, and for every map M and flag
-vector t_j, T^-1 (M t_j) is formed from sparse columns of T^-1 and must
-vanish below j, and its entry at j is M's weight.  The columns are
-kept: the weights and every matrix the flag gives (``ColorFlag.matrix``)
-are read off them, with no dense inverse.  A conclusion failing after
+vector t_j that meets one of M's nonzero columns, T^-1 (M t_j) is formed
+from sparse columns of T^-1 and must vanish below j, and its entry at j
+is M's weight.  The columns are kept: the weights and every matrix the
+flag gives (``ColorFlag.matrix``) are read off them, with no dense
+inverse.  A conclusion failing after
 its hypotheses were checked raises TheoremViolation.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -123,12 +137,14 @@ from .algebra import (
     _square,
 )
 from .linalg import (
-    _ONE,
     _ZERO,
     Matrix,
     Poly,
     _Echelon,
+    _cleared,
+    _lowest,
     _non_nilpotent_point,
+    _over,
     _sum_of,
     char_poly,
     frac,
@@ -151,7 +167,7 @@ class Weight:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        vals = tuple(frac(v) for v in self.values)
+        vals = tuple(v if type(v) is Fraction else frac(v) for v in self.values)
         object.__setattr__(self, "values", vals)
         if len(vals) != self.algebra.dim:
             raise ValidationError("one value per basis element is required")
@@ -212,8 +228,9 @@ def _check_nil_components(maps, what: str, policy: str, seed: int):
     span of the sparse maps (``_map_of``) is not nil.  Its ``witness`` is
     (degree, t): sum t_i f_i over that degree's maps, in the given order,
     is not nilpotent."""
-    for g in sorted({d for d, _ in maps}, key=lambda g: g.sort_key()):
-        mats = [_dense(_rows(cols), range(len(cols))) for d, cols in maps if d == g]
+    for g in sorted({d for d, _, _ in maps}, key=lambda g: g.sort_key()):
+        # at the maps' own scale: a point for scaled maps may not be one for them
+        mats = [_dense(_rows(cols), range(len(cols)), den) for d, cols, den in maps if d == g]
         point = _non_nilpotent_point(mats, policy, seed)
         if point is not None:
             err = HypothesisFailed(
@@ -255,7 +272,8 @@ def common_annihilated_vector(
         raise NoHomogeneousEigenvector(
             "no nonzero homogeneous vector is annihilated by the algebra"
         )
-    return _graded(L.space, first[2][0])
+    _, _, basis, den = first
+    return _graded(L.space, _over(basis[0], den))
 
 
 def engel_check(
@@ -311,22 +329,35 @@ def _derived_coords(L: ColorAlgebra, derived: Subspace) -> tuple[list, list]:
     return derived._vectors() + rest, taken
 
 
-def _map_of(degree: GroupElement, flat: dict, n: int) -> tuple:
-    """The sparse map (degree, cols) on an n-dimensional space whose
-    flattened matrix, row-major, has the entries ``flat``: cols[j] is its
-    column j as ``{i: x}``, with no zero entry."""
+def _map_of(degree: GroupElement, flat: dict, n: int, den: int) -> tuple:
+    """The sparse map (degree, cols, den) on an n-dimensional space whose
+    flattened matrix, row-major, has the integer entries ``flat`` over
+    the positive denominator den, in lowest terms (``_lowest``): cols[j]
+    is den times its column j as ``{i: x}``, with no zero entry.  Keys
+    past n^2, a tracked echelon's, are left out."""
     cols: list[dict] = [{} for _ in range(n)]
+    nn = n * n
     for k, x in flat.items():
-        if x:
+        if x and k < nn:
             cols[k % n][k // n] = x
-    return degree, cols
+    return (degree, *_lowest(cols, den))
 
 
 def _sparse_elements(L: ColorAlgebra, coords) -> list[tuple]:
     """The sparse maps of the elements of L with the given (degree, pivot
-    coordinates): each combines the solver's rows, the flattened R_k."""
-    rows, n = L._solver.sparse_rows, L.space.total_dim
-    return [_map_of(degree, _sum_of(rows, v), n) for degree, v in coords]
+    coordinates): each combines the solver's integer rows lead_k R_k,
+    sum_k v_k R_k = sum_k a_k (l / lead_k) (lead_k R_k) / (e l) for
+    v = a / e over ints and l the lcm of the leads met."""
+    solver, n = L._solver, L.space.total_dim
+    rows = solver.int_rows
+    leads = [row[p] for p, row in zip(solver.pivots, rows)]
+    out = []
+    for degree, v in coords:
+        a, e = _cleared(v)
+        lcm = math.lcm(*[leads[k] for k in a])
+        flat = _sum_of(rows, {k: x * (lcm // leads[k]) for k, x in a.items()})
+        out.append(_map_of(degree, flat, n, e * lcm))
+    return out
 
 
 def _basis_maps(L: ColorAlgebra) -> list[tuple]:
@@ -345,20 +376,24 @@ def _sparse_ads(L: ColorAlgebra, coords) -> list[tuple]:
     """The sparse maps of ad x on the profile space (``_profile_order``),
     for each (degree, pivot coordinates) x, read off the
     structure-constant table: column j of ad x is
-    [x, R_j] = sum_i x_i sum_k c_ij^k R_k."""
+    [x, R_j] = sum_i x_i sum_k c_ij^k R_k, in integers over e l for
+    x = a / e and l the lcm of the table denominators met."""
     table = L._structure()
     m = L.dim
     at = {k: i for i, k in enumerate(_profile_order(L))}
     out = []
     for degree, x in coords:
+        a, e = _cleared(x)
+        rows = [(y, table[i]) for i, y in a.items()]
+        lcm = math.lcm(*[d for _, row in rows for _, d in row.values()])
         flat: dict = {}
-        for i, a in x.items():
-            if a:
-                for j, e in table[i].items():
-                    for k, c in e.items():
-                        p = at[k] * m + at[j]
-                        flat[p] = flat[p] + a * c if p in flat else a * c
-        out.append(_map_of(degree, flat, m))
+        for y, row in rows:
+            for j, (c, d) in row.items():
+                yd = y * (lcm // d)
+                for k, z in c.items():
+                    p = at[k] * m + at[j]
+                    flat[p] = flat[p] + yd * z if p in flat else yd * z
+        out.append(_map_of(degree, flat, m, e * lcm))
     return out
 
 
@@ -402,10 +437,13 @@ class _Quotient:
     composite of the two projections, so the result is F/T in the same
     coordinates.
 
-    A subspace W of F/S is held as a list of sparse vectors of F (its
-    basis) and ``cols``: cols[i] is the position of the free column at
-    which W's i-th vector projects to 1 and W's other vectors to 0, so
-    the coordinates in W's basis of a vector of W are read off its
+    Everything is integral: ``units`` are den times the projections of
+    F's unit vectors for one positive den, so ``project`` gives den times
+    a projection, and a subspace W of F/S is held as (basis, cols, den):
+    its basis, sparse integer vectors of F that are den times W's, and
+    ``cols``: cols[i] is the position of the free column at which W's
+    i-th vector projects to 1 and W's other vectors to 0, so the
+    coordinates in W's basis of a vector of W are read off its
     projection at ``cols`` (``_restrict``), and the degree of W's i-th
     coordinate is that of its free column.  W = F/S itself is a unit
     vector per free column (``_whole``), and ``_narrow`` keeps the form.
@@ -425,40 +463,45 @@ class _Quotient:
         self._units: list | None = None
 
     @property
-    def units(self) -> list[dict]:
-        """The projection of each unit vector e_c of F: the unit at c's
-        position for a free column c, and -R_p[c] at each free c for the
-        pivot p of a reduced row R_p."""
+    def units(self) -> tuple[list[dict], int]:
+        """(units, den): units[c] is den times the projection of the unit
+        vector e_c of F, the unit at c's position for a free column c,
+        and -R_p[c] at each free c for the pivot p of a reduced row R_p.
+        Read at the position of a free column f these are the entries of
+        the kernel vector at f, so they are its kernel, transposed."""
         if self._units is None:
+            kernel, den = self.ech.kernel()
             units: list[dict] = [{} for _ in self.degrees]
-            at = self.at
-            for c, i in at.items():
-                units[c] = {i: _ONE}
-            for p, row in zip(self.ech.pivots, self.ech.sparse_rows):
-                units[p] = {at[c]: -x for c, x in row.items() if c != p}
-            self._units = units
+            for i, v in enumerate(kernel):
+                for c, x in v.items():
+                    units[c][i] = x
+            self._units = units, den
         return self._units
 
     def project(self, vec: dict) -> dict:
-        """vec's normal form modulo S, read at the free columns."""
-        return _sum_of(self.units, vec)
+        """den (``units``) times the normal form modulo S of the integer
+        vector vec, read at the free columns."""
+        return _sum_of(self.units[0], vec)
 
     def coordinate_degrees(self, cols) -> list:
         """The degrees of the free columns at the positions ``cols``."""
         return [self.degrees[self.free[c]] for c in cols]
 
 
-def _whole(q: _Quotient) -> tuple[list, list]:
-    """(basis, cols) of W = F/S (see ``_Quotient``)."""
-    return [{c: _ONE} for c in q.free], list(range(len(q.free)))
+def _whole(q: _Quotient) -> tuple[list, list, int]:
+    """(basis, cols, den) of W = F/S (see ``_Quotient``)."""
+    return [{c: 1} for c in q.free], list(range(len(q.free))), 1
 
 
-def _narrow(basis: list, cols: list, ech: _Echelon) -> tuple[list, list]:
-    """(basis, cols) of the vectors of W whose coordinates in W's basis
-    lie in the kernel of ``ech``: the kernel vector at each free column f
-    of it is 1 at f and 0 at the others, so its combination of W's basis
-    projects to 1 at cols[f]."""
-    return [_sum_of(basis, k) for k in ech.kernel()], [cols[f] for f in ech.free()]
+def _narrow(basis: list, cols: list, den: int, ech: _Echelon) -> tuple[list, list, int]:
+    """(basis, cols, den) of the vectors of W whose coordinates in W's
+    basis lie in the kernel of ``ech``: the kernel vector at each free
+    column f of it is 1 at f and 0 at the others, so its combination of
+    W's basis projects to 1 at cols[f].  The echelon's kernel comes over
+    one denominator d, so the new basis is over den d."""
+    kernel, d = ech.kernel()
+    vectors, den = _lowest([_sum_of(basis, k) for k in kernel], den * d)
+    return vectors, [cols[f] for f in ech.free()], den
 
 
 def _rows(cols) -> dict:
@@ -471,27 +514,30 @@ def _rows(cols) -> dict:
     return rows
 
 
-def _dense(rows: dict, idx) -> Matrix:
-    """The square matrix of the rows ``{i: {j: x}}`` at the indices idx."""
+def _dense(rows: dict, idx, den: int) -> Matrix:
+    """The square matrix of the rows ``{i: {j: x}}``, divided by den, at
+    the indices idx."""
     return Matrix._raw(tuple(
-        tuple(rows.get(i, {}).get(j, _ZERO) for j in idx) for i in idx
+        tuple(Fraction(rows[i][j], den) if j in rows.get(i, ()) else _ZERO for j in idx)
+        for i in idx
     ), len(idx))
 
 
-def _restrict(f, q: _Quotient, basis: list, cols: list):
+def _restrict(f, q: _Quotient, basis: list, cols: list, den: int):
     """The sparse map f on F restricted to a subspace W of F/S (``q``),
-    given by its ``basis`` and ``cols`` (see ``_Quotient``), as a sparse
-    map on W, which it must leave invariant: the image of each basis
-    vector, projected to F/S, has its coordinates in W's basis at
-    ``cols``.  A map that moves W out of itself is not noticed here; the
-    flag's certificate (``_certify``) checks every level and line."""
-    degree, fcols = f
+    given by its ``basis``, ``cols`` and ``den`` (see ``_Quotient``), as a
+    sparse map on W, which it must leave invariant: the image of each
+    basis vector, projected to F/S, has its coordinates in W's basis at
+    ``cols``.  Over the integers that is f's den times q's times W's.
+    A map that moves W out of itself is not noticed here; the flag's
+    certificate (``_certify``) checks every level and line."""
+    degree, fcols, fden = f
     at = {c: i for i, c in enumerate(cols)}
     out = []
     for w in basis:
         img = q.project(_sum_of(fcols, w))
         out.append({at[c]: x for c, x in img.items() if c in at and x})
-    return degree, out
+    return (degree, *_lowest(out, fden * q.units[1] * den))
 
 
 def _kernel_filtration(degrees: list, nil, top):
@@ -513,63 +559,73 @@ def _kernel_filtration(degrees: list, nil, top):
     every level is invariant (which the flag's certificate checks); the
     levels stop at F or at the first empty kernel.
     """
-    nonzero = [[(c, col) for c, col in enumerate(cols) if col] for _, cols in nil]
+    nonzero = [[(c, col) for c, col in enumerate(cols) if col] for _, cols, _ in nil]
+    # each coordinate's degree as a small int, so counts are list entries
+    kinds = {g: k for k, g in enumerate(dict.fromkeys(degrees))}
+    kind = [kinds[g] for g in degrees]
     q = _Quotient(degrees)
     while q.free:
-        free, at, units = q.free, q.at, q.units
+        free, at, (units, _) = q.free, q.at, q.units
         ech = _Echelon(len(free))
-        left = collections.Counter(degrees[c] for c in free)  # free columns without a pivot
+        left = [0] * len(kinds)  # free columns without a pivot, by degree
+        for c in free:
+            left[kind[c]] += 1
         for cols in nonzero:
-            if not any(left.values()):
+            if not any(left):
                 break
             # the rows of the induced map: column j is column c projected
             rows: dict = {}
             for c, col in cols:
                 j = at.get(c)
-                if j is not None and left[degrees[c]]:
+                if j is not None and left[kind[c]]:
                     for r, x in col.items():
                         for i, a in units[r].items():
                             row = rows.setdefault(i, {})
                             row[j] = row[j] + a * x if j in row else a * x
             for row in rows.values():
-                g = degrees[free[next(iter(row))]]
+                g = kind[free[next(iter(row))]]
                 if left[g] and ech.add(row):
                     left[g] -= 1
-        basis, cols = _narrow(*_whole(q), ech)
+        basis, cols, den = _narrow(*_whole(q), ech)
         if not basis:
             return
-        tops = [_restrict(f, q, basis, cols) for f in top] if len(basis) > 1 else []
-        yield q.coordinate_degrees(cols), tops, basis
+        tops = [_restrict(f, q, basis, cols, den) for f in top] if len(basis) > 1 else []
+        yield q.coordinate_degrees(cols), tops, basis, den
         q.add(basis)
 
 
 def _filtration_dim(levels) -> int:
-    return sum(len(basis) for _, _, basis in levels)
+    return sum(len(basis) for _, _, basis, _ in levels)
 
 
-def _rational_eigenvalue(rows: dict, blocks) -> Fraction:
+def _rational_eigenvalue(rows: dict, blocks, den: int):
     """The smallest rational eigenvalue of the first of the diagonal
     ``blocks`` of the sparse matrix ``rows`` (``{i: {j: x}}``, no zero
     entry), each a run of consecutive indices, in the canonical degree
     order, that has one.  The blocks are searched one at a time and no
     eigenvector is built, nor a triangular block's characteristic
     polynomial: its roots are its diagonal, read off the sparse rows, so
-    it costs its nonzero entries, not its square.  IrrationalEigenvalue
-    reports that of the first root-free block."""
-    first_irrational: Poly | None = None
+    it costs its nonzero entries, not its square.
+
+    The rows may be den times the matrix, as the engine's integer rows
+    are: a positive scale keeps the order of the eigenvalues, so the
+    search runs on the rows as given and returns den times the
+    eigenvalue.  IrrationalEigenvalue reports the characteristic
+    polynomial of the first root-free block at the matrix's own scale."""
+    first_irrational = None
     for idx in blocks:
         if not any(idx[0] <= j < i for i in idx for j in rows.get(i, ())):
-            return min(rows.get(i, {}).get(i, _ZERO) for i in idx)
-        p = char_poly(_dense(rows, idx))
-        roots = rational_roots(p)
+            return min(rows.get(i, {}).get(i, 0) for i in idx)
+        roots = rational_roots(char_poly(_dense(rows, idx, 1)))
         if roots:
             return roots[0][0]
         if first_irrational is None:
-            first_irrational = p
+            first_irrational = idx
+    p = char_poly(_dense(rows, first_irrational, den))
     raise IrrationalEigenvalue(
         "no rational eigenvalue on any component of the weight space "
-        f"(characteristic factor {first_irrational})",
-        first_irrational,
+        f"(characteristic factor {p})",
+        p,
     )
 
 
@@ -589,22 +645,23 @@ def _chain_eigenvector(q: _Quotient, chain, strict: bool) -> dict:
     b (b' w) = r lam b' w, and r lam = lam, as lam = 0 or deg b = 0 and
     r(0, g) = 1.  A line is its own joint weight space, so the later
     elements are not restricted."""
-    basis, cols = _whole(q)
+    basis, cols, den = _whole(q)
     for b in chain:
         if len(basis) == 1:
             break
-        rows = _rows(_restrict(b, q, basis, cols)[1])
+        _, bcols, bden = _restrict(b, q, basis, cols, den)
+        rows = _rows(bcols)
         if b[0].is_zero():
             degrees = q.coordinate_degrees(cols)
             lam = _rational_eigenvalue(rows, (
                 [i for i, _ in run]
                 for _, run in itertools.groupby(enumerate(degrees), key=lambda x: x[1])
-            ))
+            ), bden)
             if lam:
                 for i in range(len(basis)):
                     row = rows.setdefault(i, {})
-                    row[i] = row.get(i, _ZERO) - lam
-        basis, cols = _narrow(basis, cols, _Echelon(len(basis), rows.values()))
+                    row[i] = row.get(i, 0) - lam
+        basis, cols, den = _narrow(basis, cols, den, _Echelon(len(basis), rows.values()))
         if not basis:
             if strict:
                 raise TheoremViolation(
@@ -615,7 +672,7 @@ def _chain_eigenvector(q: _Quotient, chain, strict: bool) -> dict:
                 "chain element has no homogeneous eigenvector in the "
                 "weight space (its degree has finite order)"
             )
-    return basis[0]
+    return basis[0], den
 
 
 def _flag_setup(L: ColorAlgebra, check_hypotheses: bool):
@@ -705,16 +762,17 @@ def common_homogeneous_eigenvector(
     if v is None:
         _stall(L, nil, 0, False, nil_policy, seed)
 
+    v, den = v
     p = min(i for i, x in v.items() if x)
     values = []
-    for _, cols in basis:
+    for _, cols, d in basis:
+        # d M v = a / b v at v's own scale, with a and b at p
         image = _sum_of(cols, v)
-        val = image.get(p, _ZERO) / v[p]
-        if any(image.get(i, _ZERO) != val * v.get(i, _ZERO)
-               for i in image.keys() | v.keys()):
+        a, b = image.get(p, 0), v[p]
+        if any(image.get(i, 0) * b != a * v.get(i, 0) for i in image.keys() | v.keys()):
             raise TheoremViolation("computed vector is not a common eigenvector")
-        values.append(val)
-    return _graded(L.space, v), Weight(L, tuple(values))
+        values.append(Fraction(a, d * b))
+    return _graded(L.space, _over(v, den)), Weight(L, tuple(values))
 
 
 def color_flag(
@@ -731,33 +789,38 @@ def color_flag(
     degrees, nil, top, basis = _flag_setup(L, check_hypotheses)
     levels = _engel_phase(L, degrees, nil, top, check_hypotheses, nil_policy, seed)
     vectors, columns = _lie_phase(degrees, levels, basis, check_hypotheses)
+    empty: dict = {}
+    columns = [[_over(z, d) if z else empty for z, d in m] for m in columns]
     weights = tuple(
         Weight(L, tuple(m[i].get(i, _ZERO) for m in columns)) for i in range(len(degrees))
     )
-    return ColorFlag(tuple(_graded(L.space, v) for v in vectors), weights, tuple(columns))
+    return ColorFlag(tuple(_graded(L.space, _over(*v)) for v in vectors), weights,
+                     tuple(columns))
 
 
 def _flag_vectors(levels, strict: bool):
     """Phase 2, lazily: each level's factor flagged line by line (a line
-    is its own flag), the vectors lifted back as sparse vectors."""
-    for level, top, basis in levels:
+    is its own flag), the vectors lifted back as sparse integer vectors,
+    each with its positive denominator."""
+    for level, top, basis, den in levels:
         if len(basis) == 1:
-            yield basis[0]
+            yield basis[0], den
             continue
         q = _Quotient(level)
         while q.free:
-            line = _chain_eigenvector(q, top, strict)
-            yield _sum_of(basis, line)
+            line, d = _chain_eigenvector(q, top, strict)
+            yield _sum_of(basis, line), den * d
             q.add([line])
 
 
 def _lie_phase(degrees: list, levels, certify, strict: bool):
     """Phase 2 (``_flag_vectors``) on a finished kernel filtration of the
     space with the coordinate degrees ``degrees``, then the certificate
-    (``_certify``) on the sparse maps ``certify``: the flag vectors and,
-    for each map, its certified columns in the flag.  A failure records in
+    (``_certify``) on the sparse maps ``certify``: the flag vectors, each
+    a sparse integer vector with its denominator, and, for each map, its
+    certified columns in the flag, in integers as ``_certify`` gives them.  A failure records in
     ``flag_depth`` the number of vectors found (a stall records dim K_j)."""
-    vectors: list[dict] = []
+    vectors: list[tuple] = []
     try:
         for v in _flag_vectors(levels, strict):
             vectors.append(v)
@@ -767,37 +830,58 @@ def _lie_phase(degrees: list, levels, certify, strict: bool):
     return vectors, _certify(degrees, vectors, certify)
 
 
-def _certify(degrees: list, vectors, certify) -> list[list[dict]]:
+def _certify(degrees: list, vectors, certify) -> list[list[tuple]]:
     """The columns of T^-1 M T, the flag's output, for each sparse map M
-    (``_map_of``) in ``certify``: column j as ``{i: x}``, no zero entry,
-    checked to have every i <= j.  T has the flag ``vectors``, sparse
-    vectors of the space with the coordinate degrees ``degrees``, as
-    columns, and must be invertible with each column homogeneous.
+    (``_map_of``) in ``certify``: column j as (z, den), z a sparse integer
+    vector ``{i: x}`` with no zero entry over the positive den, checked to
+    have every i <= j.  T has as columns the flag ``vectors``, each a
+    sparse integer vector of the space with the coordinate degrees
+    ``degrees`` with its positive denominator, and must be invertible
+    with each column homogeneous.
 
-    No n x n product is formed.  The vectors, inserted into one tracked
-    ``_Echelon``, reduce to the identity, so its transform is
-    (T^T)^-1: row r of it is column r of T^-1, sparse and keyed by flag
-    index.  Column j of T^-1 M T is T^-1 y for y = M t_j, the combination
-    of those rows at y's nonzero entries, formed from M's sparse columns;
-    its entries at flag indices i > j must vanish, and the one at j is
-    M's weight.  Empty images share one empty column, as no column changes."""
+    No n x n product is formed, and the arithmetic is in integers.  The
+    vectors' numerators u_i, inserted into one tracked ``_Echelon``,
+    reduce to the identity, so its transform is (U^T)^-1: row r of it,
+    brought to the lcm l of its rows' leads, is l times column r of U^-1,
+    sparse and keyed by flag index.  Column j of T^-1 M T is T^-1 y for
+    y = M t_j, the combination of those rows at y's nonzero entries,
+    formed from M's sparse columns, times e_i at flag index i for t_i =
+    u_i / e_i; its entries at i > j must vanish, and the one at j is M's
+    weight.  A flag vector is visited only for the maps with a nonzero
+    column at one of its coordinates, through an index of the vectors by
+    coordinate; the other images are empty, and share one empty column."""
     n = len(degrees)
-    ech = _Echelon(n, vectors, track=True)
+    ech = _Echelon(n, (u for u, _ in vectors), track=True)
     if len(vectors) != n or len(ech.pivots) < n:
         raise TheoremViolation("flag vectors do not form a basis")
-    for v in vectors:
-        if len({degrees[i] for i, x in v.items() if x}) != 1:
+    touching: list[list[int]] = [[] for _ in range(n)]
+    for j, (u, _) in enumerate(vectors):
+        if len({degrees[i] for i, x in u.items() if x}) != 1:
             raise TheoremViolation("flag vector is not homogeneous")
-    inverse_rows = ech.transform
+        for i, x in u.items():
+            if x:
+                touching[i].append(j)
+    # full rank: row k of the echelon has pivot k
+    lcm = math.lcm(*[row[k] for k, row in enumerate(ech.int_rows)])
+    inverse_rows = [{i - n: x * (lcm // row[k]) for i, x in row.items() if i >= n}
+                    for k, row in enumerate(ech.int_rows)]
+    scales = [e for _, e in vectors]
+    scaled = any(e != 1 for e in scales)
+    empty = ({}, 1)
     columns = []
-    for _, cols in certify:
-        out = [{}] * n
-        for j, t in enumerate(vectors):
-            y = _sum_of(cols, t)
+    for _, cols, den in certify:
+        out = [empty] * n
+        met = {j for c, col in enumerate(cols) if col for j in touching[c]}
+        for j in met:
+            u, e = vectors[j]
+            y = _sum_of(cols, u)
             if y:
-                z = out[j] = {i: x for i, x in _sum_of(inverse_rows, y).items() if x}
+                z = _sum_of(inverse_rows, y)
+                z = {i: x * scales[i] for i, x in z.items() if x} if scaled else (
+                    {i: x for i, x in z.items() if x})
                 if max(z, default=j) > j:
                     raise TheoremViolation("matrix is not upper triangular in the flag basis")
+                out[j] = z, den * e * lcm
         columns.append(out)
     return columns
 
@@ -855,10 +939,11 @@ def ideal_chain(
     vectors, _ = _lie_phase(degrees, levels, ads, check_hypotheses)
 
     # the prefixes, each a copy of one growing echelon; the certificate
-    # checked that the flag vectors form a basis, so each adds a row
+    # checked that the flag vectors form a basis, so each adds a row, and
+    # a span ignores their denominators
     grown = _Echelon(L.dim)
     chain = [Subspace(L, [])]
-    for v in vectors:
+    for v, _ in vectors:
         grown.add({order[i]: x for i, x in v.items()})
         sub = Subspace(L, [])
         sub._ech = grown.copy()

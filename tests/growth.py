@@ -2,13 +2,17 @@
 the structure table, ``nil_subspace_check`` and the CLI's ``validate``,
 ``chain`` and ``triangularize``.
 
-    PYTHONPATH=src python3 tests/growth.py --label change --out BENCH_25.json
+    PYTHONPATH=src python3 tests/growth.py --label change --out BENCH_31.json
 
 Times ``bracket_closure`` of the unit maps E_ij (rows ``closure/...``),
 and ``color_flag``, ``ideal_chain`` and the structure-constant table
 (``ColorAlgebra._structure``, rows ``table/...``) on their closure, the
 n x n Borel algebra (``corpus.borel_generators``), in the ``plain`` and
-``z`` gradings, and ``nil_subspace_check`` (deterministic policy) on a nil
+``z`` gradings, ``color_flag`` and ``ideal_chain`` on the closure of the
+dense family, the plain Borel generators conjugated by a rational
+unimodular matrix (``corpus.rational_conjugated_borel``, seeded by n;
+rows ``color_flag/dense/...`` and ``ideal_chain/dense/...``) at the fixed
+sizes n = 4, 6 and 8, and ``nil_subspace_check`` (deterministic policy) on a nil
 span of s = 3 and s = 4 unimodular-conjugated strictly upper triangular
 n x n matrices (``corpus.conjugated_nil_span``, seeded by n and s), and
 ``cli.main([command, "--json", path])`` in process, its output captured:
@@ -49,13 +53,15 @@ from colorlie import (
 )
 from colorlie.cli import main as cli_main
 from corpus import (
-    borel_generators, borel_problem_generators, conjugated_nil_span, unused_component_doc,
+    borel_generators, borel_problem_generators, conjugated_nil_span, rational_conjugated_borel,
+    unused_component_doc,
 )
 
 CLOCK = time.process_time
 CALLS = {"color_flag": color_flag, "ideal_chain": ideal_chain,
          "table": ColorAlgebra._structure}
 NIL_SIZES = (3, 4)
+DENSE_SIZES = (4, 6, 8)
 
 
 def median_time(prepare, fn, repeats: int) -> float:
@@ -97,6 +103,11 @@ def cases(sizes, tmp):
                 yield (f"{name}/{grading}/n={n}",
                        lambda n=n, grading=grading: bracket_closure(*borel_generators(n, grading)),
                        fn)
+    for name in ("color_flag", "ideal_chain"):
+        for n in DENSE_SIZES:
+            yield (f"{name}/dense/n={n}",
+                   lambda n=n: bracket_closure(*rational_conjugated_borel(random.Random(n), n, "plain")),
+                   CALLS[name])
     for s in NIL_SIZES:
         for n in sizes:
             span = conjugated_nil_span(random.Random(100 * n + s), n, s)

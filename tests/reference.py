@@ -266,16 +266,22 @@ def assert_table_matches_brackets(L):
     for k, f in enumerate(rs):
         assert _flat(f) == rows[k]
     table = L._structure()
+
+    def entries(i, j):
+        # the entry's integers over its positive denominator, in lowest terms
+        c, d = table[i].get(j, ({}, 1))
+        assert all(type(x) is int and x != 0 for x in c.values())
+        assert type(d) is int and d > 0 and math.gcd(d, *c.values()) == 1
+        return {k: Fraction(x, d) for k, x in c.items()}
+
     for i, a in enumerate(rs):
         for j, b in enumerate(rs):
-            entries = table[i].get(j, {})
-            assert all(c != 0 for c in entries.values())
             flat = [Fraction(0)] * (n * n)
-            for k, c in entries.items():
+            for k, c in entries(i, j).items():
                 flat = [x + c * y for x, y in zip(flat, rows[k])]
             assert flat == _flat(color_bracket(L.r, a, b))
             twist = -eval_bicharacter(L.r, a.degree, b.degree)
-            assert table[j].get(i, {}) == {k: twist * c for k, c in entries.items()}
+            assert entries(j, i) == {k: twist * c for k, c in entries(i, j).items()}
 
 
 def assert_series_and_center_match(L):

@@ -822,8 +822,9 @@ def test_denominators_give_fractions_everywhere():
         subspaces += list(ideal_chain(L).chain)
         maps = list(L.basis) + [f for s in subspaces for f in s.elements()]
         assert all(type(x) is Fraction for f in maps for x in _entries(f))
-        assert all(type(c) is Fraction for row in L._structure()
-                   for e in row.values() for c in e.values())
+        # the table is internal: integers over one denominator per entry
+        assert all(type(x) is int and type(d) is int for row in L._structure()
+                   for c, d in row.values() for x in c.values())
         flag = color_flag(L)
         values = [x for v in flag.ordered_basis for _, comp in v.components for x in comp]
         values += [x for w in flag.weights for x in w.values]

@@ -29,7 +29,7 @@ from colorlie import (
 )
 from colorlie.algebra import _square
 from colorlie.graded import _vector
-from colorlie.linalg import _Echelon
+from colorlie.linalg import _Echelon, _cleared
 from colorlie.structure import (
     _Quotient, _coordinate_degrees, _dense, _filtration_dim, _kernel_filtration, _map_of,
     _rows, _sparse_elements,
@@ -248,8 +248,10 @@ def test_quotient_project_gives_the_normal_form(m, data):
     q = _Quotient([Z1.identity()] * m.cols)
     q.add([dict(enumerate(row)) for row in m.data])
     assert q.free == free
-    assert densify(q.project(dict(enumerate(v))), len(free)) == [want[c] for c in free]
-    phis = [[(r, q.project({r: Fraction(1)}).get(i, Fraction(0))) for r in range(m.cols)]
+    # project gives den times the normal form, for the quotient's den
+    den = q.units[1]
+    assert densify(q.project(dict(enumerate(v))), len(free)) == [den * want[c] for c in free]
+    phis = [[(r, Fraction(q.project({r: 1}).get(i, 0), den)) for r in range(m.cols)]
             for i in range(len(free))]
     assert [sum((a * v[r] for r, a in phi), Fraction(0))
             for phi in phis] == [want[c] for c in free]
@@ -365,8 +367,9 @@ def test_flatten_of_sparse_map_matches_flatten_map(config, seed, density):
     for _ in range(3):
         f = random_homogeneous_map(rng, space, density=density)
         n = space.total_dim
-        _, cols = _map_of(f.degree, f.entries, n)
-        assert _dense(_rows(cols), range(n)) == flatten_map(f)
+        flat, den = _cleared(f.entries)
+        _, cols, den = _map_of(f.degree, flat, n, den)
+        assert _dense(_rows(cols), range(n), den) == flatten_map(f)
 
 
 # ----------------------------------------- solvability by the filtration
@@ -484,5 +487,5 @@ def test_triangular_block_eigenvalue_is_its_smallest_root(m):
     upper = Matrix([[x if j >= i else 0 for j, x in enumerate(row)]
                     for i, row in enumerate(m.data)])
     rows = {i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(upper.data)}
-    assert (_rational_eigenvalue(rows, [range(upper.rows)])
+    assert (_rational_eigenvalue(rows, [range(upper.rows)], 1)
             == rational_roots(char_poly(upper))[0][0])

@@ -43,6 +43,7 @@ from colorlie import (
     unflatten_map,
     z3_counterexample,
 )
+from colorlie.linalg import _cleared, _over
 from colorlie.structure import _coordinate_degrees, _map_of
 from corpus import (
     borel_generators,
@@ -717,9 +718,10 @@ def test_quotient_projection_kills_subspace():
                 assert free_degrees.count(g) == n - _rank(rows[g], n)
                 for v in rows[g]:
                     assert not any(q.project(_at(space, g, v)).values())
-            basis, cols = _whole(q)
+            basis, cols, den = _whole(q)
+            assert den == 1
             for i, w in enumerate(basis):
-                assert q.project(w) == {cols[i]: 1}
+                assert _project(q, w) == {cols[i]: 1}
 
 
 def test_quotient_induced_map_is_projection_of_map_on_lift():
@@ -750,7 +752,7 @@ def test_quotient_induced_map_is_projection_of_map_on_lift():
             f = random_homogeneous_map(rng, space)
             incl = Matrix.from_columns([densify(w, n) for w in _whole(q)[0]], rows=n)
             proj = Matrix.from_columns(
-                [densify(q.project({c: Fraction(1)}), len(q.free)) for c in range(n)],
+                [densify(_project(q, {c: 1}), len(q.free)) for c in range(n)],
                 rows=len(q.free),
             )
             assert flatten_map(_induce(q, f)) == proj * flatten_map(f) * incl
@@ -776,23 +778,32 @@ def _space_of(group, degrees):
 
 
 def _sparse_of(f):
-    """The sparse map (``structure._map_of``) of the map f."""
-    return _map_of(f.degree, f.entries, f.space.total_dim)
+    """The sparse map (``structure._map_of``) of the map f, integer
+    columns over one denominator."""
+    flat, den = _cleared(f.entries)
+    return _map_of(f.degree, flat, f.space.total_dim, den)
 
 
 def _sparse_vector(v):
-    """The vector v as its nonzero flattened coordinates."""
-    return {i: x for i, x in enumerate(flatten_vector(v)) if x}
+    """The vector v as its nonzero flattened coordinates, integers over
+    one denominator, as the flag engine holds vectors."""
+    return _cleared({i: x for i, x in enumerate(flatten_vector(v)) if x})
+
+
+def _project(q, v):
+    """The normal form of v modulo the quotient q, read at its free
+    columns, as Fractions: ``project`` gives it times q's denominator."""
+    return {i: Fraction(x, q.units[1]) for i, x in q.project(v).items()}
 
 
 def _dense_map(space, sparse):
     """The sparse map (``structure._map_of``) on space as a map."""
-    degree, cols = sparse
+    degree, cols, den = sparse
     n = space.total_dim
     rows = [[Fraction(0)] * n for _ in range(n)]
     for j, col in enumerate(cols):
         for i, x in col.items():
-            rows[i][j] = x
+            rows[i][j] = Fraction(x, den)
     return unflatten_map(space, degree, Matrix(rows, cols=n))
 
 
@@ -828,7 +839,7 @@ def test_quotient_in_steps_equals_quotient_at_once():
             q_s, q_t = _Quotient(degrees), _Quotient(degrees)
             q_s.add(s_rows)
             q_t.add(t_rows)
-            t_mod_s = [q_s.project(v) for v in t_rows]
+            t_mod_s = [_project(q_s, v) for v in t_rows]
             q_ts = _Quotient(q_s.coordinate_degrees(range(len(q_s.free))))
             q_ts.add(t_mod_s)
             assert _quotient_space(L.space, q_ts) == _quotient_space(L.space, q_t)
@@ -837,8 +848,8 @@ def test_quotient_in_steps_equals_quotient_at_once():
             for g, n in L.space.dims:
                 x = _at(L.space, g, [Fraction(rng.randint(-3, 3)) for _ in range(n)])
                 if g in q_s.coordinate_degrees(range(len(q_s.free))):
-                    assert _nonzero(q_ts.project(q_s.project(x))) == _nonzero(
-                        q_t.project(x)
+                    assert _nonzero(_project(q_ts, _project(q_s, x))) == _nonzero(
+                        _project(q_t, x)
                     )
             # T/S's rows, lifted to V at the free columns of S
             q_s.add([{q_s.free[i]: x for i, x in v.items()} for v in t_mod_s])
@@ -969,7 +980,7 @@ def test_restrict_matches_per_column_solve():
     assert narrowed >= 10
     # an invariant line: E_12 kills e_1
     v = gl(2)
-    line = [{0: Fraction(1)}], [0]
+    line = [{0: 1}], [0], 1
     q = _Quotient(_coordinate_degrees(v))
     assert _restrict(_sparse_of(unit_map(v, 0, 1)), q, *line)[1] == [{}]
 
@@ -993,19 +1004,19 @@ def _assert_restrict_solves_on_kernel(space, f) -> int:
     f2 = compose(f, f)
     q = _Quotient(_coordinate_degrees(space))
     q.add(narrowed(q, f, _whole(q))[0])
-    basis, cols = narrowed(q, f2, narrowed(q, compose(f2, f), _whole(q)))
+    basis, cols, den = narrowed(q, f2, narrowed(q, compose(f2, f), _whole(q)))
     if not basis:
         return 0
     w_degrees = q.coordinate_degrees(cols)
     w_space = _space_of(space.group, w_degrees)
-    res = _dense_map(w_space, _restrict(_sparse_of(f), q, basis, cols))
+    res = _dense_map(w_space, _restrict(_sparse_of(f), q, basis, cols, den))
 
     def project(v):
-        return densify(q.project(dict(enumerate(v))), len(q.free))
+        return densify(_project(q, dict(enumerate(v))), len(q.free))
 
     by_degree = {}
     for w, g in zip(basis, w_degrees):
-        by_degree.setdefault(g, []).append(densify(w, n))
+        by_degree.setdefault(g, []).append(densify(_over(w, den), n))
     m = flatten_map(f)
     for h, ws in by_degree.items():
         target = h + f.degree
@@ -1040,10 +1051,10 @@ def _assert_restrict_solves_on_levels(L):
     nil, top_maps = _sparse_elements(L, coords[:k]), _sparse_elements(L, coords[k:])
     degrees = _coordinate_degrees(L.space)
     levels = list(_kernel_filtration(degrees, nil, top_maps))
-    for (level, _, basis), top in zip(levels, _restricted_tops(degrees, levels, top_maps)):
+    for (level, _, basis, den), top in zip(levels, _restricted_tops(degrees, levels, top_maps)):
         dense = {}
         for w, g in zip(basis, level):
-            dense.setdefault(g, []).append(densify(w, n))
+            dense.setdefault(g, []).append(densify(_over(w, den), n))
         for f, sparse in zip(maps, top):
             res = _dense_map(_space_of(L.space.group, level), sparse)
             m = flatten_map(f)
@@ -1263,9 +1274,9 @@ def _levels_in_v(L):
 
     nil = [_sparse_of(f) for f in _square(L).elements()]
     out, acc = [], []
-    for _, top, basis in _kernel_filtration(_coordinate_degrees(L.space), nil, []):
+    for _, top, basis, den in _kernel_filtration(_coordinate_degrees(L.space), nil, []):
         assert top == []
-        acc += [densify(w, L.space.total_dim) for w in basis]
+        acc += [densify(_over(w, den), L.space.total_dim) for w in basis]
         out.append(list(acc))
     return out
 
@@ -1331,12 +1342,12 @@ def _restricted_tops(degrees, levels, top):
 
     q = _Quotient(degrees)
     out = []
-    for _, maps, basis in levels:
+    for _, maps, basis, den in levels:
         if len(basis) == 1:
             assert maps == []
             (w,) = basis
-            c = min(i for i, x in q.project(w).items() if x == 1)
-            maps = [_restrict(f, q, basis, [c]) for f in top]
+            c = min(i for i, x in _project(q, _over(w, den)).items() if x == 1)
+            maps = [_restrict(f, q, basis, [c], den) for f in top]
         out.append(maps)
         q.add(basis)
     return out
@@ -1353,17 +1364,18 @@ def _assert_filtration_matches_reference(space, maps, sparse, k):
     want = ref_kernel_filtration(space, maps[:k], maps[k:])
     tops = _restricted_tops(degrees, got, sparse[k:])
     assert [
-        (_space_of(space.group, level), t, [densify(w, space.total_dim) for w in basis])
-        for (level, _, basis), t in zip(got, tops)
+        (_space_of(space.group, level), t,
+         [densify(_over(w, den), space.total_dim) for w in basis])
+        for (level, _, basis, den), t in zip(got, tops)
     ] == [
         (s, [_sparse_of(f) for f in t],
          [densify(_at(space, g, v), space.total_dim) for g, vs in r.items() for v in vs])
         for s, t, r in want
     ]
-    assert [level for level, _, _ in got] == [
+    assert [level for level, _, _, _ in got] == [
         [g for g, vs in r.items() for _ in vs] for _, _, r in want
     ]
-    assert sum(len(basis) for _, _, basis in got) == space.total_dim
+    assert sum(len(basis) for _, _, basis, _ in got) == space.total_dim
 
 
 def test_kernel_filtration_matches_induced_map_reference():
@@ -1437,7 +1449,7 @@ def test_kernel_filtration_rejects_non_invariant_level():
             ref_kernel_filtration(space, [nil], [top])
         # without the top map the filtration reaches V in two levels
         levels = list(_kernel_filtration(degrees, [_sparse_of(nil)], []))
-        assert [len(basis) for _, _, basis in levels] == [1, 1]
+        assert [len(basis) for _, _, basis, _ in levels] == [1, 1]
 
 
 def test_filtration_stall_depth_skip_hypotheses():
@@ -1485,8 +1497,10 @@ def test_lazy_eigenvalue_matches_first_eigenpair():
                 p = random_unimodular(rng, n)
                 blocks[g] = p * Matrix(rows) * inverse(p)
             f = make_map(space, group.identity(), blocks)
-            # f's sparse rows and its diagonal blocks, as runs of indices
-            sparse_rows = _rows(_sparse_of(f)[1])
+            # f's sparse rows, den times f's, and its diagonal blocks, as
+            # runs of indices
+            _, cols, den = _sparse_of(f)
+            sparse_rows = _rows(cols)
             diagonal = [
                 [i for i, _ in run] for _, run in itertools.groupby(
                     enumerate(_coordinate_degrees(space)), key=lambda x: x[1])
@@ -1495,11 +1509,11 @@ def test_lazy_eigenvalue_matches_first_eigenpair():
             first = next((r for r in reports if r.pairs), None)
             if first is not None:
                 outcomes["rational"] += 1
-                assert _rational_eigenvalue(sparse_rows, diagonal) == first.pairs[0][0]
+                assert _rational_eigenvalue(sparse_rows, diagonal, den) == den * first.pairs[0][0]
             else:
                 outcomes["irrational"] += 1
                 with pytest.raises(IrrationalEigenvalue) as info:
-                    _rational_eigenvalue(sparse_rows, diagonal)
+                    _rational_eigenvalue(sparse_rows, diagonal, den)
                 assert info.value.char_poly == reports[0].irrational_factor
                 assert str(reports[0].irrational_factor) in str(info.value)
     assert min(outcomes.values()) >= 5
@@ -1530,19 +1544,19 @@ def test_non_invariant_line_has_no_homogeneous_eigenvector():
         sparse = [_sparse_of(f) for f in chain]
         # one level, the whole space in its standard basis
         degrees = _coordinate_degrees(space)
-        units = [{i: Fraction(1)} for i in range(space.total_dim)]
+        units = [{i: 1} for i in range(space.total_dim)]
         for strict in (False, True):
             with pytest.raises(TheoremViolation, match="not upper triangular in the flag basis"):
-                _lie_phase(degrees, [(degrees, sparse, units)], sparse, strict)
+                _lie_phase(degrees, [(degrees, sparse, units, 1)], sparse, strict)
     chain = [_sparse_of(f) for f in (d, unit_map(v, 0, 1), d)]
     q = _Quotient(_coordinate_degrees(v))
-    assert _chain_eigenvector(q, chain, False) == {0: Fraction(1)}
+    assert _chain_eigenvector(q, chain, False) == ({0: 1}, 1)
     assert q.degrees[0] == E0
 
 
 def _adjoint_flag(L):
-    """ideal_chain's flag vectors on the profile space, sparse, with no
-    certificate."""
+    """ideal_chain's flag vectors on the profile space, sparse integer
+    vectors each with its denominator, with no certificate."""
     from colorlie.algebra import _square
     from colorlie.structure import (
         _derived_coords, _kernel_filtration, _lie_phase, _sparse_ads,
@@ -1570,16 +1584,23 @@ def _certificate_cases(L):
     return [
         (L.space, list(color_flag(L).ordered_basis), _sparse_elements(L, basis),
          [flatten_map(f) for f in L.basis]),
-        (profile, [unflatten_vector(profile, densify(v, L.dim)) for v in _adjoint_flag(L)],
+        (profile, [unflatten_vector(profile, densify(_over(*v), L.dim)) for v in _adjoint_flag(L)],
          _sparse_ads(L, units), [flatten_map(ref_ad(L, g, v)) for g, v in units]),
     ]
 
 
 def _certify_graded(space, vectors, sparse):
-    """The sparse certificate of the flag ``vectors``, vectors of space."""
+    """The sparse certificate of the flag ``vectors``, vectors of space,
+    its columns as Fractions."""
     from colorlie.structure import _certify
 
-    return _certify(_coordinate_degrees(space), [_sparse_vector(v) for v in vectors], sparse)
+    return _fraction_columns(
+        _certify(_coordinate_degrees(space), [_sparse_vector(v) for v in vectors], sparse))
+
+
+def _fraction_columns(columns):
+    """``_certify``'s integer columns (z, den) as Fractions."""
+    return [[_over(z, den) for z, den in m] for m in columns]
 
 
 def _certificates(space, vectors, sparse, dense):
@@ -1671,7 +1692,7 @@ def test_certificate_rejects_a_mixed_vector():
     z0, z1 = z.element([0]), z.element([1])
     w = make_space(z, {z0: 1, z1: 1})
     maps = [make_map(w, z0, {z0: [[1]], z1: [[1]]}), make_map(w, z0, {z0: [[2]], z1: [[2]]})]
-    mixed = [{0: Fraction(1), 1: Fraction(1)}, {1: Fraction(1)}]
+    mixed = [({0: 1, 1: 1}, 1), ({1: 1}, 1)]
     flat = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
     assert ref_certificate(flat, [flatten_map(f) for f in maps]) == [
         [[1, 0], [0, 1]], [[2, 0], [0, 2]]
@@ -1679,9 +1700,11 @@ def test_certificate_rejects_a_mixed_vector():
     with pytest.raises(TheoremViolation, match="flag vector is not homogeneous"):
         _certify(_coordinate_degrees(w), mixed, [_sparse_of(f) for f in maps])
     # the same vectors split by degree pass
-    columns = _certify(_coordinate_degrees(w), [{0: Fraction(1)}, {1: Fraction(1)}],
+    columns = _certify(_coordinate_degrees(w), [({0: 1}, 1), ({1: 1}, 1)],
                        [_sparse_of(f) for f in maps])
-    assert [dense_columns(c, 2) for c in columns] == [[[1, 0], [0, 1]], [[2, 0], [0, 2]]]
+    assert [dense_columns(c, 2) for c in _fraction_columns(columns)] == [
+        [[1, 0], [0, 1]], [[2, 0], [0, 2]]
+    ]
 
 
 def test_adjoint_certificate_with_the_adapted_basis(monkeypatch):
@@ -1708,16 +1731,15 @@ def test_adjoint_certificate_with_the_adapted_basis(monkeypatch):
             ads = _sparse_ads(L, coords)
             dense = [flatten_map(ref_ad(L, g, v)) for g, v in coords]
             degrees, vectors = _coordinate_degrees(L.profile_space()), _adjoint_flag(L)
-            flat = [densify(v, L.dim) for v in vectors]
-            assert [dense_columns(c, L.dim) for c in _certify(degrees, vectors, ads)] == (
-                ref_certificate(flat, dense)
-            )
+            flat = [densify(_over(*v), L.dim) for v in vectors]
+            columns = _fraction_columns(_certify(degrees, vectors, ads))
+            assert [dense_columns(c, L.dim) for c in columns] == ref_certificate(flat, dense)
             swapped = list(vectors)
             swapped[0], swapped[-1] = swapped[-1], swapped[0]
             with pytest.raises(TheoremViolation, match="not upper triangular"):
                 _certify(degrees, swapped, ads)
             with pytest.raises(TheoremViolation, match="not upper triangular"):
-                ref_certificate([densify(v, L.dim) for v in swapped], dense)
+                ref_certificate([densify(_over(*v), L.dim) for v in swapped], dense)
             # and these are the maps ideal_chain certifies with
             del seen[:]
             ideal_chain(L)
