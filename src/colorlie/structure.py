@@ -64,11 +64,12 @@ scaled restricted maps as they are; what depends on the scale, an
 irrational factor or a hypothesis witness, is computed for the maps at
 their own scale, on the failure path only.  Fractions are made once, for
 the returned values: the flag vectors, the weights, the certified columns
-and the chain members.  Both phases hold
-F/S (F is V or a level's factor) as S's reduced echelon in F's
-coordinates (``_Quotient``), which quotienting again only adds rows to.
-Neither phase induces a map, and both restrict the maps the same way
-(``_restrict``): a subspace W of F/S is held as sparse vectors of F and
+and the chain members.
+
+Both phases hold F/S (F is V or a level's factor) as S's reduced echelon
+in F's coordinates (``_Quotient``), which quotienting again only adds
+rows to.  Neither phase induces a map, and both restrict the maps the
+same way (``_restrict``): a subspace W of F/S is held as sparse vectors of F and
 the free columns at which they read 1 and 0, so an image, projected, has
 its coordinates in W's basis at those columns, with no solve.  Phase 1
 projects the nil maps' columns at the free columns of K_j, and those
