@@ -68,7 +68,6 @@ the series, the table, flags and chains never read them.
 from __future__ import annotations
 
 import functools
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -102,7 +101,7 @@ from .graded import (
     zero_map,
 )
 from .linalg import (
-    _ONE, _ZERO, _Echelon, _lowest, _primitive_row, _sum_of, is_nilpotent_matrix,
+    _ONE, _ZERO, _Echelon, _cleared, _lowest, _primitive_row, _sum_of, is_nilpotent_matrix,
 )
 
 
@@ -152,8 +151,7 @@ def _split(n: int, row: dict) -> dict[int, list]:
 def _integral(row: dict) -> dict[int, int]:
     """The primitive integer multiple of a nonzero sparse row of
     Fractions or ints, positive at its first index."""
-    d = math.lcm(*[x.denominator for x in row.values()])
-    ints = {i: x.numerator * (d // x.denominator) for i, x in row.items() if x}
+    ints, _ = _cleared(row)
     return _primitive_row(ints, min(ints))
 
 
