@@ -343,7 +343,7 @@ class _Echelon:
         sum_k coeffs[k] R_k, as a sparse integer row, with the combination,
         negated, at the tracked columns.  An integer vector is only copied
         without its zeros."""
-        if set(map(type, vec.values())) <= _INT:
+        if _INT.issuperset(map(type, vec.values())):
             r, d = {i: x for i, x in vec.items() if x}, 1
         else:
             r, d = _cleared(vec)
