@@ -55,9 +55,9 @@ span is that of the maps they scale, and the table brackets the
 solver's integer rows lead_k R_k and keeps each entry as the integer
 pivot coordinates over den(s) lead_i lead_j, in lowest terms, which the
 flag engine reads as they are.  Integers stay inside; every value
-returned is a Fraction.  ``color_bracket`` stays the public bracket of maps, by
-``compose`` and ``add_maps`` on their Fraction entries, so the tests can
-check the kernel and the table against it.
+returned is a Fraction.  ``color_bracket`` stays the public bracket of
+maps, by ``compose`` and ``add_maps`` on their Fraction entries, so the
+tests can check the kernel and the table against it.
 
 An algebra spanned by reduced rows, as closures are, keeps its basis as
 those rows and their degrees (``basis_degrees``); the maps of

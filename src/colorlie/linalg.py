@@ -298,7 +298,7 @@ class _Echelon:
     span is unique, so inserting rows one at a time, in any order, gives
     the canonical RREF.
 
-    What the kernel gives back is exact in one of two forms.
+    Its readers give exact values in one of two forms.
     ``sparse_rows``, ``transform`` and ``to_basis`` give Fractions, each
     row of ``sparse_rows`` a dict in index order, converted on the first
     read after it changed (a vector of Fractions that met no pivot and
@@ -460,7 +460,7 @@ class _Echelon:
         column f, 1 at f and minus the rows' entries at f at their pivots,
         each d times that as a sparse integer vector, for d the lcm of the
         rows' pivot entries."""
-        w, pivots, rows = self.width, self.pivots, self.int_rows
+        pivots, rows = self.pivots, self.int_rows
         d = math.lcm(*[row[p] for p, row in zip(pivots, rows)])
         basis = {f: {f: d} for f in self.free()}
         for p, row in zip(pivots, rows):

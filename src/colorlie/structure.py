@@ -941,11 +941,13 @@ def ideal_chain(
 
     # the prefixes, each a copy of one growing echelon; the certificate
     # checked that the flag vectors form a basis, so each adds a row, and
-    # a span ignores their denominators
+    # a span ignores their denominators.  Its rows are read as Fractions
+    # before each copy, so the members share them, each converted once
     grown = _Echelon(L.dim)
     chain = [Subspace(L, [])]
     for v, _ in vectors:
         grown.add({order[i]: x for i, x in v.items()})
+        grown.sparse_rows
         sub = Subspace(L, [])
         sub._ech = grown.copy()
         chain.append(sub)
