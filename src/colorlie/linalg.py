@@ -231,13 +231,17 @@ def _primitive_row(row: dict, pivot: int) -> dict:
     return row if g == 1 else {i: x // g for i, x in row.items()}
 
 
+_INT = {int}
+
+
 def _cleared(vec: dict) -> tuple[dict[int, int], int]:
     """(r, d) with r = d vec as a sparse integer vector, for the least
     common denominator d of the entries of vec, ints or Fractions; a zero
-    entry is left out."""
+    entry is left out.  An integer vector is only copied without its
+    zeros."""
+    if _INT.issuperset(map(type, vec.values())):
+        return {i: x for i, x in vec.items() if x}, 1
     d = math.lcm(*[x.denominator for x in vec.values()])
-    if d == 1:
-        return {i: x.numerator for i, x in vec.items() if x}, 1
     return {i: x.numerator * (d // x.denominator) for i, x in vec.items() if x}, d
 
 
@@ -270,9 +274,6 @@ def _sum_of(vectors, coeffs: dict) -> dict:
                     x = c * x
                 out[i] = out[i] + x if i in out else x
     return out
-
-
-_INT = {int}
 
 
 class _Echelon:
@@ -341,12 +342,8 @@ class _Echelon:
         """(s, r, coeffs): coeffs is vec's pivot coordinates, its nonzero
         entries at the pivots keyed by row index k, and r / s is vec minus
         sum_k coeffs[k] R_k, as a sparse integer row, with the combination,
-        negated, at the tracked columns.  An integer vector is only copied
-        without its zeros."""
-        if _INT.issuperset(map(type, vec.values())):
-            r, d = {i: x for i, x in vec.items() if x}, 1
-        else:
-            r, d = _cleared(vec)
+        negated, at the tracked columns."""
+        r, d = _cleared(vec)
         at = self._at
         coeffs = {at[i]: vec[i] for i in r if i in at}
         if not coeffs:
@@ -396,11 +393,6 @@ class _Echelon:
                 rows[j] = _primitive_row(row, pivots[j])
                 self._rows[j] = None
         self._at[pivot] = k
-        if k == len(pivots):
-            pivots.append(pivot)
-            rows.append(new)
-            self._rows.append(fresh)
-            return True
         pivots.insert(k, pivot)
         rows.insert(k, new)
         self._rows.insert(k, fresh)
@@ -408,8 +400,9 @@ class _Echelon:
             self._at[pivots[j]] = j
         return True
 
-    @property
-    def sparse_rows(self) -> list[dict[int, Fraction]]:
+    def convert(self) -> None:
+        """Convert each row changed since the last read to Fractions now,
+        so that copies made after it share the converted rows."""
         w = self.width
         for k, row in enumerate(self._rows):
             if row is None:
@@ -417,6 +410,10 @@ class _Echelon:
                 items = sorted(self.int_rows[k].items())
                 self._rows[k] = {i: Fraction(x, lead) if lead != 1 else Fraction(x)
                                  for i, x in items if i < w}
+
+    @property
+    def sparse_rows(self) -> list[dict[int, Fraction]]:
+        self.convert()
         return self._rows
 
     def tracked(self, order) -> "_Echelon":

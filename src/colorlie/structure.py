@@ -95,6 +95,7 @@ its hypotheses were checked raises TheoremViolation.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -561,30 +562,25 @@ def _kernel_filtration(degrees: list, nil, top):
     levels stop at F or at the first empty kernel.
     """
     nonzero = [[(c, col) for c, col in enumerate(cols) if col] for _, cols, _ in nil]
-    # each coordinate's degree as a small int, so counts are list entries
-    kinds = {g: k for k, g in enumerate(dict.fromkeys(degrees))}
-    kind = [kinds[g] for g in degrees]
     q = _Quotient(degrees)
     while q.free:
         free, at, (units, _) = q.free, q.at, q.units
         ech = _Echelon(len(free))
-        left = [0] * len(kinds)  # free columns without a pivot, by degree
-        for c in free:
-            left[kind[c]] += 1
+        left = collections.Counter(degrees[c] for c in free)  # free columns without a pivot
         for cols in nonzero:
-            if not any(left):
+            if not any(left.values()):
                 break
             # the rows of the induced map: column j is column c projected
             rows: dict = {}
             for c, col in cols:
                 j = at.get(c)
-                if j is not None and left[kind[c]]:
+                if j is not None and left[degrees[c]]:
                     for r, x in col.items():
                         for i, a in units[r].items():
                             row = rows.setdefault(i, {})
                             row[j] = row[j] + a * x if j in row else a * x
             for row in rows.values():
-                g = kind[free[next(iter(row))]]
+                g = degrees[free[next(iter(row))]]
                 if left[g] and ech.add(row):
                     left[g] -= 1
         basis, cols, den = _narrow(*_whole(q), ech)
@@ -867,7 +863,6 @@ def _certify(degrees: list, vectors, certify) -> list[list[tuple]]:
     inverse_rows = [{i - n: x * (lcm // row[k]) for i, x in row.items() if i >= n}
                     for k, row in enumerate(ech.int_rows)]
     scales = [e for _, e in vectors]
-    scaled = any(e != 1 for e in scales)
     empty = ({}, 1)
     columns = []
     for _, cols, den in certify:
@@ -878,8 +873,7 @@ def _certify(degrees: list, vectors, certify) -> list[list[tuple]]:
             y = _sum_of(cols, u)
             if y:
                 z = _sum_of(inverse_rows, y)
-                z = {i: x * scales[i] for i, x in z.items() if x} if scaled else (
-                    {i: x for i, x in z.items() if x})
+                z = {i: x * scales[i] for i, x in z.items() if x}
                 if max(z, default=j) > j:
                     raise TheoremViolation("matrix is not upper triangular in the flag basis")
                 out[j] = z, den * e * lcm
@@ -941,13 +935,13 @@ def ideal_chain(
 
     # the prefixes, each a copy of one growing echelon; the certificate
     # checked that the flag vectors form a basis, so each adds a row, and
-    # a span ignores their denominators.  Its rows are read as Fractions
-    # before each copy, so the members share them, each converted once
+    # a span ignores their denominators.  Its rows are converted to
+    # Fractions before each copy, so the members share them
     grown = _Echelon(L.dim)
     chain = [Subspace(L, [])]
     for v, _ in vectors:
         grown.add({order[i]: x for i, x in v.items()})
-        grown.sparse_rows
+        grown.convert()
         sub = Subspace(L, [])
         sub._ech = grown.copy()
         chain.append(sub)
