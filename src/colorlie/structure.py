@@ -95,7 +95,6 @@ its hypotheses were checked raises TheoremViolation.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -562,25 +561,31 @@ def _kernel_filtration(degrees: list, nil, top):
     levels stop at F or at the first empty kernel.
     """
     nonzero = [[(c, col) for c, col in enumerate(cols) if col] for _, cols, _ in nil]
+    # each coordinate's degree as a small int, so counts are list entries
+    # and the inner loop hashes no grading element
+    kinds = {g: k for k, g in enumerate(dict.fromkeys(degrees))}
+    kind = [kinds[g] for g in degrees]
     q = _Quotient(degrees)
     while q.free:
         free, at, (units, _) = q.free, q.at, q.units
         ech = _Echelon(len(free))
-        left = collections.Counter(degrees[c] for c in free)  # free columns without a pivot
+        left = [0] * len(kinds)  # free columns without a pivot, by degree
+        for c in free:
+            left[kind[c]] += 1
         for cols in nonzero:
-            if not any(left.values()):
+            if not any(left):
                 break
             # the rows of the induced map: column j is column c projected
             rows: dict = {}
             for c, col in cols:
                 j = at.get(c)
-                if j is not None and left[degrees[c]]:
+                if j is not None and left[kind[c]]:
                     for r, x in col.items():
                         for i, a in units[r].items():
                             row = rows.setdefault(i, {})
                             row[j] = row[j] + a * x if j in row else a * x
             for row in rows.values():
-                g = degrees[free[next(iter(row))]]
+                g = kind[free[next(iter(row))]]
                 if left[g] and ech.add(row):
                     left[g] -= 1
         basis, cols, den = _narrow(*_whole(q), ech)
