@@ -176,6 +176,12 @@ class ColorAlgebra:
     is built from these on first read when the algebra was spanned by
     rows.  Verifying the closure builds the structure-constant table; a
     trusted algebra builds it, verified the same way, on first use.
+
+    An algebra also keeps what the structure calls read off it alone,
+    each built by the first call that needs it: [L, L] (``_square``), the
+    basis adapted to it, the flag's sparse maps and ``ideal_chain``'s ad
+    maps (see ``colorlie.structure``).  No verdict is kept: every call
+    still runs its hypothesis checks and its certificate.
     """
 
     def __init__(self, space: GradedSpace, r: Bicharacter, basis,
@@ -222,6 +228,14 @@ class ColorAlgebra:
         self._solver = solver
         self._profile: GradedSpace | None = None
         self._table: list[dict] | None = None
+        # what the structure calls read off L alone, kept on first use:
+        # [L, L] (``_square``), the basis adapted to it and the flag's and
+        # the chain's sparse maps (``structure._adapted``, ``_flag_maps``,
+        # ``_chain_maps``)
+        self._derived: Subspace | None = None
+        self._adapted: tuple | None = None
+        self._flag_inputs: tuple | None = None
+        self._chain_inputs: tuple | None = None
         self._degrees = _pivot_degrees(space, solver.pivots)
         self._basis_coords = coords
 
@@ -462,14 +476,17 @@ def _require_closed(L: ColorAlgebra):
 
 
 def _square(L: ColorAlgebra) -> Subspace:
-    """[L, L], read off the table: the span of its entries [R_i, R_j]
-    with i <= j, which span every [R_j, R_i] by skew symmetry."""
-    out = Subspace(L, ())
-    for i, row in enumerate(L._structure()):
-        for j, (c, _) in row.items():
-            if j >= i:
-                out._ech.add(c)
-    return out
+    """[L, L], read off the table once and kept on L (``L._derived``):
+    the span of its entries [R_i, R_j] with i <= j, which span every
+    [R_j, R_i] by skew symmetry.  Its readers never change it."""
+    if L._derived is None:
+        out = Subspace(L, ())
+        for i, row in enumerate(L._structure()):
+            for j, (c, _) in row.items():
+                if j >= i:
+                    out._ech.add(c)
+        L._derived = out
+    return L._derived
 
 
 def _series(L: ColorAlgebra, derived: bool) -> list[Subspace]:

@@ -6,7 +6,17 @@ torsion-free grading (Lie-type).  The flag is built in two phases from a
 homogeneous basis b_1..b_m of L whose first k = dim [L, L] entries span
 [L, L] (read off the structure-constant table) and whose rest are the
 basis elements of L independent modulo [L, L] (``_derived_coords``),
-whose sparse maps are those of L's basis, built once per call.
+whose sparse maps are those of L's basis.
+
+All of these depend on L alone, so each is built once per algebra, by
+the first call that needs it, and kept on the ``ColorAlgebra``: [L, L]
+(``algebra._square``, shared with the series and ``codim_one_ideal``),
+the adapted basis (``_adapted``), the flag's sparse maps
+(``_flag_maps``) and ``ideal_chain``'s ad maps (``_chain_maps``).  Their
+readers never change them.  Nothing kept is a verdict: every call still
+runs its closure, space and torsion checks before it reads them, then
+the Engel phase, a stall's diagnosis with its own ``nil_policy`` and
+``seed``, phase 2 and the certificate.
 
   1. Engel: K_0 = 0 and K_{j+1} = {v : [L, L] v in K_j}, each level the
      common graded kernel of [L, L] on V/K_j.  [L, L] is an ideal, so
@@ -330,6 +340,14 @@ def _derived_coords(L: ColorAlgebra, derived: Subspace) -> tuple[list, list]:
     return derived._vectors() + rest, taken
 
 
+def _adapted(L: ColorAlgebra) -> tuple[list, list]:
+    """``_derived_coords`` for L's [L, L], built once and kept on L
+    (``L._adapted``)."""
+    if L._adapted is None:
+        L._adapted = _derived_coords(L, _square(L))
+    return L._adapted
+
+
 def _map_of(degree: GroupElement, flat: dict, n: int, den: int) -> tuple:
     """The sparse map (degree, cols, den) on an n-dimensional space whose
     flattened matrix, row-major, has the integer entries ``flat`` over
@@ -414,10 +432,9 @@ def codim_one_ideal(
         raise ZeroAlgebra("the zero algebra has no codimension-one ideal")
     if check_hypotheses and derived_series(L)[-1].dim != 0:
         raise NotSolvable("algebra is not solvable")
-    derived = _square(L)
-    if derived.dim == L.dim:
+    if _square(L).dim == L.dim:
         raise NotSolvable("derived subalgebra equals the whole algebra")
-    chain, _ = _derived_coords(L, derived)
+    chain, _ = _adapted(L)
     return Subspace._span(L, (v for _, v in chain[:-1])), L._element(*chain[-1])
 
 
@@ -678,10 +695,9 @@ def _chain_eigenvector(q: _Quotient, chain, strict: bool) -> dict:
 
 
 def _flag_setup(L: ColorAlgebra, check_hypotheses: bool):
-    """V's coordinate degrees and the sparse maps of the rows of [L, L]
-    (phase 1), of L's basis elements outside it (phase 2,
-    ``_derived_coords``) and of L's basis, for a nonzero V and, checked, a
-    torsion-free grading; the filtration certifies the rest."""
+    """The checks every flag and eigenvector call runs, for a nonzero V
+    and, checked, a torsion-free grading (the filtration certifies the
+    rest), then L's sparse maps (``_flag_maps``)."""
     _require_closed(L)
     if L.space.total_dim == 0:
         raise EmptySpace("the representation space is zero")
@@ -690,17 +706,36 @@ def _flag_setup(L: ColorAlgebra, check_hypotheses: bool):
             "grading group has torsion; triangularization can fail "
             "(run the cyclic-group demo for a 3-dimensional example)"
         )
-    derived = _square(L)
-    coords, taken = _derived_coords(L, derived)
-    basis = _basis_maps(L)
-    # a row of [L, L] that is a basis element of L has its map already;
-    # looked up by its coordinates' indices, which hash cheaply
-    known = {tuple(c): (c, f) for c, f in zip(L._basis_coords, basis)}
-    nil = []
-    for g, v in coords[:derived.dim]:
-        c, f = known.get(tuple(v), (None, None))
-        nil.append(f if c == v else _sparse_elements(L, [(g, v)])[0])
-    return _coordinate_degrees(L.space), nil, [basis[i] for i in taken], basis
+    return _flag_maps(L)
+
+
+def _flag_maps(L: ColorAlgebra):
+    """V's coordinate degrees and the sparse maps of the rows of [L, L]
+    (phase 1), of L's basis elements outside it (phase 2, ``_adapted``)
+    and of L's basis, built once and kept on L (``L._flag_inputs``)."""
+    if L._flag_inputs is None:
+        coords, taken = _adapted(L)
+        basis = _basis_maps(L)
+        # a row of [L, L] that is a basis element of L has its map already;
+        # looked up by its coordinates' indices, which hash cheaply
+        known = {tuple(c): (c, f) for c, f in zip(L._basis_coords, basis)}
+        nil = []
+        for g, v in coords[:_square(L).dim]:
+            c, f = known.get(tuple(v), (None, None))
+            nil.append(f if c == v else _sparse_elements(L, [(g, v)])[0])
+        L._flag_inputs = _coordinate_degrees(L.space), nil, [basis[i] for i in taken], basis
+    return L._flag_inputs
+
+
+def _chain_maps(L: ColorAlgebra):
+    """The profile space's coordinate degrees and order
+    (``_profile_order``) and ad of L's basis adapted to [L, L] on it
+    (``_sparse_ads``), built once and kept on L (``L._chain_inputs``)."""
+    if L._chain_inputs is None:
+        order = _profile_order(L)
+        ads = _sparse_ads(L, _adapted(L)[0])
+        L._chain_inputs = [L._degrees[i] for i in order], order, ads
+    return L._chain_inputs
 
 
 def _stall(L, nil, depth, strict, nil_policy, seed):
@@ -919,20 +954,14 @@ def ideal_chain(
     _require_closed(L)
     if check_hypotheses and not L.space.group.is_torsion_free():
         raise TorsionGrading("grading group has torsion")
-    derived = _square(L)
-    coords, _ = _derived_coords(L, derived)
-    k = derived.dim
     if check_hypotheses:
-        _engel_phase(
-            L, _coordinate_degrees(L.space), _sparse_elements(L, coords[:k]), [],
-            True, nil_policy, seed,
-        )
+        degrees, nil, _, _ = _flag_maps(L)
+        _engel_phase(L, degrees, nil, [], True, nil_policy, seed)
     if L.dim == 0:
         return IdealChain((Subspace(L, []),))
 
-    ads = _sparse_ads(L, coords)
-    order = _profile_order(L)
-    degrees = [L._degrees[i] for i in order]
+    degrees, order, ads = _chain_maps(L)
+    k = _square(L).dim
     levels = _engel_phase(
         L, degrees, ads[:k], ads[k:], check_hypotheses, nil_policy, seed
     )

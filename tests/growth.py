@@ -2,7 +2,7 @@
 the structure table, ``nil_subspace_check`` and the CLI's ``validate``,
 ``chain`` and ``triangularize``.
 
-    PYTHONPATH=src python3 tests/growth.py --label change --out BENCH_31.json
+    PYTHONPATH=src python3 tests/growth.py --label change --out BENCH_32.json
 
 Times ``bracket_closure`` of the unit maps E_ij (rows ``closure/...``),
 and ``color_flag``, ``ideal_chain`` and the structure-constant table
@@ -12,9 +12,13 @@ n x n Borel algebra (``corpus.borel_generators``), in the ``plain`` and
 dense family, the plain Borel generators conjugated by a rational
 unimodular matrix (``corpus.rational_conjugated_borel``, seeded by n;
 rows ``color_flag/dense/...`` and ``ideal_chain/dense/...``) at the fixed
-sizes n = 4, 6 and 8, and ``nil_subspace_check`` (deterministic policy) on a nil
-span of s = 3 and s = 4 unimodular-conjugated strictly upper triangular
-n x n matrices (``corpus.conjugated_nil_span``, seeded by n and s), and
+sizes n = 4, 6 and 8, a second ``color_flag`` and ``ideal_chain`` on an
+algebra that the same call has already used, plain Borel at every size
+and dense at 4, 6 and 8 (rows ``.../warm/plain/...`` and
+``.../warm/dense/...``, timing the call with the algebra's kept
+[L, L], adapted basis and sparse maps), and ``nil_subspace_check``
+(deterministic policy) on a nil span of s = 3 and s = 4
+unimodular-conjugated strictly upper triangular n x n matrices (``corpus.conjugated_nil_span``, seeded by n and s), and
 ``cli.main([command, "--json", path])`` in process, its output captured:
 ``validate`` and ``chain`` on the problem file that ``serialize_problem``
 writes for the plain n x n Borel algebra's scaled generators
@@ -24,7 +28,7 @@ closure and printing the chain's maps, and ``triangularize`` on a problem
 file with a 1 x 1 degree-0 generator beside an unused (n^2 - 1)-dimensional
 component (``corpus.unused_component_doc``, rows
 ``triangularize/unused/...``, an n^2-dimensional space), for every n in
-``--sizes``.  Each algebra call gets a freshly closed
+``--sizes``.  Each other algebra call gets a freshly closed
 algebra, so its structure table is built inside the timed call; the
 median of ``--repeats`` runs is kept.  Times are CPU seconds of this process
 (``time.process_time``), which a shared machine's other load disturbs
@@ -89,6 +93,20 @@ def write_json(path, doc) -> str:
     return path
 
 
+def plain(n: int) -> ColorAlgebra:
+    return bracket_closure(*borel_generators(n, "plain"))
+
+
+def dense(n: int) -> ColorAlgebra:
+    return bracket_closure(*rational_conjugated_borel(random.Random(n), n, "plain"))
+
+
+def used(L: ColorAlgebra, fn) -> ColorAlgebra:
+    """L after one call of fn, which keeps on it what L alone gives."""
+    fn(L)
+    return L
+
+
 def cases(sizes, tmp):
     """(key, prepare, fn) for every timed call; problem files go in the
     directory tmp."""
@@ -105,9 +123,12 @@ def cases(sizes, tmp):
                        fn)
     for name in ("color_flag", "ideal_chain"):
         for n in DENSE_SIZES:
-            yield (f"{name}/dense/n={n}",
-                   lambda n=n: bracket_closure(*rational_conjugated_borel(random.Random(n), n, "plain")),
-                   CALLS[name])
+            yield f"{name}/dense/n={n}", lambda n=n: dense(n), CALLS[name]
+    for name in ("color_flag", "ideal_chain"):
+        fn = CALLS[name]
+        for family, make, family_sizes in (("plain", plain, sizes), ("dense", dense, DENSE_SIZES)):
+            for n in family_sizes:
+                yield f"{name}/warm/{family}/n={n}", lambda make=make, n=n, fn=fn: used(make(n), fn), fn
     for s in NIL_SIZES:
         for n in sizes:
             span = conjugated_nil_span(random.Random(100 * n + s), n, s)

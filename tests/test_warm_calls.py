@@ -5,12 +5,19 @@ algebra must give what a call on a freshly built one gives: the same
 flags, weights, certified columns, chains, eigenvectors, ideals and
 series, and the same errors, messages, flag depths and witnesses, in
 any order of calls, hypotheses checked or not, whatever ``nil_policy``
-and ``seed`` each call passes."""
+and ``seed`` each call passes.  What is kept is built once: one walk
+over the structure table gives [L, L] to every call, and a second call
+builds no map, yet still runs the Engel phase and the certificate."""
 
+import collections
+import contextlib
+import io
 import random
 from pathlib import Path
 
+import colorlie.structure as structure
 from colorlie import (
+    ColorAlgebra,
     ColorLieError,
     HypothesisFailed,
     bracket_closure,
@@ -21,7 +28,9 @@ from colorlie import (
     ideal_chain,
     load_problem,
     lower_central_series,
+    z3_counterexample,
 )
+from colorlie.cli import main as cli_main
 from corpus import BOREL_GRADINGS, all_configs, borel_generators, random_solvable_instance, \
     rational_conjugated_borel
 
@@ -142,3 +151,83 @@ def test_hypothesis_witness_follows_each_calls_policy_and_seed():
         assert all(o[0] == "HypothesisFailed" and o[3] is not None for o in outcomes)
         # the policies find different points, so a kept witness would show
         assert len({o[3] for o in outcomes}) > 1
+
+
+class _Table(list):
+    """A structure table that counts the walks over it; the calls read
+    its rows by index, and only [L, L] (``algebra._square``) walks it."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def _counted_tables(monkeypatch) -> list:
+    """Every table built from now on, each a ``_Table``."""
+    tables = []
+    real = ColorAlgebra._structure
+
+    def structure_table(L):
+        table = real(L)
+        if type(table) is not _Table:
+            L._table = table = _Table(table)
+            tables.append(table)
+        return table
+
+    monkeypatch.setattr(ColorAlgebra, "_structure", structure_table)
+    return tables
+
+
+def test_one_table_walk_serves_every_structure_call(monkeypatch):
+    tables = _counted_tables(monkeypatch)
+    for grading in BOREL_GRADINGS:
+        L = bracket_closure(*borel_generators(4, grading))
+        for check in (True, False):
+            derived_series(L)
+            lower_central_series(L)
+            codim_one_ideal(L, check_hypotheses=check)
+            color_flag(L, check_hypotheses=check)
+            ideal_chain(L, check_hypotheses=check)
+            common_homogeneous_eigenvector(L, check_hypotheses=check)
+    z3_counterexample()
+    # the CLI's series: the derived and the lower central series
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in (["series", str(PROBLEMS / "heisenberg.json")],
+                     ["series", "--json", str(PROBLEMS / "sl2.json")]):
+            assert cli_main(argv) == 0
+    assert len(tables) == len(BOREL_GRADINGS) + 3
+    assert [t.walks for t in tables] == [1] * len(tables)
+
+
+def test_warm_calls_build_nothing_and_still_check(monkeypatch):
+    calls = collections.Counter()
+
+    def count(name):
+        real = getattr(structure, name)
+        monkeypatch.setattr(structure, name, lambda *a: calls.update([name]) or real(*a))
+
+    names = ("_engel_phase", "_certify", "_derived_coords", "_sparse_elements", "_sparse_ads")
+    for name in names:
+        count(name)
+    tables = _counted_tables(monkeypatch)
+    for grading in BOREL_GRADINGS:
+        L = bracket_closure(*rational_conjugated_borel(random.Random(4), 4, grading))
+        color_flag(L)
+        ideal_chain(L)
+        assert calls["_derived_coords"] == 1 and calls["_sparse_ads"] == 1
+        for check in (True, False):
+            calls.clear()
+            color_flag(L, check_hypotheses=check)
+            assert calls == {"_engel_phase": 1, "_certify": 1}
+            calls.clear()
+            # checked, the chain runs the Engel phase on V too
+            ideal_chain(L, check_hypotheses=check)
+            assert calls == {"_engel_phase": 1 + check, "_certify": 1}
+            calls.clear()
+            common_homogeneous_eigenvector(L, check_hypotheses=check)
+            codim_one_ideal(L, check_hypotheses=check)
+            # unchecked, the eigenvector runs the filtration by itself
+            assert calls == ({"_engel_phase": 1} if check else {})
+        assert tables[-1].walks == 1
