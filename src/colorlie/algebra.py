@@ -228,10 +228,8 @@ class ColorAlgebra:
         self._solver = solver
         self._profile: GradedSpace | None = None
         self._table: list[dict] | None = None
-        # what the structure calls read off L alone, kept on first use:
-        # [L, L] (``_square``), the basis adapted to it and the flag's and
-        # the chain's sparse maps (``structure._adapted``, ``_flag_maps``,
-        # ``_chain_maps``)
+        # filled by ``_square`` and ``structure._adapted``, ``_flag_maps``
+        # and ``_chain_maps`` on first use
         self._derived: Subspace | None = None
         self._adapted: tuple | None = None
         self._flag_inputs: tuple | None = None
