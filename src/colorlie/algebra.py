@@ -179,8 +179,9 @@ class ColorAlgebra:
 
     An algebra also keeps what the structure calls read off it alone,
     each built by the first call that needs it: [L, L] (``_square``), the
-    basis adapted to it, the flag's sparse maps and ``ideal_chain``'s ad
-    maps (see ``colorlie.structure``).  No verdict is kept: every call
+    basis adapted to it, the flag's sparse maps, the generators of [L, L]
+    that drive the Engel phase and ``ideal_chain``'s ad maps (see
+    ``colorlie.structure``).  No verdict is kept: every call
     still runs its hypothesis checks and its certificate.
     """
 
@@ -228,11 +229,12 @@ class ColorAlgebra:
         self._solver = solver
         self._profile: GradedSpace | None = None
         self._table: list[dict] | None = None
-        # filled by ``_square`` and ``structure._adapted``, ``_flag_maps``
-        # and ``_chain_maps`` on first use
+        # filled by ``_square`` and ``structure._adapted``, ``_flag_maps``,
+        # ``_generators`` and ``_chain_maps`` on first use
         self._derived: Subspace | None = None
         self._adapted: tuple | None = None
         self._flag_inputs: tuple | None = None
+        self._generators: list | None = None
         self._chain_inputs: tuple | None = None
         self._degrees = _pivot_degrees(space, solver.pivots)
         self._basis_coords = coords
@@ -241,6 +243,12 @@ class ColorAlgebra:
     def basis(self) -> tuple[HomogeneousMap, ...]:
         """The basis maps, built on first read for a spanned algebra."""
         return tuple(map(self._element, self.basis_degrees, self._basis_coords))
+
+    @functools.cached_property
+    def _shifting(self) -> tuple[int, ...]:
+        """The indices of the basis elements of nonzero degree, on which
+        every weight vanishes."""
+        return tuple(i for i, g in enumerate(self.basis_degrees) if not g.is_zero())
 
     @property
     def dim(self) -> int:

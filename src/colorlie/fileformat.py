@@ -46,7 +46,7 @@ from pathlib import Path
 from .errors import ParseError
 from .grading import Bicharacter, GroupSpec, make_bicharacter, make_group
 from .graded import GradedSpace, HomogeneousMap, make_map, make_space
-from .linalg import _text
+from .linalg import _ZERO, _text
 
 _RATIONAL = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
 
@@ -70,8 +70,11 @@ def _fail(where: str, message: str):
 
 def _rational(value, where: str, i: int, j: int) -> Fraction:
     """Entry [i][j] of the matrix at ``where``, whose path is formatted
-    only when the entry is refused.  A string is matched once and the
-    Fraction built from the match's integer groups."""
+    only when the entry is refused.  The zero entries "0" and 0, most of
+    a sparse block, give the shared zero; any other string is matched
+    once and the Fraction built from the match's integer groups."""
+    if value == "0" or (type(value) is int and not value):
+        return _ZERO
     if isinstance(value, str):
         m = _RATIONAL.match(value)
         if not m:

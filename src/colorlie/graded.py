@@ -262,9 +262,10 @@ def _by_row(f: HomogeneousMap) -> dict[int, dict[int, Fraction]]:
 def _placed(raw, entries: dict, base: int, n: int) -> tuple[int, int]:
     """Put the nonzero entries of the block ``raw``, a Matrix or a list of
     rows of ints, "p/q" strings or Fractions, into ``entries``, row p at
-    base + p n, each coerced once; the block's (rows, columns).  A
-    non-rational entry raises TypeError at once, and ragged rows raise
-    SizeMismatch after the last row, as ``Matrix(raw)`` would."""
+    base + p n, each coerced once and the shared zero skipped at once;
+    the block's (rows, columns).  A non-rational entry raises TypeError
+    at once, and ragged rows raise SizeMismatch after the last row, as
+    ``Matrix(raw)`` would."""
     if isinstance(raw, Matrix):
         rows, width = raw.data, raw.cols
     else:
@@ -274,10 +275,11 @@ def _placed(raw, entries: dict, base: int, n: int) -> tuple[int, int]:
         i = base + p * n
         k = 0
         for x in row:
-            if type(x) is not Fraction:
-                x = frac(x)
-            if x:
-                entries[i + k] = x
+            if x is not _ZERO:
+                if type(x) is not Fraction:
+                    x = frac(x)
+                if x:
+                    entries[i + k] = x
             k += 1
         if width is None:
             width = k

@@ -255,11 +255,12 @@ def _over(vec: dict, d: int) -> dict[int, Fraction]:
 def _lowest(vectors: list[dict], den: int) -> tuple[list[dict], int]:
     """The sparse integer vectors over the positive denominator den in
     lowest terms: all divided, den too, by the gcd of den and their
-    entries."""
+    entries.  An empty vector is kept as it is, so empty vectors that
+    share one dict still share it."""
     if den != 1:
         g = math.gcd(den, *[x for v in vectors for x in v.values()])
         if g != 1:
-            return [{i: x // g for i, x in v.items()} for v in vectors], den // g
+            return [{i: x // g for i, x in v.items()} if v else v for v in vectors], den // g
     return vectors, den
 
 

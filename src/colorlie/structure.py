@@ -12,8 +12,9 @@ All of these depend on L alone, so each is built once per algebra, by
 the first call that needs it, and kept on the ``ColorAlgebra``: [L, L]
 (``algebra._square``, shared with the series and ``codim_one_ideal``),
 the adapted basis (``_adapted``), the flag's sparse maps
-(``_flag_maps``) and ``ideal_chain``'s ad maps (``_chain_maps``).  Their
-readers never change them.  Nothing kept is a verdict: every call still
+(``_flag_maps``), the generators of [L, L] that drive phase 1
+(``_generators``) and ``ideal_chain``'s ad maps (``_chain_maps``).
+Their readers never change them.  Nothing kept is a verdict: every call still
 runs its closure, space and torsion checks before it reads them, then
 the Engel phase, a stall's diagnosis with its own ``nil_policy`` and
 ``seed``, phase 2 and the certificate.
@@ -21,7 +22,17 @@ the Engel phase, a stall's diagnosis with its own ``nil_policy`` and
   1. Engel: K_0 = 0 and K_{j+1} = {v : [L, L] v in K_j}, each level the
      common graded kernel of [L, L] on V/K_j.  [L, L] is an ideal, so
      every K_j is L-invariant, and [L, L] acts as zero on every factor
-     K_{j+1}/K_j.
+     K_{j+1}/K_j.  The kernels are taken of generators G of N = [L, L]
+     only (``_generators``): for an N-invariant K_j, the maps x with
+     x K_j in K_j and x K' in K_j, for K' the common kernel of G on
+     V/K_j, are closed under the color bracket, as [a, b] = ab - r ba,
+     so if they hold G they hold N, and G and N have the same levels.
+     G is the rows of N independent modulo [N, N], once the closure of
+     their span under ad g, g in G, reaches N, which proves that they
+     generate it; both are found in integers off the table, and when
+     the closure falls short, as for a non-nilpotent N, G is every row.
+     ad is a homomorphism, so ad G generates ad N, and ``ideal_chain``'s
+     adjoint filtration runs on ad G too.
   2. Lie: [L, L] acts as zero on each factor, so b_{k+1}..b_m
      color-commute there, in any order.  A common homogeneous
      eigenvector is found by narrowing W = the factor one b_i at a time:
@@ -45,8 +56,8 @@ any such flag [L, L] is strictly upper triangular (a map of nonzero
 degree has zero diagonal, and for degree zero r(0, 0) = 1 cancels the
 diagonal of ab - ba).  Only then is the derived series computed
 (``_stall``), for a NotSolvable verdict, and, with the hypotheses
-checked, the components of [L, L] checked for nil on the sparse maps the
-filtration holds (``linalg._non_nilpotent_point``, the loop behind
+checked, the components of [L, L] checked for nil on the sparse maps of
+all of its rows (``linalg._non_nilpotent_point``, the loop behind
 ``nil_subspace_check``), to tell a failed hypothesis, with a non-nil
 point as its ``witness`` (degree, point), from a violated theorem.  That
 check proves a span nil once the product chain I_{j+1} = sum_i B_i I_j
@@ -74,7 +85,11 @@ scaled restricted maps as they are; what depends on the scale, an
 irrational factor or a hypothesis witness, is computed for the maps at
 their own scale, on the failure path only.  Fractions are made once, for
 the returned values: the flag vectors, the weights, the certified columns
-and the chain members.
+and the chain members.  ``color_flag`` builds them from the
+certificate's integers (``_certify``): each weight value is a certified
+diagonal entry, each flag vector is its one homogeneous component, and
+the columns are kept as integers and made Fractions on their first read
+(``ColorFlag.columns``).
 
 Both phases hold F/S (F is V or a level's factor) as S's reduced echelon
 in F's coordinates (``_Quotient``), which quotienting again only adds
@@ -99,12 +114,13 @@ vector t_j that meets one of M's nonzero columns, T^-1 (M t_j) is formed
 from sparse columns of T^-1 and must vanish below j, and its entry at j
 is M's weight.  The columns are kept: the weights and every matrix the
 flag gives (``ColorFlag.matrix``) are read off them, with no dense
-inverse.  A conclusion failing after
-its hypotheses were checked raises TheoremViolation.
+inverse.  A conclusion failing after its hypotheses were checked raises
+TheoremViolation.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -165,6 +181,9 @@ from .linalg import (
 )
 
 
+_FRACTION = {Fraction}
+
+
 @dataclass(frozen=True)
 class Weight:
     """Linear functional on an algebra, given by its values on the basis.
@@ -178,15 +197,14 @@ class Weight:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        vals = tuple(v if type(v) is Fraction else frac(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
+        vals = self.values
+        if type(vals) is not tuple or not _FRACTION.issuperset(map(type, vals)):
+            vals = tuple(v if type(v) is Fraction else frac(v) for v in vals)
+            object.__setattr__(self, "values", vals)
         if len(vals) != self.algebra.dim:
             raise ValidationError("one value per basis element is required")
-        for v, g in zip(vals, self.algebra.basis_degrees):
-            if v != 0 and not g.is_zero():
-                raise ValidationError(
-                    "weights vanish on nonzero-degree basis elements"
-                )
+        if any(vals[i] for i in self.algebra._shifting):
+            raise ValidationError("weights vanish on nonzero-degree basis elements")
 
     def evaluate(self, f: HomogeneousMap) -> Fraction:
         coords = self.algebra.coordinates(f)
@@ -199,11 +217,21 @@ class Weight:
 class ColorFlag:
     """Ordered homogeneous basis of V in which every element of the
     algebra is upper triangular, with the weights read off the diagonal.
-    ``columns``, not compared or shown: T^-1 b_k T by columns for L's basis (``_certify``)."""
+
+    ``certified``, not compared or shown, holds T^-1 b_k T by columns for
+    L's basis as the certificate gives them (``_certify``): each column
+    an integer vector ``{i: x}`` over a positive denominator.
+    ``columns`` is the same as Fractions, ``{i: x}`` with no zero entry,
+    converted on its first read and kept."""
 
     ordered_basis: tuple[GradedVector, ...]
     weights: tuple[Weight, ...]
-    columns: tuple = field(default=(), compare=False, repr=False)
+    certified: tuple = field(default=(), compare=False, repr=False)
+
+    @functools.cached_property
+    def columns(self) -> tuple[list[dict], ...]:
+        empty: dict = {}
+        return tuple([_over(z, d) if z else empty for z, d in m] for m in self.certified)
 
     def matrix(self, f: HomogeneousMap) -> Matrix:
         """The matrix of f in L in the flag basis, sum_k c_k T^-1 b_k T for
@@ -265,13 +293,14 @@ def common_annihilated_vector(
     inductive existence proof.  With the hypotheses checked, the whole
     filtration is built: reaching V certifies that L acts nilpotently,
     so its components are nil, and ``nil_subspace_check`` runs only when
-    the filtration stops below V.
+    the filtration stops below V.  The maps are those of L's basis that
+    L keeps (``_flag_maps``).
     """
     _require_closed(L)
     n = L.space.total_dim
     if n == 0:
         raise EmptySpace("the representation space is zero")
-    maps = _basis_maps(L)
+    maps = _flag_maps(L)[3]
     levels = _kernel_filtration(_coordinate_degrees(L.space), maps, [])
     if check_hypotheses:
         levels = list(levels)
@@ -352,13 +381,19 @@ def _map_of(degree: GroupElement, flat: dict, n: int, den: int) -> tuple:
     """The sparse map (degree, cols, den) on an n-dimensional space whose
     flattened matrix, row-major, has the integer entries ``flat`` over
     the positive denominator den, in lowest terms (``_lowest``): cols[j]
-    is den times its column j as ``{i: x}``, with no zero entry.  Keys
-    past n^2, a tracked echelon's, are left out."""
-    cols: list[dict] = [{} for _ in range(n)]
+    is den times its column j as ``{i: x}``, with no zero entry, and the
+    empty columns share one dict, which no reader changes.  Keys past
+    n^2, a tracked echelon's, are left out."""
+    empty: dict = {}
+    cols: list[dict] = [empty] * n
     nn = n * n
     for k, x in flat.items():
         if x and k < nn:
-            cols[k % n][k // n] = x
+            j = k % n
+            col = cols[j]
+            if col is empty:
+                col = cols[j] = {}
+            col[k // n] = x
     return (degree, *_lowest(cols, den))
 
 
@@ -377,11 +412,6 @@ def _sparse_elements(L: ColorAlgebra, coords) -> list[tuple]:
         flat = _sum_of(rows, {k: x * (lcm // leads[k]) for k, x in a.items()})
         out.append(_map_of(degree, flat, n, e * lcm))
     return out
-
-
-def _basis_maps(L: ColorAlgebra) -> list[tuple]:
-    """The sparse maps of L's basis elements, in order."""
-    return _sparse_elements(L, list(zip(L.basis_degrees, L._basis_coords)))
 
 
 def _profile_order(L: ColorAlgebra) -> list[int]:
@@ -711,11 +741,12 @@ def _flag_setup(L: ColorAlgebra, check_hypotheses: bool):
 
 def _flag_maps(L: ColorAlgebra):
     """V's coordinate degrees and the sparse maps of the rows of [L, L]
-    (phase 1), of L's basis elements outside it (phase 2, ``_adapted``)
-    and of L's basis, built once and kept on L (``L._flag_inputs``)."""
+    (phase 1 reads its generators', a stall all of them), of L's basis
+    elements outside it (phase 2, ``_adapted``) and of L's basis, built
+    once and kept on L (``L._flag_inputs``)."""
     if L._flag_inputs is None:
         coords, taken = _adapted(L)
-        basis = _basis_maps(L)
+        basis = _sparse_elements(L, list(zip(L.basis_degrees, L._basis_coords)))
         # a row of [L, L] that is a basis element of L has its map already;
         # looked up by its coordinates' indices, which hash cheaply
         known = {tuple(c): (c, f) for c, f in zip(L._basis_coords, basis)}
@@ -725,6 +756,94 @@ def _flag_maps(L: ColorAlgebra):
             nil.append(f if c == v else _sparse_elements(L, [(g, v)])[0])
         L._flag_inputs = _coordinate_degrees(L.space), nil, [basis[i] for i in taken], basis
     return L._flag_inputs
+
+
+def _ad_on_rows(table, u: dict, holders: dict, at: dict, k: int) -> list[dict]:
+    """l [u, w_b] for the k rows w_b of an ideal N that holds u, each in
+    N's coordinates: the w_b are one positive multiple of N's reduced
+    echelon rows, integer vectors of pivot coordinates, ``holders[j]``
+    lists the (b, w_b[j]) with w_b[j] != 0, and [u, w_b], in N, has its
+    entries at the rows' pivots as its coordinates, ``at`` mapping each
+    pivot to its row.  Read off the table (``ColorAlgebra._structure``)
+    at those pivots only, for l the lcm of the denominators in u's rows
+    of the table, and formed only where a row meets a nonzero entry; an
+    entry may be zero where terms cancel, and zero columns share one
+    empty dict."""
+    l = math.lcm(*[d for i in u for _, d in table[i].values()])
+    right: dict = {}  # j -> l [u, R_j] in N's coordinates
+    for i, a in u.items():
+        for j, (c, d) in table[i].items():
+            if j in holders:
+                s = a * (l // d)
+                acc = right.setdefault(j, {})
+                for t, z in c.items():
+                    r = at.get(t)
+                    if r is not None:
+                        acc[r] = acc[r] + s * z if r in acc else s * z
+    empty: dict = {}
+    out = [empty] * k
+    for j, v in right.items():
+        for b, y in holders[j]:
+            col = out[b]
+            if col is empty:
+                col = out[b] = {}
+            for r, x in v.items():
+                col[r] = col[r] + y * x if r in col else y * x
+    return out
+
+
+def _generators(L: ColorAlgebra) -> list[int]:
+    """The generators G of N = [L, L] that drive phase 1, as indices of
+    N's rows in the adapted basis (``_adapted``), found once and kept on
+    L (``L._generators``): the rows independent modulo [N, N], in order,
+    once the closure of their span under ad g, g in G, reaches N; else
+    every row (see the module docstring).
+
+    All in integers off the table, in N's coordinates (``_ad_on_rows``).
+    G_1 is the rows independent, in order, modulo the earlier ones in G_1
+    and their brackets with N, and B = [G_1, N].  G is the rows of G_1
+    independent modulo B: a row outside G_1 depends on earlier rows of
+    G_1 modulo B, so G is every row independent modulo B.  When the
+    closure reaches N, [N, N] = [G, N]: by color Jacobi, each left-normed
+    bracket b = [g, b'] of G has [b, y] = [g, [b', y]] minus
+    r(|g|, |b'|) [b', [g, y]] in [G, N], by induction on its length.  So
+    B, between [G, N] and [N, N], is [N, N], and G is the rows
+    independent modulo [N, N]."""
+    if L._generators is None:
+        coords, _ = _adapted(L)
+        k = _square(L).dim
+        den = math.lcm(*[x.denominator for _, v in coords[:k] for x in v.values()])
+        rows = [{i: x.numerator * (den // x.denominator) for i, x in v.items()}
+                for _, v in coords[:k]]
+        at = {min(w): c for c, w in enumerate(rows)}
+        holders: dict = {}
+        for b, w in enumerate(rows):
+            for j, y in w.items():
+                holders.setdefault(j, []).append((b, y))
+        table = L._structure()
+        square = _Echelon(k)  # [G_1, N]
+        span = _Echelon(k)  # G_1 and [G_1, N]
+        ads = {}  # the columns of ad g on N for g in G_1
+        for c in range(k):
+            if span.add({c: 1}):
+                ads[c] = _ad_on_rows(table, rows[c], holders, at, k)
+                for x in ads[c]:
+                    if x and square.add(x):
+                        span.add(x)
+        ech = square.copy()
+        gens = [c for c in ads if ech.add({c: 1})]
+        # the closure of span G under ad g, g in G, up to dim N
+        grown = _Echelon(k)
+        elems = [{g: 1} for g in gens if grown.add({g: 1})]
+        for e in elems:
+            if len(grown.pivots) == k:
+                break
+            for g in gens:
+                y = _sum_of(ads[g], e)
+                if y and grown.add(y):
+                    elems.append(y)
+        L._generators = gens if len(grown.pivots) == k else list(range(k))
+    return L._generators
 
 
 def _chain_maps(L: ColorAlgebra):
@@ -763,11 +882,18 @@ def _stall(L, nil, depth, strict, nil_policy, seed):
     raise err
 
 
+def _levels(L, degrees, nil, top) -> list:
+    """The whole kernel filtration of ``nil``, the sparse maps of [L, L]'s
+    rows in the adapted basis as they act on the space with the
+    coordinate degrees ``degrees``, run on the maps of the generators
+    (``_generators``): it is the filtration of all of them."""
+    return list(_kernel_filtration(degrees, [nil[i] for i in _generators(L)], top))
+
+
 def _engel_phase(L, degrees, nil, top, strict, nil_policy, seed) -> list:
-    """The whole kernel filtration of ``nil`` (spanning [L, L] as it acts
-    on the space with the coordinate degrees ``degrees``), or the stall
-    error (``_stall``)."""
-    levels = list(_kernel_filtration(degrees, nil, top))
+    """The whole kernel filtration of ``nil`` (``_levels``), or the stall
+    error (``_stall``), which reads all of ``nil``."""
+    levels = _levels(L, degrees, nil, top)
     depth = _filtration_dim(levels)
     if depth < len(degrees):
         _stall(L, nil, depth, strict, nil_policy, seed)
@@ -792,7 +918,7 @@ def common_homogeneous_eigenvector(
     if check_hypotheses:
         levels = _engel_phase(L, degrees, nil, top, True, nil_policy, seed)
     else:
-        levels = list(_kernel_filtration(degrees, nil, top))
+        levels = _levels(L, degrees, nil, top)
         if _filtration_dim(levels) < len(degrees) and derived_series(L)[-1].dim != 0:
             raise NotSolvable("algebra is not solvable")
     v = next(_flag_vectors(levels, check_hypotheses), None)
@@ -826,13 +952,31 @@ def color_flag(
     degrees, nil, top, basis = _flag_setup(L, check_hypotheses)
     levels = _engel_phase(L, degrees, nil, top, check_hypotheses, nil_policy, seed)
     vectors, columns = _lie_phase(degrees, levels, basis, check_hypotheses)
-    empty: dict = {}
-    columns = [[_over(z, d) if z else empty for z, d in m] for m in columns]
+    # the weights are the certified diagonal entries
     weights = tuple(
-        Weight(L, tuple(m[i].get(i, _ZERO) for m in columns)) for i in range(len(degrees))
+        Weight(L, tuple(Fraction(z[i], d) if i in z else _ZERO
+                        for z, d in (m[i] for m in columns)))
+        for i in range(len(degrees))
     )
-    return ColorFlag(tuple(_graded(L.space, _over(*v)) for v in vectors), weights,
-                     tuple(columns))
+    return ColorFlag(_homogeneous(L.space, degrees, vectors), weights, tuple(columns))
+
+
+def _homogeneous(space: GradedSpace, degrees: list, vectors) -> tuple[GradedVector, ...]:
+    """The vectors of ``space``, whose coordinates have the ``degrees``,
+    with the sparse integer flattened coordinates u over den > 0 for each
+    (u, den) in ``vectors``, each homogeneous (``_certify`` checks it)
+    and built as its one component."""
+    off = space.offsets()
+    out = []
+    for u, den in vectors:
+        g = degrees[next(i for i, x in u.items() if x)]
+        start = off[g]
+        comp = [_ZERO] * space.dim_of(g)
+        for i, x in u.items():
+            if x:
+                comp[i - start] = Fraction(x, den)
+        out.append(GradedVector(space, ((g, tuple(comp)),)))
+    return tuple(out)
 
 
 def _flag_vectors(levels, strict: bool):
@@ -937,7 +1081,9 @@ def ideal_chain(
     The maps are read off the structure-constant table: ad of L's basis
     adapted to [L, L] (``_derived_coords``), whose first dim [L, L]
     entries span ad [L, L] = [ad L, ad L], since ad is a homomorphism.
-    Those drive phase 1 and the rest phase 2 (see the module docstring);
+    Those at the generators of [L, L] (``_generators``), which generate
+    ad [L, L], drive phase 1 and the rest phase 2 (see the module
+    docstring);
     ad L is never built as an algebra.  The flag is certified with those
     same maps, ad of a basis of L, so every prefix is ad-invariant, hence
     an ideal.

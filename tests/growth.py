@@ -2,7 +2,7 @@
 the structure table, ``nil_subspace_check`` and the CLI's ``validate``,
 ``chain`` and ``triangularize``.
 
-    PYTHONPATH=src python3 tests/growth.py --label change --out BENCH_32.json
+    PYTHONPATH=src python3 tests/growth.py --label change --out BENCH_33.json
 
 Times ``bracket_closure`` of the unit maps E_ij (rows ``closure/...``),
 and ``color_flag``, ``ideal_chain`` and the structure-constant table
@@ -29,8 +29,10 @@ file with a 1 x 1 degree-0 generator beside an unused (n^2 - 1)-dimensional
 component (``corpus.unused_component_doc``, rows
 ``triangularize/unused/...``, an n^2-dimensional space), for every n in
 ``--sizes``.  Each other algebra call gets a freshly closed
-algebra, so its structure table is built inside the timed call; the
-median of ``--repeats`` runs is kept.  Times are CPU seconds of this process
+algebra, so its structure table is built inside the timed call.  Each
+row keeps the median of ``--repeats`` runs (``seconds``) and, beside
+it, their least and greatest (``min`` and ``max``), the spread a change
+must be read against.  Times are CPU seconds of this process
 (``time.process_time``), which a shared machine's other load disturbs
 less than wall-clock time.  The package is whatever ``colorlie``
 imports, so pointing PYTHONPATH at another checkout's ``src`` times that
@@ -68,14 +70,14 @@ NIL_SIZES = (3, 4)
 DENSE_SIZES = (4, 6, 8)
 
 
-def median_time(prepare, fn, repeats: int) -> float:
+def times(prepare, fn, repeats: int) -> list[float]:
     runs = []
     for _ in range(repeats):
         arg = prepare()
         t0 = CLOCK()
         fn(arg)
         runs.append(CLOCK() - t0)
-    return statistics.median(runs)
+    return runs
 
 
 def cli(command: str):
@@ -154,10 +156,10 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
-        seconds = {
-            key: round(median_time(prepare, fn, args.repeats), 4)
-            for key, prepare, fn in cases(args.sizes, tmp)
-        }
+        runs = {key: times(prepare, fn, args.repeats) for key, prepare, fn in cases(args.sizes, tmp)}
+    seconds = {key: round(statistics.median(r), 4) for key, r in runs.items()}
+    low = {key: round(min(r), 4) for key, r in runs.items()}
+    high = {key: round(max(r), 4) for key, r in runs.items()}
     doc = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
@@ -168,12 +170,14 @@ def main(argv=None):
                       f" --label <label> --out <file> --repeats {args.repeats}")
     doc["python"] = platform.python_version()
     doc["cpus"] = os.cpu_count()
-    doc.setdefault("results", {})[args.label] = {"repeats": args.repeats, "seconds": seconds}
+    doc.setdefault("results", {})[args.label] = {
+        "repeats": args.repeats, "seconds": seconds, "min": low, "max": high,
+    }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     for key, s in seconds.items():
-        print(f"{args.label:8} {key:32} {s:8.4f}")
+        print(f"{args.label:8} {key:32} {s:8.4f}  [{low[key]:.4f}, {high[key]:.4f}]")
 
 
 if __name__ == "__main__":

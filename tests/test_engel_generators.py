@@ -1,12 +1,18 @@
 """The Engel phase on generators of [L, L], and the flag's outputs.
 
-Where the stall path is taken, every call keeps its errors, messages,
-flag depths and witnesses, with the hypotheses checked and unchecked.
+Phase 1 runs on the rows of N = [L, L] independent modulo [N, N] once
+their closure under ad reaches N, and its levels are those of all of N,
+on V and on L under ad.  Where that closure falls short, every row is
+kept, and where the stall path is taken, every call keeps its errors,
+messages, flag depths and witnesses, with the hypotheses checked and
+unchecked.
+
 ``color_flag``'s outputs are exact: its weights are the public
 ``Weight`` of their values, its columns are Fractions equal to the dense
 certificate, read once and kept, and its flag vectors are the vectors
 that ``make_vector`` builds from their components."""
 
+import collections
 import dataclasses
 import random
 from fractions import Fraction
@@ -14,13 +20,16 @@ from pathlib import Path
 
 import pytest
 
+import colorlie.structure as structure
 from colorlie import (
     ColorLieError,
     HypothesisFailed,
     ValidationError,
     Weight,
     bracket_closure,
+    bracket_subspaces,
     color_flag,
+    common_annihilated_vector,
     common_homogeneous_eigenvector,
     flatten_map,
     flatten_vector,
@@ -32,6 +41,11 @@ from colorlie import (
     make_space,
     make_vector,
 )
+from colorlie.algebra import _square
+from colorlie.linalg import _over
+from colorlie.structure import (
+    _adapted, _chain_maps, _flag_maps, _generators, _kernel_filtration, _map_of,
+)
 from corpus import (
     BOREL_GRADINGS,
     borel_generators,
@@ -39,7 +53,7 @@ from corpus import (
     rational_conjugated_borel,
     torsion_free_configs,
 )
-from reference import dense_columns, ref_certificate
+from reference import dense_columns, densify, ref_ad, ref_certificate, ref_kernel_filtration
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -150,10 +164,98 @@ def _outcome(L, call, check, policy="auto", seed=0):
     return None
 
 
+def _generating_algebras():
+    """Solvable algebras, so [L, L] is nilpotent and its rows independent
+    modulo [[L, L], [L, L]] generate it."""
+    rng = random.Random(3302)
+    out = [random_solvable_instance(rng, group, r)
+           for _, group, r in torsion_free_configs() for _ in range(4)]
+    for grading in BOREL_GRADINGS:
+        for n in (3, 4, 5, 6):
+            out.append(bracket_closure(*borel_generators(n, grading)))
+        for n in (3, 4):
+            out.append(bracket_closure(*rational_conjugated_borel(random.Random(n), n, grading)))
+    return out
+
+
+def _independent_modulo_square(L) -> list[int]:
+    """The rows of N = [L, L], in the adapted basis, independent modulo
+    [N, N], by ``bracket_subspaces`` on Fractions, not the table's ints."""
+    square = _square(L)
+    ech = bracket_subspaces(square, square)._ech.copy()
+    return [c for c, (_, v) in enumerate(_adapted(L)[0][:square.dim]) if ech.add(v)]
+
+
+def _dense_levels(space, levels):
+    """The engine's levels' bases as dense vectors of the space."""
+    n = space.total_dim
+    return [[densify(_over(w, den), n) for w in basis] for _, _, basis, den in levels]
+
+
+def _dense_reference_levels(space, want):
+    """``ref_kernel_filtration``'s levels' bases as dense vectors."""
+    n, off = space.total_dim, space.offsets()
+    out = []
+    for _, _, rows in want:
+        level = []
+        for g, vs in rows.items():
+            for v in vs:
+                full = [Fraction(0)] * n
+                full[off[g]:off[g] + len(v)] = v
+                level.append(full)
+        out.append(level)
+    return out
+
+
+def test_generators_give_the_levels_of_all_of_the_derived_algebra():
+    for L in _generating_algebras():
+        gens = _generators(L)
+        coords = _adapted(L)[0][:_square(L).dim]
+        assert gens == _independent_modulo_square(L)
+        degrees, nil, _, _ = _flag_maps(L)
+        got = list(_kernel_filtration(degrees, [nil[i] for i in gens], []))
+        want = ref_kernel_filtration(L.space, [L._element(g, v) for g, v in coords], [])
+        assert _dense_levels(L.space, got) == _dense_reference_levels(L.space, want)
+        assert sum(len(b) for _, _, b, _ in got) == L.space.total_dim
+        # ad G generates ad [L, L], on L itself
+        degrees, _, ads = _chain_maps(L)
+        got = list(_kernel_filtration(degrees, [ads[i] for i in gens], []))
+        profile = L.profile_space()
+        want = ref_kernel_filtration(profile, [ref_ad(L, g, v) for g, v in coords], [])
+        assert _dense_levels(profile, got) == _dense_reference_levels(profile, want)
+
+
+def test_a_warm_engel_phase_runs_on_the_generators(monkeypatch):
+    # plain Borel n = 6: [L, L] has 15 rows, generated by the 5 E_i,i+1
+    sizes = []
+    real = structure._kernel_filtration
+    monkeypatch.setattr(structure, "_kernel_filtration",
+                        lambda degrees, nil, top: sizes.append(len(nil)) or real(degrees, nil, top))
+    L = bracket_closure(*borel_generators(6, "plain"))
+    assert _square(L).dim == 15
+    color_flag(L)
+    ideal_chain(L)
+    sizes.clear()
+    color_flag(L)
+    assert sizes == [5]
+    sizes.clear()
+    # V, then L under ad
+    ideal_chain(L)
+    assert sizes == [5, 5]
+    sizes.clear()
+    common_homogeneous_eigenvector(L, check_hypotheses=False)
+    assert sizes == [5]
+
+
 @pytest.mark.parametrize("name", sorted(STALLS))
 def test_stalled_filtrations_keep_their_errors(name):
     make, want = STALLS[name]
     L = make()
+    if name != "nonnil_derived":
+        # the closure of the rows independent modulo [N, N] falls short
+        # of N, so every row is kept
+        assert _generators(L) == list(range(_square(L).dim))
+        assert len(_independent_modulo_square(L)) < _square(L).dim
     # twice on one algebra, and on a fresh one
     for algebra in (L, L, make()):
         for (call, check), outcome in want.items():
@@ -222,3 +324,32 @@ def test_weight_coerces_and_refuses_as_before():
                 Weight(L, tuple(values))
     with pytest.raises(ValidationError, match="one value per basis element"):
         Weight(L, (Fraction(0),) * (L.dim - 1))
+
+
+# ------------------------------------------------- what an algebra keeps
+
+
+def test_empty_columns_share_one_dict():
+    L = bracket_closure(*borel_generators(6, "plain"))
+    _, nil, _, basis = _flag_maps(L)
+    for _, cols, _ in nil + basis + _chain_maps(L)[2]:
+        assert len({id(col) for col in cols if not col}) <= 1
+    _, cols, den = _map_of(L.basis_degrees[0], {0: 2, 8: 4}, 3, 2)
+    assert (cols, den) == ([{0: 1}, {}, {2: 2}], 1) and cols[1] is not cols[0]
+
+
+def test_annihilated_vector_reads_the_kept_basis_maps(monkeypatch):
+    # the Z-graded strictly upper triangular 6 x 6 matrices
+    space, r, gens = borel_generators(6, "z")
+    L = bracket_closure(space, r, [f for f in gens if not f.degree.is_zero()])
+    assert L.dim == 15
+    calls = collections.Counter()
+    real = structure._sparse_elements
+    monkeypatch.setattr(structure, "_sparse_elements",
+                        lambda L, coords: calls.update(n=len(coords)) or real(L, coords))
+    first = common_annihilated_vector(L)
+    assert calls["n"] == 15
+    calls.clear()
+    assert common_annihilated_vector(L) == first
+    assert common_annihilated_vector(L, check_hypotheses=False) == first
+    assert calls["n"] == 0
