@@ -800,12 +800,16 @@ def _generators(L: ColorAlgebra) -> list[int]:
     every row (see the module docstring).
 
     All in integers off the table, in N's coordinates (``_ad_on_rows``).
-    G_1 is the rows independent, in order, modulo the earlier ones in G_1
-    and their brackets with N, and B = [G_1, N].  G is the rows of G_1
-    independent modulo B: a row outside G_1 depends on earlier rows of
-    G_1 modulo B, so G is every row independent modulo B.  When the
-    closure reaches N, [N, N] = [G, N]: by color Jacobi, each left-normed
-    bracket b = [g, b'] of G has [b, y] = [g, [b', y]] minus
+    G_1 is the rows independent modulo the earlier ones in G_1 and their
+    brackets with N, and B = [G_1, N]; the rows of a degree that is no
+    sum of two of N's degrees come first, since the adapted order may
+    list the deepest brackets first.  G is the rows of G_1 independent,
+    in order, modulo B: B and the span of G_1 are graded, and the rows
+    taken first have none of the other rows' degrees, so a row outside
+    G_1 depends modulo B on rows of G_1 before it in order, and G is
+    every row independent modulo B.  When the closure reaches N,
+    [N, N] = [G, N]: by color Jacobi, each left-normed bracket
+    b = [g, b'] of G has [b, y] = [g, [b', y]] minus
     r(|g|, |b'|) [b', [g, y]] in [G, N], by induction on its length.  So
     B, between [G, N] and [N, N], is [N, N], and G is the rows
     independent modulo [N, N]."""
@@ -821,17 +825,21 @@ def _generators(L: ColorAlgebra) -> list[int]:
             for j, y in w.items():
                 holders.setdefault(j, []).append((b, y))
         table = L._structure()
+        degrees = [g for g, _ in coords[:k]]
+        sums = {a + b for a in set(degrees) for b in set(degrees)}
         square = _Echelon(k)  # [G_1, N]
         span = _Echelon(k)  # G_1 and [G_1, N]
         ads = {}  # the columns of ad g on N for g in G_1
-        for c in range(k):
+        # rows whose degree is no sum of two of N's lie outside [N, N]:
+        # they come first, then the rest in order (see above)
+        for c in sorted(range(k), key=lambda c: degrees[c] in sums):
             if span.add({c: 1}):
                 ads[c] = _ad_on_rows(table, rows[c], holders, at, k)
                 for x in ads[c]:
                     if x and square.add(x):
                         span.add(x)
         ech = square.copy()
-        gens = [c for c in ads if ech.add({c: 1})]
+        gens = [c for c in sorted(ads) if ech.add({c: 1})]
         # the closure of span G under ad g, g in G, up to dim N
         grown = _Echelon(k)
         elems = [{g: 1} for g in gens if grown.add({g: 1})]
