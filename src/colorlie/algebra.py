@@ -181,8 +181,8 @@ class ColorAlgebra:
     each built by the first call that needs it: [L, L] (``_square``), the
     basis adapted to it, the flag's sparse maps, the generators of [L, L]
     that drive the Engel phase and ``ideal_chain``'s ad maps (see
-    ``colorlie.structure``).  No verdict is kept: every call
-    still runs its hypothesis checks and its certificate.
+    ``colorlie.structure``).  No verdict is kept: every call still runs
+    its hypothesis checks and its certificate.
     """
 
     def __init__(self, space: GradedSpace, r: Bicharacter, basis,

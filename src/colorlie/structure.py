@@ -841,8 +841,8 @@ def _generators(L: ColorAlgebra) -> list[int]:
         ech = square.copy()
         gens = [c for c in sorted(ads) if ech.add({c: 1})]
         # the closure of span G under ad g, g in G, up to dim N
-        grown = _Echelon(k)
-        elems = [{g: 1} for g in gens if grown.add({g: 1})]
+        elems = [{g: 1} for g in gens]
+        grown = _Echelon(k, elems)
         for e in elems:
             if len(grown.pivots) == k:
                 break

@@ -247,6 +247,21 @@ def test_a_warm_engel_phase_runs_on_the_generators(monkeypatch):
     assert sizes == [5]
 
 
+def test_generators_take_one_bracket_pass_each(monkeypatch):
+    # [N, N] is read off the brackets of the rows taken in the first
+    # pass; on the graded Borel algebras the adapted order lists the
+    # deepest brackets first, and the rows of the superdiagonal's degrees,
+    # which no two degrees of N sum to, are taken before them
+    passes = []
+    real = structure._ad_on_rows
+    monkeypatch.setattr(structure, "_ad_on_rows", lambda *a: passes.append(1) or real(*a))
+    for grading in BOREL_GRADINGS:
+        for make in (borel_generators, lambda n, g: rational_conjugated_borel(random.Random(n), n, g)):
+            passes.clear()
+            assert len(_generators(bracket_closure(*make(6, grading)))) == 5
+            assert len(passes) == 5, grading
+
+
 @pytest.mark.parametrize("name", sorted(STALLS))
 def test_stalled_filtrations_keep_their_errors(name):
     make, want = STALLS[name]
