@@ -14,10 +14,10 @@ the first call that needs it, and kept on the ``ColorAlgebra``: [L, L]
 the adapted basis (``_adapted``), the flag's sparse maps
 (``_flag_maps``), the generators of [L, L] that drive phase 1
 (``_generators``) and ``ideal_chain``'s ad maps (``_chain_maps``).
-Their readers never change them.  Nothing kept is a verdict: every call still
-runs its closure, space and torsion checks before it reads them, then
-the Engel phase, a stall's diagnosis with its own ``nil_policy`` and
-``seed``, phase 2 and the certificate.
+Their readers never change them.  Nothing kept is a verdict: every call
+still runs its closure, space and torsion checks before it reads them,
+then the Engel phase, a stall's diagnosis with its own ``nil_policy``
+and ``seed``, phase 2 and the certificate.
 
   1. Engel: K_0 = 0 and K_{j+1} = {v : [L, L] v in K_j}, each level the
      common graded kernel of [L, L] on V/K_j.  [L, L] is an ideal, so
